@@ -13,8 +13,8 @@ confounders:
   cross-domain transport.
 """
 
-from .errors import (CyclicGraphError, InternalError, InvalidInputError,
-                     PartialSupportError, PromiseViolationError,
+from .errors import (CyclicGraphError, InfiniteSpanError, InternalError,
+                     InvalidInputError, PartialSupportError, PromiseViolationError,
                      UnsupportedModelError, UnsupportedQueryError,
                      UnsupportedTransportError, WindowTooSmallError)
 from .factors import (EPS_CMP, EPS_NORM, Factor, TransitionMatrix,

@@ -532,8 +532,7 @@ def _min_dsep_intervention(
     """Smallest variable set whose intervention d-separates vi and vj in
     every given graph; may need to contain vi itself when confounders
     touch the pair.  Preference order: size, vi-free before vi, names."""
-    names = sorted(graphs[0].names())
-    pool = [n for n in names if n != vj]
+    rest = sorted(n for n in graphs[0].names() if n not in (vi, vj))
 
     def separates(d: frozenset[str]) -> bool:
         z = d - {vi}
@@ -542,15 +541,16 @@ def _min_dsep_intervention(
             for g in graphs
         )
 
-    options = []
-    for size in range(0, len(pool) + 1):
-        for combo in itertools.combinations(pool, size):
-            d = frozenset(combo)
-            options.append((size, 1 if vi in d else 0, tuple(sorted(d)), d))
-    options.sort(key=lambda t: t[:3])
-    for size, _, _, d in options:
-        if separates(d):
-            return d
+    # combinations of a sorted list come in name order, and adding vi to
+    # each of them keeps that order, so no candidate list is built or sorted
+    for size in range(len(rest) + 2):
+        for combo in itertools.combinations(rest, size):
+            if separates(frozenset(combo)):
+                return frozenset(combo)
+        if size:
+            for combo in itertools.combinations(rest, size - 1):
+                if separates(frozenset(combo) | {vi}):
+                    return frozenset(combo) | {vi}
     return None
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from . import fileio
 from .alcam import CandidateSet, CostModel, InterventionCaps, alcam_run
 from .dcn import SelectionVar, TransportSpec, dynamic_time_span, trajectory, transport
-from .errors import (InvalidInputError, PromiseViolationError,
+from .errors import (InfiniteSpanError, InvalidInputError, PromiseViolationError,
                      UnsupportedModelError, UnsupportedQueryError,
                      UnsupportedTransportError, WindowTooSmallError)
 from .graphs import d_separated
@@ -154,9 +154,12 @@ def cmd_dcn(args: argparse.Namespace) -> int:
             intervention = (x, t_x)
     try:
         series = trajectory(spec, schedule, None, intervention, args.horizon, args.t0)
-    except UnsupportedModelError as ex:
+    except InfiniteSpanError as ex:
         print(str(ex))
         return EXIT_INFINITE_SPAN
+    except UnsupportedModelError as ex:
+        print(f"unsupported model: {ex}")
+        return EXIT_INPUT
     except (UnsupportedQueryError, WindowTooSmallError) as ex:
         print(str(ex))
         return EXIT_NOT_IDENTIFIABLE
@@ -185,8 +188,14 @@ def cmd_transport(args: argparse.Namespace) -> int:
         source_spec,
     )
     outcomes, targets = parse_query(args.query)
-    t_y = {t for _n, t in outcomes}.pop()
-    t_x = {t for (_n, t) in targets}.pop()
+    y_times = {t for _n, t in outcomes}
+    x_times = {t for (_n, t) in targets}
+    if len(y_times) != 1 or len(x_times) != 1 or None in y_times | x_times:
+        print("transport queries need one time slice for the outcome and one for "
+              "the intervention, e.g. P(d@8|do(tr1@3=0))")
+        return EXIT_INPUT
+    t_y = y_times.pop()
+    t_x = x_times.pop()
     x = {n: v for (n, _t), v in targets.items()}
     y = [n for n, _t in outcomes]
     try:

@@ -7,7 +7,10 @@ slices (0 = within the slice).  Confounders within a slice are static;
 confounders crossing k >= 1 slices are dynamic of order k.  Static
 specs make the observed slices a first-order Markov chain, so window
 joints chain from the transition matrix; dynamic specs require the
-slice mechanism for exact window joints.
+slice mechanism for exact window joints.  Those come from ``scm.joint``
+on the unrolled model with ``keep`` set to the window's slices: variable
+elimination sums out the earlier slices and their confounders as it
+goes (a forward filter), so only the kept slices are ever tabulated.
 
 Per-step identifications are independent given the window graphs and
 may run concurrently; trajectory assembly is sequential.
@@ -20,9 +23,9 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import (InternalError, InvalidInputError, UnsupportedModelError,
-                     UnsupportedQueryError, UnsupportedTransportError,
-                     WindowTooSmallError)
+from .errors import (InfiniteSpanError, InternalError, InvalidInputError,
+                     UnsupportedModelError, UnsupportedQueryError,
+                     UnsupportedTransportError, WindowTooSmallError)
 from .factors import (Factor, TransitionMatrix, condition, marginalize,
                       multiply)
 from .graphs import Admg, Var, ancestors, c_components, d_separated, mutilate
@@ -281,7 +284,8 @@ def unrolled_scm(spec: DcnSpec, t0: int, t_end: int) -> Scm:
     graph, index = unroll(spec, t0, t_end)
     cells = float(np.prod([v.domain for v in graph.vars]))
     if cells > MAX_WINDOW_CELLS:
-        raise UnsupportedModelError(f"window joint would need {cells:.3g} cells")
+        raise UnsupportedModelError(f"window of slices {t0}..{t_end} would need {cells:.0f} "
+                                    f"cells (cap {MAX_WINDOW_CELLS})")
 
     exo_list: list[Exogenous] = []
     exo_parents: dict[str, list[str]] = {v.name: [] for v in graph.vars}
@@ -378,13 +382,17 @@ def initial_distribution(spec: DcnSpec, t0: int = 0) -> Factor:
 
 def _to_template(spec: DcnSpec, f: Factor, t: int) -> Factor:
     names = {slice_var_at(n, t): n for n in spec.names()}
-    scope = [Var(names[v.name], v.domain) for v in f.scope]
-    return Factor(scope, f.table, f.partial).reorder(spec.names())
+    scope = tuple(Var(names[v.name], v.domain) for v in f.scope)
+    return Factor._view(scope, f.table, f.partial).reorder(spec.names())
 
 
 def _slice_factor_at(spec: DcnSpec, f: Factor, t: int) -> Factor:
-    scope = [Var(slice_var_at(v.name, t), v.domain) for v in f.scope]
-    return Factor(scope, f.table, f.partial)
+    scope = tuple(Var(slice_var_at(v.name, t), v.domain) for v in f.scope)
+    return Factor._view(scope, f.table, f.partial)
+
+
+def _slice_names(spec: DcnSpec, t_left: int, t_right: int) -> list[str]:
+    return [slice_var_at(n, t) for t in range(t_left, t_right + 1) for n in spec.names()]
 
 
 def observational_marginal(
@@ -400,10 +408,8 @@ def observational_marginal(
     if p0 is None:
         if spec.mechanism is not None:
             if schedule is None or not classify(spec).is_static:
-                m = unrolled_scm(spec, t0, t)
-                f = joint(m)
-                drop = [n for n in f.names() if not n.endswith(f"@{t}")]
-                return _to_template(spec, marginalize(f, drop), t)
+                f = joint(unrolled_scm(spec, t0, t), _slice_names(spec, t, t))
+                return _to_template(spec, f, t)
             p0 = initial_distribution(spec, t0)
         else:
             p0 = Factor.uniform(spec.slice_vars)
@@ -427,7 +433,8 @@ def _window_joint(
 
     Static specs chain the transition matrix from the marginal at the
     window's left edge (the slices are first-order Markov); otherwise
-    the joint comes exactly from the mechanism.
+    the mechanism is unrolled from t0 and the slices before t_left are
+    eliminated.
     """
     if classify(spec).is_static and schedule is not None:
         left = observational_marginal(spec, t_left, schedule, p0, t0)
@@ -442,10 +449,7 @@ def _window_joint(
             cond = Factor(nxt_scope + prev_scope, tm.matrix.reshape(doms))
             out = multiply(out, cond)
         return out
-    m = unrolled_scm(spec, t0, t_right)
-    f = joint(m)
-    drop = [n for n in f.names() if not (t_left <= int(n.split("@")[1]) <= t_right)]
-    return marginalize(f, drop)
+    return joint(unrolled_scm(spec, t0, t_right), _slice_names(spec, t_left, t_right))
 
 
 # -- windows ---------------------------------------------------------------
@@ -473,7 +477,7 @@ def build_gid(spec: DcnSpec, t_x: int, t_y: int) -> GidWindow:
         raise InvalidInputError("t_x must precede t_y")
     back = _backward_reach(spec, spec.names())
     if back.is_infinite:
-        raise UnsupportedModelError("infinite dynamic time span")
+        raise InfiniteSpanError("infinite dynamic time span")
     assert back.slices is not None
     t_start = min(t_x - back.slices - 1, t_x - 2)
     g, index = unroll(spec, t_start, t_y)
@@ -752,7 +756,7 @@ def _dynamic_effect(
                                     "for exact window joints")
     span = dynamic_time_span(spec, x.keys())
     if span.is_infinite:
-        raise UnsupportedModelError("infinite dynamic time span")
+        raise InfiniteSpanError("infinite dynamic time span")
     assert span.slices is not None
     back = _backward_reach(spec, x.keys())
     assert back.slices is not None  # finite whenever the forward span is
@@ -907,7 +911,7 @@ def trajectory(
     # dynamic confounders: identify each subsequent step conditional
     back = _backward_reach(spec, x.keys())
     if back.is_infinite:
-        raise UnsupportedModelError("infinite dynamic time span")
+        raise InfiniteSpanError("infinite dynamic time span")
     assert back.slices is not None
     m_left = max(t0, min(t_x - back.slices - 1, t_x - 2))
     kern = _identified_kernel(
@@ -1034,9 +1038,7 @@ def transport(
     src = tspec.source_spec
     m_src = unrolled_scm(src, w_left, t_x + 1)
     from .scm import intervene as scm_intervene
-    post = joint(scm_intervene(m_src, {index[(n, t_x)]: v for n, v in x.items()}))
-    keep = outcome
-    num = marginalize(post, [n for n in post.names() if n not in keep])
+    num = joint(scm_intervene(m_src, {index[(n, t_x)]: v for n, v in x.items()}), outcome)
     prev_names = [index[(n, t_x - 1)] for n in spec.names()]
     next_names = [index[(n, t_x + 1)] for n in spec.names()]
     cond = condition(num, prev_names)

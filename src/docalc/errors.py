@@ -24,7 +24,12 @@ class WindowTooSmallError(InvalidInputError):
 
 class UnsupportedModelError(RuntimeError):
     """The model is outside the supported class (e.g. infinite dynamic
-    confounder span)."""
+    confounder span, or a window over the cell cap)."""
+
+
+class InfiniteSpanError(UnsupportedModelError):
+    """A self-sustaining confounder chain gives the intervention an
+    infinite dynamic time span."""
 
 
 class UnsupportedQueryError(RuntimeError):

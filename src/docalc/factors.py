@@ -2,7 +2,9 @@
 
 Tables are dense numpy arrays, row-major in scope order (the first
 scope variable is the most significant index digit).  Factors are
-immutable values; every operation returns a fresh factor.
+immutable values over read-only tables.  Every newly computed table
+passes the validating constructor; ``reorder`` and ``restrict`` return
+read-only views of their input's table instead of copies.
 
 Numerical policy: 64-bit floats, ``EPS_NORM`` for normalization checks
 and ``EPS_CMP`` for distribution equality.  Conditioning on a
@@ -63,6 +65,17 @@ class Factor:
         self.table = arr
         self.partial = bool(partial)
 
+    @classmethod
+    def _view(cls, scope: tuple[Var, ...], table: np.ndarray, partial: bool) -> "Factor":
+        """Trusted constructor: ``table`` must be a read-only view of a
+        validated table whose shape matches ``scope``; nothing is checked
+        or copied."""
+        f = object.__new__(cls)
+        f.scope = scope
+        f.table = table
+        f.partial = partial
+        return f
+
     # -- constructors ----------------------------------------------------
 
     @classmethod
@@ -117,13 +130,19 @@ class Factor:
 
     def restrict(self, assignment: Assignment) -> "Factor":
         """Fix the given variables to values and drop them from the scope."""
-        fixed = {n: v for n, v in assignment.items() if n in self.names()}
-        idx = tuple(fixed.get(v.name, slice(None)) for v in self.scope)
+        idx: list = []
+        keep: list[Var] = []
         for v in self.scope:
-            if v.name in fixed and not (0 <= fixed[v.name] < v.domain):
-                raise InvalidInputError(f"value {fixed[v.name]} out of domain for {v.name}")
-        keep = tuple(v for v in self.scope if v.name not in fixed)
-        return Factor(keep, self.table[idx], self.partial)
+            if v.name in assignment:
+                val = assignment[v.name]
+                if not (0 <= val < v.domain):
+                    raise InvalidInputError(f"value {val} out of domain for {v.name}")
+                idx.append(val)
+            else:
+                idx.append(slice(None))
+                keep.append(v)
+        # the trailing Ellipsis keeps a 0-d view when every variable is fixed
+        return Factor._view(tuple(keep), self.table[tuple(idx) + (Ellipsis,)], self.partial)
 
     def normalized(self) -> "Factor":
         tot = self.total()
@@ -132,10 +151,14 @@ class Factor:
         return Factor(self.scope, self.table / tot, self.partial)
 
     def reorder(self, names: Sequence[str]) -> "Factor":
-        if set(names) != set(self.names()) or len(names) != len(self.scope):
+        own = self.names()
+        if tuple(names) == own:
+            return self
+        if set(names) != set(own) or len(names) != len(self.scope):
             raise InvalidInputError("reorder must permute the existing scope")
-        perm = [self.names().index(n) for n in names]
-        return Factor([self.scope[i] for i in perm], np.transpose(self.table, perm), self.partial)
+        perm = [own.index(n) for n in names]
+        return Factor._view(tuple(self.scope[i] for i in perm),
+                            np.transpose(self.table, perm), self.partial)
 
     def __repr__(self) -> str:
         flag = ", partial" if self.partial else ""

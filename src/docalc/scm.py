@@ -1,22 +1,28 @@
 """Parameterized structural causal models over finite domains.
 
-Models are exact: the observed joint is computed by summing the full
-product of conditionals over all exogenous assignments, never by
-sampling.  Hidden confounders are explicit exogenous variables, each
+Models are exact: ``joint(m, keep)`` computes the marginal P(keep) of
+the observed variables by variable elimination over the conditional
+tables and confounder priors, never by sampling.  Every variable outside
+``keep`` (exogenous or observed) is summed out as soon as the tables that
+mention it are combined, so the full product over observed and
+exogenous variables is never built.  Every exact joint in the package
+(oracle answers, CI tests, DCN window joints) comes from this one
+function.  Hidden confounders are explicit exogenous variables, each
 feeding the pair of observed variables its bidirected edge joins.
 Models are immutable; queries are pure.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError, PartialSupportError
-from .factors import EPS_CMP, Factor, marginalize, multiply
-from .graphs import Admg, Var, mutilate, topological_order
+from .errors import InvalidInputError, PartialSupportError, UnsupportedModelError
+from .factors import EPS_CMP, Factor
+from .graphs import Admg, Var, mutilate
 
 __all__ = [
     "Cpt",
@@ -150,22 +156,86 @@ class InterventionSpec:
         return f"({{{do}}} -> {{{','.join(sorted(self.observed))}}})"
 
 
-def joint(m: Scm) -> Factor:
-    """Exact observed joint: sum the full conditional product over all
-    exogenous assignments."""
-    result = Factor.scalar(1.0)
+# a single einsum call accepts at most this many distinct axis labels
+_EINSUM_LABELS = 52
+
+
+def _contract(tables: Sequence[tuple[tuple[str, ...], np.ndarray]],
+              out: Sequence[str], domain: Mapping[str, int]) -> np.ndarray:
+    """Product of the tables summed onto ``out``, as one einsum.
+
+    Unit-domain variables carry no information and are left out of the
+    einsum labels, then restored as length-1 axes of the result."""
+    labels: dict[str, int] = {}
+    operands: list = []
+    for scope, table in tables:
+        wide = [n for n in scope if domain[n] > 1]
+        operands.append(table.reshape([domain[n] for n in wide]))
+        operands.append([labels.setdefault(n, len(labels)) for n in wide])
+    if len(labels) > _EINSUM_LABELS:
+        raise UnsupportedModelError(
+            f"an elimination step spans {len(labels)} variables of domain > 1 "
+            f"(at most {_EINSUM_LABELS})")
+    result = np.einsum(*operands, [labels[n] for n in out if domain[n] > 1])
+    return result.reshape([domain[n] for n in out])
+
+
+def joint(m: Scm, keep: Optional[Iterable[str]] = None) -> Factor:
+    """Exact P(keep) over observed variables, in graph order.
+
+    ``keep=None`` keeps every observed variable.  Every other variable is
+    eliminated by variable elimination over the CPTs and confounder
+    priors; the next variable to sum out is the one whose combined table
+    is smallest (ties in declaration order, observed before exogenous).
+    """
+    observed = m.graph.names()
+    kept = frozenset(observed) if keep is None else frozenset(keep)
+    unknown = kept - frozenset(observed)
+    if unknown:
+        raise InvalidInputError(f"joint: {sorted(unknown)} are not observed variables")
+    domain = {v.name: v.domain for v in m.graph.vars}
+    domain.update((e.var.name, e.var.domain) for e in m.exogenous)
+
+    tables: dict[int, tuple[tuple[str, ...], np.ndarray]] = {}
+    holders: dict[str, set[int]] = {n: set() for n in domain}
+    ids = itertools.count()
+
+    def add(scope: tuple[str, ...], table: np.ndarray) -> None:
+        i = next(ids)
+        tables[i] = (scope, table)
+        for n in scope:
+            holders[n].add(i)
+
     for e in m.exogenous:
-        result = multiply(result, Factor((e.var,), np.asarray(e.prior)))
-    order = topological_order(m.graph)
-    for name in order:
+        add((e.var.name,), np.asarray(e.prior, dtype=float))
+    for name in observed:
         cpt = m.cpts[name]
-        scope = tuple(m.graph.var(p) for p in cpt.parents)
-        scope += tuple(m._exo(x).var for x in cpt.exo_parents)
-        scope += (m.graph.var(name),)
-        result = multiply(result, Factor(scope, np.asarray(cpt.table)))
-    exo_names = [e.var.name for e in m.exogenous]
-    out = marginalize(result, exo_names) if exo_names else result
-    return out.reorder([v.name for v in m.graph.vars])
+        add(cpt.parents + cpt.exo_parents + (name,), np.asarray(cpt.table, dtype=float))
+
+    rank = {n: i for i, n in enumerate(domain)}
+
+    def cost(n: str) -> tuple[int, int]:
+        scope = set().union(*(tables[i][0] for i in holders[n]))
+        cells = 1
+        for s in scope:
+            cells *= domain[s]
+        return cells // domain[n], rank[n]
+
+    hidden = set(domain) - kept
+    while hidden:
+        var = min(hidden, key=cost)
+        hidden.discard(var)
+        used = sorted(holders.pop(var))
+        involved = [tables.pop(i) for i in used]
+        scope = tuple(dict.fromkeys(n for s, _t in involved for n in s if n != var))
+        for n in scope:
+            holders[n].difference_update(used)
+        add(scope, _contract(involved, scope, domain))
+
+    out = tuple(n for n in observed if n in kept)
+    # the unit table gives einsum an operand even for a model without variables
+    rest = [((), np.ones(()))] + list(tables.values())
+    return Factor([m.graph.var(n) for n in out], _contract(rest, out, domain))
 
 
 def intervene(m: Scm, x: Mapping[str, int]) -> Scm:
@@ -196,10 +266,9 @@ def intervene(m: Scm, x: Mapping[str, int]) -> Scm:
 
 
 def oracle_query(m_star: Scm, e: InterventionSpec) -> Factor:
-    """Ground-truth P*(Y | do(X=x)) by brute mutilation and summation."""
-    post = joint(intervene(m_star, dict(e.values))) if e.targets else joint(m_star)
-    drop = [n for n in post.names() if n not in e.observed]
-    return marginalize(post, drop)
+    """Ground-truth P*(Y | do(X=x)) by exact elimination on the mutilated model."""
+    post = intervene(m_star, dict(e.values)) if e.targets else m_star
+    return joint(post, e.observed)
 
 
 def ci_test(
@@ -222,9 +291,8 @@ def ci_test(
     ctx = dict(condition_on or {})
     if vi in ctx or vj in ctx:
         raise InvalidInputError("test variables may not be conditioned on")
-    post = joint(intervene(m_star, dict(do_set))) if do_set else joint(m_star)
-    keep = {vi, vj} | set(ctx)
-    marg = marginalize(post, [n for n in post.names() if n not in keep])
+    post = intervene(m_star, dict(do_set)) if do_set else m_star
+    marg = joint(post, {vi, vj} | set(ctx))
     if ctx:
         at_ctx = marg.restrict(ctx)
         if at_ctx.total() <= 0.0:

@@ -8,10 +8,11 @@ from docalc.alcam import (CandidateSet, CostModel,
                           enumerate_interventions, id_edges, id_hidden,
                           minimal_splitting_sets, partition_candidates,
                           power_of_intervention, select_graphs,
-                          select_intervention, _exact_cover, _greedy_cover)
+                          select_intervention, _exact_cover, _greedy_cover,
+                          _min_dsep_intervention)
 from docalc.errors import InvalidInputError, PromiseViolationError
 from docalc.factors import Factor
-from docalc.graphs import Admg, Var
+from docalc.graphs import Admg, Var, d_separated, mutilate
 from docalc.identify import Prediction
 from docalc.scm import InterventionSpec, joint, random_scm
 
@@ -377,6 +378,55 @@ class TestCiFallbacks:
         m = random_scm(np.random.default_rng(14), a)
         with pytest.raises(InvalidInputError):
             id_hidden(CandidateSet((a, b)), m)
+
+
+def _sorted_min_dsep(graphs, vi, vj):
+    """Reference: every subset built, sorted by (size, vi-free first,
+    names), and tested in that order."""
+    names = sorted(graphs[0].names())
+    pool = [n for n in names if n != vj]
+    options = []
+    for size in range(len(pool) + 1):
+        for combo in itertools.combinations(pool, size):
+            d = frozenset(combo)
+            options.append((size, 1 if vi in d else 0, tuple(sorted(d)), d))
+    options.sort(key=lambda t: t[:3])
+    for *_key, d in options:
+        if all(d_separated(mutilate(g, remove_incoming=d), {vi}, {vj}, d - {vi})
+               for g in graphs):
+            return d
+    return None
+
+
+def _criterion2_graphs():
+    """The criterion-2 family: 4-variable DAGs with <= 2 bidirected edges."""
+    names = ["A", "B", "C", "D"]
+    variables = [Var(n) for n in names]
+    pairs = list(itertools.combinations(names, 2))
+    dags = set()
+    for perm in itertools.permutations(names):
+        possible = [(a, b) for i, a in enumerate(perm) for b in perm[i + 1:]]
+        for r in range(len(possible) + 1):
+            dags.update(frozenset(c) for c in itertools.combinations(possible, r))
+    return [Admg(variables, sorted(edges), confs)
+            for edges in sorted(dags, key=sorted)
+            for n in range(3) for confs in itertools.combinations(pairs, n)]
+
+
+class TestMinDsepIntervention:
+    def test_lazy_walk_matches_sorted_enumeration(self):
+        graphs = _criterion2_graphs()
+        rng = np.random.default_rng(527)
+        with_vi = without = 0
+        for _ in range(400):
+            i, j = rng.choice(len(graphs), size=2, replace=False)
+            group = [graphs[i], graphs[j]]
+            for vi, vj in itertools.permutations("ABCD", 2):
+                got = _min_dsep_intervention(group, vi, vj)
+                assert got == _sorted_min_dsep(group, vi, vj), (group, vi, vj)
+                with_vi += got is not None and vi in got
+                without += got is None
+        assert with_vi and without  # both unusual outcomes were exercised
 
 
 class TestAlcamRun:

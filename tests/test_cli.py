@@ -171,6 +171,19 @@ class TestDcnCommand:
                      "--query", "P(a@5|do(a@2=0))", "--horizon", "6"])
         assert code == 4
 
+    def test_window_cell_cap_is_input_error(self, tmp_path, capsys):
+        # one slice of 2049 x 2048 states is just over the 2^22-cell cap
+        doms = {"a": 2049, "b": 2048}
+        spec = {
+            "slice_vars": [{"name": n, "domain": d} for n, d in doms.items()],
+            "mechanism": {"cpts": {n: {"table": [1.0 / d] * d} for n, d in doms.items()}},
+        }
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        code = main(["dcn", "--spec", str(path), "--horizon", "0"])
+        assert code == 1
+        assert "4196352 cells" in capsys.readouterr().out
+
 
 class TestTransportCommand:
     @staticmethod
@@ -218,6 +231,18 @@ class TestTransportCommand:
         effect = json.loads(out.read_text())
         assert effect["outcome"] == ["d"]
         assert abs(sum(effect["table"]) - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("query", ["P(d|do(tr1=1))", "P(d@6|do(tr1=1))",
+                                       "P(d|do(tr1@3=1))", "P(d@6,tr1@5|do(tr1@3=1))"])
+    def test_query_without_single_slices_is_input_error(self, tmp_path, capsys, query):
+        (tmp_path / "target.json").write_text(json.dumps(self._spec_dict(0.0)),
+                                              encoding="utf-8")
+        (tmp_path / "transport.json").write_text(json.dumps({"selection_vars": []}),
+                                                 encoding="utf-8")
+        code = main(["transport", "--spec", str(tmp_path / "target.json"),
+                     "--transport", str(tmp_path / "transport.json"), "--query", query])
+        assert code == 1
+        assert "one time slice" in capsys.readouterr().out
 
     def test_unsupported_placement_is_input_error(self, tmp_path):
         (tmp_path / "target.json").write_text(json.dumps(self._spec_dict(0.0)),

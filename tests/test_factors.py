@@ -47,6 +47,31 @@ class TestMarginalize:
         assert equal_within(two_step, one_step, 1e-15)
 
 
+class TestViews:
+    def test_reorder_and_restrict_are_read_only(self):
+        f = joint_ab([[0.1, 0.2], [0.3, 0.4]])
+        for view in (f.reorder(["B", "A"]), f.restrict({"A": 1})):
+            with pytest.raises(ValueError):
+                view.table[0] = 1.0
+        assert np.allclose(f.table, [[0.1, 0.2], [0.3, 0.4]])
+
+    def test_reorder_to_own_order_is_identity(self):
+        f = joint_ab([[0.1, 0.2], [0.3, 0.4]])
+        assert f.reorder(["A", "B"]) is f
+
+    def test_restrict_everything_gives_0d_table(self):
+        f = joint_ab([[0.1, 0.2], [0.3, 0.4]])
+        g = f.restrict({"A": 1, "B": 0, "C": 1})
+        assert g.scope == ()
+        assert g.table.shape == ()
+        assert g.total() == pytest.approx(0.3)
+        assert g[{}] == pytest.approx(0.3)
+
+    def test_restrict_out_of_domain(self):
+        with pytest.raises(InvalidInputError):
+            joint_ab([[0.25] * 2] * 2).restrict({"A": 2})
+
+
 class TestCondition:
     def test_independent_uniform(self):
         f = Factor.uniform((A, B))

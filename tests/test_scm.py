@@ -64,6 +64,75 @@ class TestJoint:
                 assert abs(f.table[assign] - p) < 1e-10, (g, assign)
 
 
+def chain(n: int, domain: int, rng: np.random.Generator) -> Scm:
+    """V1 -> V2 -> ... -> Vn with random CPTs."""
+    names = [f"V{i + 1}" for i in range(n)]
+    g = Admg([Var(v, domain) for v in names], list(zip(names, names[1:])))
+    return random_scm(rng, g)
+
+
+class TestJointKeep:
+    """``joint(m, keep)`` against the plain-loop oracle, marginalized."""
+
+    @staticmethod
+    def _check(f, bf, names, keep):
+        assert f.names() == tuple(n for n in names if n in keep)
+        want = bf_marginal(bf, names, list(f.names()))
+        for assign, p in want.items():
+            assert abs(f.table[assign] - p) < 1e-9
+
+    def test_random_keep_subsets(self):
+        rng = np.random.default_rng(41)
+        for _ in range(30):
+            g = random_admg(rng, int(rng.integers(3, 6)), 0.5, 3)
+            m = random_scm(rng, g, exo_domain=int(rng.integers(2, 4)))
+            names = list(g.names())
+            bf = bf_joint(m)
+            for size in range(len(names) + 1):
+                keep = set(rng.choice(names, size=size, replace=False).tolist())
+                self._check(joint(m, keep), bf, names, keep)
+
+    def test_empty_keep_is_total_mass(self):
+        m = confounded_copy()
+        f = joint(m, ())
+        assert f.scope == ()
+        assert abs(f.total() - 1.0) < 1e-12
+
+    def test_random_keep_after_intervention(self):
+        rng = np.random.default_rng(42)
+        for _ in range(20):
+            g = random_admg(rng, 4, 0.5, 3)
+            m = random_scm(rng, g)
+            names = list(g.names())
+            x = {str(n): int(rng.integers(2))
+                 for n in rng.choice(names, size=int(rng.integers(1, 3)), replace=False)}
+            bf = bf_do(m, x)
+            for size in range(len(names) + 1):
+                keep = set(rng.choice(names, size=size, replace=False).tolist())
+                self._check(joint(intervene(m, x), keep), bf, names, keep)
+
+    def test_long_unit_domain_chain(self):
+        # more variables than one einsum call has axis labels
+        m = chain(60, 1, np.random.default_rng(43))
+        f = joint(m)
+        assert f.table.shape == (1,) * 60
+        assert abs(f.total() - 1.0) < 1e-12
+        assert joint(m, {"V1", "V60"}).table.shape == (1, 1)
+
+    def test_long_binary_chain_ends(self):
+        m = chain(60, 2, np.random.default_rng(44))
+        f = joint(m, {"V1", "V60"})
+        # reference: the chain's transition matrices multiplied in order
+        want = np.diag(np.asarray(m.cpts["V1"].table))
+        for i in range(2, 61):
+            want = want @ np.asarray(m.cpts[f"V{i}"].table)
+        assert np.max(np.abs(f.table - want)) < 1e-12
+
+    def test_unknown_keep_rejected(self):
+        with pytest.raises(InvalidInputError):
+            joint(single_coin(), {"Y"})
+
+
 class TestIntervene:
     def test_root_intervention_keeps_graph(self):
         m = confounded_copy()
