@@ -5,10 +5,19 @@ performs the cheapest single-value interventions that split the
 candidate set; phase 2 settles the remaining edge and hidden-confounder
 differences with exact conditional-independence tests.
 
+Every verdict comes from one place: ``PredictionTable.verdicts(e)``
+stacks each candidate's prediction for experiment ``e`` and classifies
+all candidate pairs into the seven-case table at once, giving an
+(n, n) boolean matrix that is computed once per experiment and cached.
+The partition, the splitting plan's coverage, the next-experiment
+selection and ``power_of_intervention`` all read that matrix;
+``distinguishable_by`` classifies a single pair with the same table.
+
 Prediction precomputation is embarrassingly parallel over (experiment,
 graph) pairs; the discovery loop itself is sequential because each
-oracle answer conditions the next selection.  Oracle access is
-serialized through a single ``InterventionOracle``.
+oracle answer conditions the next selection.  Oracle access, CI
+experiments included, is serialized through a single
+``InterventionOracle``.
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ from .errors import (InternalError, InvalidInputError, PartialSupportError,
 from .factors import EPS_CMP, Factor, equal_within, marginalize
 from .graphs import Admg, d_separated, mutilate
 from .identify import Prediction, evaluate, id_effect
-from .scm import InterventionOracle, InterventionSpec, Scm, ci_test, joint, oracle_query
+from .scm import InterventionOracle, InterventionSpec, Scm, joint
 
 __all__ = [
     "CandidateSet", "CostModel", "InterventionCaps", "Verdict", "Partition",
@@ -149,7 +158,9 @@ class PredictionTable:
     """Cache of do-calculus predictions for every (experiment, graph) pair.
 
     Identification depends only on (graph, X, Y); the evaluated sheet is
-    cached once per such triple and sliced per value assignment.
+    cached once per such triple and sliced per value assignment.  Every
+    verdict the discovery loop uses comes from :meth:`verdicts`, one
+    matrix per experiment.
     """
 
     def __init__(self, candidates: CandidateSet, p_star: Factor, eps: float = EPS_CMP):
@@ -158,6 +169,7 @@ class PredictionTable:
         self.eps = eps
         self._sheets: dict[tuple[int, tuple[str, ...], tuple[str, ...]], Optional[Factor]] = {}
         self._marginals: dict[tuple[str, ...], Factor] = {}
+        self._verdicts: dict[tuple, np.ndarray] = {}
 
     def observational_marginal(self, observed: Iterable[str]) -> Factor:
         key = tuple(sorted(observed))
@@ -185,32 +197,86 @@ class PredictionTable:
         binding = dict(e.values)
         for n in sheet.names():
             if n not in e.observed and n not in binding:
-                binding[n] = 0  # rule-3 auxiliary do-variable, value irrelevant
+                # A rule-3 auxiliary do-variable.  The sheet is flat along
+                # it when p_star is Markov to the candidate, so the true
+                # graph's prediction does not depend on the 0 binding.  A
+                # candidate that p_star refutes may vary along it; 0 is
+                # then a fixed convention, not an irrelevant value.
+                binding[n] = 0
         f = sheet.restrict(binding)
         if set(f.names()) != set(e.observed):
             raise InternalError("prediction scope mismatch")
         return Prediction(f.reorder(sorted(f.names())))
 
+    def verdicts(self, e: InterventionSpec) -> np.ndarray:
+        """Read-only (n, n) boolean matrix: entry (k, l) says whether
+        ``e`` distinguishes candidates k and l.  Computed once per
+        experiment from every candidate's prediction stacked over the
+        sorted observed scope."""
+        key = e.key()
+        if key not in self._verdicts:
+            py = self.observational_marginal(e.observed)
+            dists = [self.prediction(k, e).dist for k in range(len(self.candidates.graphs))]
+            rows, ident, partial, py_row = _stack(dists, py)
+            # cases 2, 4 and 5 distinguish, unless either prediction is partial
+            row = (_SPLITS[_case_codes(rows, ident, py_row, self.eps)]
+                   & ~(partial[:, None] | partial[None, :]))
+            row.flags.writeable = False
+            self._verdicts[key] = row
+        return self._verdicts[key]
+
+
+def _stack(dists: Sequence[Optional[Factor]], py: Factor
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Predictions as rows over P(Y)'s scope order: (rows, identified,
+    partial, P(Y) row); an unidentified prediction's row is zeros."""
+    names = py.names()
+    rows = np.zeros((len(dists), py.table.size))
+    for k, f in enumerate(dists):
+        if f is not None:
+            rows[k] = f.reorder(names).table.reshape(-1)
+    ident = np.array([f is not None for f in dists], dtype=bool)
+    partial = np.array([f is not None and f.partial for f in dists], dtype=bool)
+    return rows, ident, partial, py.table.reshape(-1)
+
+
+def _case_of(k_id: bool, l_id: bool, k_py: bool, l_py: bool, same: bool) -> int:
+    """The seven-case table for one pair: whether each prediction is
+    identified and equals P(Y), and whether the two are equal."""
+    if not (k_id or l_id):
+        return 7
+    if k_id != l_id:
+        return 5 if k_py or l_py else 6
+    if k_py and l_py:
+        return 1
+    if k_py != l_py:
+        return 2
+    return 3 if same else 4
+
+
+# _case_of over all 32 inputs, indexed by the bits k_id l_id k_py l_py same
+_CASES = np.array([_case_of(*bits) for bits in itertools.product((False, True), repeat=5)])
+_SPLITS = np.isin(_CASES, (2, 4, 5))
+
+
+def _case_codes(rows: np.ndarray, ident: np.ndarray, py: np.ndarray, eps: float) -> np.ndarray:
+    """(n, n) indices into ``_CASES`` for every pair of stacked predictions.
+
+    Equality is ``equal_within``'s max-abs test, taken pairwise, so it
+    stays non-transitive: a~b and b~c within eps do not make a~c.
+    """
+    same = np.max(np.abs(rows[:, None, :] - rows[None, :, :]), axis=2, initial=0.0) <= eps
+    is_py = ident & (np.max(np.abs(rows - py), axis=1, initial=0.0) <= eps)
+    k = 16 * ident + 4 * is_py
+    l = 8 * ident + 2 * is_py
+    return k[:, None] + l[None, :] + same
+
 
 def _classify(pk: Optional[Factor], pl: Optional[Factor], py: Factor, eps: float) -> Verdict:
-    partial = any(f is not None and f.partial for f in (pk, pl))
-    if pk is None and pl is None:
-        return Verdict(7, False, eps, partial)
-    if pk is None or pl is None:
-        other = pl if pk is None else pk
-        assert other is not None
-        matches_py = equal_within(other, py.reorder(other.names()), eps)
-        case = 5 if matches_py else 6
-        return Verdict(case, case == 5 and not partial, eps, partial)
-    k_is_py = equal_within(pk, py.reorder(pk.names()), eps)
-    l_is_py = equal_within(pl, py.reorder(pl.names()), eps)
-    if k_is_py and l_is_py:
-        return Verdict(1, False, eps, partial)
-    if k_is_py != l_is_py:
-        return Verdict(2, not partial, eps, partial)
-    if equal_within(pk, pl.reorder(pk.names()), eps):
-        return Verdict(3, False, eps, partial)
-    return Verdict(4, not partial, eps, partial)
+    rows, ident, partial, py_row = _stack([pk, pl], py)
+    code = _case_codes(rows, ident, py_row, eps)[0, 1]
+    is_partial = bool(partial.any())
+    return Verdict(int(_CASES[code]), bool(_SPLITS[code]) and not is_partial, eps, is_partial)
 
 
 def distinguishable_by(
@@ -220,7 +286,8 @@ def distinguishable_by(
     preds: PredictionTable,
 ) -> Verdict:
     """Classify a candidate pair under one experiment into the seven-case
-    table; partial-support predictions demote to non-distinguishable."""
+    table; partial-support predictions demote to non-distinguishable.
+    The discovery loop reads :meth:`PredictionTable.verdicts` instead."""
     pk = preds.prediction(k_idx, e).dist
     pl = preds.prediction(l_idx, e).dist
     py = preds.observational_marginal(e.observed)
@@ -234,28 +301,7 @@ def power_of_intervention(
 ) -> int:
     """Number of candidate pairs the experiment distinguishes."""
     idx = sorted(set(graph_indices))
-    return sum(
-        1
-        for k, l in itertools.combinations(idx, 2)
-        if distinguishable_by(e, k, l, preds).distinguishable
-    )
-
-
-def _distinguishability_matrix(
-    candidates: CandidateSet,
-    preds: PredictionTable,
-    interventions: Sequence[InterventionSpec],
-) -> dict[tuple[int, int], set[int]]:
-    """For each candidate pair, the indices of experiments distinguishing it."""
-    n = len(candidates.graphs)
-    out: dict[tuple[int, int], set[int]] = {
-        (k, l): set() for k, l in itertools.combinations(range(n), 2)
-    }
-    for ei, e in enumerate(interventions):
-        for k, l in itertools.combinations(range(n), 2):
-            if distinguishable_by(e, k, l, preds).distinguishable:
-                out[(k, l)].add(ei)
-    return out
+    return int(np.triu(preds.verdicts(e)[np.ix_(idx, idx)], 1).sum())
 
 
 def _maximal_cliques(n: int, adjacent: Callable[[int, int], bool]) -> list[frozenset[int]]:
@@ -289,15 +335,15 @@ def partition_candidates(
     Within a subset every experiment has zero power; across any two
     subsets some experiment has positive power.  Subsets may overlap.
     """
-    matrix = _distinguishability_matrix(candidates, preds, interventions)
+    n = len(candidates.graphs)
+    split = np.zeros((n, n), dtype=bool)
+    for e in interventions:
+        split |= preds.verdicts(e)
 
     def non_dist(a: int, b: int) -> bool:
-        if a == b:
-            return False
-        k, l = min(a, b), max(a, b)
-        return not matrix[(k, l)]
+        return a != b and not split[a, b]
 
-    return Partition(tuple(_maximal_cliques(len(candidates.graphs), non_dist)))
+    return Partition(tuple(_maximal_cliques(n, non_dist)))
 
 
 def _pair_coverage(
@@ -306,15 +352,24 @@ def _pair_coverage(
     interventions: Sequence[InterventionSpec],
 ) -> dict[int, frozenset[tuple[int, int]]]:
     """For each experiment index, the subset pairs it splits."""
-    coverage: dict[int, set[tuple[int, int]]] = {i: set() for i in range(len(interventions))}
-    subs = partition.subsets
-    for (a, b) in itertools.combinations(range(len(subs)), 2):
-        cross = [(k, l) for k in subs[a] for l in subs[b] if k != l]
-        for ei, e in enumerate(interventions):
-            if any(distinguishable_by(e, min(k, l), max(k, l), preds).distinguishable
-                   for k, l in cross):
-                coverage[ei].add((a, b))
-    return {i: frozenset(s) for i, s in coverage.items()}
+    pairs = list(itertools.combinations(range(len(partition.subsets)), 2))
+    member = _membership(partition, preds)
+    coverage = {}
+    for ei, e in enumerate(interventions):
+        splits = member @ preds.verdicts(e) @ member.T > 0
+        coverage[ei] = frozenset((a, b) for a, b in pairs if splits[a, b])
+    return coverage
+
+
+def _membership(partition: Partition, preds: PredictionTable) -> np.ndarray:
+    """(subsets, candidates) 0/1 matrix of subset membership.  For a
+    verdict row, entry (a, b) of ``member @ row @ member.T > 0`` is
+    ``row[np.ix_(subset_a, subset_b)].any()``: some pair across subsets a
+    and b is distinguished."""
+    member = np.zeros((len(partition.subsets), len(preds.candidates.graphs)))
+    for a, s in enumerate(partition.subsets):
+        member[a, sorted(s)] = 1.0
+    return member
 
 
 def _exact_cover(
@@ -427,22 +482,20 @@ def select_intervention(
     members = partition.members()
     if all(power_of_intervention(e, members, preds) == 0 for e in plan):
         return None
-    subs = partition.subsets
+    n_subs = len(partition.subsets)
+    member = _membership(partition, preds)
+    splits = [member @ preds.verdicts(e) @ member.T > 0 for e in plan]
     by_key = {e.key(): e for e in plan}
     best: Optional[tuple[float, tuple]] = None
-    for i, target_subset in enumerate(subs):
-        needed = frozenset(j for j in range(len(subs)) if j != i)
+    for i in range(n_subs):
+        needed = frozenset(j for j in range(n_subs) if j != i)
         if not needed:
             continue
         rows = []
-        for e in plan:
-            covered = set()
-            for j in needed:
-                cross = [(min(k, l), max(k, l)) for k in target_subset for l in subs[j] if k != l]
-                if any(distinguishable_by(e, k, l, preds).distinguishable for k, l in cross):
-                    covered.add(j)
+        for e, split in zip(plan, splits):
+            covered = frozenset(j for j in needed if split[i, j])
             if covered:
-                rows.append((costs.of(e), e.key(), frozenset(covered)))
+                rows.append((costs.of(e), e.key(), covered))
         chosen = _exact_cover(needed, rows)
         if not chosen:
             continue
@@ -554,7 +607,7 @@ def _min_dsep_intervention(
     return None
 
 
-def _dependent_under(m_star: Scm, vi: str, vj: str, d: frozenset[str],
+def _dependent_under(oracle: InterventionOracle, vi: str, vj: str, d: frozenset[str],
                      costs: CostModel, eps: float) -> tuple[bool, CiRecord]:
     """Exact dependence test of vi, vj under intervention on d."""
     context = {n: 0 for n in sorted(d)}
@@ -562,11 +615,11 @@ def _dependent_under(m_star: Scm, vi: str, vj: str, d: frozenset[str],
         # hidden confounders force intervening vi: test across all its values
         dists = []
         base = {n: 0 for n in sorted(d - {vi})}
-        n_values = m_star.graph.var(vi).domain
+        n_values = oracle.m_star.graph.var(vi).domain
         cost = 0.0
         for val in range(n_values):
             do_set = dict(base, **{vi: val})
-            f = oracle_query(m_star, InterventionSpec(frozenset(do_set), do_set, frozenset({vj})))
+            f = oracle.query(InterventionSpec(frozenset(do_set), do_set, frozenset({vj})))
             dists.append(f)
             cost += costs.intervention_cost(frozenset(do_set), do_set)
             cost += costs.observation_cost(frozenset({vj}))
@@ -580,7 +633,7 @@ def _dependent_under(m_star: Scm, vi: str, vj: str, d: frozenset[str],
     if d:
         cost += costs.intervention_cost(frozenset(d), context)
     cost += costs.observation_cost(frozenset({vi, vj}))
-    independent = ci_test(m_star, vi, vj, context if d else {}, eps=eps)
+    independent = oracle.ci_test(vi, vj, context if d else {}, eps=eps)
     rec = CiRecord("edge", (vi, vj), tuple(sorted(d)), False, 1 if d else 0, cost, not independent)
     return not independent, rec
 
@@ -591,14 +644,17 @@ def id_edges(
     costs: Optional[CostModel] = None,
     eps: float = EPS_CMP,
     records: Optional[list[CiRecord]] = None,
+    oracle: Optional[InterventionOracle] = None,
 ) -> CandidateSet:
     """Resolve edge differences with interventional CI tests.
 
     For each differing edge, intervenes on a minimal set d-separating its
     endpoints in the edge-free candidates and keeps the side consistent
     with the exact test.  Returns a candidate set with no edge
-    differences."""
+    differences.  Every experiment goes through ``oracle`` (a new one
+    on ``m_star`` when None)."""
     costs = costs or CostModel.unit()
+    oracle = oracle or InterventionOracle(m_star)
     graphs = list(subset.graphs)
     while True:
         diffs = _edge_differences(graphs)
@@ -609,7 +665,7 @@ def id_edges(
         d = _min_dsep_intervention(without, vi, vj)
         if d is None:
             raise InternalError(f"no separating intervention for edge {vi}->{vj}")
-        dependent, rec = _dependent_under(m_star, vi, vj, d, costs, eps)
+        dependent, rec = _dependent_under(oracle, vi, vj, d, costs, eps)
         if records is not None:
             records.append(rec)
         if dependent:
@@ -621,7 +677,7 @@ def id_edges(
 
 
 def _hidden_test(
-    m_star: Scm,
+    oracle: InterventionOracle,
     parent: str,
     child: str,
     adjacent: bool,
@@ -635,7 +691,7 @@ def _hidden_test(
     n_int = 0
     # right-hand side: P(child | parent, do(O)) from a single experiment
     rhs_spec = InterventionSpec(o_set, dict(o_context), frozenset({parent, child}))
-    rhs_joint = oracle_query(m_star, rhs_spec)
+    rhs_joint = oracle.query(rhs_spec)
     if o_set:
         cost += costs.intervention_cost(o_set, dict(o_context))
         n_int += 1
@@ -650,10 +706,9 @@ def _hidden_test(
     if adjacent:
         # left-hand side: P(child | do(parent, O)), one experiment per value
         lhs_rows = []
-        for val in range(m_star.graph.var(parent).domain):
+        for val in range(oracle.m_star.graph.var(parent).domain):
             do_set = dict(o_context, **{parent: val})
-            f = oracle_query(m_star, InterventionSpec(frozenset(do_set), do_set,
-                                                      frozenset({child})))
+            f = oracle.query(InterventionSpec(frozenset(do_set), do_set, frozenset({child})))
             lhs_rows.append(f.table)
             cost += costs.intervention_cost(frozenset(do_set), do_set)
             cost += costs.observation_cost(frozenset({child}))
@@ -672,14 +727,17 @@ def id_hidden(
     costs: Optional[CostModel] = None,
     eps: float = EPS_CMP,
     records: Optional[list[CiRecord]] = None,
+    oracle: Optional[InterventionOracle] = None,
 ) -> CandidateSet:
     """Resolve hidden-confounder differences with exact CI tests.
 
     Uses the adjacent-pair criterion (compare P(Vj|do(Vi,O)) with
     P(Vj|Vi,do(O))) or the non-adjacent criterion (compare P(Vj|do(O))
     with P(Vj|Vi,do(O))), with O the union of the pair's observed
-    parents held at a single context."""
+    parents held at a single context.  Every experiment goes through
+    ``oracle`` (a new one on ``m_star`` when None)."""
     costs = costs or CostModel.unit()
+    oracle = oracle or InterventionOracle(m_star)
     graphs = list(subset.graphs)
     base = graphs[0]
     for g in graphs[1:]:
@@ -699,7 +757,7 @@ def id_hidden(
             parent, child, adjacent = a, b, False
         o_vars = (base.parents_of(parent) | base.parents_of(child)) - {parent, child}
         o_context = {n: 0 for n in sorted(o_vars)}
-        confounded, cost, n_int = _hidden_test(m_star, parent, child, adjacent,
+        confounded, cost, n_int = _hidden_test(oracle, parent, child, adjacent,
                                                o_context, costs, eps)
         if records is not None:
             records.append(CiRecord("hidden", (parent, child), tuple(sorted(o_vars)),
@@ -798,9 +856,9 @@ def alcam_run(
 
     ci_records: list[CiRecord] = []
     if len(set(remaining.graphs)) > 1 and _edge_differences(remaining.graphs):
-        remaining = id_edges(remaining, m_star, costs, eps, ci_records)
+        remaining = id_edges(remaining, m_star, costs, eps, ci_records, oracle)
     if len(set(remaining.graphs)) > 1 and _confounder_differences(remaining.graphs):
-        remaining = id_hidden(remaining, m_star, costs, eps, ci_records)
+        remaining = id_hidden(remaining, m_star, costs, eps, ci_records, oracle)
 
     unique = sorted(set(remaining.graphs), key=lambda g: (sorted(g.directed), sorted(map(sorted, g.bidirected))))
     if len(unique) != 1:

@@ -76,6 +76,10 @@ def _write_out(path: Optional[str], text: str) -> None:
 def cmd_identify(args: argparse.Namespace) -> int:
     g = fileio.load_graph(args.graph)
     outcomes, targets = parse_query(args.query)
+    if any(t is not None for _n, t in list(outcomes) + list(targets)):
+        print("identify works on a static graph and takes no @slice suffixes; "
+              "use docalc dcn for queries on time slices")
+        return EXIT_INPUT
     y = frozenset(n for n, _t in outcomes)
     x = frozenset(n for (n, _t) in targets)
     result = id_effect(g, x, y)

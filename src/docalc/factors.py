@@ -15,7 +15,7 @@ producing NaNs.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -98,13 +98,6 @@ class Factor:
                 raise InvalidInputError(f"value {assignment[v.name]} out of domain for {v.name}")
         t = np.zeros([v.domain for v in scope])
         t[tuple(assignment[v.name] for v in scope)] = 1.0
-        return cls(scope, t)
-
-    @classmethod
-    def from_fn(cls, scope: Sequence[Var], fn: Callable[..., float]) -> "Factor":
-        t = np.empty([v.domain for v in scope])
-        for idx in np.ndindex(*t.shape):
-            t[idx] = fn(*idx)
         return cls(scope, t)
 
     # -- accessors -------------------------------------------------------
@@ -252,17 +245,6 @@ def equal_within(a: Factor, b: Factor, eps: float = EPS_CMP) -> bool:
 # -- transition matrices ------------------------------------------------
 
 
-def state_index(scope: Sequence[Var], assignment: Assignment) -> int:
-    """Mixed-radix joint state index, first scope variable most significant."""
-    idx = 0
-    for v in scope:
-        val = assignment[v.name]
-        if not (0 <= val < v.domain):
-            raise InvalidInputError(f"value {val} out of domain for {v.name}")
-        idx = idx * v.domain + val
-    return idx
-
-
 class TransitionMatrix:
     """Markov transition for the joint state of one slice.
 
@@ -292,17 +274,6 @@ class TransitionMatrix:
     def from_rows(cls, state_vars: Sequence[Var], rows: np.ndarray) -> "TransitionMatrix":
         """Build from a row-stochastic layout (entry [prev, next])."""
         return cls(state_vars, np.asarray(rows, dtype=float).T)
-
-    @classmethod
-    def from_conditional(cls, next_vars: Sequence[Var], prev_vars: Sequence[Var],
-                         cond: Factor) -> "TransitionMatrix":
-        """Build from a conditional factor P(next | prev) over next+prev scope."""
-        names = tuple(v.name for v in next_vars) + tuple(v.name for v in prev_vars)
-        f = cond.reorder(names)
-        n = int(np.prod([v.domain for v in next_vars]))
-        m = int(np.prod([v.domain for v in prev_vars]))
-        base = tuple(Var(v.name, v.domain) for v in next_vars)
-        return cls(base, f.table.reshape(n, m))
 
     def n_states(self) -> int:
         return self.matrix.shape[0]

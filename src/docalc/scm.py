@@ -326,6 +326,13 @@ class InterventionOracle:
         self.log.append(e)
         return oracle_query(self.m_star, e)
 
+    def ci_test(self, vi: str, vj: str, do_set: Mapping[str, int], eps: float = EPS_CMP) -> bool:
+        """``ci_test`` on the true model, counted and logged as the
+        experiment it performs: do(do_set), observing vi and vj."""
+        self.calls += 1
+        self.log.append(InterventionSpec(frozenset(do_set), dict(do_set), frozenset({vi, vj})))
+        return ci_test(self.m_star, vi, vj, do_set, eps=eps)
+
 
 # -- random generation (demos, discovery simulations, property tests) --------
 

@@ -11,10 +11,10 @@ from docalc.alcam import (CandidateSet, CostModel,
                           select_intervention, _exact_cover, _greedy_cover,
                           _min_dsep_intervention)
 from docalc.errors import InvalidInputError, PromiseViolationError
-from docalc.factors import Factor
+from docalc.factors import Factor, condition, equal_within, marginalize
 from docalc.graphs import Admg, Var, d_separated, mutilate
-from docalc.identify import Prediction
-from docalc.scm import InterventionSpec, joint, random_scm
+from docalc.identify import Prediction, evaluate, id_effect, pretty
+from docalc.scm import InterventionOracle, InterventionSpec, joint, random_admg, random_scm
 
 RNG = np.random.default_rng(2024)
 
@@ -149,21 +149,21 @@ VAL_C = np.array([0.8, 0.2])
 O = Var("O")
 
 
-class FakePreds:
-    """Prediction table with scripted outcomes (five graphs, five
-    single-target experiments observing O)."""
+class FakePreds(PredictionTable):
+    """Prediction table with scripted outcomes per (targets, graph): a
+    table over O, None (unidentified) or a (table, partial) pair.  P(O)
+    is PY."""
 
-    eps = 1e-9
-
-    def __init__(self, table):
+    def __init__(self, candidates, table):
+        super().__init__(candidates, Factor((O,), PY))
         self.table = table
 
     def prediction(self, g_idx, e):
         v = self.table[(tuple(sorted(e.targets)), g_idx)]
-        return Prediction(None if v is None else Factor((O,), v))
-
-    def observational_marginal(self, observed):
-        return Factor((O,), PY)
+        if v is None:
+            return Prediction(None)
+        values, partial = v if isinstance(v, tuple) else (v, False)
+        return Prediction(Factor((O,), values, partial=partial))
 
 
 def narrative_setup(e1_cost=2.5):
@@ -186,7 +186,7 @@ def narrative_setup(e1_cost=2.5):
     for tname, vals in rows.items():
         for g_idx, v in enumerate(vals):
             table[((tname,), g_idx)] = v
-    return cs, es, costs, FakePreds(table)
+    return cs, es, costs, FakePreds(cs, table)
 
 
 class TestSplittingNarrative:
@@ -371,6 +371,30 @@ class TestCiFallbacks:
             out = id_hidden(CandidateSet((plain, conf)), m)
             assert out.graphs == (truth,)
 
+    def test_experiments_go_through_the_oracle(self):
+        variables = (Var("X1"), Var("M"), Var("X2"))
+        chain = [("X1", "M"), ("M", "X2")]
+        with_edge = Admg(variables, chain + [("X1", "X2")])
+        without = Admg(variables, chain)
+        m = random_scm(np.random.default_rng(20), with_edge)
+        oracle = InterventionOracle(m)
+        out = id_edges(CandidateSet((with_edge, without)), m, oracle=oracle)
+        assert out.graphs == (with_edge,)
+        # one CI test under do(M=0), observing the edge's endpoints
+        assert oracle.calls == 1
+        assert [str(e) for e in oracle.log] == ["({M=0} -> {X1,X2})"]
+
+        plain = Admg(variables, chain)
+        conf = Admg(variables, chain, [("X1", "M")])
+        m = random_scm(np.random.default_rng(21), conf)
+        oracle = InterventionOracle(m)
+        out = id_hidden(CandidateSet((plain, conf)), m, oracle=oracle)
+        assert out.graphs == (conf,)
+        # adjacent pair: P(M, X1) observed, then P(M | do(X1=v)) per value
+        assert [str(e) for e in oracle.log] == [
+            "({} -> {M,X1})", "({X1=0} -> {M})", "({X1=1} -> {M})"]
+        assert oracle.calls == 3
+
     def test_id_hidden_requires_shared_observable_graph(self):
         variables = (Var("X1"), Var("X2"))
         a = Admg(variables, [("X1", "X2")])
@@ -462,6 +486,16 @@ class TestAlcamRun:
         assert res.n_interventions == 0  # no single-value experiment splits them
         assert len(res.ci_records) == 1
 
+    def test_oracle_counts_ci_experiments(self):
+        variables = (Var("X1"), Var("X2"))
+        plain = Admg(variables, [("X1", "X2")])
+        conf = Admg(variables, [("X1", "X2")], [("X1", "X2")])
+        m = random_scm(np.random.default_rng(18), conf)
+        oracle = InterventionOracle(m)
+        res = alcam_run(CandidateSet((plain, conf)), m, oracle=oracle)
+        assert res.n_interventions == 0 and len(res.ci_records) == 1
+        assert oracle.calls == len(oracle.log) == 3
+
     def test_promise_violation_raises(self):
         variables = (Var("X"), Var("Z"))
         bow = Admg(variables, [("X", "Z")], [("X", "Z")])
@@ -472,6 +506,136 @@ class TestAlcamRun:
         m = random_scm(np.random.default_rng(19), bow)
         with pytest.raises(PromiseViolationError):
             alcam_run(CandidateSet((plain, isolated)), m)
+
+
+def _reference_classify(pk, pl, py, eps):
+    """The seven-case table written pairwise with ``equal_within``: the
+    reference the stacked verdict rows are checked against."""
+    partial = any(f is not None and f.partial for f in (pk, pl))
+    if pk is None and pl is None:
+        return 7, False
+    if pk is None or pl is None:
+        other = pl if pk is None else pk
+        case = 5 if equal_within(other, py, eps) else 6
+        return case, case == 5 and not partial
+    k_is_py = equal_within(pk, py, eps)
+    l_is_py = equal_within(pl, py, eps)
+    if k_is_py and l_is_py:
+        return 1, False
+    if k_is_py != l_is_py:
+        return 2, not partial
+    if equal_within(pk, pl, eps):
+        return 3, False
+    return 4, not partial
+
+
+def _scripted_preds(values):
+    """One graph per scripted prediction (see FakePreds) of the single
+    experiment do(V0=0) observing O."""
+    names = [f"V{i}" for i in range(len(values))]
+    variables = tuple(Var(n) for n in names) + (O,)
+    cs = CandidateSet(tuple(Admg(variables, [(n, "O")] if i else [])
+                            for i, n in enumerate(names)))
+    table = {(("V0",), g_idx): v for g_idx, v in enumerate(values)}
+    return FakePreds(cs, table), spec_for({"V0"}, {"O"})
+
+
+class TestVerdictRows:
+    def _agree(self, preds, e):
+        row = preds.verdicts(e)
+        n = len(preds.candidates.graphs)
+        assert row.shape == (n, n) and not row.flags.writeable
+        py = preds.observational_marginal(e.observed)
+        for k, l in itertools.product(range(n), repeat=2):
+            v = distinguishable_by(e, k, l, preds)
+            pk, pl = preds.prediction(k, e).dist, preds.prediction(l, e).dist
+            assert (v.case_id, v.distinguishable) == _reference_classify(pk, pl, py, preds.eps)
+            assert row[k, l] == v.distinguishable, (e, k, l)
+        return row
+
+    def test_rows_match_pairwise_verdicts_on_criterion5_sets(self):
+        from test_acceptance import _generic_candidate_trial
+
+        rng = np.random.default_rng(3003)
+        trials = pairs = splits = 0
+        while trials < 6:
+            drawn = _generic_candidate_trial(rng)
+            if drawn is None:
+                continue
+            cs, m, true_g = drawn
+            preds = PredictionTable(cs, joint(m))
+            for e in enumerate_interventions(true_g):
+                row = self._agree(preds, e)
+                pairs += row.size
+                splits += int(row.sum())
+            trials += 1
+        assert 0 < splits < pairs
+
+    def test_unidentified_prediction(self):
+        preds, e = _scripted_preds([None, VAL_A, PY, None])
+        row = self._agree(preds, e)
+        # None vs P(Y) is case 5, None vs a non-trivial effect case 6
+        assert row[0, 2] and not row[0, 1] and not row[0, 3]
+        assert distinguishable_by(e, 0, 3, preds).case_id == 7
+
+    def test_partial_prediction_never_distinguishes(self):
+        preds, e = _scripted_preds([(VAL_A, True), VAL_B, PY, None, (PY, True)])
+        row = self._agree(preds, e)
+        assert not row[0].any() and not row[:, 0].any()
+        assert not row[4].any()
+        assert row[1, 2] and row[2, 3] and not row[1, 3]
+
+    def test_eps_equality_is_not_transitive(self):
+        step = np.array([6e-10, -6e-10])
+        a, b, c = VAL_A, VAL_A + step, VAL_A + 2 * step
+        preds, e = _scripted_preds([a, b, c])
+        row = self._agree(preds, e)
+        assert not row[0, 1] and not row[1, 2] and row[0, 2]
+        assert [distinguishable_by(e, k, l, preds).case_id
+                for k, l in ((0, 1), (1, 2), (0, 2))] == [3, 3, 4]
+
+
+class TestAuxiliaryBinding:
+    def test_sheets_flat_along_auxiliary_variables_for_the_true_graph(self):
+        """Predictions bind rule-3 auxiliary do-variables to 0; when the
+        joint comes from the candidate itself the sheet does not depend
+        on them, so the true graph's predictions do not either."""
+        rng = np.random.default_rng(4004)
+        with_aux = 0
+        for _ in range(20):
+            g = random_admg(rng, int(rng.integers(3, 6)), edge_prob=0.5, max_confounders=2)
+            p = joint(random_scm(rng, g))
+            seen = set()
+            for e in enumerate_interventions(g):
+                key = (tuple(sorted(e.targets)), tuple(sorted(e.observed)))
+                if key in seen:
+                    continue
+                seen.add(key)
+                res = id_effect(g, *key)
+                if not res.identified:
+                    continue
+                sheet = evaluate(res.expr, p)
+                for ax, n in enumerate(sheet.names()):
+                    if n in key[0] or n in key[1] or sheet.partial:
+                        continue
+                    with_aux += 1
+                    assert np.max(np.ptp(sheet.table, axis=ax)) <= 1e-9, (g, key, n)
+        assert with_aux > 0
+
+    def test_refuted_candidate_binds_auxiliary_to_zero(self, fig32_trio):
+        """For a candidate the joint refutes, the sheet does vary along the
+        auxiliary variable; the prediction takes its value at 0."""
+        g1, _g2, g3 = fig32_trio
+        p = joint(random_scm(np.random.default_rng(3), g3))
+        preds = PredictionTable(CandidateSet((g1,)), p)
+        res = id_effect(g1, {"X2"}, {"X3"})
+        assert pretty(res.expr) == "P(X3|X1,X2)"
+        sheet = evaluate(res.expr, p).reorder(["X1", "X2", "X3"])
+        assert np.max(np.ptp(sheet.table, axis=0)) > 0.1
+        cond = condition(marginalize(p, ["X4"]).reorder(["X1", "X2", "X3"]), ["X1", "X2"])
+        for v in (0, 1):
+            got = preds.prediction(0, spec_for({"X2"}, {"X3"}, {"X2": v})).dist
+            np.testing.assert_allclose(got.table, cond.table[0, v], rtol=0, atol=1e-12)
 
 
 class TestPartialSupportVerdicts:

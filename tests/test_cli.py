@@ -97,6 +97,13 @@ class TestIdentifyCommand:
                      "--query", "P(Z|do(X))"])
         assert code == 1
 
+    @pytest.mark.parametrize("query", ["P(Z|do(X@3))", "P(Z@4|do(X))", "P(Z@4|do(X@3=1))"])
+    def test_timed_query_rejected(self, chain_graph_file, capsys, query):
+        code = main(["identify", "--graph", str(chain_graph_file), "--query", query])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "docalc dcn" in out and "P(Z|X)" not in out
+
 
 class TestDsepCommand:
     def test_blocked_chain(self, chain_graph_file, capsys):
