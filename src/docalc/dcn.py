@@ -12,8 +12,15 @@ on the unrolled model with ``keep`` set to the window's slices: variable
 elimination sums out the earlier slices and their confounders as it
 goes (a forward filter), so only the kept slices are ever tabulated.
 
-Per-step identifications are independent given the window graphs and
-may run concurrently; trajectory assembly is sequential.
+Every pipeline follows one procedure.  The window lemma
+(``_window_left``) puts the left edge of an identification window one
+slice before the leftmost slice confounder-connected to X, and no later
+than t_x - 2.  The step conditional from slice t_x - 1 is identified on
+that window, and one stepper (``_chain``) then applies one kernel per
+slice: the transition matrix (static confounders) or a step conditional
+identified on the window from the same left edge through that slice
+(dynamic confounders, which keep disturbing later transitions).
+Observational marginals come from the same stepper in one forward pass.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from .factors import (Factor, TransitionMatrix, condition, marginalize,
                       multiply)
 from .graphs import Admg, Var, ancestors, c_components, d_separated, mutilate
 from .identify import effect_factor, id_effect
-from .scm import Cpt, Exogenous, Scm, joint
+from .scm import Cpt, Exogenous, Scm, intervene, joint
 
 __all__ = [
     "DcnSpec", "DcnMechanism", "SliceCpt", "SliceExo",
@@ -152,10 +159,6 @@ class DcnSpec:
 
     def names(self) -> tuple[str, ...]:
         return tuple(v.name for v in self.slice_vars)
-
-    @property
-    def next_slice_causes(self) -> frozenset[str]:
-        return frozenset(a for a, _b, _k in self.cross_edges)
 
     def slice_states(self) -> int:
         return int(np.prod([v.domain for v in self.slice_vars]))
@@ -363,14 +366,11 @@ def mechanism_transition(spec: DcnSpec) -> TransitionMatrix:
     if not classify(spec).is_static:
         raise UnsupportedModelError(
             "with dynamic confounders the one-step conditional is not a mechanism constant")
-    m2 = unrolled_scm(spec, 0, 1)
-    j = joint(m2)
-    prev = [slice_var_at(n, 0) for n in spec.names()]
-    nxt = [slice_var_at(n, 1) for n in spec.names()]
-    cond = condition(j, prev)
-    f = cond.reorder(nxt + prev)
-    n = spec.slice_states()
-    return TransitionMatrix(spec.slice_vars, f.table.reshape(n, n))
+    prev = _slice_names(spec, 0, 0)
+    cond = condition(joint(unrolled_scm(spec, 0, 1)), prev)
+    kern = _kernel_from_conditional(cond, _slice_names(spec, 1, 1), prev,
+                                    spec.names(), spec.names())
+    return TransitionMatrix(spec.slice_vars, kern.matrix)
 
 
 def initial_distribution(spec: DcnSpec, t0: int = 0) -> Factor:
@@ -395,6 +395,37 @@ def _slice_names(spec: DcnSpec, t_left: int, t_right: int) -> list[str]:
     return [slice_var_at(n, t) for t in range(t_left, t_right + 1) for n in spec.names()]
 
 
+def _observational_states(
+    spec: DcnSpec,
+    t_from: int,
+    t_to: int,
+    schedule: Optional[Schedule],
+    p0: Optional[Factor],
+    t0: int,
+) -> list[Factor]:
+    """P(V_t) without intervention for each slice t_from..t_to, over
+    template variable names.
+
+    A spec with dynamic confounders, a mechanism and no p0 takes each
+    marginal from its unrolled model.  Otherwise one forward pass steps
+    p0 (the mechanism's initial slice, or uniform) by the schedule, which
+    a static spec without one takes from its mechanism."""
+    if t_from < t0:
+        raise WindowTooSmallError(f"slice {t_from} precedes the initial slice {t0}")
+    static = classify(spec).is_static
+    if p0 is None and spec.mechanism is not None and not static:
+        return [_to_template(spec, joint(unrolled_scm(spec, t0, t), _slice_names(spec, t, t)), t)
+                for t in range(t_from, t_to + 1)]
+    if p0 is None:
+        p0 = (initial_distribution(spec, t0) if spec.mechanism is not None
+              else Factor.uniform(spec.slice_vars))
+    if schedule is None and spec.mechanism is not None and static and t_to > t0:
+        schedule = mechanism_transition(spec)
+    states = _chain(p0.reorder(spec.names()), t0, t_to, _transition_steps(spec, schedule))
+    assert states is not None  # transition steps always exist
+    return states[t_from - t0:]
+
+
 def observational_marginal(
     spec: DcnSpec,
     t: int,
@@ -403,22 +434,7 @@ def observational_marginal(
     t0: int,
 ) -> Factor:
     """P(V_t) without intervention, over template variable names."""
-    if t < t0:
-        raise WindowTooSmallError(f"slice {t} precedes the initial slice {t0}")
-    if p0 is None:
-        if spec.mechanism is not None:
-            if schedule is None or not classify(spec).is_static:
-                f = joint(unrolled_scm(spec, t0, t), _slice_names(spec, t, t))
-                return _to_template(spec, f, t)
-            p0 = initial_distribution(spec, t0)
-        else:
-            p0 = Factor.uniform(spec.slice_vars)
-    out = p0.reorder(spec.names())
-    for step in range(t0, t):
-        tm = _matrix_at(schedule, step)
-        vec = tm.matrix @ out.table.reshape(-1)
-        out = Factor(spec.slice_vars, vec.reshape([v.domain for v in spec.slice_vars]))
-    return out
+    return _observational_states(spec, t, t, schedule, p0, t0)[0]
 
 
 def _window_joint(
@@ -440,14 +456,10 @@ def _window_joint(
         left = observational_marginal(spec, t_left, schedule, p0, t0)
         out = _slice_factor_at(spec, left, t_left)
         for t in range(t_left, t_right):
-            tm = _matrix_at(schedule, t)
-            nxt_scope = tuple(Var(slice_var_at(v.name, t + 1), v.domain)
-                              for v in spec.slice_vars)
-            prev_scope = tuple(Var(slice_var_at(v.name, t), v.domain)
-                               for v in spec.slice_vars)
-            doms = [v.domain for v in nxt_scope] + [v.domain for v in prev_scope]
-            cond = Factor(nxt_scope + prev_scope, tm.matrix.reshape(doms))
-            out = multiply(out, cond)
+            scope = tuple(Var(slice_var_at(v.name, s), v.domain)
+                          for s in (t + 1, t) for v in spec.slice_vars)
+            matrix = _matrix_at(schedule, t).matrix
+            out = multiply(out, Factor(scope, matrix.reshape([v.domain for v in scope])))
         return out
     return joint(unrolled_scm(spec, t0, t_right), _slice_names(spec, t_left, t_right))
 
@@ -465,26 +477,30 @@ class GidWindow:
     index: Mapping[tuple[str, int], str]
 
 
-def _backward_reach(spec: DcnSpec, x_vars: Iterable[str]) -> DynamicTimeSpan:
-    return _confounder_reach(spec, x_vars, forward=False)
-
-
-def build_gid(spec: DcnSpec, t_x: int, t_y: int) -> GidWindow:
-    """Window per the identification lemma: from one slice before the
-    leftmost confounder-connected slice (or t_x-2 without cross
-    confounders) through t_y."""
-    if t_x >= t_y:
-        raise InvalidInputError("t_x must precede t_y")
-    back = _backward_reach(spec, spec.names())
+def _window_left(spec: DcnSpec, x: Iterable[str], t_x: int, t0: Optional[int]) -> int:
+    """Left edge of the identification window for an intervention on X
+    at t_x (the identification lemma): one slice before the leftmost
+    slice confounder-connected to X, and no later than t_x - 2; clamped
+    to t0 unless t0 is None."""
+    back = _confounder_reach(spec, x, forward=False)
     if back.is_infinite:
         raise InfiniteSpanError("infinite dynamic time span")
     assert back.slices is not None
-    t_start = min(t_x - back.slices - 1, t_x - 2)
+    left = min(t_x - back.slices - 1, t_x - 2)
+    return left if t0 is None else max(t0, left)
+
+
+def build_gid(spec: DcnSpec, t_x: int, t_y: int) -> GidWindow:
+    """Window per the identification lemma for an intervention on any
+    slice variable, through t_y."""
+    if t_x >= t_y:
+        raise InvalidInputError("t_x must precede t_y")
+    t_start = _window_left(spec, spec.names(), t_x, None)
     g, index = unroll(spec, t_start, t_y)
     return GidWindow(t_start, t_y, g, index)
 
 
-# -- kernels ---------------------------------------------------------------
+# -- kernels and the stepper ---------------------------------------------
 
 
 @dataclass
@@ -494,7 +510,6 @@ class _Kernel:
     next_names: tuple[str, ...]
     prev_names: tuple[str, ...]
     next_domains: tuple[int, ...]
-    prev_domains: tuple[int, ...]
     matrix: np.ndarray  # (next states, prev states)
     partial: bool = False
 
@@ -507,15 +522,32 @@ class _Kernel:
         return Factor(scope, out.reshape(self.next_domains), self.partial or p.partial)
 
 
+StepSource = Callable[[int, Sequence[str]], Optional[_Kernel]]
+
+
+def _chain(state: Factor, t: int, t_end: int, steps: StepSource) -> Optional[list[Factor]]:
+    """The states at slices t..t_end: ``state`` at t, then each next one
+    by applying ``steps(slice, variables of the state before)``; None
+    when a step kernel is not identifiable."""
+    states = [state]
+    for s in range(t + 1, t_end + 1):
+        kern = steps(s, state.names())
+        if kern is None:
+            return None
+        state = kern.apply(state)
+        states.append(state)
+    return states
+
+
 def _kernel_from_conditional(cond: Factor, next_names: Sequence[str],
-                             prev_names: Sequence[str]) -> _Kernel:
+                             prev_names: Sequence[str], next_vars: Sequence[str],
+                             prev_vars: Sequence[str]) -> _Kernel:
+    """The conditional P(next_names | prev_names) as a kernel over the
+    template names ``next_vars`` and ``prev_vars``."""
     f = cond.reorder(tuple(next_names) + tuple(prev_names))
     nd = tuple(f.var(n).domain for n in next_names)
-    pd = tuple(f.var(n).domain for n in prev_names)
-    m = int(np.prod(nd)) if nd else 1
-    n = int(np.prod(pd)) if pd else 1
-    return _Kernel(tuple(next_names), tuple(prev_names), nd, pd,
-                   f.table.reshape(m, n), f.partial)
+    return _Kernel(tuple(next_vars), tuple(prev_vars), nd,
+                   f.table.reshape(int(np.prod(nd)), -1), f.partial)
 
 
 def _restricted_transition_kernel(
@@ -530,15 +562,16 @@ def _restricted_transition_kernel(
     conditional cannot depend on dropped previous-slice variables; the
     reduction asserts that constancy.
     """
-    names = list(spec.names())
-    doms = [spec.var(n).domain for n in names]
+    names = spec.names()
+    doms = tuple(v.domain for v in spec.slice_vars)
+    next_set, prev_set = set(next_keep), set(prev_keep)
     full = tm.matrix.reshape(doms + doms)  # next axes then prev axes
-    drop_next = tuple(i for i, n in enumerate(names) if n not in set(next_keep))
+    drop_next = tuple(i for i, n in enumerate(names) if n not in next_set)
     reduced = full.sum(axis=drop_next) if drop_next else full
     n_next_kept = len(names) - len(drop_next)
     # walk prev axes from the back so dropped-axis indices stay valid
     for i in reversed(range(len(names))):
-        if names[i] in set(prev_keep):
+        if names[i] in prev_set:
             continue
         axis = n_next_kept + i
         ref = np.take(reduced, 0, axis=axis)
@@ -548,12 +581,10 @@ def _restricted_transition_kernel(
                     f"transition depends on non-ancestor {names[i]!r}; "
                     "ancestor closure violated")
         reduced = ref
-    next_names = [n for n in names if n in set(next_keep)]
-    prev_names = [n for n in names if n in set(prev_keep)]
+    next_names = tuple(n for n in names if n in next_set)
+    prev_names = tuple(n for n in names if n in prev_set)
     nd = tuple(spec.var(n).domain for n in next_names)
-    pd = tuple(spec.var(n).domain for n in prev_names)
-    return _Kernel(tuple(next_names), tuple(prev_names), nd, pd,
-                   reduced.reshape(int(np.prod(nd)), int(np.prod(pd))))
+    return _Kernel(next_names, prev_names, nd, reduced.reshape(int(np.prod(nd)), -1))
 
 
 def _identified_kernel(
@@ -584,10 +615,29 @@ def _identified_kernel(
     j = _window_joint(spec, t_left, t_right, schedule, p0, t0)
     num = effect_factor(result.expr, j, targets, outcome)
     cond = condition(num, prev_names)
-    kern = _kernel_from_conditional(cond, next_names, prev_names)
-    kern.next_names = tuple(next_vars)
-    kern.prev_names = tuple(prev_vars)
-    return kern
+    return _kernel_from_conditional(cond, next_names, prev_names, next_vars, prev_vars)
+
+
+def _transition_steps(spec: DcnSpec, schedule: Optional[Schedule],
+                      keep: Optional[Mapping[int, Sequence[str]]] = None) -> StepSource:
+    """Steps by the schedule: the transition into slice t, restricted to
+    ``keep[t]`` (every slice variable when keep is None)."""
+    names = spec.names()
+    return lambda t, prev: _restricted_transition_kernel(
+        spec, _matrix_at(schedule, t - 1), names if keep is None else keep[t], prev)
+
+
+def _identified_steps(spec: DcnSpec, window_left: int, x: Mapping[str, int], t_x: int,
+                      schedule: Optional[Schedule], p0: Optional[Factor], t0: int,
+                      keep: Optional[Mapping[int, Sequence[str]]] = None) -> StepSource:
+    """Identifies every step: P(keep[t] | previous slice, do(X)) on the
+    window (window_left, t) (every slice variable when keep is None)."""
+    names = spec.names()
+    return lambda t, prev: _identified_kernel(
+        spec, (window_left, t), x, t_x,
+        next_slice=t, next_vars=names if keep is None else keep[t],
+        prev_slice=t - 1, prev_vars=prev,
+        schedule=schedule, p0=p0, t0=t0)
 
 
 def step_kernel_matrix(
@@ -606,17 +656,15 @@ def step_kernel_matrix(
     observational probability (the conditional is vacuous elsewhere);
     None when the step query has a hedge.
     """
-    w_left = max(t0, t_x - 2)
     kern = _identified_kernel(
-        spec, (w_left, t_x + 1), x, t_x,
+        spec, (_window_left(spec, x, t_x, t0), t_x + 1), x, t_x,
         next_slice=t_x + 1, next_vars=spec.names(),
         prev_slice=t_x - 1, prev_vars=spec.names(),
         schedule=T, p0=p0, t0=t0,
     )
     if kern is None:
         return None
-    prev = observational_marginal(spec, t_x - 1, T, p0, t0)
-    reachable = prev.reorder(spec.names()).table.reshape(-1) > 1e-12
+    reachable = observational_marginal(spec, t_x - 1, T, p0, t0).table.reshape(-1) > 1e-12
     return kern.matrix, reachable
 
 
@@ -654,7 +702,7 @@ def _validate_query(spec: DcnSpec, x: Mapping[str, int], y: Iterable[str],
         raise WindowTooSmallError("need one observational slice before the intervention")
 
 
-def _static_effect(
+def _effect(
     spec: DcnSpec,
     x: Mapping[str, int],
     t_x: int,
@@ -664,43 +712,58 @@ def _static_effect(
     p0: Optional[Factor],
     t0: int,
     complete: bool,
+    dynamic: bool,
 ) -> Optional[Factor]:
+    """P(Y at t_y | do(X=x at t_x)): one step from slice t_x - 1 identified
+    on the lemma's window, then the stepper through t_y.  Later steps
+    follow the transition (static) or are identified on growing windows
+    from the same left edge (dynamic).  The complete variants keep only
+    the ancestors of Y in each slice; the complete dynamic one makes its
+    first step over the dynamic time span of X."""
     ys = frozenset(y)
     _validate_query(spec, x, ys, t_x, t_y, t0)
-    if not classify(spec).is_static:
-        raise UnsupportedModelError("this algorithm requires static confounders only")
-    if spec.mechanism is None and schedule is None:
-        raise InvalidInputError("either a transition matrix or a mechanism is required")
-    if schedule is None:
-        schedule = mechanism_transition(spec)
-
-    w_left = max(t0, t_x - 2)
-    if complete:
-        an = _ancestor_slices(spec, ys, t_y, w_left)
+    if dynamic:
+        if spec.mechanism is None:
+            raise UnsupportedModelError("dynamic identification needs the slice mechanism "
+                                        "for exact window joints")
     else:
-        an = {t: spec.names() for t in range(w_left, t_y + 1)}
-    next_vars = an[t_x + 1]
-    if not next_vars:
-        # X cannot influence Y: the effect is the observational marginal
-        marg = observational_marginal(spec, t_y, schedule, p0, t0)
-        return marginalize(marg, [n for n in marg.names() if n not in ys])
+        if not classify(spec).is_static:
+            raise UnsupportedModelError("this algorithm requires static confounders only")
+        if spec.mechanism is None and schedule is None:
+            raise InvalidInputError("either a transition matrix or a mechanism is required")
+        if schedule is None:
+            schedule = mechanism_transition(spec)
 
-    kern = _identified_kernel(
-        spec, (w_left, t_x + 1), x, t_x,
-        next_slice=t_x + 1, next_vars=next_vars,
-        prev_slice=t_x - 1, prev_vars=spec.names(),
-        schedule=schedule, p0=p0, t0=t0,
-    )
-    if kern is None:
-        return None
-
-    state = kern.apply(observational_marginal(spec, t_x - 1, schedule, p0, t0))
-    current_vars = next_vars
-    for t in range(t_x + 2, t_y + 1):
-        step = _restricted_transition_kernel(spec, _matrix_at(schedule, t - 1),
-                                             an[t], current_vars)
-        state = step.apply(state)
-        current_vars = an[t]
+    w_left = _window_left(spec, x, t_x, t0)  # InfiniteSpanError on an infinite span
+    jump_to = t_x + 1
+    if dynamic and complete:
+        span = dynamic_time_span(spec, x.keys()).slices
+        assert span is not None  # finite, as the backward reach is
+        if span > 0 and t_x + span >= t_y:
+            raise UnsupportedQueryError("the outcome slice lies inside the dynamic time span")
+        jump_to = t_x + span + 1
+    if complete:
+        keep = _ancestor_slices(spec, ys, t_y, w_left)
+    else:
+        keep = {t: spec.names() for t in range(w_left, t_y + 1)}
+    if keep[jump_to]:
+        first = _identified_kernel(
+            spec, (w_left, jump_to), x, t_x,
+            next_slice=jump_to, next_vars=keep[jump_to],
+            prev_slice=t_x - 1, prev_vars=spec.names(),
+            schedule=schedule, p0=p0, t0=t0,
+        )
+        if first is None:
+            return None
+        steps = (_identified_steps(spec, w_left, x, t_x, schedule, p0, t0, keep) if dynamic
+                 else _transition_steps(spec, schedule, keep))
+        states = _chain(first.apply(observational_marginal(spec, t_x - 1, schedule, p0, t0)),
+                        jump_to, t_y, steps)
+        if states is None:
+            return None
+        state = states[-1]
+    else:  # X cannot influence Y: the effect is the observational marginal
+        state = observational_marginal(spec, t_y, schedule, p0, t0)
     return marginalize(state, [n for n in state.names() if n not in ys])
 
 
@@ -720,7 +783,7 @@ def dcn_id_static(
     and chains transition matrices elsewhere; returns None when the
     full-slice step query has a hedge (which can happen even for
     identifiable effects; see the complete variant)."""
-    return _static_effect(spec, x, t_x, y, t_y, T, p0, t0, complete=False)
+    return _effect(spec, x, t_x, y, t_y, T, p0, t0, complete=False, dynamic=False)
 
 
 def cdcn_id_static(
@@ -735,73 +798,7 @@ def cdcn_id_static(
 ) -> Optional[Factor]:
     """Complete variant: restricts the step query to ancestors of Y, so it
     fails exactly when P(Y|do(X)) is truly non-identifiable."""
-    return _static_effect(spec, x, t_x, y, t_y, T, p0, t0, complete=True)
-
-
-def _dynamic_effect(
-    spec: DcnSpec,
-    x: Mapping[str, int],
-    t_x: int,
-    y: Iterable[str],
-    t_y: int,
-    schedule: Optional[Schedule],
-    p0: Optional[Factor],
-    t0: int,
-    complete: bool,
-) -> Optional[Factor]:
-    ys = frozenset(y)
-    _validate_query(spec, x, ys, t_x, t_y, t0)
-    if spec.mechanism is None:
-        raise UnsupportedModelError("dynamic identification needs the slice mechanism "
-                                    "for exact window joints")
-    span = dynamic_time_span(spec, x.keys())
-    if span.is_infinite:
-        raise InfiniteSpanError("infinite dynamic time span")
-    assert span.slices is not None
-    back = _backward_reach(spec, x.keys())
-    assert back.slices is not None  # finite whenever the forward span is
-    w_left = max(t0, min(t_x - back.slices - 1, t_x - 2))
-
-    if complete:
-        jump_to = t_x + span.slices + 1
-        if jump_to >= t_y + 1:
-            if span.slices > 0 and t_x + span.slices >= t_y:
-                raise UnsupportedQueryError(
-                    "the outcome slice lies inside the dynamic time span")
-            jump_to = t_x + 1
-        an = _ancestor_slices(spec, ys, t_y, w_left)
-    else:
-        jump_to = t_x + 1
-        an = {t: spec.names() for t in range(w_left, t_y + 1)}
-
-    next_vars = an[jump_to]
-    if not next_vars:
-        marg = observational_marginal(spec, t_y, schedule, p0, t0)
-        return marginalize(marg, [n for n in marg.names() if n not in ys])
-
-    kern = _identified_kernel(
-        spec, (w_left, jump_to), x, t_x,
-        next_slice=jump_to, next_vars=next_vars,
-        prev_slice=t_x - 1, prev_vars=spec.names(),
-        schedule=schedule, p0=p0, t0=t0,
-    )
-    if kern is None:
-        return None
-    state = kern.apply(observational_marginal(spec, t_x - 1, schedule, p0, t0))
-    current = next_vars
-    m_left = max(t0, min(t_x - back.slices - 1, t_x - 1))
-    for t in range(jump_to + 1, t_y + 1):
-        step = _identified_kernel(
-            spec, (m_left, t), x, t_x,
-            next_slice=t, next_vars=an[t],
-            prev_slice=t - 1, prev_vars=current,
-            schedule=schedule, p0=p0, t0=t0,
-        )
-        if step is None:
-            return None
-        state = step.apply(state)
-        current = an[t]
-    return marginalize(state, [n for n in state.names() if n not in ys])
+    return _effect(spec, x, t_x, y, t_y, T, p0, t0, complete=True, dynamic=False)
 
 
 def dcn_id_dynamic(
@@ -814,11 +811,13 @@ def dcn_id_dynamic(
     p0: Optional[Factor] = None,
     t0: int = 0,
 ) -> Optional[Factor]:
-    """Identification with dynamic confounders: every post-intervention
-    step conditional is identified on its own growing window (an
-    intervention keeps disturbing later transitions through lagged
-    confounders)."""
-    return _dynamic_effect(spec, x, t_x, y, t_y, T, p0, t0, complete=False)
+    """Identification with dynamic confounders: an intervention keeps
+    disturbing later transitions through lagged confounders, so every
+    post-intervention step conditional P(V_t | V_{t-1}, do(X)) is
+    identified, each on the window from the lemma's left edge (one slice
+    before the leftmost slice confounder-connected to X, at most t_x - 2)
+    through t."""
+    return _effect(spec, x, t_x, y, t_y, T, p0, t0, complete=False, dynamic=True)
 
 
 def cdcn_id_dynamic(
@@ -834,7 +833,7 @@ def cdcn_id_dynamic(
     """Complete dynamic variant: jumps over the dynamic time span of X
     with one ancestor-restricted step query, then proceeds stepwise;
     requires the outcome to lie beyond the span."""
-    return _dynamic_effect(spec, x, t_x, y, t_y, T, p0, t0, complete=True)
+    return _effect(spec, x, t_x, y, t_y, T, p0, t0, complete=True, dynamic=True)
 
 
 # -- trajectories -----------------------------------------------------------
@@ -850,28 +849,27 @@ def trajectory(
 ) -> list[Factor]:
     """Per-slice joint distributions from t0 through ``horizon``.
 
-    Slices before the intervention are untouched by it; the intervention
-    slice and the one after come from identified step conditionals; later
-    slices evolve by the transition matrix (static) or per-step
-    identified conditionals (dynamic)."""
+    Slices before the intervention are the observational ones, untouched
+    by it.  The intervention slice and the one after come from step
+    conditionals given slice t_x - 1, identified on the lemma's window
+    (one slice before the leftmost slice confounder-connected to X, at
+    most t_x - 2).  Later slices follow the transition matrix (static
+    confounders) or step conditionals identified on windows from the
+    same left edge (dynamic confounders)."""
     if horizon < t0:
         raise InvalidInputError("horizon precedes t0")
-    out: list[Factor] = []
     if intervention is None:
-        for t in range(t0, horizon + 1):
-            out.append(observational_marginal(spec, t, T_schedule, p0, t0))
-        return out
+        return _observational_states(spec, t0, horizon, T_schedule, p0, t0)
     x, t_x = intervention
     if not (t0 < t_x <= horizon):
         raise InvalidInputError("the intervention slice must lie inside the horizon")
+    # the same call as without intervention, so these slices are untouched
+    out = _observational_states(spec, t0, t_x - 1, T_schedule, p0, t0)
+    prev = out[-1]
     static = classify(spec).is_static
     if static and T_schedule is None and spec.mechanism is not None:
         T_schedule = mechanism_transition(spec)
-
-    for t in range(t0, t_x):
-        out.append(observational_marginal(spec, t, T_schedule, p0, t0))
-
-    w_left = max(t0, t_x - 2)
+    w_left = _window_left(spec, x, t_x, t0)
     rest = [n for n in spec.names() if n not in x]
     if rest:
         kern = _identified_kernel(
@@ -882,8 +880,7 @@ def trajectory(
         if kern is None:
             raise UnsupportedQueryError(
                 "the intervention-slice distribution is not identifiable")
-        at_tx = kern.apply(out[-1] if out else observational_marginal(
-            spec, t_x - 1, T_schedule, p0, t0))
+        at_tx = kern.apply(prev)
     else:
         at_tx = Factor.scalar(1.0)
     point = Factor.point_mass([spec.var(n) for n in sorted(x)], dict(x))
@@ -891,49 +888,19 @@ def trajectory(
     if t_x == horizon:
         return out
 
-    if static:
-        step1 = _identified_kernel(
-            spec, (w_left, t_x + 1), x, t_x,
-            next_slice=t_x + 1, next_vars=spec.names(),
-            prev_slice=t_x - 1, prev_vars=spec.names(),
-            schedule=T_schedule, p0=p0, t0=t0)
-        if step1 is None:
-            raise UnsupportedQueryError("the post-intervention slice is not identifiable")
-        state = step1.apply(observational_marginal(spec, t_x - 1, T_schedule, p0, t0))
-        out.append(state)
-        for t in range(t_x + 2, horizon + 1):
-            tm = _matrix_at(T_schedule, t - 1)
-            vec = tm.matrix @ state.reorder(spec.names()).table.reshape(-1)
-            state = Factor(spec.slice_vars, vec.reshape([v.domain for v in spec.slice_vars]))
-            out.append(state)
-        return out
-
-    # dynamic confounders: identify each subsequent step conditional
-    back = _backward_reach(spec, x.keys())
-    if back.is_infinite:
-        raise InfiniteSpanError("infinite dynamic time span")
-    assert back.slices is not None
-    m_left = max(t0, min(t_x - back.slices - 1, t_x - 2))
-    kern = _identified_kernel(
-        spec, (m_left, t_x + 1), x, t_x,
+    first = _identified_kernel(
+        spec, (w_left, t_x + 1), x, t_x,
         next_slice=t_x + 1, next_vars=spec.names(),
         prev_slice=t_x - 1, prev_vars=spec.names(),
         schedule=T_schedule, p0=p0, t0=t0)
-    if kern is None:
+    if first is None:
         raise UnsupportedQueryError("the post-intervention slice is not identifiable")
-    state = kern.apply(observational_marginal(spec, t_x - 1, T_schedule, p0, t0))
-    out.append(state)
-    for t in range(t_x + 2, horizon + 1):
-        step = _identified_kernel(
-            spec, (m_left, t), x, t_x,
-            next_slice=t, next_vars=spec.names(),
-            prev_slice=t - 1, prev_vars=spec.names(),
-            schedule=T_schedule, p0=p0, t0=t0)
-        if step is None:
-            raise UnsupportedQueryError(f"step conditional at slice {t} is not identifiable")
-        state = step.apply(state)
-        out.append(state)
-    return out
+    steps = (_transition_steps(spec, T_schedule) if static
+             else _identified_steps(spec, w_left, x, t_x, T_schedule, p0, t0))
+    states = _chain(first.apply(prev), t_x + 1, horizon, steps)
+    if states is None:
+        raise UnsupportedQueryError("a post-intervention step conditional is not identifiable")
+    return out + states
 
 
 # -- transportability (restricted) ------------------------------------------
@@ -984,7 +951,7 @@ def transport(
     if not classify(spec).is_static:
         raise UnsupportedTransportError("transport is supported for static specs only")
 
-    w_left = max(t0, t_x - 2)
+    w_left = _window_left(spec, x, t_x, t0)
     g, index = unroll(spec, w_left, t_x + 1)
     comps = c_components(g)
     x_names = {index[(n, t_x)] for n in x}
@@ -992,13 +959,11 @@ def transport(
     for comp in comps:
         if comp & x_names:
             x_comp |= comp
-    pointed: list[str] = []
     for s in tspec.selection_vars:
         for var, off in s.points_at:
             t = t_x + off
             if (var, t) not in index:
                 continue
-            pointed.append(index[(var, t)])
             # pointing at an intervened variable is harmless (the do() cuts
             # the selection edge); pointing at its confounded partners is not
             if index[(var, t)] in x_comp - x_names:
@@ -1006,11 +971,8 @@ def transport(
                     f"selection variable {s.name!r} points inside the intervened "
                     f"bidirected component ({var} at slice {t})")
 
-    if not tspec.selection_vars:
-        return dcn_id_static(spec, x, t_x, ys, t_y, T_target, p0_target, t0)
-
     target_side = dcn_id_static(spec, x, t_x, ys, t_y, T_target, p0_target, t0)
-    if target_side is not None:
+    if target_side is not None or not tspec.selection_vars:
         return target_side
 
     # target-unidentifiable step: try the source experiment for the whole
@@ -1035,22 +997,16 @@ def transport(
                        outcome - x_names, frozenset()):
         return None
 
-    src = tspec.source_spec
-    m_src = unrolled_scm(src, w_left, t_x + 1)
-    from .scm import intervene as scm_intervene
-    num = joint(scm_intervene(m_src, {index[(n, t_x)]: v for n, v in x.items()}), outcome)
+    m_src = unrolled_scm(tspec.source_spec, w_left, t_x + 1)
+    num = joint(intervene(m_src, {index[(n, t_x)]: v for n, v in x.items()}), outcome)
     prev_names = [index[(n, t_x - 1)] for n in spec.names()]
     next_names = [index[(n, t_x + 1)] for n in spec.names()]
-    cond = condition(num, prev_names)
-    kern = _kernel_from_conditional(cond, next_names, prev_names)
-    kern.next_names = tuple(spec.names())
-    kern.prev_names = tuple(spec.names())
-
-    state = kern.apply(observational_marginal(spec, t_x - 1, T_target, p0_target, t0))
-    for t in range(t_x + 2, t_y + 1):
-        tm = _matrix_at(T_target, t - 1)
-        vec = tm.matrix @ state.reorder(spec.names()).table.reshape(-1)
-        state = Factor(spec.slice_vars, vec.reshape([v.domain for v in spec.slice_vars]))
+    kern = _kernel_from_conditional(condition(num, prev_names), next_names, prev_names,
+                                    spec.names(), spec.names())
+    prev = observational_marginal(spec, t_x - 1, T_target, p0_target, t0)
+    states = _chain(kern.apply(prev), t_x + 1, t_y, _transition_steps(spec, T_target))
+    assert states is not None  # transition steps always exist
+    state = states[-1]
     return marginalize(state, [n for n in state.names() if n not in ys])
 
 

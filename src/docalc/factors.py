@@ -313,10 +313,3 @@ def power_apply(t: TransitionMatrix, p: Factor, n: int) -> Factor:
         out = apply_transition(t, out)
     return out
 
-
-def chain_apply(schedule: Sequence[TransitionMatrix], p: Factor) -> Factor:
-    """Apply a time-ordered sequence of transition matrices."""
-    out = p
-    for t in schedule:
-        out = apply_transition(t, out)
-    return out

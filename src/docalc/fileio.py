@@ -21,7 +21,7 @@ from .graphs import Admg, Var
 from .scm import Cpt, Exogenous, Scm
 
 __all__ = [
-    "load_graph", "save_graph", "load_model", "load_matrix", "save_matrix",
+    "load_graph", "save_graph", "load_model", "load_matrix",
     "load_dcn_spec", "load_candidates", "load_costs",
     "trajectory_csv", "canonical_json",
 ]
@@ -123,16 +123,6 @@ def matrix_from_dict(d: Mapping[str, Any]) -> TransitionMatrix:
 
 def load_matrix(path: PathLike) -> TransitionMatrix:
     return matrix_from_dict(_read(path))
-
-
-def save_matrix(t: TransitionMatrix, path: PathLike, orientation: str = "col") -> None:
-    entries = t.matrix if orientation == "col" else t.matrix.T
-    obj = {
-        "state_vars": [{"name": v.name, "domain": v.domain} for v in t.state_vars],
-        "orientation": orientation,
-        "entries": [[float(x) for x in row] for row in entries],
-    }
-    Path(path).write_text(canonical_json(obj), encoding="utf-8")
 
 
 def dcn_spec_from_dict(d: Mapping[str, Any]) -> tuple[DcnSpec, Optional[dict]]:

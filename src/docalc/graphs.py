@@ -9,9 +9,8 @@ across threads.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from .errors import CyclicGraphError, InvalidInputError
 
@@ -398,7 +397,8 @@ def _hedge_from_frame(
     frame_vars: frozenset[str],
     frame_component: frozenset[str],
 ) -> Optional[Hedge]:
-    """Build a hedge witness from an ID-failure frame.
+    """The hedge witness of an ID-failure frame, or None if the frame's
+    forests fail verification.
 
     ``frame_vars`` is the vertex set of the failing recursion's graph (a
     single C-component) and ``frame_component`` the C-component of that
@@ -408,51 +408,7 @@ def _hedge_from_frame(
         v for v in frame_component if not (g.children_of(v) & frame_component)
     )
     cand = Hedge(frame_vars, frame_component, roots)
-    if verify_hedge(g, x, y, cand):
-        return cand
-    # Fallback: bounded search inside the failing frame.
-    return _search_hedge(g, x, y, frame_vars)
-
-
-def _connected_supersets(g: Admg, base: frozenset[str], pool: frozenset[str]) -> Iterator[frozenset[str]]:
-    extra = sorted(pool - base)
-    for k in range(len(extra) + 1):
-        for combo in itertools.combinations(extra, k):
-            cand = base | frozenset(combo)
-            if _bidirected_connected(g, cand):
-                yield cand
-
-
-def _search_hedge(
-    g: Admg,
-    x: frozenset[str],
-    y: frozenset[str],
-    pool: Optional[frozenset[str]] = None,
-) -> Optional[Hedge]:
-    """Exhaustive witness search over subsets of ``pool`` (small graphs only)."""
-    if pool is None:
-        pool = frozenset(g.names())
-    an_y_cut = ancestors(mutilate(g, remove_incoming=x), y)
-    non_x = sorted(pool - x)
-    for k in range(1, len(non_x) + 1):
-        for fp_tuple in itertools.combinations(non_x, k):
-            fp = frozenset(fp_tuple)
-            if not _bidirected_connected(g, fp):
-                continue
-            roots = frozenset(v for v in fp if not (g.children_of(v) & fp))
-            if not roots <= an_y_cut:
-                continue
-            if _reaches_within(g, fp, roots) != fp:
-                continue
-            for f in _connected_supersets(g, fp, pool):
-                if not (f & x):
-                    continue
-                if _reaches_within(g, f, roots) != f:
-                    continue
-                cand = Hedge(f, fp, roots)
-                if verify_hedge(g, x, y, cand):
-                    return cand
-    return None
+    return cand if verify_hedge(g, x, y, cand) else None
 
 
 def find_hedge(g: Admg, x: Iterable[str], y: Iterable[str]) -> Optional[Hedge]:

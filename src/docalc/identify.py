@@ -26,7 +26,7 @@ __all__ = [
     "Expr", "ObservedTerm", "SumOver", "Product", "Quotient", "One",
     "IdResult", "Prediction",
     "check_rule", "id_effect", "evaluate", "effect_factor", "predictor",
-    "normalize", "pretty", "free_vars",
+    "normalize", "pretty",
 ]
 
 
@@ -231,21 +231,6 @@ def id_effect(g: Admg, x: Iterable[str], y: Iterable[str]) -> IdResult:
 
 
 # -- evaluation ---------------------------------------------------------
-
-
-def free_vars(e: Expr) -> frozenset[str]:
-    if isinstance(e, ObservedTerm):
-        return frozenset(e.outcome) | frozenset(e.given)
-    if isinstance(e, SumOver):
-        return free_vars(e.child) - frozenset(e.over)
-    if isinstance(e, Product):
-        out: frozenset[str] = frozenset()
-        for c in e.children:
-            out |= free_vars(c)
-        return out
-    if isinstance(e, Quotient):
-        return free_vars(e.num) | free_vars(e.den)
-    return frozenset()
 
 
 def _eval(e: Expr, p: Factor) -> Factor:

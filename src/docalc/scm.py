@@ -128,9 +128,6 @@ class Scm:
                 return e
         raise InvalidInputError(f"unknown exogenous variable {name!r}")
 
-    def observed_vars(self) -> tuple[Var, ...]:
-        return self.graph.vars
-
 
 @dataclass(frozen=True)
 class InterventionSpec:
