@@ -207,6 +207,9 @@ def cmd_transport(args: argparse.Namespace) -> int:
     except UnsupportedTransportError as ex:
         print(f"unsupported transport: {ex}")
         return EXIT_INPUT
+    except UnsupportedModelError as ex:
+        print(f"unsupported model: {ex}")
+        return EXIT_INPUT
     if f is None:
         print("FAIL: not transportable with the available source experiments")
         return EXIT_NOT_IDENTIFIABLE
@@ -268,7 +271,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (InvalidInputError, FileNotFoundError, KeyError, json.JSONDecodeError) as ex:
+    except (InvalidInputError, OSError, KeyError, json.JSONDecodeError) as ex:
         print(f"input error: {ex}", file=sys.stderr)
         return EXIT_INPUT
 

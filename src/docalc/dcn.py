@@ -4,27 +4,37 @@ restricted transport between domains.
 
 A spec describes one slice plus lagged cross-slice edges; lags are in
 slices (0 = within the slice).  Confounders within a slice are static;
-confounders crossing k >= 1 slices are dynamic of order k.  Static
-specs make the observed slices a first-order Markov chain, so window
-joints chain from the transition matrix; dynamic specs require the
-slice mechanism for exact window joints.  Those come from ``scm.joint``
-on the unrolled model with ``keep`` set to the window's slices: variable
+confounders crossing k >= 1 slices are dynamic of order k.  The
+pipelines need first-order slices, every directed cross edge of lag 1:
+the window lemma and the one-slice steps rest on it, so they refuse
+longer lags (``unroll``, ``unrolled_scm``, ``classify``, ``build_gid``
+and ``dynamic_time_span`` still accept them).  Static specs with lag-1
+edges make the observed slices a first-order Markov chain, so window
+joints chain from the transition; dynamic specs require the slice
+mechanism for exact window joints.  Those come from ``scm.joint`` on the
+unrolled model with ``keep`` set to the window's slices: variable
 elimination sums out the earlier slices and their confounders as it
 goes (a forward filter), so only the kept slices are ever tabulated.
 
+Every step is a conditional factor P(next | previous slice) over the
+unrolled names (``x@t``) of the two slices.  A pipeline takes its
+transitions from one source (``_transitions``): the schedule when one
+is given, otherwise the transition a static spec's mechanism implies.
 Every pipeline follows one procedure.  The window lemma
 (``_window_left``) puts the left edge of an identification window one
 slice before the leftmost slice confounder-connected to X, and no later
 than t_x - 2.  The step conditional from slice t_x - 1 is identified on
-that window, and one stepper (``_chain``) then applies one kernel per
-slice: the transition matrix (static confounders) or a step conditional
-identified on the window from the same left edge through that slice
-(dynamic confounders, which keep disturbing later transitions).
-Observational marginals come from the same stepper in one forward pass.
+that window and applied to the observational state at t_x - 1, which
+one forward pass from t0 computes once per call.  One stepper
+(``_chain``) then applies one step per slice: the transition (static
+confounders) or a step conditional identified on the window from the
+same left edge through that slice (dynamic confounders, which keep
+disturbing later transitions).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
@@ -33,8 +43,8 @@ import numpy as np
 from .errors import (InfiniteSpanError, InternalError, InvalidInputError,
                      UnsupportedModelError, UnsupportedQueryError,
                      UnsupportedTransportError, WindowTooSmallError)
-from .factors import (Factor, TransitionMatrix, condition, marginalize,
-                      multiply)
+from .factors import (Factor, TransitionMatrix, condition, equal_within,
+                      marginalize, multiply)
 from .graphs import Admg, Var, ancestors, c_components, d_separated, mutilate
 from .identify import effect_factor, id_effect
 from .scm import Cpt, Exogenous, Scm, intervene, joint
@@ -48,8 +58,6 @@ __all__ = [
     "transport", "trajectory", "step_kernel_matrix", "slice_var_at",
     "random_dcn_spec",
 ]
-
-MAX_WINDOW_CELLS = 1 << 22
 
 Schedule = Union[TransitionMatrix, Sequence[TransitionMatrix],
                  Callable[[int], TransitionMatrix]]
@@ -285,10 +293,6 @@ def unrolled_scm(spec: DcnSpec, t0: int, t_end: int) -> Scm:
         raise UnsupportedModelError("spec carries no slice mechanism")
     mech = spec.mechanism
     graph, index = unroll(spec, t0, t_end)
-    cells = float(np.prod([v.domain for v in graph.vars]))
-    if cells > MAX_WINDOW_CELLS:
-        raise UnsupportedModelError(f"window of slices {t0}..{t_end} would need {cells:.0f} "
-                                    f"cells (cap {MAX_WINDOW_CELLS})")
 
     exo_list: list[Exogenous] = []
     exo_parents: dict[str, list[str]] = {v.name: [] for v in graph.vars}
@@ -348,17 +352,42 @@ def unrolled_scm(spec: DcnSpec, t0: int, t_end: int) -> Scm:
     return Scm(graph, cpts, tuple(exo_list))
 
 
-# -- transition matrices and marginals ------------------------------------
+# -- transitions and marginals ---------------------------------------------
+
+Transitions = Callable[[int], Factor]  # slice t -> the transition into t, P(V@t | V@t-1)
 
 
-def _matrix_at(schedule: Optional[Schedule], t: int) -> TransitionMatrix:
-    if schedule is None:
-        raise InvalidInputError("a transition matrix (or schedule) is required")
+def _matrix_at(schedule: Schedule, t: int) -> TransitionMatrix:
     if isinstance(schedule, TransitionMatrix):
         return schedule
     if callable(schedule):
         return schedule(t)
     return schedule[t]
+
+
+def _transition_factor(spec: DcnSpec, tm: TransitionMatrix, t: int) -> Factor:
+    """The transition ``tm`` into slice t as the conditional factor
+    P(V@t | V@t-1)."""
+    scope = tuple(Var(slice_var_at(v.name, s), v.domain)
+                  for s in (t, t - 1) for v in spec.slice_vars)
+    return Factor._view(scope, tm.matrix.reshape([v.domain for v in scope]), False)
+
+
+def _transitions(spec: DcnSpec, schedule: Optional[Schedule]) -> Optional[Transitions]:
+    """The one transition source of every pipeline: the schedule when one
+    is given, otherwise the transition of a static spec's mechanism
+    (derived on first use); None when there is neither.  Refuses cross
+    edges of lag > 1, whose slices are not first order."""
+    if classify(spec).beta > 1:
+        raise UnsupportedModelError(
+            "cross edges of lag > 1 are not supported: the identification windows "
+            "and one-slice steps assume first-order slices")
+    if schedule is not None:
+        return lambda t: _transition_factor(spec, _matrix_at(schedule, t - 1), t)
+    if spec.mechanism is None or not classify(spec).is_static:
+        return None
+    derived = functools.cache(lambda: mechanism_transition(spec))
+    return lambda t: _transition_factor(spec, derived(), t)
 
 
 def mechanism_transition(spec: DcnSpec) -> TransitionMatrix:
@@ -368,9 +397,9 @@ def mechanism_transition(spec: DcnSpec) -> TransitionMatrix:
             "with dynamic confounders the one-step conditional is not a mechanism constant")
     prev = _slice_names(spec, 0, 0)
     cond = condition(joint(unrolled_scm(spec, 0, 1)), prev)
-    kern = _kernel_from_conditional(cond, _slice_names(spec, 1, 1), prev,
-                                    spec.names(), spec.names())
-    return TransitionMatrix(spec.slice_vars, kern.matrix)
+    n = spec.slice_states()
+    return TransitionMatrix(spec.slice_vars,
+                            cond.reorder(_slice_names(spec, 1, 1) + prev).table.reshape(n, n))
 
 
 def initial_distribution(spec: DcnSpec, t0: int = 0) -> Factor:
@@ -395,35 +424,26 @@ def _slice_names(spec: DcnSpec, t_left: int, t_right: int) -> list[str]:
     return [slice_var_at(n, t) for t in range(t_left, t_right + 1) for n in spec.names()]
 
 
-def _observational_states(
-    spec: DcnSpec,
-    t_from: int,
-    t_to: int,
-    schedule: Optional[Schedule],
-    p0: Optional[Factor],
-    t0: int,
-) -> list[Factor]:
-    """P(V_t) without intervention for each slice t_from..t_to, over
-    template variable names.
+def _observational_states(spec: DcnSpec, t_from: int, t_to: int, trans: Optional[Transitions],
+                          p0: Optional[Factor], t0: int) -> dict[int, Factor]:
+    """P(V_t) without intervention, over template variable names, keyed
+    by slice.
 
     A spec with dynamic confounders, a mechanism and no p0 takes each
-    marginal from its unrolled model.  Otherwise one forward pass steps
-    p0 (the mechanism's initial slice, or uniform) by the schedule, which
-    a static spec without one takes from its mechanism."""
+    slice t_from..t_to from its unrolled model.  Otherwise one forward
+    pass steps p0 (the mechanism's initial slice, or uniform) by the
+    transitions and keeps every slice t0..t_to."""
     if t_from < t0:
         raise WindowTooSmallError(f"slice {t_from} precedes the initial slice {t0}")
-    static = classify(spec).is_static
-    if p0 is None and spec.mechanism is not None and not static:
-        return [_to_template(spec, joint(unrolled_scm(spec, t0, t), _slice_names(spec, t, t)), t)
-                for t in range(t_from, t_to + 1)]
+    if p0 is None and spec.mechanism is not None and not classify(spec).is_static:
+        return {t: _to_template(spec, joint(unrolled_scm(spec, t0, t), _slice_names(spec, t, t)), t)
+                for t in range(t_from, t_to + 1)}
     if p0 is None:
         p0 = (initial_distribution(spec, t0) if spec.mechanism is not None
               else Factor.uniform(spec.slice_vars))
-    if schedule is None and spec.mechanism is not None and static and t_to > t0:
-        schedule = mechanism_transition(spec)
-    states = _chain(p0.reorder(spec.names()), t0, t_to, _transition_steps(spec, schedule))
+    states = _chain(spec, p0.reorder(spec.names()), t0, t_to, _transition_steps(spec, trans))
     assert states is not None  # transition steps always exist
-    return states[t_from - t0:]
+    return dict(zip(range(t0, t_to + 1), states))
 
 
 def observational_marginal(
@@ -434,32 +454,22 @@ def observational_marginal(
     t0: int,
 ) -> Factor:
     """P(V_t) without intervention, over template variable names."""
-    return _observational_states(spec, t, t, schedule, p0, t0)[0]
+    return _observational_states(spec, t, t, _transitions(spec, schedule), p0, t0)[t]
 
 
-def _window_joint(
-    spec: DcnSpec,
-    t_left: int,
-    t_right: int,
-    schedule: Optional[Schedule],
-    p0: Optional[Factor],
-    t0: int,
-) -> Factor:
+def _window_joint(spec: DcnSpec, t_left: int, t_right: int, trans: Optional[Transitions],
+                  states: Mapping[int, Factor], t0: int) -> Factor:
     """Observational joint over the window slices, unrolled names.
 
-    Static specs chain the transition matrix from the marginal at the
-    window's left edge (the slices are first-order Markov); otherwise
-    the mechanism is unrolled from t0 and the slices before t_left are
-    eliminated.
+    Static specs multiply the transitions onto the state at the window's
+    left edge that the forward pass ``states`` holds (the slices are
+    first-order Markov); otherwise the mechanism is unrolled from t0 and
+    the slices before t_left are eliminated.
     """
-    if classify(spec).is_static and schedule is not None:
-        left = observational_marginal(spec, t_left, schedule, p0, t0)
-        out = _slice_factor_at(spec, left, t_left)
-        for t in range(t_left, t_right):
-            scope = tuple(Var(slice_var_at(v.name, s), v.domain)
-                          for s in (t + 1, t) for v in spec.slice_vars)
-            matrix = _matrix_at(schedule, t).matrix
-            out = multiply(out, Factor(scope, matrix.reshape([v.domain for v in scope])))
+    if classify(spec).is_static and trans is not None:
+        out = _slice_factor_at(spec, states[t_left], t_left)
+        for t in range(t_left + 1, t_right + 1):
+            out = multiply(out, trans(t))
         return out
     return joint(unrolled_scm(spec, t0, t_right), _slice_names(spec, t_left, t_right))
 
@@ -500,144 +510,134 @@ def build_gid(spec: DcnSpec, t_x: int, t_y: int) -> GidWindow:
     return GidWindow(t_start, t_y, g, index)
 
 
-# -- kernels and the stepper ---------------------------------------------
+# -- steps and the stepper -------------------------------------------------
 
 
-@dataclass
-class _Kernel:
-    """Conditional map P(next vars | prev vars) as a dense matrix."""
-
-    next_names: tuple[str, ...]
-    prev_names: tuple[str, ...]
-    next_domains: tuple[int, ...]
-    matrix: np.ndarray  # (next states, prev states)
-    partial: bool = False
-
-    def apply(self, p: Factor) -> Factor:
-        aligned = p.reorder(self.prev_names)
-        vec = aligned.table.reshape(-1)
-        out = self.matrix @ vec
-        out = np.clip(out, 0.0, None)
-        scope = tuple(Var(n, d) for n, d in zip(self.next_names, self.next_domains))
-        return Factor(scope, out.reshape(self.next_domains), self.partial or p.partial)
+# (slice t, variables of the state at t - 1) -> P(next vars @t | those @t-1),
+# or None when the step is not identifiable
+StepSource = Callable[[int, Sequence[str]], Optional[Factor]]
 
 
-StepSource = Callable[[int, Sequence[str]], Optional[_Kernel]]
+def _apply(spec: DcnSpec, kern: Factor, state: Factor, t_prev: int, t_next: int) -> Factor:
+    """sum_prev P(next | prev) P(prev): the conditional factor ``kern`` of
+    slice-t_next variables given slice t_prev, applied to ``state`` (slice
+    t_prev, template names).  The result is over template names in
+    declared order; the sum is the product of kern's table, laid out
+    (next, prev), with the state vector."""
+    scope = set(kern.names())
+    nxt = [v for v in spec.slice_vars if slice_var_at(v.name, t_next) in scope]
+    k = kern.reorder([slice_var_at(v.name, t_next) for v in nxt]
+                     + [slice_var_at(n, t_prev) for n in state.names()])
+    vec = state.table.reshape(-1)
+    out = k.table.reshape(-1, vec.size) @ vec
+    return Factor(nxt, out.reshape([v.domain for v in nxt]), kern.partial or state.partial)
 
 
-def _chain(state: Factor, t: int, t_end: int, steps: StepSource) -> Optional[list[Factor]]:
+def _chain(spec: DcnSpec, state: Factor, t: int, t_end: int,
+           steps: StepSource) -> Optional[list[Factor]]:
     """The states at slices t..t_end: ``state`` at t, then each next one
     by applying ``steps(slice, variables of the state before)``; None
-    when a step kernel is not identifiable."""
+    when a step is not identifiable."""
     states = [state]
     for s in range(t + 1, t_end + 1):
         kern = steps(s, state.names())
         if kern is None:
             return None
-        state = kern.apply(state)
+        state = _apply(spec, kern, state, s - 1, s)
         states.append(state)
     return states
 
 
-def _kernel_from_conditional(cond: Factor, next_names: Sequence[str],
-                             prev_names: Sequence[str], next_vars: Sequence[str],
-                             prev_vars: Sequence[str]) -> _Kernel:
-    """The conditional P(next_names | prev_names) as a kernel over the
-    template names ``next_vars`` and ``prev_vars``."""
-    f = cond.reorder(tuple(next_names) + tuple(prev_names))
-    nd = tuple(f.var(n).domain for n in next_names)
-    return _Kernel(tuple(next_vars), tuple(prev_vars), nd,
-                   f.table.reshape(int(np.prod(nd)), -1), f.partial)
+def _restrict_transition(spec: DcnSpec, f: Factor, t: int,
+                         next_keep: Sequence[str], prev_keep: Sequence[str]) -> Factor:
+    """The transition factor ``f`` into slice t, restricted to ancestor
+    subsets of the two slices: dropped slice-t variables are summed out;
+    dropped slice-(t-1) variables are fixed at 0 after checking that the
+    rest does not depend on them, which holds because parents of
+    ancestors are ancestors."""
+    f = marginalize(f, [slice_var_at(n, t) for n in spec.names() if n not in next_keep])
+    dropped = {slice_var_at(v.name, t - 1): v.domain
+               for v in spec.slice_vars if v.name not in prev_keep}
+    for name, domain in dropped.items():
+        ref = f.restrict({name: 0})
+        if not all(equal_within(f.restrict({name: val}), ref, 1e-9) for val in range(1, domain)):
+            raise InternalError(f"transition depends on non-ancestor {name!r}; "
+                                "ancestor closure violated")
+    if not dropped:
+        return f
+    kept = f.restrict(dict.fromkeys(dropped, 0))
+    # a contiguous table, as a full transition's, so that steps round alike
+    return Factor(kept.scope, np.ascontiguousarray(kept.table), kept.partial)
 
 
-def _restricted_transition_kernel(
-    spec: DcnSpec,
-    tm: TransitionMatrix,
-    next_keep: Sequence[str],
-    prev_keep: Sequence[str],
-) -> _Kernel:
-    """Marginal of T onto ancestor subsets of consecutive slices.
-
-    Sound because parents of ancestors are ancestors: the next-restricted
-    conditional cannot depend on dropped previous-slice variables; the
-    reduction asserts that constancy.
-    """
-    names = spec.names()
-    doms = tuple(v.domain for v in spec.slice_vars)
-    next_set, prev_set = set(next_keep), set(prev_keep)
-    full = tm.matrix.reshape(doms + doms)  # next axes then prev axes
-    drop_next = tuple(i for i, n in enumerate(names) if n not in next_set)
-    reduced = full.sum(axis=drop_next) if drop_next else full
-    n_next_kept = len(names) - len(drop_next)
-    # walk prev axes from the back so dropped-axis indices stay valid
-    for i in reversed(range(len(names))):
-        if names[i] in prev_set:
-            continue
-        axis = n_next_kept + i
-        ref = np.take(reduced, 0, axis=axis)
-        for val in range(1, doms[i]):
-            if np.max(np.abs(np.take(reduced, val, axis=axis) - ref)) > 1e-9:
-                raise InternalError(
-                    f"transition depends on non-ancestor {names[i]!r}; "
-                    "ancestor closure violated")
-        reduced = ref
-    next_names = tuple(n for n in names if n in next_set)
-    prev_names = tuple(n for n in names if n in prev_set)
-    nd = tuple(spec.var(n).domain for n in next_names)
-    return _Kernel(next_names, prev_names, nd, reduced.reshape(int(np.prod(nd)), -1))
-
-
-def _identified_kernel(
-    spec: DcnSpec,
-    window: tuple[int, int],
-    x_values: Mapping[str, int],
-    t_x: int,
-    next_slice: int,
-    next_vars: Sequence[str],
-    prev_slice: int,
-    prev_vars: Sequence[str],
-    schedule: Optional[Schedule],
-    p0: Optional[Factor],
-    t0: int,
-) -> Optional[_Kernel]:
-    """ID the conditional P(next | prev, do(X)) on a window graph and
-    evaluate it against the window's observational joint."""
-    t_left, t_right = window
-    g, index = unroll(spec, t_left, t_right)
-    targets = {index[(n, t_x)]: v for n, v in x_values.items()}
-    next_names = [index[(n, next_slice)] for n in next_vars]
+def _identified_kernel(spec: DcnSpec, x: Mapping[str, int], t_x: int, t_left: int,
+                       prev_slice: int, prev_vars: Sequence[str], next_slice: int,
+                       next_vars: Sequence[str], trans: Optional[Transitions],
+                       states: Mapping[int, Factor], t0: int) -> Optional[Factor]:
+    """ID the conditional P(next_vars | prev_vars, do(X)) on the graph of
+    slices t_left..next_slice and evaluate it against their
+    observational joint."""
+    g, index = unroll(spec, t_left, next_slice)
+    targets = {index[(n, t_x)]: v for n, v in x.items()}
     prev_names = [index[(n, prev_slice)] for n in prev_vars]
-    outcome = frozenset(next_names) | frozenset(prev_names)
+    outcome = frozenset(index[(n, next_slice)] for n in next_vars) | frozenset(prev_names)
     result = id_effect(g, frozenset(targets), outcome)
     if not result.identified:
         return None
     assert result.expr is not None
-    j = _window_joint(spec, t_left, t_right, schedule, p0, t0)
-    num = effect_factor(result.expr, j, targets, outcome)
-    cond = condition(num, prev_names)
-    return _kernel_from_conditional(cond, next_names, prev_names, next_vars, prev_vars)
+    j = _window_joint(spec, t_left, next_slice, trans, states, t0)
+    return condition(effect_factor(result.expr, j, targets, outcome), prev_names)
 
 
-def _transition_steps(spec: DcnSpec, schedule: Optional[Schedule],
+def _transition_steps(spec: DcnSpec, trans: Optional[Transitions],
                       keep: Optional[Mapping[int, Sequence[str]]] = None) -> StepSource:
-    """Steps by the schedule: the transition into slice t, restricted to
-    ``keep[t]`` (every slice variable when keep is None)."""
+    """Steps by the transitions: the transition into slice t, restricted
+    to ``keep[t]`` (every slice variable when keep is None)."""
     names = spec.names()
-    return lambda t, prev: _restricted_transition_kernel(
-        spec, _matrix_at(schedule, t - 1), names if keep is None else keep[t], prev)
+
+    def step(t: int, prev: Sequence[str]) -> Factor:
+        if trans is None:
+            raise InvalidInputError("a transition matrix (or schedule) is required")
+        return _restrict_transition(spec, trans(t), t, names if keep is None else keep[t], prev)
+
+    return step
 
 
 def _identified_steps(spec: DcnSpec, window_left: int, x: Mapping[str, int], t_x: int,
-                      schedule: Optional[Schedule], p0: Optional[Factor], t0: int,
+                      trans: Optional[Transitions], states: Mapping[int, Factor], t0: int,
                       keep: Optional[Mapping[int, Sequence[str]]] = None) -> StepSource:
     """Identifies every step: P(keep[t] | previous slice, do(X)) on the
     window (window_left, t) (every slice variable when keep is None)."""
     names = spec.names()
-    return lambda t, prev: _identified_kernel(
-        spec, (window_left, t), x, t_x,
-        next_slice=t, next_vars=names if keep is None else keep[t],
-        prev_slice=t - 1, prev_vars=prev,
-        schedule=schedule, p0=p0, t0=t0)
+    return lambda t, prev: _identified_kernel(spec, x, t_x, window_left, t - 1, prev, t,
+                                              names if keep is None else keep[t],
+                                              trans, states, t0)
+
+
+def _post_intervention(spec: DcnSpec, x: Mapping[str, int], t_x: int, window_left: int,
+                       t_first: int, t_end: int, trans: Optional[Transitions],
+                       states: Mapping[int, Factor], t0: int, dynamic: bool,
+                       keep: Optional[Mapping[int, Sequence[str]]] = None,
+                       fallback: Callable[[], Optional[Factor]] = lambda: None,
+                       ) -> Optional[list[Factor]]:
+    """P(keep[t] | do(X=x at t_x)) for slices t_first..t_end (every slice
+    variable when keep is None).  The step from slice t_x - 1 into
+    t_first is identified on the window from ``window_left`` (``fallback``
+    supplies it when that fails) and applied to the observational state
+    at t_x - 1; the stepper then follows the transitions, or (``dynamic``)
+    steps identified on windows from the same left edge.  None when a
+    step is not identifiable."""
+    names = spec.names()
+    first = _identified_kernel(spec, x, t_x, window_left, t_x - 1, names, t_first,
+                               names if keep is None else keep[t_first], trans, states, t0)
+    if first is None:
+        first = fallback()
+    if first is None:
+        return None
+    steps = (_identified_steps(spec, window_left, x, t_x, trans, states, t0, keep) if dynamic
+             else _transition_steps(spec, trans, keep))
+    return _chain(spec, _apply(spec, first, states[t_x - 1], t_x - 1, t_first),
+                  t_first, t_end, steps)
 
 
 def step_kernel_matrix(
@@ -656,16 +656,16 @@ def step_kernel_matrix(
     observational probability (the conditional is vacuous elsewhere);
     None when the step query has a hedge.
     """
-    kern = _identified_kernel(
-        spec, (_window_left(spec, x, t_x, t0), t_x + 1), x, t_x,
-        next_slice=t_x + 1, next_vars=spec.names(),
-        prev_slice=t_x - 1, prev_vars=spec.names(),
-        schedule=T, p0=p0, t0=t0,
-    )
+    trans = _transitions(spec, T)
+    states = _observational_states(spec, t_x - 1, t_x - 1, trans, p0, t0)
+    names = spec.names()
+    kern = _identified_kernel(spec, x, t_x, _window_left(spec, x, t_x, t0), t_x - 1, names,
+                              t_x + 1, names, trans, states, t0)
     if kern is None:
         return None
-    reachable = observational_marginal(spec, t_x - 1, T, p0, t0).table.reshape(-1) > 1e-12
-    return kern.matrix, reachable
+    layout = _slice_names(spec, t_x + 1, t_x + 1) + _slice_names(spec, t_x - 1, t_x - 1)
+    matrix = kern.reorder(layout).table.reshape(spec.slice_states(), -1)
+    return matrix, states[t_x - 1].table.reshape(-1) > 1e-12
 
 
 # -- identification pipelines ----------------------------------------------
@@ -702,37 +702,28 @@ def _validate_query(spec: DcnSpec, x: Mapping[str, int], y: Iterable[str],
         raise WindowTooSmallError("need one observational slice before the intervention")
 
 
-def _effect(
-    spec: DcnSpec,
-    x: Mapping[str, int],
-    t_x: int,
-    y: Iterable[str],
-    t_y: int,
-    schedule: Optional[Schedule],
-    p0: Optional[Factor],
-    t0: int,
-    complete: bool,
-    dynamic: bool,
-) -> Optional[Factor]:
+def _effect(spec: DcnSpec, x: Mapping[str, int], t_x: int, y: Iterable[str], t_y: int,
+            schedule: Optional[Schedule], p0: Optional[Factor], t0: int, complete: bool,
+            dynamic: bool, fallback: Callable[[], Optional[Factor]] = lambda: None,
+            ) -> Optional[Factor]:
     """P(Y at t_y | do(X=x at t_x)): one step from slice t_x - 1 identified
-    on the lemma's window, then the stepper through t_y.  Later steps
-    follow the transition (static) or are identified on growing windows
-    from the same left edge (dynamic).  The complete variants keep only
-    the ancestors of Y in each slice; the complete dynamic one makes its
-    first step over the dynamic time span of X."""
+    on the lemma's window (``fallback`` supplies it when that fails), then
+    the stepper through t_y.  Later steps follow the transition (static)
+    or are identified on growing windows from the same left edge
+    (dynamic).  The complete variants keep only the ancestors of Y in
+    each slice; the complete dynamic one makes its first step over the
+    dynamic time span of X."""
     ys = frozenset(y)
     _validate_query(spec, x, ys, t_x, t_y, t0)
+    trans = _transitions(spec, schedule)
     if dynamic:
         if spec.mechanism is None:
             raise UnsupportedModelError("dynamic identification needs the slice mechanism "
                                         "for exact window joints")
-    else:
-        if not classify(spec).is_static:
-            raise UnsupportedModelError("this algorithm requires static confounders only")
-        if spec.mechanism is None and schedule is None:
-            raise InvalidInputError("either a transition matrix or a mechanism is required")
-        if schedule is None:
-            schedule = mechanism_transition(spec)
+    elif not classify(spec).is_static:
+        raise UnsupportedModelError("this algorithm requires static confounders only")
+    elif trans is None:
+        raise InvalidInputError("either a transition matrix or a mechanism is required")
 
     w_left = _window_left(spec, x, t_x, t0)  # InfiniteSpanError on an infinite span
     jump_to = t_x + 1
@@ -742,28 +733,17 @@ def _effect(
         if span > 0 and t_x + span >= t_y:
             raise UnsupportedQueryError("the outcome slice lies inside the dynamic time span")
         jump_to = t_x + span + 1
-    if complete:
-        keep = _ancestor_slices(spec, ys, t_y, w_left)
+    keep = _ancestor_slices(spec, ys, t_y, w_left) if complete else None
+    if keep is not None and not keep[jump_to]:
+        # X cannot influence Y: the effect is the observational marginal
+        state = _observational_states(spec, t_y, t_y, trans, p0, t0)[t_y]
     else:
-        keep = {t: spec.names() for t in range(w_left, t_y + 1)}
-    if keep[jump_to]:
-        first = _identified_kernel(
-            spec, (w_left, jump_to), x, t_x,
-            next_slice=jump_to, next_vars=keep[jump_to],
-            prev_slice=t_x - 1, prev_vars=spec.names(),
-            schedule=schedule, p0=p0, t0=t0,
-        )
-        if first is None:
+        states = _observational_states(spec, t_x - 1, t_x - 1, trans, p0, t0)
+        post = _post_intervention(spec, x, t_x, w_left, jump_to, t_y, trans, states, t0,
+                                  dynamic, keep, fallback)
+        if post is None:
             return None
-        steps = (_identified_steps(spec, w_left, x, t_x, schedule, p0, t0, keep) if dynamic
-                 else _transition_steps(spec, schedule, keep))
-        states = _chain(first.apply(observational_marginal(spec, t_x - 1, schedule, p0, t0)),
-                        jump_to, t_y, steps)
-        if states is None:
-            return None
-        state = states[-1]
-    else:  # X cannot influence Y: the effect is the observational marginal
-        state = observational_marginal(spec, t_y, schedule, p0, t0)
+        state = post[-1]
     return marginalize(state, [n for n in state.names() if n not in ys])
 
 
@@ -858,49 +838,35 @@ def trajectory(
     same left edge (dynamic confounders)."""
     if horizon < t0:
         raise InvalidInputError("horizon precedes t0")
+    trans = _transitions(spec, T_schedule)
     if intervention is None:
-        return _observational_states(spec, t0, horizon, T_schedule, p0, t0)
+        states = _observational_states(spec, t0, horizon, trans, p0, t0)
+        return [states[t] for t in range(t0, horizon + 1)]
     x, t_x = intervention
     if not (t0 < t_x <= horizon):
         raise InvalidInputError("the intervention slice must lie inside the horizon")
-    # the same call as without intervention, so these slices are untouched
-    out = _observational_states(spec, t0, t_x - 1, T_schedule, p0, t0)
-    prev = out[-1]
-    static = classify(spec).is_static
-    if static and T_schedule is None and spec.mechanism is not None:
-        T_schedule = mechanism_transition(spec)
+    # the same pass as without intervention, so these slices are untouched
+    states = _observational_states(spec, t0, t_x - 1, trans, p0, t0)
+    out = [states[t] for t in range(t0, t_x)]
     w_left = _window_left(spec, x, t_x, t0)
     rest = [n for n in spec.names() if n not in x]
+    at_tx = Factor.scalar(1.0)
     if rest:
-        kern = _identified_kernel(
-            spec, (w_left, t_x), x, t_x,
-            next_slice=t_x, next_vars=rest,
-            prev_slice=t_x - 1, prev_vars=spec.names(),
-            schedule=T_schedule, p0=p0, t0=t0)
+        kern = _identified_kernel(spec, x, t_x, w_left, t_x - 1, spec.names(), t_x, rest,
+                                  trans, states, t0)
         if kern is None:
             raise UnsupportedQueryError(
                 "the intervention-slice distribution is not identifiable")
-        at_tx = kern.apply(prev)
-    else:
-        at_tx = Factor.scalar(1.0)
+        at_tx = _apply(spec, kern, out[-1], t_x - 1, t_x)
     point = Factor.point_mass([spec.var(n) for n in sorted(x)], dict(x))
     out.append(multiply(at_tx, point).reorder(spec.names()))
     if t_x == horizon:
         return out
-
-    first = _identified_kernel(
-        spec, (w_left, t_x + 1), x, t_x,
-        next_slice=t_x + 1, next_vars=spec.names(),
-        prev_slice=t_x - 1, prev_vars=spec.names(),
-        schedule=T_schedule, p0=p0, t0=t0)
-    if first is None:
-        raise UnsupportedQueryError("the post-intervention slice is not identifiable")
-    steps = (_transition_steps(spec, T_schedule) if static
-             else _identified_steps(spec, w_left, x, t_x, T_schedule, p0, t0))
-    states = _chain(first.apply(prev), t_x + 1, horizon, steps)
-    if states is None:
+    post = _post_intervention(spec, x, t_x, w_left, t_x + 1, horizon, trans, states, t0,
+                              dynamic=not classify(spec).is_static)
+    if post is None:
         raise UnsupportedQueryError("a post-intervention step conditional is not identifiable")
-    return out + states
+    return out + post
 
 
 # -- transportability (restricted) ------------------------------------------
@@ -971,43 +937,34 @@ def transport(
                     f"selection variable {s.name!r} points inside the intervened "
                     f"bidirected component ({var} at slice {t})")
 
-    target_side = dcn_id_static(spec, x, t_x, ys, t_y, T_target, p0_target, t0)
-    if target_side is not None or not tspec.selection_vars:
-        return target_side
+    def source_step() -> Optional[Factor]:
+        """The whole step conditional from the source experiment on X,
+        when the target step query is hedged."""
+        if not tspec.selection_vars or frozenset(x) not in set(tspec.source_experiments):
+            return None
+        if tspec.source_spec is None or tspec.source_spec.mechanism is None:
+            raise UnsupportedTransportError("source experiments require the source mechanism")
+        # s-admissibility: selection variables d-separated from the step
+        # outcome under do(X) in the selection-augmented window
+        sel_vars = [Var(s.name, 2) for s in tspec.selection_vars]
+        aug_edges = list(g.directed)
+        for s in tspec.selection_vars:
+            for var, off in s.points_at:
+                if (var, t_x + off) in index:
+                    aug_edges.append((s.name, index[(var, t_x + off)]))
+        aug = Admg(tuple(g.vars) + tuple(sel_vars), aug_edges, g.bidirected)
+        prev_names = [index[(n, t_x - 1)] for n in spec.names()]
+        outcome = {index[(n, t_x + 1)] for n in spec.names()} | set(prev_names)
+        cut = mutilate(aug, remove_incoming=x_names)
+        if not d_separated(cut, {s.name for s in tspec.selection_vars},
+                           outcome - x_names, frozenset()):
+            return None
+        m_src = unrolled_scm(tspec.source_spec, w_left, t_x + 1)
+        num = joint(intervene(m_src, {index[(n, t_x)]: v for n, v in x.items()}), outcome)
+        return condition(num, prev_names)
 
-    # target-unidentifiable step: try the source experiment for the whole
-    # step conditional
-    if frozenset(x) not in set(tspec.source_experiments):
-        return None
-    if tspec.source_spec is None or tspec.source_spec.mechanism is None:
-        raise UnsupportedTransportError("source experiments require the source mechanism")
-
-    # s-admissibility: selection variables d-separated from the step
-    # outcome under do(X) in the selection-augmented window
-    sel_vars = [Var(s.name, 2) for s in tspec.selection_vars]
-    aug_edges = list(g.directed)
-    for s in tspec.selection_vars:
-        for var, off in s.points_at:
-            if (var, t_x + off) in index:
-                aug_edges.append((s.name, index[(var, t_x + off)]))
-    aug = Admg(tuple(g.vars) + tuple(sel_vars), aug_edges, g.bidirected)
-    outcome = {index[(n, t_x + 1)] for n in spec.names()} | {index[(n, t_x - 1)] for n in spec.names()}
-    cut = mutilate(aug, remove_incoming=x_names)
-    if not d_separated(cut, {s.name for s in tspec.selection_vars},
-                       outcome - x_names, frozenset()):
-        return None
-
-    m_src = unrolled_scm(tspec.source_spec, w_left, t_x + 1)
-    num = joint(intervene(m_src, {index[(n, t_x)]: v for n, v in x.items()}), outcome)
-    prev_names = [index[(n, t_x - 1)] for n in spec.names()]
-    next_names = [index[(n, t_x + 1)] for n in spec.names()]
-    kern = _kernel_from_conditional(condition(num, prev_names), next_names, prev_names,
-                                    spec.names(), spec.names())
-    prev = observational_marginal(spec, t_x - 1, T_target, p0_target, t0)
-    states = _chain(kern.apply(prev), t_x + 1, t_y, _transition_steps(spec, T_target))
-    assert states is not None  # transition steps always exist
-    state = states[-1]
-    return marginalize(state, [n for n in state.names() if n not in ys])
+    return _effect(spec, x, t_x, ys, t_y, T_target, p0_target, t0,
+                   complete=False, dynamic=False, fallback=source_step)
 
 
 # -- random specs (tests, demos) --------------------------------------------

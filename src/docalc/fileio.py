@@ -31,7 +31,17 @@ PathLike = Union[str, Path]
 
 def _read(path: PathLike) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        d = json.load(fh)
+    if not isinstance(d, dict):
+        raise InvalidInputError(f"{path}: the top level must be a JSON object")
+    return d
+
+
+def _int(value: Any, field: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"{field} must be an integer, got {value!r}") from None
 
 
 def canonical_json(obj: Any) -> str:
@@ -39,7 +49,8 @@ def canonical_json(obj: Any) -> str:
 
 
 def _vars_from(items: Sequence[Mapping[str, Any]]) -> tuple[Var, ...]:
-    return tuple(Var(d["name"], int(d.get("domain", 2))) for d in items)
+    return tuple(Var(d["name"], _int(d.get("domain", 2), f"domain of {d['name']!r}"))
+                 for d in items)
 
 
 def graph_from_dict(d: Mapping[str, Any]) -> Admg:
@@ -83,7 +94,11 @@ def model_from_dict(d: Mapping[str, Any]) -> Scm:
         shape += tuple(len(e["prior"]) for en in exo_parents
                        for e in d.get("exogenous", []) if e["name"] == en)
         shape += (g.var(name).domain,)
-        table = np.asarray(c["table"], dtype=float).reshape(shape)
+        try:
+            table = np.asarray(c["table"], dtype=float).reshape(shape)
+        except ValueError:
+            raise InvalidInputError(f"cpt table of {name!r} must hold {int(np.prod(shape))} "
+                                    "numbers") from None
         cpts[name] = Cpt(name, parents, exo_parents, table)
     return Scm(g, cpts, exo)
 
@@ -132,13 +147,13 @@ def dcn_spec_from_dict(d: Mapping[str, Any]) -> tuple[DcnSpec, Optional[dict]]:
         m = d["mechanism"]
         exos = tuple(
             SliceExo(e["name"], tuple(float(x) for x in e["prior"]),
-                     e["earlier"], e["later"], int(e.get("lag", 0)))
+                     e["earlier"], e["later"], _int(e.get("lag", 0), f"lag of {e['name']!r}"))
             for e in m.get("exos", [])
         )
         cpts = []
         for name, c in m["cpts"].items():
             intra = tuple(c.get("intra_parents", []))
-            cross = tuple((p, int(k)) for p, k in c.get("cross_parents", []))
+            cross = tuple((p, _int(k, f"lag of {p!r}")) for p, k in c.get("cross_parents", []))
             exo_p = tuple(c.get("exo_parents", []))
             cpts.append(SliceCpt(name, intra, cross, exo_p,
                                  np.asarray(c["table"], dtype=float)))
@@ -146,9 +161,9 @@ def dcn_spec_from_dict(d: Mapping[str, Any]) -> tuple[DcnSpec, Optional[dict]]:
     spec = DcnSpec(
         _vars_from(d["slice_vars"]),
         tuple(tuple(e) for e in d.get("intra_edges", [])),
-        tuple((a, b, int(k)) for a, b, k in d.get("cross_edges", [])),
+        tuple((a, b, _int(k, f"lag of ({a},{b})")) for a, b, k in d.get("cross_edges", [])),
         tuple(frozenset(c) for c in d.get("intra_confounders", [])),
-        tuple((a, b, int(k)) for a, b, k in d.get("cross_confounders", [])),
+        tuple((a, b, _int(k, f"lag of ({a},{b})")) for a, b, k in d.get("cross_confounders", [])),
         mech,
     )
     return spec, d.get("schedule")

@@ -15,6 +15,7 @@ Models are immutable; queries are pure.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -156,6 +157,15 @@ class InterventionSpec:
 # a single einsum call accepts at most this many distinct axis labels
 _EINSUM_LABELS = 52
 
+# the most cells ``joint`` tabulates in one table (an elimination step or its output)
+MAX_TABLE_CELLS = 1 << 22
+
+
+def _check_cells(cells: int) -> None:
+    if cells > MAX_TABLE_CELLS:
+        raise UnsupportedModelError(f"joint would tabulate a table of {cells} cells "
+                                    f"(cap {MAX_TABLE_CELLS})")
+
 
 def _contract(tables: Sequence[tuple[tuple[str, ...], np.ndarray]],
               out: Sequence[str], domain: Mapping[str, int]) -> np.ndarray:
@@ -184,6 +194,8 @@ def joint(m: Scm, keep: Optional[Iterable[str]] = None) -> Factor:
     eliminated by variable elimination over the CPTs and confounder
     priors; the next variable to sum out is the one whose combined table
     is smallest (ties in declaration order, observed before exogenous).
+    A step or an output table over ``MAX_TABLE_CELLS`` cells raises
+    ``UnsupportedModelError`` before it is built.
     """
     observed = m.graph.names()
     kept = frozenset(observed) if keep is None else frozenset(keep)
@@ -221,6 +233,7 @@ def joint(m: Scm, keep: Optional[Iterable[str]] = None) -> Factor:
     hidden = set(domain) - kept
     while hidden:
         var = min(hidden, key=cost)
+        _check_cells(cost(var)[0])
         hidden.discard(var)
         used = sorted(holders.pop(var))
         involved = [tables.pop(i) for i in used]
@@ -230,6 +243,7 @@ def joint(m: Scm, keep: Optional[Iterable[str]] = None) -> Factor:
         add(scope, _contract(involved, scope, domain))
 
     out = tuple(n for n in observed if n in kept)
+    _check_cells(math.prod(domain[n] for n in out))
     # the unit table gives einsum an operand even for a model without variables
     rest = [((), np.ones(()))] + list(tables.values())
     return Factor([m.graph.var(n) for n in out], _contract(rest, out, domain))

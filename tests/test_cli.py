@@ -192,6 +192,57 @@ class TestDcnCommand:
         assert "4196352 cells" in capsys.readouterr().out
 
 
+    def test_lag_two_cross_edge_is_input_error(self, tmp_path, capsys):
+        spec = {
+            "slice_vars": [{"name": "a"}, {"name": "b"}],
+            "intra_edges": [["a", "b"]],
+            "cross_edges": [["b", "a", 2], ["a", "a", 1]],
+        }
+        path = tmp_path / "lag2.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        code = main(["dcn", "--spec", str(path), "--query", "P(b@6|do(a@3=1))",
+                     "--horizon", "6"])
+        assert code == 1
+        assert "lag > 1" in capsys.readouterr().out
+
+
+class TestMalformedFiles:
+    GRAPH = {"vars": [{"name": "X"}, {"name": "Y"}], "edges": [["X", "Y"]]}
+    MODEL = {**GRAPH, "cpts": {"X": {"table": [0.5, 0.5]},
+                               "Y": {"parents": ["X"], "table": [0.9, 0.1, 0.2, 0.8]}}}
+
+    @pytest.mark.parametrize("case", ["domain_word", "list_root", "cpt_length", "directory"])
+    def test_exit_one_without_traceback(self, tmp_path, capsys, case):
+        graph = tmp_path / "graph.json"
+        model = tmp_path / "model.json"
+        graph.write_text(json.dumps(self.GRAPH), encoding="utf-8")
+        model.write_text(json.dumps(self.MODEL), encoding="utf-8")
+        (tmp_path / "cands.json").write_text(json.dumps({"graphs": ["graph.json"]}),
+                                             encoding="utf-8")
+        if case == "domain_word":
+            bad = {"vars": [{"name": "X", "domain": "two"}, {"name": "Y"}]}
+            graph.write_text(json.dumps(bad), encoding="utf-8")
+        elif case == "list_root":
+            graph.write_text(json.dumps([self.GRAPH]), encoding="utf-8")
+        elif case == "cpt_length":
+            bad = json.loads(json.dumps(self.MODEL))
+            bad["cpts"]["Y"]["table"] = [0.9, 0.1, 0.2]
+            model.write_text(json.dumps(bad), encoding="utf-8")
+        if case == "cpt_length":
+            argv = ["discover", "--candidates", str(tmp_path / "cands.json"),
+                    "--model", str(model)]
+        else:
+            target = tmp_path if case == "directory" else graph
+            argv = ["identify", "--graph", str(target), "--query", "P(Y|do(X))"]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("input error:") and "Traceback" not in err
+        expected = {"domain_word": "domain of 'X'", "list_root": "JSON object",
+                    "cpt_length": "cpt table of 'Y'", "directory": "directory"}[case]
+        assert expected in err
+
+
 class TestTransportCommand:
     @staticmethod
     def _mech_dict(tilt=0.0):

@@ -5,10 +5,11 @@ from docalc.dcn import (DcnSpec, SelectionVar, TransportSpec, build_gid,
                         cdcn_id_dynamic, cdcn_id_static, classify,
                         dcn_id_dynamic, dcn_id_static, dynamic_time_span,
                         initial_distribution, mechanism_transition,
-                        random_dcn_spec, slice_var_at,
+                        observational_marginal, random_dcn_spec, slice_var_at,
                         step_kernel_matrix, trajectory, transport, unroll,
                         unrolled_scm)
-from docalc.errors import (UnsupportedQueryError, UnsupportedTransportError,
+from docalc.errors import (UnsupportedModelError, UnsupportedQueryError,
+                           UnsupportedTransportError,
                            WindowTooSmallError)
 from docalc.factors import Factor, condition, equal_within, marginalize
 from docalc.graphs import Var, find_hedge
@@ -529,6 +530,21 @@ class TestTransport:
         assert np.max(np.abs(f.reorder(["b"]).table
                              - orc.reorder([slice_var_at("b", 4)]).table)) < 1e-9
 
+    def test_source_experiment_without_schedule(self):
+        """A mechanism-only target needs no transition matrix: the steps
+        after the source experiment follow the mechanism's transition."""
+        target, source = self._hedged_pair()
+        tspec = TransportSpec((SelectionVar("s", (("c", 0),)),),
+                              (frozenset({"a"}),), source)
+        f = transport(target, tspec, {"a": 1}, 2, {"b"}, 4, None, None, 0)
+        assert f is not None
+        given = transport(target, tspec, {"a": 1}, 2, {"b"}, 4,
+                          mechanism_transition(target), None, 0)
+        assert equal_within(f, given, 1e-12)
+        orc = oracle_effect(target, {"a": 1}, 2, {"b"}, 4)
+        assert np.max(np.abs(f.reorder(["b"]).table
+                             - orc.reorder([slice_var_at("b", 4)]).table)) < 1e-9
+
     def test_unavailable_experiment_fails(self):
         target, source = self._hedged_pair()
         t = mechanism_transition(target)
@@ -561,7 +577,7 @@ class TestPaperSeries:
     def test_printed_alpha_expression_agrees(self, traffic):
         """The published closed form for the four-slice step query evaluates
         to the same conditionals as the identification pipeline."""
-        from docalc.dcn import _window_joint
+        from docalc.dcn import _observational_states, _transitions, _window_joint
         from docalc.identify import ObservedTerm, Product, Quotient, SumOver, evaluate
 
         spec, t1, _t2, _ts = traffic
@@ -585,10 +601,86 @@ class TestPaperSeries:
                 )),
             ),
         )
-        joint12 = _window_joint(spec, 1, 4, t1, None, 0)
+        trans = _transitions(spec, t1)
+        joint12 = _window_joint(spec, 1, 4, trans,
+                                _observational_states(spec, 1, 1, trans, None, 0), 0)
         for val in (0, 1):
             got = evaluate(alpha, joint12, {v[7]: val})
             got = got.reorder([v[10], v[11], v[12], v[4], v[5], v[6]])
             table = got.table.reshape(8, 8)
             matrix, reachable = step_kernel_matrix(spec, {"tr1": val}, 3, t1, None, 0)
             assert np.max(np.abs(table[:, reachable] - matrix[:, reachable])) < 1e-9
+
+
+class TestFirstOrderSlices:
+    """A cross edge of lag 2 breaks the first-order slices that the window
+    lemma and the one-slice steps rest on; the pipelines refuse it instead
+    of answering wrongly (off the unrolled oracle by up to 0.086)."""
+
+    @staticmethod
+    def _lag2_spec(cross_confounders=(), seed=0):
+        bare = DcnSpec((Var("a"), Var("b")), (("a", "b"),), (("b", "a", 2), ("a", "a", 1)),
+                       (), cross_confounders)
+        return random_mechanism_for(bare, np.random.default_rng(seed))
+
+    def test_static_pipelines_refuse(self):
+        spec = self._lag2_spec()
+        tspec = TransportSpec((), (), None)
+        calls = [
+            lambda: dcn_id_static(spec, {"a": 1}, 3, {"b"}, 6),
+            lambda: cdcn_id_static(spec, {"a": 1}, 3, {"b"}, 6),
+            lambda: observational_marginal(spec, 5, None, None, 0),
+            lambda: trajectory(spec, None, None, None, 5),
+            lambda: trajectory(spec, None, None, ({"a": 1}, 3), 6),
+            lambda: step_kernel_matrix(spec, {"a": 1}, 3),
+            lambda: transport(spec, tspec, {"a": 1}, 3, {"b"}, 6),
+        ]
+        for call in calls:
+            with pytest.raises(UnsupportedModelError, match="lag > 1"):
+                call()
+
+    def test_dynamic_pipelines_refuse(self):
+        spec = self._lag2_spec((("a", "b", 1),), seed=1)
+        calls = [
+            lambda: dcn_id_dynamic(spec, {"a": 1}, 3, {"b"}, 6),
+            lambda: cdcn_id_dynamic(spec, {"a": 1}, 3, {"b"}, 6),
+            lambda: trajectory(spec, None, None, ({"a": 1}, 3), 6),
+        ]
+        for call in calls:
+            with pytest.raises(UnsupportedModelError, match="lag > 1"):
+                call()
+
+    def test_graph_tools_accept(self):
+        spec = self._lag2_spec((("a", "b", 1),), seed=1)
+        g, index = unroll(spec, 0, 4)
+        assert (index[("b", 1)], index[("a", 3)]) in g.directed
+        assert len(unrolled_scm(spec, 0, 4).graph.vars) == 10
+        assert classify(spec).beta == 2
+        assert build_gid(spec, 3, 5).t_end == 5
+        assert not dynamic_time_span(spec, ["a"]).is_infinite
+
+
+class TestCellCap:
+    @staticmethod
+    def _roadmap_spec():
+        """Within-slice V1->V3; lag-1 V1->V2, V2->V3, V3->V1; hidden
+        confounder V2@t <-> V3@t+1."""
+        bare = DcnSpec(tuple(Var(n) for n in ("V1", "V2", "V3")), (("V1", "V3"),),
+                       (("V1", "V2", 1), ("V2", "V3", 1), ("V3", "V1", 1)), (),
+                       (("V2", "V3", 1),))
+        return random_mechanism_for(bare, np.random.default_rng(2))
+
+    def test_cap_counts_tabulated_cells(self):
+        """Slices 0..7 hold 2^24 observed cells, but eliminating down to
+        slice 7 tabulates only small tables."""
+        spec = self._roadmap_spec()
+        got = observational_marginal(spec, 7, None, None, 0)
+        last = [slice_var_at(n, 7) for n in spec.names()]
+        before = [slice_var_at(n, 6) for n in spec.names()]
+        want = marginalize(joint(unrolled_scm(spec, 0, 7), before + last), before)
+        assert np.max(np.abs(got.table - want.reorder(last).table)) < 1e-12
+
+    def test_window_over_the_cap_is_refused(self):
+        spec = self._roadmap_spec()
+        with pytest.raises(UnsupportedModelError, match="16777216 cells"):
+            trajectory(spec, None, None, ({"V1": 1}, 2), 7)
