@@ -17,14 +17,13 @@ from .errors import (CyclicGraphError, InfiniteSpanError, InternalError,
                      InvalidInputError, PartialSupportError, PromiseViolationError,
                      UnsupportedModelError, UnsupportedQueryError,
                      UnsupportedTransportError, WindowTooSmallError)
-from .factors import (EPS_CMP, EPS_NORM, Factor, TransitionMatrix,
-                      apply_transition, condition, equal_within, marginalize,
-                      multiply, power_apply)
+from .factors import (EPS_CMP, EPS_NORM, Factor, TransitionMatrix, condition,
+                      equal_within, marginalize, multiply)
 from .graphs import (Admg, Hedge, Var, ancestors, c_components, d_separated,
                      descendants, find_hedge, mutilate, topological_order,
                      verify_hedge)
 from .identify import (IdResult, Prediction, check_rule, effect_factor,
-                       evaluate, id_effect, predictor, pretty)
+                       evaluate, id_effect, pretty)
 from .scm import (Cpt, Exogenous, InterventionOracle, InterventionSpec, Scm,
                   ci_test, intervene, joint, oracle_query, random_admg,
                   random_scm)

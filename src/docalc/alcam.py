@@ -32,7 +32,7 @@ from .errors import (InternalError, InvalidInputError, PartialSupportError,
                      PromiseViolationError)
 from .factors import EPS_CMP, Factor, equal_within, marginalize
 from .graphs import Admg, d_separated, mutilate
-from .identify import Prediction, evaluate, id_effect
+from .identify import Prediction, _bind_effect, evaluate, id_effect
 from .scm import InterventionOracle, InterventionSpec, Scm, joint
 
 __all__ = [
@@ -57,9 +57,6 @@ class CandidateSet:
         for g in self.graphs[1:]:
             if g.vars != base:
                 raise InvalidInputError("candidates must share variables and domains")
-
-    def names(self) -> tuple[str, ...]:
-        return self.graphs[0].names()
 
 
 @dataclass(frozen=True)
@@ -194,19 +191,7 @@ class PredictionTable:
         sheet = self._sheet(g_idx, tuple(sorted(e.targets)), tuple(sorted(e.observed)))
         if sheet is None:
             return Prediction(None)
-        binding = dict(e.values)
-        for n in sheet.names():
-            if n not in e.observed and n not in binding:
-                # A rule-3 auxiliary do-variable.  The sheet is flat along
-                # it when p_star is Markov to the candidate, so the true
-                # graph's prediction does not depend on the 0 binding.  A
-                # candidate that p_star refutes may vary along it; 0 is
-                # then a fixed convention, not an irrelevant value.
-                binding[n] = 0
-        f = sheet.restrict(binding)
-        if set(f.names()) != set(e.observed):
-            raise InternalError("prediction scope mismatch")
-        return Prediction(f.reorder(sorted(f.names())))
+        return Prediction(_bind_effect(sheet, e.values, e.observed))
 
     def verdicts(self, e: InterventionSpec) -> np.ndarray:
         """Read-only (n, n) boolean matrix: entry (k, l) says whether

@@ -5,7 +5,8 @@ Subcommands: identify, dsep, discover, dcn, transport.  Exit codes:
 3 promise violation (true graph eliminated), 4 infinite dynamic span.
 
 Outputs are machine-readable (JSON / CSV) with a one-line human summary
-on stdout; fixed seed and config give byte-identical files.
+on stdout; fixed inputs give byte-identical files (no step is randomized;
+``--seed`` is a label echoed into the discover report).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import fileio
 from .alcam import CandidateSet, CostModel, InterventionCaps, alcam_run
-from .dcn import SelectionVar, TransportSpec, dynamic_time_span, trajectory, transport
+from .dcn import dynamic_time_span, trajectory, transport
 from .errors import (InfiniteSpanError, InvalidInputError, PromiseViolationError,
                      UnsupportedModelError, UnsupportedQueryError,
                      UnsupportedTransportError, WindowTooSmallError)
@@ -137,10 +138,7 @@ def cmd_discover(args: argparse.Namespace) -> int:
 
 
 def cmd_dcn(args: argparse.Namespace) -> int:
-    spec, schedule_block = fileio.load_dcn_spec(args.spec)
-    schedule = fileio.schedule_from_block(schedule_block, Path(args.spec).parent)
-    if args.matrix:
-        schedule = fileio.load_matrix(args.matrix)
+    spec, schedule = fileio.load_dcn_spec(args.spec, args.matrix)
     intervention = None
     if args.query:
         outcomes, targets = parse_query(args.query)
@@ -174,23 +172,8 @@ def cmd_dcn(args: argparse.Namespace) -> int:
 
 
 def cmd_transport(args: argparse.Namespace) -> int:
-    spec, schedule_block = fileio.load_dcn_spec(args.spec)
-    schedule = fileio.schedule_from_block(schedule_block, Path(args.spec).parent)
-    if args.matrix:
-        schedule = fileio.load_matrix(args.matrix)
-    tdict = json.loads(Path(args.transport).read_text(encoding="utf-8"))
-    selection = tuple(
-        SelectionVar(s["name"], tuple((v, int(off)) for v, off in s["points_at"]))
-        for s in tdict.get("selection_vars", [])
-    )
-    source_spec = None
-    if "source_spec" in tdict:
-        source_spec, _ = fileio.load_dcn_spec(Path(args.transport).parent / tdict["source_spec"])
-    tspec = TransportSpec(
-        selection,
-        tuple(frozenset(e) for e in tdict.get("source_experiments", [])),
-        source_spec,
-    )
+    spec, schedule = fileio.load_dcn_spec(args.spec, args.matrix)
+    tspec = fileio.load_transport(args.transport)
     outcomes, targets = parse_query(args.query)
     y_times = {t for _n, t in outcomes}
     x_times = {t for (_n, t) in targets}
@@ -222,7 +205,8 @@ def cmd_transport(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="docalc",
                                  description="exact discrete causal inference engine")
-    ap.add_argument("--seed", type=int, default=0, help="seed for any randomized step")
+    ap.add_argument("--seed", type=int, default=0,
+                    help="label echoed into the discover report; no step is randomized")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("identify", help="identify P(Y|do(X)) in a causal graph")

@@ -367,7 +367,12 @@ def _matrix_at(schedule: Schedule, t: int) -> TransitionMatrix:
 
 def _transition_factor(spec: DcnSpec, tm: TransitionMatrix, t: int) -> Factor:
     """The transition ``tm`` into slice t as the conditional factor
-    P(V@t | V@t-1)."""
+    P(V@t | V@t-1); its state variables must be the slice variables, in
+    declared order, because the matrix is read in that order."""
+    if tm.state_vars != spec.slice_vars:
+        raise InvalidInputError(
+            f"transition matrix state variables {[v.name for v in tm.state_vars]} must be "
+            f"the slice variables {list(spec.names())} in that order, with their domains")
     scope = tuple(Var(slice_var_at(v.name, s), v.domain)
                   for s in (t, t - 1) for v in spec.slice_vars)
     return Factor._view(scope, tm.matrix.reshape([v.domain for v in scope]), False)
@@ -925,8 +930,14 @@ def transport(
     for comp in comps:
         if comp & x_names:
             x_comp |= comp
+    for e in tspec.source_experiments:
+        if not e <= set(spec.names()):
+            raise InvalidInputError(f"source experiment {sorted(e)} names an unknown slice variable")
     for s in tspec.selection_vars:
         for var, off in s.points_at:
+            if var not in spec.names():
+                raise InvalidInputError(
+                    f"selection variable {s.name!r} points at unknown slice variable {var!r}")
             t = t_x + off
             if (var, t) not in index:
                 continue

@@ -32,8 +32,6 @@ __all__ = [
     "divide",
     "equal_within",
     "TransitionMatrix",
-    "apply_transition",
-    "power_apply",
 ]
 
 EPS_NORM = 1e-9
@@ -285,31 +283,3 @@ class TransitionMatrix:
 
     def __repr__(self) -> str:
         return f"TransitionMatrix({'x'.join(v.name for v in self.state_vars)}, {self.n_states()} states)"
-
-
-def _as_state_vector(t: TransitionMatrix, p: Factor) -> np.ndarray:
-    if set(p.names()) != {v.name for v in t.state_vars}:
-        raise InvalidInputError("factor scope must equal the matrix state variables")
-    aligned = p.reorder([v.name for v in t.state_vars])
-    return aligned.table.reshape(-1)
-
-
-def apply_transition(t: TransitionMatrix, p: Factor) -> Factor:
-    """One step: matrix-vector product in the column-stochastic orientation."""
-    vec = _as_state_vector(t, p)
-    if abs(vec.sum() - 1.0) > EPS_NORM:
-        raise InvalidInputError("apply_transition expects a distribution")
-    out = t.matrix @ vec
-    out = np.clip(out, 0.0, None)
-    return Factor(t.state_vars, out.reshape([v.domain for v in t.state_vars]), p.partial)
-
-
-def power_apply(t: TransitionMatrix, p: Factor, n: int) -> Factor:
-    """n-fold application of ``t``; n = 0 returns ``p`` unchanged."""
-    if n < 0:
-        raise InvalidInputError("power_apply needs n >= 0")
-    out = p
-    for _ in range(n):
-        out = apply_transition(t, out)
-    return out
-

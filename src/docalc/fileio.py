@@ -1,5 +1,7 @@
 """File formats: graphs, models, transition matrices, DCN specs,
-candidate sets, cost models, discovery reports and trajectory CSV.
+transport files, candidate sets, cost models, discovery reports and
+trajectory CSV.  Every input file is parsed here, and malformed input
+raises ``InvalidInputError`` naming the field.
 
 All emitters are deterministic (sorted keys, fixed float rendering) so
 that identical inputs produce byte-identical outputs.
@@ -14,7 +16,8 @@ from typing import Any, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .alcam import CostModel
-from .dcn import DcnMechanism, DcnSpec, SliceCpt, SliceExo
+from .dcn import (DcnMechanism, DcnSpec, Schedule, SelectionVar, SliceCpt, SliceExo,
+                  TransportSpec)
 from .errors import InvalidInputError
 from .factors import Factor, TransitionMatrix
 from .graphs import Admg, Var
@@ -22,7 +25,7 @@ from .scm import Cpt, Exogenous, Scm
 
 __all__ = [
     "load_graph", "save_graph", "load_model", "load_matrix",
-    "load_dcn_spec", "load_candidates", "load_costs",
+    "load_dcn_spec", "load_transport", "load_candidates", "load_costs",
     "trajectory_csv", "canonical_json",
 ]
 
@@ -44,18 +47,39 @@ def _int(value: Any, field: str) -> int:
         raise InvalidInputError(f"{field} must be an integer, got {value!r}") from None
 
 
+def _floats(values: Any, field: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(x) for x in values)
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"{field} must be a list of numbers, got {values!r}") from None
+
+
+def _list(d: Mapping[str, Any], key: str, width: int = 0) -> list:
+    """The list field ``key`` of ``d``, empty when absent; with ``width``,
+    a list of lists of that many items."""
+    items = d.get(key, [])
+    if not isinstance(items, list) or width and not all(
+            isinstance(e, list) and len(e) == width for e in items):
+        raise InvalidInputError(f"{key} must be a list{f' of {width}-item lists' if width else ''}, "
+                                f"got {items!r}")
+    return items
+
+
 def canonical_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _vars_from(items: Sequence[Mapping[str, Any]]) -> tuple[Var, ...]:
-    return tuple(Var(d["name"], _int(d.get("domain", 2), f"domain of {d['name']!r}"))
-                 for d in items)
+def _vars_from(d: Mapping[str, Any], key: str) -> tuple[Var, ...]:
+    items = d[key]
+    if not isinstance(items, list) or not all(isinstance(v, dict) and "name" in v for v in items):
+        raise InvalidInputError(f"{key} must be a list of objects with a name")
+    return tuple(Var(v["name"], _int(v.get("domain", 2), f"domain of {v['name']!r}"))
+                 for v in items)
 
 
 def graph_from_dict(d: Mapping[str, Any]) -> Admg:
     return Admg(
-        _vars_from(d["vars"]),
+        _vars_from(d, "vars"),
         [tuple(e) for e in d.get("edges", [])],
         [tuple(c) for c in d.get("confounders", [])],
     )
@@ -83,7 +107,7 @@ def model_from_dict(d: Mapping[str, Any]) -> Scm:
     for e in d.get("exogenous", []):
         exo.append(Exogenous(
             Var(e["name"], len(e["prior"])),
-            tuple(float(x) for x in e["prior"]),
+            _floats(e["prior"], f"prior of {e['name']!r}"),
             frozenset(e["feeds"]),
         ))
     cpts = {}
@@ -126,7 +150,7 @@ def model_to_dict(m: Scm) -> dict:
 
 
 def matrix_from_dict(d: Mapping[str, Any]) -> TransitionMatrix:
-    sv = _vars_from(d["state_vars"])
+    sv = _vars_from(d, "state_vars")
     entries = np.asarray(d["entries"], dtype=float)
     orientation = d.get("orientation", "row")
     if orientation == "row":
@@ -146,7 +170,7 @@ def dcn_spec_from_dict(d: Mapping[str, Any]) -> tuple[DcnSpec, Optional[dict]]:
     if "mechanism" in d:
         m = d["mechanism"]
         exos = tuple(
-            SliceExo(e["name"], tuple(float(x) for x in e["prior"]),
+            SliceExo(e["name"], _floats(e["prior"], f"prior of {e['name']!r}"),
                      e["earlier"], e["later"], _int(e.get("lag", 0), f"lag of {e['name']!r}"))
             for e in m.get("exos", [])
         )
@@ -159,21 +183,27 @@ def dcn_spec_from_dict(d: Mapping[str, Any]) -> tuple[DcnSpec, Optional[dict]]:
                                  np.asarray(c["table"], dtype=float)))
         mech = DcnMechanism(tuple(cpts), exos)
     spec = DcnSpec(
-        _vars_from(d["slice_vars"]),
-        tuple(tuple(e) for e in d.get("intra_edges", [])),
-        tuple((a, b, _int(k, f"lag of ({a},{b})")) for a, b, k in d.get("cross_edges", [])),
-        tuple(frozenset(c) for c in d.get("intra_confounders", [])),
-        tuple((a, b, _int(k, f"lag of ({a},{b})")) for a, b, k in d.get("cross_confounders", [])),
+        _vars_from(d, "slice_vars"),
+        tuple(tuple(e) for e in _list(d, "intra_edges", 2)),
+        tuple((a, b, _int(k, f"lag of ({a},{b})")) for a, b, k in _list(d, "cross_edges", 3)),
+        tuple(frozenset(c) for c in _list(d, "intra_confounders")),
+        tuple((a, b, _int(k, f"lag of ({a},{b})")) for a, b, k in _list(d, "cross_confounders", 3)),
         mech,
     )
     return spec, d.get("schedule")
 
 
-def load_dcn_spec(path: PathLike) -> tuple[DcnSpec, Optional[dict]]:
-    return dcn_spec_from_dict(_read(path))
+def load_dcn_spec(path: PathLike, matrix: Optional[PathLike] = None
+                  ) -> tuple[DcnSpec, Optional[Schedule]]:
+    """The spec and its schedule: the transition matrix file ``matrix``
+    when given, else the spec's own schedule block, else None."""
+    spec, block = dcn_spec_from_dict(_read(path))
+    if matrix is not None:
+        return spec, load_matrix(matrix)
+    return spec, _schedule_from_block(block, Path(path).parent)
 
 
-def schedule_from_block(block: Optional[dict], base: Path):
+def _schedule_from_block(block: Optional[dict], base: Path) -> Optional[Schedule]:
     """Resolve a schedule block into a callable t -> TransitionMatrix.
 
     Block format: {"matrices": {name: matrix-dict-or-path}, "pattern":
@@ -188,10 +218,35 @@ def schedule_from_block(block: Optional[dict], base: Path):
             mats[name] = load_matrix(base / m)
         else:
             mats[name] = matrix_from_dict(m)
+    names = block["pattern"] if "pattern" in block else [block["default"]]
+    if not set(names) <= mats.keys():
+        raise InvalidInputError(f"schedule names undefined matrices {sorted(set(names) - mats.keys())}")
     if "pattern" in block:
-        pattern = [mats[n] for n in block["pattern"]]
+        pattern = [mats[n] for n in names]
         return lambda t: pattern[t % len(pattern)]
-    return mats[block["default"]]
+    return mats[names[0]]
+
+
+def load_transport(path: PathLike) -> TransportSpec:
+    """The selection variables, source experiments and source spec file
+    (relative to this file) of ``docalc transport``."""
+    d = _read(path)
+    selection = []
+    for s in _list(d, "selection_vars"):
+        if not isinstance(s, dict) or not isinstance(s.get("name"), str):
+            raise InvalidInputError(f"each selection_vars entry needs a name, got {s!r}")
+        where = f"points_at offset of selection variable {s['name']!r}"
+        selection.append(SelectionVar(s["name"], tuple(
+            (v, _int(off, where)) for v, off in _list(s, "points_at", 2))))
+    experiments = _list(d, "source_experiments")
+    if not all(isinstance(e, list) for e in experiments):
+        raise InvalidInputError(f"source_experiments must be a list of lists, got {experiments!r}")
+    source = d.get("source_spec")
+    if source is not None and not isinstance(source, str):
+        raise InvalidInputError(f"source_spec must be a file name, got {source!r}")
+    return TransportSpec(tuple(selection), tuple(frozenset(e) for e in experiments),
+                         None if source is None
+                         else dcn_spec_from_dict(_read(Path(path).parent / source))[0])
 
 
 def load_candidates(path: PathLike) -> list[Admg]:

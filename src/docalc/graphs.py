@@ -144,9 +144,6 @@ class Admg:
     def has_edge(self, a: str, b: str) -> bool:
         return (a, b) in self.directed
 
-    def has_confounder(self, a: str, b: str) -> bool:
-        return frozenset((a, b)) in self.bidirected
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Admg):
             return NotImplemented

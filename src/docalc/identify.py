@@ -25,7 +25,7 @@ from .graphs import (Admg, Hedge, _hedge_from_frame, ancestors, c_components,
 __all__ = [
     "Expr", "ObservedTerm", "SumOver", "Product", "Quotient", "One",
     "IdResult", "Prediction",
-    "check_rule", "id_effect", "evaluate", "effect_factor", "predictor",
+    "check_rule", "id_effect", "evaluate", "effect_factor",
     "normalize", "pretty",
 ]
 
@@ -260,17 +260,33 @@ def _eval(e: Expr, p: Factor) -> Factor:
     raise InvalidInputError(f"unknown expression node {e!r}")
 
 
-def evaluate(e: Expr, p: Factor, fixed: Optional[Mapping[str, int]] = None) -> Factor:
+def evaluate(e: Expr, p: Factor) -> Factor:
     """Evaluate a do-free expression against the observational joint ``p``.
 
-    ``fixed`` binds the intervened values; the result is a factor over
-    the remaining free variables.  Conditioning on zero-mass contexts
-    propagates the partial flag rather than failing.
+    The result is a factor over the expression's free variables.
+    Conditioning on zero-mass contexts propagates the partial flag rather
+    than failing.
     """
-    f = _eval(e, p)
-    if fixed:
-        f = f.restrict(fixed)
-    return f
+    return _eval(e, p)
+
+
+def _bind_effect(sheet: Factor, fixed: Mapping[str, int], outcome: Iterable[str]) -> Factor:
+    """An evaluated effect expression bound to the intervened values
+    ``fixed``, as a factor over ``outcome`` in sorted order."""
+    ys = frozenset(outcome)
+    binding = dict(fixed)
+    for n in sheet.names():
+        if n not in ys and n not in binding:
+            # A rule-3 auxiliary do-variable.  The sheet is flat along it
+            # when p is Markov to the graph that identified the effect, so
+            # the true graph's effect does not depend on the 0 binding.  A
+            # graph that p refutes may vary along it; 0 is then a fixed
+            # convention, not an irrelevant value.
+            binding[n] = 0
+    f = sheet.restrict(binding)
+    if set(f.names()) != ys:
+        raise InternalError(f"effect scope {f.names()} does not cover {sorted(ys)}")
+    return f.reorder(sorted(f.names()))
 
 
 def effect_factor(
@@ -279,44 +295,10 @@ def effect_factor(
     fixed: Mapping[str, int],
     outcome: Iterable[str],
 ) -> Factor:
-    """Evaluate an identified effect down to a factor over ``outcome``.
-
-    Auxiliary do-variables introduced by rule 3 during identification may
-    remain free in the expression; their value cannot influence a joint
-    consistent with the source graph, so they are bound to 0 as the
-    canonical choice.
-    """
-    ys = frozenset(outcome)
-    f = evaluate(expr, p, dict(fixed))
-    extras = {n: 0 for n in f.names() if n not in ys}
-    if extras:
-        f = f.restrict(extras)
-    if set(f.names()) != ys:
-        raise InternalError(f"effect scope {f.names()} does not cover {sorted(ys)}")
-    return f.reorder(sorted(f.names()))
-
-
-def predictor(
-    targets: Mapping[str, int],
-    observed: Iterable[str],
-    g_k: Admg,
-    p_star: Factor,
-) -> Prediction:
-    """Do-calculus prediction of P(observed | do(targets)) from one
-    candidate graph and the true observational joint.
-
-    Empty prediction exactly when the graph contains a hedge for the
-    experiment.
-    """
-    ys = frozenset(observed)
-    result = id_effect(g_k, frozenset(targets), ys)
-    if not result.identified:
-        return Prediction(None)
-    assert result.expr is not None
-    f = effect_factor(result.expr, p_star, targets, ys)
-    if not f.partial and abs(f.total() - 1.0) > 1e-6:
-        raise InternalError(f"identified expression is not a distribution (sum={f.total()})")
-    return Prediction(f)
+    """Evaluate an identified effect down to a factor over ``outcome``,
+    with the intervened values ``fixed`` and any auxiliary do-variable
+    that rule 3 left free bound to 0."""
+    return _bind_effect(evaluate(expr, p), fixed, outcome)
 
 
 # -- normalization and printing -----------------------------------------

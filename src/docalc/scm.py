@@ -287,31 +287,17 @@ def ci_test(
     vi: str,
     vj: str,
     do_set: Mapping[str, int],
-    condition_on: Optional[Mapping[str, int]] = None,
     eps: float = EPS_CMP,
 ) -> bool:
-    """Exact conditional-independence test of vi and vj under do(do_set).
+    """Exact independence test of vi and vj under do(do_set).
 
-    Compares P(vj | context) with P(vj | vi, context) across all value
-    pairs, at the single supplied conditioning context.  Raises
-    PartialSupportError when the context (or some vi value within it)
-    has zero probability.
+    Compares P(vj) with P(vj | vi) across all value pairs.  Raises
+    PartialSupportError when some vi value has zero probability.
     """
     if vi in do_set or vj in do_set:
         raise InvalidInputError("test variables may not be intervened")
-    ctx = dict(condition_on or {})
-    if vi in ctx or vj in ctx:
-        raise InvalidInputError("test variables may not be conditioned on")
     post = intervene(m_star, dict(do_set)) if do_set else m_star
-    marg = joint(post, {vi, vj} | set(ctx))
-    if ctx:
-        at_ctx = marg.restrict(ctx)
-        if at_ctx.total() <= 0.0:
-            raise PartialSupportError("conditioning context has zero probability")
-        marg = at_ctx.normalized()
-    else:
-        marg = marg.normalized()
-    pair = marg.reorder([vi, vj])
+    pair = joint(post, {vi, vj}).normalized().reorder([vi, vj])
     pv_i = pair.table.sum(axis=1)
     if np.any(pv_i <= 0.0):
         raise PartialSupportError(f"some value of {vi!r} has zero probability in the test context")

@@ -5,6 +5,7 @@ import pytest
 
 from docalc import fileio
 from docalc.cli import main, parse_query
+from docalc.dcn import trajectory
 from docalc.errors import InvalidInputError
 from docalc.graphs import Admg, Var
 from docalc.scm import random_scm
@@ -128,6 +129,22 @@ class TestDiscoverCommand:
         assert report["bound_satisfied"]
         assert report["final_graph"]["confounders"] == [["X1", "X2"], ["X1", "X3"]]
 
+    def test_costs_file_sets_total_cost(self, fig32_files):
+        weights = {"intervention": {"X1": 5.0}, "observation": {"X4": 3.0},
+                   "default_intervention": 2.0, "default_observation": 0.25}
+        (fig32_files / "costs.json").write_text(json.dumps(weights), encoding="utf-8")
+        out = fig32_files / "report.json"
+        code = main(["discover", "--candidates", str(fig32_files / "candidates.json"),
+                     "--model", str(fig32_files / "model.json"),
+                     "--costs", str(fig32_files / "costs.json"), "--out", str(out)])
+        assert code == 0
+        report = json.loads(out.read_text())
+        # under unit costs discovery does (X1=0 -> X3) for 2.0; with X1
+        # made dear, the cheapest splitting experiment is (X2=0 -> X3)
+        assert [it["intervention"] for it in report["iterations"]] == ["({X2=0} -> {X3})"]
+        assert report["ci_tests"] == []
+        assert report["total_cost"] == 2.0 + 0.25
+
     def test_promise_violation_exit(self, tmp_path, capsys):
         variables = [Var("X"), Var("Z")]
         bow = Admg(variables, [("X", "Z")], [("X", "Z")])
@@ -165,6 +182,20 @@ class TestDcnCommand:
                      "--horizon", "0", "--out", str(out)])
         assert code == 0
         assert len(out.read_text().strip().splitlines()) == 2
+
+    def test_matrix_file_replaces_schedule(self, traffic_spec_file, tmp_path, traffic):
+        spec, _t1, t2, _ts = traffic
+        matrix = tmp_path / "t2.json"
+        matrix.write_text(json.dumps({
+            "state_vars": [{"name": "tr1"}, {"name": "tr2"}, {"name": "d"}],
+            "entries": [[float(x) for x in row] for row in T2_ROWS],
+        }), encoding="utf-8")
+        out = tmp_path / "t2.csv"
+        code = main(["dcn", "--spec", str(traffic_spec_file), "--matrix", str(matrix),
+                     "--query", "P(d@8|do(tr2@4=1))", "--horizon", "8", "--out", str(out)])
+        assert code == 0
+        series = trajectory(spec, t2, None, ({"tr2": 1}, 4), 8)
+        assert out.read_text() == fileio.trajectory_csv(series)
 
     def test_infinite_span_exit(self, tmp_path):
         spec = {
@@ -210,8 +241,26 @@ class TestMalformedFiles:
     GRAPH = {"vars": [{"name": "X"}, {"name": "Y"}], "edges": [["X", "Y"]]}
     MODEL = {**GRAPH, "cpts": {"X": {"table": [0.5, 0.5]},
                                "Y": {"parents": ["X"], "table": [0.9, 0.1, 0.2, 0.8]}}}
+    SPEC = {"slice_vars": [{"name": "a"}, {"name": "b"}], "intra_edges": [["a", "b"]]}
+    # DCN spec cases: the fields that replace SPEC's
+    BAD_SPECS = {
+        "slice_vars_string": {"slice_vars": "abc"},
+        "cross_edge_pair": {"cross_edges": [["a", "b"]]},
+        "intra_edge_single": {"intra_edges": [["a"]]},
+        "exo_prior_word": {"mechanism": {"exos": [{"name": "w", "prior": ["half", 0.5],
+                                                   "earlier": "a", "later": "b"}]}},
+        "schedule_undefined_matrix": {"schedule": {"matrices": {}, "pattern": ["a"]}},
+        "matrix_other_state_vars": {},
+    }
+    EXPECTED = {"domain_word": "domain of 'X'", "list_root": "JSON object",
+                "cpt_length": "cpt table of 'Y'", "directory": "directory",
+                "slice_vars_string": "slice_vars", "cross_edge_pair": "cross_edges",
+                "intra_edge_single": "intra_edges", "exo_prior_word": "prior of 'w'",
+                "schedule_undefined_matrix": "undefined matrices ['a']",
+                "matrix_other_state_vars": "must be the slice variables"}
 
-    @pytest.mark.parametrize("case", ["domain_word", "list_root", "cpt_length", "directory"])
+    @pytest.mark.parametrize("case", ["domain_word", "list_root", "cpt_length", "directory",
+                                      *BAD_SPECS])
     def test_exit_one_without_traceback(self, tmp_path, capsys, case):
         graph = tmp_path / "graph.json"
         model = tmp_path / "model.json"
@@ -228,7 +277,17 @@ class TestMalformedFiles:
             bad = json.loads(json.dumps(self.MODEL))
             bad["cpts"]["Y"]["table"] = [0.9, 0.1, 0.2]
             model.write_text(json.dumps(bad), encoding="utf-8")
-        if case == "cpt_length":
+        if case in self.BAD_SPECS:
+            spec = tmp_path / "spec.json"
+            spec.write_text(json.dumps({**self.SPEC, **self.BAD_SPECS[case]}), encoding="utf-8")
+            argv = ["dcn", "--spec", str(spec), "--horizon", "2"]
+            if case == "matrix_other_state_vars":
+                # a chain over x, y instead of the slice variables a, b
+                matrix = tmp_path / "matrix.json"
+                matrix.write_text(json.dumps({"state_vars": [{"name": "x"}, {"name": "y"}],
+                                              "entries": [[0.25] * 4] * 4}), encoding="utf-8")
+                argv += ["--matrix", str(matrix)]
+        elif case == "cpt_length":
             argv = ["discover", "--candidates", str(tmp_path / "cands.json"),
                     "--model", str(model)]
         else:
@@ -238,9 +297,7 @@ class TestMalformedFiles:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("input error:") and "Traceback" not in err
-        expected = {"domain_word": "domain of 'X'", "list_root": "JSON object",
-                    "cpt_length": "cpt table of 'Y'", "directory": "directory"}[case]
-        assert expected in err
+        assert self.EXPECTED[case] in err
 
 
 class TestTransportCommand:
@@ -289,6 +346,45 @@ class TestTransportCommand:
         effect = json.loads(out.read_text())
         assert effect["outcome"] == ["d"]
         assert abs(sum(effect["table"]) - 1.0) < 1e-9
+
+    TRANSPORT = {"selection_vars": [{"name": "s", "points_at": [["tr1", 0]]}],
+                 "source_experiments": [["tr1"]], "source_spec": "source.json"}
+
+    # each case: the fields that replace TRANSPORT's (None: a list root),
+    # and the text the error message must contain
+    BAD_TRANSPORT = {
+        "list_root": (None, "JSON object"),
+        "offset_word": ({"selection_vars": [{"name": "s", "points_at": [["tr1", "zero"]]}]},
+                        "points_at offset of selection variable 's'"),
+        "points_at_triple": ({"selection_vars": [{"name": "s", "points_at": [["tr1", 0, 1]]}]},
+                             "points_at must be a list of 2-item lists"),
+        "selection_vars_number": ({"selection_vars": 3}, "selection_vars must be a list"),
+        "source_experiments_number": ({"source_experiments": 5},
+                                      "source_experiments must be a list"),
+        "source_spec_number": ({"source_spec": 3}, "source_spec must be a file name"),
+        "selection_without_name": ({"selection_vars": [{"points_at": [["tr1", 0]]}]},
+                                   "selection_vars entry needs a name"),
+        "selection_at_unknown_var": ({"selection_vars": [{"name": "s", "points_at": [["zz", 0]]}]},
+                                     "unknown slice variable 'zz'"),
+        "experiment_on_unknown_var": ({"source_experiments": [["zz"]]},
+                                      "['zz'] names an unknown slice variable"),
+    }
+
+    @pytest.mark.parametrize("case", BAD_TRANSPORT)
+    def test_malformed_transport_file(self, tmp_path, capsys, case):
+        fields, expected = self.BAD_TRANSPORT[case]
+        (tmp_path / "target.json").write_text(json.dumps(self._spec_dict(0.0)),
+                                              encoding="utf-8")
+        (tmp_path / "source.json").write_text(json.dumps(self._spec_dict(0.1)),
+                                              encoding="utf-8")
+        body = [self.TRANSPORT] if fields is None else {**self.TRANSPORT, **fields}
+        (tmp_path / "transport.json").write_text(json.dumps(body), encoding="utf-8")
+        code = main(["transport", "--spec", str(tmp_path / "target.json"),
+                     "--transport", str(tmp_path / "transport.json"),
+                     "--query", "P(d@6|do(tr1@3=1))"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("input error:") and expected in err
 
     @pytest.mark.parametrize("query", ["P(d|do(tr1=1))", "P(d@6|do(tr1=1))",
                                        "P(d|do(tr1@3=1))", "P(d@6,tr1@5|do(tr1@3=1))"])

@@ -8,10 +8,10 @@ from docalc.dcn import (DcnSpec, SelectionVar, TransportSpec, build_gid,
                         observational_marginal, random_dcn_spec, slice_var_at,
                         step_kernel_matrix, trajectory, transport, unroll,
                         unrolled_scm)
-from docalc.errors import (UnsupportedModelError, UnsupportedQueryError,
+from docalc.errors import (InvalidInputError, UnsupportedModelError, UnsupportedQueryError,
                            UnsupportedTransportError,
                            WindowTooSmallError)
-from docalc.factors import Factor, condition, equal_within, marginalize
+from docalc.factors import Factor, TransitionMatrix, condition, equal_within, marginalize
 from docalc.graphs import Var, find_hedge
 from docalc.identify import effect_factor, id_effect
 from docalc.scm import InterventionSpec, intervene, joint, oracle_query
@@ -445,6 +445,20 @@ class TestTrajectory:
             assert np.max(np.abs(series[tt].reorder(spec.names()).table
                                  - want.table)) < 1e-9
 
+    def test_schedule_state_vars_must_be_slice_vars(self, traffic):
+        """A matrix is read in the slice variables' order, so one over
+        another order (here the same chain with its cells permuted to
+        match) or over other names is refused, not misread."""
+        spec, t1, _t2, _ts = traffic
+        cells = t1.matrix.reshape((2,) * 6).transpose(2, 0, 1, 5, 3, 4).reshape(8, 8)
+        permuted = TransitionMatrix((Var("d"), Var("tr1"), Var("tr2")), cells)
+        renamed = TransitionMatrix((Var("x"), Var("y"), Var("z")), t1.matrix)
+        for tm in (permuted, renamed):
+            with pytest.raises(InvalidInputError, match="slice variables"):
+                trajectory(spec, tm, None, None, 4)
+            with pytest.raises(InvalidInputError, match="slice variables"):
+                trajectory(spec, lambda t, tm=tm: tm, None, ({"tr1": 1}, 2), 4)
+
     def test_steady_state_convergence(self, traffic):
         spec, _t1, _t2, ts = traffic
         series = trajectory(spec, ts, None, ({"tr1": 1}, 15), 200)
@@ -496,6 +510,21 @@ class TestTransport:
                               (frozenset({"tr1"}),), source)
         with pytest.raises(UnsupportedTransportError):
             transport(target, tspec, {"tr1": 1}, 3, {"d"}, 6, t, None, 0)
+
+    def test_unknown_slice_variable_rejected(self):
+        """Selection variables and source experiments must name slice
+        variables; an offset outside the window is allowed."""
+        target, source = self._target_and_source()
+        t = mechanism_transition(target)
+        for tspec in (TransportSpec((SelectionVar("s", (("zz", 0),)),), (), source),
+                      TransportSpec((SelectionVar("s", (("tr1", 0),)),),
+                                    (frozenset({"zz"}),), source)):
+            with pytest.raises(InvalidInputError, match="'zz'|unknown slice variable"):
+                transport(target, tspec, {"tr1": 1}, 3, {"d"}, 6, t, None, 0)
+        far = TransportSpec((SelectionVar("s", (("tr1", 40),)),), (), source)
+        want = dcn_id_static(target, {"tr1": 1}, 3, {"d"}, 6, t, None, 0)
+        assert equal_within(transport(target, far, {"tr1": 1}, 3, {"d"}, 6, t, None, 0),
+                            want, 1e-12)
 
     def _hedged_pair(self):
         """Target with a bow over (a, b): the step query is hedged, so the
@@ -605,7 +634,7 @@ class TestPaperSeries:
         joint12 = _window_joint(spec, 1, 4, trans,
                                 _observational_states(spec, 1, 1, trans, None, 0), 0)
         for val in (0, 1):
-            got = evaluate(alpha, joint12, {v[7]: val})
+            got = evaluate(alpha, joint12).restrict({v[7]: val})
             got = got.reorder([v[10], v[11], v[12], v[4], v[5], v[6]])
             table = got.table.reshape(8, 8)
             matrix, reachable = step_kernel_matrix(spec, {"tr1": val}, 3, t1, None, 0)

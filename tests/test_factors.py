@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from docalc.dcn import DcnSpec, trajectory
 from docalc.errors import InvalidInputError
-from docalc.factors import (EPS_NORM, Factor, TransitionMatrix,
-                            apply_transition, condition, equal_within,
-                            marginalize, multiply, power_apply)
+from docalc.factors import (EPS_NORM, Factor, TransitionMatrix, condition,
+                            equal_within, marginalize, multiply)
 from docalc.graphs import Var
 
 A, B = Var("A"), Var("B")
@@ -13,6 +13,12 @@ A, B = Var("A"), Var("B")
 
 def joint_ab(table):
     return Factor((A, B), np.asarray(table))
+
+
+def steps(t, p, n):
+    """p after n applications of the transition matrix t: the DCN stepper
+    on a spec whose slice variables are t's state variables."""
+    return trajectory(DcnSpec(t.state_vars), t, p, None, n)[n]
 
 
 class TestMarginalize:
@@ -149,13 +155,13 @@ class TestTransition:
     def test_identity(self):
         t = TransitionMatrix((A, B), np.eye(4))
         p = Factor((A, B), np.array([[0.1, 0.2], [0.3, 0.4]]))
-        assert equal_within(apply_transition(t, p), p, 0.0)
+        assert equal_within(steps(t, p, 1), p, 0.0)
 
     def test_point_mass_through_t1(self, traffic):
         _spec, t1, _t2, _ts = traffic
         sv = t1.state_vars
         p = Factor.point_mass(sv, {"tr1": 0, "tr2": 0, "d": 0})
-        nxt = apply_transition(t1, p)
+        nxt = steps(t1, p, 1)
         assert np.allclose(nxt.table.reshape(-1),
                            [0.0, 0.4, 0.0, 0.3, 0.0, 0.2, 0.0, 0.1])
 
@@ -166,17 +172,19 @@ class TestTransition:
                       [0.0, 0.25, 0.25, 0.5]])
         t = TransitionMatrix((A, B), m)
         p = Factor.uniform((A, B))
-        assert equal_within(power_apply(t, p, 7), p, 1e-12)
+        assert equal_within(steps(t, p, 7), p, 1e-12)
 
     def test_power_zero_and_one(self, traffic):
         _spec, t1, _t2, _ts = traffic
         p = Factor.uniform(t1.state_vars)
-        assert power_apply(t1, p, 0) is p
-        assert equal_within(power_apply(t1, p, 1), apply_transition(t1, p), 0.0)
+        assert steps(t1, p, 0) is p
+        one = t1.matrix @ p.table.reshape(-1)
+        assert np.array_equal(steps(t1, p, 1).table.reshape(-1), one)
+        assert np.array_equal(steps(t1, p, 2).table.reshape(-1), t1.matrix @ one)
 
     def test_steady_state_fixed_point(self, traffic):
         _spec, _t1, _t2, ts = traffic
-        p = power_apply(ts, Factor.uniform(ts.state_vars), 200)
+        p = steps(ts, Factor.uniform(ts.state_vars), 200)
         residual = ts.matrix @ p.table.reshape(-1) - p.table.reshape(-1)
         assert np.max(np.abs(residual)) < 1e-9
 
@@ -191,7 +199,7 @@ class TestTransition:
             m = rng.dirichlet(np.ones(4), size=4).T
             t = TransitionMatrix((A, B), m)
             p = Factor((A, B), rng.dirichlet(np.ones(4)).reshape(2, 2))
-            q = apply_transition(t, p)
+            q = steps(t, p, 1)
             assert q.table.min() >= 0.0
             assert abs(q.total() - 1.0) <= EPS_NORM
 
@@ -229,4 +237,4 @@ def test_distribution_flag_preserved(seed):
     assert f.is_distribution()
     assert marginalize(f, {"A"}).is_distribution()
     t = TransitionMatrix((A, B), rng.dirichlet(np.ones(4), size=4).T)
-    assert apply_transition(t, f).is_distribution()
+    assert steps(t, f, 1).is_distribution()

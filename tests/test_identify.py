@@ -3,12 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
+from docalc.alcam import CandidateSet, PredictionTable
 from docalc.errors import InvalidInputError
 from docalc.factors import Factor, equal_within, marginalize
 from docalc.graphs import Admg, Var, d_separated, find_hedge, mutilate, verify_hedge
 from docalc.identify import (ObservedTerm, One, Product, Quotient, SumOver,
                              check_rule, effect_factor, evaluate, id_effect,
-                             normalize, predictor, pretty)
+                             normalize, pretty)
 from docalc.scm import (InterventionSpec, joint, oracle_query, random_admg,
                         random_scm)
 
@@ -113,19 +114,25 @@ class TestEvaluate:
         assert np.allclose(got.table, [1.0, 1.0])
 
 
+def predict(targets, observed, g, p):
+    """The prediction the discovery loop makes for one candidate graph."""
+    table = PredictionTable(CandidateSet((g,)), p)
+    return table.prediction(0, InterventionSpec(frozenset(targets), targets, frozenset(observed)))
+
+
 class TestPredictor:
     def test_hedge_case_empty(self, fig32_trio):
         _g1, _g2, g3 = fig32_trio
         rng = np.random.default_rng(4)
         p = joint(random_scm(rng, g3))
-        pred = predictor({"X1": 0}, {"X4"}, g3, p)
+        pred = predict({"X1": 0}, {"X4"}, g3, p)
         assert pred.empty
 
     def test_disconnected_outcome_gives_marginal(self, fig12_graphs):
         _g1, _g2, _g3, g4 = fig12_graphs
         rng = np.random.default_rng(5)
         p = joint(random_scm(rng, g4))
-        pred = predictor({"X": 1, "Y": 0}, {"Z"}, g4, p)
+        pred = predict({"X": 1, "Y": 0}, {"Z"}, g4, p)
         assert not pred.empty
         want = marginalize(p, {"X", "Y"})
         assert equal_within(pred.dist, want.reorder(pred.dist.names()), 1e-12)
@@ -139,7 +146,7 @@ class TestPredictor:
             p = joint(m)
             names = list(g.names())
             x, y = names[0], names[-1]
-            pred = predictor({x: 1}, {y}, g, p)
+            pred = predict({x: 1}, {y}, g, p)
             if pred.empty:
                 continue
             want = oracle_query(m, InterventionSpec(frozenset({x}), {x: 1},
