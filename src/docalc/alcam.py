@@ -31,8 +31,8 @@ import numpy as np
 from .errors import (InternalError, InvalidInputError, PartialSupportError,
                      PromiseViolationError)
 from .factors import EPS_CMP, Factor, equal_within, marginalize
-from .graphs import Admg, d_separated, mutilate
-from .identify import Prediction, _bind_effect, evaluate, id_effect
+from .graphs import Admg, ancestors, d_separated, mutilate
+from .identify import Expr, Prediction, _bind_effect, evaluate, id_effect
 from .scm import InterventionOracle, InterventionSpec, Scm, joint
 
 __all__ = [
@@ -155,7 +155,11 @@ class PredictionTable:
     """Cache of do-calculus predictions for every (experiment, graph) pair.
 
     Identification depends only on (graph, X, Y); the evaluated sheet is
-    cached once per such triple and sliced per value assignment.  Every
+    cached once per such triple and sliced per value assignment.  Line 2
+    of ID reduces the triple to the ancestral subproblem
+    (G[An(Y)], X & An(Y), Y), which many candidates share, so each
+    distinct subproblem is identified once and each distinct expression
+    evaluated once.  Every cache lives and dies with the table.  Every
     verdict the discovery loop uses comes from :meth:`verdicts`, one
     matrix per experiment.
     """
@@ -165,6 +169,8 @@ class PredictionTable:
         self.p_star = p_star
         self.eps = eps
         self._sheets: dict[tuple[int, tuple[str, ...], tuple[str, ...]], Optional[Factor]] = {}
+        self._exprs: dict[tuple, Optional[Expr]] = {}
+        self._evaluated: dict[Expr, Factor] = {}
         self._marginals: dict[tuple[str, ...], Factor] = {}
         self._verdicts: dict[tuple, np.ndarray] = {}
 
@@ -176,15 +182,25 @@ class PredictionTable:
         return self._marginals[key]
 
     def _sheet(self, g_idx: int, targets: tuple[str, ...], observed: tuple[str, ...]) -> Optional[Factor]:
+        """The evaluated effect of do(targets) on ``observed`` in graph
+        ``g_idx``, None when the graph does not identify it.  Identifying
+        the ancestral subproblem builds the same expression as
+        identifying in the whole graph, because G[An(Y)]'s topological
+        order is G's restricted to An(Y)."""
         key = (g_idx, targets, observed)
         if key not in self._sheets:
             g = self.candidates.graphs[g_idx]
-            result = id_effect(g, targets, observed)
-            if not result.identified:
-                self._sheets[key] = None
-            else:
-                assert result.expr is not None
-                self._sheets[key] = evaluate(result.expr, self.p_star)
+            sub = g.induced(ancestors(g, observed))
+            x = tuple(n for n in targets if n in sub)
+            # keyed on the subgraph's parts: they are all that its equality
+            # compares, at a fraction of its size, and the key outlives it
+            parts = (sub.vars, sub.directed, sub.bidirected, x, observed)
+            if parts not in self._exprs:
+                self._exprs[parts] = id_effect(sub, x, observed).expr
+            expr = self._exprs[parts]
+            if expr is not None and expr not in self._evaluated:
+                self._evaluated[expr] = evaluate(expr, self.p_star)
+            self._sheets[key] = None if expr is None else self._evaluated[expr]
         return self._sheets[key]
 
     def prediction(self, g_idx: int, e: InterventionSpec) -> Prediction:

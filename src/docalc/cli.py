@@ -193,6 +193,9 @@ def cmd_transport(args: argparse.Namespace) -> int:
     except UnsupportedModelError as ex:
         print(f"unsupported model: {ex}")
         return EXIT_INPUT
+    except UnsupportedQueryError as ex:
+        print(str(ex))
+        return EXIT_NOT_IDENTIFIABLE
     if f is None:
         print("FAIL: not transportable with the available source experiments")
         return EXIT_NOT_IDENTIFIABLE
@@ -253,6 +256,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    # argparse reads "--option=--" as an empty list, not as the string "--"
+    for name, value in vars(args).items():
+        if isinstance(value, list):
+            print(f"input error: --{name.replace('_', '-')} needs a value", file=sys.stderr)
+            return EXIT_INPUT
     try:
         return args.fn(args)
     except (InvalidInputError, OSError, KeyError, json.JSONDecodeError) as ex:

@@ -145,6 +145,10 @@ class DcnSpec:
         assert mech is not None
         if {c.var for c in mech.cpts} != {v.name for v in self.slice_vars}:
             raise InvalidInputError("mechanism must cover exactly the slice variables")
+        exos = {e.name: e for e in mech.exos}
+        if len(exos) != len(mech.exos) or any(e.lag < 0 for e in mech.exos):
+            raise InvalidInputError("exo templates need unique names and lags >= 0")
+        domain = {v.name: v.domain for v in self.slice_vars}
         for c in mech.cpts:
             if frozenset(c.intra_parents) != frozenset(
                     a for a, b in self.intra_edges if b == c.var):
@@ -152,6 +156,16 @@ class DcnSpec:
             if frozenset(c.cross_parents) != frozenset(
                     (a, k) for a, b, k in self.cross_edges if b == c.var):
                 raise InvalidInputError(f"cross parents of {c.var!r} disagree with edges")
+            for x in c.exo_parents:
+                if x not in exos or c.var not in (exos[x].earlier, exos[x].later):
+                    raise InvalidInputError(f"exo parent {x!r} of {c.var!r} is not an exo "
+                                            "template feeding it")
+            shape = (tuple(domain[a] for a in c.intra_parents)
+                     + tuple(domain[a] for a, _k in c.cross_parents)
+                     + tuple(len(exos[x].prior) for x in c.exo_parents) + (domain[c.var],))
+            if np.shape(c.table) != shape:
+                raise InvalidInputError(f"cpt table of {c.var!r} has shape "
+                                        f"{np.shape(c.table)}, expected {shape}")
         intra_pairs = [frozenset((e.earlier, e.later)) for e in mech.exos if e.lag == 0]
         if sorted(intra_pairs, key=sorted) != sorted(self.intra_confounders, key=sorted):
             raise InvalidInputError("intra confounders and lag-0 exo templates disagree")

@@ -47,11 +47,44 @@ def _int(value: Any, field: str) -> int:
         raise InvalidInputError(f"{field} must be an integer, got {value!r}") from None
 
 
+def _float(value: Any, field: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"{field} must be a number, got {value!r}") from None
+
+
 def _floats(values: Any, field: str) -> tuple[float, ...]:
     try:
         return tuple(float(x) for x in values)
     except (TypeError, ValueError):
         raise InvalidInputError(f"{field} must be a list of numbers, got {values!r}") from None
+
+
+def _table(values: Any, field: str) -> np.ndarray:
+    """A nested list of numbers as a float array."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"{field} must hold numbers, got {values!r}") from None
+
+
+def _obj(value: Any, field: str) -> dict:
+    if not isinstance(value, dict):
+        raise InvalidInputError(f"{field} must be an object, got {value!r}")
+    return value
+
+
+def _name(value: Any, field: str) -> str:
+    if not isinstance(value, str):
+        raise InvalidInputError(f"{field} must be a name, got {value!r}")
+    return value
+
+
+def _names(values: Any, field: str) -> tuple[str, ...]:
+    if not isinstance(values, list):
+        raise InvalidInputError(f"{field} must be a list of names, got {values!r}")
+    return tuple(_name(v, field) for v in values)
 
 
 def _list(d: Mapping[str, Any], key: str, width: int = 0) -> list:
@@ -71,7 +104,8 @@ def canonical_json(obj: Any) -> str:
 
 def _vars_from(d: Mapping[str, Any], key: str) -> tuple[Var, ...]:
     items = d[key]
-    if not isinstance(items, list) or not all(isinstance(v, dict) and "name" in v for v in items):
+    if not isinstance(items, list) or not all(
+            isinstance(v, dict) and isinstance(v.get("name"), str) for v in items):
         raise InvalidInputError(f"{key} must be a list of objects with a name")
     return tuple(Var(v["name"], _int(v.get("domain", 2), f"domain of {v['name']!r}"))
                  for v in items)
@@ -80,8 +114,8 @@ def _vars_from(d: Mapping[str, Any], key: str) -> tuple[Var, ...]:
 def graph_from_dict(d: Mapping[str, Any]) -> Admg:
     return Admg(
         _vars_from(d, "vars"),
-        [tuple(e) for e in d.get("edges", [])],
-        [tuple(c) for c in d.get("confounders", [])],
+        [_names(e, "edges entry") for e in _list(d, "edges", 2)],
+        [_names(c, "confounders entry") for c in _list(d, "confounders", 2)],
     )
 
 
@@ -104,26 +138,25 @@ def save_graph(g: Admg, path: PathLike) -> None:
 def model_from_dict(d: Mapping[str, Any]) -> Scm:
     g = graph_from_dict(d)
     exo = []
-    for e in d.get("exogenous", []):
-        exo.append(Exogenous(
-            Var(e["name"], len(e["prior"])),
-            _floats(e["prior"], f"prior of {e['name']!r}"),
-            frozenset(e["feeds"]),
-        ))
+    for e in _list(d, "exogenous"):
+        e = _obj(e, "exogenous entry")
+        name = _name(e["name"], "exogenous name")
+        prior = _floats(e["prior"], f"prior of {name!r}")
+        exo.append(Exogenous(Var(name, len(prior)), prior,
+                             frozenset(_names(e["feeds"], f"feeds of {name!r}"))))
     cpts = {}
-    for name, c in d["cpts"].items():
-        parents = tuple(c.get("parents", []))
-        exo_parents = tuple(c.get("exo_parents", []))
+    for name, c in _obj(d["cpts"], "cpts").items():
+        c = _obj(c, f"cpt of {name!r}")
+        parents = _names(c.get("parents", []), f"parents of {name!r}")
+        exo_parents = _names(c.get("exo_parents", []), f"exo_parents of {name!r}")
         shape = tuple(g.var(p).domain for p in parents)
-        shape += tuple(len(e["prior"]) for en in exo_parents
-                       for e in d.get("exogenous", []) if e["name"] == en)
+        shape += tuple(e.var.domain for en in exo_parents for e in exo if e.var.name == en)
         shape += (g.var(name).domain,)
-        try:
-            table = np.asarray(c["table"], dtype=float).reshape(shape)
-        except ValueError:
+        table = _table(c["table"], f"cpt table of {name!r}")
+        if table.size != int(np.prod(shape)):
             raise InvalidInputError(f"cpt table of {name!r} must hold {int(np.prod(shape))} "
-                                    "numbers") from None
-        cpts[name] = Cpt(name, parents, exo_parents, table)
+                                    "numbers")
+        cpts[name] = Cpt(name, parents, exo_parents, table.reshape(shape))
     return Scm(g, cpts, exo)
 
 
@@ -150,8 +183,8 @@ def model_to_dict(m: Scm) -> dict:
 
 
 def matrix_from_dict(d: Mapping[str, Any]) -> TransitionMatrix:
-    sv = _vars_from(d, "state_vars")
-    entries = np.asarray(d["entries"], dtype=float)
+    sv = _vars_from(_obj(d, "a transition matrix"), "state_vars")
+    entries = _table(d["entries"], "entries")
     orientation = d.get("orientation", "row")
     if orientation == "row":
         return TransitionMatrix.from_rows(sv, entries)
@@ -168,26 +201,34 @@ def dcn_spec_from_dict(d: Mapping[str, Any]) -> tuple[DcnSpec, Optional[dict]]:
     """Returns the spec plus the raw schedule block (if present)."""
     mech = None
     if "mechanism" in d:
-        m = d["mechanism"]
-        exos = tuple(
-            SliceExo(e["name"], _floats(e["prior"], f"prior of {e['name']!r}"),
-                     e["earlier"], e["later"], _int(e.get("lag", 0), f"lag of {e['name']!r}"))
-            for e in m.get("exos", [])
-        )
+        m = _obj(d["mechanism"], "mechanism")
+        exos = []
+        for e in _list(m, "exos"):
+            e = _obj(e, "exos entry")
+            name = _name(e["name"], "exo name")
+            exos.append(SliceExo(name, _floats(e["prior"], f"prior of {name!r}"),
+                                 _name(e["earlier"], f"earlier of {name!r}"),
+                                 _name(e["later"], f"later of {name!r}"),
+                                 _int(e.get("lag", 0), f"lag of {name!r}")))
         cpts = []
-        for name, c in m["cpts"].items():
-            intra = tuple(c.get("intra_parents", []))
-            cross = tuple((p, _int(k, f"lag of {p!r}")) for p, k in c.get("cross_parents", []))
-            exo_p = tuple(c.get("exo_parents", []))
+        for name, c in _obj(m["cpts"], "cpts").items():
+            c = _obj(c, f"cpt of {name!r}")
+            intra = _names(c.get("intra_parents", []), f"intra_parents of {name!r}")
+            cross = tuple((_name(q, f"cross_parents of {name!r}"), _int(k, f"lag of {q!r}"))
+                          for q, k in _list(c, "cross_parents", 2))
+            exo_p = _names(c.get("exo_parents", []), f"exo_parents of {name!r}")
             cpts.append(SliceCpt(name, intra, cross, exo_p,
-                                 np.asarray(c["table"], dtype=float)))
-        mech = DcnMechanism(tuple(cpts), exos)
+                                 _table(c["table"], f"cpt table of {name!r}")))
+        mech = DcnMechanism(tuple(cpts), tuple(exos))
     spec = DcnSpec(
         _vars_from(d, "slice_vars"),
-        tuple(tuple(e) for e in _list(d, "intra_edges", 2)),
-        tuple((a, b, _int(k, f"lag of ({a},{b})")) for a, b, k in _list(d, "cross_edges", 3)),
-        tuple(frozenset(c) for c in _list(d, "intra_confounders")),
-        tuple((a, b, _int(k, f"lag of ({a},{b})")) for a, b, k in _list(d, "cross_confounders", 3)),
+        tuple(_names(e, "intra_edges entry") for e in _list(d, "intra_edges", 2)),
+        tuple((_name(a, "cross_edges entry"), _name(b, "cross_edges entry"),
+               _int(k, f"lag of ({a},{b})")) for a, b, k in _list(d, "cross_edges", 3)),
+        tuple(frozenset(_names(c, "intra_confounders entry"))
+              for c in _list(d, "intra_confounders")),
+        tuple((_name(a, "cross_confounders entry"), _name(b, "cross_confounders entry"),
+               _int(k, f"lag of ({a},{b})")) for a, b, k in _list(d, "cross_confounders", 3)),
         mech,
     )
     return spec, d.get("schedule")
@@ -212,13 +253,17 @@ def _schedule_from_block(block: Optional[dict], base: Path) -> Optional[Schedule
     """
     if block is None:
         return None
+    block = _obj(block, "schedule")
     mats = {}
-    for name, m in block["matrices"].items():
+    for name, m in _obj(block["matrices"], "schedule matrices").items():
         if isinstance(m, str):
             mats[name] = load_matrix(base / m)
         else:
             mats[name] = matrix_from_dict(m)
-    names = block["pattern"] if "pattern" in block else [block["default"]]
+    names = (_names(block["pattern"], "schedule pattern") if "pattern" in block
+             else [_name(block["default"], "schedule default")])
+    if not names:
+        raise InvalidInputError("schedule pattern must name at least one matrix")
     if not set(names) <= mats.keys():
         raise InvalidInputError(f"schedule names undefined matrices {sorted(set(names) - mats.keys())}")
     if "pattern" in block:
@@ -237,14 +282,14 @@ def load_transport(path: PathLike) -> TransportSpec:
             raise InvalidInputError(f"each selection_vars entry needs a name, got {s!r}")
         where = f"points_at offset of selection variable {s['name']!r}"
         selection.append(SelectionVar(s["name"], tuple(
-            (v, _int(off, where)) for v, off in _list(s, "points_at", 2))))
-    experiments = _list(d, "source_experiments")
-    if not all(isinstance(e, list) for e in experiments):
-        raise InvalidInputError(f"source_experiments must be a list of lists, got {experiments!r}")
+            (_name(v, f"points_at of selection variable {s['name']!r}"), _int(off, where))
+            for v, off in _list(s, "points_at", 2))))
+    experiments = [frozenset(_names(e, "source_experiments entry"))
+                   for e in _list(d, "source_experiments")]
     source = d.get("source_spec")
     if source is not None and not isinstance(source, str):
         raise InvalidInputError(f"source_spec must be a file name, got {source!r}")
-    return TransportSpec(tuple(selection), tuple(frozenset(e) for e in experiments),
+    return TransportSpec(tuple(selection), tuple(experiments),
                          None if source is None
                          else dcn_spec_from_dict(_read(Path(path).parent / source))[0])
 
@@ -253,21 +298,25 @@ def load_candidates(path: PathLike) -> list[Admg]:
     d = _read(path)
     base = Path(path).parent
     out = []
-    for item in d["graphs"]:
+    for item in _list(d, "graphs"):
         if isinstance(item, str):
             out.append(load_graph(base / item))
         else:
-            out.append(graph_from_dict(item))
+            out.append(graph_from_dict(_obj(item, "graphs entry")))
     return out
+
+
+def _weights(d: Mapping[str, Any], key: str) -> dict[str, float]:
+    return {n: _float(v, f"{key} weight of {n!r}") for n, v in _obj(d.get(key, {}), key).items()}
 
 
 def load_costs(path: PathLike) -> CostModel:
     d = _read(path)
     return CostModel.per_variable(
-        d.get("intervention", {}),
-        d.get("observation", {}),
-        float(d.get("default_intervention", 1.0)),
-        float(d.get("default_observation", 1.0)),
+        _weights(d, "intervention"),
+        _weights(d, "observation"),
+        _float(d.get("default_intervention", 1.0), "default_intervention"),
+        _float(d.get("default_observation", 1.0), "default_observation"),
     )
 
 

@@ -49,7 +49,7 @@ class Admg:
     """
 
     __slots__ = ("vars", "directed", "bidirected", "_by_name", "_parents",
-                 "_children", "_siblings", "_hash")
+                 "_children", "_siblings", "_hash", "_topo")
 
     def __init__(
         self,
@@ -57,11 +57,10 @@ class Admg:
         directed: Iterable[tuple[str, str]] = (),
         bidirected: Iterable[tuple[str, str] | frozenset[str]] = (),
     ) -> None:
-        self.vars: tuple[Var, ...] = tuple(variables)
-        self._by_name = {v.name: v for v in self.vars}
-        if len(self._by_name) != len(self.vars):
+        variables = tuple(variables)
+        names = {v.name for v in variables}
+        if len(names) != len(variables):
             raise InvalidInputError("variable names must be unique")
-        names = set(self._by_name)
 
         dir_edges = set()
         for a, b in directed:
@@ -70,7 +69,6 @@ class Admg:
             if a == b:
                 raise InvalidInputError(f"self-loop on {a}")
             dir_edges.add((a, b))
-        self.directed: frozenset[tuple[str, str]] = frozenset(dir_edges)
 
         bi_edges = set()
         for e in bidirected:
@@ -80,27 +78,52 @@ class Admg:
             if not pair <= names:
                 raise InvalidInputError(f"bidirected edge {set(e)} has unknown endpoint")
             bi_edges.add(pair)
-        self.bidirected: frozenset[frozenset[str]] = frozenset(bi_edges)
 
-        self._parents: dict[str, frozenset[str]] = {n: frozenset() for n in names}
-        self._children: dict[str, frozenset[str]] = {n: frozenset() for n in names}
-        par: dict[str, set[str]] = {n: set() for n in names}
-        chi: dict[str, set[str]] = {n: set() for n in names}
-        for a, b in dir_edges:
+        self._build(variables, frozenset(dir_edges), frozenset(bi_edges))
+        # reject directed cycles up front
+        topological_order(self)
+
+    @classmethod
+    def _trusted(
+        cls,
+        variables: tuple[Var, ...],
+        directed: frozenset[tuple[str, str]],
+        bidirected: frozenset[frozenset[str]],
+    ) -> "Admg":
+        """Trusted constructor: the parts must come from a valid ADMG
+        (unique names, edges between distinct known vertices, no directed
+        cycle), as any induced subgraph or edge subset of one does;
+        nothing is checked."""
+        g = object.__new__(cls)
+        g._build(variables, directed, bidirected)
+        return g
+
+    def _build(
+        self,
+        variables: tuple[Var, ...],
+        directed: frozenset[tuple[str, str]],
+        bidirected: frozenset[frozenset[str]],
+    ) -> None:
+        """Set the fields and index parents, children and siblings."""
+        self.vars: tuple[Var, ...] = variables
+        self.directed: frozenset[tuple[str, str]] = directed
+        self.bidirected: frozenset[frozenset[str]] = bidirected
+        self._by_name = {v.name: v for v in variables}
+        par: dict[str, set[str]] = {v.name: set() for v in variables}
+        chi: dict[str, set[str]] = {v.name: set() for v in variables}
+        for a, b in directed:
             par[b].add(a)
             chi[a].add(b)
-        self._parents = {n: frozenset(s) for n, s in par.items()}
-        self._children = {n: frozenset(s) for n, s in chi.items()}
-        sib: dict[str, set[str]] = {n: set() for n in names}
-        for pair in bi_edges:
+        sib: dict[str, set[str]] = {v.name: set() for v in variables}
+        for pair in bidirected:
             a, b = tuple(pair)
             sib[a].add(b)
             sib[b].add(a)
+        self._parents = {n: frozenset(s) for n, s in par.items()}
+        self._children = {n: frozenset(s) for n, s in chi.items()}
         self._siblings = {n: frozenset(s) for n, s in sib.items()}
         self._hash: Optional[int] = None
-
-        # reject directed cycles up front
-        topological_order(self)
+        self._topo: Optional[tuple[str, ...]] = None
 
     # -- basic accessors ------------------------------------------------
 
@@ -135,10 +158,10 @@ class Admg:
         unknown = keep - set(self._by_name)
         if unknown:
             raise InvalidInputError(f"unknown variables {sorted(unknown)}")
-        return Admg(
-            (v for v in self.vars if v.name in keep),
-            ((a, b) for a, b in self.directed if a in keep and b in keep),
-            (p for p in self.bidirected if p <= keep),
+        return Admg._trusted(
+            tuple(v for v in self.vars if v.name in keep),
+            frozenset((a, b) for a, b in self.directed if a in keep and b in keep),
+            frozenset(p for p in self.bidirected if p <= keep),
         )
 
     def has_edge(self, a: str, b: str) -> bool:
@@ -223,32 +246,35 @@ def mutilate(
     """
     inc = _check_subset(g, remove_incoming, "mutilate")
     out = _check_subset(g, remove_outgoing, "mutilate")
-    return Admg(
+    return Admg._trusted(
         g.vars,
-        ((a, b) for a, b in g.directed if b not in inc and a not in out),
-        (p for p in g.bidirected if not (p & inc)),
+        frozenset((a, b) for a, b in g.directed if b not in inc and a not in out),
+        frozenset(p for p in g.bidirected if not (p & inc)),
     )
 
 
 def topological_order(g: Admg) -> list[str]:
-    """Deterministic topological order of the directed part (name tie-break)."""
-    indeg = {v.name: len(g.parents_of(v.name)) for v in g.vars}
-    ready = sorted(n for n, d in indeg.items() if d == 0)
-    order: list[str] = []
-    while ready:
-        v = ready.pop(0)
-        order.append(v)
-        changed = False
-        for c in g.children_of(v):
-            indeg[c] -= 1
-            if indeg[c] == 0:
-                ready.append(c)
-                changed = True
-        if changed:
-            ready.sort()
-    if len(order) != len(g.vars):
-        raise CyclicGraphError("directed part of the graph contains a cycle")
-    return order
+    """Deterministic topological order of the directed part (name
+    tie-break); computed once per graph."""
+    if g._topo is None:
+        indeg = {v.name: len(g._parents[v.name]) for v in g.vars}
+        ready = sorted(n for n, d in indeg.items() if d == 0)
+        order: list[str] = []
+        while ready:
+            v = ready.pop(0)
+            order.append(v)
+            changed = False
+            for c in g._children[v]:
+                indeg[c] -= 1
+                if indeg[c] == 0:
+                    ready.append(c)
+                    changed = True
+            if changed:
+                ready.sort()
+        if len(order) != len(g.vars):
+            raise CyclicGraphError("directed part of the graph contains a cycle")
+        g._topo = tuple(order)
+    return list(g._topo)
 
 
 def c_components(g: Admg) -> list[frozenset[str]]:

@@ -17,7 +17,7 @@ import pytest
 from docalc.graphs import Admg, Var
 from docalc.dcn import DcnMechanism, DcnSpec, SliceCpt, SliceExo
 from docalc.factors import TransitionMatrix
-from docalc.scm import Scm
+from docalc.scm import Scm, random_admg
 
 
 # -- brute-force probability oracles ----------------------------------------
@@ -233,6 +233,31 @@ def bf_hedge_exists(g: Admg, x: set, y: set) -> bool:
 
 
 # -- canonical shared fixtures ----------------------------------------------
+
+def criterion2_graphs() -> list[Admg]:
+    """The criterion-2 family: 4-variable DAGs with <= 2 bidirected edges."""
+    names = ["A", "B", "C", "D"]
+    variables = [Var(n) for n in names]
+    pairs = list(itertools.combinations(names, 2))
+    dags = set()
+    for perm in itertools.permutations(names):
+        possible = [(a, b) for i, a in enumerate(perm) for b in perm[i + 1:]]
+        for r in range(len(possible) + 1):
+            dags.update(frozenset(c) for c in itertools.combinations(possible, r))
+    return [Admg(variables, sorted(edges), confs)
+            for edges in sorted(dags, key=sorted)
+            for n in range(3) for confs in itertools.combinations(pairs, n)]
+
+
+def seeded_admgs(seed: int, n_criterion2: int, n_random: int) -> list[Admg]:
+    """A seeded draw of ``n_criterion2`` criterion-2 graphs plus
+    ``n_random`` random ADMGs of 5-7 variables."""
+    rng = np.random.default_rng(seed)
+    family = criterion2_graphs()
+    picked = [family[i] for i in sorted(rng.choice(len(family), n_criterion2, replace=False))]
+    return picked + [random_admg(rng, int(rng.integers(5, 8)), edge_prob=0.4, max_confounders=3)
+                     for _ in range(n_random)]
+
 
 @pytest.fixture(scope="session")
 def fig12_graphs():

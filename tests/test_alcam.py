@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from docalc import alcam
 from docalc.alcam import (CandidateSet, CostModel,
                           PredictionTable, alcam_run, distinguishable_by,
                           enumerate_interventions, id_edges, id_hidden,
@@ -12,9 +13,10 @@ from docalc.alcam import (CandidateSet, CostModel,
                           _min_dsep_intervention)
 from docalc.errors import InvalidInputError, PromiseViolationError
 from docalc.factors import Factor, condition, equal_within, marginalize
-from docalc.graphs import Admg, Var, d_separated, mutilate
-from docalc.identify import Prediction, evaluate, id_effect, pretty
+from docalc.graphs import Admg, Var, ancestors, d_separated, mutilate
+from docalc.identify import Prediction, effect_factor, evaluate, id_effect, pretty
 from docalc.scm import InterventionOracle, InterventionSpec, joint, random_admg, random_scm
+from conftest import criterion2_graphs
 
 RNG = np.random.default_rng(2024)
 
@@ -422,24 +424,9 @@ def _sorted_min_dsep(graphs, vi, vj):
     return None
 
 
-def _criterion2_graphs():
-    """The criterion-2 family: 4-variable DAGs with <= 2 bidirected edges."""
-    names = ["A", "B", "C", "D"]
-    variables = [Var(n) for n in names]
-    pairs = list(itertools.combinations(names, 2))
-    dags = set()
-    for perm in itertools.permutations(names):
-        possible = [(a, b) for i, a in enumerate(perm) for b in perm[i + 1:]]
-        for r in range(len(possible) + 1):
-            dags.update(frozenset(c) for c in itertools.combinations(possible, r))
-    return [Admg(variables, sorted(edges), confs)
-            for edges in sorted(dags, key=sorted)
-            for n in range(3) for confs in itertools.combinations(pairs, n)]
-
-
 class TestMinDsepIntervention:
     def test_lazy_walk_matches_sorted_enumeration(self):
-        graphs = _criterion2_graphs()
+        graphs = criterion2_graphs()
         rng = np.random.default_rng(527)
         with_vi = without = 0
         for _ in range(400):
@@ -650,3 +637,86 @@ class TestPartialSupportVerdicts:
         assert v.case_id == 4 and v.partial and not v.distinguishable
         v2 = _classify(a, None, py, 1e-9)
         assert v2.partial and not v2.distinguishable
+
+
+class TestPredictionCaches:
+    """Within one PredictionTable each ancestral subproblem
+    (G[An(Y)], X & An(Y), Y) is identified once and each expression is
+    evaluated once; a new table starts cold."""
+
+    @staticmethod
+    def _counted(monkeypatch):
+        calls = {"id_effect": [], "evaluate": []}
+        real_id, real_eval = alcam.id_effect, alcam.evaluate
+
+        def id_spy(g, x, y):
+            calls["id_effect"].append((g, tuple(x), tuple(y)))
+            return real_id(g, x, y)
+
+        def eval_spy(expr, p):
+            calls["evaluate"].append(expr)
+            return real_eval(expr, p)
+
+        monkeypatch.setattr(alcam, "id_effect", id_spy)
+        monkeypatch.setattr(alcam, "evaluate", eval_spy)
+        return calls
+
+    @staticmethod
+    def _fill(cs, p):
+        preds = PredictionTable(cs, p)
+        experiments = enumerate_interventions(cs.graphs[0])
+        for e in experiments:
+            preds.verdicts(e)
+        return preds, experiments
+
+    def test_one_call_per_subproblem_and_expression(self, monkeypatch):
+        from test_acceptance import _generic_candidate_trial
+
+        rng = np.random.default_rng(3131)
+        drawn = None
+        while drawn is None:
+            drawn = _generic_candidate_trial(rng)
+        cs, m, _true_g = drawn
+        p = joint(m)
+        calls = self._counted(monkeypatch)
+        preds, experiments = self._fill(cs, p)
+
+        subproblems, exprs, pairs = set(), set(), set()
+        for g in cs.graphs:
+            for e in experiments:
+                an = ancestors(g, e.observed)
+                sub = (g.induced(an), tuple(sorted(an & e.targets)), tuple(sorted(e.observed)))
+                subproblems.add(sub)
+                pairs.add((g, e.targets, e.observed))
+                res = id_effect(*sub)
+                if res.identified:
+                    exprs.add(res.expr)
+        assert len(calls["id_effect"]) == len(set(calls["id_effect"]))
+        assert set(calls["id_effect"]) == subproblems
+        assert len(calls["evaluate"]) == len(set(calls["evaluate"]))
+        assert set(calls["evaluate"]) == exprs
+        # the caches share work across candidates and across outcomes
+        assert len(exprs) < len(subproblems) < len(pairs)
+
+        # and change no prediction: each equals the full graph's own
+        # identification, evaluated and bound without any cache
+        for k, g in enumerate(cs.graphs):
+            for e in experiments[::7]:
+                res = id_effect(g, e.targets, e.observed)
+                got = preds.prediction(k, e).dist
+                if not res.identified:
+                    assert got is None
+                    continue
+                want = effect_factor(res.expr, p, e.values, e.observed)
+                assert got.names() == want.names()
+                assert np.array_equal(got.table, want.table)
+
+    def test_new_table_starts_cold(self, fig32_trio, monkeypatch):
+        p = joint(random_scm(np.random.default_rng(5), fig32_trio[1]))
+        calls = self._counted(monkeypatch)
+        self._fill(CandidateSet(fig32_trio), p)
+        first = {k: list(v) for k, v in calls.items()}
+        assert first["id_effect"] and first["evaluate"]
+        self._fill(CandidateSet(fig32_trio), p)
+        assert calls["id_effect"] == 2 * first["id_effect"]
+        assert calls["evaluate"] == 2 * first["evaluate"]

@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from docalc import fileio
 from docalc.cli import main, parse_query
@@ -33,33 +38,30 @@ def fig32_files(tmp_path, fig32_trio):
     return tmp_path
 
 
+def _traffic_matrix(rows):
+    return {"state_vars": [{"name": "tr1"}, {"name": "tr2"}, {"name": "d"}],
+            "orientation": "row",
+            "entries": [[float(x) for x in row] for row in rows]}
+
+
+TRAFFIC_SPEC = {
+    "slice_vars": [{"name": "tr1"}, {"name": "tr2"}, {"name": "d"}],
+    "intra_edges": [["tr1", "d"], ["tr2", "d"]],
+    "cross_edges": [["d", "tr1", 1], ["d", "tr2", 1]],
+    "intra_confounders": [["tr1", "tr2"]],
+    "schedule": {
+        "matrices": {"T1": _traffic_matrix(T1_ROWS), "T2": _traffic_matrix(T2_ROWS)},
+        # transitions into each weekday; entries t -> t+1 with
+        # Saturday and Sunday reached via T2
+        "pattern": ["T1", "T1", "T1", "T1", "T2", "T2", "T1"],
+    },
+}
+
+
 @pytest.fixture
 def traffic_spec_file(tmp_path):
-    spec = {
-        "slice_vars": [{"name": "tr1"}, {"name": "tr2"}, {"name": "d"}],
-        "intra_edges": [["tr1", "d"], ["tr2", "d"]],
-        "cross_edges": [["d", "tr1", 1], ["d", "tr2", 1]],
-        "intra_confounders": [["tr1", "tr2"]],
-        "schedule": {
-            "matrices": {
-                "T1": {
-                    "state_vars": [{"name": "tr1"}, {"name": "tr2"}, {"name": "d"}],
-                    "orientation": "row",
-                    "entries": [[float(x) for x in row] for row in T1_ROWS],
-                },
-                "T2": {
-                    "state_vars": [{"name": "tr1"}, {"name": "tr2"}, {"name": "d"}],
-                    "orientation": "row",
-                    "entries": [[float(x) for x in row] for row in T2_ROWS],
-                },
-            },
-            # transitions into each weekday; entries t -> t+1 with
-            # Saturday and Sunday reached via T2
-            "pattern": ["T1", "T1", "T1", "T1", "T2", "T2", "T1"],
-        },
-    }
     path = tmp_path / "traffic.json"
-    path.write_text(json.dumps(spec), encoding="utf-8")
+    path.write_text(json.dumps(TRAFFIC_SPEC), encoding="utf-8")
     return path
 
 
@@ -97,6 +99,12 @@ class TestIdentifyCommand:
         code = main(["identify", "--graph", str(tmp_path / "nope.json"),
                      "--query", "P(Z|do(X))"])
         assert code == 1
+
+    def test_double_dash_query_is_input_error(self, chain_graph_file, capsys):
+        # argparse hands "--query=--" over as an empty list
+        code = main(["identify", "--graph", str(chain_graph_file), "--query=--"])
+        assert code == 1
+        assert "--query needs a value" in capsys.readouterr().err
 
     @pytest.mark.parametrize("query", ["P(Z|do(X@3))", "P(Z@4|do(X))", "P(Z@4|do(X@3=1))"])
     def test_timed_query_rejected(self, chain_graph_file, capsys, query):
@@ -144,6 +152,21 @@ class TestDiscoverCommand:
         assert [it["intervention"] for it in report["iterations"]] == ["({X2=0} -> {X3})"]
         assert report["ci_tests"] == []
         assert report["total_cost"] == 2.0 + 0.25
+
+    @pytest.mark.parametrize("costs,expected", [
+        ({"default_intervention": "x"}, "default_intervention must be a number"),
+        ({"default_observation": [1]}, "default_observation must be a number"),
+        ({"observation": {"X4": "dear"}}, "observation weight of 'X4'"),
+        ({"intervention": [5.0]}, "intervention must be an object"),
+    ])
+    def test_malformed_costs_file(self, fig32_files, capsys, costs, expected):
+        (fig32_files / "costs.json").write_text(json.dumps(costs), encoding="utf-8")
+        code = main(["discover", "--candidates", str(fig32_files / "candidates.json"),
+                     "--model", str(fig32_files / "model.json"),
+                     "--costs", str(fig32_files / "costs.json")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("input error:") and expected in err
 
     def test_promise_violation_exit(self, tmp_path, capsys):
         variables = [Var("X"), Var("Z")]
@@ -250,6 +273,13 @@ class TestMalformedFiles:
         "exo_prior_word": {"mechanism": {"exos": [{"name": "w", "prior": ["half", 0.5],
                                                    "earlier": "a", "later": "b"}]}},
         "schedule_undefined_matrix": {"schedule": {"matrices": {}, "pattern": ["a"]}},
+        "cpt_table_word": {"mechanism": {"cpts": {"a": {"table": ["half", 0.5]},
+                                                  "b": {"table": [0.5, 0.5]}}}},
+        "cpt_table_shape": {"mechanism": {"cpts": {
+            "a": {"table": [0.5, 0.5]}, "b": {"intra_parents": ["a"], "table": [0.5, 0.5]}}}},
+        "exo_parent_unknown": {"mechanism": {"cpts": {
+            "a": {"exo_parents": ["w"], "table": [[0.5, 0.5], [0.5, 0.5]]},
+            "b": {"intra_parents": ["a"], "table": [[0.5, 0.5], [0.5, 0.5]]}}}},
         "matrix_other_state_vars": {},
     }
     EXPECTED = {"domain_word": "domain of 'X'", "list_root": "JSON object",
@@ -257,6 +287,9 @@ class TestMalformedFiles:
                 "slice_vars_string": "slice_vars", "cross_edge_pair": "cross_edges",
                 "intra_edge_single": "intra_edges", "exo_prior_word": "prior of 'w'",
                 "schedule_undefined_matrix": "undefined matrices ['a']",
+                "cpt_table_word": "cpt table of 'a'",
+                "cpt_table_shape": "cpt table of 'b' has shape (2,), expected (2, 2)",
+                "exo_parent_unknown": "exo parent 'w' of 'a'",
                 "matrix_other_state_vars": "must be the slice variables"}
 
     @pytest.mark.parametrize("case", ["domain_word", "list_root", "cpt_length", "directory",
@@ -398,6 +431,17 @@ class TestTransportCommand:
         assert code == 1
         assert "one time slice" in capsys.readouterr().out
 
+    def test_intervention_after_outcome_exit(self, tmp_path, capsys):
+        (tmp_path / "target.json").write_text(json.dumps(self._spec_dict(0.0)),
+                                              encoding="utf-8")
+        (tmp_path / "transport.json").write_text(json.dumps({"selection_vars": []}),
+                                                 encoding="utf-8")
+        code = main(["transport", "--spec", str(tmp_path / "target.json"),
+                     "--transport", str(tmp_path / "transport.json"),
+                     "--query", "P(d@3|do(tr1@6=1))"])
+        assert code == 2
+        assert "must precede the outcome" in capsys.readouterr().out
+
     def test_unsupported_placement_is_input_error(self, tmp_path):
         (tmp_path / "target.json").write_text(json.dumps(self._spec_dict(0.0)),
                                               encoding="utf-8")
@@ -408,3 +452,109 @@ class TestTransportCommand:
                      "--transport", str(tmp_path / "transport.json"),
                      "--query", "P(d@6|do(tr1@3=1))"])
         assert code == 1
+
+
+# -- fuzzing the input files and queries -------------------------------------
+
+# values a mutation puts in place of a field: wrong types, empty and
+# out-of-range values, names nothing defines
+JUNK = [None, True, -1, 0, 3, 0.5, "x", "", [], {}, [0], ["x", "y"], {"name": "q"}]
+QUERY_CHARS = "()|,=@-0123456789XYZdo tr"
+
+
+def _scenarios(fig32_trio):
+    """Each CLI command with valid input files (name -> JSON document)
+    and arguments; an argument ``{name}`` is the path of that file."""
+    g1, g2, g3 = fig32_trio
+    model = fileio.model_to_dict(random_scm(np.random.default_rng(0), g3))
+    transport = TestTransportCommand()
+    return {
+        "identify": ({"graph.json": fileio.graph_to_dict(g3)},
+                     ["identify", "--graph", "{graph.json}", "--query=P(X4|do(X2))"]),
+        "dsep": ({"graph.json": fileio.graph_to_dict(g1)},
+                 ["dsep", "--graph", "{graph.json}", "--x", "X1", "--y", "X4", "--z", "X2"]),
+        "discover": ({"candidates.json": {"graphs": ["g1.json", fileio.graph_to_dict(g2),
+                                                     "g3.json"]},
+                      "g1.json": fileio.graph_to_dict(g1), "g3.json": fileio.graph_to_dict(g3),
+                      "model.json": model,
+                      "costs.json": {"intervention": {"X1": 5.0}, "observation": {"X4": 3.0},
+                                     "default_intervention": 2.0}},
+                     ["discover", "--candidates", "{candidates.json}", "--model",
+                      "{model.json}", "--costs", "{costs.json}", "--out", "{out}"]),
+        "dcn": ({"spec.json": TRAFFIC_SPEC},
+                ["dcn", "--spec", "{spec.json}", "--query=P(d@8|do(tr1@3=0))",
+                 "--horizon", "8", "--out", "{out}"]),
+        "transport": ({"target.json": transport._spec_dict(0.0),
+                       "source.json": transport._spec_dict(0.1),
+                       "transport.json": transport.TRANSPORT},
+                      ["transport", "--spec", "{target.json}", "--transport",
+                       "{transport.json}", "--query=P(d@6|do(tr1@3=1))", "--out", "{out}"]),
+    }
+
+
+def _paths(doc, at=()):
+    """Every position inside a JSON document, as a key/index path."""
+    yield at
+    if isinstance(doc, dict):
+        for k, v in doc.items():
+            yield from _paths(v, at + (k,))
+    elif isinstance(doc, list):
+        for i, v in enumerate(doc):
+            yield from _paths(v, at + (i,))
+
+
+def _mutate(doc, data):
+    """One drawn defect: a list root, or a dropped, retyped or extra item."""
+    paths = list(_paths(doc))[1:]
+    op = data.draw(st.sampled_from(["list_root", "drop", "retype", "extend"]))
+    if op == "list_root" or not paths:
+        return [doc]
+    *parent_path, last = data.draw(st.sampled_from(paths))
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for k in parent_path:
+        parent = parent[k]
+    if op == "drop":
+        del parent[last]
+    elif op == "retype":
+        parent[last] = data.draw(st.sampled_from(JUNK))
+    elif isinstance(parent[last], list):
+        items = parent[last]
+        items.append(data.draw(st.sampled_from(JUNK + items[-1:])))
+    else:
+        parent[last] = [parent[last]]
+    return doc
+
+
+def _mutate_query(query, data):
+    if data.draw(st.booleans()):
+        return data.draw(st.text(QUERY_CHARS, max_size=24))
+    i = data.draw(st.integers(0, len(query)))
+    if data.draw(st.booleans()):
+        return query[:i] + query[i + 1:]
+    return query[:i] + data.draw(st.sampled_from(QUERY_CHARS)) + query[i:]
+
+
+@given(data=st.data())
+@settings(max_examples=120, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_fuzzed_inputs_exit_with_a_documented_code(fig32_trio, data):
+    """Every command, fed one defect in one input file or its query,
+    ends with a documented exit code (0-4) and prints no traceback."""
+    files, argv = _scenarios(fig32_trio)[data.draw(st.sampled_from(
+        ["identify", "dsep", "discover", "dcn", "transport"]))]
+    target = data.draw(st.sampled_from(sorted(files) + ["query"]))
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, doc in files.items():
+            if name == target:
+                doc = _mutate(doc, data)
+            Path(tmp, name).write_text(json.dumps(doc), encoding="utf-8")
+        args = [str(Path(tmp, a[1:-1])) if a.startswith("{") else a for a in argv]
+        if target == "query":
+            args = [f"--query={_mutate_query(a[len('--query='):], data)}"
+                    if a.startswith("--query=") else a for a in args]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(args)
+    assert code in range(5), (args, out.getvalue(), err.getvalue())
+    assert "Traceback" not in out.getvalue() + err.getvalue()

@@ -8,7 +8,7 @@ from docalc.errors import CyclicGraphError, InvalidInputError
 from docalc.graphs import (Admg, Var, ancestors, c_components, d_separated,
                            descendants, find_hedge, mutilate,
                            topological_order, verify_hedge)
-from conftest import bf_d_separated, bf_hedge_exists
+from conftest import bf_d_separated, bf_hedge_exists, seeded_admgs
 
 
 def chain():
@@ -152,6 +152,68 @@ class TestTopologicalOrder:
     def test_cycle_rejected(self):
         with pytest.raises(CyclicGraphError):
             Admg([Var("A"), Var("B")], [("A", "B"), ("B", "A")])
+
+    def test_ancestral_subgraph_keeps_the_restricted_order(self):
+        """G[A] for an ancestral set A is ordered as G restricted to A,
+        which lets identification run on G[An(Y)] instead of G."""
+        checked = 0
+        for g in seeded_admgs(31, n_criterion2=30, n_random=5):
+            full = topological_order(g)
+            names = g.names()
+            ancestral = {ancestors(g, s) for k in range(1, len(names) + 1)
+                         for s in itertools.combinations(names, k)}
+            for a in ancestral:
+                assert topological_order(g.induced(a)) == [n for n in full if n in a], (g, a)
+                checked += 1
+        assert checked > 200
+
+    def test_order_is_cached_and_copied(self):
+        g = chain()
+        order = topological_order(g)
+        order.append("W")
+        assert topological_order(g) == ["X", "Z", "Y"]
+
+
+class TestTrustedConstruction:
+    """``induced`` and ``mutilate`` skip validation; their graphs must be
+    the graphs the validating constructor builds from the same parts."""
+
+    @staticmethod
+    def _rebuilt(g):
+        return Admg(g.vars, sorted(g.directed), [sorted(p) for p in g.bidirected])
+
+    def test_subgraphs_equal_validated_graphs(self):
+        rng = np.random.default_rng(32)
+        for g in seeded_admgs(32, n_criterion2=30, n_random=5):
+            names = g.names()
+            for _ in range(4):
+                keep = {n for n in names if rng.random() < 0.6}
+                cut_in = {n for n in names if rng.random() < 0.3}
+                cut_out = {n for n in names if rng.random() < 0.3}
+                for sub in (g.induced(keep), mutilate(g, cut_in, cut_out),
+                            mutilate(g.induced(keep), cut_in & keep)):
+                    ref = self._rebuilt(sub)
+                    assert sub == ref and hash(sub) == hash(ref)
+                    assert topological_order(sub) == topological_order(ref)
+                    for n in sub.names():
+                        assert sub.parents_of(n) == ref.parents_of(n)
+                        assert sub.children_of(n) == ref.children_of(n)
+                        assert sub.siblings_of(n) == ref.siblings_of(n)
+
+    @pytest.mark.parametrize("directed,bidirected,error", [
+        ([("A", "B"), ("B", "C"), ("C", "A")], [], CyclicGraphError),
+        ([("A", "Q")], [], InvalidInputError),
+        ([("A", "A")], [], InvalidInputError),
+        ([], [("A", "Q")], InvalidInputError),
+        ([], [("B", "B")], InvalidInputError),
+    ])
+    def test_validating_constructor_still_rejects(self, directed, bidirected, error):
+        with pytest.raises(error):
+            Admg([Var("A"), Var("B"), Var("C")], directed, bidirected)
+
+    def test_induced_rejects_unknown_names(self):
+        with pytest.raises(InvalidInputError):
+            chain().induced({"X", "Q"})
 
 
 class TestFindHedge:

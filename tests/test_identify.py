@@ -6,12 +6,14 @@ import pytest
 from docalc.alcam import CandidateSet, PredictionTable
 from docalc.errors import InvalidInputError
 from docalc.factors import Factor, equal_within, marginalize
-from docalc.graphs import Admg, Var, d_separated, find_hedge, mutilate, verify_hedge
+from docalc.graphs import (Admg, Var, ancestors, d_separated, find_hedge, mutilate,
+                           verify_hedge)
 from docalc.identify import (ObservedTerm, One, Product, Quotient, SumOver,
                              check_rule, effect_factor, evaluate, id_effect,
                              normalize, pretty)
 from docalc.scm import (InterventionSpec, joint, oracle_query, random_admg,
                         random_scm)
+from conftest import seeded_admgs
 
 
 def chain_xz():
@@ -199,3 +201,27 @@ class TestSoundnessSample:
                 assert equal_within(got, want.reorder(got.names()), 1e-9)
                 checked += 1
         assert checked > 20
+
+
+class TestAncestralReduction:
+    def test_ancestral_subproblem_gives_the_same_expression(self):
+        """Line 2 of ID: P(Y|do(X)) in G and P(Y|do(X & An(Y))) in
+        G[An(Y)] give the same expression, which is what lets one
+        prediction table share identifications across candidates."""
+        identified = 0
+        for g in seeded_admgs(41, n_criterion2=30, n_random=5):
+            names = g.names()
+            for roles in itertools.product(range(3), repeat=len(names)):
+                y = frozenset(n for n, r in zip(names, roles) if r == 1)
+                if not y:
+                    continue
+                x = frozenset(n for n, r in zip(names, roles) if r == 2)
+                an = ancestors(g, y)
+                full = id_effect(g, x, y)
+                sub = id_effect(g.induced(an), x & an, y)
+                assert full.identified == sub.identified, (g, x, y)
+                assert full.expr == sub.expr, (g, x, y)
+                if full.identified:
+                    assert pretty(full.expr) == pretty(sub.expr)
+                    identified += 1
+        assert identified > 1000
