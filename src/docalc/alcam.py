@@ -159,9 +159,9 @@ class PredictionTable:
     of ID reduces the triple to the ancestral subproblem
     (G[An(Y)], X & An(Y), Y), which many candidates share, so each
     distinct subproblem is identified once and each distinct expression
-    evaluated once.  Every cache lives and dies with the table.  Every
-    verdict the discovery loop uses comes from :meth:`verdicts`, one
-    matrix per experiment.
+    evaluated once; each sheet is bound once per experiment.  Every cache
+    lives and dies with the table.  Every verdict the discovery loop uses
+    comes from :meth:`verdicts`, one matrix per experiment.
     """
 
     def __init__(self, candidates: CandidateSet, p_star: Factor, eps: float = EPS_CMP):
@@ -173,6 +173,7 @@ class PredictionTable:
         self._evaluated: dict[Expr, Factor] = {}
         self._marginals: dict[tuple[str, ...], Factor] = {}
         self._verdicts: dict[tuple, np.ndarray] = {}
+        self._predictions: dict[tuple[int, tuple], Prediction] = {}  # (id(sheet), e.key())
 
     def observational_marginal(self, observed: Iterable[str]) -> Factor:
         key = tuple(sorted(observed))
@@ -204,10 +205,17 @@ class PredictionTable:
         return self._sheets[key]
 
     def prediction(self, g_idx: int, e: InterventionSpec) -> Prediction:
+        """The prediction of graph ``g_idx`` for ``e``.  Candidates that
+        share a sheet share its binding, so each (sheet, experiment) is
+        bound once; a sheet lives as long as the table, so its id is a
+        key for that long."""
         sheet = self._sheet(g_idx, tuple(sorted(e.targets)), tuple(sorted(e.observed)))
         if sheet is None:
             return Prediction(None)
-        return Prediction(_bind_effect(sheet, e.values, e.observed))
+        key = (id(sheet), e.key())
+        if key not in self._predictions:
+            self._predictions[key] = Prediction(_bind_effect(sheet, e.values, e.observed))
+        return self._predictions[key]
 
     def verdicts(self, e: InterventionSpec) -> np.ndarray:
         """Read-only (n, n) boolean matrix: entry (k, l) says whether

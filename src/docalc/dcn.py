@@ -10,11 +10,15 @@ the window lemma and the one-slice steps rest on it, so they refuse
 longer lags (``unroll``, ``unrolled_scm``, ``classify``, ``build_gid``
 and ``dynamic_time_span`` still accept them).  Static specs with lag-1
 edges make the observed slices a first-order Markov chain, so window
-joints chain from the transition; dynamic specs require the slice
-mechanism for exact window joints.  Those come from ``scm.joint`` on the
-unrolled model with ``keep`` set to the window's slices: variable
-elimination sums out the earlier slices and their confounders as it
-goes (a forward filter), so only the kept slices are ever tabulated.
+joints chain from the transition.  Dynamic specs require the slice
+mechanism and never build a window joint: one forward pass over the
+model unrolled from t0 (``_Forward``) carries the slice state and the
+confounders in flight, and each Q-factor term P(v | predecessors) of an
+identified expression is read as P(v | S) off a marginal over v and a
+few neighbours S (Tian & Pearl 2002), so no table grows with the
+horizon.  A window that starts after t0 leaves the earlier slices
+latent; with dynamic confounders it is identified on its latent
+projection, and a term is reduced only where that is exact.
 
 Every step is a conditional factor P(next | previous slice) over the
 unrolled names (``x@t``) of the two slices.  A pipeline takes its
@@ -35,6 +39,8 @@ disturbing later transitions).
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
@@ -43,10 +49,12 @@ import numpy as np
 from .errors import (InfiniteSpanError, InternalError, InvalidInputError,
                      UnsupportedModelError, UnsupportedQueryError,
                      UnsupportedTransportError, WindowTooSmallError)
-from .factors import (Factor, TransitionMatrix, condition, equal_within,
+from .factors import (Factor, TransitionMatrix, condition, divide, equal_within,
                       marginalize, multiply)
 from .graphs import Admg, Var, ancestors, c_components, d_separated, mutilate
-from .identify import effect_factor, id_effect
+from . import scm
+from .identify import (Expr, ObservedTerm, Product, Quotient, SumOver, _bind_effect,
+                       effect_factor, id_effect)
 from .scm import Cpt, Exogenous, Scm, intervene, joint
 
 __all__ = [
@@ -443,26 +451,263 @@ def _slice_names(spec: DcnSpec, t_left: int, t_right: int) -> list[str]:
     return [slice_var_at(n, t) for t in range(t_left, t_right + 1) for n in spec.names()]
 
 
-def _observational_states(spec: DcnSpec, t_from: int, t_to: int, trans: Optional[Transitions],
-                          p0: Optional[Factor], t0: int) -> dict[int, Factor]:
-    """P(V_t) without intervention, over template variable names, keyed
-    by slice.
+class _Forward:
+    """The observational distribution of one call's slices t0..t_end, from
+    the mechanism unrolled over them and the longest confounder lag
+    beyond (``unrolled_scm``) by a forward pass, as in Murphy's (2002)
+    interface algorithm.
 
-    A spec with dynamic confounders, a mechanism and no p0 takes each
-    slice t_from..t_to from its unrolled model.  Otherwise one forward
-    pass steps p0 (the mechanism's initial slice, or uniform) by the
-    transitions and keeps every slice t0..t_to."""
-    if t_from < t0:
-        raise WindowTooSmallError(f"slice {t_from} precedes the initial slice {t0}")
-    if p0 is None and spec.mechanism is not None and not classify(spec).is_static:
-        return {t: _to_template(spec, joint(unrolled_scm(spec, t0, t), _slice_names(spec, t, t)), t)
-                for t in range(t_from, t_to + 1)}
-    if p0 is None:
-        p0 = (initial_distribution(spec, t0) if spec.mechanism is not None
-              else Factor.uniform(spec.slice_vars))
-    states = _chain(spec, p0.reorder(spec.names()), t0, t_to, _transition_steps(spec, trans))
-    assert states is not None  # transition steps always exist
-    return dict(zip(range(t0, t_to + 1), states))
+    The message at slice s is the joint of the slice-s variables and the
+    confounders in flight there (feeding slice s or earlier and a later
+    slice); each message is one elimination from the one before.  A
+    marginal over slices a..b continues the pass from the message at a,
+    keeping its variables, so no table spans more than the kept
+    variables and two slices' interface.  The identified expressions of
+    dynamic steps are evaluated from small Q-factor marginals (``term``),
+    never from a window joint.  Messages, marginals and terms are cached
+    for the call."""
+
+    def __init__(self, spec: DcnSpec, t0: int, t_end: int):
+        # a confounder born by t_end keeps both its children, so the
+        # message at a slice, and the slice's state, do not depend on t_end
+        t_end += classify(spec).alpha_max
+        m = unrolled_scm(spec, t0, t_end)
+        self.graph = m.graph
+        self.t0 = t0
+        self.domain = {v.name: v.domain for v in m.graph.vars}
+        self.domain.update((e.var.name, e.var.domain) for e in m.exogenous)
+        self.rank = {n: i for i, n in enumerate(m.graph.names())}  # slice by slice
+        self.slice_of = {n: t for t in range(t0, t_end + 1) for n in _slice_names(spec, t, t)}
+        # per slice: priors of the confounders first feeding it, then its CPTs
+        self.tables: list[list[tuple[tuple[str, ...], np.ndarray]]] = [
+            [] for _ in range(t0, t_end + 1)]
+        flight: list[list[str]] = [[] for _ in range(t0, t_end + 1)]
+        for e in m.exogenous:
+            fed = [self.slice_of[n] for n in e.feeds]
+            self.tables[min(fed) - t0].append(((e.var.name,), np.asarray(e.prior, dtype=float)))
+            for s in range(min(fed), max(fed)):
+                flight[s - t0].append(e.var.name)
+        for name in m.graph.names():
+            c = m.cpts[name]
+            self.tables[self.slice_of[name] - t0].append(
+                (c.parents + c.exo_parents + (name,), np.asarray(c.table, dtype=float)))
+        self.interface = [tuple(_slice_names(spec, t, t)) + tuple(flight[t - t0])
+                          for t in range(t0, t_end + 1)]
+        # messages[s - t0 + 1] is the message at slice s; the first is the unit
+        self.messages: list[tuple[tuple[str, ...], np.ndarray]] = [((), np.ones(()))]
+        self.marginals: dict[frozenset[str], Factor] = {}
+        self.terms: dict[ObservedTerm, Factor] = {}
+        self.latent: dict[int, frozenset[frozenset[str]]] = {}
+
+    def _contract(self, tables: Sequence[tuple[tuple[str, ...], np.ndarray]],
+                  out: tuple[str, ...]) -> np.ndarray:
+        scm._check_cells(math.prod(self.domain[n] for n in out))
+        return scm._contract(tables, out, self.domain)
+
+    def message(self, s: int) -> tuple[tuple[str, ...], np.ndarray]:
+        while len(self.messages) <= s - self.t0 + 1:
+            t = self.t0 + len(self.messages) - 1
+            out = self.interface[t - self.t0]
+            self.messages.append(
+                (out, self._contract([self.messages[-1]] + self.tables[t - self.t0], out)))
+        return self.messages[s - self.t0 + 1]
+
+    def marginal(self, keep: frozenset[str]) -> Factor:
+        """P(keep) over observed unrolled names, in unrolled order."""
+        if keep not in self.marginals:
+            slices = [self.slice_of[n] for n in keep]
+            first, last = min(slices), max(slices)
+            items = [self.message(first)]
+            for t in range(first + 1, last + 1):
+                if t > first + 1:  # carry the kept variables and slice t-1's interface
+                    scope = tuple(dict.fromkeys(
+                        [n for s, _t in items for n in s if n in keep and self.slice_of[n] < t - 1]
+                        + list(self.interface[t - 1 - self.t0])))
+                    items = [(scope, self._contract(items, scope))]
+                items = items + self.tables[t - self.t0]
+            out = tuple(sorted(keep, key=self.rank.__getitem__))
+            self.marginals[keep] = Factor([self.graph.var(n) for n in out],
+                                          self._contract(items, out))
+        return self.marginals[keep]
+
+    def latent_edges(self, t_left: int) -> frozenset[frozenset[str]]:
+        """The bidirected edges that the slices before t_left add to a
+        window from t_left when they are latent (the window's latent
+        projection): a <-> b when a trek through those slices alone joins
+        them, that is, when they share an ancestor there, or a bidirected
+        edge joins a or one of its ancestors there to b or one of b's."""
+        if t_left in self.latent:
+            return self.latent[t_left]
+        g = self.graph
+        latent = {n for n, t in self.slice_of.items() if t < t_left}
+        up: dict[str, set[str]] = {}
+        for w in self.slice_of:
+            if w in latent or not (g.parents_of(w) | g.siblings_of(w)) & latent:
+                continue
+            seen: set[str] = set()
+            stack = [p for p in g.parents_of(w) if p in latent]
+            while stack:
+                u = stack.pop()
+                if u not in seen:
+                    seen.add(u)
+                    stack.extend(g.parents_of(u))
+            up[w] = seen
+        edges = set()
+        for a, b in itertools.combinations(up, 2):
+            reach_b = up[b] | {b}
+            if up[a] & up[b] or any(g.siblings_of(u) & reach_b for u in up[a] | {a}):
+                edges.add(frozenset((a, b)))
+        self.latent[t_left] = frozenset(edges)
+        return self.latent[t_left]
+
+    def term(self, e: ObservedTerm) -> Factor:
+        """P(outcome | given) of a do-free expression, from a small marginal.
+
+        A Q-factor term P(v | given) equals P(v | S), S = (T | Pa(T)) - {v}
+        with T the C-component of v in the graph of v and ``given`` (Tian
+        & Pearl 2002), when their distribution is Markov to that graph.
+        It is when they form an ancestral set of the unrolled graph with
+        no child of v in ``given``.  Otherwise (a window that starts
+        after t0 leaves the earlier slices latent) S is used only if it
+        d-separates v from the rest of ``given`` in the unrolled graph,
+        and all of ``given`` is kept if it does not."""
+        if e not in self.terms:
+            if not e.given:
+                f = self.marginal(frozenset(e.outcome))
+            else:
+                (v,), given = e.outcome, frozenset(e.given)
+                g = self.graph
+                inside = given | {v}
+                comp, stack = {v}, [v]
+                while stack:
+                    for w in g.siblings_of(stack.pop()):
+                        if w in inside and w not in comp:
+                            comp.add(w)
+                            stack.append(w)
+                s = frozenset(comp.union(*(g.parents_of(u) for u in comp)) & given)
+                ancestral = (all(g.parents_of(u) <= inside for u in inside)
+                             and not g.children_of(v) & given)
+                if not ancestral and not d_separated(g, {v}, given - s, s):
+                    s = given
+                f = self.marginal(s | {v})
+                f = condition(f, s) if s else f
+            self.terms[e] = f
+        return self.terms[e]
+
+    def effect(self, expr: Expr, fixed: Mapping[str, int], outcome: frozenset[str]) -> Factor:
+        """``effect_factor(expr, window joint, fixed, outcome)`` without the
+        window joint: each term comes from ``term``, restricted at once to
+        the value ``_bind_effect`` gives its free variables (the intervened
+        values, 0 for a rule-3 auxiliary), and each sum over a product is
+        contracted one variable at a time, slice by slice."""
+
+        def sheet(e: Expr, summed: frozenset[str]) -> Factor:
+            if isinstance(e, ObservedTerm):
+                f = self.term(e)
+                return f.restrict({n: fixed.get(n, 0) for n in f.names()
+                                   if n not in outcome and n not in summed})
+            if isinstance(e, SumOver):
+                inner = summed | frozenset(e.over)
+                kids = e.child.children if isinstance(e.child, Product) else (e.child,)
+                return self._sum_product([sheet(c, inner) for c in kids], e.over)
+            if isinstance(e, Product):
+                return self._sum_product([sheet(c, summed) for c in e.children], ())
+            if isinstance(e, Quotient):
+                return divide(sheet(e.num, summed), sheet(e.den, summed))
+            return Factor.scalar(1.0)  # One
+
+        return _bind_effect(sheet(expr, frozenset()), fixed, outcome)
+
+    def _sum_product(self, factors: Sequence[Factor], over: Iterable[str]) -> Factor:
+        """sum over ``over`` of the product of ``factors``, eliminating one
+        variable at a time in unrolled order; a variable no factor holds
+        scales the sum by its domain, as ``evaluate`` does."""
+        items = [(f.names(), f.table) for f in factors]
+        scale = 1.0
+        for n in sorted(over, key=self.rank.__getitem__):
+            used = [it for it in items if n in it[0]]
+            if not used:
+                scale *= self.domain[n]
+                continue
+            items = [it for it in items if n not in it[0]]
+            out = tuple(dict.fromkeys(m for scope, _t in used for m in scope if m != n))
+            items.append((out, self._contract(used, out)))
+        out = tuple(sorted({m for scope, _t in items for m in scope}, key=self.rank.__getitem__))
+        table = self._contract([((), np.asarray(scale))] + items, out)
+        return Factor([self.graph.var(m) for m in out], table,
+                      any(f.partial for f in factors))
+
+
+class _Observations:
+    """What one pipeline call through slice t_end reads of the
+    observational distribution: the slice states P(V_t) over template
+    names, and the value of an identified effect on a window.
+
+    Static specs step p0 (the mechanism's initial slice, or uniform) by
+    the transitions and evaluate on the window joint those chain from the
+    state at its left edge (the slices are first-order Markov).  Dynamic
+    specs evaluate from the mechanism's forward pass (``_Forward``), which
+    also gives their slice states unless p0 is given."""
+
+    def __init__(self, spec: DcnSpec, trans: Optional[Transitions], p0: Optional[Factor],
+                 t0: int, t_end: int):
+        self.spec, self.trans, self.t0, self.t_end = spec, trans, t0, t_end
+        self.static = classify(spec).is_static
+        self.p0 = p0
+        self.chained: list[Factor] = []
+        self._forward: Optional[_Forward] = None
+
+    @property
+    def forward(self) -> _Forward:
+        if self._forward is None:
+            self._forward = _Forward(self.spec, self.t0, self.t_end)
+        return self._forward
+
+    def state(self, t: int) -> Factor:
+        spec = self.spec
+        if t < self.t0:
+            raise WindowTooSmallError(f"slice {t} precedes the initial slice {self.t0}")
+        if self.p0 is None and spec.mechanism is not None and not self.static:
+            return _to_template(spec, self.forward.marginal(frozenset(_slice_names(spec, t, t))), t)
+        if not self.chained:
+            p0 = self.p0
+            if p0 is None:
+                p0 = (initial_distribution(spec, self.t0) if spec.mechanism is not None
+                      else Factor.uniform(spec.slice_vars))
+            self.chained.append(p0.reorder(spec.names()))
+        last = self.t0 + len(self.chained) - 1
+        if t > last:
+            more = _chain(spec, self.chained[-1], last, t, _transition_steps(spec, self.trans))
+            assert more is not None  # transition steps always exist
+            self.chained += more[1:]
+        return self.chained[t - self.t0]
+
+    def window(self, t_left: int, t_right: int) -> tuple[Admg, dict[tuple[str, int], str]]:
+        """The graph of the identification window t_left..t_right.
+
+        When it starts after t0 the slices before it are latent.  With
+        static confounders every C-component stays inside one slice, so
+        the left slice's factors are only ever used together, as P(V) of
+        that slice, and the window graph identifies exactly.  Dynamic
+        confounders join the left slice to later ones, so the window gets
+        the bidirected edges of its latent projection (``latent_edges``)."""
+        g, index = unroll(self.spec, t_left, t_right)
+        if self.static or t_left == self.t0:
+            return g, index
+        extra = frozenset(e for e in self.forward.latent_edges(t_left) if all(n in g for n in e))
+        return Admg._trusted(g.vars, g.directed, g.bidirected | extra), index
+
+    def effect(self, expr: Expr, t_left: int, t_right: int, fixed: Mapping[str, int],
+               outcome: frozenset[str]) -> Factor:
+        """The identified effect ``expr`` on the window of slices
+        t_left..t_right, bound as ``effect_factor`` binds it."""
+        if not self.static:
+            return self.forward.effect(expr, fixed, outcome)
+        if self.trans is None:
+            raise UnsupportedModelError("a static spec needs a transition schedule or a "
+                                        "slice mechanism")
+        j = _window_joint(self.spec, t_left, t_right, self.trans, self.state(t_left))
+        return effect_factor(expr, j, fixed, outcome)
 
 
 def observational_marginal(
@@ -473,24 +718,18 @@ def observational_marginal(
     t0: int,
 ) -> Factor:
     """P(V_t) without intervention, over template variable names."""
-    return _observational_states(spec, t, t, _transitions(spec, schedule), p0, t0)[t]
+    return _Observations(spec, _transitions(spec, schedule), p0, t0, t).state(t)
 
 
-def _window_joint(spec: DcnSpec, t_left: int, t_right: int, trans: Optional[Transitions],
-                  states: Mapping[int, Factor], t0: int) -> Factor:
-    """Observational joint over the window slices, unrolled names.
-
-    Static specs multiply the transitions onto the state at the window's
-    left edge that the forward pass ``states`` holds (the slices are
-    first-order Markov); otherwise the mechanism is unrolled from t0 and
-    the slices before t_left are eliminated.
-    """
-    if classify(spec).is_static and trans is not None:
-        out = _slice_factor_at(spec, states[t_left], t_left)
-        for t in range(t_left + 1, t_right + 1):
-            out = multiply(out, trans(t))
-        return out
-    return joint(unrolled_scm(spec, t0, t_right), _slice_names(spec, t_left, t_right))
+def _window_joint(spec: DcnSpec, t_left: int, t_right: int, trans: Transitions,
+                  state: Factor) -> Factor:
+    """Observational joint over the window slices of a static spec, in
+    unrolled names: the transitions multiplied onto ``state``, P(V) at
+    the window's left edge (the slices are first-order Markov)."""
+    out = _slice_factor_at(spec, state, t_left)
+    for t in range(t_left + 1, t_right + 1):
+        out = multiply(out, trans(t))
+    return out
 
 
 # -- windows ---------------------------------------------------------------
@@ -591,12 +830,11 @@ def _restrict_transition(spec: DcnSpec, f: Factor, t: int,
 
 def _identified_kernel(spec: DcnSpec, x: Mapping[str, int], t_x: int, t_left: int,
                        prev_slice: int, prev_vars: Sequence[str], next_slice: int,
-                       next_vars: Sequence[str], trans: Optional[Transitions],
-                       states: Mapping[int, Factor], t0: int) -> Optional[Factor]:
+                       next_vars: Sequence[str], obs: _Observations) -> Optional[Factor]:
     """ID the conditional P(next_vars | prev_vars, do(X)) on the graph of
-    slices t_left..next_slice and evaluate it against their
-    observational joint."""
-    g, index = unroll(spec, t_left, next_slice)
+    slices t_left..next_slice and evaluate it on their observational
+    distribution."""
+    g, index = obs.window(t_left, next_slice)
     targets = {index[(n, t_x)]: v for n, v in x.items()}
     prev_names = [index[(n, prev_slice)] for n in prev_vars]
     outcome = frozenset(index[(n, next_slice)] for n in next_vars) | frozenset(prev_names)
@@ -604,8 +842,7 @@ def _identified_kernel(spec: DcnSpec, x: Mapping[str, int], t_x: int, t_left: in
     if not result.identified:
         return None
     assert result.expr is not None
-    j = _window_joint(spec, t_left, next_slice, trans, states, t0)
-    return condition(effect_factor(result.expr, j, targets, outcome), prev_names)
+    return condition(obs.effect(result.expr, t_left, next_slice, targets, outcome), prev_names)
 
 
 def _transition_steps(spec: DcnSpec, trans: Optional[Transitions],
@@ -623,19 +860,17 @@ def _transition_steps(spec: DcnSpec, trans: Optional[Transitions],
 
 
 def _identified_steps(spec: DcnSpec, window_left: int, x: Mapping[str, int], t_x: int,
-                      trans: Optional[Transitions], states: Mapping[int, Factor], t0: int,
+                      obs: _Observations,
                       keep: Optional[Mapping[int, Sequence[str]]] = None) -> StepSource:
     """Identifies every step: P(keep[t] | previous slice, do(X)) on the
     window (window_left, t) (every slice variable when keep is None)."""
     names = spec.names()
     return lambda t, prev: _identified_kernel(spec, x, t_x, window_left, t - 1, prev, t,
-                                              names if keep is None else keep[t],
-                                              trans, states, t0)
+                                              names if keep is None else keep[t], obs)
 
 
 def _post_intervention(spec: DcnSpec, x: Mapping[str, int], t_x: int, window_left: int,
-                       t_first: int, t_end: int, trans: Optional[Transitions],
-                       states: Mapping[int, Factor], t0: int, dynamic: bool,
+                       t_first: int, t_end: int, obs: _Observations, dynamic: bool,
                        keep: Optional[Mapping[int, Sequence[str]]] = None,
                        fallback: Callable[[], Optional[Factor]] = lambda: None,
                        ) -> Optional[list[Factor]]:
@@ -648,14 +883,14 @@ def _post_intervention(spec: DcnSpec, x: Mapping[str, int], t_x: int, window_lef
     step is not identifiable."""
     names = spec.names()
     first = _identified_kernel(spec, x, t_x, window_left, t_x - 1, names, t_first,
-                               names if keep is None else keep[t_first], trans, states, t0)
+                               names if keep is None else keep[t_first], obs)
     if first is None:
         first = fallback()
     if first is None:
         return None
-    steps = (_identified_steps(spec, window_left, x, t_x, trans, states, t0, keep) if dynamic
-             else _transition_steps(spec, trans, keep))
-    return _chain(spec, _apply(spec, first, states[t_x - 1], t_x - 1, t_first),
+    steps = (_identified_steps(spec, window_left, x, t_x, obs, keep) if dynamic
+             else _transition_steps(spec, obs.trans, keep))
+    return _chain(spec, _apply(spec, first, obs.state(t_x - 1), t_x - 1, t_first),
                   t_first, t_end, steps)
 
 
@@ -675,16 +910,15 @@ def step_kernel_matrix(
     observational probability (the conditional is vacuous elsewhere);
     None when the step query has a hedge.
     """
-    trans = _transitions(spec, T)
-    states = _observational_states(spec, t_x - 1, t_x - 1, trans, p0, t0)
+    obs = _Observations(spec, _transitions(spec, T), p0, t0, t_x + 1)
     names = spec.names()
     kern = _identified_kernel(spec, x, t_x, _window_left(spec, x, t_x, t0), t_x - 1, names,
-                              t_x + 1, names, trans, states, t0)
+                              t_x + 1, names, obs)
     if kern is None:
         return None
     layout = _slice_names(spec, t_x + 1, t_x + 1) + _slice_names(spec, t_x - 1, t_x - 1)
     matrix = kern.reorder(layout).table.reshape(spec.slice_states(), -1)
-    return matrix, states[t_x - 1].table.reshape(-1) > 1e-12
+    return matrix, obs.state(t_x - 1).table.reshape(-1) > 1e-12
 
 
 # -- identification pipelines ----------------------------------------------
@@ -738,7 +972,7 @@ def _effect(spec: DcnSpec, x: Mapping[str, int], t_x: int, y: Iterable[str], t_y
     if dynamic:
         if spec.mechanism is None:
             raise UnsupportedModelError("dynamic identification needs the slice mechanism "
-                                        "for exact window joints")
+                                        "for exact observational terms")
     elif not classify(spec).is_static:
         raise UnsupportedModelError("this algorithm requires static confounders only")
     elif trans is None:
@@ -753,13 +987,13 @@ def _effect(spec: DcnSpec, x: Mapping[str, int], t_x: int, y: Iterable[str], t_y
             raise UnsupportedQueryError("the outcome slice lies inside the dynamic time span")
         jump_to = t_x + span + 1
     keep = _ancestor_slices(spec, ys, t_y, w_left) if complete else None
+    obs = _Observations(spec, trans, p0, t0, t_y)
     if keep is not None and not keep[jump_to]:
         # X cannot influence Y: the effect is the observational marginal
-        state = _observational_states(spec, t_y, t_y, trans, p0, t0)[t_y]
+        state = obs.state(t_y)
     else:
-        states = _observational_states(spec, t_x - 1, t_x - 1, trans, p0, t0)
-        post = _post_intervention(spec, x, t_x, w_left, jump_to, t_y, trans, states, t0,
-                                  dynamic, keep, fallback)
+        post = _post_intervention(spec, x, t_x, w_left, jump_to, t_y, obs, dynamic, keep,
+                                  fallback)
         if post is None:
             return None
         state = post[-1]
@@ -857,22 +1091,19 @@ def trajectory(
     same left edge (dynamic confounders)."""
     if horizon < t0:
         raise InvalidInputError("horizon precedes t0")
-    trans = _transitions(spec, T_schedule)
+    obs = _Observations(spec, _transitions(spec, T_schedule), p0, t0, horizon)
     if intervention is None:
-        states = _observational_states(spec, t0, horizon, trans, p0, t0)
-        return [states[t] for t in range(t0, horizon + 1)]
+        return [obs.state(t) for t in range(t0, horizon + 1)]
     x, t_x = intervention
     if not (t0 < t_x <= horizon):
         raise InvalidInputError("the intervention slice must lie inside the horizon")
     # the same pass as without intervention, so these slices are untouched
-    states = _observational_states(spec, t0, t_x - 1, trans, p0, t0)
-    out = [states[t] for t in range(t0, t_x)]
+    out = [obs.state(t) for t in range(t0, t_x)]
     w_left = _window_left(spec, x, t_x, t0)
     rest = [n for n in spec.names() if n not in x]
     at_tx = Factor.scalar(1.0)
     if rest:
-        kern = _identified_kernel(spec, x, t_x, w_left, t_x - 1, spec.names(), t_x, rest,
-                                  trans, states, t0)
+        kern = _identified_kernel(spec, x, t_x, w_left, t_x - 1, spec.names(), t_x, rest, obs)
         if kern is None:
             raise UnsupportedQueryError(
                 "the intervention-slice distribution is not identifiable")
@@ -881,8 +1112,7 @@ def trajectory(
     out.append(multiply(at_tx, point).reorder(spec.names()))
     if t_x == horizon:
         return out
-    post = _post_intervention(spec, x, t_x, w_left, t_x + 1, horizon, trans, states, t0,
-                              dynamic=not classify(spec).is_static)
+    post = _post_intervention(spec, x, t_x, w_left, t_x + 1, horizon, obs, dynamic=not obs.static)
     if post is None:
         raise UnsupportedQueryError("a post-intervention step conditional is not identifiable")
     return out + post

@@ -41,6 +41,10 @@ def _read(path: PathLike) -> dict:
 
 
 def _int(value: Any, field: str) -> int:
+    """An integer field; a boolean or a number with a fraction is refused,
+    not truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise InvalidInputError(f"{field} must be an integer, got {value!r}")
     try:
         return int(value)
     except (TypeError, ValueError):

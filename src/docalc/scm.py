@@ -6,8 +6,10 @@ tables and confounder priors, never by sampling.  Every variable outside
 ``keep`` (exogenous or observed) is summed out as soon as the tables that
 mention it are combined, so the full product over observed and
 exogenous variables is never built.  Every exact joint in the package
-(oracle answers, CI tests, DCN window joints) comes from this one
-function.  Hidden confounders are explicit exogenous variables, each
+(oracle answers, CI tests, static DCN slices and transitions) comes
+from this one function; the DCN forward pass over dynamic slices
+eliminates with the same ``_contract`` and cell cap.  Hidden
+confounders are explicit exogenous variables, each
 feeding the pair of observed variables its bidirected edge joins.
 Models are immutable; queries are pure.
 """

@@ -641,13 +641,14 @@ class TestPartialSupportVerdicts:
 
 class TestPredictionCaches:
     """Within one PredictionTable each ancestral subproblem
-    (G[An(Y)], X & An(Y), Y) is identified once and each expression is
-    evaluated once; a new table starts cold."""
+    (G[An(Y)], X & An(Y), Y) is identified once, each expression is
+    evaluated once and each evaluated sheet is bound once per experiment;
+    a new table starts cold."""
 
     @staticmethod
     def _counted(monkeypatch):
-        calls = {"id_effect": [], "evaluate": []}
-        real_id, real_eval = alcam.id_effect, alcam.evaluate
+        calls = {"id_effect": [], "evaluate": [], "bind": []}
+        real_id, real_eval, real_bind = alcam.id_effect, alcam.evaluate, alcam._bind_effect
 
         def id_spy(g, x, y):
             calls["id_effect"].append((g, tuple(x), tuple(y)))
@@ -657,8 +658,13 @@ class TestPredictionCaches:
             calls["evaluate"].append(expr)
             return real_eval(expr, p)
 
+        def bind_spy(sheet, fixed, outcome):
+            calls["bind"].append((tuple(sorted(fixed.items())), tuple(sorted(outcome))))
+            return real_bind(sheet, fixed, outcome)
+
         monkeypatch.setattr(alcam, "id_effect", id_spy)
         monkeypatch.setattr(alcam, "evaluate", eval_spy)
+        monkeypatch.setattr(alcam, "_bind_effect", bind_spy)
         return calls
 
     @staticmethod
@@ -681,8 +687,8 @@ class TestPredictionCaches:
         calls = self._counted(monkeypatch)
         preds, experiments = self._fill(cs, p)
 
-        subproblems, exprs, pairs = set(), set(), set()
-        for g in cs.graphs:
+        subproblems, exprs, pairs, bindings, bound = set(), set(), set(), set(), set()
+        for k, g in enumerate(cs.graphs):
             for e in experiments:
                 an = ancestors(g, e.observed)
                 sub = (g.induced(an), tuple(sorted(an & e.targets)), tuple(sorted(e.observed)))
@@ -691,12 +697,21 @@ class TestPredictionCaches:
                 res = id_effect(*sub)
                 if res.identified:
                     exprs.add(res.expr)
+                    bindings.add((res.expr, e.key()))
+                    bound.add((k, e.key()))
         assert len(calls["id_effect"]) == len(set(calls["id_effect"]))
         assert set(calls["id_effect"]) == subproblems
         assert len(calls["evaluate"]) == len(set(calls["evaluate"]))
         assert set(calls["evaluate"]) == exprs
         # the caches share work across candidates and across outcomes
         assert len(exprs) < len(subproblems) < len(pairs)
+        # one binding per sheet and experiment, however many candidates share
+        # the sheet and however often they are asked
+        assert len(calls["bind"]) == len(bindings) < len(bound)
+        for k in range(len(cs.graphs)):
+            for e in experiments:
+                preds.prediction(k, e)
+        assert len(calls["bind"]) == len(bindings)
 
         # and change no prediction: each equals the full graph's own
         # identification, evaluated and bound without any cache

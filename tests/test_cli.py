@@ -281,6 +281,7 @@ class TestMalformedFiles:
             "a": {"exo_parents": ["w"], "table": [[0.5, 0.5], [0.5, 0.5]]},
             "b": {"intra_parents": ["a"], "table": [[0.5, 0.5], [0.5, 0.5]]}}}},
         "matrix_other_state_vars": {},
+        "lag_fraction": {"cross_edges": [["a", "b", 1.5]]},
     }
     EXPECTED = {"domain_word": "domain of 'X'", "list_root": "JSON object",
                 "cpt_length": "cpt table of 'Y'", "directory": "directory",
@@ -290,10 +291,13 @@ class TestMalformedFiles:
                 "cpt_table_word": "cpt table of 'a'",
                 "cpt_table_shape": "cpt table of 'b' has shape (2,), expected (2, 2)",
                 "exo_parent_unknown": "exo parent 'w' of 'a'",
-                "matrix_other_state_vars": "must be the slice variables"}
+                "matrix_other_state_vars": "must be the slice variables",
+                "domain_fraction": "domain of 'X' must be an integer, got 2.9",
+                "domain_bool": "domain of 'X' must be an integer, got True",
+                "lag_fraction": "lag of (a,b) must be an integer, got 1.5"}
 
-    @pytest.mark.parametrize("case", ["domain_word", "list_root", "cpt_length", "directory",
-                                      *BAD_SPECS])
+    @pytest.mark.parametrize("case", ["domain_word", "domain_fraction", "domain_bool",
+                                      "list_root", "cpt_length", "directory", *BAD_SPECS])
     def test_exit_one_without_traceback(self, tmp_path, capsys, case):
         graph = tmp_path / "graph.json"
         model = tmp_path / "model.json"
@@ -301,8 +305,9 @@ class TestMalformedFiles:
         model.write_text(json.dumps(self.MODEL), encoding="utf-8")
         (tmp_path / "cands.json").write_text(json.dumps({"graphs": ["graph.json"]}),
                                              encoding="utf-8")
-        if case == "domain_word":
-            bad = {"vars": [{"name": "X", "domain": "two"}, {"name": "Y"}]}
+        domains = {"domain_word": "two", "domain_fraction": 2.9, "domain_bool": True}
+        if case in domains:
+            bad = {"vars": [{"name": "X", "domain": domains[case]}, {"name": "Y"}]}
             graph.write_text(json.dumps(bad), encoding="utf-8")
         elif case == "list_root":
             graph.write_text(json.dumps([self.GRAPH]), encoding="utf-8")

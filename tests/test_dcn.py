@@ -14,6 +14,7 @@ from docalc.errors import (InvalidInputError, UnsupportedModelError, Unsupported
 from docalc.factors import Factor, TransitionMatrix, condition, equal_within, marginalize
 from docalc.graphs import Var, find_hedge
 from docalc.identify import effect_factor, id_effect
+from docalc import scm
 from docalc.scm import InterventionSpec, intervene, joint, oracle_query
 from conftest import (TRAFFIC_STATE_VARS, random_mechanism_for,
                       traffic_mechanism, traffic_spec, weekday_schedule)
@@ -304,10 +305,12 @@ class TestDynamicIdentification:
             assert got is not None
             assert np.max(np.abs(got.reorder(["V1"]).table - want.table)) < 1e-9
 
-    def test_dynamic_pipelines_match_unrolled_oracle(self):
+    @staticmethod
+    def _pipelines_match_unrolled_oracle(t_x):
         """Random dynamic specs: dcn_id_dynamic, cdcn_id_dynamic and every
         slice of the trajectory agree with the unrolled post-intervention
-        joint whenever they identify the query."""
+        joint whenever they identify the query; returns how many of each
+        identified it."""
         identified = {"dcn": 0, "cdcn": 0, "trajectory": 0}
         for seed in range(150):
             rng = np.random.default_rng(seed)
@@ -321,8 +324,7 @@ class TestDynamicIdentification:
             xv = names[int(rng.integers(n_vars))]
             yv = names[int(rng.integers(n_vars))]
             x = {xv: int(rng.integers(2))}
-            t_x = 2
-            t_y = int(rng.integers(5, 7)) if n_vars == 2 else 5
+            t_y = t_x + (int(rng.integers(5, 7)) if n_vars == 2 else 5) - 2
             want = post_intervention_slices(spec, x, t_x, [yv], t_y)
             got = dcn_id_dynamic(spec, x, t_x, {yv}, t_y, None, None, 0)
             if got is not None:
@@ -343,7 +345,41 @@ class TestDynamicIdentification:
             for t, f in enumerate(series):
                 ref = post_intervention_slices(spec, x, t_x, names, t)
                 assert np.max(np.abs(f.reorder(names).table - ref.table)) < 1e-9
-        assert min(identified.values()) >= 20
+        return identified
+
+    def test_dynamic_pipelines_match_unrolled_oracle(self):
+        assert min(self._pipelines_match_unrolled_oracle(2).values()) >= 20
+
+    def test_dynamic_pipelines_match_unrolled_oracle_late_window(self):
+        """The same with t_x = 5, so that the windows start after t0 and
+        leave the slices before them latent.  A window's distribution is
+        then not Markov to its own graph: the steps must be identified on
+        its latent projection, and a Q-factor term reduced only where
+        d-separation in the graph unrolled from t0 allows it."""
+        assert min(self._pipelines_match_unrolled_oracle(5).values()) >= 20
+
+    def test_second_order_confounders_match_unrolled_oracle(self):
+        """A confounder of lag 2 stays in flight across two slice
+        boundaries of the forward pass and of a window's left edge."""
+        identified = 0
+        for seed in range(80):
+            rng = np.random.default_rng(seed)
+            bare = random_dcn_spec(rng, n_vars=2, n_static_conf=int(rng.integers(0, 2)))
+            a, b = (str(n) for n in rng.choice(list(bare.names()), 2))
+            spec = random_mechanism_for(
+                DcnSpec(bare.slice_vars, bare.intra_edges, bare.cross_edges,
+                        bare.intra_confounders, ((a, b, 2),)), rng)
+            if dynamic_time_span(spec, spec.names()).is_infinite:
+                continue
+            names = spec.names()
+            x = {names[int(rng.integers(2))]: int(rng.integers(2))}
+            for t_x in (2, 5):
+                series = trajectory(spec, None, None, (x, t_x), t_x + 4)
+                identified += 1
+                for t, f in enumerate(series):
+                    ref = post_intervention_slices(spec, x, t_x, names, t)
+                    assert np.max(np.abs(f.reorder(names).table - ref.table)) < 1e-9
+        assert identified >= 20
 
     def test_outcome_inside_span_rejected(self):
         spec = dyn_spec([("V1", "V2", 1)], seed=7)
@@ -606,7 +642,7 @@ class TestPaperSeries:
     def test_printed_alpha_expression_agrees(self, traffic):
         """The published closed form for the four-slice step query evaluates
         to the same conditionals as the identification pipeline."""
-        from docalc.dcn import _observational_states, _transitions, _window_joint
+        from docalc.dcn import _Observations, _transitions, _window_joint
         from docalc.identify import ObservedTerm, Product, Quotient, SumOver, evaluate
 
         spec, t1, _t2, _ts = traffic
@@ -632,7 +668,7 @@ class TestPaperSeries:
         )
         trans = _transitions(spec, t1)
         joint12 = _window_joint(spec, 1, 4, trans,
-                                _observational_states(spec, 1, 1, trans, None, 0), 0)
+                                _Observations(spec, trans, None, 0, 1).state(1))
         for val in (0, 1):
             got = evaluate(alpha, joint12).restrict({v[7]: val})
             got = got.reorder([v[10], v[11], v[12], v[4], v[5], v[6]])
@@ -689,27 +725,85 @@ class TestFirstOrderSlices:
         assert not dynamic_time_span(spec, ["a"]).is_infinite
 
 
-class TestCellCap:
-    @staticmethod
-    def _roadmap_spec():
-        """Within-slice V1->V3; lag-1 V1->V2, V2->V3, V3->V1; hidden
-        confounder V2@t <-> V3@t+1."""
-        bare = DcnSpec(tuple(Var(n) for n in ("V1", "V2", "V3")), (("V1", "V3"),),
-                       (("V1", "V2", 1), ("V2", "V3", 1), ("V3", "V1", 1)), (),
-                       (("V2", "V3", 1),))
-        return random_mechanism_for(bare, np.random.default_rng(2))
+def sweep_spec():
+    """Within-slice V1->V3; lag-1 V1->V2, V2->V3, V3->V1; hidden
+    confounder V2@t <-> V3@t+1 (the structure of the benchmark's horizon
+    sweep, with its own mechanism)."""
+    bare = DcnSpec(tuple(Var(n) for n in ("V1", "V2", "V3")), (("V1", "V3"),),
+                   (("V1", "V2", 1), ("V2", "V3", 1), ("V3", "V1", 1)), (),
+                   (("V2", "V3", 1),))
+    return random_mechanism_for(bare, np.random.default_rng(2))
 
+
+class TestLongHorizons:
+    """Dynamic steps are evaluated from small Q-factor marginals, so long
+    horizons return, and exactly."""
+
+    def test_sweep_trajectories_match_oracle(self):
+        spec = sweep_spec()
+        x = {"V1": 1}
+        want = {}
+        for horizon in range(6, 13):
+            series = trajectory(spec, None, None, (x, 2), horizon)
+            assert len(series) == horizon + 1
+            for t, f in enumerate(series):
+                if t not in want:
+                    want[t] = post_intervention_slices(spec, x, 2, spec.names(), t)
+                assert np.max(np.abs(f.reorder(spec.names()).table - want[t].table)) < 1e-9
+
+    def test_slices_before_intervention_untouched(self):
+        """The observational slices do not depend on how far a call
+        reaches: a late intervention leaves the prefix of the unintervened
+        trajectory bit for bit, whatever either horizon."""
+        spec = sweep_spec()
+        base = trajectory(spec, None, None, None, 1)
+        longer = trajectory(spec, None, None, None, 9)
+        bumped = trajectory(spec, None, None, ({"V1": 1}, 5), 9)
+        for t in range(5):
+            assert np.array_equal(longer[t].table, bumped[t].table)
+        for t in range(2):
+            assert np.array_equal(base[t].table, bumped[t].table)
+
+    def test_unintervened_trajectory_matches_oracle(self):
+        spec = sweep_spec()
+        series = trajectory(spec, None, None, None, 40)
+        assert len(series) == 41
+        for t, f in enumerate(series):
+            want = post_intervention_slices(spec, {}, 41, spec.names(), t)
+            assert np.max(np.abs(f.reorder(spec.names()).table - want.table)) < 1e-9
+
+
+class TestCellCap:
     def test_cap_counts_tabulated_cells(self):
         """Slices 0..7 hold 2^24 observed cells, but eliminating down to
         slice 7 tabulates only small tables."""
-        spec = self._roadmap_spec()
+        spec = sweep_spec()
         got = observational_marginal(spec, 7, None, None, 0)
         last = [slice_var_at(n, 7) for n in spec.names()]
         before = [slice_var_at(n, 6) for n in spec.names()]
         want = marginalize(joint(unrolled_scm(spec, 0, 7), before + last), before)
         assert np.max(np.abs(got.table - want.reorder(last).table)) < 1e-12
 
-    def test_window_over_the_cap_is_refused(self):
-        spec = self._roadmap_spec()
+    def test_unrolled_joint_over_the_cap_is_refused(self):
         with pytest.raises(UnsupportedModelError, match="16777216 cells"):
-            trajectory(spec, None, None, ({"V1": 1}, 2), 7)
+            joint(unrolled_scm(sweep_spec(), 0, 7))
+
+    def test_largest_table_does_not_grow_with_the_horizon(self, monkeypatch):
+        """Every table the dynamic steps tabulate passes the cap check; the
+        largest one of the do(V1@2=1) sweep stays the same from horizon 6
+        through 12, where a window joint would have 2^39 cells."""
+        real = scm._check_cells
+        largest = [0]
+
+        def spy(cells):
+            largest[0] = max(largest[0], cells)
+            real(cells)
+
+        monkeypatch.setattr(scm, "_check_cells", spy)
+        spec = sweep_spec()
+        peaks = {}
+        for horizon in range(3, 13):
+            largest[0] = 0
+            trajectory(spec, None, None, ({"V1": 1}, 2), horizon)
+            peaks[horizon] = largest[0]
+        assert max(peaks.values()) == peaks[6] == peaks[12] <= 256
