@@ -191,12 +191,16 @@ class PredictionTable:
         key = (g_idx, targets, observed)
         if key not in self._sheets:
             g = self.candidates.graphs[g_idx]
-            sub = g.induced(ancestors(g, observed))
-            x = tuple(n for n in targets if n in sub)
-            # keyed on the subgraph's parts: they are all that its equality
-            # compares, at a fraction of its size, and the key outlives it
-            parts = (sub.vars, sub.directed, sub.bidirected, x, observed)
+            an = ancestors(g, observed)
+            x = tuple(n for n in targets if n in an)
+            # keyed on the parts of G[An(Y)], all that graph equality
+            # compares; An(Y) is ancestral, so it holds every parent of its
+            # members.  The subgraph is built once per distinct subproblem.
+            parts = (tuple(v for v in g.vars if v.name in an),
+                     frozenset(e for e in g.directed if e[1] in an),
+                     frozenset(p for p in g.bidirected if p <= an), x, observed)
             if parts not in self._exprs:
+                sub = Admg._trusted(*parts[:3])
                 self._exprs[parts] = id_effect(sub, x, observed).expr
             expr = self._exprs[parts]
             if expr is not None and expr not in self._evaluated:

@@ -157,6 +157,13 @@ class DcnSpec:
         if len(exos) != len(mech.exos) or any(e.lag < 0 for e in mech.exos):
             raise InvalidInputError("exo templates need unique names and lags >= 0")
         domain = {v.name: v.domain for v in self.slice_vars}
+        if exos.keys() & domain.keys():
+            raise InvalidInputError("exo template names must differ from slice variable names")
+        for e in mech.exos:
+            fed = sorted(c.var for c in mech.cpts for x in c.exo_parents if x == e.name)
+            if fed != sorted((e.earlier, e.later)):
+                raise InvalidInputError(f"exo template {e.name!r} must be an exo parent of "
+                                        f"{e.earlier!r} and of {e.later!r}, once each")
         for c in mech.cpts:
             if frozenset(c.intra_parents) != frozenset(
                     a for a, b in self.intra_edges if b == c.var):
@@ -180,6 +187,22 @@ class DcnSpec:
         cross_triples = sorted((e.earlier, e.later, e.lag) for e in mech.exos if e.lag > 0)
         if cross_triples != sorted(self.cross_confounders):
             raise InvalidInputError("cross confounders and lagged exo templates disagree")
+        if (len(set(intra_pairs)) != len(intra_pairs)
+                or len(set(cross_triples)) != len(cross_triples)):
+            raise InvalidInputError("two exo templates confound the same pair")
+
+    @functools.cached_property
+    def _checked_mechanism(self) -> DcnMechanism:
+        """The mechanism, once its CPT rows and confounder priors are found
+        to be distributions; checked on first use, once per spec, so that
+        unrolling need not check each slice's copy of the tables."""
+        if self.mechanism is None:
+            raise UnsupportedModelError("spec carries no slice mechanism")
+        for e in self.mechanism.exos:
+            scm._check_prior(e.name, e.prior)
+        for c in self.mechanism.cpts:
+            scm._check_rows(c.var, c.table)
+        return self.mechanism
 
     def var(self, name: str) -> Var:
         for v in self.slice_vars:
@@ -311,28 +334,37 @@ def unrolled_scm(spec: DcnSpec, t0: int, t_end: int) -> Scm:
     from slices before ``t0`` are averaged out uniformly, which defines
     the generating process started at ``t0``.
     """
-    if spec.mechanism is None:
-        raise UnsupportedModelError("spec carries no slice mechanism")
-    mech = spec.mechanism
+    graph, cpts, exos = _unrolled_tables(spec, t0, t_end)
+    return Scm(graph, {n: Cpt(n, *c) for n, c in cpts.items()},
+               tuple(Exogenous(*e) for e in exos))
+
+
+_CptParts = tuple[tuple[str, ...], tuple[str, ...], np.ndarray]  # parents, exo parents, table
+_ExoParts = tuple[Var, tuple[float, ...], frozenset[str]]  # variable, prior, feeds
+
+
+def _unrolled_tables(spec: DcnSpec, t0: int, t_end: int
+                     ) -> tuple[Admg, dict[str, _CptParts], list[_ExoParts]]:
+    """The graph, CPT parts and confounder parts of ``unrolled_scm``,
+    unchecked: they come from the spec's checked mechanism, and
+    ``DcnSpec`` makes sure at construction that they fit together."""
+    mech = spec._checked_mechanism
     graph, index = unroll(spec, t0, t_end)
 
-    exo_list: list[Exogenous] = []
-    exo_parents: dict[str, list[str]] = {v.name: [] for v in graph.vars}
-    exo_domains: dict[str, int] = {}
+    exos: list[_ExoParts] = []
+    noise_born: set[str] = set()
     for t in range(t0, t_end + 1):
         for e in mech.exos:
             if e.lag > 0 and t + e.lag > t_end:
                 continue  # the later half leaves the window; handled as noise below
-            name = f"{e.name}@{t}"
-            early = index[(e.earlier, t)]
-            late = index[(e.later, t + e.lag)]
-            exo_list.append(Exogenous(Var(name, len(e.prior)), e.prior,
-                                      frozenset((early, late))))
-            exo_parents[early].append(name)
-            exo_parents[late].append(name)
-            exo_domains[name] = len(e.prior)
+            if e.earlier == e.later:
+                raise InvalidInputError(f"exo template {e.name!r} confounds {e.earlier!r} with "
+                                        "its own later slice, which a slice mechanism cannot "
+                                        "unroll")
+            feeds = frozenset((index[(e.earlier, t)], index[(e.later, t + e.lag)]))
+            exos.append((Var(f"{e.name}@{t}", len(e.prior)), e.prior, feeds))
 
-    cpts: dict[str, Cpt] = {}
+    cpts: dict[str, _CptParts] = {}
     for t in range(t0, t_end + 1):
         for v in spec.slice_vars:
             c = mech.cpt(v.name)
@@ -361,17 +393,16 @@ def unrolled_scm(spec: DcnSpec, t0: int, t_end: int) -> Scm:
                 elif v.name == e.earlier:
                     # later half leaves the window: keep as private noise
                     noise = f"{e.name}@{t}"
-                    if noise not in exo_domains:
-                        exo_list.append(Exogenous(Var(noise, len(e.prior)), e.prior,
-                                                  frozenset((index[(v.name, t)],))))
-                        exo_domains[noise] = len(e.prior)
+                    if noise not in noise_born:
+                        exos.append((Var(noise, len(e.prior)), e.prior,
+                                     frozenset((index[(v.name, t)],))))
+                        noise_born.add(noise)
                     kept_exo.append(noise)
                     axis += 1
                 else:
                     table = table.mean(axis=axis)  # confounder born pre-window
-            name = index[(v.name, t)]
-            cpts[name] = Cpt(name, tuple(keep_obs), tuple(kept_exo), table)
-    return Scm(graph, cpts, tuple(exo_list))
+            cpts[index[(v.name, t)]] = (tuple(keep_obs), tuple(kept_exo), table)
+    return graph, cpts, exos
 
 
 # -- transitions and marginals ---------------------------------------------
@@ -471,26 +502,23 @@ class _Forward:
         # a confounder born by t_end keeps both its children, so the
         # message at a slice, and the slice's state, do not depend on t_end
         t_end += classify(spec).alpha_max
-        m = unrolled_scm(spec, t0, t_end)
-        self.graph = m.graph
+        self.graph, cpts, exos = _unrolled_tables(spec, t0, t_end)
         self.t0 = t0
-        self.domain = {v.name: v.domain for v in m.graph.vars}
-        self.domain.update((e.var.name, e.var.domain) for e in m.exogenous)
-        self.rank = {n: i for i, n in enumerate(m.graph.names())}  # slice by slice
+        self.domain = {v.name: v.domain for v in self.graph.vars}
+        self.domain.update((var.name, var.domain) for var, _prior, _feeds in exos)
+        self.rank = {n: i for i, n in enumerate(self.graph.names())}  # slice by slice
         self.slice_of = {n: t for t in range(t0, t_end + 1) for n in _slice_names(spec, t, t)}
         # per slice: priors of the confounders first feeding it, then its CPTs
         self.tables: list[list[tuple[tuple[str, ...], np.ndarray]]] = [
             [] for _ in range(t0, t_end + 1)]
         flight: list[list[str]] = [[] for _ in range(t0, t_end + 1)]
-        for e in m.exogenous:
-            fed = [self.slice_of[n] for n in e.feeds]
-            self.tables[min(fed) - t0].append(((e.var.name,), np.asarray(e.prior, dtype=float)))
+        for var, prior, feeds in exos:
+            fed = [self.slice_of[n] for n in feeds]
+            self.tables[min(fed) - t0].append(((var.name,), np.asarray(prior, dtype=float)))
             for s in range(min(fed), max(fed)):
-                flight[s - t0].append(e.var.name)
-        for name in m.graph.names():
-            c = m.cpts[name]
-            self.tables[self.slice_of[name] - t0].append(
-                (c.parents + c.exo_parents + (name,), np.asarray(c.table, dtype=float)))
+                flight[s - t0].append(var.name)
+        for name, (parents, exo_parents, table) in cpts.items():
+            self.tables[self.slice_of[name] - t0].append((parents + exo_parents + (name,), table))
         self.interface = [tuple(_slice_names(spec, t, t)) + tuple(flight[t - t0])
                           for t in range(t0, t_end + 1)]
         # messages[s - t0 + 1] is the message at slice s; the first is the unit

@@ -10,7 +10,7 @@ across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Container, Iterable, Optional
 
 from .errors import CyclicGraphError, InvalidInputError
 
@@ -27,6 +27,8 @@ __all__ = [
     "find_hedge",
     "verify_hedge",
 ]
+
+_NONE: frozenset[str] = frozenset()  # shared by every empty index entry
 
 
 @dataclass(frozen=True, order=True)
@@ -119,9 +121,9 @@ class Admg:
             a, b = tuple(pair)
             sib[a].add(b)
             sib[b].add(a)
-        self._parents = {n: frozenset(s) for n, s in par.items()}
-        self._children = {n: frozenset(s) for n, s in chi.items()}
-        self._siblings = {n: frozenset(s) for n, s in sib.items()}
+        self._parents = {n: frozenset(s) if s else _NONE for n, s in par.items()}
+        self._children = {n: frozenset(s) if s else _NONE for n, s in chi.items()}
+        self._siblings = {n: frozenset(s) if s else _NONE for n, s in sib.items()}
         self._hash: Optional[int] = None
         self._topo: Optional[tuple[str, ...]] = None
 
@@ -207,17 +209,30 @@ def _check_subset(g: Admg, s: Iterable[str], what: str) -> frozenset[str]:
     return s
 
 
-def ancestors(g: Admg, s: Iterable[str]) -> frozenset[str]:
-    """Reflexive transitive closure of the parent relation applied to ``s``."""
-    frontier = list(_check_subset(g, s, "ancestors"))
+def _ancestors_in(
+    g: Admg,
+    v: Container[str],
+    y: Iterable[str],
+    cut: Container[str] = _NONE,
+) -> frozenset[str]:
+    """Ancestors of ``y`` in G[v] with the edges into ``cut`` removed, the
+    ancestors in ``mutilate(g.induced(v), cut)``; nothing is checked."""
+    frontier = list(y)
     seen = set(frontier)
     while frontier:
-        v = frontier.pop()
-        for p in g.parents_of(v):
-            if p not in seen:
+        u = frontier.pop()
+        if u in cut:
+            continue
+        for p in g._parents[u]:
+            if p in v and p not in seen:
                 seen.add(p)
                 frontier.append(p)
     return frozenset(seen)
+
+
+def ancestors(g: Admg, s: Iterable[str]) -> frozenset[str]:
+    """Reflexive transitive closure of the parent relation applied to ``s``."""
+    return _ancestors_in(g, g._by_name, _check_subset(g, s, "ancestors"))
 
 
 def descendants(g: Admg, s: Iterable[str]) -> frozenset[str]:
@@ -277,28 +292,33 @@ def topological_order(g: Admg) -> list[str]:
     return list(g._topo)
 
 
+def _components_in(g: Admg, v: Container[str]) -> list[frozenset[str]]:
+    """The C-components of G[v], ordered by first appearance in ``g.vars``,
+    as ``c_components(g.induced(v))`` orders them; nothing is checked."""
+    seen: set[str] = set()
+    comps: list[frozenset[str]] = []
+    for n in g._by_name:
+        if n in seen or n not in v:
+            continue
+        comp = {n}
+        frontier = [n]
+        while frontier:
+            for w in g._siblings[frontier.pop()]:
+                if w in v and w not in comp:
+                    comp.add(w)
+                    frontier.append(w)
+        seen |= comp
+        comps.append(frozenset(comp))
+    return comps
+
+
 def c_components(g: Admg) -> list[frozenset[str]]:
     """Connected components of the bidirected-edge-only graph.
 
     Returns a partition of the vertex names, ordered by first appearance
     in ``g.vars``.
     """
-    seen: set[str] = set()
-    comps: list[frozenset[str]] = []
-    for v in g.names():
-        if v in seen:
-            continue
-        comp = {v}
-        frontier = [v]
-        while frontier:
-            u = frontier.pop()
-            for w in g.siblings_of(u):
-                if w not in comp:
-                    comp.add(w)
-                    frontier.append(w)
-        seen |= comp
-        comps.append(frozenset(comp))
-    return comps
+    return _components_in(g, g._by_name)
 
 
 # -- d-separation -----------------------------------------------------------
@@ -363,54 +383,26 @@ def d_separated(
 
 # -- hedges -----------------------------------------------------------------
 
-def _reaches_within(g: Admg, inside: frozenset[str], targets: frozenset[str]) -> frozenset[str]:
-    """Vertices of ``inside`` with a directed path (within ``inside``) to ``targets``."""
-    reach = set(targets)
-    changed = True
-    while changed:
-        changed = False
-        for v in inside:
-            if v in reach:
-                continue
-            if g.children_of(v) & reach & inside:
-                reach.add(v)
-                changed = True
-    return frozenset(reach & inside)
-
-
-def _bidirected_connected(g: Admg, vs: frozenset[str]) -> bool:
-    if not vs:
-        return False
-    start = next(iter(vs))
-    comp = {start}
-    frontier = [start]
-    while frontier:
-        u = frontier.pop()
-        for w in g.siblings_of(u):
-            if w in vs and w not in comp:
-                comp.add(w)
-                frontier.append(w)
-    return comp == set(vs)
-
-
 def verify_hedge(g: Admg, x: Iterable[str], y: Iterable[str], h: Hedge) -> bool:
     """Check every Hedge invariant against the query P(y|do(x)) in ``g``."""
-    xs, ys = frozenset(x), frozenset(y)
-    f, fp, r = h.forest_f, h.forest_f_prime, h.roots
+    xs = _check_subset(g, x, "verify_hedge")
+    ys = _check_subset(g, y, "verify_hedge")
+    f = _check_subset(g, h.forest_f, "verify_hedge")
+    fp, r = h.forest_f_prime, h.roots
     if not (r <= fp <= f):
         return False
     if not (f & xs) or (fp & xs):
         return False
-    if not (_bidirected_connected(g, f) and _bidirected_connected(g, fp)):
+    if len(_components_in(g, f)) != 1 or len(_components_in(g, fp)) != 1:
         return False
     # every vertex must reach the common root set within its forest
-    if _reaches_within(g, f, r) != f or _reaches_within(g, fp, r) != fp:
+    if _ancestors_in(g, f, r) != f or _ancestors_in(g, fp, r) != fp:
         return False
     # roots must be childless within F' (they are the forests' root set)
     for v in r:
         if g.children_of(v) & fp:
             return False
-    return r <= ancestors(mutilate(g, remove_incoming=xs), ys)
+    return r <= _ancestors_in(g, g._by_name, ys, xs)
 
 
 def _hedge_from_frame(

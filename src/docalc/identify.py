@@ -3,7 +3,10 @@ symbolic do-free expressions with exact evaluation.
 
 ``id_effect`` transforms P(Y|do(X)) into an expression over the
 observational joint by C-component recursion, or returns a hedge
-witness when the effect is not identifiable.  Expressions are compared
+witness when the effect is not identifiable.  The recursion runs on
+vertex sets of the input graph and never builds a subgraph: each of its
+subgraphs is an induced subgraph G[v] of the input G, whose ancestors
+and C-components are read off G restricted to v.  Expressions are compared
 by evaluated value only; the printer exists for reporting and golden
 tests.
 
@@ -19,8 +22,8 @@ from typing import Iterable, Mapping, Optional
 
 from .errors import InternalError, InvalidInputError
 from .factors import Factor, condition, divide, marginalize, multiply
-from .graphs import (Admg, Hedge, _hedge_from_frame, ancestors, c_components,
-                     d_separated, mutilate, topological_order)
+from .graphs import (Admg, Hedge, _ancestors_in, _check_subset, _components_in,
+                     _hedge_from_frame, d_separated, mutilate, topological_order)
 
 __all__ = [
     "Expr", "ObservedTerm", "SumOver", "Product", "Quotient", "One",
@@ -107,7 +110,7 @@ def check_rule(
     observation, rule 3 drops do(z) entirely; each is a d-separation
     check on the correspondingly mutilated graph.
     """
-    xs, ys, zs, ws = map(frozenset, (x, y, z, w))
+    xs, ys, zs, ws = (_check_subset(g, s, "check_rule") for s in (x, y, z, w))
     for a, b in ((xs, ys), (xs, zs), (xs, ws), (ys, zs), (ys, ws), (zs, ws)):
         if a & b:
             raise InvalidInputError("rule sets must be pairwise disjoint")
@@ -116,7 +119,7 @@ def check_rule(
     elif rule == 2:
         gm = mutilate(g, remove_incoming=xs, remove_outgoing=zs)
     elif rule == 3:
-        z_w = zs - ancestors(mutilate(g, remove_incoming=xs), ws) if ws else zs
+        z_w = zs - _ancestors_in(g, g._by_name, ws, xs)
         gm = mutilate(g, remove_incoming=xs | z_w)
     else:
         raise InvalidInputError("rule must be 1, 2 or 3")
@@ -172,35 +175,36 @@ def _id(
     x: frozenset[str],
     p: Expr,
     g: Admg,
+    v: frozenset[str],
     topo: list[str],
 ) -> Expr:
-    v = frozenset(g.names())
-
+    """ID on the subgraph G[v] of the input graph ``g``; G[v][s] is G[s],
+    so each line reads ``g`` restricted to a vertex set."""
     if not x:
         return _sum_over(v - y, p)
 
-    an = ancestors(g, y)
+    an = _ancestors_in(g, v, y)
     if v != an:
-        return _id(y, x & an, _sum_over(v - an, p), g.induced(an), topo)
+        return _id(y, x & an, _sum_over(v - an, p), g, an, topo)
 
-    w = (v - x) - ancestors(mutilate(g, remove_incoming=x), y)
+    w = (v - x) - _ancestors_in(g, v, y, x)
     if w:
-        return _id(y, x | w, p, g, topo)
+        return _id(y, x | w, p, g, v, topo)
 
-    comps = c_components(g.induced(v - x))
+    comps = _components_in(g, v - x)
     if len(comps) > 1:
-        factors = tuple(_id(s, v - s, p, g, topo) for s in comps)
+        factors = tuple(_id(s, v - s, p, g, v, topo) for s in comps)
         return _sum_over(v - (y | x), Product(factors))
 
     s = comps[0]
-    cg = c_components(g)
+    cg = _components_in(g, v)
     if len(cg) == 1:
         raise _HedgeSignal(frame_vars=v, frame_component=s)
     if s in cg:
         return _sum_over(s - y, _chain_product(s, p, v, topo))
     s_prime = next(c for c in cg if s < c)
     new_p = _chain_product(s_prime, p, v, topo)
-    return _id(y, x & s_prime, new_p, g.induced(s_prime), topo)
+    return _id(y, x & s_prime, new_p, g, s_prime, topo)
 
 
 def id_effect(g: Admg, x: Iterable[str], y: Iterable[str]) -> IdResult:
@@ -213,7 +217,7 @@ def id_effect(g: Admg, x: Iterable[str], y: Iterable[str]) -> IdResult:
     """
     xs = frozenset(x)
     ys = frozenset(y)
-    names = set(g.names())
+    names = frozenset(g._by_name)
     if not ys or not ys <= names or not xs <= names:
         raise InvalidInputError("x and y must be subsets of the graph, y nonempty")
     if xs & ys:
@@ -221,7 +225,7 @@ def id_effect(g: Admg, x: Iterable[str], y: Iterable[str]) -> IdResult:
     topo = topological_order(g)
     p0 = ObservedTerm(tuple(topo))
     try:
-        expr = _id(ys, xs, p0, g, topo)
+        expr = _id(ys, xs, p0, g, names, topo)
     except _HedgeSignal as sig:
         witness = _hedge_from_frame(g, xs, ys, sig.frame_vars, sig.frame_component)
         if witness is None:

@@ -57,12 +57,21 @@ class Cpt:
     table: np.ndarray
 
     def __post_init__(self) -> None:
-        rows = np.asarray(self.table, dtype=float)
-        if np.any(rows < -1e-12):
-            raise InvalidInputError(f"cpt of {self.var!r} has negative entries")
-        sums = rows.sum(axis=-1)
-        if np.max(np.abs(sums - 1.0)) > 1e-9:
-            raise InvalidInputError(f"cpt rows of {self.var!r} must sum to 1")
+        _check_rows(self.var, self.table)
+
+
+def _check_rows(var: str, table: np.ndarray) -> None:
+    """Every row along the last axis of ``var``'s table is a distribution."""
+    rows = np.asarray(table, dtype=float)
+    if rows.min() < -1e-12:
+        raise InvalidInputError(f"cpt of {var!r} has negative entries")
+    if abs(rows.sum(axis=-1) - 1.0).max() > 1e-9:
+        raise InvalidInputError(f"cpt rows of {var!r} must sum to 1")
+
+
+def _check_prior(var: str, prior: Sequence[float]) -> None:
+    if not prior or abs(sum(prior) - 1.0) > 1e-9 or min(prior) < 0:
+        raise InvalidInputError(f"prior of {var!r} is not a distribution")
 
 
 @dataclass(frozen=True)
@@ -76,8 +85,7 @@ class Exogenous:
     def __post_init__(self) -> None:
         if len(self.prior) != self.var.domain:
             raise InvalidInputError(f"prior of {self.var.name!r} has wrong length")
-        if abs(sum(self.prior) - 1.0) > 1e-9 or min(self.prior) < 0:
-            raise InvalidInputError(f"prior of {self.var.name!r} is not a distribution")
+        _check_prior(self.var.name, self.prior)
         if not 1 <= len(self.feeds) <= 2:
             raise InvalidInputError("an exogenous variable feeds one or two observed variables")
 

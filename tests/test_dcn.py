@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from docalc.dcn import (DcnSpec, SelectionVar, TransportSpec, build_gid,
+from docalc.dcn import (DcnMechanism, DcnSpec, SelectionVar, TransportSpec, build_gid,
                         cdcn_id_dynamic, cdcn_id_static, classify,
                         dcn_id_dynamic, dcn_id_static, dynamic_time_span,
                         initial_distribution, mechanism_transition,
@@ -99,6 +101,81 @@ class TestUnroll:
     def test_empty_window_rejected(self):
         with pytest.raises(WindowTooSmallError):
             unroll(traffic_spec(), 3, 2)
+
+
+class TestMechanismChecks:
+    """The forward pass of the dynamic pipelines reads the spec's tables
+    unchecked, so the spec checks once, on first use, that they are
+    distributions, and at construction that they fit together."""
+
+    @staticmethod
+    def _dynamic_specs():
+        rng = np.random.default_rng(8)
+        while True:
+            spec = random_dcn_spec(rng, n_vars=3, n_static_conf=1, n_dynamic_conf=1)
+            if not dynamic_time_span(spec, spec.names()).is_infinite:
+                yield spec
+
+    @pytest.mark.parametrize("edit_table,prior,match", [
+        (lambda t: t * 1.1, None, "must sum to 1"),
+        (lambda t: np.stack([t.sum(axis=-1) + 0.5, np.full(t.shape[:-1], -0.5)], axis=-1),
+         None, "negative"),
+        (None, (0.5, 0.6), "not a distribution"),
+        (None, (1.2, -0.2), "not a distribution"),
+    ])
+    def test_bad_tables_rejected_on_first_use(self, edit_table, prior, match):
+        spec = next(self._dynamic_specs())
+        mech = spec.mechanism
+        cpts = tuple(replace(c, table=edit_table(c.table)) if edit_table and i == 0 else c
+                     for i, c in enumerate(mech.cpts))
+        exos = tuple(replace(e, prior=prior) if prior else e for e in mech.exos)
+        bad = replace(spec, mechanism=DcnMechanism(cpts, exos))
+        for use in (lambda: unrolled_scm(bad, 0, 1),
+                    lambda: observational_marginal(bad, 2, None, None, 0)):
+            with pytest.raises(InvalidInputError, match=match):
+                use()
+
+    def test_template_must_feed_both_ends(self):
+        mech = traffic_mechanism()
+        cpts = tuple(replace(c, exo_parents=(), table=c.table[..., 0, :]) if c.var == "tr2"
+                     else c for c in mech.cpts)
+        with pytest.raises(InvalidInputError, match="once each"):
+            traffic_spec(DcnMechanism(cpts, mech.exos))
+
+    def test_template_names_differ_from_slice_variables(self):
+        mech = traffic_mechanism()
+        cpts = tuple(replace(c, exo_parents=("d",)) if c.exo_parents else c for c in mech.cpts)
+        with pytest.raises(InvalidInputError, match="differ from slice variable"):
+            traffic_spec(DcnMechanism(cpts, (replace(mech.exos[0], name="d"),)))
+
+    def test_two_templates_for_one_pair_rejected(self):
+        mech = traffic_mechanism()
+        w2 = replace(mech.exos[0], name="w2")
+        cpts = tuple(replace(c, exo_parents=c.exo_parents + ("w2",),
+                             table=np.stack([c.table] * 2, axis=-2)) if c.exo_parents else c
+                     for c in mech.cpts)
+        with pytest.raises(InvalidInputError, match="same pair"):
+            DcnSpec(TRAFFIC_STATE_VARS, traffic_spec().intra_edges, traffic_spec().cross_edges,
+                    (frozenset({"tr1", "tr2"}),) * 2, (), DcnMechanism(cpts, mech.exos + (w2,)))
+
+    def test_self_confounder_not_unrolled(self):
+        spec = random_dcn_spec(np.random.default_rng(0), n_vars=2, n_static_conf=0,
+                               n_dynamic_conf=1)
+        assert spec.cross_confounders == (("V2", "V2", 1),)
+        for run in (lambda: unrolled_scm(spec, 0, 1),
+                    lambda: observational_marginal(spec, 2, None, None, 0)):
+            with pytest.raises(InvalidInputError, match="its own later slice"):
+                run()
+
+    def test_forward_pass_reads_the_unrolled_scm(self):
+        """The dynamic pipelines' slice states equal the unrolled model's
+        exact joint, although they skip its checks."""
+        for _, spec in zip(range(5), self._dynamic_specs()):
+            for t in range(4):
+                here = [slice_var_at(n, t) for n in spec.names()]
+                want = joint(unrolled_scm(spec, 0, t + 1), here)
+                got = observational_marginal(spec, t, None, None, 0)
+                assert np.allclose(got.table, want.reorder(here).table, atol=1e-12)
 
 
 class TestDynamicTimeSpan:

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from docalc.errors import CyclicGraphError, InvalidInputError
-from docalc.graphs import (Admg, Var, ancestors, c_components, d_separated,
-                           descendants, find_hedge, mutilate,
+from docalc.graphs import (Admg, Hedge, Var, _ancestors_in, _components_in, ancestors,
+                           c_components, d_separated, descendants, find_hedge, mutilate,
                            topological_order, verify_hedge)
 from conftest import bf_d_separated, bf_hedge_exists, seeded_admgs
 
@@ -214,6 +214,37 @@ class TestTrustedConstruction:
     def test_induced_rejects_unknown_names(self):
         with pytest.raises(InvalidInputError):
             chain().induced({"X", "Q"})
+
+
+def _subsets(items):
+    return (frozenset(c) for k in range(len(items) + 1)
+            for c in itertools.combinations(items, k))
+
+
+class TestVertexSetQueries:
+    """Identification reads subgraphs as vertex sets of the input graph;
+    the readings must be those of the materialized subgraphs."""
+
+    def test_match_materialized_subgraphs(self):
+        checked = 0
+        for g in seeded_admgs(33, n_criterion2=30, n_random=5):
+            for v in _subsets(g.names()):
+                sub = g.induced(v)
+                assert _components_in(g, v) == c_components(sub), (g, v)
+                for cut in _subsets(sorted(v)):
+                    cut_sub = mutilate(sub, cut)
+                    for y in [frozenset({n}) for n in sorted(v)] + [v - cut]:
+                        assert _ancestors_in(g, v, y, cut) == ancestors(cut_sub, y), (g, v, y, cut)
+                        checked += 1
+        assert checked > 30_000
+
+    def test_public_queries_still_check_names(self):
+        g = chain()
+        with pytest.raises(InvalidInputError):
+            ancestors(g, {"Q"})
+        for x, y, f in (({"Q"}, {"Y"}, {"X"}), ({"X"}, {"Q"}, {"X"}), ({"X"}, {"Y"}, {"X", "Q"})):
+            with pytest.raises(InvalidInputError):
+                verify_hedge(g, x, y, Hedge(frozenset(f), frozenset(), frozenset()))
 
 
 class TestFindHedge:

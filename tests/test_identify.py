@@ -76,6 +76,29 @@ class TestIdGolden:
         assert verify_hedge(g3, {"X1"}, {"X4"}, res.witness)
 
 
+class TestNoSubgraphs:
+    def test_id_effect_builds_no_graph(self, monkeypatch):
+        """The recursion reads vertex sets of the input graph, so no query,
+        hedged or identified, builds an ``Admg``."""
+        graphs = seeded_admgs(43, n_criterion2=80, n_random=0)
+        built = []
+        real_build = Admg._build
+
+        def counted(self, *parts):
+            built.append(parts)
+            real_build(self, *parts)
+
+        monkeypatch.setattr(Admg, "_build", counted)
+        hedged = queries = 0
+        for g in graphs:
+            for x, y in itertools.permutations(g.names(), 2):
+                res = id_effect(g, {x}, {y})
+                hedged += not res.identified
+                queries += 1
+        assert built == []
+        assert queries == 12 * len(graphs) and hedged > 100
+
+
 class TestEvaluate:
     def test_chain_matches_oracle(self):
         rng = np.random.default_rng(1)
