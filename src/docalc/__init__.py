@@ -34,8 +34,8 @@ from .alcam import (CandidateSet, CostModel, DiscoveryResult, InterventionCaps,
                     partition_candidates, power_of_intervention,
                     select_graphs, select_intervention)
 from .dcn import (ConfounderClass, DcnMechanism, DcnSpec, DynamicTimeSpan,
-                  GidWindow, SelectionVar, SliceCpt, SliceExo, TransportSpec,
-                  build_gid, cdcn_id_dynamic, cdcn_id_static, classify,
+                  SelectionVar, SliceCpt, SliceExo, TransportSpec,
+                  cdcn_id_dynamic, cdcn_id_static, classify,
                   dcn_id_dynamic, dcn_id_static, dynamic_time_span,
                   initial_distribution, mechanism_transition, random_dcn_spec,
                   step_kernel_matrix, trajectory, transport, unroll,

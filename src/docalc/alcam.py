@@ -195,13 +195,13 @@ class PredictionTable:
             x = tuple(n for n in targets if n in an)
             # keyed on the parts of G[An(Y)], all that graph equality
             # compares; An(Y) is ancestral, so it holds every parent of its
-            # members.  The subgraph is built once per distinct subproblem.
+            # members.  Line 2 of ID reduces to that subproblem on its own,
+            # so no subgraph is built.
             parts = (tuple(v for v in g.vars if v.name in an),
                      frozenset(e for e in g.directed if e[1] in an),
                      frozenset(p for p in g.bidirected if p <= an), x, observed)
             if parts not in self._exprs:
-                sub = Admg._trusted(*parts[:3])
-                self._exprs[parts] = id_effect(sub, x, observed).expr
+                self._exprs[parts] = id_effect(g, x, observed).expr
             expr = self._exprs[parts]
             if expr is not None and expr not in self._evaluated:
                 self._evaluated[expr] = evaluate(expr, self.p_star)

@@ -7,18 +7,27 @@ slices (0 = within the slice).  Confounders within a slice are static;
 confounders crossing k >= 1 slices are dynamic of order k.  The
 pipelines need first-order slices, every directed cross edge of lag 1:
 the window lemma and the one-slice steps rest on it, so they refuse
-longer lags (``unroll``, ``unrolled_scm``, ``classify``, ``build_gid``
-and ``dynamic_time_span`` still accept them).  Static specs with lag-1
-edges make the observed slices a first-order Markov chain, so window
-joints chain from the transition.  Dynamic specs require the slice
-mechanism and never build a window joint: one forward pass over the
-model unrolled from t0 (``_Forward``) carries the slice state and the
-confounders in flight, and each Q-factor term P(v | predecessors) of an
-identified expression is read as P(v | S) off a marginal over v and a
-few neighbours S (Tian & Pearl 2002), so no table grows with the
-horizon.  A window that starts after t0 leaves the earlier slices
-latent; with dynamic confounders it is identified on its latent
-projection, and a term is reduced only where that is exact.
+longer lags (``unroll``, ``unrolled_scm``, ``classify`` and
+``dynamic_time_span`` still accept them).
+
+Every call reads the observational distribution from one forward pass
+(``_Forward``, the interface algorithm of Murphy 2002), whose per-slice
+tables come from one of two sources, chosen by the call's inputs.  The
+mechanism unrolled from t0 is the source when the spec has one, no p0 is
+given, and the spec is dynamic or has no schedule; its message carries
+the slice state and the confounders in flight.  Otherwise the source is
+the chain: p0 (the given one, else the mechanism's initial slice, else
+uniform) stepped by the transitions.  A p0 is refused for dynamic
+specs, because a slice state cannot carry the confounders in flight.
+Each term of an identified expression is read off a small marginal of
+the pass, so no table grows with the horizon and no window joint is
+built.  Only on the mechanism, whose distribution is Markov to the
+unrolled graph, is a Q-factor term P(v | predecessors) reduced to
+P(v | S) with S a few neighbours of v (Tian & Pearl 2002); a schedule is
+any chain, so its terms are read as they stand.  A window that starts
+after t0 leaves the earlier slices latent; with dynamic confounders it
+is identified on its latent projection, and a term is reduced only
+where that is exact.
 
 Every step is a conditional factor P(next | previous slice) over the
 unrolled names (``x@t``) of the two slices.  A pipeline takes its
@@ -28,12 +37,11 @@ Every pipeline follows one procedure.  The window lemma
 (``_window_left``) puts the left edge of an identification window one
 slice before the leftmost slice confounder-connected to X, and no later
 than t_x - 2.  The step conditional from slice t_x - 1 is identified on
-that window and applied to the observational state at t_x - 1, which
-one forward pass from t0 computes once per call.  One stepper
-(``_chain``) then applies one step per slice: the transition (static
-confounders) or a step conditional identified on the window from the
-same left edge through that slice (dynamic confounders, which keep
-disturbing later transitions).
+that window and applied to the observational state at t_x - 1.  One
+stepper (``_chain``) then applies one step per slice: the transition
+(static confounders) or a step conditional identified on the window
+from the same left edge through that slice (dynamic confounders, which
+keep disturbing later transitions).
 """
 
 from __future__ import annotations
@@ -51,17 +59,17 @@ from .errors import (InfiniteSpanError, InternalError, InvalidInputError,
                      UnsupportedTransportError, WindowTooSmallError)
 from .factors import (Factor, TransitionMatrix, condition, divide, equal_within,
                       marginalize, multiply)
-from .graphs import Admg, Var, ancestors, c_components, d_separated, mutilate
+from .graphs import (Admg, Var, _ancestors_in, _components_in, ancestors, c_components,
+                     d_separated, mutilate)
 from . import scm
-from .identify import (Expr, ObservedTerm, Product, Quotient, SumOver, _bind_effect,
-                       effect_factor, id_effect)
+from .identify import Expr, ObservedTerm, Product, Quotient, SumOver, _bind_effect, id_effect
 from .scm import Cpt, Exogenous, Scm, intervene, joint
 
 __all__ = [
     "DcnSpec", "DcnMechanism", "SliceCpt", "SliceExo",
-    "ConfounderClass", "DynamicTimeSpan", "GidWindow",
+    "ConfounderClass", "DynamicTimeSpan",
     "SelectionVar", "TransportSpec",
-    "classify", "unroll", "dynamic_time_span", "build_gid",
+    "classify", "unroll", "dynamic_time_span",
     "dcn_id_static", "dcn_id_dynamic", "cdcn_id_static", "cdcn_id_dynamic",
     "transport", "trajectory", "step_kernel_matrix", "slice_var_at",
     "random_dcn_spec",
@@ -473,58 +481,74 @@ def _to_template(spec: DcnSpec, f: Factor, t: int) -> Factor:
     return Factor._view(scope, f.table, f.partial).reorder(spec.names())
 
 
-def _slice_factor_at(spec: DcnSpec, f: Factor, t: int) -> Factor:
-    scope = tuple(Var(slice_var_at(v.name, t), v.domain) for v in f.scope)
-    return Factor._view(scope, f.table, f.partial)
-
-
 def _slice_names(spec: DcnSpec, t_left: int, t_right: int) -> list[str]:
     return [slice_var_at(n, t) for t in range(t_left, t_right + 1) for n in spec.names()]
 
 
 class _Forward:
-    """The observational distribution of one call's slices t0..t_end, from
-    the mechanism unrolled over them and the longest confounder lag
-    beyond (``unrolled_scm``) by a forward pass, as in Murphy's (2002)
-    interface algorithm.
+    """The observational distribution of one call's slices from t0 on, by
+    a forward pass, as in Murphy's (2002) interface algorithm.  The
+    call's inputs choose where the per-slice tables come from:
+
+    * the mechanism, unrolled over the call's slices and the longest
+      confounder lag beyond (``_unrolled_tables``), when the spec has
+      one, no p0 is given, and the spec is dynamic or has no schedule;
+    * otherwise the chain: p0 (the given one, else the mechanism's
+      initial slice, else uniform), then the transitions
+      (``_transitions``).
 
     The message at slice s is the joint of the slice-s variables and the
     confounders in flight there (feeding slice s or earlier and a later
-    slice); each message is one elimination from the one before.  A
+    slice); a mechanism message is one elimination from the one before,
+    a chain message the previous state stepped by ``_apply``.  A
     marginal over slices a..b continues the pass from the message at a,
     keeping its variables, so no table spans more than the kept
-    variables and two slices' interface.  The identified expressions of
-    dynamic steps are evaluated from small Q-factor marginals (``term``),
-    never from a window joint.  Messages, marginals and terms are cached
-    for the call."""
+    variables and two slices' interface.  Identified expressions are
+    evaluated from small marginals (``term``), never from a window
+    joint.  Messages, marginals and terms are cached for the call."""
 
-    def __init__(self, spec: DcnSpec, t0: int, t_end: int):
+    def __init__(self, spec: DcnSpec, schedule: Optional[Schedule], p0: Optional[Factor],
+                 t0: int, t_end: int):
+        self.trans = _transitions(spec, schedule)
+        self.spec, self.t0 = spec, t0
+        self.dynamic = not classify(spec).is_static
+        if p0 is not None and self.dynamic:
+            raise InvalidInputError("p0 is refused for a spec with dynamic confounders: a "
+                                    "slice state cannot carry the confounders in flight")
+        self.chain = (spec.mechanism is None or p0 is not None
+                      or (schedule is not None and not self.dynamic))
         # a confounder born by t_end keeps both its children, so the
         # message at a slice, and the slice's state, do not depend on t_end
         t_end += classify(spec).alpha_max
+        self.interface = [tuple(_slice_names(spec, t, t)) for t in range(t0, t_end + 1)]
+        self.vars = {n: Var(n, v.domain) for names in self.interface
+                     for n, v in zip(names, spec.slice_vars)}
+        self.domain = {n: v.domain for n, v in self.vars.items()}
+        self.rank = {n: i for i, n in enumerate(self.vars)}  # slice by slice
+        self.slice_of = {n: t for t, names in enumerate(self.interface, t0) for n in names}
+        self.marginals: dict[frozenset[str], Factor] = {}
+        self.terms: dict[ObservedTerm, Factor] = {}
+        if self.chain:
+            self.steps = _transition_steps(spec, self.trans)
+            if p0 is None:
+                p0 = (initial_distribution(spec, t0) if spec.mechanism is not None
+                      else Factor.uniform(spec.slice_vars))
+            self.states: list[Factor] = [p0.reorder(spec.names())]
+            return
         self.graph, cpts, exos = _unrolled_tables(spec, t0, t_end)
-        self.t0 = t0
-        self.domain = {v.name: v.domain for v in self.graph.vars}
         self.domain.update((var.name, var.domain) for var, _prior, _feeds in exos)
-        self.rank = {n: i for i, n in enumerate(self.graph.names())}  # slice by slice
-        self.slice_of = {n: t for t in range(t0, t_end + 1) for n in _slice_names(spec, t, t)}
         # per slice: priors of the confounders first feeding it, then its CPTs
         self.tables: list[list[tuple[tuple[str, ...], np.ndarray]]] = [
             [] for _ in range(t0, t_end + 1)]
-        flight: list[list[str]] = [[] for _ in range(t0, t_end + 1)]
         for var, prior, feeds in exos:
             fed = [self.slice_of[n] for n in feeds]
             self.tables[min(fed) - t0].append(((var.name,), np.asarray(prior, dtype=float)))
             for s in range(min(fed), max(fed)):
-                flight[s - t0].append(var.name)
+                self.interface[s - t0] += (var.name,)
         for name, (parents, exo_parents, table) in cpts.items():
             self.tables[self.slice_of[name] - t0].append((parents + exo_parents + (name,), table))
-        self.interface = [tuple(_slice_names(spec, t, t)) + tuple(flight[t - t0])
-                          for t in range(t0, t_end + 1)]
         # messages[s - t0 + 1] is the message at slice s; the first is the unit
         self.messages: list[tuple[tuple[str, ...], np.ndarray]] = [((), np.ones(()))]
-        self.marginals: dict[frozenset[str], Factor] = {}
-        self.terms: dict[ObservedTerm, Factor] = {}
         self.latent: dict[int, frozenset[frozenset[str]]] = {}
 
     def _contract(self, tables: Sequence[tuple[tuple[str, ...], np.ndarray]],
@@ -532,13 +556,34 @@ class _Forward:
         scm._check_cells(math.prod(self.domain[n] for n in out))
         return scm._contract(tables, out, self.domain)
 
+    def _tables(self, t: int) -> list[tuple[tuple[str, ...], np.ndarray]]:
+        """The tables slice t adds to the pass (t > t0)."""
+        if self.chain:
+            step = self.steps(t, self.spec.names())
+            return [(step.names(), step.table)]
+        return self.tables[t - self.t0]
+
     def message(self, s: int) -> tuple[tuple[str, ...], np.ndarray]:
+        if self.chain:
+            return self.interface[s - self.t0], self.state(s).table
         while len(self.messages) <= s - self.t0 + 1:
             t = self.t0 + len(self.messages) - 1
             out = self.interface[t - self.t0]
             self.messages.append(
                 (out, self._contract([self.messages[-1]] + self.tables[t - self.t0], out)))
         return self.messages[s - self.t0 + 1]
+
+    def state(self, t: int) -> Factor:
+        """P(V_t) over template names."""
+        spec = self.spec
+        if t < self.t0:
+            raise WindowTooSmallError(f"slice {t} precedes the initial slice {self.t0}")
+        if not self.chain:
+            return _to_template(spec, self.marginal(frozenset(_slice_names(spec, t, t))), t)
+        while len(self.states) <= t - self.t0:
+            s = self.t0 + len(self.states)
+            self.states.append(_apply(spec, self.steps(s, spec.names()), self.states[-1], s - 1, s))
+        return self.states[t - self.t0]
 
     def marginal(self, keep: frozenset[str]) -> Factor:
         """P(keep) over observed unrolled names, in unrolled order."""
@@ -552,11 +597,28 @@ class _Forward:
                         [n for s, _t in items for n in s if n in keep and self.slice_of[n] < t - 1]
                         + list(self.interface[t - 1 - self.t0])))
                     items = [(scope, self._contract(items, scope))]
-                items = items + self.tables[t - self.t0]
+                items = items + self._tables(t)
             out = tuple(sorted(keep, key=self.rank.__getitem__))
-            self.marginals[keep] = Factor([self.graph.var(n) for n in out],
-                                          self._contract(items, out))
+            self.marginals[keep] = Factor([self.vars[n] for n in out], self._contract(items, out))
         return self.marginals[keep]
+
+    def window(self, t_left: int, t_right: int) -> tuple[Admg, dict[tuple[str, int], str]]:
+        """The graph of the identification window t_left..t_right.
+
+        When it starts after t0 the slices before it are latent.  With
+        static confounders every C-component stays inside one slice, so
+        the left slice's factors are only ever used together, as P(V) of
+        that slice, and the window graph identifies exactly.  Dynamic
+        confounders join the left slice to later ones, so the window gets
+        the bidirected edges of its latent projection (``latent_edges``)."""
+        if self.dynamic and self.chain:
+            raise UnsupportedModelError("identification with dynamic confounders needs the "
+                                        "slice mechanism")
+        g, index = unroll(self.spec, t_left, t_right)
+        if not self.dynamic or t_left == self.t0:
+            return g, index
+        extra = frozenset(e for e in self.latent_edges(t_left) if all(n in g for n in e))
+        return Admg._trusted(g.vars, g.directed, g.bidirected | extra), index
 
     def latent_edges(self, t_left: int) -> frozenset[frozenset[str]]:
         """The bidirected edges that the slices before t_left add to a
@@ -568,18 +630,11 @@ class _Forward:
             return self.latent[t_left]
         g = self.graph
         latent = {n for n, t in self.slice_of.items() if t < t_left}
-        up: dict[str, set[str]] = {}
+        up: dict[str, frozenset[str]] = {}
         for w in self.slice_of:
-            if w in latent or not (g.parents_of(w) | g.siblings_of(w)) & latent:
-                continue
-            seen: set[str] = set()
-            stack = [p for p in g.parents_of(w) if p in latent]
-            while stack:
-                u = stack.pop()
-                if u not in seen:
-                    seen.add(u)
-                    stack.extend(g.parents_of(u))
-            up[w] = seen
+            if w not in latent and (g.parents_of(w) | g.siblings_of(w)) & latent:
+                # parents of latent slices are latent
+                up[w] = _ancestors_in(g, latent, g.parents_of(w) & latent)
         edges = set()
         for a, b in itertools.combinations(up, 2):
             reach_b = up[b] | {b}
@@ -591,43 +646,38 @@ class _Forward:
     def term(self, e: ObservedTerm) -> Factor:
         """P(outcome | given) of a do-free expression, from a small marginal.
 
-        A Q-factor term P(v | given) equals P(v | S), S = (T | Pa(T)) - {v}
-        with T the C-component of v in the graph of v and ``given`` (Tian
-        & Pearl 2002), when their distribution is Markov to that graph.
-        It is when they form an ancestral set of the unrolled graph with
-        no child of v in ``given``.  Otherwise (a window that starts
-        after t0 leaves the earlier slices latent) S is used only if it
-        d-separates v from the rest of ``given`` in the unrolled graph,
-        and all of ``given`` is kept if it does not."""
+        On the mechanism, a Q-factor term P(v | given) equals P(v | S),
+        S = (T | Pa(T)) - {v} with T the C-component of v in the graph of
+        v and ``given`` (Tian & Pearl 2002), when their distribution is
+        Markov to that graph.  It is when they form an ancestral set of
+        the unrolled graph with no child of v in ``given``.  Otherwise (a
+        window that starts after t0 leaves the earlier slices latent) S
+        is used only if it d-separates v from the rest of ``given`` in
+        the unrolled graph, and all of ``given`` is kept if it does not.
+        The chain need not be Markov to the unrolled graph (a schedule
+        is any chain), so its terms are never reduced."""
         if e not in self.terms:
-            if not e.given:
-                f = self.marginal(frozenset(e.outcome))
-            else:
-                (v,), given = e.outcome, frozenset(e.given)
+            given = frozenset(e.given)
+            if given and not self.chain:
+                (v,) = e.outcome
                 g = self.graph
                 inside = given | {v}
-                comp, stack = {v}, [v]
-                while stack:
-                    for w in g.siblings_of(stack.pop()):
-                        if w in inside and w not in comp:
-                            comp.add(w)
-                            stack.append(w)
+                comp = next(c for c in _components_in(g, inside) if v in c)
                 s = frozenset(comp.union(*(g.parents_of(u) for u in comp)) & given)
                 ancestral = (all(g.parents_of(u) <= inside for u in inside)
                              and not g.children_of(v) & given)
-                if not ancestral and not d_separated(g, {v}, given - s, s):
-                    s = given
-                f = self.marginal(s | {v})
-                f = condition(f, s) if s else f
-            self.terms[e] = f
+                if ancestral or d_separated(g, {v}, given - s, s):
+                    given = s
+            f = self.marginal(given | frozenset(e.outcome))
+            self.terms[e] = condition(f, given) if given else f
         return self.terms[e]
 
     def effect(self, expr: Expr, fixed: Mapping[str, int], outcome: frozenset[str]) -> Factor:
-        """``effect_factor(expr, window joint, fixed, outcome)`` without the
-        window joint: each term comes from ``term``, restricted at once to
-        the value ``_bind_effect`` gives its free variables (the intervened
-        values, 0 for a rule-3 auxiliary), and each sum over a product is
-        contracted one variable at a time, slice by slice."""
+        """``effect_factor(expr, observational joint, fixed, outcome)``
+        without the joint: each term comes from ``term``, restricted at
+        once to the value ``_bind_effect`` gives its free variables (the
+        intervened values, 0 for a rule-3 auxiliary), and each sum over a
+        product is contracted one variable at a time, slice by slice."""
 
         def sheet(e: Expr, summed: frozenset[str]) -> Factor:
             if isinstance(e, ObservedTerm):
@@ -662,80 +712,7 @@ class _Forward:
             items.append((out, self._contract(used, out)))
         out = tuple(sorted({m for scope, _t in items for m in scope}, key=self.rank.__getitem__))
         table = self._contract([((), np.asarray(scale))] + items, out)
-        return Factor([self.graph.var(m) for m in out], table,
-                      any(f.partial for f in factors))
-
-
-class _Observations:
-    """What one pipeline call through slice t_end reads of the
-    observational distribution: the slice states P(V_t) over template
-    names, and the value of an identified effect on a window.
-
-    Static specs step p0 (the mechanism's initial slice, or uniform) by
-    the transitions and evaluate on the window joint those chain from the
-    state at its left edge (the slices are first-order Markov).  Dynamic
-    specs evaluate from the mechanism's forward pass (``_Forward``), which
-    also gives their slice states unless p0 is given."""
-
-    def __init__(self, spec: DcnSpec, trans: Optional[Transitions], p0: Optional[Factor],
-                 t0: int, t_end: int):
-        self.spec, self.trans, self.t0, self.t_end = spec, trans, t0, t_end
-        self.static = classify(spec).is_static
-        self.p0 = p0
-        self.chained: list[Factor] = []
-        self._forward: Optional[_Forward] = None
-
-    @property
-    def forward(self) -> _Forward:
-        if self._forward is None:
-            self._forward = _Forward(self.spec, self.t0, self.t_end)
-        return self._forward
-
-    def state(self, t: int) -> Factor:
-        spec = self.spec
-        if t < self.t0:
-            raise WindowTooSmallError(f"slice {t} precedes the initial slice {self.t0}")
-        if self.p0 is None and spec.mechanism is not None and not self.static:
-            return _to_template(spec, self.forward.marginal(frozenset(_slice_names(spec, t, t))), t)
-        if not self.chained:
-            p0 = self.p0
-            if p0 is None:
-                p0 = (initial_distribution(spec, self.t0) if spec.mechanism is not None
-                      else Factor.uniform(spec.slice_vars))
-            self.chained.append(p0.reorder(spec.names()))
-        last = self.t0 + len(self.chained) - 1
-        if t > last:
-            more = _chain(spec, self.chained[-1], last, t, _transition_steps(spec, self.trans))
-            assert more is not None  # transition steps always exist
-            self.chained += more[1:]
-        return self.chained[t - self.t0]
-
-    def window(self, t_left: int, t_right: int) -> tuple[Admg, dict[tuple[str, int], str]]:
-        """The graph of the identification window t_left..t_right.
-
-        When it starts after t0 the slices before it are latent.  With
-        static confounders every C-component stays inside one slice, so
-        the left slice's factors are only ever used together, as P(V) of
-        that slice, and the window graph identifies exactly.  Dynamic
-        confounders join the left slice to later ones, so the window gets
-        the bidirected edges of its latent projection (``latent_edges``)."""
-        g, index = unroll(self.spec, t_left, t_right)
-        if self.static or t_left == self.t0:
-            return g, index
-        extra = frozenset(e for e in self.forward.latent_edges(t_left) if all(n in g for n in e))
-        return Admg._trusted(g.vars, g.directed, g.bidirected | extra), index
-
-    def effect(self, expr: Expr, t_left: int, t_right: int, fixed: Mapping[str, int],
-               outcome: frozenset[str]) -> Factor:
-        """The identified effect ``expr`` on the window of slices
-        t_left..t_right, bound as ``effect_factor`` binds it."""
-        if not self.static:
-            return self.forward.effect(expr, fixed, outcome)
-        if self.trans is None:
-            raise UnsupportedModelError("a static spec needs a transition schedule or a "
-                                        "slice mechanism")
-        j = _window_joint(self.spec, t_left, t_right, self.trans, self.state(t_left))
-        return effect_factor(expr, j, fixed, outcome)
+        return Factor([self.vars[m] for m in out], table, any(f.partial for f in factors))
 
 
 def observational_marginal(
@@ -746,31 +723,10 @@ def observational_marginal(
     t0: int,
 ) -> Factor:
     """P(V_t) without intervention, over template variable names."""
-    return _Observations(spec, _transitions(spec, schedule), p0, t0, t).state(t)
-
-
-def _window_joint(spec: DcnSpec, t_left: int, t_right: int, trans: Transitions,
-                  state: Factor) -> Factor:
-    """Observational joint over the window slices of a static spec, in
-    unrolled names: the transitions multiplied onto ``state``, P(V) at
-    the window's left edge (the slices are first-order Markov)."""
-    out = _slice_factor_at(spec, state, t_left)
-    for t in range(t_left + 1, t_right + 1):
-        out = multiply(out, trans(t))
-    return out
+    return _Forward(spec, schedule, p0, t0, t).state(t)
 
 
 # -- windows ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GidWindow:
-    """Slice window sufficient for identification (graph plus bounds)."""
-
-    t_start: int
-    t_end: int
-    graph: Admg
-    index: Mapping[tuple[str, int], str]
 
 
 def _window_left(spec: DcnSpec, x: Iterable[str], t_x: int, t0: Optional[int]) -> int:
@@ -784,16 +740,6 @@ def _window_left(spec: DcnSpec, x: Iterable[str], t_x: int, t0: Optional[int]) -
     assert back.slices is not None
     left = min(t_x - back.slices - 1, t_x - 2)
     return left if t0 is None else max(t0, left)
-
-
-def build_gid(spec: DcnSpec, t_x: int, t_y: int) -> GidWindow:
-    """Window per the identification lemma for an intervention on any
-    slice variable, through t_y."""
-    if t_x >= t_y:
-        raise InvalidInputError("t_x must precede t_y")
-    t_start = _window_left(spec, spec.names(), t_x, None)
-    g, index = unroll(spec, t_start, t_y)
-    return GidWindow(t_start, t_y, g, index)
 
 
 # -- steps and the stepper -------------------------------------------------
@@ -858,7 +804,7 @@ def _restrict_transition(spec: DcnSpec, f: Factor, t: int,
 
 def _identified_kernel(spec: DcnSpec, x: Mapping[str, int], t_x: int, t_left: int,
                        prev_slice: int, prev_vars: Sequence[str], next_slice: int,
-                       next_vars: Sequence[str], obs: _Observations) -> Optional[Factor]:
+                       next_vars: Sequence[str], obs: _Forward) -> Optional[Factor]:
     """ID the conditional P(next_vars | prev_vars, do(X)) on the graph of
     slices t_left..next_slice and evaluate it on their observational
     distribution."""
@@ -870,7 +816,7 @@ def _identified_kernel(spec: DcnSpec, x: Mapping[str, int], t_x: int, t_left: in
     if not result.identified:
         return None
     assert result.expr is not None
-    return condition(obs.effect(result.expr, t_left, next_slice, targets, outcome), prev_names)
+    return condition(obs.effect(result.expr, targets, outcome), prev_names)
 
 
 def _transition_steps(spec: DcnSpec, trans: Optional[Transitions],
@@ -888,7 +834,7 @@ def _transition_steps(spec: DcnSpec, trans: Optional[Transitions],
 
 
 def _identified_steps(spec: DcnSpec, window_left: int, x: Mapping[str, int], t_x: int,
-                      obs: _Observations,
+                      obs: _Forward,
                       keep: Optional[Mapping[int, Sequence[str]]] = None) -> StepSource:
     """Identifies every step: P(keep[t] | previous slice, do(X)) on the
     window (window_left, t) (every slice variable when keep is None)."""
@@ -898,7 +844,7 @@ def _identified_steps(spec: DcnSpec, window_left: int, x: Mapping[str, int], t_x
 
 
 def _post_intervention(spec: DcnSpec, x: Mapping[str, int], t_x: int, window_left: int,
-                       t_first: int, t_end: int, obs: _Observations, dynamic: bool,
+                       t_first: int, t_end: int, obs: _Forward, dynamic: bool,
                        keep: Optional[Mapping[int, Sequence[str]]] = None,
                        fallback: Callable[[], Optional[Factor]] = lambda: None,
                        ) -> Optional[list[Factor]]:
@@ -938,7 +884,7 @@ def step_kernel_matrix(
     observational probability (the conditional is vacuous elsewhere);
     None when the step query has a hedge.
     """
-    obs = _Observations(spec, _transitions(spec, T), p0, t0, t_x + 1)
+    obs = _Forward(spec, T, p0, t0, t_x + 1)
     names = spec.names()
     kern = _identified_kernel(spec, x, t_x, _window_left(spec, x, t_x, t0), t_x - 1, names,
                               t_x + 1, names, obs)
@@ -996,15 +942,8 @@ def _effect(spec: DcnSpec, x: Mapping[str, int], t_x: int, y: Iterable[str], t_y
     dynamic time span of X."""
     ys = frozenset(y)
     _validate_query(spec, x, ys, t_x, t_y, t0)
-    trans = _transitions(spec, schedule)
-    if dynamic:
-        if spec.mechanism is None:
-            raise UnsupportedModelError("dynamic identification needs the slice mechanism "
-                                        "for exact observational terms")
-    elif not classify(spec).is_static:
+    if not dynamic and not classify(spec).is_static:
         raise UnsupportedModelError("this algorithm requires static confounders only")
-    elif trans is None:
-        raise InvalidInputError("either a transition matrix or a mechanism is required")
 
     w_left = _window_left(spec, x, t_x, t0)  # InfiniteSpanError on an infinite span
     jump_to = t_x + 1
@@ -1015,7 +954,7 @@ def _effect(spec: DcnSpec, x: Mapping[str, int], t_x: int, y: Iterable[str], t_y
             raise UnsupportedQueryError("the outcome slice lies inside the dynamic time span")
         jump_to = t_x + span + 1
     keep = _ancestor_slices(spec, ys, t_y, w_left) if complete else None
-    obs = _Observations(spec, trans, p0, t0, t_y)
+    obs = _Forward(spec, schedule, p0, t0, t_y)
     if keep is not None and not keep[jump_to]:
         # X cannot influence Y: the effect is the observational marginal
         state = obs.state(t_y)
@@ -1119,7 +1058,7 @@ def trajectory(
     same left edge (dynamic confounders)."""
     if horizon < t0:
         raise InvalidInputError("horizon precedes t0")
-    obs = _Observations(spec, _transitions(spec, T_schedule), p0, t0, horizon)
+    obs = _Forward(spec, T_schedule, p0, t0, horizon)
     if intervention is None:
         return [obs.state(t) for t in range(t0, horizon + 1)]
     x, t_x = intervention
@@ -1140,7 +1079,7 @@ def trajectory(
     out.append(multiply(at_tx, point).reorder(spec.names()))
     if t_x == horizon:
         return out
-    post = _post_intervention(spec, x, t_x, w_left, t_x + 1, horizon, obs, dynamic=not obs.static)
+    post = _post_intervention(spec, x, t_x, w_left, t_x + 1, horizon, obs, dynamic=obs.dynamic)
     if post is None:
         raise UnsupportedQueryError("a post-intervention step conditional is not identifiable")
     return out + post

@@ -651,7 +651,7 @@ class TestPredictionCaches:
         real_id, real_eval, real_bind = alcam.id_effect, alcam.evaluate, alcam._bind_effect
 
         def id_spy(g, x, y):
-            calls["id_effect"].append((g, tuple(x), tuple(y)))
+            calls["id_effect"].append((g.induced(ancestors(g, y)), tuple(x), tuple(y)))
             return real_id(g, x, y)
 
         def eval_spy(expr, p):

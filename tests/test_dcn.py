@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from docalc.dcn import (DcnMechanism, DcnSpec, SelectionVar, TransportSpec, build_gid,
+from docalc.dcn import (DcnMechanism, DcnSpec, SelectionVar, TransportSpec, _window_left,
                         cdcn_id_dynamic, cdcn_id_static, classify,
                         dcn_id_dynamic, dcn_id_static, dynamic_time_span,
                         initial_distribution, mechanism_transition,
@@ -13,8 +13,9 @@ from docalc.dcn import (DcnMechanism, DcnSpec, SelectionVar, TransportSpec, buil
 from docalc.errors import (InvalidInputError, UnsupportedModelError, UnsupportedQueryError,
                            UnsupportedTransportError,
                            WindowTooSmallError)
-from docalc.factors import Factor, TransitionMatrix, condition, equal_within, marginalize
-from docalc.graphs import Var, find_hedge
+from docalc.factors import (Factor, TransitionMatrix, condition, equal_within, marginalize,
+                            multiply)
+from docalc.graphs import Var, ancestors, find_hedge
 from docalc.identify import effect_factor, id_effect
 from docalc import scm
 from docalc.scm import InterventionSpec, intervene, joint, oracle_query
@@ -50,12 +51,69 @@ def post_intervention_slices(spec, x, t_x, names, t):
     return joint(m, [slice_var_at(n, t) for n in names])
 
 
+def chain_window_joint(spec, matrices, t_left, t_right):
+    """P(V@t_left..V@t_right) of the chain that ``matrices`` drive from a
+    uniform slice 0 (``matrices[t]`` leads from slice t to t + 1): the
+    observational state at t_left times each transition after it."""
+    state = observational_marginal(spec, t_left, matrices, None, 0)
+    out = Factor([Var(slice_var_at(v.name, t_left), v.domain) for v in state.scope], state.table)
+    for t in range(t_left + 1, t_right + 1):
+        scope = [Var(slice_var_at(v.name, s), v.domain) for s in (t, t - 1)
+                 for v in spec.slice_vars]
+        out = multiply(out, Factor(scope, matrices[t - 1].matrix.reshape([v.domain for v in scope])))
+    return out
+
+
 def dyn_spec(cross_confounders, seed=0, n_vars=2):
     bare = random_dcn_spec(np.random.default_rng(seed), n_vars=n_vars,
                            n_static_conf=0, n_dynamic_conf=0)
     spec = DcnSpec(bare.slice_vars, bare.intra_edges, bare.cross_edges,
                    (), tuple(cross_confounders))
     return random_mechanism_for(spec, np.random.default_rng(seed + 1))
+
+
+def _pipelines_match_unrolled_oracle(kind, t_x):
+    """Random specs with static or dynamic confounders (``kind``): the
+    kind's dcn and cdcn pipelines and every slice of the trajectory agree
+    with the unrolled post-intervention joint whenever they identify the
+    query; returns how many of each identified it."""
+    dynamic = kind == "dynamic"
+    dcn, cdcn = (dcn_id_dynamic, cdcn_id_dynamic) if dynamic else (dcn_id_static, cdcn_id_static)
+    identified = {"dcn": 0, "cdcn": 0, "trajectory": 0}
+    for seed in range(150):
+        rng = np.random.default_rng(seed)
+        n_vars = int(rng.integers(2, 4))
+        spec = random_dcn_spec(rng, n_vars=n_vars,
+                               n_static_conf=int(rng.integers(0, 2)),
+                               n_dynamic_conf=int(rng.integers(1, 3)) if dynamic else 0)
+        if dynamic_time_span(spec, spec.names()).is_infinite:
+            continue
+        names = spec.names()
+        xv = names[int(rng.integers(n_vars))]
+        yv = names[int(rng.integers(n_vars))]
+        x = {xv: int(rng.integers(2))}
+        t_y = t_x + (int(rng.integers(5, 7)) if n_vars == 2 else 5) - 2
+        want = post_intervention_slices(spec, x, t_x, [yv], t_y)
+        got = dcn(spec, x, t_x, {yv}, t_y, None, None, 0)
+        if got is not None:
+            identified["dcn"] += 1
+            assert np.max(np.abs(got.reorder([yv]).table - want.table)) < 1e-9
+        try:
+            got = cdcn(spec, x, t_x, {yv}, t_y, None, None, 0)
+        except UnsupportedQueryError:  # outcome inside the dynamic time span
+            got = None
+        if got is not None:
+            identified["cdcn"] += 1
+            assert np.max(np.abs(got.reorder([yv]).table - want.table)) < 1e-9
+        try:
+            series = trajectory(spec, None, None, (x, t_x), t_y)
+        except UnsupportedQueryError:
+            continue
+        identified["trajectory"] += 1
+        for t, f in enumerate(series):
+            ref = post_intervention_slices(spec, x, t_x, names, t)
+            assert np.max(np.abs(f.reorder(names).table - ref.table)) < 1e-9
+    return identified
 
 
 class TestClassify:
@@ -205,21 +263,22 @@ class TestDynamicTimeSpan:
         assert got == want == 2
 
 
-class TestBuildGid:
+class TestWindowLeft:
     def test_static_window(self):
-        w = build_gid(traffic_spec(), 5, 9)
-        assert (w.t_start, w.t_end) == (3, 9)
+        spec = traffic_spec()
+        assert _window_left(spec, spec.names(), 5, None) == 3
 
     def test_backward_confounder_extends_window(self):
         spec = DcnSpec((Var("a"), Var("b"), Var("c")), (), (("a", "a", 1),),
                        (), (("a", "b", 1), ("b", "c", 1)))
-        w = build_gid(spec, 5, 7)
         # c at t is reachable backward over two confounder hops
-        assert w.t_start == 5 - 2 - 1
+        assert _window_left(spec, spec.names(), 5, None) == 5 - 2 - 1
 
     def test_minimal_window(self):
-        w = build_gid(traffic_spec(), 5, 6)
-        assert (w.t_start, w.t_end) == (3, 6)
+        """No confounder reach: the window starts at t_x - 2, or at t0
+        when that is later."""
+        assert _window_left(traffic_spec(), ["d"], 5, None) == 3
+        assert _window_left(traffic_spec(), ["d"], 5, 4) == 4
 
 
 class TestTrafficExperiment:
@@ -339,6 +398,51 @@ class TestStaticIdentification:
         g, index = unroll(spec, 0, 4)
         assert find_hedge(g, {index[("a", 2)]}, {index[("b", 4)]}) is not None
 
+    def test_static_pipelines_match_unrolled_oracle_late_window(self):
+        """With t_x = 5 the windows start after t0 and leave the slices
+        before them latent.  Every static C-component stays inside one
+        slice, so the window graph identifies exactly, and the terms read
+        off the mechanism are reduced by the graph unrolled from t0."""
+        assert min(_pipelines_match_unrolled_oracle("static", 5).values()) >= 100
+
+    def test_random_schedule_evaluates_on_the_window_joint(self, traffic):
+        """A schedule is any chain, not Markov to the unrolled graph, so
+        the terms read off the chain must not be reduced: the step kernel
+        and the complete pipeline equal the identified step evaluated on
+        the window joint of the chain, P(keep@t_x+1 | V@t_x-1, do(X))
+        applied to the state at t_x - 1."""
+        spec = traffic[0]
+        rng = np.random.default_rng(77)
+        sched = [TransitionMatrix(spec.slice_vars, rng.dirichlet(np.ones(8), size=8).T)
+                 for _ in range(8)]
+        t_x = 4
+        for x in ({"tr1": 0}, {"tr2": 1}, {"d": 1}):
+            t_left = _window_left(spec, x, t_x, 0)
+            joint_w = chain_window_joint(spec, sched, t_left, t_x + 1)
+            g, index = unroll(spec, t_left, t_x + 1)
+            tgt = {index[(n, t_x)]: v for n, v in x.items()}
+            prev = [index[(n, t_x - 1)] for n in spec.names()]
+
+            def kernel(keep):
+                outcome = frozenset(keep) | frozenset(prev)
+                res = id_effect(g, frozenset(tgt), outcome)
+                assert res.identified
+                return condition(effect_factor(res.expr, joint_w, tgt, outcome), prev)
+
+            matrix, reachable = step_kernel_matrix(spec, x, t_x, sched, None, 0)
+            nxt = [index[(n, t_x + 1)] for n in spec.names()]
+            want = kernel(nxt).reorder(nxt + prev).table.reshape(8, 8)
+            assert reachable.all()
+            assert np.max(np.abs(matrix - want)) < 1e-12
+
+            state = chain_window_joint(spec, sched, t_x - 1, t_x - 1)
+            for yv in spec.names():
+                y_at = index[(yv, t_x + 1)]
+                post = multiply(kernel(ancestors(g, {y_at}) & set(nxt)), state)
+                want_y = marginalize(post, [n for n in post.names() if n != y_at])
+                got = cdcn_id_static(spec, x, t_x, {yv}, t_x + 1, sched, None, 0)
+                assert np.max(np.abs(got.table - want_y.table)) < 1e-12
+
     def test_window_too_small(self):
         spec = traffic_spec(traffic_mechanism())
         t = mechanism_transition(spec)
@@ -382,50 +486,8 @@ class TestDynamicIdentification:
             assert got is not None
             assert np.max(np.abs(got.reorder(["V1"]).table - want.table)) < 1e-9
 
-    @staticmethod
-    def _pipelines_match_unrolled_oracle(t_x):
-        """Random dynamic specs: dcn_id_dynamic, cdcn_id_dynamic and every
-        slice of the trajectory agree with the unrolled post-intervention
-        joint whenever they identify the query; returns how many of each
-        identified it."""
-        identified = {"dcn": 0, "cdcn": 0, "trajectory": 0}
-        for seed in range(150):
-            rng = np.random.default_rng(seed)
-            n_vars = int(rng.integers(2, 4))
-            spec = random_dcn_spec(rng, n_vars=n_vars,
-                                   n_static_conf=int(rng.integers(0, 2)),
-                                   n_dynamic_conf=int(rng.integers(1, 3)))
-            if dynamic_time_span(spec, spec.names()).is_infinite:
-                continue
-            names = spec.names()
-            xv = names[int(rng.integers(n_vars))]
-            yv = names[int(rng.integers(n_vars))]
-            x = {xv: int(rng.integers(2))}
-            t_y = t_x + (int(rng.integers(5, 7)) if n_vars == 2 else 5) - 2
-            want = post_intervention_slices(spec, x, t_x, [yv], t_y)
-            got = dcn_id_dynamic(spec, x, t_x, {yv}, t_y, None, None, 0)
-            if got is not None:
-                identified["dcn"] += 1
-                assert np.max(np.abs(got.reorder([yv]).table - want.table)) < 1e-9
-            try:
-                got = cdcn_id_dynamic(spec, x, t_x, {yv}, t_y, None, None, 0)
-            except UnsupportedQueryError:  # outcome inside the dynamic time span
-                got = None
-            if got is not None:
-                identified["cdcn"] += 1
-                assert np.max(np.abs(got.reorder([yv]).table - want.table)) < 1e-9
-            try:
-                series = trajectory(spec, None, None, (x, t_x), t_y)
-            except UnsupportedQueryError:
-                continue
-            identified["trajectory"] += 1
-            for t, f in enumerate(series):
-                ref = post_intervention_slices(spec, x, t_x, names, t)
-                assert np.max(np.abs(f.reorder(names).table - ref.table)) < 1e-9
-        return identified
-
     def test_dynamic_pipelines_match_unrolled_oracle(self):
-        assert min(self._pipelines_match_unrolled_oracle(2).values()) >= 20
+        assert min(_pipelines_match_unrolled_oracle("dynamic", 2).values()) >= 20
 
     def test_dynamic_pipelines_match_unrolled_oracle_late_window(self):
         """The same with t_x = 5, so that the windows start after t0 and
@@ -433,7 +495,7 @@ class TestDynamicIdentification:
         then not Markov to its own graph: the steps must be identified on
         its latent projection, and a Q-factor term reduced only where
         d-separation in the graph unrolled from t0 allows it."""
-        assert min(self._pipelines_match_unrolled_oracle(5).values()) >= 20
+        assert min(_pipelines_match_unrolled_oracle("dynamic", 5).values()) >= 20
 
     def test_second_order_confounders_match_unrolled_oracle(self):
         """A confounder of lag 2 stays in flight across two slice
@@ -457,6 +519,36 @@ class TestDynamicIdentification:
                     ref = post_intervention_slices(spec, x, t_x, names, t)
                     assert np.max(np.abs(f.reorder(names).table - ref.table)) < 1e-9
         assert identified >= 20
+
+    def test_p0_refused(self):
+        """A slice state cannot carry the confounders in flight, so no p0
+        can start a spec with dynamic confounders, not even the
+        mechanism's own slice-0 state."""
+        spec = sweep_spec()
+        p0 = observational_marginal(spec, 0, None, None, 0)
+        calls = [
+            lambda: trajectory(spec, None, p0, ({"V1": 1}, 1), 3),
+            lambda: trajectory(spec, None, p0, ({"V1": 1}, 2), 3),
+            lambda: trajectory(spec, None, p0, None, 3),
+            lambda: dcn_id_dynamic(spec, {"V1": 1}, 2, {"V3"}, 4, None, p0, 0),
+            lambda: observational_marginal(spec, 2, None, p0, 0),
+        ]
+        for call in calls:
+            with pytest.raises(InvalidInputError, match="confounders in flight"):
+                call()
+
+    def test_steps_need_the_mechanism(self):
+        """Without its mechanism a dynamic spec's observational slices
+        come from the chain of its schedule, but no step is identified on
+        them: the chain does not carry the confounders in flight."""
+        spec = replace(sweep_spec(), mechanism=None)
+        tm = TransitionMatrix(spec.slice_vars, np.full((8, 8), 1 / 8))
+        assert len(trajectory(spec, tm, None, None, 3)) == 4
+        for call in (lambda: trajectory(spec, tm, None, ({"V1": 1}, 2), 4),
+                     lambda: dcn_id_dynamic(spec, {"V1": 1}, 2, {"V3"}, 4, tm, None, 0),
+                     lambda: cdcn_id_dynamic(spec, {"V1": 1}, 2, {"V3"}, 4, tm, None, 0)):
+            with pytest.raises(UnsupportedModelError, match="slice mechanism"):
+                call()
 
     def test_outcome_inside_span_rejected(self):
         spec = dyn_spec([("V1", "V2", 1)], seed=7)
@@ -513,9 +605,10 @@ class TestTrajectory:
             assert np.array_equal(base[t].table, bumped[t].table)
 
     def test_slices_before_intervention_untouched_without_schedule(self):
-        """A static spec given only by its mechanism chains the mechanism's
-        transition matrix: the prefix is the unintervened trajectory bit for
-        bit, and a late intervention needs no unrolled window from t0."""
+        """A static spec given only by its mechanism reads its slices off
+        the forward pass over the mechanism: the prefix is the unintervened
+        trajectory bit for bit, and the whole trajectory agrees with the
+        chain of the mechanism's transition matrix."""
         spec = traffic_spec(traffic_mechanism())
         base = trajectory(spec, None, None, None, 12)
         bumped = trajectory(spec, None, None, ({"tr1": 1}, 10), 12)
@@ -719,7 +812,6 @@ class TestPaperSeries:
     def test_printed_alpha_expression_agrees(self, traffic):
         """The published closed form for the four-slice step query evaluates
         to the same conditionals as the identification pipeline."""
-        from docalc.dcn import _Observations, _transitions, _window_joint
         from docalc.identify import ObservedTerm, Product, Quotient, SumOver, evaluate
 
         spec, t1, _t2, _ts = traffic
@@ -743,9 +835,7 @@ class TestPaperSeries:
                 )),
             ),
         )
-        trans = _transitions(spec, t1)
-        joint12 = _window_joint(spec, 1, 4, trans,
-                                _Observations(spec, trans, None, 0, 1).state(1))
+        joint12 = chain_window_joint(spec, [t1] * 4, 1, 4)
         for val in (0, 1):
             got = evaluate(alpha, joint12).restrict({v[7]: val})
             got = got.reorder([v[10], v[11], v[12], v[4], v[5], v[6]])
@@ -798,7 +888,7 @@ class TestFirstOrderSlices:
         assert (index[("b", 1)], index[("a", 3)]) in g.directed
         assert len(unrolled_scm(spec, 0, 4).graph.vars) == 10
         assert classify(spec).beta == 2
-        assert build_gid(spec, 3, 5).t_end == 5
+        assert _window_left(spec, spec.names(), 3, None) == 1
         assert not dynamic_time_span(spec, ["a"]).is_infinite
 
 
