@@ -5,12 +5,16 @@ performs the cheapest single-value interventions that split the
 candidate set; phase 2 settles the remaining edge and hidden-confounder
 differences with exact conditional-independence tests.
 
-Every verdict comes from one place: ``PredictionTable.verdicts(e)``
-stacks each candidate's prediction for experiment ``e`` and classifies
-all candidate pairs into the seven-case table at once, giving an
-(n, n) boolean matrix that is computed once per experiment and cached.
+Every verdict comes from one place: ``PredictionTable.verdicts(e)``,
+an (n, n) boolean matrix over the candidates.  It is a read-only slice
+of one (values, n, n) tensor per group of experiments that share sorted
+targets and sorted observed: each distinct evaluated sheet of the group
+is bound to every value assignment at once with numpy indexing, and all
+candidate pairs are classified into the seven-case table in one
+broadcast.  Sheets are evaluated with a memo of every subexpression, so
+a Q-factor term shared by many expressions is computed once per table.
 The partition, the splitting plan's coverage, the next-experiment
-selection and ``power_of_intervention`` all read that matrix;
+selection and ``power_of_intervention`` all read the verdict matrices;
 ``distinguishable_by`` classifies a single pair with the same table.
 
 Prediction precomputation is embarrassingly parallel over (experiment,
@@ -23,6 +27,7 @@ experiments included, is serialized through a single
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -32,7 +37,7 @@ from .errors import (InternalError, InvalidInputError, PartialSupportError,
                      PromiseViolationError)
 from .factors import EPS_CMP, Factor, equal_within, marginalize
 from .graphs import Admg, ancestors, d_separated, mutilate
-from .identify import Expr, Prediction, _bind_effect, evaluate, id_effect
+from .identify import Expr, Prediction, _bind_effect, _eval, id_effect
 from .scm import InterventionOracle, InterventionSpec, Scm, joint
 
 __all__ = [
@@ -154,25 +159,35 @@ def enumerate_interventions(g: Admg, caps: InterventionCaps = InterventionCaps()
 class PredictionTable:
     """Cache of do-calculus predictions for every (experiment, graph) pair.
 
-    Identification depends only on (graph, X, Y); the evaluated sheet is
-    cached once per such triple and sliced per value assignment.  Line 2
-    of ID reduces the triple to the ancestral subproblem
-    (G[An(Y)], X & An(Y), Y), which many candidates share, so each
-    distinct subproblem is identified once and each distinct expression
-    evaluated once; each sheet is bound once per experiment.  Every cache
-    lives and dies with the table.  Every verdict the discovery loop uses
-    comes from :meth:`verdicts`, one matrix per experiment.
+    Identification depends only on (graph, X, Y).  Line 2 of ID reduces
+    the triple to the ancestral subproblem (G[An(Y)], X & An(Y), Y), which
+    many candidates share, so each distinct subproblem is identified once.
+    Every subexpression of every identified expression is evaluated once:
+    the Q-factor terms P(v | predecessors) recur across expressions, and
+    the memo is keyed by expression value.  The evaluated sheet of a
+    (graph, X, Y) triple covers every value assignment of X.
+
+    Verdicts are computed per group, the experiments that share sorted
+    targets and sorted observed: the distinct sheets of the candidates are
+    bound to every value assignment at once, classified pairwise, and
+    expanded into one read-only (values, n, n) tensor; :meth:`verdicts`
+    returns its slice for one experiment.  :meth:`prediction` binds a
+    single sheet for ``select_graphs`` and the public API.  Every cache
+    lives and dies with the table.
     """
 
     def __init__(self, candidates: CandidateSet, p_star: Factor, eps: float = EPS_CMP):
         self.candidates = candidates
         self.p_star = p_star
         self.eps = eps
+        # (graph, observed) -> (An(Y), index of the distinct G[An(Y)])
+        self._ancestral: dict[tuple[int, tuple[str, ...]], tuple[frozenset[str], int]] = {}
+        self._subgraphs: dict[tuple, int] = {}
         self._sheets: dict[tuple[int, tuple[str, ...], tuple[str, ...]], Optional[Factor]] = {}
         self._exprs: dict[tuple, Optional[Expr]] = {}
         self._evaluated: dict[Expr, Factor] = {}
         self._marginals: dict[tuple[str, ...], Factor] = {}
-        self._verdicts: dict[tuple, np.ndarray] = {}
+        self._tensors: dict[tuple[tuple[str, ...], tuple[str, ...]], np.ndarray] = {}
         self._predictions: dict[tuple[int, tuple], Prediction] = {}  # (id(sheet), e.key())
 
     def observational_marginal(self, observed: Iterable[str]) -> Factor:
@@ -191,21 +206,23 @@ class PredictionTable:
         key = (g_idx, targets, observed)
         if key not in self._sheets:
             g = self.candidates.graphs[g_idx]
-            an = ancestors(g, observed)
+            if (g_idx, observed) not in self._ancestral:
+                an = ancestors(g, observed)
+                # the parts of G[An(Y)], all that graph equality compares;
+                # An(Y) is ancestral, so it holds every parent of its
+                # members.  Line 2 of ID reduces to that subproblem on its
+                # own, so no subgraph is built.
+                parts = (tuple(v for v in g.vars if v.name in an),
+                         frozenset(e for e in g.directed if e[1] in an),
+                         frozenset(p for p in g.bidirected if p <= an))
+                sub = self._subgraphs.setdefault(parts, len(self._subgraphs))
+                self._ancestral[g_idx, observed] = (an, sub)
+            an, sub = self._ancestral[g_idx, observed]
             x = tuple(n for n in targets if n in an)
-            # keyed on the parts of G[An(Y)], all that graph equality
-            # compares; An(Y) is ancestral, so it holds every parent of its
-            # members.  Line 2 of ID reduces to that subproblem on its own,
-            # so no subgraph is built.
-            parts = (tuple(v for v in g.vars if v.name in an),
-                     frozenset(e for e in g.directed if e[1] in an),
-                     frozenset(p for p in g.bidirected if p <= an), x, observed)
-            if parts not in self._exprs:
-                self._exprs[parts] = id_effect(g, x, observed).expr
-            expr = self._exprs[parts]
-            if expr is not None and expr not in self._evaluated:
-                self._evaluated[expr] = evaluate(expr, self.p_star)
-            self._sheets[key] = None if expr is None else self._evaluated[expr]
+            if (sub, x, observed) not in self._exprs:
+                self._exprs[sub, x, observed] = id_effect(g, x, observed).expr
+            expr = self._exprs[sub, x, observed]
+            self._sheets[key] = None if expr is None else _eval(expr, self.p_star, self._evaluated)
         return self._sheets[key]
 
     def prediction(self, g_idx: int, e: InterventionSpec) -> Prediction:
@@ -213,7 +230,8 @@ class PredictionTable:
         share a sheet share its binding, so each (sheet, experiment) is
         bound once; a sheet lives as long as the table, so its id is a
         key for that long."""
-        sheet = self._sheet(g_idx, tuple(sorted(e.targets)), tuple(sorted(e.observed)))
+        targets, _values, observed = e.key()
+        sheet = self._sheet(g_idx, targets, observed)
         if sheet is None:
             return Prediction(None)
         key = (id(sheet), e.key())
@@ -223,20 +241,66 @@ class PredictionTable:
 
     def verdicts(self, e: InterventionSpec) -> np.ndarray:
         """Read-only (n, n) boolean matrix: entry (k, l) says whether
-        ``e`` distinguishes candidates k and l.  Computed once per
-        experiment from every candidate's prediction stacked over the
-        sorted observed scope."""
-        key = e.key()
-        if key not in self._verdicts:
-            py = self.observational_marginal(e.observed)
-            dists = [self.prediction(k, e).dist for k in range(len(self.candidates.graphs))]
-            rows, ident, partial, py_row = _stack(dists, py)
-            # cases 2, 4 and 5 distinguish, unless either prediction is partial
-            row = (_SPLITS[_case_codes(rows, ident, py_row, self.eps)]
-                   & ~(partial[:, None] | partial[None, :]))
-            row.flags.writeable = False
-            self._verdicts[key] = row
-        return self._verdicts[key]
+        ``e`` distinguishes candidates k and l; a slice of the verdict
+        tensor of ``e``'s group."""
+        targets, values, observed = e.key()
+        if (targets, observed) not in self._tensors:
+            self._tensors[targets, observed] = self._group_verdicts(targets, observed)
+        index = 0
+        for t, v in zip(targets, values):
+            domain = self.candidates.graphs[0].var(t).domain
+            if not 0 <= v < domain:
+                raise InvalidInputError(f"value {v} out of domain for {t}")
+            index = index * domain + v
+        return self._tensors[targets, observed][index]
+
+    def _group_verdicts(self, targets: tuple[str, ...], observed: tuple[str, ...]) -> np.ndarray:
+        """Read-only (values, n, n) verdicts for every value assignment of
+        ``targets``, in ``itertools.product`` order, observing ``observed``.
+
+        Candidates that share a sheet share one row; the distinct rows are
+        bound, classified and demoted once, then expanded to all pairs."""
+        n = len(self.candidates.graphs)
+        domains = [self.candidates.graphs[0].var(t).domain for t in targets]
+        grid = np.indices(domains).reshape(len(targets), math.prod(domains))
+        py = self.observational_marginal(observed)
+        row_of: dict[int, int] = {}
+        sheets: list[Optional[Factor]] = []
+        index = np.empty(n, dtype=np.intp)
+        for k in range(n):
+            sheet = self._sheet(k, targets, observed)
+            if id(sheet) not in row_of:
+                row_of[id(sheet)] = len(sheets)
+                sheets.append(sheet)
+            index[k] = row_of[id(sheet)]
+        rows = np.zeros((grid.shape[1], len(sheets), py.table.size))
+        for r, sheet in enumerate(sheets):
+            if sheet is not None:
+                rows[:, r] = _bind_all(sheet, targets, grid, observed).reshape(-1, rows.shape[2])
+        ident = np.array([f is not None for f in sheets], dtype=bool)
+        partial = np.array([f is not None and f.partial for f in sheets], dtype=bool)
+        # cases 2, 4 and 5 distinguish, unless either prediction is partial
+        split = (_SPLITS[_case_codes(rows, ident, py.table.reshape(-1), self.eps)]
+                 & ~(partial[:, None] | partial[None, :]))
+        tensor = split[:, index[:, None], index[None, :]]
+        tensor.flags.writeable = False
+        return tensor
+
+
+def _bind_all(sheet: Factor, targets: tuple[str, ...], grid: np.ndarray,
+              observed: tuple[str, ...]) -> np.ndarray:
+    """``_bind_effect`` for every value assignment at once: entry i is the
+    sheet bound to the assignment ``grid[:, i]`` of ``targets``, over
+    ``observed``; without a target axis in the sheet, the one binding of
+    them all.  Rule-3 auxiliary axes are taken at 0."""
+    names = sheet.names()
+    if not set(observed) <= set(names):
+        raise InternalError(f"effect scope {names} does not cover {list(observed)}")
+    bound = [i for i, t in enumerate(targets) if t in names]
+    aux = [a for a, n in enumerate(names) if n not in observed and n not in targets]
+    table = np.transpose(sheet.table, [names.index(targets[i]) for i in bound] + aux
+                         + [names.index(n) for n in observed])
+    return table[tuple(grid[i] for i in bound) + (0,) * len(aux)]
 
 
 def _stack(dists: Sequence[Optional[Factor]], py: Factor
@@ -273,16 +337,18 @@ _SPLITS = np.isin(_CASES, (2, 4, 5))
 
 
 def _case_codes(rows: np.ndarray, ident: np.ndarray, py: np.ndarray, eps: float) -> np.ndarray:
-    """(n, n) indices into ``_CASES`` for every pair of stacked predictions.
+    """(..., m, m) indices into ``_CASES`` for every pair of stacked
+    predictions ``rows`` (..., m, cells), over any leading batch axes.
 
     Equality is ``equal_within``'s max-abs test, taken pairwise, so it
     stays non-transitive: a~b and b~c within eps do not make a~c.
     """
-    same = np.max(np.abs(rows[:, None, :] - rows[None, :, :]), axis=2, initial=0.0) <= eps
-    is_py = ident & (np.max(np.abs(rows - py), axis=1, initial=0.0) <= eps)
+    same = np.max(np.abs(rows[..., :, None, :] - rows[..., None, :, :]), axis=-1,
+                  initial=0.0) <= eps
+    is_py = ident & (np.max(np.abs(rows - py), axis=-1, initial=0.0) <= eps)
     k = 16 * ident + 4 * is_py
     l = 8 * ident + 2 * is_py
-    return k[:, None] + l[None, :] + same
+    return k[..., :, None] + l[..., None, :] + same
 
 
 def _classify(pk: Optional[Factor], pl: Optional[Factor], py: Factor, eps: float) -> Verdict:

@@ -59,7 +59,7 @@ from .errors import (InfiniteSpanError, InternalError, InvalidInputError,
                      UnsupportedTransportError, WindowTooSmallError)
 from .factors import (Factor, TransitionMatrix, condition, divide, equal_within,
                       marginalize, multiply)
-from .graphs import (Admg, Var, _ancestors_in, _components_in, ancestors, c_components,
+from .graphs import (Admg, Var, _ancestors_in, _component_of, ancestors, c_components,
                      d_separated, mutilate)
 from . import scm
 from .identify import Expr, ObservedTerm, Product, Quotient, SumOver, _bind_effect, id_effect
@@ -662,7 +662,7 @@ class _Forward:
                 (v,) = e.outcome
                 g = self.graph
                 inside = given | {v}
-                comp = next(c for c in _components_in(g, inside) if v in c)
+                comp = _component_of(g, v, inside)
                 s = frozenset(comp.union(*(g.parents_of(u) for u in comp)) & given)
                 ancestral = (all(g.parents_of(u) <= inside for u in inside)
                              and not g.children_of(v) & given)

@@ -300,16 +300,23 @@ def _components_in(g: Admg, v: Container[str]) -> list[frozenset[str]]:
     for n in g._by_name:
         if n in seen or n not in v:
             continue
-        comp = {n}
-        frontier = [n]
-        while frontier:
-            for w in g._siblings[frontier.pop()]:
-                if w in v and w not in comp:
-                    comp.add(w)
-                    frontier.append(w)
+        comp = _component_of(g, n, v)
         seen |= comp
-        comps.append(frozenset(comp))
+        comps.append(comp)
     return comps
+
+
+def _component_of(g: Admg, v: str, inside: Container[str]) -> frozenset[str]:
+    """The C-component of G[inside] that holds ``v`` (a member of
+    ``inside``), walked from ``v`` alone; nothing is checked."""
+    comp = {v}
+    frontier = [v]
+    while frontier:
+        for w in g._siblings[frontier.pop()]:
+            if w in inside and w not in comp:
+                comp.add(w)
+                frontier.append(w)
+    return frozenset(comp)
 
 
 def c_components(g: Admg) -> list[frozenset[str]]:

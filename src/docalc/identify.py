@@ -237,41 +237,46 @@ def id_effect(g: Admg, x: Iterable[str], y: Iterable[str]) -> IdResult:
 # -- evaluation ---------------------------------------------------------
 
 
-def _eval(e: Expr, p: Factor) -> Factor:
+def _eval(e: Expr, p: Factor, memo: dict[Expr, Factor]) -> Factor:
+    """Evaluate ``e`` against ``p``; ``memo`` holds every subexpression
+    already evaluated against this ``p``, keyed by value, and gains the
+    ones evaluated here."""
+    if e in memo:
+        return memo[e]
     if isinstance(e, ObservedTerm):
         keep = set(e.outcome) | set(e.given)
-        f = marginalize(p, [n for n in p.names() if n not in keep])
+        out = marginalize(p, [n for n in p.names() if n not in keep])
         if e.given:
-            return condition(f, e.given)
-        return f
-    if isinstance(e, SumOver):
-        f = _eval(e.child, p)
-        present = [n for n in e.over if n in f.names()]
-        out = marginalize(f, present)
-        missing = [n for n in e.over if n not in f.names()]
-        for n in missing:
-            out = Factor(out.scope, out.table * p.var(n).domain, out.partial)
-        return out
-    if isinstance(e, Product):
+            out = condition(out, e.given)
+    elif isinstance(e, SumOver):
+        f = _eval(e.child, p, memo)
+        names = f.names()
+        out = marginalize(f, [n for n in e.over if n in names])
+        for n in e.over:
+            if n not in names:
+                out = Factor(out.scope, out.table * p.var(n).domain, out.partial)
+    elif isinstance(e, Product):
         out = Factor.scalar(1.0)
         for c in e.children:
-            out = multiply(out, _eval(c, p))
-        return out
-    if isinstance(e, Quotient):
-        return divide(_eval(e.num, p), _eval(e.den, p))
-    if isinstance(e, One):
-        return Factor.scalar(1.0)
-    raise InvalidInputError(f"unknown expression node {e!r}")
+            out = multiply(out, _eval(c, p, memo))
+    elif isinstance(e, Quotient):
+        out = divide(_eval(e.num, p, memo), _eval(e.den, p, memo))
+    elif isinstance(e, One):
+        out = Factor.scalar(1.0)
+    else:
+        raise InvalidInputError(f"unknown expression node {e!r}")
+    memo[e] = out
+    return out
 
 
 def evaluate(e: Expr, p: Factor) -> Factor:
     """Evaluate a do-free expression against the observational joint ``p``.
 
-    The result is a factor over the expression's free variables.
-    Conditioning on zero-mass contexts propagates the partial flag rather
-    than failing.
+    The result is a factor over the expression's free variables.  Each
+    distinct subexpression is evaluated once.  Conditioning on zero-mass
+    contexts propagates the partial flag rather than failing.
     """
-    return _eval(e, p)
+    return _eval(e, p, {})
 
 
 def _bind_effect(sheet: Factor, fixed: Mapping[str, int], outcome: Iterable[str]) -> Factor:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -147,17 +147,21 @@ class InterventionSpec:
     targets: frozenset[str]
     values: Mapping[str, int]
     observed: frozenset[str]
+    _key: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.targets & self.observed:
             raise InvalidInputError("intervened and observed sets must be disjoint")
         if frozenset(self.values) != self.targets:
             raise InvalidInputError("values must cover exactly the intervened set")
+        object.__setattr__(self, "_key", (tuple(sorted(self.targets)),
+                                          tuple(v for _, v in sorted(self.values.items())),
+                                          tuple(sorted(self.observed))))
 
     def key(self) -> tuple:
-        return (tuple(sorted(self.targets)),
-                tuple(v for _, v in sorted(self.values.items())),
-                tuple(sorted(self.observed)))
+        """(sorted targets, their values in that order, sorted observed),
+        computed once at construction."""
+        return self._key
 
     def __str__(self) -> str:
         do = ",".join(f"{k}={v}" for k, v in sorted(self.values.items()))

@@ -14,7 +14,9 @@ from docalc.alcam import (CandidateSet, CostModel,
 from docalc.errors import InvalidInputError, PromiseViolationError
 from docalc.factors import Factor, condition, equal_within, marginalize
 from docalc.graphs import Admg, Var, ancestors, d_separated, mutilate
-from docalc.identify import Prediction, effect_factor, evaluate, id_effect, pretty
+from docalc import identify
+from docalc.identify import (Prediction, Product, Quotient, SumOver, effect_factor,
+                             evaluate, id_effect, pretty)
 from docalc.scm import InterventionOracle, InterventionSpec, joint, random_admg, random_scm
 from conftest import criterion2_graphs
 
@@ -152,20 +154,21 @@ O = Var("O")
 
 
 class FakePreds(PredictionTable):
-    """Prediction table with scripted outcomes per (targets, graph): a
-    table over O, None (unidentified) or a (table, partial) pair.  P(O)
-    is PY."""
+    """Prediction table with scripted sheets per (targets, graph): a
+    table over O, None (unidentified) or a (table, partial) pair; every
+    value of the targets gets the same prediction.  P(O) is PY."""
 
     def __init__(self, candidates, table):
         super().__init__(candidates, Factor((O,), PY))
-        self.table = table
+        self.table = {}
+        for key, v in table.items():
+            if v is not None:
+                values, partial = v if isinstance(v, tuple) else (v, False)
+                v = Factor((O,), values, partial=partial)
+            self.table[key] = v
 
-    def prediction(self, g_idx, e):
-        v = self.table[(tuple(sorted(e.targets)), g_idx)]
-        if v is None:
-            return Prediction(None)
-        values, partial = v if isinstance(v, tuple) else (v, False)
-        return Prediction(Factor((O,), values, partial=partial))
+    def _sheet(self, g_idx, targets, observed):
+        return self.table[(targets, g_idx)]
 
 
 def narrative_setup(e1_cost=2.5):
@@ -533,11 +536,18 @@ class TestVerdictRows:
         n = len(preds.candidates.graphs)
         assert row.shape == (n, n) and not row.flags.writeable
         py = preds.observational_marginal(e.observed)
-        for k, l in itertools.product(range(n), repeat=2):
+        dists = [preds.prediction(k, e).dist for k in range(n)]
+        # a verdict depends on the two predictions' values only, so each
+        # pair of distinct values is classified once, for its first holders
+        first: dict = {}
+        rep = [first.setdefault(None if f is None else (f.names(), f.table.tobytes(), f.partial), k)
+               for k, f in enumerate(dists)]
+        for k, l in itertools.product(sorted(set(rep)), repeat=2):
             v = distinguishable_by(e, k, l, preds)
-            pk, pl = preds.prediction(k, e).dist, preds.prediction(l, e).dist
-            assert (v.case_id, v.distinguishable) == _reference_classify(pk, pl, py, preds.eps)
+            assert (v.case_id, v.distinguishable) == _reference_classify(
+                dists[k], dists[l], py, preds.eps)
             assert row[k, l] == v.distinguishable, (e, k, l)
+        assert np.array_equal(row, row[np.ix_(rep, rep)]), e
         return row
 
     def test_rows_match_pairwise_verdicts_on_criterion5_sets(self):
@@ -557,6 +567,40 @@ class TestVerdictRows:
                 splits += int(row.sum())
             trials += 1
         assert 0 < splits < pairs
+
+    def test_rows_match_pairwise_verdicts_on_a_large_perturbation_set(self):
+        """Every experiment of one 7-variable set of 30 candidates drawn
+        with the criterion-5 perturbations: many groups, many candidates
+        sharing each sheet, two-target groups of four value assignments."""
+        from test_acceptance import _perturb
+
+        rng = np.random.default_rng(7007)
+        true_g = random_admg(rng, 7, edge_prob=0.5, max_confounders=2)
+        cand = {true_g}
+        while len(cand) < 30:
+            cand.add(_perturb(rng, sorted(cand, key=repr)[int(rng.integers(len(cand)))]))
+        cs = CandidateSet(tuple(sorted(cand, key=repr)))
+        preds = PredictionTable(cs, joint(random_scm(rng, true_g)))
+        experiments = enumerate_interventions(true_g)
+        splits = sum(int(self._agree(preds, e).sum()) for e in experiments)
+        assert 0 < splits < len(experiments) * 30 * 30
+        assert len(experiments) > len(preds._tensors) > 100
+
+    def test_refuted_candidate_under_the_true_joint(self, fig32_trio):
+        """Fig. 3.2: under g3's joint, g1's sheet for do(X2) -> X3 varies
+        along the auxiliary X1 (see TestAuxiliaryBinding); the verdicts
+        take g1's prediction at X1 = 0, for either value of X2, and equal
+        the pairwise reference on those predictions."""
+        g1, _g2, g3 = fig32_trio
+        p = joint(random_scm(np.random.default_rng(3), g3))
+        preds = PredictionTable(CandidateSet((g1, g3)), p)
+        cond = condition(marginalize(p, ["X4"]).reorder(["X1", "X2", "X3"]), ["X1", "X2"])
+        for v in (0, 1):
+            e = spec_for({"X2"}, {"X3"}, {"X2": v})
+            np.testing.assert_array_equal(preds.prediction(0, e).dist.table, cond.table[0, v])
+            self._agree(preds, e)
+        for e in enumerate_interventions(g3):
+            self._agree(preds, e)
 
     def test_unidentified_prediction(self):
         preds, e = _scripted_preds([None, VAL_A, PY, None])
@@ -639,31 +683,56 @@ class TestPartialSupportVerdicts:
         assert v2.partial and not v2.distinguishable
 
 
+def _subexpressions(e):
+    """Every node of the expression tree ``e``, repeats included."""
+    yield e
+    if isinstance(e, SumOver):
+        yield from _subexpressions(e.child)
+    elif isinstance(e, Product):
+        for c in e.children:
+            yield from _subexpressions(c)
+    elif isinstance(e, Quotient):
+        yield from _subexpressions(e.num)
+        yield from _subexpressions(e.den)
+
+
 class TestPredictionCaches:
     """Within one PredictionTable each ancestral subproblem
-    (G[An(Y)], X & An(Y), Y) is identified once, each expression is
-    evaluated once and each evaluated sheet is bound once per experiment;
-    a new table starts cold."""
+    (G[An(Y)], X & An(Y), Y) is identified once, each subexpression is
+    evaluated once, each evaluated sheet is bound once per group of
+    experiments for the verdicts and once per experiment for
+    ``prediction``; a new table starts cold."""
 
     @staticmethod
     def _counted(monkeypatch):
-        calls = {"id_effect": [], "evaluate": [], "bind": []}
-        real_id, real_eval, real_bind = alcam.id_effect, alcam.evaluate, alcam._bind_effect
+        calls = {"id_effect": [], "evaluated": [], "bind_all": [], "bind": []}
+        real_id, real_eval = alcam.id_effect, identify._eval
+        real_bind_all, real_bind = alcam._bind_all, alcam._bind_effect
 
         def id_spy(g, x, y):
             calls["id_effect"].append((g.induced(ancestors(g, y)), tuple(x), tuple(y)))
             return real_id(g, x, y)
 
-        def eval_spy(expr, p):
-            calls["evaluate"].append(expr)
-            return real_eval(expr, p)
+        def eval_spy(expr, p, memo):
+            # the recursion looks ``_eval`` up in identify, so every
+            # subexpression passes here; one missing from the memo is
+            # evaluated now
+            if expr not in memo:
+                calls["evaluated"].append(expr)
+            return real_eval(expr, p, memo)
+
+        def bind_all_spy(sheet, targets, grid, observed):
+            calls["bind_all"].append((id(sheet), targets, observed))
+            return real_bind_all(sheet, targets, grid, observed)
 
         def bind_spy(sheet, fixed, outcome):
             calls["bind"].append((tuple(sorted(fixed.items())), tuple(sorted(outcome))))
             return real_bind(sheet, fixed, outcome)
 
         monkeypatch.setattr(alcam, "id_effect", id_spy)
-        monkeypatch.setattr(alcam, "evaluate", eval_spy)
+        monkeypatch.setattr(alcam, "_eval", eval_spy)
+        monkeypatch.setattr(identify, "_eval", eval_spy)
+        monkeypatch.setattr(alcam, "_bind_all", bind_all_spy)
         monkeypatch.setattr(alcam, "_bind_effect", bind_spy)
         return calls
 
@@ -688,30 +757,42 @@ class TestPredictionCaches:
         preds, experiments = self._fill(cs, p)
 
         subproblems, exprs, pairs, bindings, bound = set(), set(), set(), set(), set()
+        group_bindings, groups = set(), set()
         for k, g in enumerate(cs.graphs):
             for e in experiments:
                 an = ancestors(g, e.observed)
                 sub = (g.induced(an), tuple(sorted(an & e.targets)), tuple(sorted(e.observed)))
                 subproblems.add(sub)
                 pairs.add((g, e.targets, e.observed))
+                groups.add((e.key()[0], e.key()[2]))
                 res = id_effect(*sub)
                 if res.identified:
                     exprs.add(res.expr)
                     bindings.add((res.expr, e.key()))
+                    group_bindings.add((res.expr, e.key()[0], e.key()[2]))
                     bound.add((k, e.key()))
         assert len(calls["id_effect"]) == len(set(calls["id_effect"]))
         assert set(calls["id_effect"]) == subproblems
-        assert len(calls["evaluate"]) == len(set(calls["evaluate"]))
-        assert set(calls["evaluate"]) == exprs
-        # the caches share work across candidates and across outcomes
+        # every subexpression of every expression is evaluated exactly once
+        nodes = [n for expr in exprs for n in _subexpressions(expr)]
+        assert len(calls["evaluated"]) == len(set(calls["evaluated"]))
+        assert set(calls["evaluated"]) == set(nodes)
+        # the caches share work across candidates, outcomes and expressions
         assert len(exprs) < len(subproblems) < len(pairs)
-        # one binding per sheet and experiment, however many candidates share
-        # the sheet and however often they are asked
+        assert len(set(nodes)) < len(nodes)
+        # the verdicts bind each sheet once per group, however many
+        # candidates share it, and bind no single experiment
+        assert len(calls["bind_all"]) == len(group_bindings)
+        assert len(group_bindings) < len(bindings)
+        assert not calls["bind"]
+        # ``prediction`` binds once per sheet and experiment, however often
+        # it is asked
+        for _ in range(2):
+            for k in range(len(cs.graphs)):
+                for e in experiments:
+                    preds.prediction(k, e)
         assert len(calls["bind"]) == len(bindings) < len(bound)
-        for k in range(len(cs.graphs)):
-            for e in experiments:
-                preds.prediction(k, e)
-        assert len(calls["bind"]) == len(bindings)
+        assert len(preds._tensors) == len(groups)
 
         # and change no prediction: each equals the full graph's own
         # identification, evaluated and bound without any cache
@@ -726,12 +807,23 @@ class TestPredictionCaches:
                 assert got.names() == want.names()
                 assert np.array_equal(got.table, want.table)
 
+    def test_memoized_sheets_equal_a_fresh_evaluate(self, fig32_trio):
+        p = joint(random_scm(np.random.default_rng(6), fig32_trio[2]))
+        preds, _experiments = self._fill(CandidateSet(fig32_trio), p)
+        assert preds._evaluated
+        for expr, f in preds._evaluated.items():
+            want = evaluate(expr, p)
+            assert f.names() == want.names() and f.partial == want.partial
+            assert np.array_equal(f.table, want.table), pretty(expr)
+
     def test_new_table_starts_cold(self, fig32_trio, monkeypatch):
         p = joint(random_scm(np.random.default_rng(5), fig32_trio[1]))
         calls = self._counted(monkeypatch)
         self._fill(CandidateSet(fig32_trio), p)
         first = {k: list(v) for k, v in calls.items()}
-        assert first["id_effect"] and first["evaluate"]
+        assert first["id_effect"] and first["evaluated"] and first["bind_all"]
+        assert not PredictionTable(CandidateSet(fig32_trio), p)._evaluated
         self._fill(CandidateSet(fig32_trio), p)
         assert calls["id_effect"] == 2 * first["id_effect"]
-        assert calls["evaluate"] == 2 * first["evaluate"]
+        assert calls["evaluated"] == 2 * first["evaluated"]
+        assert len(calls["bind_all"]) == 2 * len(first["bind_all"])

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from docalc.errors import CyclicGraphError, InvalidInputError
-from docalc.graphs import (Admg, Hedge, Var, _ancestors_in, _components_in, ancestors,
+from docalc.graphs import (Admg, Hedge, Var, _ancestors_in, _component_of, _components_in,
+                           ancestors,
                            c_components, d_separated, descendants, find_hedge, mutilate,
                            topological_order, verify_hedge)
+from docalc.scm import random_admg
 from conftest import bf_d_separated, bf_hedge_exists, seeded_admgs
 
 
@@ -237,6 +239,24 @@ class TestVertexSetQueries:
                         assert _ancestors_in(g, v, y, cut) == ancestors(cut_sub, y), (g, v, y, cut)
                         checked += 1
         assert checked > 30_000
+
+    def test_component_of_one_vertex(self):
+        """The walk from v finds the C-component of G[inside] that
+        ``_components_in`` lists for v."""
+        rng = np.random.default_rng(34)
+        checked = wide = 0
+        for _ in range(60):
+            g = random_admg(rng, int(rng.integers(3, 9)), edge_prob=0.4,
+                            max_confounders=int(rng.integers(0, 6)))
+            names = g.names()
+            for _ in range(8):
+                inside = frozenset(n for n in names if rng.random() < 0.6)
+                for v in sorted(inside):
+                    want = next(c for c in _components_in(g, inside) if v in c)
+                    assert _component_of(g, v, inside) == want, (g, v, inside)
+                    checked += 1
+                    wide += len(want) > 1
+        assert checked > 1_000 and wide > 300
 
     def test_public_queries_still_check_names(self):
         g = chain()
