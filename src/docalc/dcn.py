@@ -19,6 +19,8 @@ the slice state and the confounders in flight.  Otherwise the source is
 the chain: p0 (the given one, else the mechanism's initial slice, else
 uniform) stepped by the transitions.  A p0 is refused for dynamic
 specs, because a slice state cannot carry the confounders in flight.
+The pass also builds the call's one unrolled graph, unchecked; the
+identification windows and the ancestor sets are read off it.
 Each term of an identified expression is read off a small marginal of
 the pass, so no table grows with the horizon and no window joint is
 built.  Only on the mechanism, whose distribution is Markov to the
@@ -31,8 +33,11 @@ where that is exact.
 
 Every step is a conditional factor P(next | previous slice) over the
 unrolled names (``x@t``) of the two slices.  A pipeline takes its
-transitions from one source (``_transitions``): the schedule when one
-is given, otherwise the transition a static spec's mechanism implies.
+transitions from the pass: the schedule when one is given; otherwise a
+static spec's steps are its mechanism's slice tables in the pass,
+contracted onto two slices (``mechanism_transition`` serves only the
+chain from a given p0).  A step restricted to ancestor sets ignores
+the dropped previous-slice variables (tested; checked for a schedule).
 Every pipeline follows one procedure.  The window lemma
 (``_window_left``) puts the left edge of an identification window one
 slice before the leftmost slice confounder-connected to X, and no later
@@ -54,11 +59,10 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import (InfiniteSpanError, InternalError, InvalidInputError,
-                     UnsupportedModelError, UnsupportedQueryError,
-                     UnsupportedTransportError, WindowTooSmallError)
-from .factors import (Factor, TransitionMatrix, condition, divide, equal_within,
-                      marginalize, multiply)
+from .errors import (InfiniteSpanError, InvalidInputError, UnsupportedModelError,
+                     UnsupportedQueryError, UnsupportedTransportError, WindowTooSmallError)
+from .factors import (Factor, TransitionMatrix, condition, divide, equal_within, marginalize,
+                      multiply)
 from .graphs import (Admg, Var, _ancestors_in, _component_of, ancestors, c_components,
                      d_separated, mutilate)
 from . import scm
@@ -308,31 +312,27 @@ def _confounder_reach(spec: DcnSpec, start: Iterable[str], forward: bool) -> Dyn
 
 def unroll(spec: DcnSpec, t0: int, t_end: int) -> tuple[Admg, dict[tuple[str, int], str]]:
     """Finite window of the bi-infinite graph: one vertex per (variable,
-    slice).  Edges whose lag sticks out of the window are dropped."""
+    slice).  Edges whose lag sticks out of the window are dropped.  Built
+    unchecked: a valid ``DcnSpec`` unrolls to a valid ADMG."""
     if t0 > t_end:
         raise WindowTooSmallError("empty unroll window")
-    variables: list[Var] = []
-    index: dict[tuple[str, int], str] = {}
-    for t in range(t0, t_end + 1):
-        for v in spec.slice_vars:
-            name = slice_var_at(v.name, t)
-            variables.append(Var(name, v.domain))
-            index[(v.name, t)] = name
-    directed = []
-    bidirected = []
+    at = [(v, t) for t in range(t0, t_end + 1) for v in spec.slice_vars]
+    index = {(v.name, t): slice_var_at(v.name, t) for v, t in at}
+    variables = tuple(Var(index[(v.name, t)], v.domain) for v, t in at)
+    directed = set()
+    bidirected = set()
     for t in range(t0, t_end + 1):
         for a, b in spec.intra_edges:
-            directed.append((index[(a, t)], index[(b, t)]))
+            directed.add((index[(a, t)], index[(b, t)]))
         for a, b, k in spec.cross_edges:
             if t + k <= t_end:
-                directed.append((index[(a, t)], index[(b, t + k)]))
+                directed.add((index[(a, t)], index[(b, t + k)]))
         for pair in spec.intra_confounders:
-            a, b = sorted(pair)
-            bidirected.append((index[(a, t)], index[(b, t)]))
+            bidirected.add(frozenset(index[(a, t)] for a in pair))
         for a, b, k in spec.cross_confounders:
             if t + k <= t_end:
-                bidirected.append((index[(a, t)], index[(b, t + k)]))
-    return Admg(variables, directed, bidirected), index
+                bidirected.add(frozenset((index[(a, t)], index[(b, t + k)])))
+    return Admg._trusted(variables, frozenset(directed), frozenset(bidirected)), index
 
 
 def unrolled_scm(spec: DcnSpec, t0: int, t_end: int) -> Scm:
@@ -342,8 +342,8 @@ def unrolled_scm(spec: DcnSpec, t0: int, t_end: int) -> Scm:
     from slices before ``t0`` are averaged out uniformly, which defines
     the generating process started at ``t0``.
     """
-    graph, cpts, exos = _unrolled_tables(spec, t0, t_end)
-    return Scm(graph, {n: Cpt(n, *c) for n, c in cpts.items()},
+    cpts, exos = _unrolled_tables(spec, t0, t_end)
+    return Scm(unroll(spec, t0, t_end)[0], {n: Cpt(n, *c) for n, c in cpts.items()},
                tuple(Exogenous(*e) for e in exos))
 
 
@@ -352,13 +352,11 @@ _ExoParts = tuple[Var, tuple[float, ...], frozenset[str]]  # variable, prior, fe
 
 
 def _unrolled_tables(spec: DcnSpec, t0: int, t_end: int
-                     ) -> tuple[Admg, dict[str, _CptParts], list[_ExoParts]]:
-    """The graph, CPT parts and confounder parts of ``unrolled_scm``,
-    unchecked: they come from the spec's checked mechanism, and
-    ``DcnSpec`` makes sure at construction that they fit together."""
+                     ) -> tuple[dict[str, _CptParts], list[_ExoParts]]:
+    """The CPT parts and confounder parts of ``unrolled_scm``, unchecked:
+    they come from the spec's checked mechanism, and ``DcnSpec`` makes
+    sure at construction that they fit together."""
     mech = spec._checked_mechanism
-    graph, index = unroll(spec, t0, t_end)
-
     exos: list[_ExoParts] = []
     noise_born: set[str] = set()
     for t in range(t0, t_end + 1):
@@ -369,7 +367,7 @@ def _unrolled_tables(spec: DcnSpec, t0: int, t_end: int
                 raise InvalidInputError(f"exo template {e.name!r} confounds {e.earlier!r} with "
                                         "its own later slice, which a slice mechanism cannot "
                                         "unroll")
-            feeds = frozenset((index[(e.earlier, t)], index[(e.later, t + e.lag)]))
+            feeds = frozenset((slice_var_at(e.earlier, t), slice_var_at(e.later, t + e.lag)))
             exos.append((Var(f"{e.name}@{t}", len(e.prior)), e.prior, feeds))
 
     cpts: dict[str, _CptParts] = {}
@@ -381,11 +379,11 @@ def _unrolled_tables(spec: DcnSpec, t0: int, t_end: int
             axis = 0
             keep_obs: list[str] = []
             for p in c.intra_parents:
-                keep_obs.append(index[(p, t)])
+                keep_obs.append(slice_var_at(p, t))
                 axis += 1
             for p, lag in c.cross_parents:
                 if t - lag >= t0:
-                    keep_obs.append(index[(p, t - lag)])
+                    keep_obs.append(slice_var_at(p, t - lag))
                     axis += 1
                 else:
                     table = table.mean(axis=axis)  # pre-window parent: average
@@ -403,14 +401,14 @@ def _unrolled_tables(spec: DcnSpec, t0: int, t_end: int
                     noise = f"{e.name}@{t}"
                     if noise not in noise_born:
                         exos.append((Var(noise, len(e.prior)), e.prior,
-                                     frozenset((index[(v.name, t)],))))
+                                     frozenset((slice_var_at(v.name, t),))))
                         noise_born.add(noise)
                     kept_exo.append(noise)
                     axis += 1
                 else:
                     table = table.mean(axis=axis)  # confounder born pre-window
-            cpts[index[(v.name, t)]] = (tuple(keep_obs), tuple(kept_exo), table)
-    return graph, cpts, exos
+            cpts[slice_var_at(v.name, t)] = (tuple(keep_obs), tuple(kept_exo), table)
+    return cpts, exos
 
 
 # -- transitions and marginals ---------------------------------------------
@@ -440,10 +438,10 @@ def _transition_factor(spec: DcnSpec, tm: TransitionMatrix, t: int) -> Factor:
 
 
 def _transitions(spec: DcnSpec, schedule: Optional[Schedule]) -> Optional[Transitions]:
-    """The one transition source of every pipeline: the schedule when one
-    is given, otherwise the transition of a static spec's mechanism
-    (derived on first use); None when there is neither.  Refuses cross
-    edges of lag > 1, whose slices are not first order."""
+    """The chain's transitions: the schedule when one is given, otherwise
+    ``mechanism_transition`` of a static mechanism (derived on first use,
+    for a given p0); None when there is neither.  Refuses cross edges of
+    lag > 1, whose slices are not first order."""
     if classify(spec).beta > 1:
         raise UnsupportedModelError(
             "cross edges of lag > 1 are not supported: the identification windows "
@@ -492,7 +490,8 @@ class _Forward:
 
     * the mechanism, unrolled over the call's slices and the longest
       confounder lag beyond (``_unrolled_tables``), when the spec has
-      one, no p0 is given, and the spec is dynamic or has no schedule;
+      one, no p0 is given, and the spec is dynamic or has no schedule
+      (a static spec's steps are then ``_mechanism_step``);
     * otherwise the chain: p0 (the given one, else the mechanism's
       initial slice, else uniform), then the transitions
       (``_transitions``).
@@ -505,12 +504,14 @@ class _Forward:
     keeping its variables, so no table spans more than the kept
     variables and two slices' interface.  Identified expressions are
     evaluated from small marginals (``term``), never from a window
-    joint.  Messages, marginals and terms are cached for the call."""
+    joint.  Messages, marginals and terms are cached for the call, and
+    contractions of validated tables are trusted.  The windows and
+    ancestor sets are read off the call's one unrolled graph (``graph``)."""
 
     def __init__(self, spec: DcnSpec, schedule: Optional[Schedule], p0: Optional[Factor],
                  t0: int, t_end: int):
         self.trans = _transitions(spec, schedule)
-        self.spec, self.t0 = spec, t0
+        self.spec, self.t0, self.scheduled = spec, t0, schedule is not None
         self.dynamic = not classify(spec).is_static
         if p0 is not None and self.dynamic:
             raise InvalidInputError("p0 is refused for a spec with dynamic confounders: a "
@@ -528,6 +529,7 @@ class _Forward:
         self.slice_of = {n: t for t, names in enumerate(self.interface, t0) for n in names}
         self.marginals: dict[frozenset[str], Factor] = {}
         self.terms: dict[ObservedTerm, Factor] = {}
+        self.graph = unroll(spec, t0, t_end)[0]
         if self.chain:
             self.steps = _transition_steps(spec, self.trans)
             if p0 is None:
@@ -535,7 +537,7 @@ class _Forward:
                       else Factor.uniform(spec.slice_vars))
             self.states: list[Factor] = [p0.reorder(spec.names())]
             return
-        self.graph, cpts, exos = _unrolled_tables(spec, t0, t_end)
+        cpts, exos = _unrolled_tables(spec, t0, t_end)
         self.domain.update((var.name, var.domain) for var, _prior, _feeds in exos)
         # per slice: priors of the confounders first feeding it, then its CPTs
         self.tables: list[list[tuple[tuple[str, ...], np.ndarray]]] = [
@@ -550,11 +552,28 @@ class _Forward:
         # messages[s - t0 + 1] is the message at slice s; the first is the unit
         self.messages: list[tuple[tuple[str, ...], np.ndarray]] = [((), np.ones(()))]
         self.latent: dict[int, frozenset[frozenset[str]]] = {}
+        if not self.dynamic:
+            self.step_table: Optional[np.ndarray] = None
+            self.trans = self._mechanism_step
 
     def _contract(self, tables: Sequence[tuple[tuple[str, ...], np.ndarray]],
                   out: tuple[str, ...]) -> np.ndarray:
+        """The contraction onto ``out``, read-only; one of validated
+        non-negative tables needs no check as a factor table."""
         scm._check_cells(math.prod(self.domain[n] for n in out))
-        return scm._contract(tables, out, self.domain)
+        table = np.asarray(scm._contract(tables, out, self.domain))
+        table.flags.writeable = False
+        return table
+
+    def _mechanism_step(self, t: int) -> Factor:
+        """P(V@t | V@t-1) of a static mechanism: the tables slice t adds to
+        the pass (its confounder priors and CPTs) contracted onto the two
+        slices; the same for every slice after t0, so contracted once."""
+        scope = self.interface[t - self.t0] + self.interface[t - 1 - self.t0]
+        if self.step_table is None:
+            ones = (scope, np.ones([self.domain[n] for n in scope]))
+            self.step_table = self._contract([ones] + self.tables[t - self.t0], scope)
+        return Factor._view(tuple(self.vars[n] for n in scope), self.step_table, False)
 
     def _tables(self, t: int) -> list[tuple[tuple[str, ...], np.ndarray]]:
         """The tables slice t adds to the pass (t > t0)."""
@@ -599,11 +618,13 @@ class _Forward:
                     items = [(scope, self._contract(items, scope))]
                 items = items + self._tables(t)
             out = tuple(sorted(keep, key=self.rank.__getitem__))
-            self.marginals[keep] = Factor([self.vars[n] for n in out], self._contract(items, out))
+            self.marginals[keep] = Factor._view(tuple(self.vars[n] for n in out),
+                                                self._contract(items, out), False)
         return self.marginals[keep]
 
-    def window(self, t_left: int, t_right: int) -> tuple[Admg, dict[tuple[str, int], str]]:
-        """The graph of the identification window t_left..t_right.
+    def window(self, t_left: int, t_right: int) -> Admg:
+        """The graph of the identification window t_left..t_right, induced
+        from the call's graph, so it is ``unroll(spec, t_left, t_right)``.
 
         When it starts after t0 the slices before it are latent.  With
         static confounders every C-component stays inside one slice, so
@@ -614,11 +635,11 @@ class _Forward:
         if self.dynamic and self.chain:
             raise UnsupportedModelError("identification with dynamic confounders needs the "
                                         "slice mechanism")
-        g, index = unroll(self.spec, t_left, t_right)
+        g = self.graph.induced(_slice_names(self.spec, t_left, t_right))
         if not self.dynamic or t_left == self.t0:
-            return g, index
+            return g
         extra = frozenset(e for e in self.latent_edges(t_left) if all(n in g for n in e))
-        return Admg._trusted(g.vars, g.directed, g.bidirected | extra), index
+        return Admg._trusted(g.vars, g.directed, g.bidirected | extra)
 
     def latent_edges(self, t_left: int) -> frozenset[frozenset[str]]:
         """The bidirected edges that the slices before t_left add to a
@@ -711,8 +732,9 @@ class _Forward:
             out = tuple(dict.fromkeys(m for scope, _t in used for m in scope if m != n))
             items.append((out, self._contract(used, out)))
         out = tuple(sorted({m for scope, _t in items for m in scope}, key=self.rank.__getitem__))
-        table = self._contract([((), np.asarray(scale))] + items, out)
-        return Factor([self.vars[m] for m in out], table, any(f.partial for f in factors))
+        return Factor._view(tuple(self.vars[m] for m in out),
+                            self._contract([((), np.asarray(scale))] + items, out),
+                            any(f.partial for f in factors))
 
 
 def observational_marginal(
@@ -780,39 +802,16 @@ def _chain(spec: DcnSpec, state: Factor, t: int, t_end: int,
     return states
 
 
-def _restrict_transition(spec: DcnSpec, f: Factor, t: int,
-                         next_keep: Sequence[str], prev_keep: Sequence[str]) -> Factor:
-    """The transition factor ``f`` into slice t, restricted to ancestor
-    subsets of the two slices: dropped slice-t variables are summed out;
-    dropped slice-(t-1) variables are fixed at 0 after checking that the
-    rest does not depend on them, which holds because parents of
-    ancestors are ancestors."""
-    f = marginalize(f, [slice_var_at(n, t) for n in spec.names() if n not in next_keep])
-    dropped = {slice_var_at(v.name, t - 1): v.domain
-               for v in spec.slice_vars if v.name not in prev_keep}
-    for name, domain in dropped.items():
-        ref = f.restrict({name: 0})
-        if not all(equal_within(f.restrict({name: val}), ref, 1e-9) for val in range(1, domain)):
-            raise InternalError(f"transition depends on non-ancestor {name!r}; "
-                                "ancestor closure violated")
-    if not dropped:
-        return f
-    kept = f.restrict(dict.fromkeys(dropped, 0))
-    # a contiguous table, as a full transition's, so that steps round alike
-    return Factor(kept.scope, np.ascontiguousarray(kept.table), kept.partial)
-
-
 def _identified_kernel(spec: DcnSpec, x: Mapping[str, int], t_x: int, t_left: int,
                        prev_slice: int, prev_vars: Sequence[str], next_slice: int,
                        next_vars: Sequence[str], obs: _Forward) -> Optional[Factor]:
     """ID the conditional P(next_vars | prev_vars, do(X)) on the graph of
     slices t_left..next_slice and evaluate it on their observational
     distribution."""
-    g, index = obs.window(t_left, next_slice)
-    targets = {index[(n, t_x)]: v for n, v in x.items()}
-    prev_names = [index[(n, prev_slice)] for n in prev_vars]
-    outcome = frozenset(index[(n, next_slice)] for n in next_vars) | frozenset(prev_names)
-    result = id_effect(g, frozenset(targets), outcome)
+    targets = {slice_var_at(n, t_x): v for n, v in x.items()}
+    prev_names = [slice_var_at(n, prev_slice) for n in prev_vars]
+    outcome = frozenset(slice_var_at(n, next_slice) for n in next_vars) | frozenset(prev_names)
+    result = id_effect(obs.window(t_left, next_slice), frozenset(targets), outcome)
     if not result.identified:
         return None
     assert result.expr is not None
@@ -820,27 +819,32 @@ def _identified_kernel(spec: DcnSpec, x: Mapping[str, int], t_x: int, t_left: in
 
 
 def _transition_steps(spec: DcnSpec, trans: Optional[Transitions],
-                      keep: Optional[Mapping[int, Sequence[str]]] = None) -> StepSource:
-    """Steps by the transitions: the transition into slice t, restricted
-    to ``keep[t]`` (every slice variable when keep is None)."""
-    names = spec.names()
+                      keep: Optional[Mapping[int, Sequence[str]]] = None,
+                      scheduled: bool = False) -> StepSource:
+    """Steps by the transitions, restricted to ancestor subsets of the two
+    slices: slice-t variables outside ``keep[t]`` (none when keep is None)
+    are summed out, and slice-(t-1) ones outside the previous state fixed
+    at 0.  The rest does not depend on those, as parents of ancestors are
+    ancestors: on a mechanism by construction (a tested invariant); a
+    schedule is any chain, so it is checked."""
 
     def step(t: int, prev: Sequence[str]) -> Factor:
         if trans is None:
             raise InvalidInputError("a transition matrix (or schedule) is required")
-        return _restrict_transition(spec, trans(t), t, names if keep is None else keep[t], prev)
+        f = marginalize(trans(t), [slice_var_at(n, t) for n in spec.names()
+                                   if keep is not None and n not in keep[t]])
+        dropped = [slice_var_at(n, t - 1) for n in spec.names() if n not in prev]
+        if not dropped:
+            return f
+        kept = f.restrict(dict.fromkeys(dropped, 0))
+        if scheduled and not all(
+                equal_within(f.restrict(dict(zip(dropped, vals))), kept, 1e-9)
+                for vals in itertools.product(*(range(f.var(n).domain) for n in dropped))):
+            raise InvalidInputError(f"schedule step into {t} depends on non-ancestors {dropped}")
+        # a contiguous table, as a full transition's, so that steps round alike
+        return Factor(kept.scope, np.ascontiguousarray(kept.table), kept.partial)
 
     return step
-
-
-def _identified_steps(spec: DcnSpec, window_left: int, x: Mapping[str, int], t_x: int,
-                      obs: _Forward,
-                      keep: Optional[Mapping[int, Sequence[str]]] = None) -> StepSource:
-    """Identifies every step: P(keep[t] | previous slice, do(X)) on the
-    window (window_left, t) (every slice variable when keep is None)."""
-    names = spec.names()
-    return lambda t, prev: _identified_kernel(spec, x, t_x, window_left, t - 1, prev, t,
-                                              names if keep is None else keep[t], obs)
 
 
 def _post_intervention(spec: DcnSpec, x: Mapping[str, int], t_x: int, window_left: int,
@@ -862,8 +866,9 @@ def _post_intervention(spec: DcnSpec, x: Mapping[str, int], t_x: int, window_lef
         first = fallback()
     if first is None:
         return None
-    steps = (_identified_steps(spec, window_left, x, t_x, obs, keep) if dynamic
-             else _transition_steps(spec, obs.trans, keep))
+    steps = ((lambda t, prev: _identified_kernel(spec, x, t_x, window_left, t - 1, prev, t,
+                                                 names if keep is None else keep[t], obs))
+             if dynamic else _transition_steps(spec, obs.trans, keep, obs.scheduled))
     return _chain(spec, _apply(spec, first, obs.state(t_x - 1), t_x - 1, t_first),
                   t_first, t_end, steps)
 
@@ -898,19 +903,14 @@ def step_kernel_matrix(
 # -- identification pipelines ----------------------------------------------
 
 
-def _ancestor_slices(
-    spec: DcnSpec,
-    y: frozenset[str],
-    t_y: int,
-    t_left: int,
-) -> dict[int, tuple[str, ...]]:
-    """An(Y) intersected with each slice of [t_left, t_y], template names."""
-    g, index = unroll(spec, t_left, t_y)
-    an = ancestors(g, [index[(n, t_y)] for n in y])
-    out: dict[int, tuple[str, ...]] = {}
-    for t in range(t_left, t_y + 1):
-        out[t] = tuple(n for n in spec.names() if index[(n, t)] in an)
-    return out
+def _ancestor_slices(obs: _Forward, y: frozenset[str], t_y: int,
+                     t_left: int) -> dict[int, tuple[str, ...]]:
+    """An(Y) intersected with each slice of [t_left, t_y], template names.
+    Read off the call's graph: directed edges never point back in time, so
+    these are the ancestors in the window t_left..t_y."""
+    an = ancestors(obs.graph, [slice_var_at(n, t_y) for n in y])
+    return {t: tuple(n for n in obs.spec.names() if slice_var_at(n, t) in an)
+            for t in range(t_left, t_y + 1)}
 
 
 def _validate_query(spec: DcnSpec, x: Mapping[str, int], y: Iterable[str],
@@ -953,8 +953,8 @@ def _effect(spec: DcnSpec, x: Mapping[str, int], t_x: int, y: Iterable[str], t_y
         if span > 0 and t_x + span >= t_y:
             raise UnsupportedQueryError("the outcome slice lies inside the dynamic time span")
         jump_to = t_x + span + 1
-    keep = _ancestor_slices(spec, ys, t_y, w_left) if complete else None
     obs = _Forward(spec, schedule, p0, t0, t_y)
+    keep = _ancestor_slices(obs, ys, t_y, w_left) if complete else None
     if keep is not None and not keep[jump_to]:
         # X cannot influence Y: the effect is the observational marginal
         state = obs.state(t_y)

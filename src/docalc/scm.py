@@ -61,16 +61,17 @@ class Cpt:
 
 
 def _check_rows(var: str, table: np.ndarray) -> None:
-    """Every row along the last axis of ``var``'s table is a distribution."""
+    """Every row along the last axis of ``var``'s table is a distribution.
+    The comparisons are negated so that a NaN fails them."""
     rows = np.asarray(table, dtype=float)
-    if rows.min() < -1e-12:
-        raise InvalidInputError(f"cpt of {var!r} has negative entries")
-    if abs(rows.sum(axis=-1) - 1.0).max() > 1e-9:
+    if not rows.min() >= -1e-12:
+        raise InvalidInputError(f"cpt of {var!r} has negative or NaN entries")
+    if not abs(rows.sum(axis=-1) - 1.0).max() <= 1e-9:
         raise InvalidInputError(f"cpt rows of {var!r} must sum to 1")
 
 
 def _check_prior(var: str, prior: Sequence[float]) -> None:
-    if not prior or abs(sum(prior) - 1.0) > 1e-9 or min(prior) < 0:
+    if not prior or not abs(sum(prior) - 1.0) <= 1e-9 or not min(prior) >= 0:
         raise InvalidInputError(f"prior of {var!r} is not a distribution")
 
 

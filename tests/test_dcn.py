@@ -1,9 +1,14 @@
+import functools
+import itertools
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from docalc.dcn import (DcnMechanism, DcnSpec, SelectionVar, TransportSpec, _window_left,
+from docalc import dcn
+from docalc.dcn import (DcnMechanism, DcnSpec, SelectionVar, SliceCpt, SliceExo,
+                        TransportSpec, _Forward, _window_left,
                         cdcn_id_dynamic, cdcn_id_static, classify,
                         dcn_id_dynamic, dcn_id_static, dynamic_time_span,
                         initial_distribution, mechanism_transition,
@@ -15,7 +20,7 @@ from docalc.errors import (InvalidInputError, UnsupportedModelError, Unsupported
                            WindowTooSmallError)
 from docalc.factors import (Factor, TransitionMatrix, condition, equal_within, marginalize,
                             multiply)
-from docalc.graphs import Var, ancestors, find_hedge
+from docalc.graphs import Admg, Var, ancestors, find_hedge
 from docalc.identify import effect_factor, id_effect
 from docalc import scm
 from docalc.scm import InterventionSpec, intervene, joint, oracle_query
@@ -72,27 +77,34 @@ def dyn_spec(cross_confounders, seed=0, n_vars=2):
     return random_mechanism_for(spec, np.random.default_rng(seed + 1))
 
 
-def _pipelines_match_unrolled_oracle(kind, t_x):
-    """Random specs with static or dynamic confounders (``kind``): the
-    kind's dcn and cdcn pipelines and every slice of the trajectory agree
-    with the unrolled post-intervention joint whenever they identify the
-    query; returns how many of each identified it."""
-    dynamic = kind == "dynamic"
-    dcn, cdcn = (dcn_id_dynamic, cdcn_id_dynamic) if dynamic else (dcn_id_static, cdcn_id_static)
-    identified = {"dcn": 0, "cdcn": 0, "trajectory": 0}
+def _generator_queries(kind, t_x):
+    """The 150-spec generator: random specs with static or dynamic
+    confounders (``kind``), each with one query (spec, x, y, t_y)."""
     for seed in range(150):
         rng = np.random.default_rng(seed)
         n_vars = int(rng.integers(2, 4))
         spec = random_dcn_spec(rng, n_vars=n_vars,
                                n_static_conf=int(rng.integers(0, 2)),
-                               n_dynamic_conf=int(rng.integers(1, 3)) if dynamic else 0)
+                               n_dynamic_conf=int(rng.integers(1, 3)) if kind == "dynamic" else 0)
         if dynamic_time_span(spec, spec.names()).is_infinite:
             continue
         names = spec.names()
         xv = names[int(rng.integers(n_vars))]
         yv = names[int(rng.integers(n_vars))]
         x = {xv: int(rng.integers(2))}
-        t_y = t_x + (int(rng.integers(5, 7)) if n_vars == 2 else 5) - 2
+        yield spec, x, yv, t_x + (int(rng.integers(5, 7)) if n_vars == 2 else 5) - 2
+
+
+def _pipelines_match_unrolled_oracle(kind, t_x):
+    """On the generator's specs of ``kind``, the kind's dcn and cdcn
+    pipelines and every slice of the trajectory agree with the unrolled
+    post-intervention joint whenever they identify the query; returns how
+    many of each identified it."""
+    dynamic = kind == "dynamic"
+    dcn, cdcn = (dcn_id_dynamic, cdcn_id_dynamic) if dynamic else (dcn_id_static, cdcn_id_static)
+    identified = {"dcn": 0, "cdcn": 0, "trajectory": 0}
+    for spec, x, yv, t_y in _generator_queries(kind, t_x):
+        names = spec.names()
         want = post_intervention_slices(spec, x, t_x, [yv], t_y)
         got = dcn(spec, x, t_x, {yv}, t_y, None, None, 0)
         if got is not None:
@@ -176,6 +188,8 @@ class TestMechanismChecks:
 
     @pytest.mark.parametrize("edit_table,prior,match", [
         (lambda t: t * 1.1, None, "must sum to 1"),
+        (lambda t: np.full_like(t, np.nan), None, "NaN"),
+        (None, (float("nan"), 1.0), "not a distribution"),
         (lambda t: np.stack([t.sum(axis=-1) + 0.5, np.full(t.shape[:-1], -0.5)], axis=-1),
          None, "negative"),
         (None, (0.5, 0.6), "not a distribution"),
@@ -974,3 +988,254 @@ class TestCellCap:
             trajectory(spec, None, None, ({"V1": 1}, 2), horizon)
             peaks[horizon] = largest[0]
         assert max(peaks.values()) == peaks[6] == peaks[12] <= 256
+
+
+def zero_context_spec():
+    """V2@t-1 -> V1@t, V1 -> V2 -> V3 within the slice, V3@t-1 -> V3@t and
+    a hidden V1 <-> V3 (U1).  V1 is 0 whenever V2@t-1 is, and V3 is 1
+    when V2 = 1, V3@t-1 = 1 and U1 = 0, so some contexts across slices
+    have zero mass, while every slice state has positive mass."""
+    u = SliceExo("U1", (0.6, 0.4), "V1", "V3", 0)
+    v1 = np.array([[[1.0, 0.0], [1.0, 0.0]], [[0.3, 0.7], [0.5, 0.5]]])
+    v2 = np.array([[0.6, 0.4], [0.2, 0.8]])
+    v3 = np.array([[[[1.0, 0.0], [0.4, 0.6]], [[0.25, 0.75], [0.5, 0.5]]],
+                   [[[0.7, 0.3], [0.1, 0.9]], [[0.0, 1.0], [0.2, 0.8]]]])
+    return DcnSpec(tuple(Var(n) for n in ("V1", "V2", "V3")), (("V1", "V2"), ("V2", "V3")),
+                   (("V2", "V1", 1), ("V3", "V3", 1)), (frozenset({"V1", "V3"}),), (),
+                   DcnMechanism((SliceCpt("V1", (), (("V2", 1),), ("U1",), v1),
+                                 SliceCpt("V2", ("V1",), (), (), v2),
+                                 SliceCpt("V3", ("V2",), (("V3", 1),), ("U1",), v3)),
+                                (u,)))
+
+
+def _run_generator_pipelines(kind, t_x):
+    """Every pipeline of ``kind`` on the generator's queries, answers
+    discarded; refused queries are skipped."""
+    dynamic = kind == "dynamic"
+    dcn_run, cdcn_run = ((dcn_id_dynamic, cdcn_id_dynamic) if dynamic
+                         else (dcn_id_static, cdcn_id_static))
+    for spec, x, yv, t_y in _generator_queries(kind, t_x):
+        for run in (lambda: dcn_run(spec, x, t_x, {yv}, t_y, None, None, 0),
+                    lambda: cdcn_run(spec, x, t_x, {yv}, t_y, None, None, 0),
+                    lambda: trajectory(spec, None, None, (x, t_x), t_y),
+                    lambda: step_kernel_matrix(spec, x, t_x)):
+            try:
+                run()
+            except UnsupportedQueryError:
+                pass
+
+
+@pytest.fixture(scope="module")
+def generator_calls():
+    """What the pipelines build on the 150-spec static and dynamic
+    generators, at t_x = 2 (windows from t0) and t_x = 5 (later windows):
+    every window graph with its call, and every pass marginal,
+    ``_sum_product`` result and mechanism step."""
+    windows, factors = [], []
+
+    def spy(real, record):
+        def wrapper(obs, *args):
+            out = real(obs, *args)
+            record(obs, args, out)
+            return out
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Forward, "window", spy(_Forward.window, lambda obs, args, g: windows.append(
+            (obs.spec, obs.t0) + args + (g,))))
+        for name in ("marginal", "_sum_product", "_mechanism_step"):
+            mp.setattr(_Forward, name, spy(getattr(_Forward, name),
+                                           lambda obs, args, f: factors.append(f)))
+        for kind in ("static", "dynamic"):
+            for t_x in (2, 5):
+                _run_generator_pipelines(kind, t_x)
+    return windows, factors
+
+
+def _latent_projection_edges(spec, t0, t_left, t_right):
+    """By brute force, the bidirected edges of the window t_left..t_right
+    of the graph unrolled from t0 when the slices before t_left are
+    latent: with every bidirected edge read as a hidden parent of its two
+    ends, a <-> b when a hidden or latent vertex reaches both along
+    directed paths whose inner vertices are latent."""
+    g, _ = unroll(spec, t0, t_right)
+    window = set(g.names()) - {slice_var_at(n, t) for t in range(t0, t_left) for n in spec.names()}
+
+    @functools.cache
+    def reach(u):
+        return frozenset({u}) if u in window else frozenset().union(
+            *(reach(c) for c in g.children_of(u)))
+
+    sources = [reach(u) for u in g.names() if u not in window]
+    sources += [reach(a) | reach(b) for a, b in map(tuple, g.bidirected)]
+    return {frozenset(pair) for r in sources for pair in itertools.combinations(r, 2)}
+
+
+class TestOneGraphPerCall:
+    """Each call unrolls its graph once, reads its windows, ancestor sets
+    and static steps off its one pass, and trusts what it derives; these
+    tests hold the invariants that make that exact."""
+
+    def test_window_graphs_are_the_unrolled_windows(self, generator_calls):
+        """Every window a pipeline identifies on is unroll(spec, t_left,
+        t_right), vertex order included; a dynamic window that starts
+        after t0 adds the edges of its latent projection."""
+        windows, _ = generator_calls
+        seen = Counter()
+        for spec, t0, t_left, t_right, g in windows:
+            want, _ = unroll(spec, t_left, t_right)
+            seen["static" if classify(spec).is_static else "dynamic"] += 1
+            if not classify(spec).is_static and t_left > t0:
+                extra = _latent_projection_edges(spec, t0, t_left, t_right) - want.bidirected
+                want = Admg(want.vars, want.directed, want.bidirected | extra)
+                seen["with projected edges"] += bool(extra)
+            assert g == want
+        assert min(seen.values()) >= 100, seen
+
+    def test_trusted_unroll_equals_the_validated_graph(self):
+        for kind in ("static", "dynamic"):
+            for spec, _x, _y, t_y in _generator_queries(kind, 2):
+                g, _ = unroll(spec, 0, t_y)
+                assert g == Admg(g.vars, g.directed, g.bidirected)
+
+    def test_pass_factors_are_trusted_views(self, generator_calls):
+        """Marginals, sums over products and mechanism steps skip the
+        factor checks; their tables are still finite, non-negative,
+        read-only and shaped as their scopes."""
+        _, factors = generator_calls
+        assert len(factors) > 1000
+        for f in factors:
+            assert f.table.shape == tuple(v.domain for v in f.scope)
+            assert not f.table.flags.writeable
+            assert np.all(np.isfinite(f.table)) and np.all(f.table >= 0)
+
+    @pytest.mark.parametrize("scheduled", [False, True])
+    def test_restricted_transitions_ignore_dropped_variables(self, scheduled):
+        """The ancestor closure that ``_transition_steps`` relies on: the
+        transition into the slice-t ancestors of any set of slice-t
+        variables does not depend on the slice-(t-1) variables that are
+        not ancestors too.  Schedules here come from mechanisms on the
+        spec's graph, with a different mechanism for every step."""
+        rng = np.random.default_rng(12)
+        checked = 0
+        for _ in range(30):
+            spec = random_dcn_spec(rng, n_vars=3, n_static_conf=int(rng.integers(0, 3)))
+            schedule = ([mechanism_transition(random_mechanism_for(spec, rng)) for _ in range(4)]
+                        if scheduled else None)
+            trans = _Forward(spec, schedule, None, 0, 3).trans(3)
+            g, _ = unroll(spec, 2, 3)
+            for size in range(1, 4):
+                for ys in itertools.combinations(spec.names(), size):
+                    an = ancestors(g, [slice_var_at(n, 3) for n in ys])
+                    f = marginalize(trans, [n for n in trans.names()
+                                            if n.endswith("@3") and n not in an])
+                    for v in spec.slice_vars:
+                        name = slice_var_at(v.name, 2)
+                        if name in an:
+                            continue
+                        ref = f.restrict({name: 0})
+                        for val in range(1, v.domain):
+                            assert equal_within(f.restrict({name: val}), ref, 1e-9)
+                            checked += 1
+        assert checked > 100
+
+    def test_schedule_contradicting_the_graph_is_refused(self):
+        """A schedule is any chain, so the closure is checked for it: a
+        step into the ancestors of Y that depends on previous-slice
+        variables the graph makes non-ancestors is refused."""
+        spec = random_dcn_spec(np.random.default_rng(0), n_vars=3, n_static_conf=1)
+        rows = np.random.default_rng(100).dirichlet(np.ones(8), size=8)
+        with pytest.raises(InvalidInputError, match="non-ancestors"):
+            cdcn_id_static(spec, {"V1": 1}, 2, {"V1"}, 4,
+                           TransitionMatrix.from_rows(spec.slice_vars, rows))
+
+    def test_mechanism_steps_equal_mechanism_transition(self):
+        """A static spec's steps read off the pass are the transition
+        ``mechanism_transition`` derives, on every previous-slice state of
+        positive mass."""
+        rng = np.random.default_rng(21)
+        specs = [random_dcn_spec(rng, n_vars=int(rng.integers(2, 4)),
+                                 n_static_conf=int(rng.integers(0, 3))) for _ in range(40)]
+        for spec in specs + [zero_context_spec()]:
+            n = spec.slice_states()
+            want = mechanism_transition(spec).matrix
+            positive = want.sum(axis=0) > 0.5
+            obs = _Forward(spec, None, None, 0, 4)
+            for t in range(1, 5):
+                layout = [slice_var_at(v, s) for s in (t, t - 1) for v in spec.names()]
+                got = obs.trans(t).reorder(layout).table.reshape(n, n)
+                assert np.max(np.abs(got - want)[:, positive]) < 1e-12
+
+    def test_zero_mass_contexts_keep_answers_and_partial_flags(self):
+        """Conditionals on contexts of zero mass give zero cells and set
+        ``partial`` (factors.condition); the answers equal the unrolled
+        oracle, and the flags are those the pipelines gave when their
+        steps came from ``mechanism_transition``."""
+        spec = zero_context_spec()
+        names = spec.names()
+        for xv, val in itertools.product(names, (0, 1)):
+            x = {xv: val}
+            for yv in names:
+                want = post_intervention_slices(spec, x, 2, [yv], 5)
+                for run in (dcn_id_static, cdcn_id_static):
+                    got = run(spec, x, 2, {yv}, 5)
+                    assert np.max(np.abs(got.reorder([yv]).table - want.table)) < 1e-12
+                    assert got.partial == (run is dcn_id_static or xv != "V3" or yv == "V3")
+            series = trajectory(spec, None, None, (x, 2), 5)
+            assert [f.partial for f in series] == [False, False, xv != "V3", True, True, True]
+            for t, f in enumerate(series):
+                want = post_intervention_slices(spec, x, 2, names, t)
+                assert np.max(np.abs(f.reorder(names).table - want.table)) < 1e-12
+
+    def test_zero_mass_slice_states_are_stepped_by_the_mechanism(self):
+        """When V2 copies V1 = 1, the slice state (V1 = 1, V2 = 0) has zero
+        mass, and ``mechanism_transition`` has no distribution for that
+        column.  Steps read off the pass are the mechanism's conditional,
+        defined on every column, so the static pipelines still answer:
+        distributions, flagged ``partial`` because positivity fails."""
+        base = zero_context_spec()
+        v2 = np.array([[0.6, 0.4], [0.0, 1.0]])
+        spec = replace(base, mechanism=DcnMechanism(
+            tuple(replace(c, table=v2) if c.var == "V2" else c for c in base.mechanism.cpts),
+            base.mechanism.exos))
+        with pytest.raises(InvalidInputError, match="sum to 1"):
+            mechanism_transition(spec)
+        for xv, val, yv in itertools.product(spec.names(), (0, 1), spec.names()):
+            for run in (dcn_id_static, cdcn_id_static):
+                got = run(spec, {xv: val}, 2, {yv}, 5)
+                assert got.partial and abs(got.total() - 1.0) < 1e-12
+
+    def test_each_call_unrolls_once_and_validates_nothing(self, monkeypatch):
+        """Regression guard: on mechanism-only specs each pipeline call
+        unrolls one graph, builds no graph through the validating
+        constructor, and derives no ``mechanism_transition``."""
+        static = random_dcn_spec(np.random.default_rng(1), n_vars=3, n_static_conf=1)
+        dynamic = dyn_spec([("V1", "V2", 1)], seed=5)
+        calls = Counter()
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(dcn, "unroll", counted("unroll", dcn.unroll))
+        monkeypatch.setattr(dcn, "mechanism_transition",
+                            counted("mechanism_transition", dcn.mechanism_transition))
+        monkeypatch.setattr(Admg, "__init__", counted("Admg", Admg.__init__))
+        x = {"V1": 1}
+        runs = [
+            lambda s: dcn_id_static(s, x, 2, {"V2"}, 5),
+            lambda s: cdcn_id_static(s, x, 2, {"V2"}, 5),
+            lambda s: trajectory(s, None, None, (x, 2), 5),
+            lambda s: step_kernel_matrix(s, x, 2),
+        ]
+        dynamic_runs = [
+            lambda s: dcn_id_dynamic(s, x, 2, {"V2"}, 5),
+            lambda s: cdcn_id_dynamic(s, x, 2, {"V2"}, 5),
+        ] + runs[2:]
+        for spec, pipelines in ((static, runs), (dynamic, dynamic_runs)):
+            for run in pipelines:
+                calls.clear()
+                assert run(spec) is not None
+                assert calls == {"unroll": 1}
