@@ -188,12 +188,12 @@ class TestMechanismChecks:
 
     @pytest.mark.parametrize("edit_table,prior,match", [
         (lambda t: t * 1.1, None, "must sum to 1"),
-        (lambda t: np.full_like(t, np.nan), None, "NaN"),
-        (None, (float("nan"), 1.0), "not a distribution"),
         (lambda t: np.stack([t.sum(axis=-1) + 0.5, np.full(t.shape[:-1], -0.5)], axis=-1),
          None, "negative"),
         (None, (0.5, 0.6), "not a distribution"),
         (None, (1.2, -0.2), "not a distribution"),
+        (lambda t: np.full_like(t, np.nan), None, "NaN"),
+        (None, (float("nan"), 1.0), "not a distribution"),
     ])
     def test_bad_tables_rejected_on_first_use(self, edit_table, prior, match):
         spec = next(self._dynamic_specs())
