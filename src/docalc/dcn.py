@@ -19,8 +19,13 @@ the slice state and the confounders in flight.  Otherwise the source is
 the chain: p0 (the given one, else the mechanism's initial slice, else
 uniform) stepped by the transitions.  A p0 is refused for dynamic
 specs, because a slice state cannot carry the confounders in flight.
-The pass also builds the call's one unrolled graph, unchecked; the
-identification windows and the ancestor sets are read off it.
+Each call builds one ``_Layout``, in one walk over (variable, slice):
+the unrolled names, ``Var``s and ranks of each slice, the call's one
+unrolled graph, unchecked, and on the mechanism each slice's tables,
+every slice whose parents lie in the window sharing its template's one
+read-only array.  ``unroll`` and ``unrolled_scm`` read the same layout.
+The identification windows, the ancestor sets and the slice states are
+read off it by name.
 Each term of an identified expression is read off a small marginal of
 the pass, so no table grows with the horizon and no window joint is
 built.  Only on the mechanism, whose distribution is Markov to the
@@ -33,10 +38,11 @@ where that is exact.
 
 Every step is a conditional factor P(next | previous slice) over the
 unrolled names (``x@t``) of the two slices.  A pipeline takes its
-transitions from the pass: the schedule when one is given; otherwise a
-static spec's steps are its mechanism's slice tables in the pass,
-contracted onto two slices (``mechanism_transition`` serves only the
-chain from a given p0).  A step restricted to ancestor sets ignores
+transitions from the pass: the schedule when one is given, each
+distinct matrix checked and laid out once per call; otherwise a static
+spec's steps are its mechanism's slice tables in the pass, contracted
+onto two slices (``mechanism_transition`` is that contraction as a
+matrix).  A step restricted to ancestor sets ignores
 the dropped previous-slice variables (tested; checked for a schedule).
 Every pipeline follows one procedure.  The window lemma
 (``_window_left``) puts the left edge of an identification window one
@@ -310,29 +316,144 @@ def _confounder_reach(spec: DcnSpec, start: Iterable[str], forward: bool) -> Dyn
 # -- unrolling ------------------------------------------------------------
 
 
+def _read_only(table: np.ndarray) -> np.ndarray:
+    view = table.view()
+    view.flags.writeable = False
+    return view
+
+
+class _Layout:
+    """The slices t0..t_end of one call, from one walk over (variable,
+    slice): the unrolled names of each slice (``slices``, declared
+    order), their ``Var``s, domains, ranks (slice by slice) and slices,
+    the ``index`` (variable, slice) -> name, and the graph, built
+    unchecked: a valid ``DcnSpec`` unrolls to a valid ADMG.  Edges whose
+    lag sticks out of the window are dropped.
+
+    With ``tables`` it also holds the mechanism unrolled over the window
+    (``unrolled_scm``): per slice, the tables that slice adds to it
+    (``tables``: the priors of the confounders born there, then its
+    CPTs, each over parents, exo parents and the variable) and the
+    forward pass's ``interface`` (its names, then the confounders in
+    flight there), and every confounder's name, template and children
+    (``exos``).  They come from the spec's checked mechanism, and
+    ``DcnSpec`` makes sure at construction that they fit together, so
+    nothing is checked.  Each template table is converted to float once,
+    and every slice whose parents all lie in the window shares that one
+    read-only array; parents and confounder halves from slices before t0
+    are averaged out."""
+
+    __slots__ = ("t0", "slices", "vars", "domain", "rank", "slice_of", "index", "graph",
+                 "interface", "tables", "exos")
+
+    def __init__(self, spec: DcnSpec, t0: int, t_end: int, tables: bool):
+        if t0 > t_end:
+            raise WindowTooSmallError("empty unroll window")
+        self.t0 = t0
+        self.slices: list[tuple[str, ...]] = []
+        self.vars: dict[str, Var] = {}
+        self.domain: dict[str, int] = {}
+        self.slice_of: dict[str, int] = {}
+        index = self.index = {}
+        directed = set()
+        bidirected = set()
+        for t in range(t0, t_end + 1):
+            names = tuple(slice_var_at(v.name, t) for v in spec.slice_vars)
+            for v, n in zip(spec.slice_vars, names):
+                index[v.name, t] = n
+                self.vars[n] = Var(n, v.domain)
+                self.domain[n] = v.domain
+                self.slice_of[n] = t
+            self.slices.append(names)
+        for t in range(t0, t_end + 1):
+            for a, b in spec.intra_edges:
+                directed.add((index[a, t], index[b, t]))
+            for a, b, k in spec.cross_edges:
+                if t + k <= t_end:
+                    directed.add((index[a, t], index[b, t + k]))
+            for pair in spec.intra_confounders:
+                bidirected.add(frozenset(index[a, t] for a in pair))
+            for a, b, k in spec.cross_confounders:
+                if t + k <= t_end:
+                    bidirected.add(frozenset((index[a, t], index[b, t + k])))
+        self.rank = {n: i for i, n in enumerate(self.vars)}
+        self.graph = Admg._trusted(tuple(self.vars.values()), frozenset(directed),
+                                   frozenset(bidirected))
+        self.interface = list(self.slices)
+        self.tables: Optional[list[list[tuple[tuple[str, ...], np.ndarray]]]] = None
+        self.exos: list[tuple[str, SliceExo, tuple[str, ...]]] = []  # name, template, children
+        if tables:
+            self._unroll_mechanism(spec, t_end)
+
+    def _unroll_mechanism(self, spec: DcnSpec, t_end: int) -> None:
+        mech = spec._checked_mechanism
+        t0, index, domain = self.t0, self.index, self.domain
+        exo_of = {e.name: e for e in mech.exos}
+        cpt_of = {c.var: c for c in mech.cpts}
+        base = {c.var: _read_only(np.asarray(c.table, dtype=float)) for c in mech.cpts}
+        prior = {e.name: _read_only(np.asarray(e.prior, dtype=float)) for e in mech.exos}
+        self.tables = []
+        noise_exos = []
+        for t in range(t0, t_end + 1):
+            born: list[tuple[tuple[str, ...], np.ndarray]] = []
+            for e in mech.exos:
+                if e.lag > 0 and t + e.lag > t_end:
+                    continue  # the later half leaves the window; handled as noise below
+                if e.earlier == e.later:
+                    raise InvalidInputError(f"exo template {e.name!r} confounds {e.earlier!r} "
+                                            "with its own later slice, which a slice mechanism "
+                                            "cannot unroll")
+                u = f"{e.name}@{t}"
+                self.exos.append((u, e, (index[e.earlier, t], index[e.later, t + e.lag])))
+                domain[u] = len(e.prior)
+                born.append(((u,), prior[e.name]))
+                for s in range(t - t0, t - t0 + e.lag):
+                    self.interface[s] += (u,)
+            cpts: list[tuple[tuple[str, ...], np.ndarray]] = []
+            for v, name in zip(spec.slice_vars, self.slices[t - t0]):
+                c = cpt_of[v.name]
+                table = base[v.name]
+                # axes: intra parents, cross parents, exo parents, var
+                scope = [index[p, t] for p in c.intra_parents]
+                axis = len(scope)
+                for p, lag in c.cross_parents:
+                    if t - lag >= t0:
+                        scope.append(index[p, t - lag])
+                        axis += 1
+                    else:
+                        table = table.mean(axis=axis)  # pre-window parent: average
+                for x in c.exo_parents:
+                    e = exo_of[x]
+                    if v.name == e.earlier and (e.lag == 0 or t + e.lag <= t_end):
+                        scope.append(f"{x}@{t}")
+                    elif v.name == e.later and t - e.lag >= t0:
+                        scope.append(f"{x}@{t - e.lag}")
+                    elif v.name == e.earlier:
+                        # later half leaves the window: keep as private noise
+                        u = f"{x}@{t}"
+                        if u not in domain:
+                            noise_exos.append((u, e, (name,)))
+                            domain[u] = len(e.prior)
+                            born.append(((u,), prior[x]))
+                        scope.append(u)
+                    else:
+                        table = table.mean(axis=axis)  # confounder born pre-window
+                        continue
+                    axis += 1
+                if table is not base[v.name]:
+                    table.flags.writeable = False
+                scope.append(name)
+                cpts.append((tuple(scope), table))
+            self.tables.append(born + cpts)
+        self.exos += noise_exos
+
+
 def unroll(spec: DcnSpec, t0: int, t_end: int) -> tuple[Admg, dict[tuple[str, int], str]]:
     """Finite window of the bi-infinite graph: one vertex per (variable,
     slice).  Edges whose lag sticks out of the window are dropped.  Built
     unchecked: a valid ``DcnSpec`` unrolls to a valid ADMG."""
-    if t0 > t_end:
-        raise WindowTooSmallError("empty unroll window")
-    at = [(v, t) for t in range(t0, t_end + 1) for v in spec.slice_vars]
-    index = {(v.name, t): slice_var_at(v.name, t) for v, t in at}
-    variables = tuple(Var(index[(v.name, t)], v.domain) for v, t in at)
-    directed = set()
-    bidirected = set()
-    for t in range(t0, t_end + 1):
-        for a, b in spec.intra_edges:
-            directed.add((index[(a, t)], index[(b, t)]))
-        for a, b, k in spec.cross_edges:
-            if t + k <= t_end:
-                directed.add((index[(a, t)], index[(b, t + k)]))
-        for pair in spec.intra_confounders:
-            bidirected.add(frozenset(index[(a, t)] for a in pair))
-        for a, b, k in spec.cross_confounders:
-            if t + k <= t_end:
-                bidirected.add(frozenset((index[(a, t)], index[(b, t + k)])))
-    return Admg._trusted(variables, frozenset(directed), frozenset(bidirected)), index
+    layout = _Layout(spec, t0, t_end, tables=False)
+    return layout.graph, layout.index
 
 
 def unrolled_scm(spec: DcnSpec, t0: int, t_end: int) -> Scm:
@@ -342,73 +463,15 @@ def unrolled_scm(spec: DcnSpec, t0: int, t_end: int) -> Scm:
     from slices before ``t0`` are averaged out uniformly, which defines
     the generating process started at ``t0``.
     """
-    cpts, exos = _unrolled_tables(spec, t0, t_end)
-    return Scm(unroll(spec, t0, t_end)[0], {n: Cpt(n, *c) for n, c in cpts.items()},
-               tuple(Exogenous(*e) for e in exos))
-
-
-_CptParts = tuple[tuple[str, ...], tuple[str, ...], np.ndarray]  # parents, exo parents, table
-_ExoParts = tuple[Var, tuple[float, ...], frozenset[str]]  # variable, prior, feeds
-
-
-def _unrolled_tables(spec: DcnSpec, t0: int, t_end: int
-                     ) -> tuple[dict[str, _CptParts], list[_ExoParts]]:
-    """The CPT parts and confounder parts of ``unrolled_scm``, unchecked:
-    they come from the spec's checked mechanism, and ``DcnSpec`` makes
-    sure at construction that they fit together."""
-    mech = spec._checked_mechanism
-    exos: list[_ExoParts] = []
-    noise_born: set[str] = set()
-    for t in range(t0, t_end + 1):
-        for e in mech.exos:
-            if e.lag > 0 and t + e.lag > t_end:
-                continue  # the later half leaves the window; handled as noise below
-            if e.earlier == e.later:
-                raise InvalidInputError(f"exo template {e.name!r} confounds {e.earlier!r} with "
-                                        "its own later slice, which a slice mechanism cannot "
-                                        "unroll")
-            feeds = frozenset((slice_var_at(e.earlier, t), slice_var_at(e.later, t + e.lag)))
-            exos.append((Var(f"{e.name}@{t}", len(e.prior)), e.prior, feeds))
-
-    cpts: dict[str, _CptParts] = {}
-    for t in range(t0, t_end + 1):
-        for v in spec.slice_vars:
-            c = mech.cpt(v.name)
-            table = np.asarray(c.table, dtype=float)
-            # axes: intra parents, cross parents, exo parents, var
-            axis = 0
-            keep_obs: list[str] = []
-            for p in c.intra_parents:
-                keep_obs.append(slice_var_at(p, t))
-                axis += 1
-            for p, lag in c.cross_parents:
-                if t - lag >= t0:
-                    keep_obs.append(slice_var_at(p, t - lag))
-                    axis += 1
-                else:
-                    table = table.mean(axis=axis)  # pre-window parent: average
-            kept_exo: list[str] = []
-            for e_name in c.exo_parents:
-                e = next(e for e in mech.exos if e.name == e_name)
-                if v.name == e.earlier and (e.lag == 0 or t + e.lag <= t_end):
-                    kept_exo.append(f"{e.name}@{t}")
-                    axis += 1
-                elif v.name == e.later and t - e.lag >= t0:
-                    kept_exo.append(f"{e.name}@{t - e.lag}")
-                    axis += 1
-                elif v.name == e.earlier:
-                    # later half leaves the window: keep as private noise
-                    noise = f"{e.name}@{t}"
-                    if noise not in noise_born:
-                        exos.append((Var(noise, len(e.prior)), e.prior,
-                                     frozenset((slice_var_at(v.name, t),))))
-                        noise_born.add(noise)
-                    kept_exo.append(noise)
-                    axis += 1
-                else:
-                    table = table.mean(axis=axis)  # confounder born pre-window
-            cpts[slice_var_at(v.name, t)] = (tuple(keep_obs), tuple(kept_exo), table)
-    return cpts, exos
+    layout = _Layout(spec, t0, t_end, tables=True)
+    cpts = {}
+    for scope, table in itertools.chain.from_iterable(layout.tables):
+        n = scope[-1]
+        if n in layout.vars:  # a CPT; its observed parents come first
+            parents = tuple(p for p in scope[:-1] if p in layout.vars)
+            cpts[n] = Cpt(n, parents, scope[len(parents):-1], table)
+    return Scm(layout.graph, cpts, tuple(Exogenous(Var(u, len(e.prior)), e.prior, frozenset(feeds))
+                                         for u, e, feeds in layout.exos))
 
 
 # -- transitions and marginals ---------------------------------------------
@@ -424,63 +487,52 @@ def _matrix_at(schedule: Schedule, t: int) -> TransitionMatrix:
     return schedule[t]
 
 
-def _transition_factor(spec: DcnSpec, tm: TransitionMatrix, t: int) -> Factor:
-    """The transition ``tm`` into slice t as the conditional factor
-    P(V@t | V@t-1); its state variables must be the slice variables, in
-    declared order, because the matrix is read in that order."""
-    if tm.state_vars != spec.slice_vars:
-        raise InvalidInputError(
-            f"transition matrix state variables {[v.name for v in tm.state_vars]} must be "
-            f"the slice variables {list(spec.names())} in that order, with their domains")
-    scope = tuple(Var(slice_var_at(v.name, s), v.domain)
-                  for s in (t, t - 1) for v in spec.slice_vars)
-    return Factor._view(scope, tm.matrix.reshape([v.domain for v in scope]), False)
-
-
-def _transitions(spec: DcnSpec, schedule: Optional[Schedule]) -> Optional[Transitions]:
-    """The chain's transitions: the schedule when one is given, otherwise
-    ``mechanism_transition`` of a static mechanism (derived on first use,
-    for a given p0); None when there is neither.  Refuses cross edges of
-    lag > 1, whose slices are not first order."""
-    if classify(spec).beta > 1:
-        raise UnsupportedModelError(
-            "cross edges of lag > 1 are not supported: the identification windows "
-            "and one-slice steps assume first-order slices")
-    if schedule is not None:
-        return lambda t: _transition_factor(spec, _matrix_at(schedule, t - 1), t)
-    if spec.mechanism is None or not classify(spec).is_static:
+def _transitions(spec: DcnSpec, schedule: Optional[Schedule],
+                 layout: _Layout) -> Optional[Transitions]:
+    """A schedule's transitions as step factors P(V@t | V@t-1) over the
+    layout's variables; None without a schedule.  A matrix's state
+    variables must be the slice variables, in declared order, because the
+    matrix is read in that order; each distinct matrix is checked and
+    laid out once per call."""
+    if schedule is None:
         return None
-    derived = functools.cache(lambda: mechanism_transition(spec))
-    return lambda t: _transition_factor(spec, derived(), t)
+    shape = [v.domain for v in spec.slice_vars] * 2
+    laid_out: dict[int, tuple[TransitionMatrix, np.ndarray]] = {}  # id -> (matrix, table)
+
+    def step(t: int) -> Factor:
+        tm = _matrix_at(schedule, t - 1)
+        if id(tm) not in laid_out:
+            if tm.state_vars != spec.slice_vars:
+                raise InvalidInputError(
+                    f"transition matrix state variables {[v.name for v in tm.state_vars]} "
+                    f"must be the slice variables {list(spec.names())} in that order, with "
+                    "their domains")
+            laid_out[id(tm)] = (tm, tm.matrix.reshape(shape))
+        names = layout.slices[t - layout.t0] + layout.slices[t - 1 - layout.t0]
+        return Factor._view(tuple(layout.vars[n] for n in names), laid_out[id(tm)][1], False)
+
+    return step
 
 
 def mechanism_transition(spec: DcnSpec) -> TransitionMatrix:
-    """P(V_{t+1} | V_t) implied by the slice mechanism (static specs)."""
-    if not classify(spec).is_static:
+    """P(V_{t+1} | V_t) implied by the slice mechanism (static specs): the
+    tables one slice adds to the mechanism, contracted onto it and the
+    slice before (``_Forward._mechanism_step``), so every column is a
+    distribution, also for slice states of zero mass."""
+    cls = classify(spec)
+    if not cls.is_static:
         raise UnsupportedModelError(
             "with dynamic confounders the one-step conditional is not a mechanism constant")
-    prev = _slice_names(spec, 0, 0)
-    cond = condition(joint(unrolled_scm(spec, 0, 1)), prev)
+    spec._checked_mechanism  # UnsupportedModelError without a mechanism
     n = spec.slice_states()
-    return TransitionMatrix(spec.slice_vars,
-                            cond.reorder(_slice_names(spec, 1, 1) + prev).table.reshape(n, n))
+    step = _Forward(spec, None, None, 0, 1, cls).trans(1)  # laid out (V@1, V@0)
+    return TransitionMatrix(spec.slice_vars, step.table.reshape(n, n))
 
 
 def initial_distribution(spec: DcnSpec, t0: int = 0) -> Factor:
     """Slice-t0 joint under the boundary convention of ``unrolled_scm``."""
-    m = unrolled_scm(spec, t0, t0)
-    f = joint(m)
-    return _to_template(spec, f, t0)
-
-
-def _to_template(spec: DcnSpec, f: Factor, t: int) -> Factor:
-    names = {slice_var_at(n, t): n for n in spec.names()}
-    scope = tuple(Var(names[v.name], v.domain) for v in f.scope)
-    return Factor._view(scope, f.table, f.partial).reorder(spec.names())
-
-
-def _slice_names(spec: DcnSpec, t_left: int, t_right: int) -> list[str]:
-    return [slice_var_at(n, t) for t in range(t_left, t_right + 1) for n in spec.names()]
+    f = joint(unrolled_scm(spec, t0, t0))
+    return Factor._view(spec.slice_vars, f.table, f.partial)
 
 
 class _Forward:
@@ -489,12 +541,16 @@ class _Forward:
     call's inputs choose where the per-slice tables come from:
 
     * the mechanism, unrolled over the call's slices and the longest
-      confounder lag beyond (``_unrolled_tables``), when the spec has
-      one, no p0 is given, and the spec is dynamic or has no schedule
-      (a static spec's steps are then ``_mechanism_step``);
+      confounder lag beyond, when the spec has one, no p0 is given, and
+      the spec is dynamic or has no schedule;
     * otherwise the chain: p0 (the given one, else the mechanism's
-      initial slice, else uniform), then the transitions
-      (``_transitions``).
+      initial slice, else uniform), then the transitions: the schedule
+      (``_transitions``), else a static mechanism's slice step.
+
+    A static mechanism's steps are its slice tables contracted onto two
+    slices (``_mechanism_step``).  The call's ``_Layout``, built once,
+    gives the pass its names, ``Var``s, ranks, slices, interfaces and
+    per-slice tables, and the call's one unrolled graph (``graph``).
 
     The message at slice s is the joint of the slice-s variables and the
     confounders in flight there (feeding slice s or earlier and a later
@@ -506,30 +562,37 @@ class _Forward:
     evaluated from small marginals (``term``), never from a window
     joint.  Messages, marginals and terms are cached for the call, and
     contractions of validated tables are trusted.  The windows and
-    ancestor sets are read off the call's one unrolled graph (``graph``)."""
+    ancestor sets are read off the graph."""
 
     def __init__(self, spec: DcnSpec, schedule: Optional[Schedule], p0: Optional[Factor],
-                 t0: int, t_end: int):
-        self.trans = _transitions(spec, schedule)
+                 t0: int, t_end: int, cls: Optional[ConfounderClass] = None):
+        self.cls = classify(spec) if cls is None else cls
+        if self.cls.beta > 1:
+            raise UnsupportedModelError(
+                "cross edges of lag > 1 are not supported: the identification windows "
+                "and one-slice steps assume first-order slices")
         self.spec, self.t0, self.scheduled = spec, t0, schedule is not None
-        self.dynamic = not classify(spec).is_static
+        self.dynamic = not self.cls.is_static
         if p0 is not None and self.dynamic:
             raise InvalidInputError("p0 is refused for a spec with dynamic confounders: a "
                                     "slice state cannot carry the confounders in flight")
         self.chain = (spec.mechanism is None or p0 is not None
                       or (schedule is not None and not self.dynamic))
         # a confounder born by t_end keeps both its children, so the
-        # message at a slice, and the slice's state, do not depend on t_end
-        t_end += classify(spec).alpha_max
-        self.interface = [tuple(_slice_names(spec, t, t)) for t in range(t0, t_end + 1)]
-        self.vars = {n: Var(n, v.domain) for names in self.interface
-                     for n, v in zip(names, spec.slice_vars)}
-        self.domain = {n: v.domain for n, v in self.vars.items()}
-        self.rank = {n: i for i, n in enumerate(self.vars)}  # slice by slice
-        self.slice_of = {n: t for t, names in enumerate(self.interface, t0) for n in names}
+        # message at a slice, and the slice's state, do not depend on t_end;
+        # the mechanism's tables feed the pass, or a static spec's steps
+        layout = _Layout(spec, t0, t_end + self.cls.alpha_max,
+                         tables=spec.mechanism is not None and (not self.chain or schedule is None))
+        self.slices, self.interface, self.index = layout.slices, layout.interface, layout.index
+        self.vars, self.domain, self.rank = layout.vars, layout.domain, layout.rank
+        self.slice_of, self.graph, self.tables = layout.slice_of, layout.graph, layout.tables
+        self.unit = 1 in self.domain.values()  # then ``scm._contract`` drops those axes
         self.marginals: dict[frozenset[str], Factor] = {}
         self.terms: dict[ObservedTerm, Factor] = {}
-        self.graph = unroll(spec, t0, t_end)[0]
+        self.trans = _transitions(spec, schedule, layout)
+        if self.tables is not None and schedule is None and not self.dynamic:
+            self.step_table: Optional[np.ndarray] = None
+            self.trans = self._mechanism_step
         if self.chain:
             self.steps = _transition_steps(spec, self.trans)
             if p0 is None:
@@ -537,31 +600,28 @@ class _Forward:
                       else Factor.uniform(spec.slice_vars))
             self.states: list[Factor] = [p0.reorder(spec.names())]
             return
-        cpts, exos = _unrolled_tables(spec, t0, t_end)
-        self.domain.update((var.name, var.domain) for var, _prior, _feeds in exos)
-        # per slice: priors of the confounders first feeding it, then its CPTs
-        self.tables: list[list[tuple[tuple[str, ...], np.ndarray]]] = [
-            [] for _ in range(t0, t_end + 1)]
-        for var, prior, feeds in exos:
-            fed = [self.slice_of[n] for n in feeds]
-            self.tables[min(fed) - t0].append(((var.name,), np.asarray(prior, dtype=float)))
-            for s in range(min(fed), max(fed)):
-                self.interface[s - t0] += (var.name,)
-        for name, (parents, exo_parents, table) in cpts.items():
-            self.tables[self.slice_of[name] - t0].append((parents + exo_parents + (name,), table))
         # messages[s - t0 + 1] is the message at slice s; the first is the unit
         self.messages: list[tuple[tuple[str, ...], np.ndarray]] = [((), np.ones(()))]
         self.latent: dict[int, frozenset[frozenset[str]]] = {}
-        if not self.dynamic:
-            self.step_table: Optional[np.ndarray] = None
-            self.trans = self._mechanism_step
 
     def _contract(self, tables: Sequence[tuple[tuple[str, ...], np.ndarray]],
                   out: tuple[str, ...]) -> np.ndarray:
         """The contraction onto ``out``, read-only; one of validated
-        non-negative tables needs no check as a factor table."""
+        non-negative tables needs no check as a factor table.  Without
+        unit-domain variables the operands are the tables as they stand,
+        labelled per contraction (a label set for the whole call would
+        pass einsum's label cap on long horizons)."""
         scm._check_cells(math.prod(self.domain[n] for n in out))
-        table = np.asarray(scm._contract(tables, out, self.domain))
+        labels: dict[str, int] = {}
+        operands: list = []
+        if not self.unit:
+            for scope, table in tables:
+                operands.append(table)
+                operands.append([labels.setdefault(n, len(labels)) for n in scope])
+        if self.unit or len(labels) > scm._EINSUM_LABELS:
+            table = np.asarray(scm._contract(tables, out, self.domain))
+        else:
+            table = np.asarray(np.einsum(*operands, [labels[n] for n in out]))
         table.flags.writeable = False
         return table
 
@@ -598,7 +658,9 @@ class _Forward:
         if t < self.t0:
             raise WindowTooSmallError(f"slice {t} precedes the initial slice {self.t0}")
         if not self.chain:
-            return _to_template(spec, self.marginal(frozenset(_slice_names(spec, t, t))), t)
+            # slice t's names in rank order are its variables in declared order
+            f = self.marginal(frozenset(self.slices[t - self.t0]))
+            return Factor._view(spec.slice_vars, f.table, f.partial)
         while len(self.states) <= t - self.t0:
             s = self.t0 + len(self.states)
             self.states.append(_apply(spec, self.steps(s, spec.names()), self.states[-1], s - 1, s))
@@ -635,7 +697,8 @@ class _Forward:
         if self.dynamic and self.chain:
             raise UnsupportedModelError("identification with dynamic confounders needs the "
                                         "slice mechanism")
-        g = self.graph.induced(_slice_names(self.spec, t_left, t_right))
+        g = self.graph.induced(itertools.chain.from_iterable(
+            self.slices[t_left - self.t0:t_right - self.t0 + 1]))
         if not self.dynamic or t_left == self.t0:
             return g
         extra = frozenset(e for e in self.latent_edges(t_left) if all(n in g for n in e))
@@ -895,7 +958,7 @@ def step_kernel_matrix(
                               t_x + 1, names, obs)
     if kern is None:
         return None
-    layout = _slice_names(spec, t_x + 1, t_x + 1) + _slice_names(spec, t_x - 1, t_x - 1)
+    layout = obs.slices[t_x + 1 - t0] + obs.slices[t_x - 1 - t0]
     matrix = kern.reorder(layout).table.reshape(spec.slice_states(), -1)
     return matrix, obs.state(t_x - 1).table.reshape(-1) > 1e-12
 
@@ -908,8 +971,9 @@ def _ancestor_slices(obs: _Forward, y: frozenset[str], t_y: int,
     """An(Y) intersected with each slice of [t_left, t_y], template names.
     Read off the call's graph: directed edges never point back in time, so
     these are the ancestors in the window t_left..t_y."""
-    an = ancestors(obs.graph, [slice_var_at(n, t_y) for n in y])
-    return {t: tuple(n for n in obs.spec.names() if slice_var_at(n, t) in an)
+    an = ancestors(obs.graph, [obs.index[n, t_y] for n in y])
+    names = obs.spec.names()
+    return {t: tuple(n for n, u in zip(names, obs.slices[t - obs.t0]) if u in an)
             for t in range(t_left, t_y + 1)}
 
 
@@ -942,7 +1006,8 @@ def _effect(spec: DcnSpec, x: Mapping[str, int], t_x: int, y: Iterable[str], t_y
     dynamic time span of X."""
     ys = frozenset(y)
     _validate_query(spec, x, ys, t_x, t_y, t0)
-    if not dynamic and not classify(spec).is_static:
+    cls = classify(spec)
+    if not dynamic and not cls.is_static:
         raise UnsupportedModelError("this algorithm requires static confounders only")
 
     w_left = _window_left(spec, x, t_x, t0)  # InfiniteSpanError on an infinite span
@@ -953,7 +1018,7 @@ def _effect(spec: DcnSpec, x: Mapping[str, int], t_x: int, y: Iterable[str], t_y
         if span > 0 and t_x + span >= t_y:
             raise UnsupportedQueryError("the outcome slice lies inside the dynamic time span")
         jump_to = t_x + span + 1
-    obs = _Forward(spec, schedule, p0, t0, t_y)
+    obs = _Forward(spec, schedule, p0, t0, t_y, cls)
     keep = _ancestor_slices(obs, ys, t_y, w_left) if complete else None
     if keep is not None and not keep[jump_to]:
         # X cannot influence Y: the effect is the observational marginal

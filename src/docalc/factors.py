@@ -15,6 +15,7 @@ producing NaNs.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -54,11 +55,15 @@ class Factor:
         arr = np.asarray(table, dtype=float)
         if arr.shape != expected:
             arr = arr.reshape(expected)
-        if not np.all(np.isfinite(arr)):
+        # NaN and infinities show in the extremes; a scope's domains are >= 1
+        lo, hi = float(arr.min()), float(arr.max())
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise InvalidInputError("factor table must be finite")
-        if np.any(arr < -1e-12):
+        if lo < -1e-12:
             raise InvalidInputError("factor table must be non-negative")
-        arr = np.array(np.clip(arr, 0.0, None), dtype=float)
+        # a fresh copy clipped at 0, in the input's memory order (downstream
+        # sums round by it); ``out`` keeps a 0-d result an array
+        arr = np.maximum(arr, 0.0, out=np.empty_like(arr))
         arr.flags.writeable = False
         self.table = arr
         self.partial = bool(partial)
@@ -185,10 +190,9 @@ def condition(f: Factor, given: Iterable[str]) -> Factor:
         return f.normalized()
     axes = tuple(i for i, v in enumerate(f.scope) if v.name not in given)
     ctx = f.table.sum(axis=axes, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(ctx > 0.0, f.table / np.where(ctx > 0.0, ctx, 1.0), 0.0)
-    partial = f.partial or bool(np.any(ctx <= 0.0))
-    return Factor(f.scope, out, partial)
+    positive = ctx > 0.0
+    out = np.divide(f.table, ctx, out=np.zeros_like(f.table), where=positive)
+    return Factor(f.scope, out, f.partial or not positive.all())
 
 
 def _broadcast_pair(a: Factor, b: Factor) -> tuple[tuple[Var, ...], np.ndarray, np.ndarray]:

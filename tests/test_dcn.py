@@ -1092,6 +1092,44 @@ class TestOneGraphPerCall:
             assert g == want
         assert min(seen.values()) >= 100, seen
 
+    @pytest.mark.parametrize("t0", [0, 2])
+    def test_pass_layout_is_the_unrolled_model(self, t0):
+        """The pass's one layout, on the 150-spec generators: its graph is
+        ``unroll`` over the call's slices (through the longest confounder
+        lag past t_end), and its per-slice tables are ``unrolled_scm``'s
+        priors and CPTs bit for bit, each prior in the slice of its first
+        child, each CPT in its variable's slice over parents, exo parents
+        and the variable.  Every table is read-only, and the slices whose
+        parents all lie in the window share one array per variable."""
+        seen = Counter()
+        for kind in ("static", "dynamic"):
+            for spec, _x, _y, t_y in _generator_queries(kind, 2):
+                obs = _Forward(spec, None, None, t0, t0 + t_y)
+                last = t0 + t_y + classify(spec).alpha_max
+                assert obs.graph == unroll(spec, t0, last)[0]
+                m = unrolled_scm(spec, t0, last)
+                want = [[] for _ in range(t0, last + 1)]
+                for e in m.exogenous:
+                    first = min(obs.slice_of[n] for n in e.feeds)
+                    want[first - t0].append(((e.var.name,), np.asarray(e.prior, dtype=float)))
+                for n in m.graph.names():
+                    c = m.cpts[n]
+                    want[obs.slice_of[n] - t0].append((c.parents + c.exo_parents + (n,), c.table))
+                assert len(obs.tables) == len(want)
+                shared = {}
+                for got, exp in zip(obs.tables, want):
+                    assert [scope for scope, _t in got] == [scope for scope, _t in exp]
+                    for (scope, table), (_s, ref) in zip(got, exp):
+                        assert table.dtype == ref.dtype and np.array_equal(table, ref)
+                        assert not table.flags.writeable
+                        if len(scope) > 1 and scope[-1] in obs.vars:
+                            cpt = spec.mechanism.cpt(scope[-1].split("@")[0])
+                            if table.ndim == np.ndim(cpt.table):
+                                shared.setdefault(cpt.var, set()).add(id(table))
+                assert all(len(ids) == 1 for ids in shared.values())
+                seen[kind] += 1
+        assert seen["static"] == 150 and seen["dynamic"] >= 30, seen
+
     def test_trusted_unroll_equals_the_validated_graph(self):
         for kind in ("static", "dynamic"):
             for spec, _x, _y, t_y in _generator_queries(kind, 2):
@@ -1150,21 +1188,28 @@ class TestOneGraphPerCall:
                            TransitionMatrix.from_rows(spec.slice_vars, rows))
 
     def test_mechanism_steps_equal_mechanism_transition(self):
-        """A static spec's steps read off the pass are the transition
-        ``mechanism_transition`` derives, on every previous-slice state of
-        positive mass."""
+        """A static spec's steps read off the pass, and
+        ``mechanism_transition``, are P(V@1 | V@0) of the joint of
+        ``unrolled_scm(spec, 0, 1)`` on every previous-slice state of
+        positive mass, and stochastic on every one."""
         rng = np.random.default_rng(21)
         specs = [random_dcn_spec(rng, n_vars=int(rng.integers(2, 4)),
                                  n_static_conf=int(rng.integers(0, 3))) for _ in range(40)]
         for spec in specs + [zero_context_spec()]:
             n = spec.slice_states()
-            want = mechanism_transition(spec).matrix
+            prev = [slice_var_at(v, 0) for v in spec.names()]
+            nxt = [slice_var_at(v, 1) for v in spec.names()]
+            cond = condition(joint(unrolled_scm(spec, 0, 1)), prev)
+            want = cond.reorder(nxt + prev).table.reshape(n, n)
             positive = want.sum(axis=0) > 0.5
+            matrix = mechanism_transition(spec).matrix
+            assert np.max(np.abs(matrix - want)[:, positive]) < 1e-12
+            assert np.max(np.abs(matrix.sum(axis=0) - 1.0)) < 1e-12
             obs = _Forward(spec, None, None, 0, 4)
             for t in range(1, 5):
                 layout = [slice_var_at(v, s) for s in (t, t - 1) for v in spec.names()]
                 got = obs.trans(t).reorder(layout).table.reshape(n, n)
-                assert np.max(np.abs(got - want)[:, positive]) < 1e-12
+                assert np.array_equal(got, matrix)
 
     def test_zero_mass_contexts_keep_answers_and_partial_flags(self):
         """Conditionals on contexts of zero mass give zero cells and set
@@ -1189,25 +1234,43 @@ class TestOneGraphPerCall:
 
     def test_zero_mass_slice_states_are_stepped_by_the_mechanism(self):
         """When V2 copies V1 = 1, the slice state (V1 = 1, V2 = 0) has zero
-        mass, and ``mechanism_transition`` has no distribution for that
-        column.  Steps read off the pass are the mechanism's conditional,
-        defined on every column, so the static pipelines still answer:
-        distributions, flagged ``partial`` because positivity fails."""
+        mass, so the conditioned joint has no distribution for that
+        column.  ``mechanism_transition`` and the steps read off the pass
+        are the mechanism's conditional, defined on every column, so it is
+        a transition matrix, and the static pipelines answer both on the
+        pass and on the chain from a given p0, flagged ``partial`` because
+        positivity fails.  The pass gives distributions.  The chain's
+        terms are not reduced, so where do(V1 = 1) puts the step in the
+        zero-mass state they condition on it and lose mass; elsewhere the
+        two agree."""
         base = zero_context_spec()
         v2 = np.array([[0.6, 0.4], [0.0, 1.0]])
         spec = replace(base, mechanism=DcnMechanism(
             tuple(replace(c, table=v2) if c.var == "V2" else c for c in base.mechanism.cpts),
             base.mechanism.exos))
-        with pytest.raises(InvalidInputError, match="sum to 1"):
-            mechanism_transition(spec)
+        prev = [slice_var_at(v, 0) for v in spec.names()]
+        joint01 = joint(unrolled_scm(spec, 0, 1))
+        assert np.any(marginalize(joint01, [n for n in joint01.names()
+                                            if n not in prev]).table == 0)
+        matrix = mechanism_transition(spec).matrix
+        assert np.max(np.abs(matrix.sum(axis=0) - 1.0)) < 1e-12
+        p0 = initial_distribution(spec)
         for xv, val, yv in itertools.product(spec.names(), (0, 1), spec.names()):
             for run in (dcn_id_static, cdcn_id_static):
                 got = run(spec, {xv: val}, 2, {yv}, 5)
                 assert got.partial and abs(got.total() - 1.0) < 1e-12
+                chained = run(spec, {xv: val}, 2, {yv}, 5, None, p0)
+                assert chained.partial and chained.total() < 1.0 + 1e-12
+                if (xv, val) != ("V1", 1):
+                    assert np.max(np.abs(chained.table - got.table)) < 1e-12
+            series = trajectory(spec, None, p0, ({xv: val}, 2), 5)
+            assert [f.partial for f in series] == [False, False, True, True, True, True]
+            assert all(abs(f.total() - 1.0) < 1e-12 for f in series[:2])
 
     def test_each_call_unrolls_once_and_validates_nothing(self, monkeypatch):
         """Regression guard: on mechanism-only specs each pipeline call
-        unrolls one graph, builds no graph through the validating
+        builds one layout (``_Layout``: its names, graph and tables) and
+        no other unrolled graph, builds no graph through the validating
         constructor, and derives no ``mechanism_transition``."""
         static = random_dcn_spec(np.random.default_rng(1), n_vars=3, n_static_conf=1)
         dynamic = dyn_spec([("V1", "V2", 1)], seed=5)
@@ -1220,6 +1283,7 @@ class TestOneGraphPerCall:
             return wrapper
 
         monkeypatch.setattr(dcn, "unroll", counted("unroll", dcn.unroll))
+        monkeypatch.setattr(dcn, "_Layout", counted("layout", dcn._Layout))
         monkeypatch.setattr(dcn, "mechanism_transition",
                             counted("mechanism_transition", dcn.mechanism_transition))
         monkeypatch.setattr(Admg, "__init__", counted("Admg", Admg.__init__))
@@ -1238,4 +1302,4 @@ class TestOneGraphPerCall:
             for run in pipelines:
                 calls.clear()
                 assert run(spec) is not None
-                assert calls == {"unroll": 1}
+                assert calls == {"layout": 1}

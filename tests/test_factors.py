@@ -53,6 +53,49 @@ class TestMarginalize:
         assert equal_within(two_step, one_step, 1e-15)
 
 
+class TestConstructor:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cells_refused(self, bad):
+        with pytest.raises(InvalidInputError, match="finite"):
+            joint_ab([[0.1, 0.2], [bad, 0.4]])
+
+    def test_negative_cell_refused(self):
+        with pytest.raises(InvalidInputError, match="non-negative"):
+            joint_ab([[0.1, 0.2], [-1e-11, 0.4]])
+
+    def test_rounding_below_zero_clipped(self):
+        f = joint_ab([[0.1, -1e-13], [0.3, 0.4]])
+        assert f.table[0, 1] == 0.0
+        assert f.table.min() == 0.0
+
+    def test_read_only_copy_of_the_input(self):
+        src = np.array([[0.1, 0.2], [0.3, 0.4]])
+        f = Factor((A, B), src)
+        with pytest.raises(ValueError):
+            f.table[0, 0] = 1.0
+        assert not np.shares_memory(f.table, src)
+        src[0, 0] = 0.9
+        assert f.table[0, 0] == 0.1
+        assert src.flags.writeable
+
+    def test_flat_input_is_shaped_by_the_scope(self):
+        f = Factor((A, B), [0.1, 0.2, 0.3, 0.4])
+        assert f.table.shape == (2, 2) and f.table[1, 0] == 0.3
+
+    def test_0d_and_one_cell_tables(self):
+        s = Factor((), np.asarray(0.25))
+        assert isinstance(s.table, np.ndarray) and s.table.shape == ()
+        assert not s.table.flags.writeable and s.total() == 0.25
+        assert Factor.scalar(-1e-13).table.shape == ()
+        assert Factor.scalar(-1e-13).total() == 0.0
+        with pytest.raises(InvalidInputError, match="finite"):
+            Factor.scalar(np.nan)
+        one = Factor((Var("U", 1),), [1.0])
+        assert one.table.shape == (1,) and one.total() == 1.0
+        with pytest.raises(InvalidInputError, match="non-negative"):
+            Factor((Var("U", 1),), [-0.5])
+
+
 class TestViews:
     def test_reorder_and_restrict_are_read_only(self):
         f = joint_ab([[0.1, 0.2], [0.3, 0.4]])
