@@ -1117,13 +1117,14 @@ class TestOneGraphPerCall:
                     want[obs.slice_of[n] - t0].append((c.parents + c.exo_parents + (n,), c.table))
                 assert len(obs.tables) == len(want)
                 shared = {}
-                for got, exp in zip(obs.tables, want):
+                for names, got, exp in zip(obs.slices, obs.tables, want):
+                    template = dict(zip(names, spec.names()))
                     assert [scope for scope, _t in got] == [scope for scope, _t in exp]
                     for (scope, table), (_s, ref) in zip(got, exp):
                         assert table.dtype == ref.dtype and np.array_equal(table, ref)
                         assert not table.flags.writeable
-                        if len(scope) > 1 and scope[-1] in obs.vars:
-                            cpt = spec.mechanism.cpt(scope[-1].split("@")[0])
+                        if scope[-1] in template:  # a CPT; all parents in the window
+                            cpt = spec.mechanism.cpt(template[scope[-1]])
                             if table.ndim == np.ndim(cpt.table):
                                 shared.setdefault(cpt.var, set()).add(id(table))
                 assert all(len(ids) == 1 for ids in shared.values())
