@@ -11,8 +11,8 @@ of one (values, n, n) tensor per group of experiments that share sorted
 targets and sorted observed: each distinct evaluated sheet of the group
 is bound to every value assignment at once with numpy indexing, and all
 candidate pairs are classified into the seven-case table in one
-broadcast.  Sheets are evaluated with a memo of every subexpression, so
-a Q-factor term shared by many expressions is computed once per table.
+broadcast.  Sheets (unbound) and P(Y) are evaluated with one memo of
+every subexpression, so a shared Q-factor term is computed once per table.
 The partition, the splitting plan's coverage, the next-experiment
 selection and ``power_of_intervention`` all read the verdict matrices;
 ``distinguishable_by`` classifies a single pair with the same table.
@@ -35,9 +35,10 @@ import numpy as np
 
 from .errors import (InternalError, InvalidInputError, PartialSupportError,
                      PromiseViolationError)
-from .factors import EPS_CMP, Factor, equal_within, marginalize
+from .factors import EPS_CMP, Factor, equal_within
 from .graphs import Admg, ancestors, d_separated, mutilate
-from .identify import Expr, Prediction, _bind_effect, _eval, id_effect
+from .identify import (Expr, ObservedTerm, Prediction, _bind_effect, _evaluate, _JointTerms,
+                       id_effect)
 from .scm import InterventionOracle, InterventionSpec, Scm, joint
 
 __all__ = [
@@ -161,11 +162,12 @@ class PredictionTable:
 
     Identification depends only on (graph, X, Y).  Line 2 of ID reduces
     the triple to the ancestral subproblem (G[An(Y)], X & An(Y), Y), which
-    many candidates share, so each distinct subproblem is identified once.
-    Every subexpression of every identified expression is evaluated once:
-    the Q-factor terms P(v | predecessors) recur across expressions, and
-    the memo is keyed by expression value.  The evaluated sheet of a
-    (graph, X, Y) triple covers every value assignment of X.
+    many candidates share, so each distinct subproblem is identified and
+    its sheet evaluated once; the sheet is unbound and covers every value
+    of X.  Every subexpression of every identified expression, and P(Y),
+    is evaluated once against the table's joint source: the Q-factor
+    terms P(v | predecessors) recur across expressions, and the memo is
+    keyed by value.
 
     Verdicts are computed per group, the experiments that share sorted
     targets and sorted observed: the distinct sheets of the candidates are
@@ -183,19 +185,15 @@ class PredictionTable:
         # (graph, observed) -> (An(Y), index of the distinct G[An(Y)])
         self._ancestral: dict[tuple[int, tuple[str, ...]], tuple[frozenset[str], int]] = {}
         self._subgraphs: dict[tuple, int] = {}
-        self._sheets: dict[tuple[int, tuple[str, ...], tuple[str, ...]], Optional[Factor]] = {}
-        self._exprs: dict[tuple, Optional[Expr]] = {}
+        self._sheets: dict[tuple, Optional[Factor]] = {}  # (G[An(Y)] index, X & An(Y), Y)
+        self._terms = _JointTerms(p_star)
         self._evaluated: dict[Expr, Factor] = {}
-        self._marginals: dict[tuple[str, ...], Factor] = {}
         self._tensors: dict[tuple[tuple[str, ...], tuple[str, ...]], np.ndarray] = {}
         self._predictions: dict[tuple[int, tuple], Prediction] = {}  # (id(sheet), e.key())
 
     def observational_marginal(self, observed: Iterable[str]) -> Factor:
         key = tuple(sorted(observed))
-        if key not in self._marginals:
-            drop = [n for n in self.p_star.names() if n not in key]
-            self._marginals[key] = marginalize(self.p_star, drop).reorder(key)
-        return self._marginals[key]
+        return _evaluate(ObservedTerm(key), self._terms, self._evaluated).reorder(key)
 
     def _sheet(self, g_idx: int, targets: tuple[str, ...], observed: tuple[str, ...]) -> Optional[Factor]:
         """The evaluated effect of do(targets) on ``observed`` in graph
@@ -203,26 +201,24 @@ class PredictionTable:
         the ancestral subproblem builds the same expression as
         identifying in the whole graph, because G[An(Y)]'s topological
         order is G's restricted to An(Y)."""
-        key = (g_idx, targets, observed)
+        g = self.candidates.graphs[g_idx]
+        if (g_idx, observed) not in self._ancestral:
+            an = ancestors(g, observed)
+            # the parts of G[An(Y)], all that graph equality compares;
+            # An(Y) is ancestral, so it holds every parent of its
+            # members.  Line 2 of ID reduces to that subproblem on its
+            # own, so no subgraph is built.
+            parts = (tuple(v for v in g.vars if v.name in an),
+                     frozenset(e for e in g.directed if e[1] in an),
+                     frozenset(p for p in g.bidirected if p <= an))
+            sub = self._subgraphs.setdefault(parts, len(self._subgraphs))
+            self._ancestral[g_idx, observed] = (an, sub)
+        an, sub = self._ancestral[g_idx, observed]
+        key = (sub, tuple(n for n in targets if n in an), observed)
         if key not in self._sheets:
-            g = self.candidates.graphs[g_idx]
-            if (g_idx, observed) not in self._ancestral:
-                an = ancestors(g, observed)
-                # the parts of G[An(Y)], all that graph equality compares;
-                # An(Y) is ancestral, so it holds every parent of its
-                # members.  Line 2 of ID reduces to that subproblem on its
-                # own, so no subgraph is built.
-                parts = (tuple(v for v in g.vars if v.name in an),
-                         frozenset(e for e in g.directed if e[1] in an),
-                         frozenset(p for p in g.bidirected if p <= an))
-                sub = self._subgraphs.setdefault(parts, len(self._subgraphs))
-                self._ancestral[g_idx, observed] = (an, sub)
-            an, sub = self._ancestral[g_idx, observed]
-            x = tuple(n for n in targets if n in an)
-            if (sub, x, observed) not in self._exprs:
-                self._exprs[sub, x, observed] = id_effect(g, x, observed).expr
-            expr = self._exprs[sub, x, observed]
-            self._sheets[key] = None if expr is None else _eval(expr, self.p_star, self._evaluated)
+            expr = id_effect(g, key[1], observed).expr
+            self._sheets[key] = (None if expr is None
+                                 else _evaluate(expr, self._terms, self._evaluated))
         return self._sheets[key]
 
     def prediction(self, g_idx: int, e: InterventionSpec) -> Prediction:

@@ -26,15 +26,15 @@ every slice whose parents lie in the window sharing its template's one
 read-only array.  ``unroll`` and ``unrolled_scm`` read the same layout.
 The identification windows, the ancestor sets and the slice states are
 read off it by name.
-Each term of an identified expression is read off a small marginal of
-the pass, so no table grows with the horizon and no window joint is
-built.  Only on the mechanism, whose distribution is Markov to the
-unrolled graph, is a Q-factor term P(v | predecessors) reduced to
-P(v | S) with S a few neighbours of v (Tian & Pearl 2002); a schedule is
-any chain, so its terms are read as they stand.  A window that starts
-after t0 leaves the earlier slices latent; with dynamic confounders it
-is identified on its latent projection, and a term is reduced only
-where that is exact.
+The pass is the term source of the one evaluator of identified
+expressions: each term is read off a small marginal of the pass, so no
+table grows with the horizon and no window joint is built.  Only on the
+mechanism, whose distribution is Markov to the unrolled graph, is a
+Q-factor term P(v | predecessors) reduced to P(v | S) with S a few
+neighbours of v (Tian & Pearl 2002); a schedule is any chain, so its
+terms are read as they stand.  A window that starts after t0 leaves the
+earlier slices latent; with dynamic confounders it is identified on its
+latent projection, and a term is reduced only where that is exact.
 
 Every step is a conditional factor P(next | previous slice) over the
 unrolled names (``x@t``) of the two slices.  A pipeline takes its
@@ -67,12 +67,12 @@ import numpy as np
 
 from .errors import (InfiniteSpanError, InvalidInputError, UnsupportedModelError,
                      UnsupportedQueryError, UnsupportedTransportError, WindowTooSmallError)
-from .factors import (Factor, TransitionMatrix, condition, divide, equal_within, marginalize,
+from .factors import (Factor, TransitionMatrix, condition, equal_within, marginalize,
                       multiply)
 from .graphs import (Admg, Var, _ancestors_in, _component_of, ancestors, c_components,
                      d_separated, mutilate)
 from . import scm
-from .identify import Expr, ObservedTerm, Product, Quotient, SumOver, _bind_effect, id_effect
+from .identify import ObservedTerm, _bind_effect, _evaluate, id_effect
 from .scm import Cpt, Exogenous, Scm, intervene, joint
 
 __all__ = [
@@ -530,9 +530,12 @@ def mechanism_transition(spec: DcnSpec) -> TransitionMatrix:
 
 
 def initial_distribution(spec: DcnSpec, t0: int = 0) -> Factor:
-    """Slice-t0 joint under the boundary convention of ``unrolled_scm``."""
-    f = joint(unrolled_scm(spec, t0, t0))
-    return Factor._view(spec.slice_vars, f.table, f.partial)
+    """Slice-t0 joint, the one-slice layout contracted onto the slice
+    under the boundary convention of ``unrolled_scm``."""
+    layout = _Layout(spec, t0, t0, tables=True)
+    scm._check_cells(spec.slice_states())
+    return Factor(spec.slice_vars, scm._contract([((), np.ones(()))] + layout.tables[0],
+                                                 layout.slices[0], layout.domain))
 
 
 class _Forward:
@@ -558,11 +561,11 @@ class _Forward:
     a chain message the previous state stepped by ``_apply``.  A
     marginal over slices a..b continues the pass from the message at a,
     keeping its variables, so no table spans more than the kept
-    variables and two slices' interface.  Identified expressions are
-    evaluated from small marginals (``term``), never from a window
-    joint.  Messages, marginals and terms are cached for the call, and
-    contractions of validated tables are trusted.  The windows and
-    ancestor sets are read off the graph."""
+    variables and two slices' interface.  The pass is a term source of
+    ``identify._evaluate``: terms from small marginals (``term``), never
+    from a window joint.  Messages, marginals and terms are cached for the
+    call, and contractions of validated tables are trusted.  The windows
+    and ancestor sets are read off the graph."""
 
     def __init__(self, spec: DcnSpec, schedule: Optional[Schedule], p0: Optional[Factor],
                  t0: int, t_end: int, cls: Optional[ConfounderClass] = None):
@@ -756,49 +759,6 @@ class _Forward:
             self.terms[e] = condition(f, given) if given else f
         return self.terms[e]
 
-    def effect(self, expr: Expr, fixed: Mapping[str, int], outcome: frozenset[str]) -> Factor:
-        """``effect_factor(expr, observational joint, fixed, outcome)``
-        without the joint: each term comes from ``term``, restricted at
-        once to the value ``_bind_effect`` gives its free variables (the
-        intervened values, 0 for a rule-3 auxiliary), and each sum over a
-        product is contracted one variable at a time, slice by slice."""
-
-        def sheet(e: Expr, summed: frozenset[str]) -> Factor:
-            if isinstance(e, ObservedTerm):
-                f = self.term(e)
-                return f.restrict({n: fixed.get(n, 0) for n in f.names()
-                                   if n not in outcome and n not in summed})
-            if isinstance(e, SumOver):
-                inner = summed | frozenset(e.over)
-                kids = e.child.children if isinstance(e.child, Product) else (e.child,)
-                return self._sum_product([sheet(c, inner) for c in kids], e.over)
-            if isinstance(e, Product):
-                return self._sum_product([sheet(c, summed) for c in e.children], ())
-            if isinstance(e, Quotient):
-                return divide(sheet(e.num, summed), sheet(e.den, summed))
-            return Factor.scalar(1.0)  # One
-
-        return _bind_effect(sheet(expr, frozenset()), fixed, outcome)
-
-    def _sum_product(self, factors: Sequence[Factor], over: Iterable[str]) -> Factor:
-        """sum over ``over`` of the product of ``factors``, eliminating one
-        variable at a time in unrolled order; a variable no factor holds
-        scales the sum by its domain, as ``evaluate`` does."""
-        items = [(f.names(), f.table) for f in factors]
-        scale = 1.0
-        for n in sorted(over, key=self.rank.__getitem__):
-            used = [it for it in items if n in it[0]]
-            if not used:
-                scale *= self.domain[n]
-                continue
-            items = [it for it in items if n not in it[0]]
-            out = tuple(dict.fromkeys(m for scope, _t in used for m in scope if m != n))
-            items.append((out, self._contract(used, out)))
-        out = tuple(sorted({m for scope, _t in items for m in scope}, key=self.rank.__getitem__))
-        return Factor._view(tuple(self.vars[m] for m in out),
-                            self._contract([((), np.asarray(scale))] + items, out),
-                            any(f.partial for f in factors))
-
 
 def observational_marginal(
     spec: DcnSpec,
@@ -869,8 +829,8 @@ def _identified_kernel(spec: DcnSpec, x: Mapping[str, int], t_x: int, t_left: in
                        prev_slice: int, prev_vars: Sequence[str], next_slice: int,
                        next_vars: Sequence[str], obs: _Forward) -> Optional[Factor]:
     """ID the conditional P(next_vars | prev_vars, do(X)) on the graph of
-    slices t_left..next_slice and evaluate it on their observational
-    distribution."""
+    slices t_left..next_slice and evaluate it with the pass as the term
+    source, each term bound at once to the intervened values."""
     targets = {slice_var_at(n, t_x): v for n, v in x.items()}
     prev_names = [slice_var_at(n, prev_slice) for n in prev_vars]
     outcome = frozenset(slice_var_at(n, next_slice) for n in next_vars) | frozenset(prev_names)
@@ -878,7 +838,8 @@ def _identified_kernel(spec: DcnSpec, x: Mapping[str, int], t_x: int, t_left: in
     if not result.identified:
         return None
     assert result.expr is not None
-    return condition(obs.effect(result.expr, targets, outcome), prev_names)
+    effect = _evaluate(result.expr, obs, {}, targets, outcome)
+    return condition(_bind_effect(effect, targets, outcome), prev_names)
 
 
 def _transition_steps(spec: DcnSpec, trans: Optional[Transitions],

@@ -8,7 +8,8 @@ vertex sets of the input graph and never builds a subgraph: each of its
 subgraphs is an induced subgraph G[v] of the input G, whose ancestors
 and C-components are read off G restricted to v.  Expressions are compared
 by evaluated value only; the printer exists for reporting and golden
-tests.
+tests.  One evaluator (``_evaluate``) computes every value, its terms
+read off the joint (``_JointTerms``) or the DCN forward pass.
 
 Everything here is pure over immutable inputs; predictions for many
 (experiment, graph) pairs are independent and safe to compute in
@@ -17,13 +18,17 @@ parallel.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
+
+import numpy as np
 
 from .errors import InternalError, InvalidInputError
-from .factors import Factor, condition, divide, marginalize, multiply
+from .factors import Factor, condition, divide, marginalize
 from .graphs import (Admg, Hedge, _ancestors_in, _check_subset, _components_in,
                      _hedge_from_frame, d_separated, mutilate, topological_order)
+from .scm import _contract
 
 __all__ = [
     "Expr", "ObservedTerm", "SumOver", "Product", "Quotient", "One",
@@ -237,36 +242,73 @@ def id_effect(g: Admg, x: Iterable[str], y: Iterable[str]) -> IdResult:
 # -- evaluation ---------------------------------------------------------
 
 
-def _eval(e: Expr, p: Factor, memo: dict[Expr, Factor]) -> Factor:
-    """Evaluate ``e`` against ``p``; ``memo`` holds every subexpression
-    already evaluated against this ``p``, keyed by value, and gains the
-    ones evaluated here."""
-    if e in memo:
-        return memo[e]
+class _JointTerms:
+    """The term source over the joint ``p``: P(outcome | given) by one
+    marginalization and one conditioning, never reduced (``p`` need not be
+    Markov to the identifying graph); no contraction outgrows ``p``."""
+
+    def __init__(self, p: Factor):
+        self.p = p
+        self.vars = {v.name: v for v in p.scope}
+        self.rank = {n: i for i, n in enumerate(self.vars)}
+        self._contract = functools.partial(_contract, domain={v.name: v.domain for v in p.scope})
+
+    def term(self, e: ObservedTerm) -> Factor:
+        f = marginalize(self.p, [n for n in self.p.names() if n not in e.outcome + e.given])
+        return condition(f, e.given) if e.given else f
+
+
+def _evaluate(e: Expr, source, memo: dict, fixed: Optional[Mapping[str, int]] = None,
+              keep: frozenset[str] = frozenset()) -> Factor:
+    """The value of ``e`` with terms, ``vars``, ``rank`` and ``_contract``
+    from ``source``; ``memo`` holds the subexpressions evaluated against
+    it.  Without ``fixed`` the value is the unbound sheet.  With it, each
+    term is bound at once as ``_bind_effect`` binds (``fixed``, else 0)
+    outside ``keep``, the outcome and the variables summed above."""
+    key = e if fixed is None else (e, keep)
+    if key in memo:
+        return memo[key]
     if isinstance(e, ObservedTerm):
-        keep = set(e.outcome) | set(e.given)
-        out = marginalize(p, [n for n in p.names() if n not in keep])
-        if e.given:
-            out = condition(out, e.given)
-    elif isinstance(e, SumOver):
-        f = _eval(e.child, p, memo)
-        names = f.names()
-        out = marginalize(f, [n for n in e.over if n in names])
-        for n in e.over:
-            if n not in names:
-                out = Factor(out.scope, out.table * p.var(n).domain, out.partial)
-    elif isinstance(e, Product):
-        out = Factor.scalar(1.0)
-        for c in e.children:
-            out = multiply(out, _eval(c, p, memo))
+        out = source.term(e)
+        if fixed is not None:
+            out = out.restrict({n: fixed.get(n, 0) for n in out.names() if n not in keep})
+    elif isinstance(e, (SumOver, Product)):
+        over, child = (e.over, e.child) if isinstance(e, SumOver) else ((), e)
+        if not source.vars.keys() >= set(over):
+            raise InvalidInputError(f"sum over {sorted(over)}: not all are source variables")
+        inner = keep | frozenset(over)
+        kids = child.children if isinstance(child, Product) else (child,)
+        out = _sum_product(source, [_evaluate(c, source, memo, fixed, inner) for c in kids], over)
     elif isinstance(e, Quotient):
-        out = divide(_eval(e.num, p, memo), _eval(e.den, p, memo))
+        out = divide(_evaluate(e.num, source, memo, fixed, keep),
+                     _evaluate(e.den, source, memo, fixed, keep))
     elif isinstance(e, One):
         out = Factor.scalar(1.0)
     else:
         raise InvalidInputError(f"unknown expression node {e!r}")
-    memo[e] = out
+    memo[key] = out
     return out
+
+
+def _sum_product(source, factors: Sequence[Factor], over: Iterable[str]) -> Factor:
+    """sum over ``over`` of the product of ``factors``, eliminating one
+    variable at a time in the source's rank order (variable elimination,
+    Zhang & Poole 1994); a variable no factor holds scales the sum by its
+    domain."""
+    items = [(f.names(), f.table) for f in factors]
+    scale = 1.0
+    for n in sorted(over, key=source.rank.__getitem__):
+        used = [it for it in items if n in it[0]]
+        if not used:
+            scale *= source.vars[n].domain
+            continue
+        items = [it for it in items if n not in it[0]]
+        out = tuple(dict.fromkeys(m for scope, _t in used for m in scope if m != n))
+        items.append((out, source._contract(used, out)))
+    out = tuple(sorted({m for scope, _t in items for m in scope}, key=source.rank.__getitem__))
+    table = source._contract([((), np.asarray(scale))] + items, out)
+    table.flags.writeable = False
+    return Factor._view(tuple(source.vars[m] for m in out), table, any(f.partial for f in factors))
 
 
 def evaluate(e: Expr, p: Factor) -> Factor:
@@ -276,7 +318,7 @@ def evaluate(e: Expr, p: Factor) -> Factor:
     distinct subexpression is evaluated once.  Conditioning on zero-mass
     contexts propagates the partial flag rather than failing.
     """
-    return _eval(e, p, {})
+    return _evaluate(e, _JointTerms(p), {})
 
 
 def _bind_effect(sheet: Factor, fixed: Mapping[str, int], outcome: Iterable[str]) -> Factor:

@@ -15,7 +15,7 @@ from docalc.errors import InvalidInputError, PromiseViolationError
 from docalc.factors import Factor, condition, equal_within, marginalize
 from docalc.graphs import Admg, Var, ancestors, d_separated, mutilate
 from docalc import identify
-from docalc.identify import (Prediction, Product, Quotient, SumOver, effect_factor,
+from docalc.identify import (ObservedTerm, Prediction, Product, Quotient, SumOver, effect_factor,
                              evaluate, id_effect, pretty)
 from docalc.scm import InterventionOracle, InterventionSpec, joint, random_admg, random_scm
 from conftest import criterion2_graphs
@@ -684,10 +684,14 @@ class TestPartialSupportVerdicts:
 
 
 def _subexpressions(e):
-    """Every node of the expression tree ``e``, repeats included."""
+    """Every node of the expression tree ``e`` that the evaluator visits,
+    repeats included: a Product directly under a SumOver is contracted
+    with its sum, so its children are visited and it is not."""
     yield e
     if isinstance(e, SumOver):
-        yield from _subexpressions(e.child)
+        kids = e.child.children if isinstance(e.child, Product) else (e.child,)
+        for c in kids:
+            yield from _subexpressions(c)
     elif isinstance(e, Product):
         for c in e.children:
             yield from _subexpressions(c)
@@ -706,20 +710,22 @@ class TestPredictionCaches:
     @staticmethod
     def _counted(monkeypatch):
         calls = {"id_effect": [], "evaluated": [], "bind_all": [], "bind": []}
-        real_id, real_eval = alcam.id_effect, identify._eval
+        real_id, real_eval = alcam.id_effect, identify._evaluate
         real_bind_all, real_bind = alcam._bind_all, alcam._bind_effect
 
         def id_spy(g, x, y):
             calls["id_effect"].append((g.induced(ancestors(g, y)), tuple(x), tuple(y)))
             return real_id(g, x, y)
 
-        def eval_spy(expr, p, memo):
-            # the recursion looks ``_eval`` up in identify, so every
-            # subexpression passes here; one missing from the memo is
+        def eval_spy(expr, source, memo, fixed=None, keep=frozenset()):
+            # the recursion looks ``_evaluate`` up in identify, so every
+            # node it visits passes here; discovery evaluates unbound, so
+            # the memo is keyed by expression, and one missing from it is
             # evaluated now
+            assert fixed is None
             if expr not in memo:
                 calls["evaluated"].append(expr)
-            return real_eval(expr, p, memo)
+            return real_eval(expr, source, memo, fixed, keep)
 
         def bind_all_spy(sheet, targets, grid, observed):
             calls["bind_all"].append((id(sheet), targets, observed))
@@ -730,8 +736,8 @@ class TestPredictionCaches:
             return real_bind(sheet, fixed, outcome)
 
         monkeypatch.setattr(alcam, "id_effect", id_spy)
-        monkeypatch.setattr(alcam, "_eval", eval_spy)
-        monkeypatch.setattr(identify, "_eval", eval_spy)
+        monkeypatch.setattr(alcam, "_evaluate", eval_spy)
+        monkeypatch.setattr(identify, "_evaluate", eval_spy)
         monkeypatch.setattr(alcam, "_bind_all", bind_all_spy)
         monkeypatch.setattr(alcam, "_bind_effect", bind_spy)
         return calls
@@ -773,10 +779,12 @@ class TestPredictionCaches:
                     bound.add((k, e.key()))
         assert len(calls["id_effect"]) == len(set(calls["id_effect"]))
         assert set(calls["id_effect"]) == subproblems
-        # every subexpression of every expression is evaluated exactly once
+        # every subexpression of every expression, and P(Y) of every
+        # group, is evaluated exactly once
         nodes = [n for expr in exprs for n in _subexpressions(expr)]
+        p_y = {ObservedTerm(observed) for _targets, observed in groups}
         assert len(calls["evaluated"]) == len(set(calls["evaluated"]))
-        assert set(calls["evaluated"]) == set(nodes)
+        assert set(calls["evaluated"]) == set(nodes) | p_y
         # the caches share work across candidates, outcomes and expressions
         assert len(exprs) < len(subproblems) < len(pairs)
         assert len(set(nodes)) < len(nodes)

@@ -22,7 +22,7 @@ from docalc.factors import (Factor, TransitionMatrix, condition, equal_within, m
                             multiply)
 from docalc.graphs import Admg, Var, ancestors, find_hedge
 from docalc.identify import effect_factor, id_effect
-from docalc import scm
+from docalc import identify, scm
 from docalc.scm import InterventionSpec, intervene, joint, oracle_query
 from conftest import (TRAFFIC_STATE_VARS, random_mechanism_for,
                       traffic_mechanism, traffic_spec, weekday_schedule)
@@ -1029,8 +1029,9 @@ def _run_generator_pipelines(kind, t_x):
 def generator_calls():
     """What the pipelines build on the 150-spec static and dynamic
     generators, at t_x = 2 (windows from t0) and t_x = 5 (later windows):
-    every window graph with its call, and every pass marginal,
-    ``_sum_product`` result and mechanism step."""
+    every window graph with its call, and every pass marginal, mechanism
+    step and sum over a product that the evaluator contracts on the pass
+    (``identify._sum_product``)."""
     windows, factors = [], []
 
     def spy(real, record):
@@ -1043,9 +1044,11 @@ def generator_calls():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_Forward, "window", spy(_Forward.window, lambda obs, args, g: windows.append(
             (obs.spec, obs.t0) + args + (g,))))
-        for name in ("marginal", "_sum_product", "_mechanism_step"):
+        for name in ("marginal", "_mechanism_step"):
             mp.setattr(_Forward, name, spy(getattr(_Forward, name),
                                            lambda obs, args, f: factors.append(f)))
+        mp.setattr(identify, "_sum_product", spy(identify._sum_product,
+                                                 lambda obs, args, f: factors.append(f)))
         for kind in ("static", "dynamic"):
             for t_x in (2, 5):
                 _run_generator_pipelines(kind, t_x)
@@ -1136,6 +1139,21 @@ class TestOneGraphPerCall:
             for spec, _x, _y, t_y in _generator_queries(kind, 2):
                 g, _ = unroll(spec, 0, t_y)
                 assert g == Admg(g.vars, g.directed, g.bidirected)
+
+    @pytest.mark.parametrize("t0", [0, 2])
+    def test_initial_distribution_is_the_one_slice_joint(self, t0):
+        """``initial_distribution`` contracts its one-slice layout; on the
+        150-spec generators it is the exact joint of ``unrolled_scm`` over
+        that slice, within 1e-12."""
+        seen = Counter()
+        for kind in ("static", "dynamic"):
+            for spec, _x, _y, _t_y in _generator_queries(kind, 2):
+                got = initial_distribution(spec, t0)
+                want = joint(unrolled_scm(spec, t0, t0))
+                assert got.scope == spec.slice_vars and not got.partial
+                assert np.max(np.abs(got.table - want.table)) <= 1e-12
+                seen[kind] += 1
+        assert seen["static"] == 150 and seen["dynamic"] >= 30, seen
 
     def test_pass_factors_are_trusted_views(self, generator_calls):
         """Marginals, sums over products and mechanism steps skip the
@@ -1272,7 +1290,9 @@ class TestOneGraphPerCall:
         """Regression guard: on mechanism-only specs each pipeline call
         builds one layout (``_Layout``: its names, graph and tables) and
         no other unrolled graph, builds no graph through the validating
-        constructor, and derives no ``mechanism_transition``."""
+        constructor, and derives no ``mechanism_transition``.  A static
+        call with a mechanism and a schedule takes p0 from the mechanism's
+        first slice, which builds one more layout and no ``unrolled_scm``."""
         static = random_dcn_spec(np.random.default_rng(1), n_vars=3, n_static_conf=1)
         dynamic = dyn_spec([("V1", "V2", 1)], seed=5)
         calls = Counter()
@@ -1288,7 +1308,9 @@ class TestOneGraphPerCall:
         monkeypatch.setattr(dcn, "mechanism_transition",
                             counted("mechanism_transition", dcn.mechanism_transition))
         monkeypatch.setattr(Admg, "__init__", counted("Admg", Admg.__init__))
+        monkeypatch.setattr(dcn, "unrolled_scm", counted("unrolled_scm", dcn.unrolled_scm))
         x = {"V1": 1}
+        schedule = mechanism_transition(static)
         runs = [
             lambda s: dcn_id_static(s, x, 2, {"V2"}, 5),
             lambda s: cdcn_id_static(s, x, 2, {"V2"}, 5),
@@ -1304,3 +1326,13 @@ class TestOneGraphPerCall:
                 calls.clear()
                 assert run(spec) is not None
                 assert calls == {"layout": 1}
+        scheduled_runs = [
+            lambda s: dcn_id_static(s, x, 2, {"V2"}, 5, schedule),
+            lambda s: cdcn_id_static(s, x, 2, {"V2"}, 5, schedule),
+            lambda s: trajectory(s, schedule, None, (x, 2), 5),
+            lambda s: step_kernel_matrix(s, x, 2, schedule),
+        ]
+        for run in scheduled_runs:
+            calls.clear()
+            assert run(static) is not None
+            assert calls == {"layout": 2}

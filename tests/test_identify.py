@@ -138,6 +138,59 @@ class TestEvaluate:
         got = evaluate(e, p)
         assert np.allclose(got.table, [1.0, 1.0])
 
+    def test_sum_over_unknown_var_is_input_error(self):
+        p = Factor((Var("X"), Var("Y")), np.full((2, 2), 0.25))
+        with pytest.raises(InvalidInputError):
+            evaluate(SumOver(("Q",), ObservedTerm(("Y",))), p)
+
+    def test_zero_mass_denominator_gives_zero_partial_cells(self):
+        """P(X=1) = 0: the quotient's cells at X=1 are 0 and flag the sheet
+        partial, unbound and bound to X=1; the cells at X=0 are P(Y|X=0)."""
+        rng = np.random.default_rng(8)
+        table = rng.dirichlet(np.ones(8)).reshape(2, 2, 2)  # X, Z, Y
+        table[1] = 0.0
+        p = Factor((Var("X"), Var("Z"), Var("Y")), table / table.sum())
+        e = Quotient(SumOver(("Z",), ObservedTerm(("X", "Z", "Y"))), ObservedTerm(("X",)))
+        sheet = evaluate(e, p).reorder(["X", "Y"])
+        assert sheet.partial
+        assert np.array_equal(sheet.table[1], [0.0, 0.0])
+        want = marginalize(p, {"Z"}).table[0] / p.table[0].sum()
+        assert np.allclose(sheet.table[0], want, atol=1e-12)
+        bound = effect_factor(e, p, {"X": 1}, {"Y"})
+        assert bound.partial and bound.names() == ("Y",)
+        assert np.array_equal(bound.table, [0.0, 0.0])
+
+    def test_joint_source_contractions_are_valid_views(self, monkeypatch):
+        """The evaluator does not re-validate what it contracts from the
+        joint source, so this is checked here: every sum over a product is
+        finite, non-negative, read-only and shaped as its scope, also on a
+        joint with zero-mass cells."""
+        from docalc import identify
+
+        seen = []
+        real = identify._sum_product
+
+        def spy(source, factors, over):
+            out = real(source, factors, over)
+            seen.append(out)
+            return out
+
+        monkeypatch.setattr(identify, "_sum_product", spy)
+        rng = np.random.default_rng(9)
+        for g in seeded_admgs(43, n_criterion2=20, n_random=3):
+            table = joint(random_scm(rng, g)).table.copy()
+            table.reshape(-1)[rng.random(table.size) < 0.2] = 0.0
+            p = Factor(tuple(g.vars), table / table.sum())
+            for x, y in itertools.permutations(g.names(), 2):
+                res = id_effect(g, {x}, {y})
+                if res.identified:
+                    evaluate(res.expr, p)
+        assert len(seen) > 50
+        for f in seen:
+            assert f.table.shape == tuple(v.domain for v in f.scope)
+            assert not f.table.flags.writeable
+            assert np.all(np.isfinite(f.table)) and np.all(f.table >= 0)
+
 
 def predict(targets, observed, g, p):
     """The prediction the discovery loop makes for one candidate graph."""
