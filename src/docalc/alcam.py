@@ -8,14 +8,16 @@ differences with exact conditional-independence tests.
 Every verdict comes from one place: ``PredictionTable.verdicts(e)``,
 an (n, n) boolean matrix over the candidates.  It is a read-only slice
 of one (values, n, n) tensor per group of experiments that share sorted
-targets and sorted observed: each distinct evaluated sheet of the group
-is bound to every value assignment at once with numpy indexing, and all
-candidate pairs are classified into the seven-case table in one
-broadcast.  Sheets (unbound) and P(Y) are evaluated with one memo of
-every subexpression, so a shared Q-factor term is computed once per table.
-The partition, the splitting plan's coverage, the next-experiment
-selection and ``power_of_intervention`` all read the verdict matrices;
-``distinguishable_by`` classifies a single pair with the same table.
+targets and sorted observed.  Groups that also share target domains are
+filled together: each distinct evaluated sheet of a group is bound to
+every value assignment at once with numpy indexing, the sheets of the
+whole batch are classified pairwise into the seven-case table in one
+broadcast, and each group's result is expanded to every candidate pair.
+Each candidate's subproblems share the ID recursion's frames, and
+sheets (unbound) and P(Y) share one memo of every subexpression.  The
+partition, the splitting plan's coverage and the next-experiment
+selection read many experiments' matrices stacked; ``distinguishable_by``
+classifies a single pair with the same table.
 
 Prediction precomputation is embarrassingly parallel over (experiment,
 graph) pairs; the discovery loop itself is sequential because each
@@ -27,7 +29,6 @@ experiments included, is serialized through a single
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -37,8 +38,8 @@ from .errors import (InternalError, InvalidInputError, PartialSupportError,
                      PromiseViolationError)
 from .factors import EPS_CMP, Factor, equal_within
 from .graphs import Admg, ancestors, d_separated, mutilate
-from .identify import (Expr, ObservedTerm, Prediction, _bind_effect, _evaluate, _JointTerms,
-                       id_effect)
+from .identify import (Expr, ObservedTerm, Prediction, _bind_effect, _evaluate, _identify,
+                       _JointTerms)
 from .scm import InterventionOracle, InterventionSpec, Scm, joint
 
 __all__ = [
@@ -164,28 +165,31 @@ class PredictionTable:
     the triple to the ancestral subproblem (G[An(Y)], X & An(Y), Y), which
     many candidates share, so each distinct subproblem is identified and
     its sheet evaluated once; the sheet is unbound and covers every value
-    of X.  Every subexpression of every identified expression, and P(Y),
-    is evaluated once against the table's joint source: the Q-factor
-    terms P(v | predecessors) recur across expressions, and the memo is
-    keyed by value.
+    of X.  The subproblems of one candidate share the recursion's frames
+    (one memo per graph), since those that differ only in X & An(Y) often
+    meet the same frame below lines 2-3.  Every subexpression of every
+    identified expression, and P(Y), is evaluated once against the
+    table's joint source: the Q-factor terms P(v | predecessors) recur
+    across expressions, and the memo is keyed by value.
 
     Verdicts are computed per group, the experiments that share sorted
-    targets and sorted observed: the distinct sheets of the candidates are
-    bound to every value assignment at once, classified pairwise, and
-    expanded into one read-only (values, n, n) tensor; :meth:`verdicts`
-    returns its slice for one experiment.  :meth:`prediction` binds a
-    single sheet for ``select_graphs`` and the public API.  Every cache
-    lives and dies with the table.
+    targets and sorted observed, and many groups at once (``_fill``):
+    each is kept as one read-only (values, n, n) tensor, and
+    :meth:`verdicts` returns its slice for one experiment.
+    :meth:`prediction` binds a single sheet for ``select_graphs`` and the
+    public API.  Every cache lives and dies with the table.
     """
 
     def __init__(self, candidates: CandidateSet, p_star: Factor, eps: float = EPS_CMP):
         self.candidates = candidates
         self.p_star = p_star
         self.eps = eps
+        self._domain = {v.name: v.domain for v in candidates.graphs[0].vars}
         # (graph, observed) -> (An(Y), index of the distinct G[An(Y)])
         self._ancestral: dict[tuple[int, tuple[str, ...]], tuple[frozenset[str], int]] = {}
         self._subgraphs: dict[tuple, int] = {}
         self._sheets: dict[tuple, Optional[Factor]] = {}  # (G[An(Y)] index, X & An(Y), Y)
+        self._frames: dict[int, dict] = {}  # graph -> the ID frames run on it
         self._terms = _JointTerms(p_star)
         self._evaluated: dict[Expr, Factor] = {}
         self._tensors: dict[tuple[tuple[str, ...], tuple[str, ...]], np.ndarray] = {}
@@ -216,7 +220,7 @@ class PredictionTable:
         an, sub = self._ancestral[g_idx, observed]
         key = (sub, tuple(n for n in targets if n in an), observed)
         if key not in self._sheets:
-            expr = id_effect(g, key[1], observed).expr
+            expr = _identify(g, key[1], observed, self._frames.setdefault(g_idx, {})).expr
             self._sheets[key] = (None if expr is None
                                  else _evaluate(expr, self._terms, self._evaluated))
         return self._sheets[key]
@@ -241,46 +245,76 @@ class PredictionTable:
         tensor of ``e``'s group."""
         targets, values, observed = e.key()
         if (targets, observed) not in self._tensors:
-            self._tensors[targets, observed] = self._group_verdicts(targets, observed)
+            self._fill([(targets, observed)])
+        return self._tensors[targets, observed][self._value_index(targets, values)]
+
+    def _stacked(self, experiments: Sequence[InterventionSpec]) -> np.ndarray:
+        """(experiments, n, n) boolean: :meth:`verdicts` of each experiment
+        in order, every group filled at once and gathered by one index."""
+        groups: dict[tuple, tuple[list[int], list[int]]] = {}
+        for i, e in enumerate(experiments):
+            targets, values, observed = e.key()
+            at, index = groups.setdefault((targets, observed), ([], []))
+            at.append(i)
+            index.append(self._value_index(targets, values))
+        self._fill(groups)
+        n = len(self.candidates.graphs)
+        out = np.empty((len(experiments), n, n), dtype=bool)
+        for group, (at, index) in groups.items():
+            out[at] = self._tensors[group][index]
+        return out
+
+    def _value_index(self, targets: tuple[str, ...], values: tuple[int, ...]) -> int:
+        """The index of ``values`` of ``targets`` in ``itertools.product`` order."""
         index = 0
         for t, v in zip(targets, values):
-            domain = self.candidates.graphs[0].var(t).domain
+            domain = self._domain[t]
             if not 0 <= v < domain:
                 raise InvalidInputError(f"value {v} out of domain for {t}")
             index = index * domain + v
-        return self._tensors[targets, observed][index]
+        return index
 
-    def _group_verdicts(self, targets: tuple[str, ...], observed: tuple[str, ...]) -> np.ndarray:
-        """Read-only (values, n, n) verdicts for every value assignment of
-        ``targets``, in ``itertools.product`` order, observing ``observed``.
-
-        Candidates that share a sheet share one row; the distinct rows are
-        bound, classified and demoted once, then expanded to all pairs."""
+    def _fill(self, groups: Iterable[tuple[tuple[str, ...], tuple[str, ...]]]) -> None:
+        """The verdict tensors of the groups (sorted targets, sorted
+        observed) not yet held.  Groups with the same observed and target
+        domains share P(Y) and the value grid, so each batch of them is
+        classified in one broadcast over (groups, values, rows, cells); a
+        group's rows are its distinct sheets, each bound once."""
         n = len(self.candidates.graphs)
-        domains = [self.candidates.graphs[0].var(t).domain for t in targets]
-        grid = np.indices(domains).reshape(len(targets), math.prod(domains))
-        py = self.observational_marginal(observed)
-        row_of: dict[int, int] = {}
-        sheets: list[Optional[Factor]] = []
-        index = np.empty(n, dtype=np.intp)
-        for k in range(n):
-            sheet = self._sheet(k, targets, observed)
-            if id(sheet) not in row_of:
-                row_of[id(sheet)] = len(sheets)
-                sheets.append(sheet)
-            index[k] = row_of[id(sheet)]
-        rows = np.zeros((grid.shape[1], len(sheets), py.table.size))
-        for r, sheet in enumerate(sheets):
-            if sheet is not None:
-                rows[:, r] = _bind_all(sheet, targets, grid, observed).reshape(-1, rows.shape[2])
-        ident = np.array([f is not None for f in sheets], dtype=bool)
-        partial = np.array([f is not None and f.partial for f in sheets], dtype=bool)
-        # cases 2, 4 and 5 distinguish, unless either prediction is partial
-        split = (_SPLITS[_case_codes(rows, ident, py.table.reshape(-1), self.eps)]
-                 & ~(partial[:, None] | partial[None, :]))
-        tensor = split[:, index[:, None], index[None, :]]
-        tensor.flags.writeable = False
-        return tensor
+        batches: dict[tuple, dict[tuple[str, ...], None]] = {}
+        for targets, observed in groups:
+            if (targets, observed) not in self._tensors:
+                domains = tuple(self._domain[t] for t in targets)
+                batches.setdefault((observed, domains), {})[targets] = None
+        for (observed, domains), members in batches.items():
+            grid = np.indices(domains).reshape(len(domains), -1)
+            py = self.observational_marginal(observed).table.reshape(-1)
+            rows = np.zeros((len(members), grid.shape[1], n, py.size))
+            ident, partial = np.zeros((2, len(members), 1, n), dtype=bool)
+            index = np.empty((len(members), 1, n), dtype=np.intp)  # candidate -> its row
+            for b, targets in enumerate(members):
+                row_of: dict[int, int] = {}
+                for k in range(n):
+                    sheet = self._sheet(k, targets, observed)
+                    if id(sheet) not in row_of:
+                        r = row_of[id(sheet)] = len(row_of)
+                        if sheet is not None:
+                            bound = _bind_all(sheet, targets, grid, observed)
+                            rows[b, :, r] = bound.reshape(-1, py.size)
+                            ident[b, 0, r], partial[b, 0, r] = True, sheet.partial
+                    index[b, 0, k] = row_of[id(sheet)]
+            m = index.max() + 1
+            ident, partial = ident[..., :m], partial[..., :m]
+            # cases 2, 4 and 5 distinguish, unless either prediction is partial
+            split = (_SPLITS[_case_codes(rows[:, :, :m], ident, py, self.eps)]
+                     & ~(partial[..., :, None] | partial[..., None, :]))
+            # each group's rows expanded to every pair of candidates
+            tensors = split[np.arange(len(members))[:, None, None, None],
+                            np.arange(grid.shape[1])[:, None, None],
+                            index[..., :, None], index[..., None, :]]
+            tensors.flags.writeable = False
+            for b, targets in enumerate(members):
+                self._tensors[targets, observed] = tensors[b]
 
 
 def _bind_all(sheet: Factor, targets: tuple[str, ...], grid: np.ndarray,
@@ -411,9 +445,7 @@ def partition_candidates(
     subsets some experiment has positive power.  Subsets may overlap.
     """
     n = len(candidates.graphs)
-    split = np.zeros((n, n), dtype=bool)
-    for e in interventions:
-        split |= preds.verdicts(e)
+    split = preds._stacked(interventions).any(axis=0)
 
     def non_dist(a: int, b: int) -> bool:
         return a != b and not split[a, b]
@@ -428,23 +460,20 @@ def _pair_coverage(
 ) -> dict[int, frozenset[tuple[int, int]]]:
     """For each experiment index, the subset pairs it splits."""
     pairs = list(itertools.combinations(range(len(partition.subsets)), 2))
-    member = _membership(partition, preds)
-    coverage = {}
-    for ei, e in enumerate(interventions):
-        splits = member @ preds.verdicts(e) @ member.T > 0
-        coverage[ei] = frozenset((a, b) for a, b in pairs if splits[a, b])
-    return coverage
+    upper = np.triu_indices(len(partition.subsets), 1)  # ``pairs``, in order
+    rows = _splits(partition, preds, interventions)[:, upper[0], upper[1]].tolist()
+    return {ei: frozenset(itertools.compress(pairs, row)) for ei, row in enumerate(rows)}
 
 
-def _membership(partition: Partition, preds: PredictionTable) -> np.ndarray:
-    """(subsets, candidates) 0/1 matrix of subset membership.  For a
-    verdict row, entry (a, b) of ``member @ row @ member.T > 0`` is
-    ``row[np.ix_(subset_a, subset_b)].any()``: some pair across subsets a
-    and b is distinguished."""
+def _splits(partition: Partition, preds: PredictionTable,
+            experiments: Sequence[InterventionSpec]) -> np.ndarray:
+    """(experiments, subsets, subsets) boolean: entry (e, a, b) is
+    ``verdicts(e)[np.ix_(subset_a, subset_b)].any()``, counted with the
+    membership matrix on both sides."""
     member = np.zeros((len(partition.subsets), len(preds.candidates.graphs)))
     for a, s in enumerate(partition.subsets):
         member[a, sorted(s)] = 1.0
-    return member
+    return member @ preds._stacked(experiments) @ member.T > 0
 
 
 def _exact_cover(
@@ -554,12 +583,12 @@ def select_intervention(
     remaining experiment has positive power."""
     if not plan:
         return None
-    members = partition.members()
-    if all(power_of_intervention(e, members, preds) == 0 for e in plan):
+    # an experiment has positive power over the members iff it splits a
+    # pair within or across subsets
+    splits = _splits(partition, preds, plan)
+    if not splits.any():
         return None
     n_subs = len(partition.subsets)
-    member = _membership(partition, preds)
-    splits = [member @ preds.verdicts(e) @ member.T > 0 for e in plan]
     by_key = {e.key(): e for e in plan}
     best: Optional[tuple[float, tuple]] = None
     for i in range(n_subs):
@@ -581,8 +610,7 @@ def select_intervention(
     if best is None:
         # no remaining sub-plan isolates a single subset; fall back to the
         # cheapest experiment that still splits something
-        useful = [(costs.of(e), e.key()) for e in plan
-                  if power_of_intervention(e, members, preds) > 0]
+        useful = [(costs.of(e), e.key()) for e, split in zip(plan, splits) if split.any()]
         return by_key[min(useful)[1]]
     return by_key[best[1]]
 

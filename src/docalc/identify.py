@@ -182,23 +182,26 @@ def _id(
     g: Admg,
     v: frozenset[str],
     topo: list[str],
+    memo: Optional[dict] = None,
 ) -> Expr:
     """ID on the subgraph G[v] of the input graph ``g``; G[v][s] is G[s],
-    so each line reads ``g`` restricted to a vertex set."""
+    so each line reads ``g`` restricted to a vertex set.  With ``memo``
+    (one per ``g``), every recursive frame goes through ``_shared``."""
+    rec = _id if memo is None else _shared
     if not x:
         return _sum_over(v - y, p)
 
     an = _ancestors_in(g, v, y)
     if v != an:
-        return _id(y, x & an, _sum_over(v - an, p), g, an, topo)
+        return rec(y, x & an, _sum_over(v - an, p), g, an, topo, memo)
 
     w = (v - x) - _ancestors_in(g, v, y, x)
     if w:
-        return _id(y, x | w, p, g, v, topo)
+        return rec(y, x | w, p, g, v, topo, memo)
 
     comps = _components_in(g, v - x)
     if len(comps) > 1:
-        factors = tuple(_id(s, v - s, p, g, v, topo) for s in comps)
+        factors = tuple(rec(s, v - s, p, g, v, topo, memo) for s in comps)
         return _sum_over(v - (y | x), Product(factors))
 
     s = comps[0]
@@ -209,7 +212,25 @@ def _id(
         return _sum_over(s - y, _chain_product(s, p, v, topo))
     s_prime = next(c for c in cg if s < c)
     new_p = _chain_product(s_prime, p, v, topo)
-    return _id(y, x & s_prime, new_p, g, s_prime, topo)
+    return rec(y, x & s_prime, new_p, g, s_prime, topo, memo)
+
+
+def _shared(y: frozenset[str], x: frozenset[str], p: Expr, g: Admg, v: frozenset[str],
+            topo: list[str], memo: dict) -> Expr:
+    """The frame (y, x, v, p) of ``_id`` run once per ``memo``: met again,
+    it returns the same expression or raises the same hedge, kept as its
+    frame (the raised signal's traceback would tie the memo into a cycle)."""
+    key = (y, x, v, p)
+    out = memo.get(key)
+    if out is None:
+        try:
+            out = _id(y, x, p, g, v, topo, memo)
+        except _HedgeSignal as sig:
+            out = (sig.frame_vars, sig.frame_component)
+        memo[key] = out
+    if isinstance(out, tuple):
+        raise _HedgeSignal(*out)
+    return out
 
 
 def id_effect(g: Admg, x: Iterable[str], y: Iterable[str]) -> IdResult:
@@ -220,6 +241,11 @@ def id_effect(g: Admg, x: Iterable[str], y: Iterable[str]) -> IdResult:
     or a hedge witness when no do-free form exists.  An empty ``x`` is
     allowed and yields the observational marginal of ``y``.
     """
+    return _identify(g, x, y, None)
+
+
+def _identify(g: Admg, x: Iterable[str], y: Iterable[str], memo: Optional[dict]) -> IdResult:
+    """``id_effect`` with the recursion's frames kept in ``memo`` (see ``_id``)."""
     xs = frozenset(x)
     ys = frozenset(y)
     names = frozenset(g._by_name)
@@ -230,7 +256,7 @@ def id_effect(g: Admg, x: Iterable[str], y: Iterable[str]) -> IdResult:
     topo = topological_order(g)
     p0 = ObservedTerm(tuple(topo))
     try:
-        expr = _id(ys, xs, p0, g, names, topo)
+        expr = _id(ys, xs, p0, g, names, topo, memo)
     except _HedgeSignal as sig:
         witness = _hedge_from_frame(g, xs, ys, sig.frame_vars, sig.frame_component)
         if witness is None:
@@ -254,6 +280,8 @@ class _JointTerms:
         self._contract = functools.partial(_contract, domain={v.name: v.domain for v in p.scope})
 
     def term(self, e: ObservedTerm) -> Factor:
+        if not self.vars.keys() >= {*e.outcome, *e.given}:
+            raise InvalidInputError(f"term over {e.outcome + e.given}: not all are joint variables")
         f = marginalize(self.p, [n for n in self.p.names() if n not in e.outcome + e.given])
         return condition(f, e.given) if e.given else f
 

@@ -247,6 +247,27 @@ class TestSplittingNarrative:
         part = Partition((frozenset({0, 1}),))
         assert select_intervention(es, part, preds, costs) is None
 
+    def test_fallback_when_no_subplan_isolates_a_subset(self):
+        """Three subsets where the plan's experiments split only the first
+        two (the third predicts partially, so it is never distinguished):
+        no sub-plan isolates a subset, and the cheapest experiment that
+        still splits something is chosen, not a cheaper powerless one."""
+        from docalc.alcam import Partition
+
+        names = ["V0", "V1", "V2"]
+        cs = CandidateSet(tuple(Admg(tuple(Var(n) for n in names) + (O,), [(n, "O")] if i else [])
+                                for i, n in enumerate(names)))
+        rows = {"V0": [VAL_A, VAL_B, (VAL_C, True)],
+                "V1": [VAL_A, VAL_C, (VAL_A, True)],
+                "V2": [VAL_A, VAL_A, VAL_A]}
+        preds = FakePreds(cs, {((t,), k): v for t, vals in rows.items() for k, v in enumerate(vals)})
+        plan = [spec_for({t}, {"O"}) for t in names]
+        costs = CostModel.per_variable({"V0": 3.0, "V1": 2.0, "V2": 1.0}, {"O": 0.0})
+        part = Partition((frozenset({0}), frozenset({1}), frozenset({2})))
+        assert [power_of_intervention(e, part.members(), preds) for e in plan] == [1, 1, 0]
+        assert select_intervention(plan, part, preds, costs) == plan[1]
+        assert select_intervention([plan[0], plan[2]], part, preds, costs) == plan[0]
+
     def test_lexicographic_tie_break(self):
         cs, es, costs, preds = narrative_setup(e1_cost=2.0)
         # with equal costs the V1-experiment precedes the V4-experiment
@@ -530,6 +551,36 @@ def _scripted_preds(values):
     return FakePreds(cs, table), spec_for({"V0"}, {"O"})
 
 
+def _criterion5_sets(seed, n):
+    """The first ``n`` generic trials of the criterion-5 generator at
+    ``seed``: (candidates, true joint, the true graph's experiments)."""
+    from test_acceptance import _generic_candidate_trial
+
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < n:
+        drawn = _generic_candidate_trial(rng)
+        if drawn is not None:
+            cs, m, true_g = drawn
+            out.append((cs, joint(m), enumerate_interventions(true_g)))
+    return out
+
+
+def _perturbation_set(seed, n_vars, n_candidates):
+    """A random ADMG on ``n_vars`` variables and criterion-5 perturbations
+    of it up to ``n_candidates`` graphs: (candidates, a joint of the true
+    graph, its experiments)."""
+    from test_acceptance import _perturb
+
+    rng = np.random.default_rng(seed)
+    true_g = random_admg(rng, n_vars, edge_prob=0.5, max_confounders=2)
+    cand = {true_g}
+    while len(cand) < n_candidates:
+        cand.add(_perturb(rng, sorted(cand, key=repr)[int(rng.integers(len(cand)))]))
+    cs = CandidateSet(tuple(sorted(cand, key=repr)))
+    return cs, joint(random_scm(rng, true_g)), enumerate_interventions(true_g)
+
+
 class TestVerdictRows:
     def _agree(self, preds, e):
         row = preds.verdicts(e)
@@ -572,19 +623,41 @@ class TestVerdictRows:
         """Every experiment of one 7-variable set of 30 candidates drawn
         with the criterion-5 perturbations: many groups, many candidates
         sharing each sheet, two-target groups of four value assignments."""
-        from test_acceptance import _perturb
-
-        rng = np.random.default_rng(7007)
-        true_g = random_admg(rng, 7, edge_prob=0.5, max_confounders=2)
-        cand = {true_g}
-        while len(cand) < 30:
-            cand.add(_perturb(rng, sorted(cand, key=repr)[int(rng.integers(len(cand)))]))
-        cs = CandidateSet(tuple(sorted(cand, key=repr)))
-        preds = PredictionTable(cs, joint(random_scm(rng, true_g)))
-        experiments = enumerate_interventions(true_g)
+        cs, p, experiments = _perturbation_set(7007, 7, 30)
+        preds = PredictionTable(cs, p)
         splits = sum(int(self._agree(preds, e).sum()) for e in experiments)
         assert 0 < splits < len(experiments) * 30 * 30
         assert len(experiments) > len(preds._tensors) > 100
+
+    def test_batched_fill_equals_one_group_at_a_time(self, monkeypatch):
+        """``partition_candidates`` fills every group at once, batched by
+        observed and target domains; each tensor equals, bit for bit, the
+        one a cold ``verdicts`` call fills as a batch of one group, and
+        ``_stacked`` gathers them in the experiments' order."""
+        batches = []
+        real = alcam._case_codes
+
+        def spy(rows, ident, py, eps):
+            batches.append(rows.shape[0])
+            return real(rows, ident, py, eps)
+
+        monkeypatch.setattr(alcam, "_case_codes", spy)
+        for cs, p, experiments in _criterion5_sets(3003, 6) + [_perturbation_set(7007, 7, 30)]:
+            batched = PredictionTable(cs, p)
+            del batches[:]
+            partition_candidates(cs, batched, experiments)
+            assert len(batches) < len(batched._tensors)
+            single = PredictionTable(cs, p)
+            del batches[:]
+            rows = [single.verdicts(e) for e in experiments]
+            assert batches == [1] * len(single._tensors)
+            stacked = batched._stacked(experiments)
+            assert stacked.shape == (len(experiments),) + rows[0].shape
+            for e, row, got in zip(experiments, rows, stacked):
+                assert np.array_equal(got, row) and np.array_equal(batched.verdicts(e), row)
+            for group, tensor in single._tensors.items():
+                assert np.array_equal(batched._tensors[group], tensor), group
+                assert not batched._tensors[group].flags.writeable
 
     def test_refuted_candidate_under_the_true_joint(self, fig32_trio):
         """Fig. 3.2: under g3's joint, g1's sheet for do(X2) -> X3 varies
@@ -710,12 +783,12 @@ class TestPredictionCaches:
     @staticmethod
     def _counted(monkeypatch):
         calls = {"id_effect": [], "evaluated": [], "bind_all": [], "bind": []}
-        real_id, real_eval = alcam.id_effect, identify._evaluate
+        real_id, real_eval = alcam._identify, identify._evaluate
         real_bind_all, real_bind = alcam._bind_all, alcam._bind_effect
 
-        def id_spy(g, x, y):
+        def id_spy(g, x, y, memo):
             calls["id_effect"].append((g.induced(ancestors(g, y)), tuple(x), tuple(y)))
-            return real_id(g, x, y)
+            return real_id(g, x, y, memo)
 
         def eval_spy(expr, source, memo, fixed=None, keep=frozenset()):
             # the recursion looks ``_evaluate`` up in identify, so every
@@ -735,7 +808,7 @@ class TestPredictionCaches:
             calls["bind"].append((tuple(sorted(fixed.items())), tuple(sorted(outcome))))
             return real_bind(sheet, fixed, outcome)
 
-        monkeypatch.setattr(alcam, "id_effect", id_spy)
+        monkeypatch.setattr(alcam, "_identify", id_spy)
         monkeypatch.setattr(alcam, "_evaluate", eval_spy)
         monkeypatch.setattr(identify, "_evaluate", eval_spy)
         monkeypatch.setattr(alcam, "_bind_all", bind_all_spy)
@@ -815,6 +888,27 @@ class TestPredictionCaches:
                 assert got.names() == want.names()
                 assert np.array_equal(got.table, want.table)
 
+    def test_batched_fill_does_the_same_work(self, monkeypatch):
+        """Filling every group at once, as ``partition_candidates`` does,
+        identifies, evaluates and binds exactly what filling one group at
+        a time does."""
+        calls = self._counted(monkeypatch)
+        for cs, p, experiments in _criterion5_sets(3131, 3):
+            work = []
+            for batched in (False, True):
+                for v in calls.values():
+                    del v[:]
+                preds = PredictionTable(cs, p)
+                if batched:
+                    partition_candidates(cs, preds, experiments)
+                else:
+                    for e in experiments:
+                        preds.verdicts(e)
+                work.append((sorted(calls["id_effect"], key=repr), set(calls["evaluated"]),
+                             len(calls["evaluated"]),
+                             sorted((t, o) for _sheet, t, o in calls["bind_all"]), calls["bind"]))
+            assert work[0] == work[1]
+
     def test_memoized_sheets_equal_a_fresh_evaluate(self, fig32_trio):
         p = joint(random_scm(np.random.default_rng(6), fig32_trio[2]))
         preds, _experiments = self._fill(CandidateSet(fig32_trio), p)
@@ -835,3 +929,56 @@ class TestPredictionCaches:
         assert calls["id_effect"] == 2 * first["id_effect"]
         assert calls["evaluated"] == 2 * first["evaluated"]
         assert len(calls["bind_all"]) == 2 * len(first["bind_all"])
+
+
+class TestSharedFrames:
+    """One memo of ID frames per graph, shared by all of the graph's
+    subproblems as ``PredictionTable`` shares it, changes no result: each
+    subproblem gets the expression, ``pretty`` form and hedge witness of
+    a fresh ``id_effect``, while fewer frames run."""
+
+    @staticmethod
+    def _check(monkeypatch, graphs, experiments):
+        runs = {True: 0, False: 0}
+        shared = [False]
+        real = identify._id
+
+        def spy(*args):
+            runs[shared[0]] += 1
+            return real(*args)
+
+        monkeypatch.setattr(identify, "_id", spy)
+        groups = sorted({(e.key()[0], e.key()[2]) for e in experiments})
+        hedged = identified = 0
+        for g in graphs:
+            memo: dict = {}
+            for targets, observed in groups:
+                an = ancestors(g, observed)
+                for x in dict.fromkeys((targets, tuple(t for t in targets if t in an))):
+                    shared[0] = False
+                    want = id_effect(g, x, observed)
+                    shared[0] = True
+                    got = identify._identify(g, x, observed, memo)
+                    assert got.identified == want.identified, (g, x, observed)
+                    assert got.expr == want.expr and got.witness == want.witness
+                    if want.identified:
+                        assert pretty(got.expr) == pretty(want.expr)
+                        identified += 1
+                    else:
+                        hedged += 1
+        assert runs[True] < runs[False]
+        return identified, hedged
+
+    def test_criterion5_sets(self, monkeypatch):
+        identified = hedged = 0
+        for cs, _p, experiments in _criterion5_sets(5005, 20):
+            i, h = self._check(monkeypatch, cs.graphs, experiments)
+            identified, hedged = identified + i, hedged + h
+        assert identified > 1000 and hedged > 100
+
+    def test_large_perturbation_set(self, monkeypatch):
+        """8 variables and 40 candidates: 2,800 experiments in 812 groups."""
+        cs, _p, experiments = _perturbation_set(8008, 8, 40)
+        assert len(experiments) == 2800
+        identified, hedged = self._check(monkeypatch, cs.graphs, experiments)
+        assert identified > 10000 and hedged > 1000

@@ -580,6 +580,35 @@ class TestDynamicIdentification:
         if a is not None:
             assert np.max(np.abs(a.table - b.reorder(a.names()).table)) < 1e-9
 
+    def test_later_step_hedged(self, monkeypatch):
+        """V1 -> V2 -> V3 one slice apart, V1 <-> V3 two slices apart and
+        V2 <-> V3 one slice apart: the step into t_x + 1 is identified, but
+        the step into t_x + 2 is hedged, as V1@t_x now shares a district
+        with V3@t_x+2.  The plain pipeline then returns None and the
+        trajectory refuses; the complete one steps over the dynamic time
+        span and matches the unrolled oracle."""
+        bare = DcnSpec((Var("V1"), Var("V2"), Var("V3")), (),
+                       (("V1", "V2", 1), ("V2", "V3", 1)), (),
+                       (("V1", "V3", 2), ("V2", "V3", 1)))
+        spec = random_mechanism_for(bare, np.random.default_rng(0))
+        x, t_x, t_y = {"V1": 1}, 2, 6
+        steps = []
+        real = dcn._identified_kernel
+
+        def spy(*args):
+            out = real(*args)
+            steps.append((args[6], out is not None))
+            return out
+
+        monkeypatch.setattr(dcn, "_identified_kernel", spy)
+        assert dcn_id_dynamic(spec, x, t_x, {"V3"}, t_y, None, None, 0) is None
+        assert steps == [(t_x + 1, True), (t_x + 2, False)]
+        with pytest.raises(UnsupportedQueryError, match="step conditional"):
+            trajectory(spec, None, None, (x, t_x), t_y)
+        got = cdcn_id_dynamic(spec, x, t_x, {"V3"}, t_y, None, None, 0)
+        want = post_intervention_slices(spec, x, t_x, ["V3"], t_y)
+        assert np.max(np.abs(got.reorder(["V3"]).table - want.table)) < 1e-9
+
     def test_post_intervention_transition_keeps_changing(self):
         """With a lagged confounder out of X the one-step transition after
         the intervention differs from the observational one."""
@@ -952,6 +981,51 @@ class TestLongHorizons:
         for t, f in enumerate(series):
             want = post_intervention_slices(spec, {}, 41, spec.names(), t)
             assert np.max(np.abs(f.reorder(spec.names()).table - want.table)) < 1e-9
+
+
+class TestUnitDomains:
+    """A slice variable of domain 1 is a constant.  The forward pass then
+    contracts with ``scm._contract``, which drops unit axes, instead of
+    einsum; every pipeline still matches the unrolled oracle."""
+
+    @staticmethod
+    def _spec(dynamic):
+        """The sweep structure plus V4 of domain 1, fed by V1 within the
+        slice and feeding V2 a slice later; V2 and V3 are confounded one
+        slice apart when ``dynamic``, else within the slice."""
+        variables = (Var("V1"), Var("V2"), Var("V3"), Var("V4", 1))
+        static = () if dynamic else (frozenset({"V2", "V3"}),)
+        bare = DcnSpec(variables, (("V1", "V3"), ("V1", "V4")),
+                       (("V1", "V2", 1), ("V2", "V3", 1), ("V3", "V1", 1), ("V4", "V2", 1)),
+                       static, (("V2", "V3", 1),) if dynamic else ())
+        return random_mechanism_for(bare, np.random.default_rng(3))
+
+    @pytest.mark.parametrize("dynamic", [False, True])
+    def test_pipelines_match_the_unrolled_oracle(self, dynamic, monkeypatch):
+        spec = self._spec(dynamic)
+        names = spec.names()
+        x, t_x, t_y = {"V1": 1}, 2, 5
+        calls = []
+        real = scm._contract
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(scm, "_contract", spy)
+        pipelines = (dcn_id_dynamic, cdcn_id_dynamic) if dynamic else (dcn_id_static,
+                                                                        cdcn_id_static)
+        got = {run: run(spec, x, t_x, {"V3"}, t_y, None, None, 0) for run in pipelines}
+        series = trajectory(spec, None, None, (x, t_x), t_y)
+        assert calls and _Forward(spec, None, None, 0, t_y).unit
+        monkeypatch.setattr(scm, "_contract", real)
+        want = post_intervention_slices(spec, x, t_x, ["V3"], t_y)
+        for run, f in got.items():
+            assert f is not None, run
+            assert np.max(np.abs(f.reorder(["V3"]).table - want.table)) < 1e-9, run
+        for t, f in enumerate(series):
+            ref = post_intervention_slices(spec, x, t_x, names, t)
+            assert np.max(np.abs(f.reorder(names).table - ref.table)) < 1e-9, t
 
 
 class TestCellCap:

@@ -143,6 +143,14 @@ class TestEvaluate:
         with pytest.raises(InvalidInputError):
             evaluate(SumOver(("Q",), ObservedTerm(("Y",))), p)
 
+    def test_term_over_unknown_var_is_input_error(self):
+        """A term names a variable the joint lacks: an error, not P(Y)
+        or the scalar 1 read off the names that do exist."""
+        p = Factor((Var("X"), Var("Y")), np.full((2, 2), 0.25))
+        for term in (ObservedTerm(("Q",)), ObservedTerm(("Y", "Q")), ObservedTerm(("Y",), ("Q",))):
+            with pytest.raises(InvalidInputError, match="Q"):
+                evaluate(term, p)
+
     def test_zero_mass_denominator_gives_zero_partial_cells(self):
         """P(X=1) = 0: the quotient's cells at X=1 are 0 and flag the sheet
         partial, unbound and bound to X=1; the cells at X=0 are P(Y|X=0)."""
