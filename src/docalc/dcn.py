@@ -11,30 +11,31 @@ longer lags (``unroll``, ``unrolled_scm``, ``classify`` and
 ``dynamic_time_span`` still accept them).
 
 Every call reads the observational distribution from one forward pass
-(``_Forward``, the interface algorithm of Murphy 2002), whose per-slice
-tables come from one of two sources, chosen by the call's inputs.  The
-mechanism unrolled from t0 is the source when the spec has one, no p0 is
-given, and the spec is dynamic or has no schedule; its message carries
-the slice state and the confounders in flight.  Otherwise the source is
-the chain: p0 (the given one, else the mechanism's initial slice, else
-uniform) stepped by the transitions.  A p0 is refused for dynamic
-specs, because a slice state cannot carry the confounders in flight.
+(``_Forward``, the interface algorithm of Murphy 2002) over per-slice
+tables.  Slice t0's tables are p0 when given, else the mechanism's
+slice-t0 tables, else uniform; each later slice adds the schedule's step
+when a schedule drives the chain (a static spec, or a spec without a
+mechanism), else the mechanism's tables, whose message carries the slice
+state and the confounders in flight.  A p0 is refused for dynamic specs,
+because a slice state cannot carry the confounders in flight.
 Each call builds one ``_Layout``, in one walk over (variable, slice):
 the unrolled names, ``Var``s and ranks of each slice, the call's one
 unrolled graph, unchecked, and on the mechanism each slice's tables,
 every slice whose parents lie in the window sharing its template's one
-read-only array.  ``unroll`` and ``unrolled_scm`` read the same layout.
-The identification windows, the ancestor sets and the slice states are
+read-only array.  ``unroll``, ``unrolled_scm`` and
+``initial_distribution`` read the same layout.  The identification
+windows, the ancestor sets, the slice states and transport's window are
 read off it by name.
 The pass is the term source of the one evaluator of identified
 expressions: each term is read off a small marginal of the pass, so no
-table grows with the horizon and no window joint is built.  Only on the
-mechanism, whose distribution is Markov to the unrolled graph, is a
-Q-factor term P(v | predecessors) reduced to P(v | S) with S a few
-neighbours of v (Tian & Pearl 2002); a schedule is any chain, so its
-terms are read as they stand.  A window that starts after t0 leaves the
-earlier slices latent; with dynamic confounders it is identified on its
-latent projection, and a term is reduced only where that is exact.
+table grows with the horizon and no window joint is built.  Only when
+every slice comes from the mechanism, whose distribution is Markov to
+the unrolled graph, is a Q-factor term P(v | predecessors) reduced to
+P(v | S) with S a few neighbours of v (Tian & Pearl 2002); p0 and a
+schedule are any chain, so their terms are read as they stand.  A window
+that starts after t0 leaves the earlier slices latent; with dynamic
+confounders it is identified on its latent projection, and a term is
+reduced only where that is exact.
 
 Every step is a conditional factor P(next | previous slice) over the
 unrolled names (``x@t``) of the two slices.  A pipeline takes its
@@ -487,33 +488,6 @@ def _matrix_at(schedule: Schedule, t: int) -> TransitionMatrix:
     return schedule[t]
 
 
-def _transitions(spec: DcnSpec, schedule: Optional[Schedule],
-                 layout: _Layout) -> Optional[Transitions]:
-    """A schedule's transitions as step factors P(V@t | V@t-1) over the
-    layout's variables; None without a schedule.  A matrix's state
-    variables must be the slice variables, in declared order, because the
-    matrix is read in that order; each distinct matrix is checked and
-    laid out once per call."""
-    if schedule is None:
-        return None
-    shape = [v.domain for v in spec.slice_vars] * 2
-    laid_out: dict[int, tuple[TransitionMatrix, np.ndarray]] = {}  # id -> (matrix, table)
-
-    def step(t: int) -> Factor:
-        tm = _matrix_at(schedule, t - 1)
-        if id(tm) not in laid_out:
-            if tm.state_vars != spec.slice_vars:
-                raise InvalidInputError(
-                    f"transition matrix state variables {[v.name for v in tm.state_vars]} "
-                    f"must be the slice variables {list(spec.names())} in that order, with "
-                    "their domains")
-            laid_out[id(tm)] = (tm, tm.matrix.reshape(shape))
-        names = layout.slices[t - layout.t0] + layout.slices[t - 1 - layout.t0]
-        return Factor._view(tuple(layout.vars[n] for n in names), laid_out[id(tm)][1], False)
-
-    return step
-
-
 def mechanism_transition(spec: DcnSpec) -> TransitionMatrix:
     """P(V_{t+1} | V_t) implied by the slice mechanism (static specs): the
     tables one slice adds to the mechanism, contracted onto it and the
@@ -530,42 +504,37 @@ def mechanism_transition(spec: DcnSpec) -> TransitionMatrix:
 
 
 def initial_distribution(spec: DcnSpec, t0: int = 0) -> Factor:
-    """Slice-t0 joint, the one-slice layout contracted onto the slice
-    under the boundary convention of ``unrolled_scm``."""
-    layout = _Layout(spec, t0, t0, tables=True)
-    scm._check_cells(spec.slice_states())
-    return Factor(spec.slice_vars, scm._contract([((), np.ones(()))] + layout.tables[0],
-                                                 layout.slices[0], layout.domain))
+    """Slice-t0 joint of the mechanism under the boundary convention of
+    ``unrolled_scm``: the first slice of the forward pass over it."""
+    spec._checked_mechanism  # UnsupportedModelError without a mechanism
+    return _Forward(spec, None, None, t0, t0).state(t0)
 
 
 class _Forward:
     """The observational distribution of one call's slices from t0 on, by
-    a forward pass, as in Murphy's (2002) interface algorithm.  The
-    call's inputs choose where the per-slice tables come from:
-
-    * the mechanism, unrolled over the call's slices and the longest
-      confounder lag beyond, when the spec has one, no p0 is given, and
-      the spec is dynamic or has no schedule;
-    * otherwise the chain: p0 (the given one, else the mechanism's
-      initial slice, else uniform), then the transitions: the schedule
-      (``_transitions``), else a static mechanism's slice step.
-
-    A static mechanism's steps are its slice tables contracted onto two
-    slices (``_mechanism_step``).  The call's ``_Layout``, built once,
-    gives the pass its names, ``Var``s, ranks, slices, interfaces and
-    per-slice tables, and the call's one unrolled graph (``graph``).
+    a forward pass over per-slice tables, as in Murphy's (2002) interface
+    algorithm.  Slice t0's tables are p0 when given, else the mechanism's
+    slice-t0 tables, else uniform.  Each later slice adds the schedule's
+    step when a schedule drives the chain (a static spec, or a spec
+    without a mechanism), else the mechanism's tables, unrolled over the
+    call's slices and the longest confounder lag beyond.  The call's
+    ``_Layout``, built once, gives the pass its names, ``Var``s, ranks,
+    slices, interfaces and mechanism tables, and the call's one unrolled
+    graph (``graph``).  A static call's steps (``trans``) are the
+    schedule's, or the mechanism's slice tables contracted onto two
+    slices (``_mechanism_step``).
 
     The message at slice s is the joint of the slice-s variables and the
     confounders in flight there (feeding slice s or earlier and a later
-    slice); a mechanism message is one elimination from the one before,
-    a chain message the previous state stepped by ``_apply``.  A
-    marginal over slices a..b continues the pass from the message at a,
-    keeping its variables, so no table spans more than the kept
-    variables and two slices' interface.  The pass is a term source of
+    slice), one elimination from the one before.  A marginal over slices
+    a..b continues the pass from the message at a, keeping its
+    variables, so no table spans more than the kept variables and two
+    slices' interface.  The pass is a term source of
     ``identify._evaluate``: terms from small marginals (``term``), never
-    from a window joint.  Messages, marginals and terms are cached for the
-    call, and contractions of validated tables are trusted.  The windows
-    and ancestor sets are read off the graph."""
+    from a window joint.  A p0 flagged partial flags every marginal.
+    Messages, marginals and terms are cached for the call, and
+    contractions of validated tables are trusted.  The windows and
+    ancestor sets are read off the graph."""
 
     def __init__(self, spec: DcnSpec, schedule: Optional[Schedule], p0: Optional[Factor],
                  t0: int, t_end: int, cls: Optional[ConfounderClass] = None):
@@ -574,38 +543,71 @@ class _Forward:
             raise UnsupportedModelError(
                 "cross edges of lag > 1 are not supported: the identification windows "
                 "and one-slice steps assume first-order slices")
-        self.spec, self.t0, self.scheduled = spec, t0, schedule is not None
+        self.spec, self.t0 = spec, t0
         self.dynamic = not self.cls.is_static
-        if p0 is not None and self.dynamic:
-            raise InvalidInputError("p0 is refused for a spec with dynamic confounders: a "
-                                    "slice state cannot carry the confounders in flight")
-        self.chain = (spec.mechanism is None or p0 is not None
-                      or (schedule is not None and not self.dynamic))
+        if p0 is not None:
+            if self.dynamic:
+                raise InvalidInputError("p0 is refused for a spec with dynamic confounders: a "
+                                        "slice state cannot carry the confounders in flight")
+            if frozenset(p0.scope) != frozenset(spec.slice_vars) or not p0.is_distribution():
+                raise InvalidInputError("p0 must be a distribution over the slice variables, "
+                                        "with their domains")
+        mechanism = spec.mechanism is not None
+        self.scheduled = schedule is not None and (not mechanism or not self.dynamic)
+        # only a pass wholly from the mechanism is Markov to the unrolled graph
+        self.markov = mechanism and p0 is None and not self.scheduled
         # a confounder born by t_end keeps both its children, so the
-        # message at a slice, and the slice's state, do not depend on t_end;
-        # the mechanism's tables feed the pass, or a static spec's steps
+        # message at a slice, and the slice's state, do not depend on t_end
         layout = _Layout(spec, t0, t_end + self.cls.alpha_max,
-                         tables=spec.mechanism is not None and (not self.chain or schedule is None))
+                         tables=mechanism and (p0 is None or not self.scheduled))
         self.slices, self.interface, self.index = layout.slices, layout.interface, layout.index
         self.vars, self.domain, self.rank = layout.vars, layout.domain, layout.rank
-        self.slice_of, self.graph, self.tables = layout.slice_of, layout.graph, layout.tables
+        self.slice_of, self.graph = layout.slice_of, layout.graph
         self.unit = 1 in self.domain.values()  # then ``scm._contract`` drops those axes
-        self.marginals: dict[frozenset[str], Factor] = {}
-        self.terms: dict[ObservedTerm, Factor] = {}
-        self.trans = _transitions(spec, schedule, layout)
-        if self.tables is not None and schedule is None and not self.dynamic:
-            self.step_table: Optional[np.ndarray] = None
-            self.trans = self._mechanism_step
-        if self.chain:
-            self.steps = _transition_steps(spec, self.trans)
-            if p0 is None:
-                p0 = (initial_distribution(spec, t0) if spec.mechanism is not None
-                      else Factor.uniform(spec.slice_vars))
-            self.states: list[Factor] = [p0.reorder(spec.names())]
-            return
+        self.partial = p0 is not None and p0.partial
+        if p0 is not None:
+            first = [(self.slices[0], p0.reorder(spec.names()).table)]
+        elif layout.tables is not None:
+            first = layout.tables[0]
+        else:
+            first = [(self.slices[0], Factor.uniform(spec.slice_vars).table)]
+        if self.scheduled:
+            later = self._schedule_steps(schedule, t_end)
+        elif layout.tables is not None:
+            later = layout.tables[1:]
+        elif t_end > t0:
+            raise InvalidInputError("a transition matrix (or schedule) is required")
+        else:
+            later = []
+        self.tables = [first] + later
         # messages[s - t0 + 1] is the message at slice s; the first is the unit
         self.messages: list[tuple[tuple[str, ...], np.ndarray]] = [((), np.ones(()))]
+        self.marginals: dict[frozenset[str], Factor] = {}
+        self.terms: dict[ObservedTerm, Factor] = {}
         self.latent: dict[int, frozenset[frozenset[str]]] = {}
+        self.step_table: Optional[np.ndarray] = None
+
+    def _schedule_steps(self, schedule: Schedule, t_end: int
+                        ) -> list[list[tuple[tuple[str, ...], np.ndarray]]]:
+        """The schedule's steps into slices t0+1..t_end, each one table over
+        (V@t, V@t-1).  A matrix's state variables must be the slice
+        variables, in declared order, because the matrix is read in that
+        order; each distinct matrix is checked and laid out once per call."""
+        spec, t0 = self.spec, self.t0
+        shape = [v.domain for v in spec.slice_vars] * 2
+        laid_out: dict[int, tuple[TransitionMatrix, np.ndarray]] = {}  # id -> (matrix, table)
+        steps = []
+        for t in range(t0 + 1, t_end + 1):
+            tm = _matrix_at(schedule, t - 1)
+            if id(tm) not in laid_out:
+                if tm.state_vars != spec.slice_vars:
+                    raise InvalidInputError(
+                        f"transition matrix state variables {[v.name for v in tm.state_vars]} "
+                        f"must be the slice variables {list(spec.names())} in that order, "
+                        "with their domains")
+                laid_out[id(tm)] = (tm, tm.matrix.reshape(shape))
+            steps.append([(self.slices[t - t0] + self.slices[t - 1 - t0], laid_out[id(tm)][1])])
+        return steps
 
     def _contract(self, tables: Sequence[tuple[tuple[str, ...], np.ndarray]],
                   out: tuple[str, ...]) -> np.ndarray:
@@ -628,6 +630,14 @@ class _Forward:
         table.flags.writeable = False
         return table
 
+    def trans(self, t: int) -> Factor:
+        """P(V@t | V@t-1) of a static call, laid out (V@t, V@t-1): the
+        schedule's step into t, else the mechanism's (``_mechanism_step``)."""
+        if not self.scheduled:
+            return self._mechanism_step(t)
+        ((scope, table),) = self.tables[t - self.t0]
+        return Factor._view(tuple(self.vars[n] for n in scope), table, False)
+
     def _mechanism_step(self, t: int) -> Factor:
         """P(V@t | V@t-1) of a static mechanism: the tables slice t adds to
         the pass (its confounder priors and CPTs) contracted onto the two
@@ -638,16 +648,7 @@ class _Forward:
             self.step_table = self._contract([ones] + self.tables[t - self.t0], scope)
         return Factor._view(tuple(self.vars[n] for n in scope), self.step_table, False)
 
-    def _tables(self, t: int) -> list[tuple[tuple[str, ...], np.ndarray]]:
-        """The tables slice t adds to the pass (t > t0)."""
-        if self.chain:
-            step = self.steps(t, self.spec.names())
-            return [(step.names(), step.table)]
-        return self.tables[t - self.t0]
-
     def message(self, s: int) -> tuple[tuple[str, ...], np.ndarray]:
-        if self.chain:
-            return self.interface[s - self.t0], self.state(s).table
         while len(self.messages) <= s - self.t0 + 1:
             t = self.t0 + len(self.messages) - 1
             out = self.interface[t - self.t0]
@@ -656,18 +657,12 @@ class _Forward:
         return self.messages[s - self.t0 + 1]
 
     def state(self, t: int) -> Factor:
-        """P(V_t) over template names."""
-        spec = self.spec
+        """P(V_t) over template names: the marginal of slice t."""
         if t < self.t0:
             raise WindowTooSmallError(f"slice {t} precedes the initial slice {self.t0}")
-        if not self.chain:
-            # slice t's names in rank order are its variables in declared order
-            f = self.marginal(frozenset(self.slices[t - self.t0]))
-            return Factor._view(spec.slice_vars, f.table, f.partial)
-        while len(self.states) <= t - self.t0:
-            s = self.t0 + len(self.states)
-            self.states.append(_apply(spec, self.steps(s, spec.names()), self.states[-1], s - 1, s))
-        return self.states[t - self.t0]
+        # slice t's names in rank order are its variables in declared order
+        f = self.marginal(frozenset(self.slices[t - self.t0]))
+        return Factor._view(self.spec.slice_vars, f.table, f.partial)
 
     def marginal(self, keep: frozenset[str]) -> Factor:
         """P(keep) over observed unrolled names, in unrolled order."""
@@ -681,10 +676,10 @@ class _Forward:
                         [n for s, _t in items for n in s if n in keep and self.slice_of[n] < t - 1]
                         + list(self.interface[t - 1 - self.t0])))
                     items = [(scope, self._contract(items, scope))]
-                items = items + self._tables(t)
+                items = items + self.tables[t - self.t0]
             out = tuple(sorted(keep, key=self.rank.__getitem__))
             self.marginals[keep] = Factor._view(tuple(self.vars[n] for n in out),
-                                                self._contract(items, out), False)
+                                                self._contract(items, out), self.partial)
         return self.marginals[keep]
 
     def window(self, t_left: int, t_right: int) -> Admg:
@@ -697,7 +692,7 @@ class _Forward:
         that slice, and the window graph identifies exactly.  Dynamic
         confounders join the left slice to later ones, so the window gets
         the bidirected edges of its latent projection (``latent_edges``)."""
-        if self.dynamic and self.chain:
+        if self.dynamic and not self.markov:
             raise UnsupportedModelError("identification with dynamic confounders needs the "
                                         "slice mechanism")
         g = self.graph.induced(itertools.chain.from_iterable(
@@ -733,19 +728,20 @@ class _Forward:
     def term(self, e: ObservedTerm) -> Factor:
         """P(outcome | given) of a do-free expression, from a small marginal.
 
-        On the mechanism, a Q-factor term P(v | given) equals P(v | S),
-        S = (T | Pa(T)) - {v} with T the C-component of v in the graph of
-        v and ``given`` (Tian & Pearl 2002), when their distribution is
-        Markov to that graph.  It is when they form an ancestral set of
-        the unrolled graph with no child of v in ``given``.  Otherwise (a
-        window that starts after t0 leaves the earlier slices latent) S
-        is used only if it d-separates v from the rest of ``given`` in
-        the unrolled graph, and all of ``given`` is kept if it does not.
-        The chain need not be Markov to the unrolled graph (a schedule
-        is any chain), so its terms are never reduced."""
+        When every slice comes from the mechanism, a Q-factor term
+        P(v | given) equals P(v | S), S = (T | Pa(T)) - {v} with T the
+        C-component of v in the graph of v and ``given`` (Tian & Pearl
+        2002), when their distribution is Markov to that graph.  It is
+        when they form an ancestral set of the unrolled graph with no
+        child of v in ``given``.  Otherwise (a window that starts after t0
+        leaves the earlier slices latent) S is used only if it
+        d-separates v from the rest of ``given`` in the unrolled graph,
+        and all of ``given`` is kept if it does not.
+        A pass with p0 or a schedule need not be Markov to the unrolled
+        graph (either is any chain), so its terms are never reduced."""
         if e not in self.terms:
             given = frozenset(e.given)
-            if given and not self.chain:
+            if given and self.markov:
                 (v,) = e.outcome
                 g = self.graph
                 inside = given | {v}
@@ -842,7 +838,7 @@ def _identified_kernel(spec: DcnSpec, x: Mapping[str, int], t_x: int, t_left: in
     return condition(_bind_effect(effect, targets, outcome), prev_names)
 
 
-def _transition_steps(spec: DcnSpec, trans: Optional[Transitions],
+def _transition_steps(spec: DcnSpec, trans: Transitions,
                       keep: Optional[Mapping[int, Sequence[str]]] = None,
                       scheduled: bool = False) -> StepSource:
     """Steps by the transitions, restricted to ancestor subsets of the two
@@ -853,8 +849,6 @@ def _transition_steps(spec: DcnSpec, trans: Optional[Transitions],
     schedule is any chain, so it is checked."""
 
     def step(t: int, prev: Sequence[str]) -> Factor:
-        if trans is None:
-            raise InvalidInputError("a transition matrix (or schedule) is required")
         f = marginalize(trans(t), [slice_var_at(n, t) for n in spec.names()
                                    if keep is not None and n not in keep[t]])
         dropped = [slice_var_at(n, t - 1) for n in spec.names() if n not in prev]
@@ -956,15 +950,13 @@ def _validate_query(spec: DcnSpec, x: Mapping[str, int], y: Iterable[str],
 
 def _effect(spec: DcnSpec, x: Mapping[str, int], t_x: int, y: Iterable[str], t_y: int,
             schedule: Optional[Schedule], p0: Optional[Factor], t0: int, complete: bool,
-            dynamic: bool, fallback: Callable[[], Optional[Factor]] = lambda: None,
-            ) -> Optional[Factor]:
+            dynamic: bool) -> Optional[Factor]:
     """P(Y at t_y | do(X=x at t_x)): one step from slice t_x - 1 identified
-    on the lemma's window (``fallback`` supplies it when that fails), then
-    the stepper through t_y.  Later steps follow the transition (static)
-    or are identified on growing windows from the same left edge
-    (dynamic).  The complete variants keep only the ancestors of Y in
-    each slice; the complete dynamic one makes its first step over the
-    dynamic time span of X."""
+    on the lemma's window, then the stepper through t_y.  Later steps
+    follow the transition (static) or are identified on growing windows
+    from the same left edge (dynamic).  The complete variants keep only
+    the ancestors of Y in each slice; the complete dynamic one makes its
+    first step over the dynamic time span of X."""
     ys = frozenset(y)
     _validate_query(spec, x, ys, t_x, t_y, t0)
     cls = classify(spec)
@@ -983,13 +975,12 @@ def _effect(spec: DcnSpec, x: Mapping[str, int], t_x: int, y: Iterable[str], t_y
     keep = _ancestor_slices(obs, ys, t_y, w_left) if complete else None
     if keep is not None and not keep[jump_to]:
         # X cannot influence Y: the effect is the observational marginal
-        state = obs.state(t_y)
-    else:
-        post = _post_intervention(spec, x, t_x, w_left, jump_to, t_y, obs, dynamic, keep,
-                                  fallback)
-        if post is None:
-            return None
-        state = post[-1]
+        return _outcome(obs.state(t_y), ys)
+    post = _post_intervention(spec, x, t_x, w_left, jump_to, t_y, obs, dynamic, keep)
+    return None if post is None else _outcome(post[-1], ys)
+
+
+def _outcome(state: Factor, ys: frozenset[str]) -> Factor:
     return marginalize(state, [n for n in state.names() if n not in ys])
 
 
@@ -1156,15 +1147,16 @@ def transport(
     """
     ys = frozenset(y)
     _validate_query(spec, x, ys, t_x, t_y, t0)
-    if not classify(spec).is_static:
+    cls = classify(spec)
+    if not cls.is_static:
         raise UnsupportedTransportError("transport is supported for static specs only")
 
     w_left = _window_left(spec, x, t_x, t0)
-    g, index = unroll(spec, w_left, t_x + 1)
-    comps = c_components(g)
+    obs = _Forward(spec, T_target, p0_target, t0, t_y, cls)
+    g, index, window = obs.window(w_left, t_x + 1), obs.index, range(w_left, t_x + 2)
     x_names = {index[(n, t_x)] for n in x}
     x_comp: frozenset[str] = frozenset()
-    for comp in comps:
+    for comp in c_components(g):
         if comp & x_names:
             x_comp |= comp
     for e in tspec.source_experiments:
@@ -1176,7 +1168,7 @@ def transport(
                 raise InvalidInputError(
                     f"selection variable {s.name!r} points at unknown slice variable {var!r}")
             t = t_x + off
-            if (var, t) not in index:
+            if t not in window:
                 continue
             # pointing at an intervened variable is harmless (the do() cuts
             # the selection edge); pointing at its confounded partners is not
@@ -1198,7 +1190,7 @@ def transport(
         aug_edges = list(g.directed)
         for s in tspec.selection_vars:
             for var, off in s.points_at:
-                if (var, t_x + off) in index:
+                if t_x + off in window:
                     aug_edges.append((s.name, index[(var, t_x + off)]))
         aug = Admg(tuple(g.vars) + tuple(sel_vars), aug_edges, g.bidirected)
         prev_names = [index[(n, t_x - 1)] for n in spec.names()]
@@ -1211,8 +1203,8 @@ def transport(
         num = joint(intervene(m_src, {index[(n, t_x)]: v for n, v in x.items()}), outcome)
         return condition(num, prev_names)
 
-    return _effect(spec, x, t_x, ys, t_y, T_target, p0_target, t0,
-                   complete=False, dynamic=False, fallback=source_step)
+    post = _post_intervention(spec, x, t_x, w_left, t_x + 1, t_y, obs, False, None, source_step)
+    return None if post is None else _outcome(post[-1], ys)
 
 
 # -- random specs (tests, demos) --------------------------------------------

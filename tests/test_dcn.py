@@ -639,6 +639,29 @@ class TestTrajectory:
         assert len(series) == 1
         assert equal_within(series[0], p0, 1e-12)
 
+    def test_p0_is_checked(self, traffic):
+        """p0 must be a distribution over the slice variables with their
+        domains, in any order; a wrong domain, a wrong variable or a total
+        other than 1 is refused, whether the mechanism or a schedule
+        steps it."""
+        _spec, t1, _t2, _ts = traffic
+        mech = zero_context_spec()
+        for spec, sched, x, y in ((mech, None, {"V1": 1}, "V2"), (traffic_spec(), t1, {"tr1": 1}, "d")):
+            names = spec.names()
+            wide = Factor((Var(names[0], 3),) + spec.slice_vars[1:], np.full((3, 2, 2), 1 / 12))
+            other = Factor.uniform(spec.slice_vars[:-1] + (Var("W"),))
+            for p0 in (wide, other, Factor.ones(spec.slice_vars)):
+                for call in (lambda: trajectory(spec, sched, p0, None, 3),
+                             lambda: cdcn_id_static(spec, x, 2, {y}, 5, sched, p0),
+                             lambda: step_kernel_matrix(spec, x, 2, sched, p0)):
+                    with pytest.raises(InvalidInputError, match="p0 must be a distribution"):
+                        call()
+            p0 = Factor(spec.slice_vars, np.random.default_rng(3).dirichlet(np.ones(8)).reshape(2, 2, 2))
+            shuffled = p0.reorder(names[::-1])
+            for a, b in zip(trajectory(spec, sched, p0, (x, 2), 4),
+                            trajectory(spec, sched, shuffled, (x, 2), 4)):
+                assert np.array_equal(a.table, b.table)
+
     def test_slices_before_intervention_untouched(self, traffic):
         spec, t1, t2, _ts = traffic
         sched = weekday_schedule(t1, t2)
@@ -842,6 +865,27 @@ class TestPaperSeries:
         for t in range(14, 21):
             assert abs(delay[t + 7] - delay[t]) < 1e-3
 
+    def test_schedule_from_a_partial_p0(self, traffic):
+        """The schedule's chain runs through the forward pass: from a given
+        p0, every slice is the schedule's matrices multiplied onto p0 in
+        numpy, within 1e-12.  A p0 flagged partial flags every slice,
+        observational and post-intervention, and every answer."""
+        spec, t1, t2, _ts = traffic
+        sched = weekday_schedule(t1, t2)
+        rng = np.random.default_rng(28)
+        p0 = Factor(TRAFFIC_STATE_VARS, rng.dirichlet(np.ones(8)).reshape(2, 2, 2), partial=True)
+        vec = p0.table.reshape(-1)
+        series = trajectory(spec, sched, p0, None, 28)
+        assert len(series) == 29
+        for t, f in enumerate(series):
+            assert f.partial
+            assert np.max(np.abs(f.reorder(spec.names()).table.reshape(-1) - vec)) < 1e-12
+            vec = sched(t).matrix @ vec
+        post = trajectory(spec, sched, p0, ({"tr1": 1}, 3), 28)
+        assert all(f.partial for f in post)
+        assert all(np.array_equal(a.table, b.table) for a, b in zip(post[:3], series))
+        assert cdcn_id_static(spec, {"tr1": 1}, 3, {"d"}, 6, sched, p0).partial
+
     def test_outcome_right_after_intervention(self):
         """t_y = t_x + 1 leaves no transition products: the answer is the
         step conditional applied once."""
@@ -909,6 +953,7 @@ class TestFirstOrderSlices:
             lambda: trajectory(spec, None, None, ({"a": 1}, 3), 6),
             lambda: step_kernel_matrix(spec, {"a": 1}, 3),
             lambda: transport(spec, tspec, {"a": 1}, 3, {"b"}, 6),
+            lambda: initial_distribution(spec),
         ]
         for call in calls:
             with pytest.raises(UnsupportedModelError, match="lag > 1"):
@@ -1216,9 +1261,9 @@ class TestOneGraphPerCall:
 
     @pytest.mark.parametrize("t0", [0, 2])
     def test_initial_distribution_is_the_one_slice_joint(self, t0):
-        """``initial_distribution`` contracts its one-slice layout; on the
-        150-spec generators it is the exact joint of ``unrolled_scm`` over
-        that slice, within 1e-12."""
+        """``initial_distribution`` is the first slice of the forward pass;
+        on the 150-spec generators it is the exact joint of
+        ``unrolled_scm`` over that slice, within 1e-12."""
         seen = Counter()
         for kind in ("static", "dynamic"):
             for spec, _x, _y, _t_y in _generator_queries(kind, 2):
@@ -1361,12 +1406,12 @@ class TestOneGraphPerCall:
             assert all(abs(f.total() - 1.0) < 1e-12 for f in series[:2])
 
     def test_each_call_unrolls_once_and_validates_nothing(self, monkeypatch):
-        """Regression guard: on mechanism-only specs each pipeline call
-        builds one layout (``_Layout``: its names, graph and tables) and
-        no other unrolled graph, builds no graph through the validating
-        constructor, and derives no ``mechanism_transition``.  A static
-        call with a mechanism and a schedule takes p0 from the mechanism's
-        first slice, which builds one more layout and no ``unrolled_scm``."""
+        """Regression guard: on mechanism-only specs each pipeline call,
+        scheduled static calls, ``transport`` and ``initial_distribution``
+        included, builds one layout (``_Layout``: its names, graph and
+        tables) and no other unrolled graph, classifies the spec once,
+        builds no graph through the validating constructor, and derives no
+        ``mechanism_transition``."""
         static = random_dcn_spec(np.random.default_rng(1), n_vars=3, n_static_conf=1)
         dynamic = dyn_spec([("V1", "V2", 1)], seed=5)
         calls = Counter()
@@ -1377,36 +1422,46 @@ class TestOneGraphPerCall:
                 return real(*args, **kwargs)
             return wrapper
 
+        x = {"V1": 1}
+        schedule = mechanism_transition(static)
+        # the benchmark's transport query: the two-road target and its
+        # schedule, and a source whose road 1 is tilted by 0.15
+        mech = traffic_mechanism()
+        tilted = np.array([[[0.65, 0.35], [0.5, 0.5]], [[0.3, 0.7], [0.25, 0.75]]])
+        source = traffic_spec(DcnMechanism(tuple(replace(c, table=tilted) if c.var == "tr1" else c
+                                                 for c in mech.cpts), mech.exos))
+        target = traffic_spec(mech)
+        target_schedule = mechanism_transition(target)
+        tspec = TransportSpec((SelectionVar("s", (("tr1", 0),)), SelectionVar("s2", (("tr1", 1),))),
+                              (frozenset({"tr1"}),), source)
         monkeypatch.setattr(dcn, "unroll", counted("unroll", dcn.unroll))
         monkeypatch.setattr(dcn, "_Layout", counted("layout", dcn._Layout))
+        monkeypatch.setattr(dcn, "classify", counted("classify", dcn.classify))
         monkeypatch.setattr(dcn, "mechanism_transition",
                             counted("mechanism_transition", dcn.mechanism_transition))
         monkeypatch.setattr(Admg, "__init__", counted("Admg", Admg.__init__))
         monkeypatch.setattr(dcn, "unrolled_scm", counted("unrolled_scm", dcn.unrolled_scm))
-        x = {"V1": 1}
-        schedule = mechanism_transition(static)
         runs = [
             lambda s: dcn_id_static(s, x, 2, {"V2"}, 5),
             lambda s: cdcn_id_static(s, x, 2, {"V2"}, 5),
             lambda s: trajectory(s, None, None, (x, 2), 5),
             lambda s: step_kernel_matrix(s, x, 2),
+            lambda s: initial_distribution(s),
         ]
         dynamic_runs = [
             lambda s: dcn_id_dynamic(s, x, 2, {"V2"}, 5),
             lambda s: cdcn_id_dynamic(s, x, 2, {"V2"}, 5),
         ] + runs[2:]
-        for spec, pipelines in ((static, runs), (dynamic, dynamic_runs)):
-            for run in pipelines:
-                calls.clear()
-                assert run(spec) is not None
-                assert calls == {"layout": 1}
         scheduled_runs = [
             lambda s: dcn_id_static(s, x, 2, {"V2"}, 5, schedule),
             lambda s: cdcn_id_static(s, x, 2, {"V2"}, 5, schedule),
             lambda s: trajectory(s, schedule, None, (x, 2), 5),
             lambda s: step_kernel_matrix(s, x, 2, schedule),
         ]
-        for run in scheduled_runs:
-            calls.clear()
-            assert run(static) is not None
-            assert calls == {"layout": 2}
+        transport_runs = [lambda s: transport(s, tspec, {"tr1": 1}, 3, {"d"}, 6, target_schedule)]
+        for spec, pipelines in ((static, runs), (dynamic, dynamic_runs), (static, scheduled_runs),
+                                (target, transport_runs)):
+            for run in pipelines:
+                calls.clear()
+                assert run(spec) is not None
+                assert calls == {"layout": 1, "classify": 1}
