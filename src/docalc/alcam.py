@@ -37,7 +37,7 @@ import numpy as np
 from .errors import (InternalError, InvalidInputError, PartialSupportError,
                      PromiseViolationError)
 from .factors import EPS_CMP, Factor, equal_within
-from .graphs import Admg, ancestors, d_separated, mutilate
+from .graphs import Admg, _mask, _reach, d_separated, mutilate
 from .identify import (Expr, ObservedTerm, Prediction, _bind_effect, _evaluate, _identify,
                        _JointTerms)
 from .scm import InterventionOracle, InterventionSpec, Scm, joint
@@ -206,19 +206,20 @@ class PredictionTable:
         identifying in the whole graph, because G[An(Y)]'s topological
         order is G's restricted to An(Y)."""
         g = self.candidates.graphs[g_idx]
+        bit = g._bit
         if (g_idx, observed) not in self._ancestral:
-            an = ancestors(g, observed)
+            an = _reach(g._pa, g._all, _mask(g, observed, "prediction"))
             # the parts of G[An(Y)], all that graph equality compares;
             # An(Y) is ancestral, so it holds every parent of its
             # members.  Line 2 of ID reduces to that subproblem on its
             # own, so no subgraph is built.
-            parts = (tuple(v for v in g.vars if v.name in an),
-                     frozenset(e for e in g.directed if e[1] in an),
-                     frozenset(p for p in g.bidirected if p <= an))
+            parts = (tuple(v for v in g.vars if bit[v.name] & an),
+                     frozenset(e for e in g.directed if bit[e[1]] & an),
+                     frozenset(p for p in g.bidirected if all(bit[n] & an for n in p)))
             sub = self._subgraphs.setdefault(parts, len(self._subgraphs))
             self._ancestral[g_idx, observed] = (an, sub)
         an, sub = self._ancestral[g_idx, observed]
-        key = (sub, tuple(n for n in targets if n in an), observed)
+        key = (sub, tuple(n for n in targets if bit[n] & an), observed)
         if key not in self._sheets:
             expr = _identify(g, key[1], observed, self._frames.setdefault(g_idx, {})).expr
             self._sheets[key] = (None if expr is None

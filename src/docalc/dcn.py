@@ -70,8 +70,8 @@ from .errors import (InfiniteSpanError, InvalidInputError, UnsupportedModelError
                      UnsupportedQueryError, UnsupportedTransportError, WindowTooSmallError)
 from .factors import (Factor, TransitionMatrix, condition, equal_within, marginalize,
                       multiply)
-from .graphs import (Admg, Var, _ancestors_in, _component_of, ancestors, c_components,
-                     d_separated, mutilate)
+from .graphs import (Admg, Var, _bit_indices, _d_separated, _mask, _names_of, _reach,
+                     _union, ancestors, c_components, d_separated, mutilate)
 from . import scm
 from .identify import ObservedTerm, _bind_effect, _evaluate, id_effect
 from .scm import Cpt, Exogenous, Scm, intervene, joint
@@ -331,8 +331,8 @@ class _Layout:
     unchecked: a valid ``DcnSpec`` unrolls to a valid ADMG.  Edges whose
     lag sticks out of the window are dropped.
 
-    With ``tables`` it also holds the mechanism unrolled over the window
-    (``unrolled_scm``): per slice, the tables that slice adds to it
+    It also holds the mechanism unrolled over the window (``unrolled_scm``)
+    for its first ``tables`` slices: per slice, the tables that slice adds to it
     (``tables``: the priors of the confounders born there, then its
     CPTs, each over parents, exo parents and the variable) and the
     forward pass's ``interface`` (its names, then the confounders in
@@ -347,7 +347,7 @@ class _Layout:
     __slots__ = ("t0", "slices", "vars", "domain", "rank", "slice_of", "index", "graph",
                  "interface", "tables", "exos")
 
-    def __init__(self, spec: DcnSpec, t0: int, t_end: int, tables: bool):
+    def __init__(self, spec: DcnSpec, t0: int, t_end: int, tables: int):
         if t0 > t_end:
             raise WindowTooSmallError("empty unroll window")
         self.t0 = t0
@@ -381,21 +381,20 @@ class _Layout:
         self.graph = Admg._trusted(tuple(self.vars.values()), frozenset(directed),
                                    frozenset(bidirected))
         self.interface = list(self.slices)
-        self.tables: Optional[list[list[tuple[tuple[str, ...], np.ndarray]]]] = None
+        self.tables: list[list[tuple[tuple[str, ...], np.ndarray]]] = []
         self.exos: list[tuple[str, SliceExo, tuple[str, ...]]] = []  # name, template, children
         if tables:
-            self._unroll_mechanism(spec, t_end)
+            self._unroll_mechanism(spec, t_end, t0 + tables - 1)
 
-    def _unroll_mechanism(self, spec: DcnSpec, t_end: int) -> None:
+    def _unroll_mechanism(self, spec: DcnSpec, t_end: int, t_last: int) -> None:
         mech = spec._checked_mechanism
         t0, index, domain = self.t0, self.index, self.domain
         exo_of = {e.name: e for e in mech.exos}
         cpt_of = {c.var: c for c in mech.cpts}
         base = {c.var: _read_only(np.asarray(c.table, dtype=float)) for c in mech.cpts}
         prior = {e.name: _read_only(np.asarray(e.prior, dtype=float)) for e in mech.exos}
-        self.tables = []
         noise_exos = []
-        for t in range(t0, t_end + 1):
+        for t in range(t0, t_last + 1):
             born: list[tuple[tuple[str, ...], np.ndarray]] = []
             for e in mech.exos:
                 if e.lag > 0 and t + e.lag > t_end:
@@ -453,7 +452,7 @@ def unroll(spec: DcnSpec, t0: int, t_end: int) -> tuple[Admg, dict[tuple[str, in
     """Finite window of the bi-infinite graph: one vertex per (variable,
     slice).  Edges whose lag sticks out of the window are dropped.  Built
     unchecked: a valid ``DcnSpec`` unrolls to a valid ADMG."""
-    layout = _Layout(spec, t0, t_end, tables=False)
+    layout = _Layout(spec, t0, t_end, tables=0)
     return layout.graph, layout.index
 
 
@@ -464,7 +463,7 @@ def unrolled_scm(spec: DcnSpec, t0: int, t_end: int) -> Scm:
     from slices before ``t0`` are averaged out uniformly, which defines
     the generating process started at ``t0``.
     """
-    layout = _Layout(spec, t0, t_end, tables=True)
+    layout = _Layout(spec, t0, t_end, tables=t_end - t0 + 1)
     cpts = {}
     for scope, table in itertools.chain.from_iterable(layout.tables):
         n = scope[-1]
@@ -515,9 +514,10 @@ class _Forward:
     a forward pass over per-slice tables, as in Murphy's (2002) interface
     algorithm.  Slice t0's tables are p0 when given, else the mechanism's
     slice-t0 tables, else uniform.  Each later slice adds the schedule's
-    step when a schedule drives the chain (a static spec, or a spec
-    without a mechanism), else the mechanism's tables, unrolled over the
-    call's slices and the longest confounder lag beyond.  The call's
+    step when a schedule is given, else the mechanism's tables, unrolled
+    over the call's slices and the longest confounder lag beyond.  A
+    schedule cannot step a spec with dynamic confounders and a mechanism,
+    so it is refused there, as p0 is.  The call's
     ``_Layout``, built once, gives the pass its names, ``Var``s, ranks,
     slices, interfaces and mechanism tables, and the call's one unrolled
     graph (``graph``).  A static call's steps (``trans``) are the
@@ -553,13 +553,20 @@ class _Forward:
                 raise InvalidInputError("p0 must be a distribution over the slice variables, "
                                         "with their domains")
         mechanism = spec.mechanism is not None
-        self.scheduled = schedule is not None and (not mechanism or not self.dynamic)
+        if schedule is not None and mechanism and self.dynamic:
+            raise InvalidInputError("a schedule is refused for a spec with dynamic confounders "
+                                    "and a mechanism: the mechanism steps the chain, since a "
+                                    "slice state cannot carry the confounders in flight")
+        self.scheduled = schedule is not None
         # only a pass wholly from the mechanism is Markov to the unrolled graph
         self.markov = mechanism and p0 is None and not self.scheduled
         # a confounder born by t_end keeps both its children, so the
-        # message at a slice, and the slice's state, do not depend on t_end
-        layout = _Layout(spec, t0, t_end + self.cls.alpha_max,
-                         tables=mechanism and (p0 is None or not self.scheduled))
+        # message at a slice, and the slice's state, do not depend on t_end.
+        # A schedule steps every slice after t0, so only slice t0 may need
+        # the mechanism's tables then, when no p0 replaces them.
+        t_last = t_end + self.cls.alpha_max
+        tables = 0 if not mechanism else int(p0 is None) if self.scheduled else t_last - t0 + 1
+        layout = _Layout(spec, t0, t_last, tables)
         self.slices, self.interface, self.index = layout.slices, layout.interface, layout.index
         self.vars, self.domain, self.rank = layout.vars, layout.domain, layout.rank
         self.slice_of, self.graph = layout.slice_of, layout.graph
@@ -567,13 +574,13 @@ class _Forward:
         self.partial = p0 is not None and p0.partial
         if p0 is not None:
             first = [(self.slices[0], p0.reorder(spec.names()).table)]
-        elif layout.tables is not None:
+        elif layout.tables:
             first = layout.tables[0]
         else:
             first = [(self.slices[0], Factor.uniform(spec.slice_vars).table)]
         if self.scheduled:
             later = self._schedule_steps(schedule, t_end)
-        elif layout.tables is not None:
+        elif layout.tables:
             later = layout.tables[1:]
         elif t_end > t0:
             raise InvalidInputError("a transition matrix (or schedule) is required")
@@ -711,17 +718,18 @@ class _Forward:
         if t_left in self.latent:
             return self.latent[t_left]
         g = self.graph
-        latent = {n for n, t in self.slice_of.items() if t < t_left}
-        up: dict[str, frozenset[str]] = {}
-        for w in self.slice_of:
-            if w not in latent and (g.parents_of(w) | g.siblings_of(w)) & latent:
+        latent = _mask(g, itertools.chain.from_iterable(self.slices[:t_left - self.t0]), "window")
+        up: dict[int, int] = {}  # a vertex after t_left -> its latent ancestors
+        for i in _bit_indices(g._all & ~latent):
+            if (g._pa[i] | g._sib[i]) & latent:
                 # parents of latent slices are latent
-                up[w] = _ancestors_in(g, latent, g.parents_of(w) & latent)
+                up[i] = _reach(g._pa, latent, g._pa[i] & latent)
+        # the siblings of a vertex and of its latent ancestors
+        near = {i: _union(g._sib, m | 1 << i) for i, m in up.items()}
         edges = set()
         for a, b in itertools.combinations(up, 2):
-            reach_b = up[b] | {b}
-            if up[a] & up[b] or any(g.siblings_of(u) & reach_b for u in up[a] | {a}):
-                edges.add(frozenset((a, b)))
+            if up[a] & up[b] or near[a] & (up[b] | 1 << b):
+                edges.add(frozenset((g.vars[a].name, g.vars[b].name)))
         self.latent[t_left] = frozenset(edges)
         return self.latent[t_left]
 
@@ -744,13 +752,13 @@ class _Forward:
             if given and self.markov:
                 (v,) = e.outcome
                 g = self.graph
-                inside = given | {v}
-                comp = _component_of(g, v, inside)
-                s = frozenset(comp.union(*(g.parents_of(u) for u in comp)) & given)
-                ancestral = (all(g.parents_of(u) <= inside for u in inside)
-                             and not g.children_of(v) & given)
-                if ancestral or d_separated(g, {v}, given - s, s):
-                    given = s
+                i, mg = g._index(v), _mask(g, given, "term")
+                inside = mg | 1 << i
+                comp = _reach(g._sib, inside, 1 << i)
+                s = (comp | _union(g._pa, comp)) & mg
+                ancestral = not _union(g._pa, inside) & ~inside and not g._ch[i] & mg
+                if ancestral or _d_separated(g, 1 << i, mg & ~s, s):
+                    given = frozenset(_names_of(g, s))
             f = self.marginal(given | frozenset(e.outcome))
             self.terms[e] = condition(f, given) if given else f
         return self.terms[e]
@@ -1155,10 +1163,7 @@ def transport(
     obs = _Forward(spec, T_target, p0_target, t0, t_y, cls)
     g, index, window = obs.window(w_left, t_x + 1), obs.index, range(w_left, t_x + 2)
     x_names = {index[(n, t_x)] for n in x}
-    x_comp: frozenset[str] = frozenset()
-    for comp in c_components(g):
-        if comp & x_names:
-            x_comp |= comp
+    x_comp = frozenset().union(*(comp for comp in c_components(g) if comp & x_names))
     for e in tspec.source_experiments:
         if not e <= set(spec.names()):
             raise InvalidInputError(f"source experiment {sorted(e)} names an unknown slice variable")

@@ -5,12 +5,18 @@ endpoints; explicit latent vertices are assumed to have been projected
 away by the input producer.  All types are immutable after construction
 and all operations are pure functions, so values can be shared freely
 across threads.
+
+Inside this module and the identification recursion a vertex set is an
+int mask: bit i stands for ``g.vars[i]``, so walking a mask lowest bit
+first visits its vertices in ``g.vars`` order.  Each graph indexes its
+parents, children and siblings as one mask per vertex.  The public
+functions take and return names and convert only at that boundary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Container, Iterable, Optional
+from typing import Iterable, Optional
 
 from .errors import CyclicGraphError, InvalidInputError
 
@@ -27,8 +33,6 @@ __all__ = [
     "find_hedge",
     "verify_hedge",
 ]
-
-_NONE: frozenset[str] = frozenset()  # shared by every empty index entry
 
 
 @dataclass(frozen=True, order=True)
@@ -47,11 +51,12 @@ class Admg:
     """Mixed graph: directed edges plus bidirected (confounder) edges.
 
     Vertices are identified by name; ``vars`` fixes a deterministic order
-    used for tie-breaking and for state indexing elsewhere.
+    used for tie-breaking, for state indexing elsewhere, and for the bits
+    of vertex masks.
     """
 
-    __slots__ = ("vars", "directed", "bidirected", "_by_name", "_parents",
-                 "_children", "_siblings", "_hash", "_topo")
+    __slots__ = ("vars", "directed", "bidirected", "_bit", "_all", "_pa", "_ch", "_sib",
+                 "_hash", "_topo", "_p0")
 
     def __init__(
         self,
@@ -83,7 +88,7 @@ class Admg:
 
         self._build(variables, frozenset(dir_edges), frozenset(bi_edges))
         # reject directed cycles up front
-        topological_order(self)
+        _topo_bits(self)
 
     @classmethod
     def _trusted(
@@ -106,32 +111,38 @@ class Admg:
         directed: frozenset[tuple[str, str]],
         bidirected: frozenset[frozenset[str]],
     ) -> None:
-        """Set the fields and index parents, children and siblings."""
+        """Set the fields and index each vertex's bit (``_bit``; ``_all``
+        is every vertex's) and its parents, children and siblings (``_pa``,
+        ``_ch``, ``_sib``: one mask per vertex, in ``vars`` order)."""
         self.vars: tuple[Var, ...] = variables
         self.directed: frozenset[tuple[str, str]] = directed
         self.bidirected: frozenset[frozenset[str]] = bidirected
-        self._by_name = {v.name: v for v in variables}
-        par: dict[str, set[str]] = {v.name: set() for v in variables}
-        chi: dict[str, set[str]] = {v.name: set() for v in variables}
+        index = {v.name: i for i, v in enumerate(variables)}
+        self._bit = {n: 1 << i for n, i in index.items()}
+        self._all = (1 << len(variables)) - 1
+        pa, ch, sib = ([0] * len(variables) for _ in range(3))
         for a, b in directed:
-            par[b].add(a)
-            chi[a].add(b)
-        sib: dict[str, set[str]] = {v.name: set() for v in variables}
-        for pair in bidirected:
-            a, b = tuple(pair)
-            sib[a].add(b)
-            sib[b].add(a)
-        self._parents = {n: frozenset(s) if s else _NONE for n, s in par.items()}
-        self._children = {n: frozenset(s) if s else _NONE for n, s in chi.items()}
-        self._siblings = {n: frozenset(s) if s else _NONE for n, s in sib.items()}
+            pa[index[b]] |= 1 << index[a]
+            ch[index[a]] |= 1 << index[b]
+        for a, b in bidirected:
+            sib[index[a]] |= 1 << index[b]
+            sib[index[b]] |= 1 << index[a]
+        self._pa, self._ch, self._sib = tuple(pa), tuple(ch), tuple(sib)
         self._hash: Optional[int] = None
-        self._topo: Optional[tuple[str, ...]] = None
+        self._topo: Optional[tuple[int, ...]] = None
+        self._p0 = None  # identify's term P(all variables), built once per graph
 
     # -- basic accessors ------------------------------------------------
 
+    def _index(self, name: str) -> int:
+        try:
+            return self._bit[name].bit_length() - 1
+        except KeyError:
+            raise InvalidInputError(f"unknown variable {name!r}") from None
+
     def var(self, name: str) -> Var:
         try:
-            return self._by_name[name]
+            return self.vars[self._bit[name].bit_length() - 1]
         except KeyError:
             raise InvalidInputError(f"unknown variable {name!r}") from None
 
@@ -139,25 +150,22 @@ class Admg:
         return tuple(v.name for v in self.vars)
 
     def __contains__(self, name: str) -> bool:
-        return name in self._by_name
+        return name in self._bit
 
     def parents_of(self, name: str) -> frozenset[str]:
-        self.var(name)
-        return self._parents[name]
+        return frozenset(_names_of(self, self._pa[self._index(name)]))
 
     def children_of(self, name: str) -> frozenset[str]:
-        self.var(name)
-        return self._children[name]
+        return frozenset(_names_of(self, self._ch[self._index(name)]))
 
     def siblings_of(self, name: str) -> frozenset[str]:
         """Vertices joined to ``name`` by a bidirected edge."""
-        self.var(name)
-        return self._siblings[name]
+        return frozenset(_names_of(self, self._sib[self._index(name)]))
 
     def induced(self, keep: Iterable[str]) -> "Admg":
         """Induced subgraph over the given vertex names (order preserved)."""
         keep = set(keep)
-        unknown = keep - set(self._by_name)
+        unknown = keep - self._bit.keys()
         if unknown:
             raise InvalidInputError(f"unknown variables {sorted(unknown)}")
         return Admg._trusted(
@@ -201,51 +209,85 @@ class Hedge:
     roots: frozenset[str]
 
 
-def _check_subset(g: Admg, s: Iterable[str], what: str) -> frozenset[str]:
-    s = frozenset(s)
+# -- vertex masks -----------------------------------------------------------
+
+def _mask(g: Admg, s: Iterable[str], what: str) -> int:
+    """The mask of the names ``s``, each checked to be a vertex of ``g``."""
+    bit = g._bit
+    m = 0
     for name in s:
-        if name not in g:
-            raise InvalidInputError(f"{what}: unknown variable {name!r}")
-    return s
+        try:
+            m |= bit[name]
+        except KeyError:
+            raise InvalidInputError(f"{what}: unknown variable {name!r}") from None
+    return m
 
 
-def _ancestors_in(
-    g: Admg,
-    v: Container[str],
-    y: Iterable[str],
-    cut: Container[str] = _NONE,
-) -> frozenset[str]:
-    """Ancestors of ``y`` in G[v] with the edges into ``cut`` removed, the
-    ancestors in ``mutilate(g.induced(v), cut)``; nothing is checked."""
-    frontier = list(y)
-    seen = set(frontier)
+def _bit_indices(m: int) -> list[int]:
+    """The indices of the bits set in ``m``, lowest first."""
+    out = []
+    while m:
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
+    return out
+
+
+def _names_of(g: Admg, m: int) -> list[str]:
+    """The names of the vertices in mask ``m``, sorted."""
+    vs, out = g.vars, []
+    while m:
+        low = m & -m
+        out.append(vs[low.bit_length() - 1].name)
+        m ^= low
+    return sorted(out)
+
+
+def _union(adj: tuple[int, ...], m: int) -> int:
+    """The union of ``adj[i]`` (``g._pa``, ``_ch`` or ``_sib``) over bits i of ``m``."""
+    out = 0
+    for i in _bit_indices(m):
+        out |= adj[i]
+    return out
+
+
+def _reach(adj: tuple[int, ...], inside: int, start: int, cut: int = 0) -> int:
+    """``start`` and the vertices of ``inside`` that ``adj`` leads to from
+    it, never leaving a vertex of ``cut``; nothing is checked.  Along
+    ``g._pa`` it gives the ancestors of ``start`` in G[inside] with the
+    edges into ``cut`` removed (in ``mutilate(g.induced(inside), cut)``),
+    and along ``g._sib`` the C-component of G[inside] holding ``start``."""
+    seen = frontier = start
     while frontier:
-        u = frontier.pop()
-        if u in cut:
-            continue
-        for p in g._parents[u]:
-            if p in v and p not in seen:
-                seen.add(p)
-                frontier.append(p)
-    return frozenset(seen)
+        m, frontier = frontier & ~cut, 0
+        while m:  # _union, inlined on this hot path
+            low = m & -m
+            frontier |= adj[low.bit_length() - 1]
+            m ^= low
+        frontier &= inside & ~seen
+        seen |= frontier
+    return seen
+
+
+def _component_masks(g: Admg, v: int) -> list[int]:
+    """The C-components of G[v] by first vertex in ``g.vars``, as
+    ``c_components(g.induced(v))`` orders them; nothing is checked."""
+    comps = []
+    while v:
+        comp = _reach(g._sib, v, v & -v)
+        comps.append(comp)
+        v &= ~comp
+    return comps
 
 
 def ancestors(g: Admg, s: Iterable[str]) -> frozenset[str]:
     """Reflexive transitive closure of the parent relation applied to ``s``."""
-    return _ancestors_in(g, g._by_name, _check_subset(g, s, "ancestors"))
+    return frozenset(_names_of(g, _reach(g._pa, g._all, _mask(g, s, "ancestors"))))
 
 
 def descendants(g: Admg, s: Iterable[str]) -> frozenset[str]:
     """Reflexive transitive closure of the child relation applied to ``s``."""
-    frontier = list(_check_subset(g, s, "descendants"))
-    seen = set(frontier)
-    while frontier:
-        v = frontier.pop()
-        for c in g.children_of(v):
-            if c not in seen:
-                seen.add(c)
-                frontier.append(c)
-    return frozenset(seen)
+    return frozenset(_names_of(g, _reach(g._ch, g._all, _mask(g, s, "descendants"))))
 
 
 def mutilate(
@@ -259,64 +301,42 @@ def mutilate(
     dropped whenever it touches ``remove_incoming``.  The vertex set is
     unchanged.
     """
-    inc = _check_subset(g, remove_incoming, "mutilate")
-    out = _check_subset(g, remove_outgoing, "mutilate")
+    inc = _mask(g, remove_incoming, "mutilate")
+    out = _mask(g, remove_outgoing, "mutilate")
+    bit = g._bit
     return Admg._trusted(
         g.vars,
-        frozenset((a, b) for a, b in g.directed if b not in inc and a not in out),
-        frozenset(p for p in g.bidirected if not (p & inc)),
+        frozenset((a, b) for a, b in g.directed if not (bit[b] & inc or bit[a] & out)),
+        frozenset(p for p in g.bidirected if not any(bit[n] & inc for n in p)),
     )
+
+
+def _topo_bits(g: Admg) -> tuple[int, ...]:
+    """The vertices' bits in ``topological_order``; computed once per graph."""
+    if g._topo is None:
+        vs = g.vars
+        indeg = [m.bit_count() for m in g._pa]
+        ready = [i for i, d in enumerate(indeg) if d == 0]
+        order: list[int] = []
+        while ready:
+            ready.sort(key=lambda i: vs[i].name)
+            i = ready.pop(0)
+            order.append(1 << i)
+            for c in _bit_indices(g._ch[i]):
+                indeg[c] -= 1
+                if indeg[c] == 0:
+                    ready.append(c)
+        if len(order) != len(vs):
+            raise CyclicGraphError("directed part of the graph contains a cycle")
+        g._topo = tuple(order)
+    return g._topo
 
 
 def topological_order(g: Admg) -> list[str]:
     """Deterministic topological order of the directed part (name
     tie-break); computed once per graph."""
-    if g._topo is None:
-        indeg = {v.name: len(g._parents[v.name]) for v in g.vars}
-        ready = sorted(n for n, d in indeg.items() if d == 0)
-        order: list[str] = []
-        while ready:
-            v = ready.pop(0)
-            order.append(v)
-            changed = False
-            for c in g._children[v]:
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    ready.append(c)
-                    changed = True
-            if changed:
-                ready.sort()
-        if len(order) != len(g.vars):
-            raise CyclicGraphError("directed part of the graph contains a cycle")
-        g._topo = tuple(order)
-    return list(g._topo)
-
-
-def _components_in(g: Admg, v: Container[str]) -> list[frozenset[str]]:
-    """The C-components of G[v], ordered by first appearance in ``g.vars``,
-    as ``c_components(g.induced(v))`` orders them; nothing is checked."""
-    seen: set[str] = set()
-    comps: list[frozenset[str]] = []
-    for n in g._by_name:
-        if n in seen or n not in v:
-            continue
-        comp = _component_of(g, n, v)
-        seen |= comp
-        comps.append(comp)
-    return comps
-
-
-def _component_of(g: Admg, v: str, inside: Container[str]) -> frozenset[str]:
-    """The C-component of G[inside] that holds ``v`` (a member of
-    ``inside``), walked from ``v`` alone; nothing is checked."""
-    comp = {v}
-    frontier = [v]
-    while frontier:
-        for w in g._siblings[frontier.pop()]:
-            if w in inside and w not in comp:
-                comp.add(w)
-                frontier.append(w)
-    return frozenset(comp)
+    vs = g.vars
+    return [vs[b.bit_length() - 1].name for b in _topo_bits(g)]
 
 
 def c_components(g: Admg) -> list[frozenset[str]]:
@@ -325,7 +345,7 @@ def c_components(g: Admg) -> list[frozenset[str]]:
     Returns a partition of the vertex names, ordered by first appearance
     in ``g.vars``.
     """
-    return _components_in(g, g._by_name)
+    return [frozenset(_names_of(g, c)) for c in _component_masks(g, g._all)]
 
 
 # -- d-separation -----------------------------------------------------------
@@ -343,48 +363,32 @@ def d_separated(
     (vertex, entered-via-arrowhead) states; a collider passes iff it has
     a descendant in ``z``, a non-collider passes iff it is outside ``z``.
     """
-    xs = _check_subset(g, x, "d_separated")
-    ys = _check_subset(g, y, "d_separated")
-    zs = _check_subset(g, z, "d_separated")
+    xs, ys, zs = (_mask(g, s, "d_separated") for s in (x, y, z))
     if xs & ys or xs & zs or ys & zs:
         raise InvalidInputError("x, y, z must be pairwise disjoint")
-    if not xs or not ys:
+    return _d_separated(g, xs, ys, zs)
+
+
+def _d_separated(g: Admg, x: int, y: int, z: int) -> bool:
+    """``d_separated`` on pairwise disjoint masks; nothing is checked.
+    The states reached are two masks, the vertices entered along a tail
+    and those entered along an arrowhead, grown a layer at a time."""
+    if not x or not y:
         return True
-
-    opens_collider = ancestors(g, zs) if zs else frozenset()
-
-    # state: (vertex, entered_via_head); a leaving edge has an arrowhead at
-    # v iff it is a parent edge traversed backwards or a bidirected edge.
-    def may_leave(v: str, entered_via_head: bool, leaves_via_head_at_v: bool) -> bool:
-        collider = entered_via_head and leaves_via_head_at_v
-        if collider:
-            return v in opens_collider
-        return v not in zs
-
-    seen: set[tuple[str, bool]] = set()
-    stack: list[tuple[str, bool]] = [(s, False) for s in xs]
-    while stack:
-        v, via_head = stack.pop()
-        if (v, via_head) in seen:
-            continue
-        seen.add((v, via_head))
-        for c in g.children_of(v):
-            # leaving along v->c: tail at v
-            if may_leave(v, via_head, False):
-                if c in ys:
-                    return False
-                stack.append((c, True))
-        for p in g.parents_of(v):
-            # leaving along p->v backwards: head at v
-            if may_leave(v, via_head, True):
-                if p in ys:
-                    return False
-                stack.append((p, False))
-        for s in g.siblings_of(v):
-            if may_leave(v, via_head, True):
-                if s in ys:
-                    return False
-                stack.append((s, True))
+    opens_collider = _reach(g._pa, g._all, z)
+    tail_seen = head_seen = 0
+    tail, head = x, 0
+    while tail or head:
+        tail_seen |= tail
+        head_seen |= head
+        passes = tail & ~z  # entered along a tail: never a collider
+        collider = head & opens_collider  # leaves along an arrowhead
+        to_head = _union(g._ch, passes | head & ~z) | _union(g._sib, passes | collider)
+        to_tail = _union(g._pa, passes | collider)
+        if (to_tail | to_head) & y:
+            return False
+        tail = to_tail & ~tail_seen
+        head = to_head & ~head_seen
     return True
 
 
@@ -392,45 +396,40 @@ def d_separated(
 
 def verify_hedge(g: Admg, x: Iterable[str], y: Iterable[str], h: Hedge) -> bool:
     """Check every Hedge invariant against the query P(y|do(x)) in ``g``."""
-    xs = _check_subset(g, x, "verify_hedge")
-    ys = _check_subset(g, y, "verify_hedge")
-    f = _check_subset(g, h.forest_f, "verify_hedge")
-    fp, r = h.forest_f_prime, h.roots
-    if not (r <= fp <= f):
+    xs, ys, f = (_mask(g, s, "verify_hedge") for s in (x, y, h.forest_f))
+    if not (h.roots <= h.forest_f_prime <= h.forest_f):
         return False
-    if not (f & xs) or (fp & xs):
+    fp, r = (_mask(g, s, "verify_hedge") for s in (h.forest_f_prime, h.roots))
+    return _verify_hedge(g, xs, ys, f, fp, r)
+
+
+def _verify_hedge(g: Admg, x: int, y: int, f: int, fp: int, r: int) -> bool:
+    """``verify_hedge`` on masks, with roots ``r`` in F' in F."""
+    if not (f & x) or (fp & x):
         return False
-    if len(_components_in(g, f)) != 1 or len(_components_in(g, fp)) != 1:
-        return False
+    for forest in (f, fp):  # each one C-component
+        if not forest or _reach(g._sib, forest, forest & -forest) != forest:
+            return False
     # every vertex must reach the common root set within its forest
-    if _ancestors_in(g, f, r) != f or _ancestors_in(g, fp, r) != fp:
+    if _reach(g._pa, f, r) != f or _reach(g._pa, fp, r) != fp:
         return False
     # roots must be childless within F' (they are the forests' root set)
-    for v in r:
-        if g.children_of(v) & fp:
-            return False
-    return r <= _ancestors_in(g, g._by_name, ys, xs)
+    if _union(g._ch, r) & fp:
+        return False
+    return not r & ~_reach(g._pa, g._all, y, x)
 
 
-def _hedge_from_frame(
-    g: Admg,
-    x: frozenset[str],
-    y: frozenset[str],
-    frame_vars: frozenset[str],
-    frame_component: frozenset[str],
-) -> Optional[Hedge]:
-    """The hedge witness of an ID-failure frame, or None if the frame's
-    forests fail verification.
-
-    ``frame_vars`` is the vertex set of the failing recursion's graph (a
-    single C-component) and ``frame_component`` the C-component of that
-    graph minus its intervened part.
-    """
-    roots = frozenset(
-        v for v in frame_component if not (g.children_of(v) & frame_component)
-    )
-    cand = Hedge(frame_vars, frame_component, roots)
-    return cand if verify_hedge(g, x, y, cand) else None
+def _hedge_from_frame(g: Admg, x: int, y: int, frame_vars: int,
+                      frame_component: int) -> Optional[Hedge]:
+    """The hedge witness of an ID-failure frame, or None if its forests
+    fail verification: ``frame_vars`` is the vertex set of the failing
+    recursion's graph (a single C-component) and ``frame_component`` the
+    C-component of that graph minus its intervened part, both masks."""
+    roots = sum(1 << i for i in _bit_indices(frame_component)
+                if not g._ch[i] & frame_component)
+    if not _verify_hedge(g, x, y, frame_vars, frame_component, roots):
+        return None
+    return Hedge(*(frozenset(_names_of(g, m)) for m in (frame_vars, frame_component, roots)))
 
 
 def find_hedge(g: Admg, x: Iterable[str], y: Iterable[str]) -> Optional[Hedge]:
@@ -440,16 +439,11 @@ def find_hedge(g: Admg, x: Iterable[str], y: Iterable[str]) -> Optional[Hedge]:
     frame into the two C-forests; a hedge exists iff identification
     fails.
     """
-    xs = _check_subset(g, x, "find_hedge")
-    ys = _check_subset(g, y, "find_hedge")
+    xs, ys = (_mask(g, s, "find_hedge") for s in (x, y))
     if not xs or not ys:
         raise InvalidInputError("x and y must be nonempty")
     if xs & ys:
         raise InvalidInputError("x and y must be disjoint")
     from . import identify  # deferred: identify depends on this module
 
-    result = identify.id_effect(g, xs, ys)
-    if result.identified:
-        return None
-    assert result.witness is not None
-    return result.witness
+    return identify.id_effect(g, _names_of(g, xs), _names_of(g, ys)).witness

@@ -4,12 +4,16 @@ symbolic do-free expressions with exact evaluation.
 ``id_effect`` transforms P(Y|do(X)) into an expression over the
 observational joint by C-component recursion, or returns a hedge
 witness when the effect is not identifiable.  The recursion runs on
-vertex sets of the input graph and never builds a subgraph: each of its
-subgraphs is an induced subgraph G[v] of the input G, whose ancestors
-and C-components are read off G restricted to v.  Expressions are compared
-by evaluated value only; the printer exists for reporting and golden
-tests.  One evaluator (``_evaluate``) computes every value, its terms
-read off the joint (``_JointTerms``) or the DCN forward pass.
+vertex masks of the input graph (see ``graphs``) and never builds a
+subgraph: each of its subgraphs is an induced subgraph G[v] of the input
+G, whose ancestors and C-components are read off G restricted to v.  It
+builds each expression in ``normalize``'s canonical form as it goes
+(sums merged and folded into observed terms, products flattened and
+sorted by ``pretty``, names sorted), so no second pass rewrites it.
+Expressions are compared by evaluated value only; the printer exists
+for reporting and golden tests.  One evaluator (``_evaluate``) computes
+every value, its terms read off the joint (``_JointTerms``) or the DCN
+forward pass.
 
 Everything here is pure over immutable inputs; predictions for many
 (experiment, graph) pairs are independent and safe to compute in
@@ -26,8 +30,8 @@ import numpy as np
 
 from .errors import InternalError, InvalidInputError
 from .factors import Factor, condition, divide, marginalize
-from .graphs import (Admg, Hedge, _ancestors_in, _check_subset, _components_in,
-                     _hedge_from_frame, d_separated, mutilate, topological_order)
+from .graphs import (Admg, Hedge, _component_masks, _d_separated, _hedge_from_frame,
+                     _mask, _names_of, _reach, _topo_bits, mutilate)
 from .scm import _contract
 
 __all__ = [
@@ -115,108 +119,114 @@ def check_rule(
     observation, rule 3 drops do(z) entirely; each is a d-separation
     check on the correspondingly mutilated graph.
     """
-    xs, ys, zs, ws = (_check_subset(g, s, "check_rule") for s in (x, y, z, w))
+    xs, ys, zs, ws = (_mask(g, s, "check_rule") for s in (x, y, z, w))
     for a, b in ((xs, ys), (xs, zs), (xs, ws), (ys, zs), (ys, ws), (zs, ws)):
         if a & b:
             raise InvalidInputError("rule sets must be pairwise disjoint")
-    if rule == 1:
-        gm = mutilate(g, remove_incoming=xs)
-    elif rule == 2:
-        gm = mutilate(g, remove_incoming=xs, remove_outgoing=zs)
-    elif rule == 3:
-        z_w = zs - _ancestors_in(g, g._by_name, ws, xs)
-        gm = mutilate(g, remove_incoming=xs | z_w)
-    else:
+    if rule not in (1, 2, 3):
         raise InvalidInputError("rule must be 1, 2 or 3")
-    return d_separated(gm, ys, zs, xs | ws)
+    # rule 2 cuts the edges out of z; rule 3 the edges into z(w), the
+    # members of z that are no ancestor of w once the edges into x are cut
+    cut_in = xs | (zs & ~_reach(g._pa, g._all, ws, xs) if rule == 3 else 0)
+    gm = mutilate(g, _names_of(g, cut_in), _names_of(g, zs if rule == 2 else 0))
+    return _d_separated(gm, ys, zs, xs | ws)  # gm has g's vars, so g's bits
 
 
 # -- identification -----------------------------------------------------
 
 
 class _HedgeSignal(Exception):
-    def __init__(self, frame_vars: frozenset[str], frame_component: frozenset[str]):
-        self.frame_vars = frame_vars
-        self.frame_component = frame_component
+    def __init__(self, frame_vars: int, frame_component: int):
+        self.frame_vars, self.frame_component = frame_vars, frame_component
 
 
-def _sum_over(over: frozenset[str], e: Expr) -> Expr:
+def _check_spans(g: Admg, p: ObservedTerm, v: int) -> dict[str, int]:
+    """Raise unless the running distribution ``p`` is P(v) for the frame's
+    vertex set ``v`` (a repeated name would carry and lose a bit, so as
+    many names as bits summing to ``v`` are v); return ``g``'s bits."""
+    bit = g._bit
+    if len(p.outcome) != v.bit_count() or sum(map(bit.__getitem__, p.outcome)) != v:
+        raise InternalError(f"running distribution {pretty(p)} does not span the frame "
+                            f"{_names_of(g, v)}")
+    return bit
+
+
+def _sum_over(g: Admg, over: int, e: Expr, v: int) -> Expr:
+    """sum over ``over`` (a subset of the frame's vertex set ``v``) of the
+    normal-form ``e``, in normal form."""
     if not over:
         return e
     if isinstance(e, ObservedTerm) and not e.given:
-        keep = tuple(n for n in e.outcome if n not in over)
-        extra = over - set(e.outcome)
-        if not extra:
-            return ObservedTerm(keep)
+        bit = _check_spans(g, e, v)
+        return ObservedTerm(tuple([n for n in e.outcome if not bit[n] & over]))
     if isinstance(e, SumOver):
-        return SumOver(tuple(sorted(over | set(e.over))), e.child)
-    return SumOver(tuple(sorted(over)), e)
+        return SumOver(tuple(sorted({*_names_of(g, over), *e.over})), e.child)
+    return SumOver(tuple(_names_of(g, over)), e)
 
 
-def _cond_term(vi: str, given: frozenset[str], p: Expr, p_scope: frozenset[str]) -> Expr:
-    """P(vi | given) of the running distribution ``p`` over ``p_scope``."""
-    if isinstance(p, ObservedTerm) and not p.given and ({vi} | given) <= set(p.outcome):
-        return ObservedTerm((vi,), tuple(sorted(given)))
-    num = _sum_over(p_scope - given - {vi}, p)
-    den = _sum_over(p_scope - given, p)
-    return Quotient(num, den)
+def _product(factors: Iterable[Expr]) -> Expr:
+    """The product of normal-form ``factors``, in normal form: nested
+    products flattened, the factors sorted by ``pretty``."""
+    flat = [c for f in factors for c in (f.children if isinstance(f, Product) else (f,))]
+    return flat[0] if len(flat) == 1 else Product(tuple(sorted(flat, key=pretty)))
 
 
-def _chain_product(members: Iterable[str], p: Expr, p_scope: frozenset[str],
-                   topo: list[str]) -> Expr:
-    """Product of P(vi | predecessors) over members, Tian's Q-factor form."""
-    pos = {n: i for i, n in enumerate(topo)}
+def _chain_product(g: Admg, members: int, p: Expr, v: int) -> Expr:
+    """Product of P(vi | its predecessors in ``v``) over ``members`` of the
+    running distribution ``p`` over ``v``, Tian's Q-factor form."""
+    observed = isinstance(p, ObservedTerm) and not p.given
+    if observed:
+        _check_spans(g, p, v)
     terms = []
-    for vi in sorted(members, key=lambda n: pos[n]):
-        preceding = frozenset(n for n in p_scope if pos[n] < pos[vi])
-        terms.append(_cond_term(vi, preceding, p, p_scope))
-    if len(terms) == 1:
-        return terms[0]
-    return Product(tuple(terms))
+    before = 0  # the vertices ahead of ``b`` in topological order
+    for b in _topo_bits(g):
+        if b & members:
+            given = v & before
+            if observed:
+                terms.append(ObservedTerm((g.vars[b.bit_length() - 1].name,),
+                                          tuple(_names_of(g, given))))
+            else:
+                terms.append(Quotient(_sum_over(g, v & ~(given | b), p, v),
+                                      _sum_over(g, v & ~given, p, v)))
+            members ^= b
+            if not members:
+                break
+        before |= b
+    return _product(terms)
 
 
-def _id(
-    y: frozenset[str],
-    x: frozenset[str],
-    p: Expr,
-    g: Admg,
-    v: frozenset[str],
-    topo: list[str],
-    memo: Optional[dict] = None,
-) -> Expr:
+def _id(y: int, x: int, p: Expr, g: Admg, v: int, memo: Optional[dict] = None) -> Expr:
     """ID on the subgraph G[v] of the input graph ``g``; G[v][s] is G[s],
     so each line reads ``g`` restricted to a vertex set.  With ``memo``
     (one per ``g``), every recursive frame goes through ``_shared``."""
     rec = _id if memo is None else _shared
     if not x:
-        return _sum_over(v - y, p)
+        return _sum_over(g, v & ~y, p, v)
 
-    an = _ancestors_in(g, v, y)
+    an = _reach(g._pa, v, y)  # An(y) in G[v]
     if v != an:
-        return rec(y, x & an, _sum_over(v - an, p), g, an, topo, memo)
+        return rec(y, x & an, _sum_over(g, v & ~an, p, v), g, an, memo)
 
-    w = (v - x) - _ancestors_in(g, v, y, x)
+    w = v & ~x & ~_reach(g._pa, v, y, x)
     if w:
-        return rec(y, x | w, p, g, v, topo, memo)
+        return rec(y, x | w, p, g, v, memo)
 
-    comps = _components_in(g, v - x)
+    comps = _component_masks(g, v & ~x)
     if len(comps) > 1:
-        factors = tuple(rec(s, v - s, p, g, v, topo, memo) for s in comps)
-        return _sum_over(v - (y | x), Product(factors))
+        factors = [rec(s, v & ~s, p, g, v, memo) for s in comps]
+        return _sum_over(g, v & ~(y | x), _product(factors), v)
 
     s = comps[0]
-    cg = _components_in(g, v)
+    cg = _component_masks(g, v)
     if len(cg) == 1:
         raise _HedgeSignal(frame_vars=v, frame_component=s)
     if s in cg:
-        return _sum_over(s - y, _chain_product(s, p, v, topo))
-    s_prime = next(c for c in cg if s < c)
-    new_p = _chain_product(s_prime, p, v, topo)
-    return rec(y, x & s_prime, new_p, g, s_prime, topo, memo)
+        return _sum_over(g, s & ~y, _chain_product(g, s, p, v), v)
+    s_prime = next(c for c in cg if not s & ~c)
+    return rec(y, x & s_prime, _chain_product(g, s_prime, p, v), g, s_prime, memo)
 
 
-def _shared(y: frozenset[str], x: frozenset[str], p: Expr, g: Admg, v: frozenset[str],
-            topo: list[str], memo: dict) -> Expr:
+def _shared(y: int, x: int, p: Expr, g: Admg, v: int, memo: dict) -> Expr:
     """The frame (y, x, v, p) of ``_id`` run once per ``memo``: met again,
     it returns the same expression or raises the same hedge, kept as its
     frame (the raised signal's traceback would tie the memo into a cycle)."""
@@ -224,7 +234,7 @@ def _shared(y: frozenset[str], x: frozenset[str], p: Expr, g: Admg, v: frozenset
     out = memo.get(key)
     if out is None:
         try:
-            out = _id(y, x, p, g, v, topo, memo)
+            out = _id(y, x, p, g, v, memo)
         except _HedgeSignal as sig:
             out = (sig.frame_vars, sig.frame_component)
         memo[key] = out
@@ -239,30 +249,30 @@ def id_effect(g: Admg, x: Iterable[str], y: Iterable[str]) -> IdResult:
     Returns an expression whose evaluation against any observational
     joint compatible with ``g`` equals the interventional distribution,
     or a hedge witness when no do-free form exists.  An empty ``x`` is
-    allowed and yields the observational marginal of ``y``.
+    allowed and yields the observational marginal of ``y``.  The
+    expression is in ``normalize``'s canonical form.
     """
     return _identify(g, x, y, None)
 
 
 def _identify(g: Admg, x: Iterable[str], y: Iterable[str], memo: Optional[dict]) -> IdResult:
     """``id_effect`` with the recursion's frames kept in ``memo`` (see ``_id``)."""
-    xs = frozenset(x)
-    ys = frozenset(y)
-    names = frozenset(g._by_name)
-    if not ys or not ys <= names or not xs <= names:
+    xs = _mask(g, x, "id_effect")
+    ys = _mask(g, y, "id_effect")
+    if not ys:
         raise InvalidInputError("x and y must be subsets of the graph, y nonempty")
     if xs & ys:
         raise InvalidInputError("x and y must be disjoint")
-    topo = topological_order(g)
-    p0 = ObservedTerm(tuple(topo))
+    if g._p0 is None:
+        g._p0 = ObservedTerm(tuple(sorted(g._bit)))
     try:
-        expr = _id(ys, xs, p0, g, names, topo, memo)
+        expr = _id(ys, xs, g._p0, g, g._all, memo)
     except _HedgeSignal as sig:
         witness = _hedge_from_frame(g, xs, ys, sig.frame_vars, sig.frame_component)
         if witness is None:
             raise InternalError("identification failed but no hedge witness found")
         return IdResult(False, witness=witness)
-    return IdResult(True, expr=normalize(expr))
+    return IdResult(True, expr=expr)
 
 
 # -- evaluation ---------------------------------------------------------
@@ -397,18 +407,8 @@ def normalize(e: Expr) -> Expr:
             return ObservedTerm(tuple(n for n in child.outcome if n not in e.over))
         return SumOver(tuple(sorted(e.over)), child)
     if isinstance(e, Product):
-        flat: list[Expr] = []
-        for c in e.children:
-            c = normalize(c)
-            if isinstance(c, Product):
-                flat.extend(c.children)
-            elif not isinstance(c, One):
-                flat.append(c)
-        if not flat:
-            return One()
-        if len(flat) == 1:
-            return flat[0]
-        return Product(tuple(sorted(flat, key=pretty)))
+        kids = [c for c in map(normalize, e.children) if not isinstance(c, One)]
+        return _product(kids) if kids else One()
     if isinstance(e, Quotient):
         num, den = normalize(e.num), normalize(e.den)
         if isinstance(den, One):

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import InvalidInputError, PartialSupportError, UnsupportedModelError
 from .factors import EPS_CMP, Factor
-from .graphs import Admg, Var, mutilate
+from .graphs import Admg, Var, _mask, mutilate
 
 __all__ = [
     "Cpt",
@@ -113,7 +113,7 @@ class Scm:
         for name, cpt in self.cpts.items():
             if cpt.var != name:
                 raise InvalidInputError(f"cpt key {name!r} does not match {cpt.var!r}")
-            if frozenset(cpt.parents) != graph.parents_of(name):
+            if _mask(graph, cpt.parents, "cpt parents") != graph._pa[graph._index(name)]:
                 raise InvalidInputError(f"cpt parents of {name!r} disagree with the graph")
             shape = tuple(graph.var(p).domain for p in cpt.parents)
             shape += tuple(self._exo(e).var.domain for e in cpt.exo_parents)

@@ -551,6 +551,19 @@ class TestDynamicIdentification:
             with pytest.raises(InvalidInputError, match="confounders in flight"):
                 call()
 
+    def test_schedule_refused(self):
+        """With a mechanism, the mechanism steps a spec with dynamic
+        confounders, so a schedule there is refused, not ignored."""
+        spec = sweep_spec()
+        tm = TransitionMatrix((Var("Z"),), np.eye(2))
+        calls = [
+            lambda: trajectory(spec, tm, None, None, 3),
+            lambda: cdcn_id_dynamic(spec, {"V1": 1}, 2, {"V3"}, 4, tm),
+        ]
+        for call in calls:
+            with pytest.raises(InvalidInputError, match="schedule is refused"):
+                call()
+
     def test_steps_need_the_mechanism(self):
         """Without its mechanism a dynamic spec's observational slices
         come from the chain of its schedule, but no step is identified on
@@ -1404,6 +1417,38 @@ class TestOneGraphPerCall:
             series = trajectory(spec, None, p0, ({xv: val}, 2), 5)
             assert [f.partial for f in series] == [False, False, True, True, True, True]
             assert all(abs(f.total() - 1.0) < 1e-12 for f in series[:2])
+
+    def test_scheduled_static_call_unrolls_slice_t0_only(self, monkeypatch):
+        """A static call with a mechanism and a schedule reads only slice
+        t0's mechanism tables, so its layout holds that slice's alone, and
+        the answers are bit-identical to those of a layout that unrolls
+        every slice."""
+        spec = traffic_spec(traffic_mechanism())
+        schedule = mechanism_transition(spec)
+        x = {"tr1": 1}
+        calls = [
+            lambda: trajectory(spec, schedule, None, (x, 2), 6),
+            lambda: [dcn_id_static(spec, x, 2, {"d"}, 6, schedule)],
+            lambda: [transport(spec, TransportSpec(()), x, 3, {"d"}, 6, schedule)],
+        ]
+        real = dcn._Layout
+        held = []
+
+        def spied(*args):
+            layout = real(*args)
+            held.append(len(layout.tables))
+            return layout
+
+        def every_slice(spec, t0, t_end, tables):
+            return real(spec, t0, t_end, t_end - t0 + 1 if tables else 0)
+
+        monkeypatch.setattr(dcn, "_Layout", spied)
+        got = [call() for call in calls]
+        assert held == [1] * len(calls)
+        monkeypatch.setattr(dcn, "_Layout", every_slice)
+        for answers, call in zip(got, calls):
+            for f, want in zip(answers, call(), strict=True):
+                assert f.names() == want.names() and np.array_equal(f.table, want.table)
 
     def test_each_call_unrolls_once_and_validates_nothing(self, monkeypatch):
         """Regression guard: on mechanism-only specs each pipeline call,

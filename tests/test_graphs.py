@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from docalc.errors import CyclicGraphError, InvalidInputError
-from docalc.graphs import (Admg, Hedge, Var, _ancestors_in, _component_of, _components_in,
+from docalc.graphs import (Admg, Hedge, Var, _component_masks, _mask, _names_of, _reach,
                            ancestors,
                            c_components, d_separated, descendants, find_hedge, mutilate,
                            topological_order, verify_hedge)
@@ -224,25 +224,27 @@ def _subsets(items):
 
 
 class TestVertexSetQueries:
-    """Identification reads subgraphs as vertex sets of the input graph;
+    """Identification reads subgraphs as vertex masks of the input graph;
     the readings must be those of the materialized subgraphs."""
 
     def test_match_materialized_subgraphs(self):
         checked = 0
         for g in seeded_admgs(33, n_criterion2=30, n_random=5):
             for v in _subsets(g.names()):
-                sub = g.induced(v)
-                assert _components_in(g, v) == c_components(sub), (g, v)
+                sub, vm = g.induced(v), _mask(g, v, "test")
+                comps = [frozenset(_names_of(g, c)) for c in _component_masks(g, vm)]
+                assert comps == c_components(sub), (g, v)
                 for cut in _subsets(sorted(v)):
                     cut_sub = mutilate(sub, cut)
                     for y in [frozenset({n}) for n in sorted(v)] + [v - cut]:
-                        assert _ancestors_in(g, v, y, cut) == ancestors(cut_sub, y), (g, v, y, cut)
+                        an = _reach(g._pa, vm, _mask(g, y, "test"), _mask(g, cut, "test"))
+                        assert frozenset(_names_of(g, an)) == ancestors(cut_sub, y), (g, v, y, cut)
                         checked += 1
         assert checked > 30_000
 
     def test_component_of_one_vertex(self):
         """The walk from v finds the C-component of G[inside] that
-        ``_components_in`` lists for v."""
+        ``_component_masks`` lists for v."""
         rng = np.random.default_rng(34)
         checked = wide = 0
         for _ in range(60):
@@ -250,12 +252,13 @@ class TestVertexSetQueries:
                             max_confounders=int(rng.integers(0, 6)))
             names = g.names()
             for _ in range(8):
-                inside = frozenset(n for n in names if rng.random() < 0.6)
-                for v in sorted(inside):
-                    want = next(c for c in _components_in(g, inside) if v in c)
-                    assert _component_of(g, v, inside) == want, (g, v, inside)
+                inside = _mask(g, (n for n in names if rng.random() < 0.6), "test")
+                for v in _names_of(g, inside):
+                    b = _mask(g, [v], "test")
+                    want = next(c for c in _component_masks(g, inside) if c & b)
+                    assert _reach(g._sib, inside, b) == want, (g, v, inside)
                     checked += 1
-                    wide += len(want) > 1
+                    wide += want.bit_count() > 1
         assert checked > 1_000 and wide > 300
 
     def test_public_queries_still_check_names(self):

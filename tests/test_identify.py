@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from docalc.alcam import CandidateSet, PredictionTable
-from docalc.errors import InvalidInputError
+from docalc import identify
+from docalc.errors import InternalError, InvalidInputError
 from docalc.factors import Factor, equal_within, marginalize
 from docalc.graphs import (Admg, Var, ancestors, d_separated, find_hedge, mutilate,
                            verify_hedge)
@@ -260,6 +261,38 @@ class TestNormalizeAndPretty:
         e = SumOver(("B", "A"), Product((ObservedTerm(("Z",), ("A", "B")),
                                          ObservedTerm(("A",)))))
         assert pretty(normalize(e)) == "sum_{A,B} P(A) P(Z|A,B)"
+
+    def test_identified_expressions_are_canonical(self):
+        """Identification builds its expressions in normal form, so
+        ``normalize`` leaves each as it stands, and every hedge witness
+        verifies."""
+        identified = hedged = 0
+        for g in seeded_admgs(44, n_criterion2=150, n_random=20):
+            for x, y in itertools.permutations(g.names(), 2):
+                r = id_effect(g, {x}, {y})
+                if r.identified:
+                    assert normalize(r.expr) == r.expr, (g, x, y)
+                    identified += 1
+                else:
+                    assert verify_hedge(g, {x}, {y}, r.witness), (g, x, y)
+                    hedged += 1
+        assert identified > 1_000 and hedged > 100
+
+    def test_running_distribution_must_span_the_frame(self):
+        """Summing out or conditioning an observed marginal reads its
+        variables off the frame's vertex set, so a marginal over another
+        set is an internal error, not a silently wrong term."""
+        g = Admg([Var("X"), Var("Z"), Var("Y")], [("X", "Z"), ("Z", "Y")])
+        x_z, all_three = 0b011, 0b111  # bits follow g.vars: X, Z, Y
+        for p, v in ((ObservedTerm(("X", "Z")), all_three),
+                     (ObservedTerm(("X", "Y", "Z")), x_z),
+                     (ObservedTerm(("X", "X")), x_z)):
+            with pytest.raises(InternalError, match="does not span"):
+                identify._sum_over(g, 0b001, p, v)
+            with pytest.raises(InternalError, match="does not span"):
+                identify._chain_product(g, 0b010, p, v)
+        assert identify._sum_over(g, 0b001, ObservedTerm(("X", "Y", "Z")), all_three) == \
+            ObservedTerm(("Y", "Z"))
 
 
 class TestSoundnessSample:
