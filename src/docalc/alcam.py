@@ -37,7 +37,7 @@ import numpy as np
 from .errors import (InternalError, InvalidInputError, PartialSupportError,
                      PromiseViolationError)
 from .factors import EPS_CMP, Factor, equal_within
-from .graphs import Admg, _mask, _reach, d_separated, mutilate
+from .graphs import Admg, _mask, _names_of, _reach, d_separated, mutilate
 from .identify import (Expr, ObservedTerm, Prediction, _bind_effect, _evaluate, _identify,
                        _JointTerms)
 from .scm import InterventionOracle, InterventionSpec, Scm, joint
@@ -152,8 +152,9 @@ def enumerate_interventions(g: Admg, caps: InterventionCaps = InterventionCaps()
                 assignment = dict(zip(targets, values))
                 for m in range(1, caps.max_observed + 1):
                     for observed in itertools.combinations(rest, m):
-                        out.append(InterventionSpec(frozenset(targets), assignment,
-                                                    frozenset(observed)))
+                        # sorted and disjoint by construction
+                        out.append(InterventionSpec._trusted(targets, assignment, observed,
+                                                             (targets, values, observed)))
     out.sort(key=lambda e: e.key())
     return out
 
@@ -249,9 +250,11 @@ class PredictionTable:
             self._fill([(targets, observed)])
         return self._tensors[targets, observed][self._value_index(targets, values)]
 
-    def _stacked(self, experiments: Sequence[InterventionSpec]) -> np.ndarray:
-        """(experiments, n, n) boolean: :meth:`verdicts` of each experiment
-        in order, every group filled at once and gathered by one index."""
+    def _grouped(self, experiments: Sequence[InterventionSpec],
+                 ) -> dict[tuple, tuple[list[int], list[int]]]:
+        """The experiments by group (sorted targets, sorted observed): each
+        group's positions in ``experiments`` and value indices in its
+        tensor; every group's tensor is filled, all at once."""
         groups: dict[tuple, tuple[list[int], list[int]]] = {}
         for i, e in enumerate(experiments):
             targets, values, observed = e.key()
@@ -259,9 +262,14 @@ class PredictionTable:
             at.append(i)
             index.append(self._value_index(targets, values))
         self._fill(groups)
+        return groups
+
+    def _stacked(self, experiments: Sequence[InterventionSpec]) -> np.ndarray:
+        """(experiments, n, n) boolean: :meth:`verdicts` of each experiment
+        in order, gathered from the group tensors by one index each."""
         n = len(self.candidates.graphs)
         out = np.empty((len(experiments), n, n), dtype=bool)
-        for group, (at, index) in groups.items():
+        for group, (at, index) in self._grouped(experiments).items():
             out[at] = self._tensors[group][index]
         return out
 
@@ -446,7 +454,9 @@ def partition_candidates(
     subsets some experiment has positive power.  Subsets may overlap.
     """
     n = len(candidates.graphs)
-    split = preds._stacked(interventions).any(axis=0)
+    split = np.zeros((n, n), dtype=bool)
+    for group, (_at, index) in preds._grouped(interventions).items():
+        split |= preds._tensors[group][index].any(axis=0)
 
     def non_dist(a: int, b: int) -> bool:
         return a != b and not split[a, b]
@@ -859,12 +869,13 @@ def id_hidden(
             parent, child, adjacent = b, a, True
         else:
             parent, child, adjacent = a, b, False
-        o_vars = (base.parents_of(parent) | base.parents_of(child)) - {parent, child}
-        o_context = {n: 0 for n in sorted(o_vars)}
+        o_vars = _names_of(base, (base._pa[base._index(parent)] | base._pa[base._index(child)])
+                           & ~(base._bit[parent] | base._bit[child]))
+        o_context = dict.fromkeys(o_vars, 0)
         confounded, cost, n_int = _hidden_test(oracle, parent, child, adjacent,
                                                o_context, costs, eps)
         if records is not None:
-            records.append(CiRecord("hidden", (parent, child), tuple(sorted(o_vars)),
+            records.append(CiRecord("hidden", (parent, child), tuple(o_vars),
                                     adjacent, n_int, cost, confounded))
         if confounded:
             graphs = [g for g in graphs if pair in g.bidirected]

@@ -643,7 +643,7 @@ class _Forward:
         if not self.scheduled:
             return self._mechanism_step(t)
         ((scope, table),) = self.tables[t - self.t0]
-        return Factor._view(tuple(self.vars[n] for n in scope), table, False)
+        return Factor._trusted(tuple(self.vars[n] for n in scope), table, False)
 
     def _mechanism_step(self, t: int) -> Factor:
         """P(V@t | V@t-1) of a static mechanism: the tables slice t adds to
@@ -653,7 +653,7 @@ class _Forward:
         if self.step_table is None:
             ones = (scope, np.ones([self.domain[n] for n in scope]))
             self.step_table = self._contract([ones] + self.tables[t - self.t0], scope)
-        return Factor._view(tuple(self.vars[n] for n in scope), self.step_table, False)
+        return Factor._trusted(tuple(self.vars[n] for n in scope), self.step_table, False)
 
     def message(self, s: int) -> tuple[tuple[str, ...], np.ndarray]:
         while len(self.messages) <= s - self.t0 + 1:
@@ -669,7 +669,7 @@ class _Forward:
             raise WindowTooSmallError(f"slice {t} precedes the initial slice {self.t0}")
         # slice t's names in rank order are its variables in declared order
         f = self.marginal(frozenset(self.slices[t - self.t0]))
-        return Factor._view(self.spec.slice_vars, f.table, f.partial)
+        return Factor._trusted(self.spec.slice_vars, f.table, f.partial)
 
     def marginal(self, keep: frozenset[str]) -> Factor:
         """P(keep) over observed unrolled names, in unrolled order."""
@@ -685,8 +685,8 @@ class _Forward:
                     items = [(scope, self._contract(items, scope))]
                 items = items + self.tables[t - self.t0]
             out = tuple(sorted(keep, key=self.rank.__getitem__))
-            self.marginals[keep] = Factor._view(tuple(self.vars[n] for n in out),
-                                                self._contract(items, out), self.partial)
+            self.marginals[keep] = Factor._trusted(tuple(self.vars[n] for n in out),
+                                                   self._contract(items, out), self.partial)
         return self.marginals[keep]
 
     def window(self, t_left: int, t_right: int) -> Admg:
@@ -811,7 +811,8 @@ def _apply(spec: DcnSpec, kern: Factor, state: Factor, t_prev: int, t_next: int)
                      + [slice_var_at(n, t_prev) for n in state.names()])
     vec = state.table.reshape(-1)
     out = k.table.reshape(-1, vec.size) @ vec
-    return Factor(nxt, out.reshape([v.domain for v in nxt]), kern.partial or state.partial)
+    return Factor._trusted(tuple(nxt), out.reshape([v.domain for v in nxt]),
+                           kern.partial or state.partial)
 
 
 def _chain(spec: DcnSpec, state: Factor, t: int, t_end: int,
@@ -868,7 +869,7 @@ def _transition_steps(spec: DcnSpec, trans: Transitions,
                 for vals in itertools.product(*(range(f.var(n).domain) for n in dropped))):
             raise InvalidInputError(f"schedule step into {t} depends on non-ancestors {dropped}")
         # a contiguous table, as a full transition's, so that steps round alike
-        return Factor(kept.scope, np.ascontiguousarray(kept.table), kept.partial)
+        return Factor._trusted(kept.scope, np.ascontiguousarray(kept.table), kept.partial)
 
     return step
 

@@ -2,9 +2,20 @@
 
 Tables are dense numpy arrays, row-major in scope order (the first
 scope variable is the most significant index digit).  Factors are
-immutable values over read-only tables.  Every newly computed table
-passes the validating constructor; ``reorder`` and ``restrict`` return
-read-only views of their input's table instead of copies.
+immutable values over read-only tables.
+
+Validation happens once, at the boundary.  ``Factor(...)`` is the
+validating constructor for every table that enters from outside: p0,
+user tables and the joints ``scm.joint`` tabulates from the CPTs and
+priors, which their own row checks validate.  What the algebra derives
+from validated factors is trusted: ``marginalize``, ``condition``,
+``normalized``, ``multiply`` and ``divide`` build fresh tables of sums,
+products and quotients of non-negative cells, so they are non-negative
+(a conditional's cells are at most 1), and only mark them read-only.  They are finite too: the constructor bounds every
+marginal by refusing a table whose total is not finite, and a product
+or quotient that overflows raises ``InvalidInputError``.  ``reorder``
+and ``restrict`` return read-only views of their input's table instead
+of copies.
 
 Numerical policy: 64-bit floats, ``EPS_NORM`` for normalization checks
 and ``EPS_CMP`` for distribution equality.  Conditioning on a
@@ -41,8 +52,24 @@ EPS_CMP = 1e-9
 Assignment = Mapping[str, int]
 
 
+def _float_array(table: object, what: str) -> np.ndarray:
+    """``table`` as a float array; a cell that is no number is refused."""
+    try:
+        return np.asarray(table, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"{what} must hold numbers: {exc}") from None
+
+
 class Factor:
-    """Non-negative table over an ordered scope of discrete variables."""
+    """Non-negative table over an ordered scope of discrete variables.
+
+    The constructor validates its input: a scope without duplicate
+    names, a table of numbers with as many cells as the scope has (a
+    flat table is reshaped), with a finite total, and non-negative up to
+    -1e-12 (such cells are clipped to 0), stored as a read-only copy.
+    Factors the algebra derives from validated ones skip those checks
+    (``_trusted``).
+    """
 
     __slots__ = ("scope", "table", "partial")
 
@@ -52,13 +79,17 @@ class Factor:
         if len(set(names)) != len(names):
             raise InvalidInputError("factor scope has duplicate variables")
         expected = tuple(v.domain for v in self.scope)
-        arr = np.asarray(table, dtype=float)
+        arr = _float_array(table, "factor table")
         if arr.shape != expected:
+            if arr.size != math.prod(expected):
+                raise InvalidInputError(f"factor table has {arr.size} cells, "
+                                        f"expected {math.prod(expected)} for shape {expected}")
             arr = arr.reshape(expected)
-        # NaN and infinities show in the extremes; a scope's domains are >= 1
-        lo, hi = float(arr.min()), float(arr.max())
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise InvalidInputError("factor table must be finite")
+        # NaN and -inf show in the minimum, +inf in the total; a finite
+        # total bounds every marginal.  A scope's domains are >= 1.
+        lo, total = float(arr.min()), float(arr.sum())
+        if not (math.isfinite(lo) and math.isfinite(total)):
+            raise InvalidInputError("factor table and its total must be finite")
         if lo < -1e-12:
             raise InvalidInputError("factor table must be non-negative")
         # a fresh copy clipped at 0, in the input's memory order (downstream
@@ -69,10 +100,14 @@ class Factor:
         self.partial = bool(partial)
 
     @classmethod
-    def _view(cls, scope: tuple[Var, ...], table: np.ndarray, partial: bool) -> "Factor":
-        """Trusted constructor: ``table`` must be a read-only view of a
-        validated table whose shape matches ``scope``; nothing is checked
-        or copied."""
+    def _trusted(cls, scope: tuple[Var, ...], table: np.ndarray, partial: bool) -> "Factor":
+        """Trusted constructor for a table derived from validated ones: a
+        fresh array or a view, finite, non-negative and shaped like
+        ``scope`` (a numpy scalar stands for a 0-d table).  It is marked
+        read-only; nothing is checked or copied, so it keeps its memory
+        order (downstream sums round by it)."""
+        table = np.asarray(table)
+        table.flags.writeable = False
         f = object.__new__(cls)
         f.scope = scope
         f.table = table
@@ -97,6 +132,8 @@ class Factor:
     @classmethod
     def point_mass(cls, scope: Sequence[Var], assignment: Assignment) -> "Factor":
         for v in scope:
+            if v.name not in assignment:
+                raise InvalidInputError(f"point mass: no value for {v.name}")
             if not (0 <= assignment[v.name] < v.domain):
                 raise InvalidInputError(f"value {assignment[v.name]} out of domain for {v.name}")
         t = np.zeros([v.domain for v in scope])
@@ -138,13 +175,13 @@ class Factor:
                 idx.append(slice(None))
                 keep.append(v)
         # the trailing Ellipsis keeps a 0-d view when every variable is fixed
-        return Factor._view(tuple(keep), self.table[tuple(idx) + (Ellipsis,)], self.partial)
+        return Factor._trusted(tuple(keep), self.table[tuple(idx) + (Ellipsis,)], self.partial)
 
     def normalized(self) -> "Factor":
         tot = self.total()
         if tot <= 0.0:
             raise PartialSupportError("cannot normalize a zero-mass factor")
-        return Factor(self.scope, self.table / tot, self.partial)
+        return Factor._trusted(self.scope, self.table / tot, self.partial)
 
     def reorder(self, names: Sequence[str]) -> "Factor":
         own = self.names()
@@ -153,8 +190,8 @@ class Factor:
         if set(names) != set(own) or len(names) != len(self.scope):
             raise InvalidInputError("reorder must permute the existing scope")
         perm = [own.index(n) for n in names]
-        return Factor._view(tuple(self.scope[i] for i in perm),
-                            np.transpose(self.table, perm), self.partial)
+        return Factor._trusted(tuple(self.scope[i] for i in perm),
+                               np.transpose(self.table, perm), self.partial)
 
     def __repr__(self) -> str:
         flag = ", partial" if self.partial else ""
@@ -171,7 +208,7 @@ def marginalize(f: Factor, out: Iterable[str]) -> Factor:
         return f
     axes = tuple(i for i, v in enumerate(f.scope) if v.name in out)
     keep = tuple(v for v in f.scope if v.name not in out)
-    return Factor(keep, f.table.sum(axis=axes), f.partial)
+    return Factor._trusted(keep, f.table.sum(axis=axes), f.partial)
 
 
 def condition(f: Factor, given: Iterable[str]) -> Factor:
@@ -192,7 +229,7 @@ def condition(f: Factor, given: Iterable[str]) -> Factor:
     ctx = f.table.sum(axis=axes, keepdims=True)
     positive = ctx > 0.0
     out = np.divide(f.table, ctx, out=np.zeros_like(f.table), where=positive)
-    return Factor(f.scope, out, f.partial or not positive.all())
+    return Factor._trusted(f.scope, out, f.partial or not positive.all())
 
 
 def _broadcast_pair(a: Factor, b: Factor) -> tuple[tuple[Var, ...], np.ndarray, np.ndarray]:
@@ -216,7 +253,12 @@ def _broadcast_pair(a: Factor, b: Factor) -> tuple[tuple[Var, ...], np.ndarray, 
 def multiply(a: Factor, b: Factor) -> Factor:
     """Cellwise product over the union scope, broadcasting non-shared vars."""
     scope, ta, tb = _broadcast_pair(a, b)
-    return Factor(scope, ta * tb, a.partial or b.partial)
+    with np.errstate(over="raise"):
+        try:
+            out = ta * tb
+        except FloatingPointError:
+            raise InvalidInputError("multiply: a product overflows the float range") from None
+    return Factor._trusted(scope, out, a.partial or b.partial)
 
 
 def divide(a: Factor, b: Factor) -> Factor:
@@ -227,10 +269,13 @@ def divide(a: Factor, b: Factor) -> Factor:
     num = np.broadcast_to(ta, shape)
     den = np.broadcast_to(tb, shape)
     zero = den <= 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(zero, 0.0, num / np.where(zero, 1.0, den))
+    with np.errstate(over="raise"):
+        try:
+            out = np.where(zero, 0.0, num / np.where(zero, 1.0, den))
+        except FloatingPointError:
+            raise InvalidInputError("divide: a quotient overflows the float range") from None
     partial = a.partial or b.partial or bool(np.any(zero))
-    return Factor(scope, out, partial)
+    return Factor._trusted(scope, out, partial)
 
 
 def equal_within(a: Factor, b: Factor, eps: float = EPS_CMP) -> bool:
@@ -260,7 +305,7 @@ class TransitionMatrix:
     def __init__(self, state_vars: Sequence[Var], matrix: np.ndarray):
         self.state_vars: tuple[Var, ...] = tuple(state_vars)
         n = int(np.prod([v.domain for v in self.state_vars]))
-        arr = np.asarray(matrix, dtype=float)
+        arr = _float_array(matrix, "transition matrix")
         if arr.shape != (n, n):
             raise InvalidInputError(f"transition matrix must be {n}x{n}")
         if np.any(arr < -1e-12) or np.any(arr > 1.0 + 1e-12):
@@ -275,7 +320,7 @@ class TransitionMatrix:
     @classmethod
     def from_rows(cls, state_vars: Sequence[Var], rows: np.ndarray) -> "TransitionMatrix":
         """Build from a row-stochastic layout (entry [prev, next])."""
-        return cls(state_vars, np.asarray(rows, dtype=float).T)
+        return cls(state_vars, _float_array(rows, "transition matrix").T)
 
     def n_states(self) -> int:
         return self.matrix.shape[0]

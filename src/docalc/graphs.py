@@ -15,6 +15,7 @@ functions take and return names and convert only at that boundary.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -37,12 +38,25 @@ __all__ = [
 
 @dataclass(frozen=True, order=True)
 class Var:
-    """A named discrete variable with a finite domain of ``domain`` values."""
+    """A named discrete variable with a finite domain of ``domain`` values.
+
+    ``name`` is a string.  ``domain`` is an integer >= 1; a numpy
+    integer is stored as ``int``, and a bool or a float is refused."""
 
     name: str
     domain: int = 2
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str):
+            raise InvalidInputError(f"variable name {self.name!r} is not a string")
+        if type(self.domain) is not int:
+            try:
+                if isinstance(self.domain, bool):  # an int to operator.index
+                    raise TypeError
+                object.__setattr__(self, "domain", operator.index(self.domain))
+            except TypeError:
+                raise InvalidInputError(f"domain of {self.name!r} must be an integer, "
+                                        f"not {self.domain!r}") from None
         if self.domain < 1:
             raise InvalidInputError(f"domain of {self.name!r} must be >= 1")
 

@@ -345,8 +345,8 @@ def _sum_product(source, factors: Sequence[Factor], over: Iterable[str]) -> Fact
         items.append((out, source._contract(used, out)))
     out = tuple(sorted({m for scope, _t in items for m in scope}, key=source.rank.__getitem__))
     table = source._contract([((), np.asarray(scale))] + items, out)
-    table.flags.writeable = False
-    return Factor._view(tuple(source.vars[m] for m in out), table, any(f.partial for f in factors))
+    return Factor._trusted(tuple(source.vars[m] for m in out), table,
+                           any(f.partial for f in factors))
 
 
 def evaluate(e: Expr, p: Factor) -> Factor:

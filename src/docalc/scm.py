@@ -24,8 +24,8 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import InvalidInputError, PartialSupportError, UnsupportedModelError
-from .factors import EPS_CMP, Factor
-from .graphs import Admg, Var, _mask, mutilate
+from .factors import EPS_CMP, Factor, _float_array
+from .graphs import Admg, Var, _mask, _names_of, mutilate
 
 __all__ = [
     "Cpt",
@@ -63,7 +63,9 @@ class Cpt:
 def _check_rows(var: str, table: np.ndarray) -> None:
     """Every row along the last axis of ``var``'s table is a distribution.
     The comparisons are negated so that a NaN fails them."""
-    rows = np.asarray(table, dtype=float)
+    rows = _float_array(table, f"cpt of {var!r}")
+    if rows.size == 0:
+        raise InvalidInputError(f"cpt of {var!r} is empty")
     if not rows.min() >= -1e-12:
         raise InvalidInputError(f"cpt of {var!r} has negative or NaN entries")
     if not abs(rows.sum(axis=-1) - 1.0).max() <= 1e-9:
@@ -71,6 +73,10 @@ def _check_rows(var: str, table: np.ndarray) -> None:
 
 
 def _check_prior(var: str, prior: Sequence[float]) -> None:
+    arr = _float_array(prior, f"prior of {var!r}")
+    if arr.ndim != 1:
+        raise InvalidInputError(f"prior of {var!r} is not a flat sequence")
+    prior = arr.tolist()
     if not prior or not abs(sum(prior) - 1.0) <= 1e-9 or not min(prior) >= 0:
         raise InvalidInputError(f"prior of {var!r} is not a distribution")
 
@@ -158,6 +164,18 @@ class InterventionSpec:
         object.__setattr__(self, "_key", (tuple(sorted(self.targets)),
                                           tuple(v for _, v in sorted(self.values.items())),
                                           tuple(sorted(self.observed))))
+
+    @classmethod
+    def _trusted(cls, targets: tuple[str, ...], values: Mapping[str, int],
+                 observed: tuple[str, ...], key: tuple) -> "InterventionSpec":
+        """Trusted constructor for an experiment enumerated from a graph:
+        ``targets`` and ``observed`` sorted and disjoint, ``values`` over
+        exactly the targets, and ``key`` the :meth:`key` of the three;
+        nothing is checked."""
+        e = object.__new__(cls)
+        e.__dict__.update(targets=frozenset(targets), values=values,
+                          observed=frozenset(observed), _key=key)
+        return e
 
     def key(self) -> tuple:
         """(sorted targets, their values in that order, sorted observed),
@@ -393,8 +411,8 @@ def random_scm(
         for t in sorted(pair):
             exo_parents[t].append(name)
     cpts = {}
-    for v in graph.vars:
-        parents = tuple(sorted(graph.parents_of(v.name)))
+    for i, v in enumerate(graph.vars):
+        parents = tuple(_names_of(graph, graph._pa[i]))
         exop = tuple(exo_parents[v.name])
         shape = tuple(graph.var(p).domain for p in parents)
         shape += tuple(exo_domain for _ in exop)

@@ -117,6 +117,20 @@ class TestPowerOfIntervention:
                 e, range(4), PredictionTable(cs, p)) == base
 
 
+class TestEnumerateInterventions:
+    def test_enumerated_experiments_equal_validated_specs(self, fig12_graphs, fig32_trio):
+        """Enumeration skips the spec checks; each experiment must equal
+        the one the validating constructor builds, key included, and the
+        list must stay sorted by key."""
+        for g in (*fig12_graphs, *fig32_trio, random_admg(np.random.default_rng(18), 5)):
+            es = enumerate_interventions(g)
+            assert [e.key() for e in es] == sorted(e.key() for e in es)
+            for e in es:
+                ref = InterventionSpec(e.targets, dict(e.values), e.observed)
+                assert e == ref and e.key() == ref.key() and str(e) == str(ref)
+                assert not e.targets & e.observed
+
+
 class TestPartition:
     def test_fig12_singletons(self, fig12_graphs):
         cs = CandidateSet(fig12_graphs)
@@ -133,6 +147,21 @@ class TestPartition:
         es = enumerate_interventions(fig32_trio[0])
         part = partition_candidates(cs, preds, es)
         assert sorted(map(sorted, part.subsets)) == [[0, 2], [1, 2]]
+
+    def test_any_experiment_subset_matches_the_verdicts(self):
+        """The partition reads only the given experiments' values, so a
+        subset of a group's values splits as its verdicts say."""
+        rng = np.random.default_rng(18)
+        for cs, p, experiments in _criterion5_sets(5005, 6):
+            preds = PredictionTable(cs, p)
+            n = len(cs.graphs)
+            for _ in range(3):
+                chosen = [e for e in experiments if rng.random() < 0.3]
+                split = np.zeros((n, n), dtype=bool)
+                for e in chosen:
+                    split |= preds.verdicts(e)
+                want = alcam._maximal_cliques(n, lambda a, b: a != b and not split[a, b])
+                assert partition_candidates(cs, preds, chosen).subsets == tuple(want)
 
     def test_identical_candidates_single_subset(self, fig12_graphs):
         g1 = fig12_graphs[0]

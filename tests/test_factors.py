@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from docalc.dcn import DcnSpec, trajectory
 from docalc.errors import InvalidInputError
-from docalc.factors import (EPS_NORM, Factor, TransitionMatrix, condition,
+from docalc.factors import (EPS_NORM, Factor, TransitionMatrix, condition, divide,
                             equal_within, marginalize, multiply)
 from docalc.graphs import Var
 
@@ -94,6 +94,82 @@ class TestConstructor:
         assert one.table.shape == (1,) and one.total() == 1.0
         with pytest.raises(InvalidInputError, match="non-negative"):
             Factor((Var("U", 1),), [-0.5])
+
+
+class TestBoundaryRefusals:
+    """Every malformed input to the validating constructors raises
+    InvalidInputError, never a numpy or lookup error."""
+
+    def test_cell_count_mismatch(self):
+        with pytest.raises(InvalidInputError, match="3 cells"):
+            Factor([Var("A", 2)], [0.5, 0.5, 0.1])
+
+    def test_string_cell_in_a_factor(self):
+        with pytest.raises(InvalidInputError, match="numbers"):
+            joint_ab([[0.1, "x"], [0.3, 0.4]])
+
+    def test_string_cell_in_a_transition_matrix(self):
+        with pytest.raises(InvalidInputError, match="numbers"):
+            TransitionMatrix((A,), [[1.0, "x"], [0.0, 0.0]])
+        with pytest.raises(InvalidInputError, match="numbers"):
+            TransitionMatrix.from_rows((A,), [[1.0, "x"], [0.0, 0.0]])
+
+    def test_point_mass_missing_variable(self):
+        with pytest.raises(InvalidInputError, match="no value for B"):
+            Factor.point_mass((A, B), {"A": 1})
+
+    def test_total_beyond_the_float_range(self):
+        with pytest.raises(InvalidInputError, match="total must be finite"):
+            Factor((A,), [1e308, 1e308])
+
+    def test_overflowing_product_and_quotient(self):
+        big = Factor((A,), [1e200, 1.0])
+        with pytest.raises(InvalidInputError, match="overflows"):
+            multiply(big, big)
+        with pytest.raises(InvalidInputError, match="overflows"):
+            divide(big, Factor((A,), [1e-200, 1.0]))
+
+
+_POOL = (Var("A", 2), Var("B", 3), Var("C", 1), Var("D", 2))
+
+
+@st.composite
+def _factors(draw):
+    """A validated factor over up to three pool variables, its cells 0
+    half of the time, so zero cells and zero-mass contexts are common."""
+    scope = draw(st.lists(st.sampled_from(_POOL), max_size=3, unique=True))
+    shape = [v.domain for v in scope]
+    cells = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e300)),
+                          min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
+    return Factor(scope, np.reshape(cells, shape), draw(st.booleans()))
+
+
+@given(_factors(), _factors(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_derived_tables_pass_the_validating_constructor(f, g, data):
+    """The algebra's outputs skip the constructor's checks: each must be
+    read-only, finite and non-negative, and the table the validating
+    constructor makes of it must be the same bytes."""
+    names = f.names()
+    out = data.draw(st.lists(st.sampled_from(names), unique=True)) if names else []
+    derived = [marginalize(f, out)]
+    if len(names) > 1:  # condition on a nonempty proper subset
+        derived.append(condition(f, data.draw(st.lists(
+            st.sampled_from(names), min_size=1, max_size=len(names) - 1, unique=True))))
+    if f.total() > 0.0:
+        derived.append(f.normalized())
+    for op in (multiply, divide):
+        try:
+            derived.append(op(f, g))
+        except InvalidInputError as exc:  # refused, not an infinite table
+            assert "overflows" in str(exc)
+    for d in derived:
+        assert not d.table.flags.writeable
+        assert np.isfinite(d.table).all() and (d.table >= 0.0).all()
+        ref = Factor(d.scope, d.table, d.partial).table
+        assert ref.shape == d.table.shape and ref.tobytes() == d.table.tobytes()
+    if len(names) > 1:
+        assert (derived[1].table <= 1.0).all()
 
 
 class TestViews:

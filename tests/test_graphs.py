@@ -13,6 +13,21 @@ from docalc.scm import random_admg
 from conftest import bf_d_separated, bf_hedge_exists, seeded_admgs
 
 
+class TestVar:
+    @pytest.mark.parametrize("domain", [2.5, 2.0, True, "2"])
+    def test_non_integer_domain_refused(self, domain):
+        with pytest.raises(InvalidInputError, match="must be an integer"):
+            Var("A", domain)
+
+    def test_non_string_name_refused(self):
+        with pytest.raises(InvalidInputError, match="not a string"):
+            Var(3)
+
+    def test_numpy_integer_domain_stored_as_int(self):
+        v = Var("A", np.int64(2))
+        assert v == Var("A", 2) and type(v.domain) is int
+
+
 def chain():
     return Admg([Var("X"), Var("Z"), Var("Y")], [("X", "Z"), ("Z", "Y")])
 

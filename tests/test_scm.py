@@ -34,6 +34,17 @@ def two_fair_coins():
     return Scm(g, {"X": Cpt("X", (), (), half), "Y": Cpt("Y", (), (), half)})
 
 
+def test_malformed_cpts_and_priors_refused():
+    with pytest.raises(InvalidInputError, match="numbers"):
+        Cpt("X", (), (), ["0.5x", 0.5])
+    with pytest.raises(InvalidInputError, match="empty"):
+        Cpt("X", (), (), [])
+    with pytest.raises(InvalidInputError, match="numbers"):
+        Exogenous(Var("U"), (0.5, "half"), frozenset({"X"}))
+    with pytest.raises(InvalidInputError, match="flat"):
+        Exogenous(Var("U"), ((0.5,), (0.5,)), frozenset({"X"}))
+
+
 class TestJoint:
     def test_single_binary(self):
         f = joint(single_coin())
