@@ -37,23 +37,23 @@ that starts after t0 leaves the earlier slices latent; with dynamic
 confounders it is identified on its latent projection, and a term is
 reduced only where that is exact.
 
-Every step is a conditional factor P(next | previous slice) over the
-unrolled names (``x@t``) of the two slices.  A pipeline takes its
-transitions from the pass: the schedule when one is given, each
-distinct matrix checked and laid out once per call; otherwise a static
-spec's steps are its mechanism's slice tables in the pass, contracted
-onto two slices (``mechanism_transition`` is that contraction as a
-matrix).  A step restricted to ancestor sets ignores
-the dropped previous-slice variables (tested; checked for a schedule).
 Every pipeline follows one procedure.  The window lemma
 (``_window_left``) puts the left edge of an identification window one
 slice before the leftmost slice confounder-connected to X, and no later
-than t_x - 2.  The step conditional from slice t_x - 1 is identified on
-that window and applied to the observational state at t_x - 1.  One
-stepper (``_chain``) then applies one step per slice: the transition
-(static confounders) or a step conditional identified on the window
-from the same left edge through that slice (dynamic confounders, which
-keep disturbing later transitions).
+than t_x - 2.  From the observational state at t_x - 1, one recursion
+(``_post_intervention``) then carries the post-intervention state slice
+by slice, as the pass carries its messages: each slice's table is the
+one before contracted with one step's tables, onto the slice's kept
+variables (the ancestors of Y in the complete variants).  The step into
+the first slice is the step conditional identified on the lemma's
+window.  With dynamic confounders, which keep disturbing later
+transitions, every later step is a step conditional identified on the
+window from the same left edge through that slice; otherwise it is the
+slice's own tables in the pass, the schedule's step or the mechanism's
+priors and CPTs (``mechanism_transition`` is their contraction as a
+matrix).  Previous-slice variables outside the state are pinned at 0:
+the kept ones do not depend on them (tested for a mechanism; checked for
+a schedule).
 """
 
 from __future__ import annotations
@@ -68,8 +68,7 @@ import numpy as np
 
 from .errors import (InfiniteSpanError, InvalidInputError, UnsupportedModelError,
                      UnsupportedQueryError, UnsupportedTransportError, WindowTooSmallError)
-from .factors import (Factor, TransitionMatrix, condition, equal_within, marginalize,
-                      multiply)
+from .factors import Factor, TransitionMatrix, condition, marginalize, multiply
 from .graphs import (Admg, Var, _bit_indices, _d_separated, _mask, _names_of, _reach,
                      _union, ancestors, c_components, d_separated, mutilate)
 from . import scm
@@ -310,7 +309,7 @@ def _confounder_reach(spec: DcnSpec, start: Iterable[str], forward: bool) -> Dyn
                 best[b] = best[a] + sign * w
                 changed = True
         if not changed:
-            return DynamicTimeSpan(max(0, max(best.values())))
+            return DynamicTimeSpan(max([0, *best.values()]))
     return DynamicTimeSpan(None)
 
 
@@ -476,8 +475,6 @@ def unrolled_scm(spec: DcnSpec, t0: int, t_end: int) -> Scm:
 
 # -- transitions and marginals ---------------------------------------------
 
-Transitions = Callable[[int], Factor]  # slice t -> the transition into t, P(V@t | V@t-1)
-
 
 def _matrix_at(schedule: Schedule, t: int) -> TransitionMatrix:
     if isinstance(schedule, TransitionMatrix):
@@ -489,17 +486,20 @@ def _matrix_at(schedule: Schedule, t: int) -> TransitionMatrix:
 
 def mechanism_transition(spec: DcnSpec) -> TransitionMatrix:
     """P(V_{t+1} | V_t) implied by the slice mechanism (static specs): the
-    tables one slice adds to the mechanism, contracted onto it and the
-    slice before (``_Forward._mechanism_step``), so every column is a
-    distribution, also for slice states of zero mass."""
+    tables slice 1 adds to the pass (its confounder priors and CPTs),
+    contracted onto it and slice 0, so every column is a distribution,
+    also for slice states of zero mass."""
     cls = classify(spec)
     if not cls.is_static:
         raise UnsupportedModelError(
             "with dynamic confounders the one-step conditional is not a mechanism constant")
     spec._checked_mechanism  # UnsupportedModelError without a mechanism
+    obs = _Forward(spec, None, None, 0, 1, cls)
+    scope = obs.slices[1] + obs.slices[0]
+    ones = (scope, np.ones([obs.domain[n] for n in scope]))
     n = spec.slice_states()
-    step = _Forward(spec, None, None, 0, 1, cls).trans(1)  # laid out (V@1, V@0)
-    return TransitionMatrix(spec.slice_vars, step.table.reshape(n, n))
+    return TransitionMatrix(spec.slice_vars,
+                            obs._contract([ones] + obs.tables[1], scope).reshape(n, n))
 
 
 def initial_distribution(spec: DcnSpec, t0: int = 0) -> Factor:
@@ -520,9 +520,7 @@ class _Forward:
     so it is refused there, as p0 is.  The call's
     ``_Layout``, built once, gives the pass its names, ``Var``s, ranks,
     slices, interfaces and mechanism tables, and the call's one unrolled
-    graph (``graph``).  A static call's steps (``trans``) are the
-    schedule's, or the mechanism's slice tables contracted onto two
-    slices (``_mechanism_step``).
+    graph (``graph``).
 
     The message at slice s is the joint of the slice-s variables and the
     confounders in flight there (feeding slice s or earlier and a later
@@ -532,6 +530,10 @@ class _Forward:
     slices' interface.  The pass is a term source of
     ``identify._evaluate``: terms from small marginals (``term``), never
     from a window joint.  A p0 flagged partial flags every marginal.
+    Post-intervention states continue the same contraction
+    (``_post_intervention``): the state at a slice, times one step's
+    tables (an identified step conditional, or the slice's own tables),
+    onto the next slice.
     Messages, marginals and terms are cached for the call, and
     contractions of validated tables are trusted.  The windows and
     ancestor sets are read off the graph."""
@@ -592,7 +594,6 @@ class _Forward:
         self.marginals: dict[frozenset[str], Factor] = {}
         self.terms: dict[ObservedTerm, Factor] = {}
         self.latent: dict[int, frozenset[frozenset[str]]] = {}
-        self.step_table: Optional[np.ndarray] = None
 
     def _schedule_steps(self, schedule: Schedule, t_end: int
                         ) -> list[list[tuple[tuple[str, ...], np.ndarray]]]:
@@ -636,24 +637,6 @@ class _Forward:
             table = np.asarray(np.einsum(*operands, [labels[n] for n in out]))
         table.flags.writeable = False
         return table
-
-    def trans(self, t: int) -> Factor:
-        """P(V@t | V@t-1) of a static call, laid out (V@t, V@t-1): the
-        schedule's step into t, else the mechanism's (``_mechanism_step``)."""
-        if not self.scheduled:
-            return self._mechanism_step(t)
-        ((scope, table),) = self.tables[t - self.t0]
-        return Factor._trusted(tuple(self.vars[n] for n in scope), table, False)
-
-    def _mechanism_step(self, t: int) -> Factor:
-        """P(V@t | V@t-1) of a static mechanism: the tables slice t adds to
-        the pass (its confounder priors and CPTs) contracted onto the two
-        slices; the same for every slice after t0, so contracted once."""
-        scope = self.interface[t - self.t0] + self.interface[t - 1 - self.t0]
-        if self.step_table is None:
-            ones = (scope, np.ones([self.domain[n] for n in scope]))
-            self.step_table = self._contract([ones] + self.tables[t - self.t0], scope)
-        return Factor._trusted(tuple(self.vars[n] for n in scope), self.step_table, False)
 
     def message(self, s: int) -> tuple[tuple[str, ...], np.ndarray]:
         while len(self.messages) <= s - self.t0 + 1:
@@ -791,87 +774,23 @@ def _window_left(spec: DcnSpec, x: Iterable[str], t_x: int, t0: Optional[int]) -
     return left if t0 is None else max(t0, left)
 
 
-# -- steps and the stepper -------------------------------------------------
+# -- post-intervention states ---------------------------------------------
 
 
-# (slice t, variables of the state at t - 1) -> P(next vars @t | those @t-1),
-# or None when the step is not identifiable
-StepSource = Callable[[int, Sequence[str]], Optional[Factor]]
-
-
-def _apply(spec: DcnSpec, kern: Factor, state: Factor, t_prev: int, t_next: int) -> Factor:
-    """sum_prev P(next | prev) P(prev): the conditional factor ``kern`` of
-    slice-t_next variables given slice t_prev, applied to ``state`` (slice
-    t_prev, template names).  The result is over template names in
-    declared order; the sum is the product of kern's table, laid out
-    (next, prev), with the state vector."""
-    scope = set(kern.names())
-    nxt = [v for v in spec.slice_vars if slice_var_at(v.name, t_next) in scope]
-    k = kern.reorder([slice_var_at(v.name, t_next) for v in nxt]
-                     + [slice_var_at(n, t_prev) for n in state.names()])
-    vec = state.table.reshape(-1)
-    out = k.table.reshape(-1, vec.size) @ vec
-    return Factor._trusted(tuple(nxt), out.reshape([v.domain for v in nxt]),
-                           kern.partial or state.partial)
-
-
-def _chain(spec: DcnSpec, state: Factor, t: int, t_end: int,
-           steps: StepSource) -> Optional[list[Factor]]:
-    """The states at slices t..t_end: ``state`` at t, then each next one
-    by applying ``steps(slice, variables of the state before)``; None
-    when a step is not identifiable."""
-    states = [state]
-    for s in range(t + 1, t_end + 1):
-        kern = steps(s, state.names())
-        if kern is None:
-            return None
-        state = _apply(spec, kern, state, s - 1, s)
-        states.append(state)
-    return states
-
-
-def _identified_kernel(spec: DcnSpec, x: Mapping[str, int], t_x: int, t_left: int,
-                       prev_slice: int, prev_vars: Sequence[str], next_slice: int,
-                       next_vars: Sequence[str], obs: _Forward) -> Optional[Factor]:
-    """ID the conditional P(next_vars | prev_vars, do(X)) on the graph of
-    slices t_left..next_slice and evaluate it with the pass as the term
-    source, each term bound at once to the intervened values."""
-    targets = {slice_var_at(n, t_x): v for n, v in x.items()}
-    prev_names = [slice_var_at(n, prev_slice) for n in prev_vars]
-    outcome = frozenset(slice_var_at(n, next_slice) for n in next_vars) | frozenset(prev_names)
-    result = id_effect(obs.window(t_left, next_slice), frozenset(targets), outcome)
+def _identified_kernel(x: Mapping[str, int], t_x: int, t_left: int, prev: Sequence[str],
+                       t: int, nxt: Sequence[str], obs: _Forward) -> Optional[Factor]:
+    """ID the conditional P(nxt | prev, do(X)), unrolled names with nxt in
+    slice t, on the graph of slices t_left..t and evaluate it with the
+    pass as the term source, each term bound at once to the intervened
+    values."""
+    targets = {obs.index[n, t_x]: v for n, v in x.items()}
+    outcome = frozenset(nxt) | frozenset(prev)
+    result = id_effect(obs.window(t_left, t), frozenset(targets), outcome)
     if not result.identified:
         return None
     assert result.expr is not None
     effect = _evaluate(result.expr, obs, {}, targets, outcome)
-    return condition(_bind_effect(effect, targets, outcome), prev_names)
-
-
-def _transition_steps(spec: DcnSpec, trans: Transitions,
-                      keep: Optional[Mapping[int, Sequence[str]]] = None,
-                      scheduled: bool = False) -> StepSource:
-    """Steps by the transitions, restricted to ancestor subsets of the two
-    slices: slice-t variables outside ``keep[t]`` (none when keep is None)
-    are summed out, and slice-(t-1) ones outside the previous state fixed
-    at 0.  The rest does not depend on those, as parents of ancestors are
-    ancestors: on a mechanism by construction (a tested invariant); a
-    schedule is any chain, so it is checked."""
-
-    def step(t: int, prev: Sequence[str]) -> Factor:
-        f = marginalize(trans(t), [slice_var_at(n, t) for n in spec.names()
-                                   if keep is not None and n not in keep[t]])
-        dropped = [slice_var_at(n, t - 1) for n in spec.names() if n not in prev]
-        if not dropped:
-            return f
-        kept = f.restrict(dict.fromkeys(dropped, 0))
-        if scheduled and not all(
-                equal_within(f.restrict(dict(zip(dropped, vals))), kept, 1e-9)
-                for vals in itertools.product(*(range(f.var(n).domain) for n in dropped))):
-            raise InvalidInputError(f"schedule step into {t} depends on non-ancestors {dropped}")
-        # a contiguous table, as a full transition's, so that steps round alike
-        return Factor._trusted(kept.scope, np.ascontiguousarray(kept.table), kept.partial)
-
-    return step
+    return condition(_bind_effect(effect, targets, outcome), prev)
 
 
 def _post_intervention(spec: DcnSpec, x: Mapping[str, int], t_x: int, window_left: int,
@@ -880,24 +799,45 @@ def _post_intervention(spec: DcnSpec, x: Mapping[str, int], t_x: int, window_lef
                        fallback: Callable[[], Optional[Factor]] = lambda: None,
                        ) -> Optional[list[Factor]]:
     """P(keep[t] | do(X=x at t_x)) for slices t_first..t_end (every slice
-    variable when keep is None).  The step from slice t_x - 1 into
-    t_first is identified on the window from ``window_left`` (``fallback``
-    supplies it when that fails) and applied to the observational state
-    at t_x - 1; the stepper then follows the transitions, or (``dynamic``)
-    steps identified on windows from the same left edge.  None when a
-    step is not identifiable."""
-    names = spec.names()
-    first = _identified_kernel(spec, x, t_x, window_left, t_x - 1, names, t_first,
-                               names if keep is None else keep[t_first], obs)
-    if first is None:
-        first = fallback()
-    if first is None:
-        return None
-    steps = ((lambda t, prev: _identified_kernel(spec, x, t_x, window_left, t - 1, prev, t,
-                                                 names if keep is None else keep[t], obs))
-             if dynamic else _transition_steps(spec, obs.trans, keep, obs.scheduled))
-    return _chain(spec, _apply(spec, first, obs.state(t_x - 1), t_x - 1, t_first),
-                  t_first, t_end, steps)
+    variable when keep is None), carried as the pass carries its messages:
+    from the observational state at t_x - 1, each slice's table is the one
+    before contracted with one step's tables.  The step into t_first, and
+    (``dynamic``) every later one, is a step conditional identified on the
+    window from ``window_left`` (``fallback`` supplies the first when that
+    fails).  Any other step is the slice's own tables in the pass, with the
+    previous-slice variables outside the state pinned at 0: the kept ones
+    do not depend on them, as parents of ancestors are ancestors, on a
+    mechanism by construction (a tested invariant); a schedule is any
+    chain, so it is checked.  None when a step is not identifiable."""
+    state = obs.state(t_x - 1)
+    scope, table, partial = obs.slices[t_x - 1 - obs.t0], state.table, state.partial
+    states = []
+    for t in range(t_first, t_end + 1):
+        names = spec.names() if keep is None else keep[t]
+        out = tuple(obs.index[n, t] for n in names)
+        if t == t_first or dynamic:
+            kern = _identified_kernel(x, t_x, window_left, scope, t, out, obs)
+            if kern is None and t == t_first:
+                kern = fallback()
+            if kern is None:
+                return None
+            step = [(kern.names(), kern.table)]
+            partial = partial or kern.partial
+        else:
+            step = obs.tables[t - obs.t0]
+            before = obs.slices[t - 1 - obs.t0]
+            dropped = [u for u in before if u not in scope]
+            if obs.scheduled and dropped:
+                full = obs._contract(step, out + before)
+                at_0 = full[(...,) + tuple(slice(1 if u in dropped else None) for u in before)]
+                if np.max(np.abs(full - at_0)) > 1e-9:
+                    raise InvalidInputError(
+                        f"schedule step into {t} depends on non-ancestors {dropped}")
+            step = step + [((u,), np.eye(1, obs.domain[u])[0]) for u in dropped]
+        table = obs._contract([(scope, table)] + step, out)
+        scope = out
+        states.append(Factor._trusted(tuple(spec.var(n) for n in names), table, partial))
+    return states
 
 
 def step_kernel_matrix(
@@ -916,14 +856,13 @@ def step_kernel_matrix(
     observational probability (the conditional is vacuous elsewhere);
     None when the step query has a hedge.
     """
+    _validate_query(spec, x, (), t_x, t_x + 1, t0)
     obs = _Forward(spec, T, p0, t0, t_x + 1)
-    names = spec.names()
-    kern = _identified_kernel(spec, x, t_x, _window_left(spec, x, t_x, t0), t_x - 1, names,
-                              t_x + 1, names, obs)
+    prev, nxt = obs.slices[t_x - 1 - t0], obs.slices[t_x + 1 - t0]
+    kern = _identified_kernel(x, t_x, _window_left(spec, x, t_x, t0), prev, t_x + 1, nxt, obs)
     if kern is None:
         return None
-    layout = obs.slices[t_x + 1 - t0] + obs.slices[t_x - 1 - t0]
-    matrix = kern.reorder(layout).table.reshape(spec.slice_states(), -1)
+    matrix = kern.reorder(nxt + prev).table.reshape(spec.slice_states(), -1)
     return matrix, obs.state(t_x - 1).table.reshape(-1) > 1e-12
 
 
@@ -941,12 +880,20 @@ def _ancestor_slices(obs: _Forward, y: frozenset[str], t_y: int,
             for t in range(t_left, t_y + 1)}
 
 
-def _validate_query(spec: DcnSpec, x: Mapping[str, int], y: Iterable[str],
-                    t_x: int, t_y: int, t0: int) -> None:
+def _check_intervention(spec: DcnSpec, x: Mapping[str, int]) -> None:
+    """Refuse an empty X, an unknown slice variable, and a value that is
+    not an integer (a bool is refused) in its variable's domain."""
+    if not x:
+        raise InvalidInputError("the intervention set must be nonempty")
     for n, v in x.items():
         var = spec.var(n)
-        if not (0 <= v < var.domain):
-            raise InvalidInputError(f"value {v} out of domain for {n}")
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or not 0 <= v < var.domain:
+            raise InvalidInputError(f"value {v!r} of {n} is not an integer in 0..{var.domain - 1}")
+
+
+def _validate_query(spec: DcnSpec, x: Mapping[str, int], y: Iterable[str],
+                    t_x: int, t_y: int, t0: int) -> None:
+    _check_intervention(spec, x)
     for n in y:
         spec.var(n)
     if frozenset(x) & frozenset(y) and t_x == t_y:
@@ -960,10 +907,11 @@ def _validate_query(spec: DcnSpec, x: Mapping[str, int], y: Iterable[str],
 def _effect(spec: DcnSpec, x: Mapping[str, int], t_x: int, y: Iterable[str], t_y: int,
             schedule: Optional[Schedule], p0: Optional[Factor], t0: int, complete: bool,
             dynamic: bool) -> Optional[Factor]:
-    """P(Y at t_y | do(X=x at t_x)): one step from slice t_x - 1 identified
-    on the lemma's window, then the stepper through t_y.  Later steps
-    follow the transition (static) or are identified on growing windows
-    from the same left edge (dynamic).  The complete variants keep only
+    """P(Y at t_y | do(X=x at t_x)): the post-intervention recursion from
+    slice t_x - 1 through t_y, whose first step is identified on the
+    lemma's window.  Later steps are the slices' own tables (static) or
+    are identified on growing windows from the same left edge (dynamic).
+    The complete variants keep only
     the ancestors of Y in each slice; the complete dynamic one makes its
     first step over the dynamic time span of X."""
     ys = frozenset(y)
@@ -1088,6 +1036,7 @@ def trajectory(
     if intervention is None:
         return [obs.state(t) for t in range(t0, horizon + 1)]
     x, t_x = intervention
+    _check_intervention(spec, x)
     if not (t0 < t_x <= horizon):
         raise InvalidInputError("the intervention slice must lie inside the horizon")
     # the same pass as without intervention, so these slices are untouched
@@ -1096,11 +1045,12 @@ def trajectory(
     rest = [n for n in spec.names() if n not in x]
     at_tx = Factor.scalar(1.0)
     if rest:
-        kern = _identified_kernel(spec, x, t_x, w_left, t_x - 1, spec.names(), t_x, rest, obs)
-        if kern is None:
+        post = _post_intervention(spec, x, t_x, w_left, t_x, t_x, obs, obs.dynamic,
+                                  keep={t_x: rest})
+        if post is None:
             raise UnsupportedQueryError(
                 "the intervention-slice distribution is not identifiable")
-        at_tx = _apply(spec, kern, out[-1], t_x - 1, t_x)
+        (at_tx,) = post
     point = Factor.point_mass([spec.var(n) for n in sorted(x)], dict(x))
     out.append(multiply(at_tx, point).reorder(spec.names()))
     if t_x == horizon:

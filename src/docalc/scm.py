@@ -182,6 +182,10 @@ class InterventionSpec:
         computed once at construction."""
         return self._key
 
+    def __hash__(self) -> int:
+        # equal specs have equal keys; the generated hash would hash the values dict
+        return hash(self._key)
+
     def __str__(self) -> str:
         do = ",".join(f"{k}={v}" for k, v in sorted(self.values.items()))
         return f"({{{do}}} -> {{{','.join(sorted(self.observed))}}})"

@@ -130,6 +130,19 @@ class TestEnumerateInterventions:
                 assert e == ref and e.key() == ref.key() and str(e) == str(ref)
                 assert not e.targets & e.observed
 
+    def test_equal_specs_hash_equal(self, fig12_graphs):
+        """Specs hash by their key, so equal specs hash equal, an
+        enumerated experiment and its validated twin included, and specs
+        work as set members and dict keys."""
+        a = InterventionSpec(frozenset({"A", "B"}), {"A": 1, "B": 0}, frozenset({"C"}))
+        b = InterventionSpec(frozenset({"B", "A"}), {"B": 0, "A": 1}, frozenset({"C"}))
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        es = enumerate_interventions(fig12_graphs[0])
+        twins = [InterventionSpec(e.targets, dict(e.values), e.observed) for e in es]
+        for e, ref in zip(es, twins):
+            assert e == ref and hash(e) == hash(ref)
+        assert {e: i for i, e in enumerate(es)} == {e: i for i, e in enumerate(twins)}
+
 
 class TestPartition:
     def test_fig12_singletons(self, fig12_graphs):

@@ -254,6 +254,11 @@ class TestDynamicTimeSpan:
     def test_no_dynamic_confounders(self):
         assert dynamic_time_span(traffic_spec(), ["tr1"]).slices == 0
 
+    def test_empty_set_spans_nothing(self):
+        spec = DcnSpec((Var("a"), Var("b")), (), (("a", "b", 1),), (), (("a", "b", 1),))
+        assert dynamic_time_span(spec, []) == dynamic_time_span(traffic_spec(), ["tr1"])
+        assert dynamic_time_span(spec, []).slices == 0
+
     def test_self_confounder_infinite(self):
         spec = DcnSpec((Var("a"),), (), (("a", "a", 1),), (), (("a", "a", 1),))
         assert dynamic_time_span(spec, ["a"]).is_infinite
@@ -462,6 +467,9 @@ class TestStaticIdentification:
         t = mechanism_transition(spec)
         with pytest.raises(WindowTooSmallError):
             dcn_id_static(spec, {"tr1": 0}, 0, {"d"}, 2, t, None, 0)
+        for t_x in (-1, 0):  # the kernel would read slice t_x - 1, before t0
+            with pytest.raises(WindowTooSmallError):
+                step_kernel_matrix(spec, {"tr1": 0}, t_x, t, None, 0)
 
 
 class TestDynamicIdentification:
@@ -610,7 +618,7 @@ class TestDynamicIdentification:
 
         def spy(*args):
             out = real(*args)
-            steps.append((args[6], out is not None))
+            steps.append((args[4], out is not None))
             return out
 
         monkeypatch.setattr(dcn, "_identified_kernel", spy)
@@ -752,6 +760,55 @@ class TestTrajectory:
         fixed = ts.matrix @ last - last
         assert np.max(np.abs(fixed)) < 1e-9
         assert np.max(np.abs(last - prev)) < 1e-9
+
+
+class TestInterventionChecks:
+    """Every DCN entry point checks X the same way: an empty set, an
+    unknown slice variable, and a value that is not an integer of its
+    variable's domain (a bool included) are refused with
+    ``InvalidInputError``; a numpy integer is accepted."""
+
+    @staticmethod
+    def _entry_points():
+        spec = traffic_spec(traffic_mechanism())
+        schedule = mechanism_transition(spec)
+        return {
+            "dcn_id_static": lambda x: dcn_id_static(spec, x, 2, {"d"}, 4),
+            "cdcn_id_static": lambda x: cdcn_id_static(spec, x, 2, {"d"}, 4),
+            "dcn_id_dynamic": lambda x: dcn_id_dynamic(spec, x, 2, {"d"}, 4),
+            "cdcn_id_dynamic": lambda x: cdcn_id_dynamic(spec, x, 2, {"d"}, 4),
+            "transport": lambda x: transport(spec, TransportSpec(()), x, 3, {"d"}, 5, schedule),
+            "trajectory": lambda x: trajectory(spec, schedule, None, (x, 2), 4),
+            "step_kernel_matrix": lambda x: step_kernel_matrix(spec, x, 2, schedule),
+        }
+
+    ENTRY_POINTS = ("dcn_id_static", "cdcn_id_static", "dcn_id_dynamic", "cdcn_id_dynamic",
+                    "transport", "trajectory", "step_kernel_matrix")
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("x", [{}, {"nope": 0}, {"tr1": 0.5}, {"tr1": 1.0}, {"tr1": True},
+                                   {"tr1": False}, {"tr1": 2}, {"tr1": -1}, {"tr1": "1"},
+                                   {"tr1": None}, {"tr1": 0, "tr2": np.float64(1)}],
+                             ids=repr)
+    def test_bad_intervention_refused(self, entry, x):
+        with pytest.raises(InvalidInputError):
+            self._entry_points()[entry](x)
+
+    def test_numpy_integer_values_accepted(self):
+        entry_points = self._entry_points()
+        assert tuple(entry_points) == self.ENTRY_POINTS
+        for name, run in entry_points.items():
+            got, want = run({"tr1": np.int64(1)}), run({"tr1": 1})
+            assert _tables_of(got) == _tables_of(want), name
+
+
+def _tables_of(out):
+    """The bytes of an entry point's answer, for comparisons."""
+    if out is None:
+        return None
+    if isinstance(out, tuple):
+        return [np.asarray(a).tobytes() for a in out]
+    return [f.table.tobytes() for f in (out if isinstance(out, list) else [out])]
 
 
 class TestTransport:
@@ -1161,10 +1218,12 @@ def _run_generator_pipelines(kind, t_x):
 def generator_calls():
     """What the pipelines build on the 150-spec static and dynamic
     generators, at t_x = 2 (windows from t0) and t_x = 5 (later windows):
-    every window graph with its call, and every pass marginal, mechanism
-    step and sum over a product that the evaluator contracts on the pass
+    every window graph with its call, and, each with the shape of its
+    scope, the table of every pass marginal, every contraction of the
+    pass (its messages, marginals and post-intervention steps) and every
+    sum over a product that the evaluator contracts on the pass
     (``identify._sum_product``)."""
-    windows, factors = [], []
+    windows, tables = [], []
 
     def spy(real, record):
         def wrapper(obs, *args):
@@ -1176,15 +1235,30 @@ def generator_calls():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_Forward, "window", spy(_Forward.window, lambda obs, args, g: windows.append(
             (obs.spec, obs.t0) + args + (g,))))
-        for name in ("marginal", "_mechanism_step"):
-            mp.setattr(_Forward, name, spy(getattr(_Forward, name),
-                                           lambda obs, args, f: factors.append(f)))
-        mp.setattr(identify, "_sum_product", spy(identify._sum_product,
-                                                 lambda obs, args, f: factors.append(f)))
+        def factor(obs, args, f):
+            tables.append((f.table, tuple(v.domain for v in f.scope)))
+
+        def contraction(obs, args, table):  # args: the operands, then the output scope
+            tables.append((table, tuple(obs.domain[n] for n in args[1])))
+
+        mp.setattr(_Forward, "marginal", spy(_Forward.marginal, factor))
+        mp.setattr(_Forward, "_contract", spy(_Forward._contract, contraction))
+        mp.setattr(identify, "_sum_product", spy(identify._sum_product, factor))
         for kind in ("static", "dynamic"):
             for t_x in (2, 5):
                 _run_generator_pipelines(kind, t_x)
-    return windows, factors
+    return windows, tables
+
+
+def pass_step(obs, t):
+    """P(V@t | V@t-1) of a static pass, laid out (V@t, V@t-1): the tables
+    slice t adds to the pass (the schedule's step, or the mechanism's
+    confounder priors and CPTs) contracted onto the two slices, as
+    ``mechanism_transition`` contracts slice 1's."""
+    scope = obs.slices[t - obs.t0] + obs.slices[t - 1 - obs.t0]
+    ones = (scope, np.ones([obs.domain[n] for n in scope]))
+    return Factor(tuple(obs.vars[n] for n in scope),
+                  obs._contract([ones] + obs.tables[t - obs.t0], scope))
 
 
 def _latent_projection_edges(spec, t0, t_left, t_right):
@@ -1288,19 +1362,21 @@ class TestOneGraphPerCall:
         assert seen["static"] == 150 and seen["dynamic"] >= 30, seen
 
     def test_pass_factors_are_trusted_views(self, generator_calls):
-        """Marginals, sums over products and mechanism steps skip the
-        factor checks; their tables are still finite, non-negative,
-        read-only and shaped as their scopes."""
-        _, factors = generator_calls
-        assert len(factors) > 1000
-        for f in factors:
-            assert f.table.shape == tuple(v.domain for v in f.scope)
-            assert not f.table.flags.writeable
-            assert np.all(np.isfinite(f.table)) and np.all(f.table >= 0)
+        """Marginals, sums over products and the pass's contractions, the
+        post-intervention steps included, skip the factor checks; their
+        tables are still finite, non-negative, read-only and shaped as
+        their scopes."""
+        _, tables = generator_calls
+        assert len(tables) > 1000
+        for table, shape in tables:
+            assert table.shape == shape
+            assert not table.flags.writeable
+            assert np.all(np.isfinite(table)) and np.all(table >= 0)
 
     @pytest.mark.parametrize("scheduled", [False, True])
     def test_restricted_transitions_ignore_dropped_variables(self, scheduled):
-        """The ancestor closure that ``_transition_steps`` relies on: the
+        """The ancestor closure that the post-intervention steps rely on
+        when they pin dropped previous-slice variables at 0: the
         transition into the slice-t ancestors of any set of slice-t
         variables does not depend on the slice-(t-1) variables that are
         not ancestors too.  Schedules here come from mechanisms on the
@@ -1311,7 +1387,7 @@ class TestOneGraphPerCall:
             spec = random_dcn_spec(rng, n_vars=3, n_static_conf=int(rng.integers(0, 3)))
             schedule = ([mechanism_transition(random_mechanism_for(spec, rng)) for _ in range(4)]
                         if scheduled else None)
-            trans = _Forward(spec, schedule, None, 0, 3).trans(3)
+            trans = pass_step(_Forward(spec, schedule, None, 0, 3), 3)
             g, _ = unroll(spec, 2, 3)
             for size in range(1, 4):
                 for ys in itertools.combinations(spec.names(), size):
@@ -1327,6 +1403,26 @@ class TestOneGraphPerCall:
                             assert equal_within(f.restrict({name: val}), ref, 1e-9)
                             checked += 1
         assert checked > 100
+
+    @pytest.mark.parametrize("t_x", [2, 5])
+    def test_mechanism_steps_equal_the_mechanism_transition_schedule(self, t_x):
+        """On the 150-spec static generator the static pipelines driven by
+        the mechanism, whose later steps contract the state with each
+        slice's CPTs and confounder priors, equal the same calls with
+        ``mechanism_transition`` as the schedule, within 1e-12, partial
+        flags included."""
+        seen = Counter()
+        for spec, x, yv, t_y in _generator_queries("static", t_x):
+            schedule = mechanism_transition(spec)
+            for run in (dcn_id_static, cdcn_id_static):
+                got = run(spec, x, t_x, {yv}, t_y)
+                want = run(spec, x, t_x, {yv}, t_y, schedule)
+                assert (got is None) == (want is None)
+                if got is not None:
+                    assert got.names() == want.names() and got.partial == want.partial
+                    assert np.max(np.abs(got.table - want.table)) <= 1e-12
+                    seen[run.__name__] += 1
+        assert min(seen.values()) >= 50 and len(seen) == 2, seen
 
     def test_schedule_contradicting_the_graph_is_refused(self):
         """A schedule is any chain, so the closure is checked for it: a
@@ -1359,7 +1455,7 @@ class TestOneGraphPerCall:
             obs = _Forward(spec, None, None, 0, 4)
             for t in range(1, 5):
                 layout = [slice_var_at(v, s) for s in (t, t - 1) for v in spec.names()]
-                got = obs.trans(t).reorder(layout).table.reshape(n, n)
+                got = pass_step(obs, t).reorder(layout).table.reshape(n, n)
                 assert np.array_equal(got, matrix)
 
     def test_zero_mass_contexts_keep_answers_and_partial_flags(self):
