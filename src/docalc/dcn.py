@@ -53,7 +53,10 @@ slice's own tables in the pass, the schedule's step or the mechanism's
 priors and CPTs (``mechanism_transition`` is their contraction as a
 matrix).  Previous-slice variables outside the state are pinned at 0:
 the kept ones do not depend on them (tested for a mechanism; checked for
-a schedule).
+a schedule).  When no X@t_x is an ancestor of Y@t_y, the complete
+variants answer P(Y@t_y) off the pass by rule 3 of the do-calculus
+before any window is identified, with the same refusals; the non-complete
+variants and ``transport`` still identify their full-slice step.
 """
 
 from __future__ import annotations
@@ -672,6 +675,14 @@ class _Forward:
                                                    self._contract(items, out), self.partial)
         return self.marginals[keep]
 
+    def check_identifiable(self) -> None:
+        """Refuse to identify on a pass with dynamic confounders that does
+        not come from the mechanism: the chain of a schedule does not carry
+        the confounders in flight."""
+        if self.dynamic and not self.markov:
+            raise UnsupportedModelError("identification with dynamic confounders needs the "
+                                        "slice mechanism")
+
     def window(self, t_left: int, t_right: int) -> Admg:
         """The graph of the identification window t_left..t_right, induced
         from the call's graph, so it is ``unroll(spec, t_left, t_right)``.
@@ -682,9 +693,7 @@ class _Forward:
         that slice, and the window graph identifies exactly.  Dynamic
         confounders join the left slice to later ones, so the window gets
         the bidirected edges of its latent projection (``latent_edges``)."""
-        if self.dynamic and not self.markov:
-            raise UnsupportedModelError("identification with dynamic confounders needs the "
-                                        "slice mechanism")
+        self.check_identifiable()
         g = self.graph.induced(itertools.chain.from_iterable(
             self.slices[t_left - self.t0:t_right - self.t0 + 1]))
         if not self.dynamic or t_left == self.t0:
@@ -793,6 +802,23 @@ def _identified_kernel(x: Mapping[str, int], t_x: int, t_left: int, prev: Sequen
     return condition(_bind_effect(effect, targets, outcome), prev)
 
 
+def _dropped(obs: _Forward, t: int, state: Sequence[str], out: Sequence[str]) -> list[str]:
+    """The slice-(t-1) variables outside ``state``, on which the step into
+    ``out`` at slice t must not depend (unrolled names).  They do not
+    when ``out`` and ``state`` are the ancestors of Y in their slices, as
+    parents of ancestors are ancestors: on a mechanism by construction (a
+    tested invariant); a schedule is any chain, so its step is checked,
+    and one that depends on them is refused."""
+    before = obs.slices[t - 1 - obs.t0]
+    dropped = [u for u in before if u not in state]
+    if obs.scheduled and dropped:
+        full = obs._contract(obs.tables[t - obs.t0], tuple(out) + before)
+        at_0 = full[(...,) + tuple(slice(1 if u in dropped else None) for u in before)]
+        if np.max(np.abs(full - at_0)) > 1e-9:
+            raise InvalidInputError(f"schedule step into {t} depends on non-ancestors {dropped}")
+    return dropped
+
+
 def _post_intervention(spec: DcnSpec, x: Mapping[str, int], t_x: int, window_left: int,
                        t_first: int, t_end: int, obs: _Forward, dynamic: bool,
                        keep: Optional[Mapping[int, Sequence[str]]] = None,
@@ -805,10 +831,9 @@ def _post_intervention(spec: DcnSpec, x: Mapping[str, int], t_x: int, window_lef
     (``dynamic``) every later one, is a step conditional identified on the
     window from ``window_left`` (``fallback`` supplies the first when that
     fails).  Any other step is the slice's own tables in the pass, with the
-    previous-slice variables outside the state pinned at 0: the kept ones
-    do not depend on them, as parents of ancestors are ancestors, on a
-    mechanism by construction (a tested invariant); a schedule is any
-    chain, so it is checked.  None when a step is not identifiable."""
+    previous-slice variables outside the state pinned at 0 (``_dropped``:
+    the kept ones do not depend on them).  None when a step is not
+    identifiable."""
     state = obs.state(t_x - 1)
     scope, table, partial = obs.slices[t_x - 1 - obs.t0], state.table, state.partial
     states = []
@@ -824,16 +849,8 @@ def _post_intervention(spec: DcnSpec, x: Mapping[str, int], t_x: int, window_lef
             step = [(kern.names(), kern.table)]
             partial = partial or kern.partial
         else:
-            step = obs.tables[t - obs.t0]
-            before = obs.slices[t - 1 - obs.t0]
-            dropped = [u for u in before if u not in scope]
-            if obs.scheduled and dropped:
-                full = obs._contract(step, out + before)
-                at_0 = full[(...,) + tuple(slice(1 if u in dropped else None) for u in before)]
-                if np.max(np.abs(full - at_0)) > 1e-9:
-                    raise InvalidInputError(
-                        f"schedule step into {t} depends on non-ancestors {dropped}")
-            step = step + [((u,), np.eye(1, obs.domain[u])[0]) for u in dropped]
+            step = obs.tables[t - obs.t0] + [((u,), np.eye(1, obs.domain[u])[0])
+                                             for u in _dropped(obs, t, scope, out)]
         table = obs._contract([(scope, table)] + step, out)
         scope = out
         states.append(Factor._trusted(tuple(spec.var(n) for n in names), table, partial))
@@ -911,9 +928,13 @@ def _effect(spec: DcnSpec, x: Mapping[str, int], t_x: int, y: Iterable[str], t_y
     slice t_x - 1 through t_y, whose first step is identified on the
     lemma's window.  Later steps are the slices' own tables (static) or
     are identified on growing windows from the same left edge (dynamic).
-    The complete variants keep only
-    the ancestors of Y in each slice; the complete dynamic one makes its
-    first step over the dynamic time span of X."""
+    The complete variants keep only the ancestors of Y in each slice; the
+    complete dynamic one makes its first step over the dynamic time span
+    of X.  When no X@t_x is an ancestor of Y@t_y, the complete variants
+    answer P(Y@t_y) off the pass by rule 3 of the do-calculus, with the
+    refusals the recursion would make: a dynamic pass not from the
+    mechanism, and a schedule whose steps after the first break the
+    ancestor closure."""
     ys = frozenset(y)
     _validate_query(spec, x, ys, t_x, t_y, t0)
     cls = classify(spec)
@@ -930,8 +951,13 @@ def _effect(spec: DcnSpec, x: Mapping[str, int], t_x: int, y: Iterable[str], t_y
         jump_to = t_x + span + 1
     obs = _Forward(spec, schedule, p0, t0, t_y, cls)
     keep = _ancestor_slices(obs, ys, t_y, w_left) if complete else None
-    if keep is not None and not keep[jump_to]:
-        # X cannot influence Y: the effect is the observational marginal
+    if keep is not None and not any(n in keep[t_x] for n in x):
+        # rule 3: X cannot influence Y, so the effect is the observational marginal
+        obs.check_identifiable()
+        if obs.scheduled:
+            for t in range(jump_to + 1, t_y + 1):
+                _dropped(obs, t, [obs.index[n, t - 1] for n in keep[t - 1]],
+                         [obs.index[n, t] for n in keep[t]])
         return _outcome(obs.state(t_y), ys)
     post = _post_intervention(spec, x, t_x, w_left, jump_to, t_y, obs, dynamic, keep)
     return None if post is None else _outcome(post[-1], ys)
@@ -971,7 +997,9 @@ def cdcn_id_static(
     t0: int = 0,
 ) -> Optional[Factor]:
     """Complete variant: restricts the step query to ancestors of Y, so it
-    fails exactly when P(Y|do(X)) is truly non-identifiable."""
+    fails exactly when P(Y|do(X)) is truly non-identifiable.  When no
+    X@t_x is an ancestor of Y@t_y it answers P(Y@t_y) off the pass by
+    rule 3, identifying nothing."""
     return _effect(spec, x, t_x, y, t_y, T, p0, t0, complete=True, dynamic=False)
 
 
@@ -1006,7 +1034,9 @@ def cdcn_id_dynamic(
 ) -> Optional[Factor]:
     """Complete dynamic variant: jumps over the dynamic time span of X
     with one ancestor-restricted step query, then proceeds stepwise;
-    requires the outcome to lie beyond the span."""
+    requires the outcome to lie beyond the span.  When no X@t_x is an
+    ancestor of Y@t_y it answers P(Y@t_y) off the pass by rule 3,
+    identifying nothing."""
     return _effect(spec, x, t_x, y, t_y, T, p0, t0, complete=True, dynamic=True)
 
 

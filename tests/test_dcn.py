@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import itertools
 from collections import Counter
@@ -95,25 +96,47 @@ def _generator_queries(kind, t_x):
         yield spec, x, yv, t_x + (int(rng.integers(5, 7)) if n_vars == 2 else 5) - 2
 
 
+@contextlib.contextmanager
+def spied(*names):
+    """Counts, by name, the calls of the named ``dcn`` functions made
+    inside the block."""
+    calls = Counter()
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in names:
+            mp.setattr(dcn, name, counted(name, getattr(dcn, name)))
+        yield calls
+
+
 def _pipelines_match_unrolled_oracle(kind, t_x):
     """On the generator's specs of ``kind``, the kind's dcn and cdcn
     pipelines and every slice of the trajectory agree with the unrolled
     post-intervention joint whenever they identify the query; returns how
-    many of each identified it."""
+    many of each identified it, and how many cdcn queries entered the
+    post-intervention recursion (the rest are answered by rule 3)."""
     dynamic = kind == "dynamic"
-    dcn, cdcn = (dcn_id_dynamic, cdcn_id_dynamic) if dynamic else (dcn_id_static, cdcn_id_static)
+    plain, cdcn = (dcn_id_dynamic, cdcn_id_dynamic) if dynamic else (dcn_id_static, cdcn_id_static)
     identified = {"dcn": 0, "cdcn": 0, "trajectory": 0}
+    recursed = 0
     for spec, x, yv, t_y in _generator_queries(kind, t_x):
         names = spec.names()
         want = post_intervention_slices(spec, x, t_x, [yv], t_y)
-        got = dcn(spec, x, t_x, {yv}, t_y, None, None, 0)
+        got = plain(spec, x, t_x, {yv}, t_y, None, None, 0)
         if got is not None:
             identified["dcn"] += 1
             assert np.max(np.abs(got.reorder([yv]).table - want.table)) < 1e-9
-        try:
-            got = cdcn(spec, x, t_x, {yv}, t_y, None, None, 0)
-        except UnsupportedQueryError:  # outcome inside the dynamic time span
-            got = None
+        with spied("_post_intervention") as calls:
+            try:
+                got = cdcn(spec, x, t_x, {yv}, t_y, None, None, 0)
+            except UnsupportedQueryError:  # outcome inside the dynamic time span
+                got = None
+        recursed += bool(calls)
         if got is not None:
             identified["cdcn"] += 1
             assert np.max(np.abs(got.reorder([yv]).table - want.table)) < 1e-9
@@ -125,7 +148,7 @@ def _pipelines_match_unrolled_oracle(kind, t_x):
         for t, f in enumerate(series):
             ref = post_intervention_slices(spec, x, t_x, names, t)
             assert np.max(np.abs(f.reorder(names).table - ref.table)) < 1e-9
-    return identified
+    return identified, recursed
 
 
 class TestClassify:
@@ -422,7 +445,8 @@ class TestStaticIdentification:
         before them latent.  Every static C-component stays inside one
         slice, so the window graph identifies exactly, and the terms read
         off the mechanism are reduced by the graph unrolled from t0."""
-        assert min(_pipelines_match_unrolled_oracle("static", 5).values()) >= 100
+        identified, recursed = _pipelines_match_unrolled_oracle("static", 5)
+        assert min(identified.values()) >= 100 and recursed >= 68
 
     def test_random_schedule_evaluates_on_the_window_joint(self, traffic):
         """A schedule is any chain, not Markov to the unrolled graph, so
@@ -509,7 +533,8 @@ class TestDynamicIdentification:
             assert np.max(np.abs(got.reorder(["V1"]).table - want.table)) < 1e-9
 
     def test_dynamic_pipelines_match_unrolled_oracle(self):
-        assert min(_pipelines_match_unrolled_oracle("dynamic", 2).values()) >= 20
+        identified, recursed = _pipelines_match_unrolled_oracle("dynamic", 2)
+        assert min(identified.values()) >= 20 and recursed >= 15
 
     def test_dynamic_pipelines_match_unrolled_oracle_late_window(self):
         """The same with t_x = 5, so that the windows start after t0 and
@@ -517,7 +542,8 @@ class TestDynamicIdentification:
         then not Markov to its own graph: the steps must be identified on
         its latent projection, and a Q-factor term reduced only where
         d-separation in the graph unrolled from t0 allows it."""
-        assert min(_pipelines_match_unrolled_oracle("dynamic", 5).values()) >= 20
+        identified, recursed = _pipelines_match_unrolled_oracle("dynamic", 5)
+        assert min(identified.values()) >= 20 and recursed >= 15
 
     def test_second_order_confounders_match_unrolled_oracle(self):
         """A confounder of lag 2 stays in flight across two slice
@@ -650,6 +676,99 @@ class TestDynamicIdentification:
         m_post = step_conditional(post, t_x + 1)
         m_obs = step_conditional(obs, t_x + 1)
         assert np.max(np.abs(m_post - m_obs)) > 1e-4
+
+
+class TestRuleThreeAnswer:
+    """When no X@t_x is an ancestor of Y@t_y, P(Y@t_y | do(X)) = P(Y@t_y)
+    by rule 3 of the do-calculus, and the complete pipelines answer it off
+    the pass without identifying a window; the plain pipelines still
+    identify their full-slice step."""
+
+    @staticmethod
+    def _spec(**changes):
+        """a -> b within the slice; a, b and c each carried to the next
+        slice, c@t-1 -> a@t; b <-> c hidden.  Only c's earlier slices are
+        ancestors of c, so neither a nor b reaches it."""
+        bare = DcnSpec((Var("a"), Var("b"), Var("c")), (("a", "b"),),
+                       (("a", "a", 1), ("b", "b", 1), ("c", "c", 1), ("c", "a", 1)),
+                       (frozenset({"b", "c"}),))
+        return replace(random_mechanism_for(bare, np.random.default_rng(5)), **changes)
+
+    @pytest.mark.parametrize("t_x", [2, 5])
+    @pytest.mark.parametrize("kind", ["static", "dynamic"])
+    def test_generator_queries(self, kind, t_x):
+        """On the 150-spec generators every complete query whose X@t_x is
+        not an ancestor of Y@t_y is the pass's P(Y@t_y), within 1e-12 and
+        with its partial flag, and neither identifies nor enters the
+        recursion; every complete query returns None exactly when the
+        query has a hedge in the graph unrolled from slice 0."""
+        cdcn = cdcn_id_dynamic if kind == "dynamic" else cdcn_id_static
+        seen = Counter()
+        for spec, x, yv, t_y in _generator_queries(kind, t_x):
+            g, index = unroll(spec, 0, t_y)
+            targets = frozenset(index[n, t_x] for n in x)
+            outcome = frozenset({index[yv, t_y]})
+            with spied("id_effect", "_post_intervention") as calls:
+                try:
+                    got = cdcn(spec, x, t_x, {yv}, t_y)
+                except UnsupportedQueryError:  # outcome inside the dynamic time span
+                    continue
+            assert (got is None) == (not id_effect(g, targets, outcome).identified)
+            if targets & ancestors(g, outcome):
+                seen["recursion"] += 1
+                continue
+            assert not calls
+            state = observational_marginal(spec, t_y, None, None, 0)
+            want = marginalize(state, [n for n in spec.names() if n != yv])
+            assert got.names() == (yv,) and got.partial == want.partial
+            assert np.max(np.abs(got.table - want.table)) <= 1e-12
+            seen["rule 3"] += 1
+        assert seen == ({"rule 3": 82, "recursion": 68} if kind == "static"
+                        else {"rule 3": 23, "recursion": 15}), seen
+
+    def test_two_intervened_variables(self):
+        """X of two variables: when neither reaches Y the complete
+        pipelines answer by rule 3; when one does they take the
+        recursion.  Both equal the unrolled oracle."""
+        spec = self._spec()
+        for x, reaches in (({"a": 1, "b": 0}, False), ({"a": 1, "c": 0}, True)):
+            want = post_intervention_slices(spec, x, 2, ["c"], 5)
+            for run in (cdcn_id_static, cdcn_id_dynamic):
+                with spied("id_effect", "_post_intervention") as calls:
+                    got = run(spec, x, 2, {"c"}, 5)
+                assert bool(calls) == reaches
+                assert got.names() == ("c",) and not got.partial
+                assert np.max(np.abs(got.table - want.table)) < 1e-12
+
+    def test_schedule_contradicting_the_graph_is_refused(self):
+        """P(Y) of a chain is the effect only when the chain respects the
+        graph, so the closure the recursion checks is checked here too: a
+        schedule whose steps into the ancestors of Y depend on
+        non-ancestors is refused, before any window is identified.  The
+        mechanism's own transition is accepted."""
+        spec = self._spec()
+        rows = np.random.default_rng(100).dirichlet(np.ones(8), size=8)
+        dense = TransitionMatrix.from_rows(spec.slice_vars, rows)
+        x = {"a": 1, "b": 0}
+        want = post_intervention_slices(spec, x, 2, ["c"], 5)
+        for run in (cdcn_id_static, cdcn_id_dynamic):
+            with spied("id_effect", "_post_intervention") as calls:
+                with pytest.raises(InvalidInputError, match="non-ancestors"):
+                    run(spec, x, 2, {"c"}, 5, dense)
+            assert not calls
+            got = run(spec, x, 2, {"c"}, 5, mechanism_transition(spec))
+            assert np.max(np.abs(got.table - want.table)) < 1e-12
+
+    def test_dynamic_spec_without_mechanism_is_refused(self):
+        """A schedule's chain does not carry dynamic confounders in flight,
+        so a scheduled dynamic spec without a mechanism is refused on a
+        query whose X cannot reach Y as on any other."""
+        spec = self._spec(mechanism=None, cross_confounders=(("a", "b", 1),))
+        tm = TransitionMatrix(spec.slice_vars, np.full((8, 8), 1 / 8))
+        with spied("id_effect", "_post_intervention") as calls:
+            with pytest.raises(UnsupportedModelError, match="slice mechanism"):
+                cdcn_id_dynamic(spec, {"a": 1}, 2, {"c"}, 5, tm)
+        assert not calls
 
 
 class TestTrajectory:
@@ -1410,19 +1529,25 @@ class TestOneGraphPerCall:
         the mechanism, whose later steps contract the state with each
         slice's CPTs and confounder priors, equal the same calls with
         ``mechanism_transition`` as the schedule, within 1e-12, partial
-        flags included."""
+        flags included; enough complete queries enter the recursion,
+        rather than the rule-3 answer, to exercise its steps."""
         seen = Counter()
         for spec, x, yv, t_y in _generator_queries("static", t_x):
             schedule = mechanism_transition(spec)
             for run in (dcn_id_static, cdcn_id_static):
-                got = run(spec, x, t_x, {yv}, t_y)
-                want = run(spec, x, t_x, {yv}, t_y, schedule)
+                with spied("_post_intervention") as calls:
+                    got = run(spec, x, t_x, {yv}, t_y)
+                    want = run(spec, x, t_x, {yv}, t_y, schedule)
                 assert (got is None) == (want is None)
+                if run is cdcn_id_static and calls:
+                    assert calls["_post_intervention"] == 2
+                    seen["cdcn recursion"] += 1
                 if got is not None:
                     assert got.names() == want.names() and got.partial == want.partial
                     assert np.max(np.abs(got.table - want.table)) <= 1e-12
                     seen[run.__name__] += 1
-        assert min(seen.values()) >= 50 and len(seen) == 2, seen
+        assert min(seen.values()) >= 50 and len(seen) == 3, seen
+        assert seen["cdcn recursion"] >= 68, seen
 
     def test_schedule_contradicting_the_graph_is_refused(self):
         """A schedule is any chain, so the closure is checked for it: a
@@ -1486,10 +1611,12 @@ class TestOneGraphPerCall:
         are the mechanism's conditional, defined on every column, so it is
         a transition matrix, and the static pipelines answer both on the
         pass and on the chain from a given p0, flagged ``partial`` because
-        positivity fails.  The pass gives distributions.  The chain's
-        terms are not reduced, so where do(V1 = 1) puts the step in the
-        zero-mass state they condition on it and lose mass; elsewhere the
-        two agree."""
+        positivity fails, except where X@2 cannot reach Y@5 (X = V3, Y
+        another variable): there the complete pipeline answers P(Y@5) by
+        rule 3 and conditions on no context.  The pass gives
+        distributions.  The chain's terms are not reduced, so where
+        do(V1 = 1) puts the step in the zero-mass state they condition on
+        it and lose mass; elsewhere the two agree."""
         base = zero_context_spec()
         v2 = np.array([[0.6, 0.4], [0.0, 1.0]])
         spec = replace(base, mechanism=DcnMechanism(
@@ -1504,10 +1631,13 @@ class TestOneGraphPerCall:
         p0 = initial_distribution(spec)
         for xv, val, yv in itertools.product(spec.names(), (0, 1), spec.names()):
             for run in (dcn_id_static, cdcn_id_static):
+                partial = run is dcn_id_static or xv != "V3" or yv == "V3"
                 got = run(spec, {xv: val}, 2, {yv}, 5)
-                assert got.partial and abs(got.total() - 1.0) < 1e-12
+                assert got.partial == partial and abs(got.total() - 1.0) < 1e-12
                 chained = run(spec, {xv: val}, 2, {yv}, 5, None, p0)
-                assert chained.partial and chained.total() < 1.0 + 1e-12
+                assert chained.partial == partial and chained.total() < 1.0 + 1e-12
+                if not partial:
+                    assert abs(chained.total() - 1.0) < 1e-12
                 if (xv, val) != ("V1", 1):
                     assert np.max(np.abs(chained.table - got.table)) < 1e-12
             series = trajectory(spec, None, p0, ({xv: val}, 2), 5)
