@@ -29,6 +29,7 @@ experiments included, is serialized through a single
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -36,7 +37,7 @@ import numpy as np
 
 from .errors import (InternalError, InvalidInputError, PartialSupportError,
                      PromiseViolationError)
-from .factors import EPS_CMP, Factor, equal_within
+from .factors import EPS_CMP, Factor, condition, equal_within, marginalize
 from .graphs import Admg, _mask, _names_of, _reach, d_separated, mutilate
 from .identify import (Expr, ObservedTerm, Prediction, _bind_effect, _evaluate, _identify,
                        _JointTerms)
@@ -87,6 +88,13 @@ class CostModel:
     ) -> "CostModel":
         iw = dict(intervention_weights)
         ow = dict(observation_weights)
+        # the cost search prunes by partial sums, so every weight is finite and >= 0
+        for name, w in [*((f"intervention weight of {n!r}", w) for n, w in iw.items()),
+                        *((f"observation weight of {n!r}", w) for n, w in ow.items()),
+                        ("default_intervention", default_intervention),
+                        ("default_observation", default_observation)]:
+            if not 0.0 <= w < math.inf:
+                raise InvalidInputError(f"{name} must be a finite number >= 0, got {w!r}")
         return CostModel(
             lambda x, _v: float(sum(iw.get(n, default_intervention) for n in x)),
             lambda y: float(sum(ow.get(n, default_observation) for n in y)),
@@ -103,6 +111,12 @@ class InterventionCaps:
 
     max_targets: int = 2
     max_observed: int = 2
+
+    def __post_init__(self) -> None:
+        for name in ("max_targets", "max_observed"):
+            bound = getattr(self, name)
+            if isinstance(bound, bool) or not isinstance(bound, (int, np.integer)) or bound < 1:
+                raise InvalidInputError(f"{name} must be an integer >= 1, got {bound!r}")
 
 
 @dataclass(frozen=True)
@@ -810,12 +824,11 @@ def _hidden_test(
         cost += costs.intervention_cost(o_set, dict(o_context))
         n_int += 1
     cost += costs.observation_cost(frozenset({parent, child}))
-    pair = rhs_joint.reorder([parent, child])
-    ctx_mass = pair.table.sum(axis=1)
-    if np.any(ctx_mass <= 0.0):
+    rhs_cond = condition(rhs_joint, [parent])
+    if rhs_cond.partial:
         raise PartialSupportError(
             f"value of {parent!r} with zero probability under do({sorted(o_set)})")
-    rhs = pair.table / ctx_mass[:, None]
+    rhs = rhs_cond.reorder([parent, child]).table
 
     if adjacent:
         # left-hand side: P(child | do(parent, O)), one experiment per value
@@ -830,7 +843,7 @@ def _hidden_test(
         lhs = np.stack(lhs_rows)
     else:
         # left-hand side: P(child | do(O)), same experiment as the rhs
-        lhs = np.broadcast_to(pair.table.sum(axis=0), rhs.shape)
+        lhs = np.broadcast_to(marginalize(rhs_joint, [parent]).table, rhs.shape)
     confounded = bool(np.max(np.abs(lhs - rhs)) > eps)
     return confounded, cost, n_int
 

@@ -105,8 +105,13 @@ def cmd_discover(args: argparse.Namespace) -> int:
     graphs = fileio.load_candidates(args.candidates)
     m_star = fileio.load_model(args.model)
     costs = fileio.load_costs(args.costs) if args.costs else CostModel.unit()
-    caps = InterventionCaps(*(int(s) for s in args.caps.split(","))) if args.caps \
-        else InterventionCaps()
+    caps = InterventionCaps()
+    if args.caps is not None:
+        bounds = args.caps.split(",")
+        if len(bounds) != 2:
+            raise InvalidInputError(f"--caps takes two bounds, max targets,max observed; "
+                                    f"got {args.caps!r}")
+        caps = InterventionCaps(*(fileio._int(b, "--caps bound") for b in bounds))
     try:
         res = alcam_run(CandidateSet(tuple(graphs)), m_star, costs, caps,
                         eps=args.eps)

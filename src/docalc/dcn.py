@@ -12,13 +12,16 @@ longer lags (``unroll``, ``unrolled_scm``, ``classify`` and
 
 Every call reads the observational distribution from one forward pass
 (``_Forward``, the interface algorithm of Murphy 2002) over per-slice
-tables.  Slice t0's tables are p0 when given, else the mechanism's
-slice-t0 tables, else uniform; each later slice adds the schedule's step
-when a schedule drives the chain (a static spec, or a spec without a
-mechanism), else the mechanism's tables, whose message carries the slice
-state and the confounders in flight.  A p0 is refused for dynamic specs,
-because a slice state cannot carry the confounders in flight.
-Each call builds one ``_Layout``, in one walk over (variable, slice):
+tables.  Each of its messages, marginals and post-intervention steps is
+one ``scm._contract``, the package's one contraction, and the sums of
+the expressions it evaluates go through the one elimination loop,
+``scm._eliminate``.  Slice t0's tables are p0 when given, else the
+mechanism's slice-t0 tables, else uniform; each later slice adds the
+schedule's step when a schedule drives the chain (a static spec, or a
+spec without a mechanism), else the mechanism's tables, whose message
+carries the slice state and the confounders in flight.  A p0 is refused
+for dynamic specs, because a slice state cannot carry the confounders in
+flight.  Each call builds one ``_Layout``, in one walk over (variable, slice):
 the unrolled names, ``Var``s and ranks of each slice, the call's one
 unrolled graph, unchecked, and on the mechanism each slice's tables,
 every slice whose parents lie in the window sharing its template's one
@@ -63,7 +66,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
@@ -501,8 +503,8 @@ def mechanism_transition(spec: DcnSpec) -> TransitionMatrix:
     scope = obs.slices[1] + obs.slices[0]
     ones = (scope, np.ones([obs.domain[n] for n in scope]))
     n = spec.slice_states()
-    return TransitionMatrix(spec.slice_vars,
-                            obs._contract([ones] + obs.tables[1], scope).reshape(n, n))
+    table = scm._contract([ones] + obs.tables[1], scope, obs.domain)
+    return TransitionMatrix(spec.slice_vars, table.reshape(n, n))
 
 
 def initial_distribution(spec: DcnSpec, t0: int = 0) -> Factor:
@@ -575,7 +577,6 @@ class _Forward:
         self.slices, self.interface, self.index = layout.slices, layout.interface, layout.index
         self.vars, self.domain, self.rank = layout.vars, layout.domain, layout.rank
         self.slice_of, self.graph = layout.slice_of, layout.graph
-        self.unit = 1 in self.domain.values()  # then ``scm._contract`` drops those axes
         self.partial = p0 is not None and p0.partial
         if p0 is not None:
             first = [(self.slices[0], p0.reorder(spec.names()).table)]
@@ -620,33 +621,12 @@ class _Forward:
             steps.append([(self.slices[t - t0] + self.slices[t - 1 - t0], laid_out[id(tm)][1])])
         return steps
 
-    def _contract(self, tables: Sequence[tuple[tuple[str, ...], np.ndarray]],
-                  out: tuple[str, ...]) -> np.ndarray:
-        """The contraction onto ``out``, read-only; one of validated
-        non-negative tables needs no check as a factor table.  Without
-        unit-domain variables the operands are the tables as they stand,
-        labelled per contraction (a label set for the whole call would
-        pass einsum's label cap on long horizons)."""
-        scm._check_cells(math.prod(self.domain[n] for n in out))
-        labels: dict[str, int] = {}
-        operands: list = []
-        if not self.unit:
-            for scope, table in tables:
-                operands.append(table)
-                operands.append([labels.setdefault(n, len(labels)) for n in scope])
-        if self.unit or len(labels) > scm._EINSUM_LABELS:
-            table = np.asarray(scm._contract(tables, out, self.domain))
-        else:
-            table = np.asarray(np.einsum(*operands, [labels[n] for n in out]))
-        table.flags.writeable = False
-        return table
-
     def message(self, s: int) -> tuple[tuple[str, ...], np.ndarray]:
         while len(self.messages) <= s - self.t0 + 1:
             t = self.t0 + len(self.messages) - 1
             out = self.interface[t - self.t0]
-            self.messages.append(
-                (out, self._contract([self.messages[-1]] + self.tables[t - self.t0], out)))
+            step = [self.messages[-1]] + self.tables[t - self.t0]
+            self.messages.append((out, scm._contract(step, out, self.domain)))
         return self.messages[s - self.t0 + 1]
 
     def state(self, t: int) -> Factor:
@@ -668,11 +648,12 @@ class _Forward:
                     scope = tuple(dict.fromkeys(
                         [n for s, _t in items for n in s if n in keep and self.slice_of[n] < t - 1]
                         + list(self.interface[t - 1 - self.t0])))
-                    items = [(scope, self._contract(items, scope))]
+                    items = [(scope, scm._contract(items, scope, self.domain))]
                 items = items + self.tables[t - self.t0]
             out = tuple(sorted(keep, key=self.rank.__getitem__))
             self.marginals[keep] = Factor._trusted(tuple(self.vars[n] for n in out),
-                                                   self._contract(items, out), self.partial)
+                                                   scm._contract(items, out, self.domain),
+                                                   self.partial)
         return self.marginals[keep]
 
     def check_identifiable(self) -> None:
@@ -812,7 +793,7 @@ def _dropped(obs: _Forward, t: int, state: Sequence[str], out: Sequence[str]) ->
     before = obs.slices[t - 1 - obs.t0]
     dropped = [u for u in before if u not in state]
     if obs.scheduled and dropped:
-        full = obs._contract(obs.tables[t - obs.t0], tuple(out) + before)
+        full = scm._contract(obs.tables[t - obs.t0], tuple(out) + before, obs.domain)
         at_0 = full[(...,) + tuple(slice(1 if u in dropped else None) for u in before)]
         if np.max(np.abs(full - at_0)) > 1e-9:
             raise InvalidInputError(f"schedule step into {t} depends on non-ancestors {dropped}")
@@ -851,7 +832,7 @@ def _post_intervention(spec: DcnSpec, x: Mapping[str, int], t_x: int, window_lef
         else:
             step = obs.tables[t - obs.t0] + [((u,), np.eye(1, obs.domain[u])[0])
                                              for u in _dropped(obs, t, scope, out)]
-        table = obs._contract([(scope, table)] + step, out)
+        table = scm._contract([(scope, table)] + step, out, obs.domain)
         scope = out
         states.append(Factor._trusted(tuple(spec.var(n) for n in names), table, partial))
     return states

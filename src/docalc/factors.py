@@ -86,8 +86,10 @@ class Factor:
                                         f"expected {math.prod(expected)} for shape {expected}")
             arr = arr.reshape(expected)
         # NaN and -inf show in the minimum, +inf in the total; a finite
-        # total bounds every marginal.  A scope's domains are >= 1.
-        lo, total = float(arr.min()), float(arr.sum())
+        # total bounds every marginal.  A scope's domains are >= 1.  A total
+        # that overflows is refused below, so the overflow warns of nothing.
+        with np.errstate(over="ignore"):
+            lo, total = float(arr.min()), float(arr.sum())
         if not (math.isfinite(lo) and math.isfinite(total)):
             raise InvalidInputError("factor table and its total must be finite")
         if lo < -1e-12:
@@ -308,11 +310,12 @@ class TransitionMatrix:
         arr = _float_array(matrix, "transition matrix")
         if arr.shape != (n, n):
             raise InvalidInputError(f"transition matrix must be {n}x{n}")
-        if np.any(arr < -1e-12) or np.any(arr > 1.0 + 1e-12):
+        # negated comparisons, so that a NaN fails them
+        if not (np.all(arr >= -1e-12) and np.all(arr <= 1.0 + 1e-12)):
             raise InvalidInputError("transition entries must lie in [0, 1]")
         arr = np.clip(arr, 0.0, 1.0)
         cols = arr.sum(axis=0)
-        if np.max(np.abs(cols - 1.0)) > EPS_NORM:
+        if not np.max(np.abs(cols - 1.0)) <= EPS_NORM:
             raise InvalidInputError("transition matrix columns must sum to 1")
         arr.flags.writeable = False
         self.matrix = arr

@@ -13,7 +13,8 @@ sorted by ``pretty``, names sorted), so no second pass rewrites it.
 Expressions are compared by evaluated value only; the printer exists
 for reporting and golden tests.  One evaluator (``_evaluate``) computes
 every value, its terms read off the joint (``_JointTerms``) or the DCN
-forward pass.
+forward pass, and its sums over products (``_sum_product``) eliminated
+by the package's one exact-inference core, ``scm._eliminate``.
 
 Everything here is pure over immutable inputs; predictions for many
 (experiment, graph) pairs are independent and safe to compute in
@@ -22,17 +23,14 @@ parallel.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
-
-import numpy as np
 
 from .errors import InternalError, InvalidInputError
 from .factors import Factor, condition, divide, marginalize
 from .graphs import (Admg, Hedge, _component_masks, _d_separated, _hedge_from_frame,
                      _mask, _names_of, _reach, _topo_bits, mutilate)
-from .scm import _contract
+from .scm import _eliminate
 
 __all__ = [
     "Expr", "ObservedTerm", "SumOver", "Product", "Quotient", "One",
@@ -287,7 +285,7 @@ class _JointTerms:
         self.p = p
         self.vars = {v.name: v for v in p.scope}
         self.rank = {n: i for i, n in enumerate(self.vars)}
-        self._contract = functools.partial(_contract, domain={v.name: v.domain for v in p.scope})
+        self.domain = {v.name: v.domain for v in p.scope}
 
     def term(self, e: ObservedTerm) -> Factor:
         if not self.vars.keys() >= {*e.outcome, *e.given}:
@@ -298,7 +296,7 @@ class _JointTerms:
 
 def _evaluate(e: Expr, source, memo: dict, fixed: Optional[Mapping[str, int]] = None,
               keep: frozenset[str] = frozenset()) -> Factor:
-    """The value of ``e`` with terms, ``vars``, ``rank`` and ``_contract``
+    """The value of ``e`` with terms, ``vars``, ``rank`` and ``domain``
     from ``source``; ``memo`` holds the subexpressions evaluated against
     it.  Without ``fixed`` the value is the unbound sheet.  With it, each
     term is bound at once as ``_bind_effect`` binds (``fixed``, else 0)
@@ -329,23 +327,15 @@ def _evaluate(e: Expr, source, memo: dict, fixed: Optional[Mapping[str, int]] = 
 
 
 def _sum_product(source, factors: Sequence[Factor], over: Iterable[str]) -> Factor:
-    """sum over ``over`` of the product of ``factors``, eliminating one
-    variable at a time in the source's rank order (variable elimination,
-    Zhang & Poole 1994); a variable no factor holds scales the sum by its
-    domain."""
+    """sum over ``over`` of the product of ``factors``, by the package's one
+    elimination loop, ``scm._eliminate``, on the source's domains and rank;
+    the result is over the remaining variables in rank order."""
     items = [(f.names(), f.table) for f in factors]
-    scale = 1.0
-    for n in sorted(over, key=source.rank.__getitem__):
-        used = [it for it in items if n in it[0]]
-        if not used:
-            scale *= source.vars[n].domain
-            continue
-        items = [it for it in items if n not in it[0]]
-        out = tuple(dict.fromkeys(m for scope, _t in used for m in scope if m != n))
-        items.append((out, source._contract(used, out)))
-    out = tuple(sorted({m for scope, _t in items for m in scope}, key=source.rank.__getitem__))
-    table = source._contract([((), np.asarray(scale))] + items, out)
-    return Factor._trusted(tuple(source.vars[m] for m in out), table,
+    over = frozenset(over)
+    out = tuple(sorted({m for scope, _t in items for m in scope} - over,
+                       key=source.rank.__getitem__))
+    return Factor._trusted(tuple(source.vars[m] for m in out),
+                           _eliminate(items, over, out, source.domain, source.rank),
                            any(f.partial for f in factors))
 
 

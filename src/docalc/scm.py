@@ -1,22 +1,23 @@
-"""Parameterized structural causal models over finite domains.
+"""Parameterized structural causal models over finite domains, and the
+package's one exact-inference core.
 
 Models are exact: ``joint(m, keep)`` computes the marginal P(keep) of
 the observed variables by variable elimination over the conditional
 tables and confounder priors, never by sampling.  Every variable outside
 ``keep`` (exogenous or observed) is summed out as soon as the tables that
 mention it are combined, so the full product over observed and
-exogenous variables is never built.  Every exact joint in the package
-(oracle answers, CI tests, static DCN slices and transitions) comes
-from this one function; the DCN forward pass over dynamic slices
-eliminates with the same ``_contract`` and cell cap.  Hidden
-confounders are explicit exogenous variables, each
+exogenous variables is never built.  ``_contract`` is the one
+contraction (the only einsum call, under the cell cap) and
+``_eliminate`` the one elimination loop: ``joint`` (so oracle answers
+and CI tests), the evaluator of identified expressions
+(``identify._sum_product``) and the DCN forward pass all go through
+them.  Hidden confounders are explicit exogenous variables, each
 feeding the pair of observed variables its bidirected edge joins.
 Models are immutable; queries are pure.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
@@ -24,7 +25,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import InvalidInputError, PartialSupportError, UnsupportedModelError
-from .factors import EPS_CMP, Factor, _float_array
+from .factors import EPS_CMP, Factor, _float_array, condition, marginalize
 from .graphs import Admg, Var, _mask, _names_of, mutilate
 
 __all__ = [
@@ -194,45 +195,85 @@ class InterventionSpec:
 # a single einsum call accepts at most this many distinct axis labels
 _EINSUM_LABELS = 52
 
-# the most cells ``joint`` tabulates in one table (an elimination step or its output)
+# the most cells one contraction tabulates (an elimination step or an output table)
 MAX_TABLE_CELLS = 1 << 22
 
 
 def _check_cells(cells: int) -> None:
     if cells > MAX_TABLE_CELLS:
-        raise UnsupportedModelError(f"joint would tabulate a table of {cells} cells "
+        raise UnsupportedModelError(f"a contraction would tabulate a table of {cells} cells "
                                     f"(cap {MAX_TABLE_CELLS})")
 
 
 def _contract(tables: Sequence[tuple[tuple[str, ...], np.ndarray]],
               out: Sequence[str], domain: Mapping[str, int]) -> np.ndarray:
-    """Product of the tables summed onto ``out``, as one einsum.
+    """Product of the tables summed onto ``out``, as one einsum, read-only;
+    the output is checked against ``MAX_TABLE_CELLS`` before it is built.
 
-    Unit-domain variables carry no information and are left out of the
-    einsum labels, then restored as length-1 axes of the result."""
+    The operands are the tables as they stand, labelled per contraction.
+    Only past einsum's label cap are the unit-domain variables, which
+    carry no information, left out of the labels, then restored as
+    length-1 axes of the result.  Contractions of validated non-negative
+    tables need no check as factor tables."""
+    _check_cells(math.prod(domain[n] for n in out))
     labels: dict[str, int] = {}
     operands: list = []
     for scope, table in tables:
-        wide = [n for n in scope if domain[n] > 1]
-        operands.append(table.reshape([domain[n] for n in wide]))
-        operands.append([labels.setdefault(n, len(labels)) for n in wide])
+        operands += (table, [labels.setdefault(n, len(labels)) for n in scope])
     if len(labels) > _EINSUM_LABELS:
-        raise UnsupportedModelError(
-            f"an elimination step spans {len(labels)} variables of domain > 1 "
-            f"(at most {_EINSUM_LABELS})")
-    result = np.einsum(*operands, [labels[n] for n in out if domain[n] > 1])
-    return result.reshape([domain[n] for n in out])
+        if all(domain[n] > 1 for n in labels):
+            raise UnsupportedModelError(
+                f"an elimination step spans {len(labels)} variables of domain > 1 "
+                f"(at most {_EINSUM_LABELS})")
+        wide = [(tuple(n for n in s if domain[n] > 1), t.reshape([d for d in t.shape if d > 1]))
+                for s, t in tables]
+        return _contract(wide, [n for n in out if domain[n] > 1],
+                         domain).reshape([domain[n] for n in out])
+    result = np.asarray(np.einsum(*operands, [labels[n] for n in out]))
+    result.flags.writeable = False
+    return result
+
+
+def _eliminate(tables: Sequence[tuple[tuple[str, ...], np.ndarray]], over: Iterable[str],
+               out: Sequence[str], domain: Mapping[str, int],
+               rank: Mapping[str, int]) -> np.ndarray:
+    """The product of the tables summed over ``over`` onto ``out``, by
+    variable elimination (Zhang & Poole 1994): the next variable to sum out
+    is the one whose combined table is smallest, ties broken by ``rank``;
+    the tables that hold it are contracted into one, which joins the end
+    of the list.  A variable that no table holds scales the result by its
+    domain.  Every step is one ``_contract``, so each table it tabulates
+    passes the cell cap."""
+    tables = list(tables)
+    held = {n for scope, _t in tables for n in scope}
+    hidden = set(over)
+    scale = float(math.prod(domain[n] for n in hidden - held))
+    hidden &= held
+    while hidden:
+        near: dict[str, set[str]] = {n: set() for n in hidden}
+        for scope, _t in tables:
+            for n in scope:
+                if n in near:
+                    near[n].update(scope)
+        var = min(hidden, key=lambda n: (math.prod(domain[m] for m in near[n]) // domain[n],
+                                         rank[n]))
+        hidden.discard(var)
+        used = [item for item in tables if var in item[0]]
+        tables = [item for item in tables if var not in item[0]]
+        scope = tuple(dict.fromkeys(n for s, _t in used for n in s if n != var))
+        tables.append((scope, _contract(used, scope, domain)))
+    # the scale gives einsum an operand even when no table is left
+    return _contract([((), np.asarray(scale))] + tables, out, domain)
 
 
 def joint(m: Scm, keep: Optional[Iterable[str]] = None) -> Factor:
     """Exact P(keep) over observed variables, in graph order.
 
     ``keep=None`` keeps every observed variable.  Every other variable is
-    eliminated by variable elimination over the CPTs and confounder
-    priors; the next variable to sum out is the one whose combined table
-    is smallest (ties in declaration order, observed before exogenous).
-    A step or an output table over ``MAX_TABLE_CELLS`` cells raises
-    ``UnsupportedModelError`` before it is built.
+    eliminated by ``_eliminate`` over the CPTs and confounder priors, ties
+    in declaration order, observed before exogenous.  A step or an output
+    table over ``MAX_TABLE_CELLS`` cells raises ``UnsupportedModelError``
+    before it is built.
     """
     observed = m.graph.names()
     kept = frozenset(observed) if keep is None else frozenset(keep)
@@ -241,49 +282,15 @@ def joint(m: Scm, keep: Optional[Iterable[str]] = None) -> Factor:
         raise InvalidInputError(f"joint: {sorted(unknown)} are not observed variables")
     domain = {v.name: v.domain for v in m.graph.vars}
     domain.update((e.var.name, e.var.domain) for e in m.exogenous)
-
-    tables: dict[int, tuple[tuple[str, ...], np.ndarray]] = {}
-    holders: dict[str, set[int]] = {n: set() for n in domain}
-    ids = itertools.count()
-
-    def add(scope: tuple[str, ...], table: np.ndarray) -> None:
-        i = next(ids)
-        tables[i] = (scope, table)
-        for n in scope:
-            holders[n].add(i)
-
-    for e in m.exogenous:
-        add((e.var.name,), np.asarray(e.prior, dtype=float))
+    tables = [((e.var.name,), np.asarray(e.prior, dtype=float)) for e in m.exogenous]
     for name in observed:
         cpt = m.cpts[name]
-        add(cpt.parents + cpt.exo_parents + (name,), np.asarray(cpt.table, dtype=float))
-
-    rank = {n: i for i, n in enumerate(domain)}
-
-    def cost(n: str) -> tuple[int, int]:
-        scope = set().union(*(tables[i][0] for i in holders[n]))
-        cells = 1
-        for s in scope:
-            cells *= domain[s]
-        return cells // domain[n], rank[n]
-
-    hidden = set(domain) - kept
-    while hidden:
-        var = min(hidden, key=cost)
-        _check_cells(cost(var)[0])
-        hidden.discard(var)
-        used = sorted(holders.pop(var))
-        involved = [tables.pop(i) for i in used]
-        scope = tuple(dict.fromkeys(n for s, _t in involved for n in s if n != var))
-        for n in scope:
-            holders[n].difference_update(used)
-        add(scope, _contract(involved, scope, domain))
-
+        tables.append((cpt.parents + cpt.exo_parents + (name,),
+                       np.asarray(cpt.table, dtype=float)))
     out = tuple(n for n in observed if n in kept)
-    _check_cells(math.prod(domain[n] for n in out))
-    # the unit table gives einsum an operand even for a model without variables
-    rest = [((), np.ones(()))] + list(tables.values())
-    return Factor([m.graph.var(n) for n in out], _contract(rest, out, domain))
+    rank = {n: i for i, n in enumerate(domain)}
+    return Factor([m.graph.var(n) for n in out],
+                  _eliminate(tables, set(domain) - kept, out, domain, rank))
 
 
 def intervene(m: Scm, x: Mapping[str, int]) -> Scm:
@@ -334,13 +341,12 @@ def ci_test(
     if vi in do_set or vj in do_set:
         raise InvalidInputError("test variables may not be intervened")
     post = intervene(m_star, dict(do_set)) if do_set else m_star
-    pair = joint(post, {vi, vj}).normalized().reorder([vi, vj])
-    pv_i = pair.table.sum(axis=1)
-    if np.any(pv_i <= 0.0):
+    pair = joint(post, {vi, vj}).normalized()
+    cond = condition(pair, [vi])
+    if cond.partial:
         raise PartialSupportError(f"some value of {vi!r} has zero probability in the test context")
-    base = pair.table.sum(axis=0) / pair.table.sum()
-    cond_rows = pair.table / pv_i[:, None]
-    return bool(np.max(np.abs(cond_rows - base[None, :])) <= eps)
+    base = marginalize(pair, [vi]).normalized()
+    return bool(np.max(np.abs(cond.reorder([vi, vj]).table - base.table)) <= eps)
 
 
 class InterventionOracle:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from docalc import alcam
-from docalc.alcam import (CandidateSet, CostModel,
+from docalc.alcam import (CandidateSet, CostModel, InterventionCaps,
                           PredictionTable, alcam_run, distinguishable_by,
                           enumerate_interventions, id_edges, id_hidden,
                           minimal_splitting_sets, partition_candidates,
@@ -142,6 +142,29 @@ class TestEnumerateInterventions:
         for e, ref in zip(es, twins):
             assert e == ref and hash(e) == hash(ref)
         assert {e: i for i, e in enumerate(es)} == {e: i for i, e in enumerate(twins)}
+
+
+class TestCapsAndCosts:
+    @pytest.mark.parametrize("bounds", [(0, 2), (2, -1), (True, 2), (2, 1.5), (2, "2"),
+                                        (None, 2)])
+    def test_caps_must_be_integers_of_at_least_one(self, bounds):
+        """A bound of 0 would silently skip a phase, and a bool or a
+        fraction is no count of variables."""
+        with pytest.raises(InvalidInputError, match="must be an integer >= 1"):
+            InterventionCaps(*bounds)
+        caps = InterventionCaps(np.int64(1), 3)
+        assert (caps.max_targets, caps.max_observed) == (1, 3)
+
+    @pytest.mark.parametrize("weights,field", [
+        (({"X": float("nan")}, {}), "intervention weight of 'X'"),
+        (({}, {"Y": -5.0}), "observation weight of 'Y'"),
+        (({}, {}, float("inf")), "default_intervention"),
+        (({}, {}, 1.0, -0.5), "default_observation"),
+    ])
+    def test_cost_weights_must_be_finite_and_non_negative(self, weights, field):
+        with pytest.raises(InvalidInputError, match=f"{field} must be a finite number >= 0"):
+            CostModel.per_variable(*weights)
+        assert CostModel.per_variable({"X": 0.0}, {}, 0.0, 2.5).of(spec_for({"X"}, {"Y"})) == 2.5
 
 
 class TestPartition:

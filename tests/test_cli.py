@@ -158,12 +158,32 @@ class TestDiscoverCommand:
         ({"default_observation": [1]}, "default_observation must be a number"),
         ({"observation": {"X4": "dear"}}, "observation weight of 'X4'"),
         ({"intervention": [5.0]}, "intervention must be an object"),
+        ({"default_intervention": "nan"}, "default_intervention must be a finite number"),
+        ({"default_observation": -1}, "default_observation must be a finite number"),
+        ({"intervention": {"X1": "inf"}}, "intervention weight of 'X1' must be a finite"),
+        ({"observation": {"X4": -5}}, "observation weight of 'X4' must be a finite"),
     ])
     def test_malformed_costs_file(self, fig32_files, capsys, costs, expected):
         (fig32_files / "costs.json").write_text(json.dumps(costs), encoding="utf-8")
         code = main(["discover", "--candidates", str(fig32_files / "candidates.json"),
                      "--model", str(fig32_files / "model.json"),
                      "--costs", str(fig32_files / "costs.json")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("input error:") and expected in err
+
+    @pytest.mark.parametrize("caps,expected", [
+        ("a", "--caps takes two bounds"),
+        ("1,2,3", "--caps takes two bounds"),
+        ("", "--caps takes two bounds"),
+        ("2,x", "--caps bound must be an integer"),
+        ("1.5,2", "--caps bound must be an integer"),
+        ("0,2", "max_targets must be an integer >= 1"),
+        ("2,-1", "max_observed must be an integer >= 1"),
+    ])
+    def test_malformed_caps(self, fig32_files, capsys, caps, expected):
+        code = main(["discover", "--candidates", str(fig32_files / "candidates.json"),
+                     "--model", str(fig32_files / "model.json"), f"--caps={caps}"])
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("input error:") and expected in err

@@ -1218,9 +1218,9 @@ class TestLongHorizons:
 
 
 class TestUnitDomains:
-    """A slice variable of domain 1 is a constant.  The forward pass then
-    contracts with ``scm._contract``, which drops unit axes, instead of
-    einsum; every pipeline still matches the unrolled oracle."""
+    """A slice variable of domain 1 is a constant.  The forward pass
+    contracts with ``scm._contract``, which labels unit axes like any
+    other; every pipeline still matches the unrolled oracle."""
 
     @staticmethod
     def _spec(dynamic):
@@ -1251,7 +1251,7 @@ class TestUnitDomains:
                                                                         cdcn_id_static)
         got = {run: run(spec, x, t_x, {"V3"}, t_y, None, None, 0) for run in pipelines}
         series = trajectory(spec, None, None, (x, t_x), t_y)
-        assert calls and _Forward(spec, None, None, 0, t_y).unit
+        assert calls
         monkeypatch.setattr(scm, "_contract", real)
         want = post_intervention_slices(spec, x, t_x, ["V3"], t_y)
         for run, f in got.items():
@@ -1338,8 +1338,8 @@ def generator_calls():
     """What the pipelines build on the 150-spec static and dynamic
     generators, at t_x = 2 (windows from t0) and t_x = 5 (later windows):
     every window graph with its call, and, each with the shape of its
-    scope, the table of every pass marginal, every contraction of the
-    pass (its messages, marginals and post-intervention steps) and every
+    scope, the table of every pass marginal, every ``scm._contract`` (the
+    pass's messages, marginals and post-intervention steps among them) and every
     sum over a product that the evaluator contracts on the pass
     (``identify._sum_product``)."""
     windows, tables = [], []
@@ -1357,11 +1357,15 @@ def generator_calls():
         def factor(obs, args, f):
             tables.append((f.table, tuple(v.domain for v in f.scope)))
 
-        def contraction(obs, args, table):  # args: the operands, then the output scope
-            tables.append((table, tuple(obs.domain[n] for n in args[1])))
+        def contraction(real):
+            def wrapper(items, out, domain):
+                table = real(items, out, domain)
+                tables.append((table, tuple(domain[n] for n in out)))
+                return table
+            return wrapper
 
         mp.setattr(_Forward, "marginal", spy(_Forward.marginal, factor))
-        mp.setattr(_Forward, "_contract", spy(_Forward._contract, contraction))
+        mp.setattr(scm, "_contract", contraction(scm._contract))
         mp.setattr(identify, "_sum_product", spy(identify._sum_product, factor))
         for kind in ("static", "dynamic"):
             for t_x in (2, 5):
@@ -1377,7 +1381,7 @@ def pass_step(obs, t):
     scope = obs.slices[t - obs.t0] + obs.slices[t - 1 - obs.t0]
     ones = (scope, np.ones([obs.domain[n] for n in scope]))
     return Factor(tuple(obs.vars[n] for n in scope),
-                  obs._contract([ones] + obs.tables[t - obs.t0], scope))
+                  scm._contract([ones] + obs.tables[t - obs.t0], scope, obs.domain))
 
 
 def _latent_projection_edges(spec, t0, t_left, t_right):

@@ -114,6 +114,14 @@ class TestBoundaryRefusals:
         with pytest.raises(InvalidInputError, match="numbers"):
             TransitionMatrix.from_rows((A,), [[1.0, "x"], [0.0, 0.0]])
 
+    @pytest.mark.parametrize("rows", [[[np.nan, 0.5], [np.nan, 0.5]],
+                                      [[np.nan, 1.0], [0.0, 0.0]]])
+    def test_nan_in_a_transition_matrix(self, rows):
+        with pytest.raises(InvalidInputError, match="lie in"):
+            TransitionMatrix((A,), rows)
+        with pytest.raises(InvalidInputError, match="lie in"):
+            TransitionMatrix.from_rows((A,), rows)
+
     def test_point_mass_missing_variable(self):
         with pytest.raises(InvalidInputError, match="no value for B"):
             Factor.point_mass((A, B), {"A": 1})

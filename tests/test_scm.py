@@ -2,8 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from docalc.errors import InvalidInputError, PartialSupportError
+from docalc import scm
+from docalc.errors import InvalidInputError, PartialSupportError, UnsupportedModelError
 from docalc.factors import equal_within, marginalize
 from docalc.graphs import Admg, Var, ancestors
 from docalc.scm import (Cpt, Exogenous, InterventionOracle, InterventionSpec,
@@ -282,3 +284,78 @@ class TestCiTest:
     def test_intervened_test_var_rejected(self):
         with pytest.raises(InvalidInputError):
             ci_test(two_fair_coins(), "X", "Y", {"X": 0})
+
+
+class TestCore:
+    """``scm._contract`` and ``scm._eliminate``, the one contraction and
+    the one elimination loop behind joint, the evaluator and the DCN pass."""
+
+    @staticmethod
+    def _chain(domains, rng):
+        """Tables over consecutive pairs of V0..Vn, and their names."""
+        names = [f"V{i}" for i in range(len(domains))]
+        tables = [((a, b), rng.random((da, db)))
+                  for a, b, da, db in zip(names, names[1:], domains, domains[1:])]
+        return names, dict(zip(names, domains)), tables
+
+    def test_unit_axes_are_labelled_like_any_other(self):
+        """Within einsum's 52 labels, unit-domain variables stay labelled;
+        the result matches the contraction with their axes reshaped away."""
+        names, domain, tables = self._chain([2, 1, 3, 1, 1, 2, 3], np.random.default_rng(1))
+        out = ("V6", "V3", "V0")
+        got = scm._contract(tables, out, domain)
+        wide = {n: i for i, n in enumerate(n for n in names if domain[n] > 1)}
+        operands = []
+        for scope, table in tables:
+            kept = [n for n in scope if domain[n] > 1]
+            operands += [table.reshape([domain[n] for n in kept]), [wide[n] for n in kept]]
+        want = np.einsum(*operands, [wide[n] for n in out if domain[n] > 1]).reshape(3, 1, 2)
+        assert got.shape == (3, 1, 2) and not got.flags.writeable
+        assert np.max(np.abs(got - want)) <= 1e-15
+
+    def test_unit_axes_leave_the_labels_past_the_cap(self):
+        domains = [2] + [1] * 25 + [3] + [1] * 25 + [2, 2]
+        names, domain, tables = self._chain(domains, np.random.default_rng(2))
+        assert len(names) > 52
+        got = scm._contract(tables, (names[-1], names[1], names[0]), domain)
+        want = tables[0][1]
+        for _scope, table in tables[1:]:
+            want = want @ table
+        assert got.shape == (2, 1, 2)
+        assert np.max(np.abs(got[:, 0, :] - want.T)) <= 1e-12
+
+    def test_more_than_52_wide_labels_are_refused(self):
+        names = [f"V{i}" for i in range(53)]
+        tables = [((n,), np.full(2, 0.5)) for n in names]
+        with pytest.raises(UnsupportedModelError, match="spans 53 variables"):
+            scm._contract(tables, (), dict.fromkeys(names, 2))
+
+    def test_output_over_the_cap_is_refused_before_contracting(self):
+        """No einsum runs: the operand here is no table at all."""
+        names = tuple(f"V{i}" for i in range(23))
+        with pytest.raises(UnsupportedModelError, match="8388608 cells"):
+            scm._contract([(names, None)], names, dict.fromkeys(names, 2))
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_elimination_matches_one_einsum(self, seed):
+        """Random tables over variables of domain 1-3; Z, which no table
+        holds, scales the sum by its domain."""
+        rng = np.random.default_rng(seed)
+        names = [f"V{i}" for i in range(int(rng.integers(1, 7)))]
+        domain = {n: int(rng.integers(1, 4)) for n in names} | {"Z": 3}
+        rank = {n: i for i, n in enumerate(domain)}
+        tables = []
+        for _ in range(int(rng.integers(1, 5))):
+            scope = tuple(n for n in names if rng.random() < 0.5)
+            tables.append((scope, rng.random([domain[n] for n in scope])))
+        held = sorted({n for scope, _t in tables for n in scope}, key=rank.__getitem__)
+        over = {n for n in held if rng.random() < 0.5} | {"Z"}
+        out = tuple(n for n in held if n not in over)
+        got = scm._eliminate(tables, over, out, domain, rank)
+        operands = []
+        for scope, table in tables:
+            operands += [table, [rank[n] for n in scope]]
+        want = 3 * np.einsum(*operands, [rank[n] for n in out])
+        assert got.shape == tuple(domain[n] for n in out)
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-12
