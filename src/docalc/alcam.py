@@ -5,19 +5,21 @@ performs the cheapest single-value interventions that split the
 candidate set; phase 2 settles the remaining edge and hidden-confounder
 differences with exact conditional-independence tests.
 
-Every verdict comes from one place: ``PredictionTable.verdicts(e)``,
-an (n, n) boolean matrix over the candidates.  It is a read-only slice
-of one (values, n, n) tensor per group of experiments that share sorted
-targets and sorted observed.  Groups that also share target domains are
-filled together: each distinct evaluated sheet of a group is bound to
-every value assignment at once with numpy indexing, the sheets of the
-whole batch are classified pairwise into the seven-case table in one
-broadcast, and each group's result is expanded to every candidate pair.
-Each candidate's subproblems share the ID recursion's frames, and
-sheets (unbound) and P(Y) share one memo of every subexpression.  The
-partition, the splitting plan's coverage and the next-experiment
-selection read many experiments' matrices stacked; ``distinguishable_by``
-classifies a single pair with the same table.
+Every comparison of predictions reads one set of rows: the predictions
+``PredictionTable._fill`` binds, one group of experiments that share
+sorted targets and sorted observed at a time.  Groups that also share
+target domains are filled together: each distinct evaluated sheet of a
+group is bound to every value assignment at once (``identify._bind``),
+the rows of the whole batch are classified pairwise into the seven-case
+table in one broadcast, and each group's result is expanded to every
+candidate pair, one read-only (values, n, n) tensor per group, which
+``PredictionTable.verdicts(e)`` slices.  Each candidate's subproblems
+share the ID recursion's frames, and sheets (unbound) and P(Y) share one
+memo of every subexpression.  The partition, the splitting plan's
+coverage and the next-experiment selection read many experiments'
+matrices stacked; ``distinguishable_by`` classifies a single pair from
+the same rows, and ``select_graphs`` matches an oracle answer against
+all of them at once.
 
 Prediction precomputation is embarrassingly parallel over (experiment,
 graph) pairs; the discovery loop itself is sequential because each
@@ -39,8 +41,8 @@ from .errors import (InternalError, InvalidInputError, PartialSupportError,
                      PromiseViolationError)
 from .factors import EPS_CMP, Factor, condition, equal_within, marginalize
 from .graphs import Admg, _mask, _names_of, _reach, d_separated, mutilate
-from .identify import (Expr, ObservedTerm, Prediction, _bind_effect, _evaluate, _identify,
-                       _JointTerms)
+from .identify import (Expr, ObservedTerm, Prediction, _bind, _bind_effect, _evaluate,
+                       _identify, _JointTerms)
 from .scm import InterventionOracle, InterventionSpec, Scm, joint
 
 __all__ = [
@@ -190,9 +192,11 @@ class PredictionTable:
     Verdicts are computed per group, the experiments that share sorted
     targets and sorted observed, and many groups at once (``_fill``):
     each is kept as one read-only (values, n, n) tensor, and
-    :meth:`verdicts` returns its slice for one experiment.
-    :meth:`prediction` binds a single sheet for ``select_graphs`` and the
-    public API.  Every cache lives and dies with the table.
+    :meth:`verdicts` returns its slice for one experiment.  The fill also
+    keeps each group's bound rows (``_bound``), from which
+    ``distinguishable_by`` and ``select_graphs`` read.  :meth:`prediction`
+    binds a single sheet for the public API.  Every cache lives and dies
+    with the table.
     """
 
     def __init__(self, candidates: CandidateSet, p_star: Factor, eps: float = EPS_CMP):
@@ -208,6 +212,8 @@ class PredictionTable:
         self._terms = _JointTerms(p_star)
         self._evaluated: dict[Expr, Factor] = {}
         self._tensors: dict[tuple[tuple[str, ...], tuple[str, ...]], np.ndarray] = {}
+        # group -> (its batch's rows, identified, partial, row index, P(Y)), its position
+        self._rows: dict[tuple[tuple[str, ...], tuple[str, ...]], tuple[tuple, int]] = {}
         self._predictions: dict[tuple[int, tuple], Prediction] = {}  # (id(sheet), e.key())
 
     def observational_marginal(self, observed: Iterable[str]) -> Factor:
@@ -263,6 +269,17 @@ class PredictionTable:
         if (targets, observed) not in self._tensors:
             self._fill([(targets, observed)])
         return self._tensors[targets, observed][self._value_index(targets, values)]
+
+    def _bound(self, e: InterventionSpec
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The rows the fill bound for ``e``: (predictions (rows, cells) over
+        sorted observed, identified, partial, candidate -> row, P(Y)); an
+        unidentified row is zeros."""
+        targets, values, observed = e.key()
+        if (targets, observed) not in self._rows:
+            self._fill([(targets, observed)])
+        (rows, ident, partial, index, py), b = self._rows[targets, observed]
+        return rows[b, self._value_index(targets, values)], ident[b], partial[b], index[b], py
 
     def _grouped(self, experiments: Sequence[InterventionSpec],
                  ) -> dict[tuple, tuple[list[int], list[int]]]:
@@ -322,14 +339,15 @@ class PredictionTable:
                     if id(sheet) not in row_of:
                         r = row_of[id(sheet)] = len(row_of)
                         if sheet is not None:
-                            bound = _bind_all(sheet, targets, grid, observed)
+                            bound = _bind(sheet, targets, grid, observed)
                             rows[b, :, r] = bound.reshape(-1, py.size)
                             ident[b, 0, r], partial[b, 0, r] = True, sheet.partial
                     index[b, 0, k] = row_of[id(sheet)]
             m = index.max() + 1
-            ident, partial = ident[..., :m], partial[..., :m]
+            rows, ident, partial = rows[:, :, :m], ident[..., :m], partial[..., :m]
+            batch = (rows, ident[:, 0], partial[:, 0], index[:, 0], py)
             # cases 2, 4 and 5 distinguish, unless either prediction is partial
-            split = (_SPLITS[_case_codes(rows[:, :, :m], ident, py, self.eps)]
+            split = (_SPLITS[_case_codes(rows, ident, py, self.eps)]
                      & ~(partial[..., :, None] | partial[..., None, :]))
             # each group's rows expanded to every pair of candidates
             tensors = split[np.arange(len(members))[:, None, None, None],
@@ -338,36 +356,7 @@ class PredictionTable:
             tensors.flags.writeable = False
             for b, targets in enumerate(members):
                 self._tensors[targets, observed] = tensors[b]
-
-
-def _bind_all(sheet: Factor, targets: tuple[str, ...], grid: np.ndarray,
-              observed: tuple[str, ...]) -> np.ndarray:
-    """``_bind_effect`` for every value assignment at once: entry i is the
-    sheet bound to the assignment ``grid[:, i]`` of ``targets``, over
-    ``observed``; without a target axis in the sheet, the one binding of
-    them all.  Rule-3 auxiliary axes are taken at 0."""
-    names = sheet.names()
-    if not set(observed) <= set(names):
-        raise InternalError(f"effect scope {names} does not cover {list(observed)}")
-    bound = [i for i, t in enumerate(targets) if t in names]
-    aux = [a for a, n in enumerate(names) if n not in observed and n not in targets]
-    table = np.transpose(sheet.table, [names.index(targets[i]) for i in bound] + aux
-                         + [names.index(n) for n in observed])
-    return table[tuple(grid[i] for i in bound) + (0,) * len(aux)]
-
-
-def _stack(dists: Sequence[Optional[Factor]], py: Factor
-           ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Predictions as rows over P(Y)'s scope order: (rows, identified,
-    partial, P(Y) row); an unidentified prediction's row is zeros."""
-    names = py.names()
-    rows = np.zeros((len(dists), py.table.size))
-    for k, f in enumerate(dists):
-        if f is not None:
-            rows[k] = f.reorder(names).table.reshape(-1)
-    ident = np.array([f is not None for f in dists], dtype=bool)
-    partial = np.array([f is not None and f.partial for f in dists], dtype=bool)
-    return rows, ident, partial, py.table.reshape(-1)
+                self._rows[targets, observed] = (batch, b)
 
 
 def _case_of(k_id: bool, l_id: bool, k_py: bool, l_py: bool, same: bool) -> int:
@@ -404,13 +393,6 @@ def _case_codes(rows: np.ndarray, ident: np.ndarray, py: np.ndarray, eps: float)
     return k[..., :, None] + l[..., None, :] + same
 
 
-def _classify(pk: Optional[Factor], pl: Optional[Factor], py: Factor, eps: float) -> Verdict:
-    rows, ident, partial, py_row = _stack([pk, pl], py)
-    code = _case_codes(rows, ident, py_row, eps)[0, 1]
-    is_partial = bool(partial.any())
-    return Verdict(int(_CASES[code]), bool(_SPLITS[code]) and not is_partial, eps, is_partial)
-
-
 def distinguishable_by(
     e: InterventionSpec,
     k_idx: int,
@@ -419,11 +401,13 @@ def distinguishable_by(
 ) -> Verdict:
     """Classify a candidate pair under one experiment into the seven-case
     table; partial-support predictions demote to non-distinguishable.
-    The discovery loop reads :meth:`PredictionTable.verdicts` instead."""
-    pk = preds.prediction(k_idx, e).dist
-    pl = preds.prediction(l_idx, e).dist
-    py = preds.observational_marginal(e.observed)
-    return _classify(pk, pl, py, preds.eps)
+    Read off the rows the verdict fill bound; the discovery loop reads
+    :meth:`PredictionTable.verdicts` instead."""
+    rows, ident, partial, index, py = preds._bound(e)
+    pair = index[[k_idx, l_idx]]
+    code = _case_codes(rows[pair], ident[pair], py, preds.eps)[0, 1]
+    is_partial = bool(partial[pair].any())
+    return Verdict(int(_CASES[code]), bool(_SPLITS[code]) and not is_partial, preds.eps, is_partial)
 
 
 def power_of_intervention(
@@ -652,19 +636,20 @@ def select_graphs(
     its prediction is empty while the answer differs from the
     observational marginal of Y.  Subsets are re-derived as maximal
     non-distinguishable cliques over the survivors, so a graph is
-    dropped only when it fails its own consistency condition.
+    dropped only when it fails its own consistency condition.  Matching
+    is ``equal_within``'s max-abs test, against every row the verdict
+    fill bound for ``e`` at once.
     """
-    py = preds.observational_marginal(e.observed)
-    answer_is_py = equal_within(oracle_answer.reorder(py.names()), py, preds.eps)
-    survivors = []
-    for k in sorted(partition.members()):
-        pk = preds.prediction(k, e).dist
-        if pk is None:
-            if not answer_is_py:
-                survivors.append(k)
-        elif equal_within(pk, oracle_answer.reorder(pk.names()), preds.eps):
-            survivors.append(k)
-    keep = frozenset(survivors)
+    rows, ident, _partial, index, py = preds._bound(e)
+    observed = e.key()[2]
+    answer = oracle_answer.reorder(observed)
+    if [v.domain for v in answer.scope] != [preds._domain[n] for n in observed]:
+        raise InvalidInputError(f"oracle answer {answer} is not over the domains of {observed}")
+    answer = answer.table.reshape(-1)
+    fits = np.max(np.abs(rows - answer), axis=-1, initial=0.0) <= preds.eps
+    answer_is_py = np.max(np.abs(answer - py), initial=0.0) <= preds.eps
+    survives = np.where(ident, fits, not answer_is_py)[index]
+    keep = frozenset(k for k in partition.members() if survives[k])
     clipped: list[frozenset[int]] = []
     for s in partition.subsets:
         t = s & keep
@@ -983,10 +968,8 @@ def alcam_run(
     remaining = CandidateSet(tuple(candidates.graphs[i] for i in survivors))
 
     ci_records: list[CiRecord] = []
-    if len(set(remaining.graphs)) > 1 and _edge_differences(remaining.graphs):
-        remaining = id_edges(remaining, m_star, costs, eps, ci_records, oracle)
-    if len(set(remaining.graphs)) > 1 and _confounder_differences(remaining.graphs):
-        remaining = id_hidden(remaining, m_star, costs, eps, ci_records, oracle)
+    remaining = id_edges(remaining, m_star, costs, eps, ci_records, oracle)
+    remaining = id_hidden(remaining, m_star, costs, eps, ci_records, oracle)
 
     unique = sorted(set(remaining.graphs), key=lambda g: (sorted(g.directed), sorted(map(sorted, g.bidirected))))
     if len(unique) != 1:

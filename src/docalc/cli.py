@@ -23,8 +23,8 @@ import numpy as np
 from . import fileio
 from .alcam import CandidateSet, CostModel, InterventionCaps, alcam_run
 from .dcn import dynamic_time_span, trajectory, transport
-from .errors import (InfiniteSpanError, InvalidInputError, PromiseViolationError,
-                     UnsupportedModelError, UnsupportedQueryError,
+from .errors import (InfiniteSpanError, InvalidInputError, PartialSupportError,
+                     PromiseViolationError, UnsupportedModelError, UnsupportedQueryError,
                      UnsupportedTransportError, WindowTooSmallError)
 from .graphs import d_separated
 from .identify import id_effect, pretty
@@ -34,6 +34,18 @@ EXIT_INPUT = 1
 EXIT_NOT_IDENTIFIABLE = 2
 EXIT_PROMISE = 3
 EXIT_INFINITE_SPAN = 4
+
+# A refusal of the library: (exit code, prefix) by exception type, printed
+# to stdout.  The first type that matches wins, so a subclass comes first.
+_REFUSALS = {
+    PromiseViolationError: (EXIT_PROMISE, "promise violation: "),
+    InfiniteSpanError: (EXIT_INFINITE_SPAN, ""),
+    UnsupportedTransportError: (EXIT_INPUT, "unsupported transport: "),
+    UnsupportedModelError: (EXIT_INPUT, "unsupported model: "),
+    PartialSupportError: (EXIT_INPUT, "partial support: "),
+    UnsupportedQueryError: (EXIT_NOT_IDENTIFIABLE, ""),
+    WindowTooSmallError: (EXIT_NOT_IDENTIFIABLE, ""),
+}
 
 _QUERY_RE = re.compile(r"^\s*P\(\s*(?P<y>[^|]+?)\s*\|\s*do\(\s*(?P<x>.*?)\s*\)\s*\)\s*$")
 _TOKEN_RE = re.compile(r"^(?P<name>[A-Za-z_][\w]*)(@(?P<t>-?\d+))?(=(?P<val>\d+))?$")
@@ -112,12 +124,7 @@ def cmd_discover(args: argparse.Namespace) -> int:
             raise InvalidInputError(f"--caps takes two bounds, max targets,max observed; "
                                     f"got {args.caps!r}")
         caps = InterventionCaps(*(fileio._int(b, "--caps bound") for b in bounds))
-    try:
-        res = alcam_run(CandidateSet(tuple(graphs)), m_star, costs, caps,
-                        eps=args.eps)
-    except PromiseViolationError as ex:
-        print(f"promise violation: {ex}")
-        return EXIT_PROMISE
+    res = alcam_run(CandidateSet(tuple(graphs)), m_star, costs, caps, eps=args.eps)
     bound = res.n_candidates - res.n_surviving_before_ci
     report = {
         "seed": args.seed,
@@ -159,17 +166,7 @@ def cmd_dcn(args: argparse.Namespace) -> int:
                 print("infinite dynamic time span: the confounder chain from X never ends")
                 return EXIT_INFINITE_SPAN
             intervention = (x, t_x)
-    try:
-        series = trajectory(spec, schedule, None, intervention, args.horizon, args.t0)
-    except InfiniteSpanError as ex:
-        print(str(ex))
-        return EXIT_INFINITE_SPAN
-    except UnsupportedModelError as ex:
-        print(f"unsupported model: {ex}")
-        return EXIT_INPUT
-    except (UnsupportedQueryError, WindowTooSmallError) as ex:
-        print(str(ex))
-        return EXIT_NOT_IDENTIFIABLE
+    series = trajectory(spec, schedule, None, intervention, args.horizon, args.t0)
     _write_out(args.out, fileio.trajectory_csv(series, args.t0, args.full_joint))
     print(f"trajectory over slices {args.t0}..{args.horizon}"
           + (f" with do({intervention[0]}) at t={intervention[1]}" if intervention else ""))
@@ -190,17 +187,7 @@ def cmd_transport(args: argparse.Namespace) -> int:
     t_x = x_times.pop()
     x = {n: v for (n, _t), v in targets.items()}
     y = [n for n, _t in outcomes]
-    try:
-        f = transport(spec, tspec, x, t_x, y, t_y, schedule, None, args.t0)
-    except UnsupportedTransportError as ex:
-        print(f"unsupported transport: {ex}")
-        return EXIT_INPUT
-    except UnsupportedModelError as ex:
-        print(f"unsupported model: {ex}")
-        return EXIT_INPUT
-    except UnsupportedQueryError as ex:
-        print(str(ex))
-        return EXIT_NOT_IDENTIFIABLE
+    f = transport(spec, tspec, x, t_x, y, t_y, schedule, None, args.t0)
     if f is None:
         print("FAIL: not transportable with the available source experiments")
         return EXIT_NOT_IDENTIFIABLE
@@ -268,6 +255,10 @@ def main(argv: Optional[list[str]] = None) -> int:
             return EXIT_INPUT
     try:
         return args.fn(args)
+    except tuple(_REFUSALS) as ex:
+        code, prefix = next(v for t, v in _REFUSALS.items() if isinstance(ex, t))
+        print(f"{prefix}{ex}")
+        return code
     except (InvalidInputError, OSError, KeyError, json.JSONDecodeError) as ex:
         print(f"input error: {ex}", file=sys.stderr)
         return EXIT_INPUT

@@ -770,17 +770,15 @@ def _window_left(spec: DcnSpec, x: Iterable[str], t_x: int, t0: Optional[int]) -
 def _identified_kernel(x: Mapping[str, int], t_x: int, t_left: int, prev: Sequence[str],
                        t: int, nxt: Sequence[str], obs: _Forward) -> Optional[Factor]:
     """ID the conditional P(nxt | prev, do(X)), unrolled names with nxt in
-    slice t, on the graph of slices t_left..t and evaluate it with the
-    pass as the term source, each term bound at once to the intervened
-    values."""
+    slice t, on the graph of slices t_left..t, evaluate its sheet with the
+    pass as the term source and bind it to the intervened values."""
     targets = {obs.index[n, t_x]: v for n, v in x.items()}
     outcome = frozenset(nxt) | frozenset(prev)
     result = id_effect(obs.window(t_left, t), frozenset(targets), outcome)
     if not result.identified:
         return None
     assert result.expr is not None
-    effect = _evaluate(result.expr, obs, {}, targets, outcome)
-    return condition(_bind_effect(effect, targets, outcome), prev)
+    return condition(_bind_effect(_evaluate(result.expr, obs, {}), targets, outcome), prev)
 
 
 def _dropped(obs: _Forward, t: int, state: Sequence[str], out: Sequence[str]) -> list[str]:

@@ -147,12 +147,6 @@ class Factor:
     def names(self) -> tuple[str, ...]:
         return tuple(v.name for v in self.scope)
 
-    def var(self, name: str) -> Var:
-        for v in self.scope:
-            if v.name == name:
-                return v
-        raise InvalidInputError(f"{name!r} not in factor scope")
-
     def total(self) -> float:
         return float(self.table.sum())
 

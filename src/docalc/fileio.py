@@ -340,7 +340,8 @@ def trajectory_csv(
             header.append(f"P({v.name}={k})")
     if full_joint:
         for idx in np.ndindex(*[v.domain for v in series[0].scope]):
-            header.append("P(" + ",".join(f"{v.name}={i}" for v, i in zip(series[0].scope, idx)) + ")")
+            # quoted, since the cell's name holds commas
+            header.append('"P(' + ",".join(f"{v.name}={i}" for v, i in zip(series[0].scope, idx)) + ')"')
     lines = [",".join(header)]
     for t, f in enumerate(series):
         f = f.reorder(names)

@@ -12,9 +12,11 @@ builds each expression in ``normalize``'s canonical form as it goes
 sorted by ``pretty``, names sorted), so no second pass rewrites it.
 Expressions are compared by evaluated value only; the printer exists
 for reporting and golden tests.  One evaluator (``_evaluate``) computes
-every value, its terms read off the joint (``_JointTerms``) or the DCN
-forward pass, and its sums over products (``_sum_product``) eliminated
-by the package's one exact-inference core, ``scm._eliminate``.
+every value as an unbound sheet, its terms read off the joint
+(``_JointTerms``) or the DCN forward pass, and its sums over products
+(``_sum_product``) eliminated by the package's one exact-inference core,
+``scm._eliminate``.  One binder (``_bind``) binds sheets to intervened
+values and takes rule-3 auxiliary do-variables at 0.
 
 Everything here is pure over immutable inputs; predictions for many
 (experiment, graph) pairs are independent and safe to compute in
@@ -25,6 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
+
+import numpy as np
 
 from .errors import InternalError, InvalidInputError
 from .factors import Factor, condition, divide, marginalize
@@ -294,35 +298,27 @@ class _JointTerms:
         return condition(f, e.given) if e.given else f
 
 
-def _evaluate(e: Expr, source, memo: dict, fixed: Optional[Mapping[str, int]] = None,
-              keep: frozenset[str] = frozenset()) -> Factor:
-    """The value of ``e`` with terms, ``vars``, ``rank`` and ``domain``
-    from ``source``; ``memo`` holds the subexpressions evaluated against
-    it.  Without ``fixed`` the value is the unbound sheet.  With it, each
-    term is bound at once as ``_bind_effect`` binds (``fixed``, else 0)
-    outside ``keep``, the outcome and the variables summed above."""
-    key = e if fixed is None else (e, keep)
-    if key in memo:
-        return memo[key]
+def _evaluate(e: Expr, source, memo: dict) -> Factor:
+    """The unbound value (sheet) of ``e`` with terms, ``vars``, ``rank``
+    and ``domain`` from ``source``; ``memo`` holds the subexpressions
+    evaluated against it.  ``_bind`` binds a sheet to values."""
+    if e in memo:
+        return memo[e]
     if isinstance(e, ObservedTerm):
         out = source.term(e)
-        if fixed is not None:
-            out = out.restrict({n: fixed.get(n, 0) for n in out.names() if n not in keep})
     elif isinstance(e, (SumOver, Product)):
         over, child = (e.over, e.child) if isinstance(e, SumOver) else ((), e)
         if not source.vars.keys() >= set(over):
             raise InvalidInputError(f"sum over {sorted(over)}: not all are source variables")
-        inner = keep | frozenset(over)
         kids = child.children if isinstance(child, Product) else (child,)
-        out = _sum_product(source, [_evaluate(c, source, memo, fixed, inner) for c in kids], over)
+        out = _sum_product(source, [_evaluate(c, source, memo) for c in kids], over)
     elif isinstance(e, Quotient):
-        out = divide(_evaluate(e.num, source, memo, fixed, keep),
-                     _evaluate(e.den, source, memo, fixed, keep))
+        out = divide(_evaluate(e.num, source, memo), _evaluate(e.den, source, memo))
     elif isinstance(e, One):
         out = Factor.scalar(1.0)
     else:
         raise InvalidInputError(f"unknown expression node {e!r}")
-    memo[key] = out
+    memo[e] = out
     return out
 
 
@@ -349,23 +345,41 @@ def evaluate(e: Expr, p: Factor) -> Factor:
     return _evaluate(e, _JointTerms(p), {})
 
 
+def _bind(sheet: Factor, targets: Sequence[str], grid: Sequence, outcome: Sequence[str]
+          ) -> np.ndarray:
+    """The evaluated effect ``sheet`` bound to the values ``grid`` of
+    ``targets``, as a table over ``outcome`` in that order.  Each entry of
+    ``grid`` is one value or an array of values; arrays bind many value
+    assignments at once, along a leading axis (absent when no target is in
+    the sheet: the one binding then serves them all).  The one place that
+    decides which names are rule-3 auxiliaries."""
+    names = sheet.names()
+    if not set(outcome) <= set(names):
+        raise InternalError(f"effect scope {names} does not cover {sorted(outcome)}")
+    bound = [i for i, t in enumerate(targets) if t in names]
+    # A name neither target nor outcome is a rule-3 auxiliary do-variable,
+    # bound to 0.  The sheet is flat along it when p is Markov to the
+    # graph that identified the effect, so the true graph's effect does
+    # not depend on the 0 binding.  A graph that p refutes may vary along
+    # it; 0 is then a fixed convention, not an irrelevant value.
+    aux = [a for a, n in enumerate(names) if n not in outcome and n not in targets]
+    table = np.transpose(sheet.table, [names.index(targets[i]) for i in bound] + aux
+                         + [names.index(n) for n in outcome])
+    return table[tuple(grid[i] for i in bound) + (0,) * len(aux)]
+
+
 def _bind_effect(sheet: Factor, fixed: Mapping[str, int], outcome: Iterable[str]) -> Factor:
     """An evaluated effect expression bound to the intervened values
-    ``fixed``, as a factor over ``outcome`` in sorted order."""
-    ys = frozenset(outcome)
-    binding = dict(fixed)
-    for n in sheet.names():
-        if n not in ys and n not in binding:
-            # A rule-3 auxiliary do-variable.  The sheet is flat along it
-            # when p is Markov to the graph that identified the effect, so
-            # the true graph's effect does not depend on the 0 binding.  A
-            # graph that p refutes may vary along it; 0 is then a fixed
-            # convention, not an irrelevant value.
-            binding[n] = 0
-    f = sheet.restrict(binding)
-    if set(f.names()) != ys:
-        raise InternalError(f"effect scope {f.names()} does not cover {sorted(ys)}")
-    return f.reorder(sorted(f.names()))
+    ``fixed`` (``_bind`` of one assignment), as a factor over ``outcome``
+    in sorted order.  A value outside its domain is refused, since a
+    negative index would wrap."""
+    scope = {v.name: v for v in sheet.scope}
+    for n, val in fixed.items():
+        if n in scope and not 0 <= val < scope[n].domain:
+            raise InvalidInputError(f"value {val} out of domain for {n}")
+    ys = sorted(outcome)
+    table = _bind(sheet, tuple(fixed), tuple(fixed.values()), ys)
+    return Factor._trusted(tuple(scope[n] for n in ys), table, sheet.partial)
 
 
 def effect_factor(

@@ -694,6 +694,40 @@ class TestVerdictRows:
         assert 0 < splits < len(experiments) * 30 * 30
         assert len(experiments) > len(preds._tensors) > 100
 
+    def test_survivors_match_each_prediction_against_the_answer(self):
+        """``select_graphs`` reads the rows the fill bound; its survivors
+        are those of each candidate's ``prediction`` matched against the
+        answer with ``equal_within``, or, unidentified, kept when the
+        answer is not P(Y).  Answers: the true model's, P(Y) and every
+        candidate's prediction, for every experiment of criterion-5 sets."""
+        from docalc.alcam import Partition
+        from docalc.scm import oracle_query
+        from test_acceptance import _generic_candidate_trial
+
+        rng = np.random.default_rng(3003)
+        trials = kept = dropped = 0
+        while trials < 4:
+            drawn = _generic_candidate_trial(rng)
+            if drawn is None:
+                continue
+            cs, m, true_g = drawn
+            n = len(cs.graphs)
+            preds = PredictionTable(cs, joint(m))
+            everyone = Partition((frozenset(range(n)),))
+            for e in enumerate_interventions(true_g):
+                py = preds.observational_marginal(e.observed)
+                dists = [preds.prediction(k, e).dist for k in range(n)]
+                for answer in [oracle_query(m, e), py] + [f for f in dists if f is not None]:
+                    answer_is_py = equal_within(answer.reorder(py.names()), py, preds.eps)
+                    want = frozenset(k for k, f in enumerate(dists)
+                                     if (not answer_is_py if f is None else
+                                         equal_within(f, answer.reorder(f.names()), preds.eps)))
+                    assert select_graphs(everyone, e, answer, preds).members() == want, e
+                    kept += len(want)
+                    dropped += n - len(want)
+            trials += 1
+        assert kept and dropped
+
     def test_batched_fill_equals_one_group_at_a_time(self, monkeypatch):
         """``partition_candidates`` fills every group at once, batched by
         observed and target domains; each tensor equals, bit for bit, the
@@ -809,15 +843,11 @@ class TestAuxiliaryBinding:
 
 class TestPartialSupportVerdicts:
     def test_partial_predictions_never_distinguish(self):
-        from docalc.alcam import _classify
-
-        o = Var("O")
-        py = Factor((o,), np.array([0.5, 0.5]))
-        a = Factor((o,), np.array([0.6, 0.4]), partial=True)
-        b = Factor((o,), np.array([0.9, 0.1]))
-        v = _classify(a, b, py, 1e-9)
+        # P(O) is [0.5, 0.5]; candidate 0 predicts partially, 2 predicts nothing
+        preds, e = _scripted_preds([(np.array([0.6, 0.4]), True), np.array([0.9, 0.1]), None])
+        v = distinguishable_by(e, 0, 1, preds)
         assert v.case_id == 4 and v.partial and not v.distinguishable
-        v2 = _classify(a, None, py, 1e-9)
+        v2 = distinguishable_by(e, 0, 2, preds)
         assert v2.partial and not v2.distinguishable
 
 
@@ -849,25 +879,23 @@ class TestPredictionCaches:
     def _counted(monkeypatch):
         calls = {"id_effect": [], "evaluated": [], "bind_all": [], "bind": []}
         real_id, real_eval = alcam._identify, identify._evaluate
-        real_bind_all, real_bind = alcam._bind_all, alcam._bind_effect
+        real_bind_all, real_bind = alcam._bind, alcam._bind_effect
 
         def id_spy(g, x, y, memo):
             calls["id_effect"].append((g.induced(ancestors(g, y)), tuple(x), tuple(y)))
             return real_id(g, x, y, memo)
 
-        def eval_spy(expr, source, memo, fixed=None, keep=frozenset()):
+        def eval_spy(expr, source, memo):
             # the recursion looks ``_evaluate`` up in identify, so every
-            # node it visits passes here; discovery evaluates unbound, so
-            # the memo is keyed by expression, and one missing from it is
-            # evaluated now
-            assert fixed is None
+            # node it visits passes here; the memo is keyed by expression,
+            # and one missing from it is evaluated now
             if expr not in memo:
                 calls["evaluated"].append(expr)
-            return real_eval(expr, source, memo, fixed, keep)
+            return real_eval(expr, source, memo)
 
-        def bind_all_spy(sheet, targets, grid, observed):
-            calls["bind_all"].append((id(sheet), targets, observed))
-            return real_bind_all(sheet, targets, grid, observed)
+        def bind_all_spy(sheet, targets, grid, outcome):
+            calls["bind_all"].append((id(sheet), targets, outcome))
+            return real_bind_all(sheet, targets, grid, outcome)
 
         def bind_spy(sheet, fixed, outcome):
             calls["bind"].append((tuple(sorted(fixed.items())), tuple(sorted(outcome))))
@@ -876,7 +904,7 @@ class TestPredictionCaches:
         monkeypatch.setattr(alcam, "_identify", id_spy)
         monkeypatch.setattr(alcam, "_evaluate", eval_spy)
         monkeypatch.setattr(identify, "_evaluate", eval_spy)
-        monkeypatch.setattr(alcam, "_bind_all", bind_all_spy)
+        monkeypatch.setattr(alcam, "_bind", bind_all_spy)
         monkeypatch.setattr(alcam, "_bind_effect", bind_spy)
         return calls
 

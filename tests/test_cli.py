@@ -1,5 +1,7 @@
 import contextlib
+import csv
 import io
+import itertools
 import json
 import tempfile
 from pathlib import Path
@@ -204,6 +206,37 @@ class TestDiscoverCommand:
                      "--model", str(tmp_path / "truth.json")])
         assert code == 3
 
+    @staticmethod
+    def _discover(tmp_path, graphs, cpts):
+        """``docalc discover`` on the candidate ``graphs`` (graph documents)
+        with the true model: the first graph with the CPTs ``cpts``."""
+        for i, g in enumerate(graphs):
+            (tmp_path / f"g{i}.json").write_text(json.dumps(g), encoding="utf-8")
+        (tmp_path / "cands.json").write_text(
+            json.dumps({"graphs": [f"g{i}.json" for i in range(len(graphs))]}), encoding="utf-8")
+        (tmp_path / "truth.json").write_text(json.dumps({**graphs[0], "cpts": cpts}),
+                                             encoding="utf-8")
+        return main(["discover", "--candidates", str(tmp_path / "cands.json"),
+                     "--model", str(tmp_path / "truth.json")])
+
+    def test_model_over_the_cell_cap_is_input_error(self, tmp_path, capsys):
+        # 23 binary variables: a joint of 2^23 cells, over the 2^22-cell cap
+        names = [f"V{i}" for i in range(23)]
+        graph = {"vars": [{"name": n} for n in names], "edges": []}
+        code = self._discover(tmp_path, [graph], {n: {"table": [0.5, 0.5]} for n in names})
+        assert code == 1
+        assert capsys.readouterr().out.startswith("unsupported model: ")
+
+    def test_zero_probability_context_is_input_error(self, tmp_path, capsys):
+        # X=1 never occurs, so neither phase 1 nor the confounder test on
+        # the pair X, Y can compare anything at X=1
+        plain = {"vars": [{"name": "X"}, {"name": "Y"}], "edges": [["X", "Y"]]}
+        code = self._discover(tmp_path, [plain, {**plain, "confounders": [["X", "Y"]]}],
+                              {"X": {"table": [1.0, 0.0]},
+                               "Y": {"parents": ["X"], "table": [0.9, 0.1, 0.2, 0.8]}})
+        assert code == 1
+        assert capsys.readouterr().out.startswith("partial support: ")
+
 
 class TestDcnCommand:
     def test_trajectory_csv_and_determinism(self, traffic_spec_file, tmp_path, capsys):
@@ -239,6 +272,49 @@ class TestDcnCommand:
         assert code == 0
         series = trajectory(spec, t2, None, ({"tr2": 1}, 4), 8)
         assert out.read_text() == fileio.trajectory_csv(series)
+
+    @pytest.mark.parametrize("orientation", ["row", "col"])
+    def test_schedule_names_a_matrix_file(self, tmp_path, traffic, orientation):
+        """A schedule's matrix may be the path of a matrix file, relative to
+        the spec, with its entries by rows or by columns."""
+        spec, _t1, t2, _ts = traffic
+        entries = T2_ROWS if orientation == "row" else T2_ROWS.T
+        (tmp_path / "t2.json").write_text(json.dumps({
+            "state_vars": [{"name": "tr1"}, {"name": "tr2"}, {"name": "d"}],
+            "orientation": orientation, "entries": entries.tolist()}), encoding="utf-8")
+        (tmp_path / "spec.json").write_text(json.dumps(
+            {**TRAFFIC_SPEC, "schedule": {"matrices": {"T2": "t2.json"}, "default": "T2"}}),
+            encoding="utf-8")
+        out = tmp_path / "t2.csv"
+        code = main(["dcn", "--spec", str(tmp_path / "spec.json"),
+                     "--query", "P(d@8|do(tr2@4=1))", "--horizon", "8", "--out", str(out)])
+        assert code == 0
+        series = trajectory(spec, t2, None, ({"tr2": 1}, 4), 8)
+        assert out.read_text() == fileio.trajectory_csv(series)
+
+    def test_bad_matrix_orientation_is_input_error(self, traffic_spec_file, tmp_path, capsys):
+        matrix = tmp_path / "m.json"
+        matrix.write_text(json.dumps({
+            "state_vars": [{"name": "tr1"}, {"name": "tr2"}, {"name": "d"}],
+            "orientation": "diag", "entries": T2_ROWS.tolist()}), encoding="utf-8")
+        code = main(["dcn", "--spec", str(traffic_spec_file), "--matrix", str(matrix),
+                     "--horizon", "2"])
+        assert code == 1
+        assert "orientation must be 'row' or 'col', got 'diag'" in capsys.readouterr().err
+
+    def test_full_joint_columns(self, traffic_spec_file, tmp_path):
+        out = tmp_path / "full.csv"
+        code = main(["dcn", "--spec", str(traffic_spec_file), "--horizon", "2",
+                     "--full-joint", "--out", str(out)])
+        assert code == 0
+        header, *rows = csv.reader(io.StringIO(out.read_text()))
+        cells = [f"P(tr1={a},tr2={b},d={c})" for a, b, c in itertools.product(range(2), repeat=3)]
+        assert header == ["t", "P(tr1=1)", "P(tr2=1)", "P(d=1)"] + cells
+        spec, schedule = fileio.load_dcn_spec(traffic_spec_file)
+        series = trajectory(spec, schedule, None, None, 2)
+        assert len(rows) == len(series) == 3
+        for row, f in zip(rows, series):
+            assert row[4:] == [f"{x:.12g}" for x in np.ravel(f.table)]
 
     def test_infinite_span_exit(self, tmp_path):
         spec = {
@@ -466,6 +542,57 @@ class TestTransportCommand:
                      "--query", "P(d@3|do(tr1@6=1))"])
         assert code == 2
         assert "must precede the outcome" in capsys.readouterr().out
+
+    def test_intervention_without_a_slice_before_exit(self, tmp_path, capsys):
+        # do() at t0 leaves no observational slice before it, as in ``docalc dcn``
+        (tmp_path / "target.json").write_text(json.dumps(self._spec_dict(0.0)),
+                                              encoding="utf-8")
+        (tmp_path / "transport.json").write_text(json.dumps({"selection_vars": []}),
+                                                 encoding="utf-8")
+        code = main(["transport", "--spec", str(tmp_path / "target.json"),
+                     "--transport", str(tmp_path / "transport.json"),
+                     "--query", "P(d@6|do(tr1@0=1))"])
+        assert code == 2
+        assert "one observational slice before" in capsys.readouterr().out
+
+    @staticmethod
+    def _bow_spec_dict(c_table):
+        """a <-> b and a -> b within a slice: the step query of do(a) is
+        hedged, so its kernel can come only from a source experiment."""
+        return {
+            "slice_vars": [{"name": "a"}, {"name": "b"}, {"name": "c"}],
+            "intra_edges": [["a", "b"], ["a", "c"]],
+            "cross_edges": [["b", "b", 1]],
+            "intra_confounders": [["a", "b"]],
+            "mechanism": {
+                "cpts": {
+                    "a": {"exo_parents": ["w"], "table": [[0.7, 0.3], [0.2, 0.8]]},
+                    # axes: intra parent a, cross parent b(t-1), exo w, var
+                    "b": {"intra_parents": ["a"], "cross_parents": [["b", 1]],
+                          "exo_parents": ["w"],
+                          "table": [[[[0.9, 0.1], [0.4, 0.6]], [[0.6, 0.4], [0.3, 0.7]]],
+                                    [[[0.2, 0.8], [0.5, 0.5]], [[0.1, 0.9], [0.35, 0.65]]]]},
+                    "c": {"intra_parents": ["a"], "table": c_table},
+                },
+                "exos": [{"name": "w", "prior": [0.4, 0.6],
+                          "earlier": "a", "later": "b", "lag": 0}],
+            },
+        }
+
+    def test_selection_reaching_the_step_outcome_fails(self, tmp_path, capsys):
+        (tmp_path / "target.json").write_text(
+            json.dumps(self._bow_spec_dict([[0.9, 0.1], [0.3, 0.7]])), encoding="utf-8")
+        (tmp_path / "source.json").write_text(
+            json.dumps(self._bow_spec_dict([[0.5, 0.5], [0.8, 0.2]])), encoding="utf-8")
+        (tmp_path / "transport.json").write_text(json.dumps({
+            "selection_vars": [{"name": "s", "points_at": [["b", 1]]}],
+            "source_experiments": [["a"]], "source_spec": "source.json",
+        }), encoding="utf-8")
+        code = main(["transport", "--spec", str(tmp_path / "target.json"),
+                     "--transport", str(tmp_path / "transport.json"),
+                     "--query", "P(b@4|do(a@2=1))"])
+        assert code == 2
+        assert capsys.readouterr().out.startswith("FAIL: not transportable")
 
     def test_unsupported_placement_is_input_error(self, tmp_path):
         (tmp_path / "target.json").write_text(json.dumps(self._spec_dict(0.0)),

@@ -779,6 +779,27 @@ class TestTrajectory:
         assert len(series) == 1
         assert equal_within(series[0], p0, 1e-12)
 
+    def test_no_mechanism_and_no_schedule(self):
+        """Without a mechanism or a schedule nothing steps the chain: slice
+        t0 alone is uniform, and any later slice is refused."""
+        spec = traffic_spec()
+        (only,) = trajectory(spec, None, None, None, 0)
+        assert only.names() == spec.names() and np.all(only.table == 1 / 8)
+        with pytest.raises(InvalidInputError, match=r"a transition matrix \(or schedule\) is required"):
+            trajectory(spec, None, None, None, 2)
+
+    def test_intervention_at_the_horizon(self, traffic):
+        """do() at the last slice ends the series with the intervention
+        slice, as the same call with a later horizon begins."""
+        spec, t1, t2, _ts = traffic
+        sched = weekday_schedule(t1, t2)
+        short = trajectory(spec, sched, None, ({"tr1": 1}, 4), 4)
+        longer = trajectory(spec, sched, None, ({"tr1": 1}, 4), 6)
+        assert len(short) == 5
+        for a, b in zip(short, longer):
+            assert a.names() == b.names() and np.array_equal(a.table, b.table)
+        assert np.all(short[4].table[0] == 0)
+
     def test_p0_is_checked(self, traffic):
         """p0 must be a distribution over the slice variables with their
         domains, in any order; a wrong domain, a wrong variable or a total
@@ -1034,6 +1055,14 @@ class TestTransport:
         orc = oracle_effect(target, {"a": 1}, 2, {"b"}, 4)
         assert np.max(np.abs(f.reorder(["b"]).table
                              - orc.reorder([slice_var_at("b", 4)]).table)) < 1e-9
+
+    def test_selection_reaching_the_step_outcome_fails(self):
+        """A selection variable d-connected to the step outcome under do(X)
+        makes the source experiment inadmissible: no answer."""
+        target, source = self._hedged_pair()
+        t = mechanism_transition(target)
+        tspec = TransportSpec((SelectionVar("s", (("b", 1),)),), (frozenset({"a"}),), source)
+        assert transport(target, tspec, {"a": 1}, 2, {"b"}, 4, t, None, 0) is None
 
     def test_unavailable_experiment_fails(self):
         target, source = self._hedged_pair()

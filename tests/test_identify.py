@@ -113,6 +113,16 @@ class TestEvaluate:
                                                     frozenset({"Z"})))
             assert equal_within(got, want.reorder(got.names()), 1e-12)
 
+    def test_value_outside_the_domain_is_refused(self):
+        """A value below 0 or at the domain size is refused, not read off
+        another cell (a negative index would wrap)."""
+        g = chain_xz()
+        p = joint(random_scm(np.random.default_rng(1), g))
+        res = id_effect(g, {"X"}, {"Z"})
+        for val in (-1, 2):
+            with pytest.raises(InvalidInputError, match=f"value {val} out of domain for X"):
+                effect_factor(res.expr, p, {"X": val}, {"Z"})
+
     def test_constant_times_marginal(self):
         rng = np.random.default_rng(2)
         p = Factor((Var("X"), Var("Y")), rng.dirichlet(np.ones(4)).reshape(2, 2))
