@@ -3,7 +3,10 @@
 Phase 1 compares do-calculus predictions across candidate graphs and
 performs the cheapest single-value interventions that split the
 candidate set; phase 2 settles the remaining edge and hidden-confounder
-differences with exact conditional-independence tests.
+differences with exact conditional-independence tests.  Phase 2 is one
+loop (``_settle``) over two primitives: the oracle's CI test under one
+intervened context (``_ci``), and one experiment per value of a
+variable (``_per_value``).
 
 Every comparison of predictions reads one set of rows: the predictions
 ``PredictionTable._fill`` binds, one group of experiments that share
@@ -39,7 +42,7 @@ import numpy as np
 
 from .errors import (InternalError, InvalidInputError, PartialSupportError,
                      PromiseViolationError)
-from .factors import EPS_CMP, Factor, condition, equal_within, marginalize
+from .factors import EPS_CMP, Factor, condition
 from .graphs import Admg, _mask, _names_of, _reach, d_separated, mutilate
 from .identify import (Expr, ObservedTerm, Prediction, _bind, _bind_effect, _evaluate,
                        _identify, _JointTerms)
@@ -675,19 +678,29 @@ class CiRecord:
     dependent: bool
 
 
-def _edge_differences(graphs: Sequence[Admg]) -> list[tuple[str, str]]:
-    all_edges = set()
-    for g in graphs:
-        all_edges |= g.directed
-    return sorted(e for e in all_edges if not all(e in g.directed for g in graphs))
+def _differences(graphs: Sequence[Admg], kind: str) -> list:
+    """The edges of ``kind`` ("directed" or "bidirected") that some but
+    not all graphs hold: directed edges as sorted (tail, head) tuples,
+    bidirected pairs sorted by their sorted names."""
+    held = [getattr(g, kind) for g in graphs]
+    differ = set().union(*held) - held[0].intersection(*held[1:])
+    return sorted(differ, key=sorted if kind == "bidirected" else None)
 
 
-def _confounder_differences(graphs: Sequence[Admg]) -> list[frozenset[str]]:
-    all_confs = set()
-    for g in graphs:
-        all_confs |= g.bidirected
-    return sorted((c for c in all_confs if not all(c in g.bidirected for g in graphs)),
-                  key=sorted)
+def _settle(subset: CandidateSet, kind: str, test: Callable[[list[Admg], object], CiRecord],
+            records: Optional[list[CiRecord]], what: str) -> CandidateSet:
+    """Test the first edge of ``kind`` the graphs disagree on, keep the
+    graphs that hold it exactly when the test finds dependence, and
+    repeat until they agree on every edge of ``kind``."""
+    graphs = list(subset.graphs)
+    while diffs := _differences(graphs, kind):
+        rec = test(graphs, diffs[0])
+        if records is not None:
+            records.append(rec)
+        graphs = [g for g in graphs if (diffs[0] in getattr(g, kind)) == rec.dependent]
+        if not graphs:
+            raise PromiseViolationError(f"{what} tests eliminated every candidate")
+    return CandidateSet(tuple(graphs))
 
 
 def _min_dsep_intervention(
@@ -720,35 +733,36 @@ def _min_dsep_intervention(
     return None
 
 
-def _dependent_under(oracle: InterventionOracle, vi: str, vj: str, d: frozenset[str],
-                     costs: CostModel, eps: float) -> tuple[bool, CiRecord]:
-    """Exact dependence test of vi, vj under intervention on d."""
-    context = {n: 0 for n in sorted(d)}
-    if vi in d:
-        # hidden confounders force intervening vi: test across all its values
-        dists = []
-        base = {n: 0 for n in sorted(d - {vi})}
-        n_values = oracle.m_star.graph.var(vi).domain
-        cost = 0.0
-        for val in range(n_values):
-            do_set = dict(base, **{vi: val})
-            f = oracle.query(InterventionSpec(frozenset(do_set), do_set, frozenset({vj})))
-            dists.append(f)
-            cost += costs.intervention_cost(frozenset(do_set), do_set)
-            cost += costs.observation_cost(frozenset({vj}))
-        dep = any(
-            not equal_within(dists[0], f.reorder(dists[0].names()), eps)
-            for f in dists[1:]
-        )
-        rec = CiRecord("edge", (vi, vj), tuple(sorted(d)), True, n_values, cost, dep)
-        return dep, rec
-    cost = 0.0
-    if d:
-        cost += costs.intervention_cost(frozenset(d), context)
-    cost += costs.observation_cost(frozenset({vi, vj}))
-    independent = oracle.ci_test(vi, vj, context if d else {}, eps=eps)
-    rec = CiRecord("edge", (vi, vj), tuple(sorted(d)), False, 1 if d else 0, cost, not independent)
-    return not independent, rec
+def _add_cost(costs: CostModel, context: Mapping[str, int], observed: frozenset[str],
+              cost: float = 0.0) -> float:
+    """``cost`` plus the intervention cost of do(context), when it is not
+    empty, then the observation cost of ``observed``."""
+    if context:
+        cost += costs.intervention_cost(frozenset(context), context)
+    return cost + costs.observation_cost(observed)
+
+
+def _ci(oracle: InterventionOracle, kind: str, vi: str, vj: str, context: Mapping[str, int],
+        costs: CostModel, eps: float) -> CiRecord:
+    """The oracle's CI test of vi and vj under do(context): one
+    experiment observing both (no intervention when ``context`` is empty)."""
+    cost = _add_cost(costs, context, frozenset({vi, vj}))
+    dependent = not oracle.ci_test(vi, vj, context, eps=eps)
+    return CiRecord(kind, (vi, vj), tuple(context), False, 1 if context else 0, cost, dependent)
+
+
+def _per_value(oracle: InterventionOracle, context: Mapping[str, int], var: str,
+               observed: frozenset[str], costs: CostModel,
+               cost: float = 0.0) -> tuple[np.ndarray, float]:
+    """One experiment do(context, var=v) observing ``observed`` for each
+    value v of ``var``: the answers' tables stacked by v, and ``cost``
+    plus each experiment's cost."""
+    rows = []
+    for val in range(oracle.m_star.graph.var(var).domain):
+        do_set = {**context, var: val}
+        rows.append(oracle.query(InterventionSpec(frozenset(do_set), do_set, observed)).table)
+        cost = _add_cost(costs, do_set, observed, cost)
+    return np.stack(rows), cost
 
 
 def id_edges(
@@ -768,69 +782,21 @@ def id_edges(
     on ``m_star`` when None)."""
     costs = costs or CostModel.unit()
     oracle = oracle or InterventionOracle(m_star)
-    graphs = list(subset.graphs)
-    while True:
-        diffs = _edge_differences(graphs)
-        if not diffs:
-            return CandidateSet(tuple(graphs))
-        vi, vj = diffs[0]
-        without = [g for g in graphs if (vi, vj) not in g.directed]
-        d = _min_dsep_intervention(without, vi, vj)
+
+    def test(graphs: list[Admg], edge: tuple[str, str]) -> CiRecord:
+        vi, vj = edge
+        d = _min_dsep_intervention([g for g in graphs if edge not in g.directed], vi, vj)
         if d is None:
             raise InternalError(f"no separating intervention for edge {vi}->{vj}")
-        dependent, rec = _dependent_under(oracle, vi, vj, d, costs, eps)
-        if records is not None:
-            records.append(rec)
-        if dependent:
-            graphs = [g for g in graphs if (vi, vj) in g.directed]
-        else:
-            graphs = [g for g in graphs if (vi, vj) not in g.directed]
-        if not graphs:
-            raise PromiseViolationError("edge tests eliminated every candidate")
+        if vi not in d:
+            return _ci(oracle, "edge", vi, vj, dict.fromkeys(sorted(d), 0), costs, eps)
+        # hidden confounders force intervening vi: test across all its values
+        rows, cost = _per_value(oracle, dict.fromkeys(sorted(d - {vi}), 0), vi,
+                                frozenset({vj}), costs)
+        dependent = bool(np.max(np.abs(rows[1:] - rows[0]), initial=0.0) > eps)
+        return CiRecord("edge", edge, tuple(sorted(d)), True, len(rows), cost, dependent)
 
-
-def _hidden_test(
-    oracle: InterventionOracle,
-    parent: str,
-    child: str,
-    adjacent: bool,
-    o_context: Mapping[str, int],
-    costs: CostModel,
-    eps: float,
-) -> tuple[bool, float, int]:
-    """Confoundedness test; returns (confounded, cost, interventions)."""
-    o_set = frozenset(o_context)
-    cost = 0.0
-    n_int = 0
-    # right-hand side: P(child | parent, do(O)) from a single experiment
-    rhs_spec = InterventionSpec(o_set, dict(o_context), frozenset({parent, child}))
-    rhs_joint = oracle.query(rhs_spec)
-    if o_set:
-        cost += costs.intervention_cost(o_set, dict(o_context))
-        n_int += 1
-    cost += costs.observation_cost(frozenset({parent, child}))
-    rhs_cond = condition(rhs_joint, [parent])
-    if rhs_cond.partial:
-        raise PartialSupportError(
-            f"value of {parent!r} with zero probability under do({sorted(o_set)})")
-    rhs = rhs_cond.reorder([parent, child]).table
-
-    if adjacent:
-        # left-hand side: P(child | do(parent, O)), one experiment per value
-        lhs_rows = []
-        for val in range(oracle.m_star.graph.var(parent).domain):
-            do_set = dict(o_context, **{parent: val})
-            f = oracle.query(InterventionSpec(frozenset(do_set), do_set, frozenset({child})))
-            lhs_rows.append(f.table)
-            cost += costs.intervention_cost(frozenset(do_set), do_set)
-            cost += costs.observation_cost(frozenset({child}))
-            n_int += 1
-        lhs = np.stack(lhs_rows)
-    else:
-        # left-hand side: P(child | do(O)), same experiment as the rhs
-        lhs = np.broadcast_to(marginalize(rhs_joint, [parent]).table, rhs.shape)
-    confounded = bool(np.max(np.abs(lhs - rhs)) > eps)
-    return confounded, cost, n_int
+    return _settle(subset, "directed", test, records, "edge")
 
 
 def id_hidden(
@@ -845,42 +811,37 @@ def id_hidden(
 
     Uses the adjacent-pair criterion (compare P(Vj|do(Vi,O)) with
     P(Vj|Vi,do(O))) or the non-adjacent criterion (compare P(Vj|do(O))
-    with P(Vj|Vi,do(O))), with O the union of the pair's observed
-    parents held at a single context.  Every experiment goes through
-    ``oracle`` (a new one on ``m_star`` when None)."""
+    with P(Vj|Vi,do(O)), the oracle's CI test), with O the union of the
+    pair's observed parents held at a single context.  Every experiment
+    goes through ``oracle`` (a new one on ``m_star`` when None)."""
     costs = costs or CostModel.unit()
     oracle = oracle or InterventionOracle(m_star)
-    graphs = list(subset.graphs)
-    base = graphs[0]
-    for g in graphs[1:]:
-        if g.directed != base.directed:
-            raise InvalidInputError("id_hidden requires a shared observable graph")
-    while True:
-        diffs = _confounder_differences(graphs)
-        if not diffs:
-            return CandidateSet(tuple(graphs))
-        pair = diffs[0]
+    base = subset.graphs[0]
+    if any(g.directed != base.directed for g in subset.graphs[1:]):
+        raise InvalidInputError("id_hidden requires a shared observable graph")
+
+    def test(graphs: list[Admg], pair: frozenset[str]) -> CiRecord:
         a, b = sorted(pair)
-        if base.has_edge(a, b):
-            parent, child, adjacent = a, b, True
-        elif base.has_edge(b, a):
-            parent, child, adjacent = b, a, True
-        else:
-            parent, child, adjacent = a, b, False
+        parent, child = (b, a) if base.has_edge(b, a) else (a, b)
         o_vars = _names_of(base, (base._pa[base._index(parent)] | base._pa[base._index(child)])
                            & ~(base._bit[parent] | base._bit[child]))
-        o_context = dict.fromkeys(o_vars, 0)
-        confounded, cost, n_int = _hidden_test(oracle, parent, child, adjacent,
-                                               o_context, costs, eps)
-        if records is not None:
-            records.append(CiRecord("hidden", (parent, child), tuple(o_vars),
-                                    adjacent, n_int, cost, confounded))
-        if confounded:
-            graphs = [g for g in graphs if pair in g.bidirected]
-        else:
-            graphs = [g for g in graphs if pair not in g.bidirected]
-        if not graphs:
-            raise PromiseViolationError("confounder tests eliminated every candidate")
+        context = dict.fromkeys(o_vars, 0)
+        if not base.has_edge(parent, child):
+            return _ci(oracle, "hidden", parent, child, context, costs, eps)
+        # P(child | parent, do(O)) from one experiment, against
+        # P(child | do(parent, O)) from one experiment per value
+        pair_spec = InterventionSpec(frozenset(context), dict(context), frozenset({parent, child}))
+        given = condition(oracle.query(pair_spec), [parent])
+        if given.partial:
+            raise PartialSupportError(
+                f"value of {parent!r} with zero probability under do({sorted(context)})")
+        cost = _add_cost(costs, context, pair_spec.observed)
+        rows, cost = _per_value(oracle, context, parent, frozenset({child}), costs, cost)
+        dependent = bool(np.max(np.abs(rows - given.reorder([parent, child]).table)) > eps)
+        return CiRecord("hidden", (parent, child), tuple(o_vars), True,
+                        len(rows) + (1 if context else 0), cost, dependent)
+
+    return _settle(subset, "bidirected", test, records, "confounder")
 
 
 # -- the driver ----------------------------------------------------------
@@ -936,31 +897,29 @@ def alcam_run(
 
     log: list[dict] = []
     spent = 0.0
-    if len(partition.subsets) > 1:
-        plan = list(minimal_splitting_sets(partition, preds, costs, experiments).interventions)
-        while len(partition.subsets) > 1:
+    plan: list[InterventionSpec] = []
+    while len(partition.subsets) > 1:
+        e = select_intervention(plan, partition, preds, costs)
+        if e is None:
+            # no plan yet, or it ran dry while subsets remain (possible when
+            # an unused splitter's witness pair was eliminated earlier):
+            # derive a minimal splitting set for what is left
+            plan = list(minimal_splitting_sets(partition, preds, costs, experiments).interventions)
             e = select_intervention(plan, partition, preds, costs)
             if e is None:
-                # the plan ran dry while subsets remain (possible when an
-                # unused splitter's witness pair was eliminated earlier);
-                # re-derive a minimal splitting set for what is left
-                plan = list(minimal_splitting_sets(partition, preds, costs,
-                                                   experiments).interventions)
-                e = select_intervention(plan, partition, preds, costs)
-                if e is None:
-                    raise InternalError("experiments exhausted with several subsets left")
-            answer = oracle.query(e)
-            partition = select_graphs(partition, e, answer, preds)
-            plan.remove(e)
-            spent += costs.of(e)
-            log.append({
-                "intervention": str(e),
-                "cost": costs.of(e),
-                "oracle_digest": [round(x, 12) for x in np.ravel(answer.table)],
-                "surviving": sorted(partition.members()),
-            })
-            if not partition.subsets:
-                raise PromiseViolationError("all candidate subsets eliminated")
+                raise InternalError("experiments exhausted with several subsets left")
+        answer = oracle.query(e)
+        partition = select_graphs(partition, e, answer, preds)
+        plan.remove(e)
+        spent += costs.of(e)
+        log.append({
+            "intervention": str(e),
+            "cost": costs.of(e),
+            "oracle_digest": [round(x, 12) for x in np.ravel(answer.table)],
+            "surviving": sorted(partition.members()),
+        })
+        if not partition.subsets:
+            raise PromiseViolationError("all candidate subsets eliminated")
 
     survivors = sorted(partition.members())
     if not survivors:

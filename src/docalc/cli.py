@@ -56,7 +56,8 @@ def parse_query(text: str):
 
     Tokens are comma-separated ``name``, ``name=value``, ``name@t`` or
     ``name@t=value``; returns (outcomes, targets) where each entry is
-    (name, time-or-None) and targets map to values (default 0).
+    (name, time-or-None) and targets map to values (default 0).  A target
+    named twice is an input error.
     """
     m = _QUERY_RE.match(text)
     if not m:
@@ -73,9 +74,10 @@ def parse_query(text: str):
         tm = _TOKEN_RE.match(tok)
         if not tm:
             raise InvalidInputError(f"bad target token {tok!r}")
-        t = int(tm.group("t")) if tm.group("t") else None
-        val = int(tm.group("val")) if tm.group("val") else 0
-        targets[(tm.group("name"), t)] = val
+        key = (tm.group("name"), int(tm.group("t")) if tm.group("t") else None)
+        if key in targets:
+            raise InvalidInputError(f"target {tok!r} is named twice")
+        targets[key] = int(tm.group("val")) if tm.group("val") else 0
     return outcomes, targets
 
 
@@ -154,6 +156,13 @@ def cmd_dcn(args: argparse.Namespace) -> int:
     intervention = None
     if args.query:
         outcomes, targets = parse_query(args.query)
+        names = {v.name for v in spec.slice_vars}
+        for n, t in outcomes:
+            if n not in names:
+                raise InvalidInputError(f"outcome {n!r} is not a slice variable")
+            if t is not None and not args.t0 <= t <= args.horizon:
+                raise InvalidInputError(f"outcome {n}@{t} lies outside slices "
+                                        f"{args.t0}..{args.horizon}")
         if targets:
             times = {t for (_n, t) in targets}
             if len(times) != 1 or None in times:

@@ -494,6 +494,48 @@ class TestCiFallbacks:
         with pytest.raises(InvalidInputError):
             id_hidden(CandidateSet((a, b)), m)
 
+    def test_edges_are_tested_in_tuple_order(self):
+        """Differing edges are settled as sorted (tail, head) tuples:
+        ('A','C') before ('B','A'), though ('B','A')'s sorted names come
+        first."""
+        variables = (Var("A"), Var("B"), Var("C"))
+        graphs = (Admg(variables, [("B", "A")]), Admg(variables, [("A", "C")]),
+                  Admg(variables, [("B", "A"), ("A", "C")]))
+        m = random_scm(np.random.default_rng(22), graphs[2])
+        records = []
+        assert id_edges(CandidateSet(graphs), m, records=records).graphs == (graphs[2],)
+        assert [r.pair for r in records] == [("A", "C"), ("B", "A")]
+
+    def test_ci_phase_outputs_are_pinned_under_fractional_costs(self):
+        """Every CI record (cost by ``float.hex``), oracle log and call
+        count of the first 24 criterion-5 trials at seed 5005, under a
+        cost model whose sums depend on the order they are added in."""
+        import hashlib
+        from test_acceptance import _generic_candidate_trial
+
+        costs = CostModel.per_variable({"V1": 0.1, "V2": 0.7}, {"V3": 0.3, "V1": 1.9}, 1.3, 0.45)
+        rng = np.random.default_rng(5005)
+        trials = kinds = 0
+        rows, seen = [], set()
+        while trials < 24:
+            drawn = _generic_candidate_trial(rng)
+            if drawn is None:
+                continue
+            trials += 1
+            cs, m, _true_g = drawn
+            oracle = InterventionOracle(m)
+            res = alcam_run(cs, m, costs, oracle=oracle)
+            if res.ci_records:
+                seen |= {(r.kind, r.multi_value) for r in res.ci_records}
+                rows.append([[[r.kind, *r.pair, *r.do_set, r.multi_value, r.interventions,
+                               r.cost.hex(), r.dependent] for r in res.ci_records],
+                             [str(e) for e in oracle.log], oracle.calls])
+        # both tests of each kind ran: edges by one context and per value,
+        # confounders of adjacent and of non-adjacent pairs
+        assert len(seen) == 4 and len(rows) == 15
+        digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+        assert digest == "2b9d4470cfa3b5d64b1cdb16ae33fee757d144b16543ba87ce244930a8310568"
+
 
 def _sorted_min_dsep(graphs, vi, vj):
     """Reference: every subset built, sorted by (size, vi-free first,

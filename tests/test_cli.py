@@ -82,6 +82,16 @@ class TestQueryGrammar:
         with pytest.raises(InvalidInputError):
             parse_query("expected value of Z")
 
+    def test_rejects_a_repeated_target(self, traffic_spec_file, capsys):
+        """A target named twice is refused rather than set to its last
+        value; ``identify``, ``dcn`` and ``transport`` share the parser."""
+        with pytest.raises(InvalidInputError, match="'tr1@3=1' is named twice"):
+            parse_query("P(d@8|do(tr1@3=0,tr1@3=1))")
+        code = main(["dcn", "--spec", str(traffic_spec_file),
+                     "--query", "P(d@8|do(tr1@3=0,tr1@3=1))", "--horizon", "10"])
+        assert code == 1
+        assert "input error: target 'tr1@3=1' is named twice" in capsys.readouterr().err
+
 
 class TestIdentifyCommand:
     def test_chain_prints_expression(self, chain_graph_file, capsys):
@@ -315,6 +325,25 @@ class TestDcnCommand:
         assert len(rows) == len(series) == 3
         for row, f in zip(rows, series):
             assert row[4:] == [f"{x:.12g}" for x in np.ravel(f.table)]
+
+    @pytest.mark.parametrize("query,reason", [
+        ("P(zz@8|do(tr1@3=0))", "outcome 'zz' is not a slice variable"),
+        ("P(d@99|do(tr1@3=0))", "outcome d@99 lies outside slices 2..10"),
+        ("P(d@1|do(tr1@3=0))", "outcome d@1 lies outside slices 2..10"),
+    ], ids=["unknown_variable", "past_horizon", "before_t0"])
+    def test_outcome_must_be_a_slice_variable_within_the_slices(self, traffic_spec_file,
+                                                                query, reason, capsys):
+        code = main(["dcn", "--spec", str(traffic_spec_file), "--query", query,
+                     "--horizon", "10", "--t0", "2"])
+        assert code == 1
+        assert f"input error: {reason}" in capsys.readouterr().err
+
+    def test_outcome_without_a_slice_is_allowed(self, traffic_spec_file, tmp_path):
+        out = tmp_path / "series.csv"
+        code = main(["dcn", "--spec", str(traffic_spec_file), "--query", "P(d|do(tr1@3=0))",
+                     "--horizon", "10", "--out", str(out)])
+        assert code == 0
+        assert len(out.read_text().strip().splitlines()) == 12
 
     def test_infinite_span_exit(self, tmp_path):
         spec = {
