@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import (InternalError, InvalidInputError, PartialSupportError,
                      PromiseViolationError)
-from .factors import EPS_CMP, Factor, condition
+from .factors import Factor, _within, condition
 from .graphs import Admg, _mask, _names_of, _reach, d_separated, mutilate
 from .identify import (Expr, ObservedTerm, Prediction, _bind, _bind_effect, _evaluate,
                        _identify, _JointTerms)
@@ -131,7 +131,6 @@ class Verdict:
 
     case_id: int
     distinguishable: bool
-    eps: float = EPS_CMP
     partial: bool = False
 
 
@@ -202,10 +201,9 @@ class PredictionTable:
     with the table.
     """
 
-    def __init__(self, candidates: CandidateSet, p_star: Factor, eps: float = EPS_CMP):
+    def __init__(self, candidates: CandidateSet, p_star: Factor):
         self.candidates = candidates
         self.p_star = p_star
-        self.eps = eps
         self._domain = {v.name: v.domain for v in candidates.graphs[0].vars}
         # (graph, observed) -> (An(Y), index of the distinct G[An(Y)])
         self._ancestral: dict[tuple[int, tuple[str, ...]], tuple[frozenset[str], int]] = {}
@@ -350,7 +348,7 @@ class PredictionTable:
             rows, ident, partial = rows[:, :, :m], ident[..., :m], partial[..., :m]
             batch = (rows, ident[:, 0], partial[:, 0], index[:, 0], py)
             # cases 2, 4 and 5 distinguish, unless either prediction is partial
-            split = (_SPLITS[_case_codes(rows, ident, py, self.eps)]
+            split = (_SPLITS[_case_codes(rows, ident, py)]
                      & ~(partial[..., :, None] | partial[..., None, :]))
             # each group's rows expanded to every pair of candidates
             tensors = split[np.arange(len(members))[:, None, None, None],
@@ -381,16 +379,15 @@ _CASES = np.array([_case_of(*bits) for bits in itertools.product((False, True), 
 _SPLITS = np.isin(_CASES, (2, 4, 5))
 
 
-def _case_codes(rows: np.ndarray, ident: np.ndarray, py: np.ndarray, eps: float) -> np.ndarray:
+def _case_codes(rows: np.ndarray, ident: np.ndarray, py: np.ndarray) -> np.ndarray:
     """(..., m, m) indices into ``_CASES`` for every pair of stacked
     predictions ``rows`` (..., m, cells), over any leading batch axes.
 
     Equality is ``equal_within``'s max-abs test, taken pairwise, so it
-    stays non-transitive: a~b and b~c within eps do not make a~c.
+    stays non-transitive: a~b and b~c within ``EPS_CMP`` do not make a~c.
     """
-    same = np.max(np.abs(rows[..., :, None, :] - rows[..., None, :, :]), axis=-1,
-                  initial=0.0) <= eps
-    is_py = ident & (np.max(np.abs(rows - py), axis=-1, initial=0.0) <= eps)
+    same = _within(rows[..., :, None, :], rows[..., None, :, :], axis=-1)
+    is_py = ident & _within(rows, py, axis=-1)
     k = 16 * ident + 4 * is_py
     l = 8 * ident + 2 * is_py
     return k[..., :, None] + l[..., None, :] + same
@@ -408,9 +405,9 @@ def distinguishable_by(
     :meth:`PredictionTable.verdicts` instead."""
     rows, ident, partial, index, py = preds._bound(e)
     pair = index[[k_idx, l_idx]]
-    code = _case_codes(rows[pair], ident[pair], py, preds.eps)[0, 1]
+    code = _case_codes(rows[pair], ident[pair], py)[0, 1]
     is_partial = bool(partial[pair].any())
-    return Verdict(int(_CASES[code]), bool(_SPLITS[code]) and not is_partial, preds.eps, is_partial)
+    return Verdict(int(_CASES[code]), bool(_SPLITS[code]) and not is_partial, is_partial)
 
 
 def power_of_intervention(
@@ -649,8 +646,8 @@ def select_graphs(
     if [v.domain for v in answer.scope] != [preds._domain[n] for n in observed]:
         raise InvalidInputError(f"oracle answer {answer} is not over the domains of {observed}")
     answer = answer.table.reshape(-1)
-    fits = np.max(np.abs(rows - answer), axis=-1, initial=0.0) <= preds.eps
-    answer_is_py = np.max(np.abs(answer - py), initial=0.0) <= preds.eps
+    fits = _within(rows, answer, axis=-1)
+    answer_is_py = _within(answer, py)
     survives = np.where(ident, fits, not answer_is_py)[index]
     keep = frozenset(k for k in partition.members() if survives[k])
     clipped: list[frozenset[int]] = []
@@ -743,11 +740,11 @@ def _add_cost(costs: CostModel, context: Mapping[str, int], observed: frozenset[
 
 
 def _ci(oracle: InterventionOracle, kind: str, vi: str, vj: str, context: Mapping[str, int],
-        costs: CostModel, eps: float) -> CiRecord:
+        costs: CostModel) -> CiRecord:
     """The oracle's CI test of vi and vj under do(context): one
     experiment observing both (no intervention when ``context`` is empty)."""
     cost = _add_cost(costs, context, frozenset({vi, vj}))
-    dependent = not oracle.ci_test(vi, vj, context, eps=eps)
+    dependent = not oracle.ci_test(vi, vj, context)
     return CiRecord(kind, (vi, vj), tuple(context), False, 1 if context else 0, cost, dependent)
 
 
@@ -769,7 +766,6 @@ def id_edges(
     subset: CandidateSet,
     m_star: Scm,
     costs: Optional[CostModel] = None,
-    eps: float = EPS_CMP,
     records: Optional[list[CiRecord]] = None,
     oracle: Optional[InterventionOracle] = None,
 ) -> CandidateSet:
@@ -789,11 +785,11 @@ def id_edges(
         if d is None:
             raise InternalError(f"no separating intervention for edge {vi}->{vj}")
         if vi not in d:
-            return _ci(oracle, "edge", vi, vj, dict.fromkeys(sorted(d), 0), costs, eps)
+            return _ci(oracle, "edge", vi, vj, dict.fromkeys(sorted(d), 0), costs)
         # hidden confounders force intervening vi: test across all its values
         rows, cost = _per_value(oracle, dict.fromkeys(sorted(d - {vi}), 0), vi,
                                 frozenset({vj}), costs)
-        dependent = bool(np.max(np.abs(rows[1:] - rows[0]), initial=0.0) > eps)
+        dependent = not _within(rows[1:], rows[0])
         return CiRecord("edge", edge, tuple(sorted(d)), True, len(rows), cost, dependent)
 
     return _settle(subset, "directed", test, records, "edge")
@@ -803,7 +799,6 @@ def id_hidden(
     subset: CandidateSet,
     m_star: Scm,
     costs: Optional[CostModel] = None,
-    eps: float = EPS_CMP,
     records: Optional[list[CiRecord]] = None,
     oracle: Optional[InterventionOracle] = None,
 ) -> CandidateSet:
@@ -827,7 +822,7 @@ def id_hidden(
                            & ~(base._bit[parent] | base._bit[child]))
         context = dict.fromkeys(o_vars, 0)
         if not base.has_edge(parent, child):
-            return _ci(oracle, "hidden", parent, child, context, costs, eps)
+            return _ci(oracle, "hidden", parent, child, context, costs)
         # P(child | parent, do(O)) from one experiment, against
         # P(child | do(parent, O)) from one experiment per value
         pair_spec = InterventionSpec(frozenset(context), dict(context), frozenset({parent, child}))
@@ -837,7 +832,7 @@ def id_hidden(
                 f"value of {parent!r} with zero probability under do({sorted(context)})")
         cost = _add_cost(costs, context, pair_spec.observed)
         rows, cost = _per_value(oracle, context, parent, frozenset({child}), costs, cost)
-        dependent = bool(np.max(np.abs(rows - given.reorder([parent, child]).table)) > eps)
+        dependent = not _within(rows, given.reorder([parent, child]).table)
         return CiRecord("hidden", (parent, child), tuple(o_vars), True,
                         len(rows) + (1 if context else 0), cost, dependent)
 
@@ -876,7 +871,6 @@ def alcam_run(
     m_star: Scm,
     costs: Optional[CostModel] = None,
     caps: InterventionCaps = InterventionCaps(),
-    eps: float = EPS_CMP,
     oracle: Optional[InterventionOracle] = None,
 ) -> DiscoveryResult:
     """Learn the true graph by a least-cost sequence of single-value
@@ -891,7 +885,7 @@ def alcam_run(
         raise InvalidInputError("true model and candidates must share variables")
 
     p_star = joint(m_star)
-    preds = PredictionTable(candidates, p_star, eps)
+    preds = PredictionTable(candidates, p_star)
     experiments = enumerate_interventions(candidates.graphs[0], caps)
     partition = partition_candidates(candidates, preds, experiments)
 
@@ -927,8 +921,8 @@ def alcam_run(
     remaining = CandidateSet(tuple(candidates.graphs[i] for i in survivors))
 
     ci_records: list[CiRecord] = []
-    remaining = id_edges(remaining, m_star, costs, eps, ci_records, oracle)
-    remaining = id_hidden(remaining, m_star, costs, eps, ci_records, oracle)
+    remaining = id_edges(remaining, m_star, costs, ci_records, oracle)
+    remaining = id_hidden(remaining, m_star, costs, ci_records, oracle)
 
     unique = sorted(set(remaining.graphs), key=lambda g: (sorted(g.directed), sorted(map(sorted, g.bidirected))))
     if len(unique) != 1:

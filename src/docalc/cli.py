@@ -126,7 +126,7 @@ def cmd_discover(args: argparse.Namespace) -> int:
             raise InvalidInputError(f"--caps takes two bounds, max targets,max observed; "
                                     f"got {args.caps!r}")
         caps = InterventionCaps(*(fileio._int(b, "--caps bound") for b in bounds))
-    res = alcam_run(CandidateSet(tuple(graphs)), m_star, costs, caps, eps=args.eps)
+    res = alcam_run(CandidateSet(tuple(graphs)), m_star, costs, caps)
     bound = res.n_candidates - res.n_surviving_before_ci
     report = {
         "seed": args.seed,
@@ -230,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--costs")
     p.add_argument("--caps", help="max targets,max observed (default 2,2)")
-    p.add_argument("--eps", type=float, default=1e-9)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_discover)
 

@@ -21,21 +21,20 @@ schedule's step when a schedule drives the chain (a static spec, or a
 spec without a mechanism), else the mechanism's tables, whose message
 carries the slice state and the confounders in flight.  A p0 is refused
 for dynamic specs, because a slice state cannot carry the confounders in
-flight.  Each call builds one ``_Layout``, in one walk over (variable, slice):
-the unrolled names, ``Var``s and ranks of each slice, the call's one
-unrolled graph, unchecked, and on the mechanism each slice's tables,
+flight.  Each call builds one ``_Layout``, in one walk over (variable,
+slice): the unrolled names, ``Var``s and ranks of each slice, the call's
+one unrolled graph, unchecked, and on the mechanism each slice's tables,
 every slice whose parents lie in the window sharing its template's one
-read-only array.  ``unroll``, ``unrolled_scm`` and
-``initial_distribution`` read the same layout.  The identification
-windows, the ancestor sets, the slice states and transport's window are
-read off it by name.
+read-only array.  ``unroll``, ``unrolled_scm`` and ``initial_distribution``
+read the same layout.  The identification windows, the ancestor sets, the
+slice states and transport's window are read off it by name.
 The pass is the term source of the one evaluator of identified
 expressions: each term is read off a small marginal of the pass, so no
-table grows with the horizon and no window joint is built.  Only when
-every slice comes from the mechanism, whose distribution is Markov to
-the unrolled graph, is a Q-factor term P(v | predecessors) reduced to
-P(v | S) with S a few neighbours of v (Tian & Pearl 2002); p0 and a
-schedule are any chain, so their terms are read as they stand.  A window
+table grows with the horizon and no window joint is built.  Every pass
+reduces a Q-factor term P(v | predecessors) to P(v | S), S a few
+neighbours of v (Tian & Pearl 2002), by one rule on the graph its
+distribution is Markov to (``_Forward.source``), so p0 and a schedule,
+which are any chain, answer as the mechanism does.  A window
 that starts after t0 leaves the earlier slices latent; with dynamic
 confounders it is identified on its latent projection, and a term is
 reduced only where that is exact.
@@ -73,7 +72,7 @@ import numpy as np
 
 from .errors import (InfiniteSpanError, InvalidInputError, UnsupportedModelError,
                      UnsupportedQueryError, UnsupportedTransportError, WindowTooSmallError)
-from .factors import Factor, TransitionMatrix, condition, marginalize, multiply
+from .factors import Factor, TransitionMatrix, _within, condition, marginalize, multiply
 from .graphs import (Admg, Var, _bit_indices, _d_separated, _mask, _names_of, _reach,
                      _union, ancestors, c_components, d_separated, mutilate)
 from . import scm
@@ -340,8 +339,9 @@ class _Layout:
     (``tables``: the priors of the confounders born there, then its
     CPTs, each over parents, exo parents and the variable) and the
     forward pass's ``interface`` (its names, then the confounders in
-    flight there), and every confounder's name, template and children
-    (``exos``).  They come from the spec's checked mechanism, and
+    flight there), and every confounder born in a slice, in template
+    order: its name, template and children in the window (``exos``).
+    They come from the spec's checked mechanism, and
     ``DcnSpec`` makes sure at construction that they fit together, so
     nothing is checked.  Each template table is converted to float once,
     and every slice whose parents all lie in the window shares that one
@@ -360,8 +360,7 @@ class _Layout:
         self.domain: dict[str, int] = {}
         self.slice_of: dict[str, int] = {}
         index = self.index = {}
-        directed = set()
-        bidirected = set()
+        directed, bidirected = set(), set()
         for t in range(t0, t_end + 1):
             names = tuple(slice_var_at(v.name, t) for v in spec.slice_vars)
             for v, n in zip(spec.slice_vars, names):
@@ -397,21 +396,19 @@ class _Layout:
         cpt_of = {c.var: c for c in mech.cpts}
         base = {c.var: _read_only(np.asarray(c.table, dtype=float)) for c in mech.cpts}
         prior = {e.name: _read_only(np.asarray(e.prior, dtype=float)) for e in mech.exos}
-        noise_exos = []
         for t in range(t0, t_last + 1):
             born: list[tuple[tuple[str, ...], np.ndarray]] = []
             for e in mech.exos:
-                if e.lag > 0 and t + e.lag > t_end:
-                    continue  # the later half leaves the window; handled as noise below
                 if e.earlier == e.later:
                     raise InvalidInputError(f"exo template {e.name!r} confounds {e.earlier!r} "
                                             "with its own later slice, which a slice mechanism "
                                             "cannot unroll")
-                u = f"{e.name}@{t}"
-                self.exos.append((u, e, (index[e.earlier, t], index[e.later, t + e.lag])))
+                u = f"{e.name}@{t}"  # in flight until its later child or t_end
+                later = (index[e.later, t + e.lag],) if t + e.lag <= t_end else ()
+                self.exos.append((u, e, (index[e.earlier, t],) + later))
                 domain[u] = len(e.prior)
                 born.append(((u,), prior[e.name]))
-                for s in range(t - t0, t - t0 + e.lag):
+                for s in range(t - t0, min(t + e.lag, t_end) - t0):
                     self.interface[s] += (u,)
             cpts: list[tuple[tuple[str, ...], np.ndarray]] = []
             for v, name in zip(spec.slice_vars, self.slices[t - t0]):
@@ -428,18 +425,10 @@ class _Layout:
                         table = table.mean(axis=axis)  # pre-window parent: average
                 for x in c.exo_parents:
                     e = exo_of[x]
-                    if v.name == e.earlier and (e.lag == 0 or t + e.lag <= t_end):
+                    if v.name == e.earlier:
                         scope.append(f"{x}@{t}")
-                    elif v.name == e.later and t - e.lag >= t0:
+                    elif t - e.lag >= t0:
                         scope.append(f"{x}@{t - e.lag}")
-                    elif v.name == e.earlier:
-                        # later half leaves the window: keep as private noise
-                        u = f"{x}@{t}"
-                        if u not in domain:
-                            noise_exos.append((u, e, (name,)))
-                            domain[u] = len(e.prior)
-                            born.append(((u,), prior[x]))
-                        scope.append(u)
                     else:
                         table = table.mean(axis=axis)  # confounder born pre-window
                         continue
@@ -449,7 +438,6 @@ class _Layout:
                 scope.append(name)
                 cpts.append((tuple(scope), table))
             self.tables.append(born + cpts)
-        self.exos += noise_exos
 
 
 def unroll(spec: DcnSpec, t0: int, t_end: int) -> tuple[Admg, dict[tuple[str, int], str]]:
@@ -463,9 +451,9 @@ def unroll(spec: DcnSpec, t0: int, t_end: int) -> tuple[Admg, dict[tuple[str, in
 def unrolled_scm(spec: DcnSpec, t0: int, t_end: int) -> Scm:
     """Exact SCM over a window.
 
-    Boundary convention: parents and confounder halves that would come
-    from slices before ``t0`` are averaged out uniformly, which defines
-    the generating process started at ``t0``.
+    Boundary convention: parents and confounder halves from slices before
+    ``t0`` are averaged out uniformly, which defines the process started
+    at ``t0``; a confounder born in the window feeds its children there.
     """
     layout = _Layout(spec, t0, t_end, tables=t_end - t0 + 1)
     cpts = {}
@@ -522,10 +510,10 @@ class _Forward:
     step when a schedule is given, else the mechanism's tables, unrolled
     over the call's slices and the longest confounder lag beyond.  A
     schedule cannot step a spec with dynamic confounders and a mechanism,
-    so it is refused there, as p0 is.  The call's
-    ``_Layout``, built once, gives the pass its names, ``Var``s, ranks,
-    slices, interfaces and mechanism tables, and the call's one unrolled
-    graph (``graph``).
+    so it is refused there, as p0 is.  The call's ``_Layout``, built once,
+    gives the pass its names, ``Var``s, ranks, slices, interfaces and
+    mechanism tables, and the call's one unrolled graph (``graph``); the
+    terms are reduced on ``source``.
 
     The message at slice s is the joint of the slice-s variables and the
     confounders in flight there (feeding slice s or earlier and a later
@@ -538,10 +526,9 @@ class _Forward:
     Post-intervention states continue the same contraction
     (``_post_intervention``): the state at a slice, times one step's
     tables (an identified step conditional, or the slice's own tables),
-    onto the next slice.
-    Messages, marginals and terms are cached for the call, and
-    contractions of validated tables are trusted.  The windows and
-    ancestor sets are read off the graph."""
+    onto the next slice.  Messages, marginals and terms are cached for the
+    call, and contractions of validated tables are trusted.  The windows
+    and ancestor sets are read off the graph."""
 
     def __init__(self, spec: DcnSpec, schedule: Optional[Schedule], p0: Optional[Factor],
                  t0: int, t_end: int, cls: Optional[ConfounderClass] = None):
@@ -565,12 +552,9 @@ class _Forward:
                                     "and a mechanism: the mechanism steps the chain, since a "
                                     "slice state cannot carry the confounders in flight")
         self.scheduled = schedule is not None
-        # only a pass wholly from the mechanism is Markov to the unrolled graph
-        self.markov = mechanism and p0 is None and not self.scheduled
-        # a confounder born by t_end keeps both its children, so the
-        # message at a slice, and the slice's state, do not depend on t_end.
-        # A schedule steps every slice after t0, so only slice t0 may need
-        # the mechanism's tables then, when no p0 replaces them.
+        # a confounder born by t_end keeps both its children, so a slice's message and
+        # state do not depend on t_end.  A schedule steps every slice after t0, so only
+        # slice t0 may need the mechanism's tables then, when no p0 replaces them.
         t_last = t_end + self.cls.alpha_max
         tables = 0 if not mechanism else int(p0 is None) if self.scheduled else t_last - t0 + 1
         layout = _Layout(spec, t0, t_last, tables)
@@ -593,6 +577,9 @@ class _Forward:
         else:
             later = []
         self.tables = [first] + later
+        # the slices whose tables are any P(slice | slice before), not the mechanism's
+        self.chained = range(int(p0 is None and bool(layout.tables)),
+                             len(self.tables) if self.scheduled else 1)
         # messages[s - t0 + 1] is the message at slice s; the first is the unit
         self.messages: list[tuple[tuple[str, ...], np.ndarray]] = [((), np.ones(()))]
         self.marginals: dict[frozenset[str], Factor] = {}
@@ -657,12 +644,27 @@ class _Forward:
         return self.marginals[keep]
 
     def check_identifiable(self) -> None:
-        """Refuse to identify on a pass with dynamic confounders that does
-        not come from the mechanism: the chain of a schedule does not carry
-        the confounders in flight."""
-        if self.dynamic and not self.markov:
+        """Refuse to identify with dynamic confounders and no mechanism:
+        a schedule's chain does not carry the confounders in flight."""
+        if self.dynamic and self.spec.mechanism is None:
             raise UnsupportedModelError("identification with dynamic confounders needs the "
                                         "slice mechanism")
+
+    @functools.cached_property
+    def source(self) -> Admg:
+        """The graph the pass's distribution is Markov to: the call's graph,
+        with each slice whose tables are not the mechanism's (``chained``)
+        made one C-component with every variable of the slice before as a
+        parent.  That allows any P(slice | slice before), and more edges keep
+        a distribution Markov.  Built on first use: only windows read terms."""
+        g = self.graph
+        if not self.chained:
+            return g
+        directed, bidirected = set(g.directed), set(g.bidirected)
+        for s in self.chained:
+            bidirected.update(map(frozenset, itertools.combinations(self.slices[s], 2)))
+            directed.update(itertools.product(self.slices[s - 1] if s else (), self.slices[s]))
+        return Admg._trusted(g.vars, frozenset(directed), frozenset(bidirected))
 
     def window(self, t_left: int, t_right: int) -> Admg:
         """The graph of the identification window t_left..t_right, induced
@@ -709,22 +711,18 @@ class _Forward:
     def term(self, e: ObservedTerm) -> Factor:
         """P(outcome | given) of a do-free expression, from a small marginal.
 
-        When every slice comes from the mechanism, a Q-factor term
-        P(v | given) equals P(v | S), S = (T | Pa(T)) - {v} with T the
-        C-component of v in the graph of v and ``given`` (Tian & Pearl
-        2002), when their distribution is Markov to that graph.  It is
-        when they form an ancestral set of the unrolled graph with no
-        child of v in ``given``.  Otherwise (a window that starts after t0
-        leaves the earlier slices latent) S is used only if it
-        d-separates v from the rest of ``given`` in the unrolled graph,
-        and all of ``given`` is kept if it does not.
-        A pass with p0 or a schedule need not be Markov to the unrolled
-        graph (either is any chain), so its terms are never reduced."""
+        On every pass a Q-factor term P(v | given) is P(v | S), S = (T |
+        Pa(T)) - {v} with T the C-component of v in the graph of v and
+        ``given`` (Tian & Pearl 2002), when they form an ancestral set of
+        ``source``, the graph the pass is Markov to, with no child of v in
+        ``given``; otherwise (a window that starts after t0 leaves the
+        earlier slices latent) when S d-separates v from the rest of
+        ``given`` in ``source``.  Else all of ``given`` is kept."""
         if e not in self.terms:
             given = frozenset(e.given)
-            if given and self.markov:
+            if given:
                 (v,) = e.outcome
-                g = self.graph
+                g = self.source
                 i, mg = g._index(v), _mask(g, given, "term")
                 inside = mg | 1 << i
                 comp = _reach(g._sib, inside, 1 << i)
@@ -793,7 +791,7 @@ def _dropped(obs: _Forward, t: int, state: Sequence[str], out: Sequence[str]) ->
     if obs.scheduled and dropped:
         full = scm._contract(obs.tables[t - obs.t0], tuple(out) + before, obs.domain)
         at_0 = full[(...,) + tuple(slice(1 if u in dropped else None) for u in before)]
-        if np.max(np.abs(full - at_0)) > 1e-9:
+        if not _within(full, at_0):
             raise InvalidInputError(f"schedule step into {t} depends on non-ancestors {dropped}")
     return dropped
 
@@ -1184,7 +1182,9 @@ def random_dcn_spec(
     n_dynamic_conf: int = 0,
     domain: int = 2,
 ) -> DcnSpec:
-    """Random slice template with a random mechanism attached."""
+    """Random slice template with a random mechanism attached.  A dynamic
+    confounder may join a variable to its own later slice, which unrolling
+    refuses; such a spec has an infinite dynamic time span."""
     names = [f"V{i+1}" for i in range(n_vars)]
     variables = tuple(Var(n, domain) for n in names)
     intra = [(names[i], names[j]) for i in range(n_vars) for j in range(i + 1, n_vars)

@@ -282,7 +282,13 @@ def equal_within(a: Factor, b: Factor, eps: float = EPS_CMP) -> bool:
     for v, w in zip(a.scope, bb.scope):
         if v.domain != w.domain:
             raise InvalidInputError(f"domain mismatch for {v.name!r}")
-    return bool(np.max(np.abs(a.table - bb.table), initial=0.0) <= eps)
+    return bool(_within(a.table, bb.table, eps=eps))
+
+
+def _within(a: np.ndarray, b: np.ndarray, axis=None, eps: float = EPS_CMP):
+    """max |a - b| <= eps over ``axis`` (all axes when None), an empty
+    difference being within: the one comparison of tables and rows."""
+    return np.max(np.abs(a - b), axis=axis, initial=0.0) <= eps
 
 
 # -- transition matrices ------------------------------------------------

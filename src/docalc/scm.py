@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import InvalidInputError, PartialSupportError, UnsupportedModelError
-from .factors import EPS_CMP, Factor, _float_array, condition, marginalize
+from .factors import EPS_NORM, Factor, _float_array, _within, condition, marginalize
 from .graphs import Admg, Var, _mask, _names_of, mutilate
 
 __all__ = [
@@ -69,7 +69,7 @@ def _check_rows(var: str, table: np.ndarray) -> None:
         raise InvalidInputError(f"cpt of {var!r} is empty")
     if not rows.min() >= -1e-12:
         raise InvalidInputError(f"cpt of {var!r} has negative or NaN entries")
-    if not abs(rows.sum(axis=-1) - 1.0).max() <= 1e-9:
+    if not abs(rows.sum(axis=-1) - 1.0).max() <= EPS_NORM:
         raise InvalidInputError(f"cpt rows of {var!r} must sum to 1")
 
 
@@ -78,7 +78,7 @@ def _check_prior(var: str, prior: Sequence[float]) -> None:
     if arr.ndim != 1:
         raise InvalidInputError(f"prior of {var!r} is not a flat sequence")
     prior = arr.tolist()
-    if not prior or not abs(sum(prior) - 1.0) <= 1e-9 or not min(prior) >= 0:
+    if not prior or not abs(sum(prior) - 1.0) <= EPS_NORM or not min(prior) >= 0:
         raise InvalidInputError(f"prior of {var!r} is not a distribution")
 
 
@@ -331,7 +331,6 @@ def ci_test(
     vi: str,
     vj: str,
     do_set: Mapping[str, int],
-    eps: float = EPS_CMP,
 ) -> bool:
     """Exact independence test of vi and vj under do(do_set).
 
@@ -346,7 +345,7 @@ def ci_test(
     if cond.partial:
         raise PartialSupportError(f"some value of {vi!r} has zero probability in the test context")
     base = marginalize(pair, [vi]).normalized()
-    return bool(np.max(np.abs(cond.reorder([vi, vj]).table - base.table)) <= eps)
+    return bool(_within(cond.reorder([vi, vj]).table, base.table))
 
 
 class InterventionOracle:
@@ -366,12 +365,12 @@ class InterventionOracle:
         self.log.append(e)
         return oracle_query(self.m_star, e)
 
-    def ci_test(self, vi: str, vj: str, do_set: Mapping[str, int], eps: float = EPS_CMP) -> bool:
+    def ci_test(self, vi: str, vj: str, do_set: Mapping[str, int]) -> bool:
         """``ci_test`` on the true model, counted and logged as the
         experiment it performs: do(do_set), observing vi and vj."""
         self.calls += 1
         self.log.append(InterventionSpec(frozenset(do_set), dict(do_set), frozenset({vi, vj})))
-        return ci_test(self.m_star, vi, vj, do_set, eps=eps)
+        return ci_test(self.m_star, vi, vj, do_set)
 
 
 # -- random generation (demos, discovery simulations, property tests) --------

@@ -12,7 +12,7 @@ from docalc.alcam import (CandidateSet, CostModel, InterventionCaps,
                           select_intervention, _exact_cover, _greedy_cover,
                           _min_dsep_intervention)
 from docalc.errors import InvalidInputError, PromiseViolationError
-from docalc.factors import Factor, condition, equal_within, marginalize
+from docalc.factors import EPS_CMP, Factor, condition, equal_within, marginalize
 from docalc.graphs import Admg, Var, ancestors, d_separated, mutilate
 from docalc import identify
 from docalc.identify import (ObservedTerm, Prediction, Product, Quotient, SumOver, effect_factor,
@@ -703,7 +703,7 @@ class TestVerdictRows:
         for k, l in itertools.product(sorted(set(rep)), repeat=2):
             v = distinguishable_by(e, k, l, preds)
             assert (v.case_id, v.distinguishable) == _reference_classify(
-                dists[k], dists[l], py, preds.eps)
+                dists[k], dists[l], py, EPS_CMP)
             assert row[k, l] == v.distinguishable, (e, k, l)
         assert np.array_equal(row, row[np.ix_(rep, rep)]), e
         return row
@@ -760,10 +760,10 @@ class TestVerdictRows:
                 py = preds.observational_marginal(e.observed)
                 dists = [preds.prediction(k, e).dist for k in range(n)]
                 for answer in [oracle_query(m, e), py] + [f for f in dists if f is not None]:
-                    answer_is_py = equal_within(answer.reorder(py.names()), py, preds.eps)
+                    answer_is_py = equal_within(answer.reorder(py.names()), py, EPS_CMP)
                     want = frozenset(k for k, f in enumerate(dists)
                                      if (not answer_is_py if f is None else
-                                         equal_within(f, answer.reorder(f.names()), preds.eps)))
+                                         equal_within(f, answer.reorder(f.names()), EPS_CMP)))
                     assert select_graphs(everyone, e, answer, preds).members() == want, e
                     kept += len(want)
                     dropped += n - len(want)
@@ -778,9 +778,9 @@ class TestVerdictRows:
         batches = []
         real = alcam._case_codes
 
-        def spy(rows, ident, py, eps):
+        def spy(rows, ident, py):
             batches.append(rows.shape[0])
-            return real(rows, ident, py, eps)
+            return real(rows, ident, py)
 
         monkeypatch.setattr(alcam, "_case_codes", spy)
         for cs, p, experiments in _criterion5_sets(3003, 6) + [_perturbation_set(7007, 7, 30)]:

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import itertools
 import json
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from docalc import fileio
+from docalc.alcam import CandidateSet, alcam_run
 from docalc.cli import main, parse_query
 from docalc.dcn import trajectory
 from docalc.errors import InvalidInputError
@@ -148,6 +150,51 @@ class TestDiscoverCommand:
         report = json.loads(out1.read_text())
         assert report["bound_satisfied"]
         assert report["final_graph"]["confounders"] == [["X1", "X2"], ["X1", "X3"]]
+
+    def test_eps_is_not_an_option(self, fig32_files, capsys):
+        """Discovery compares at ``factors.EPS_CMP``; no option changes
+        the tolerance, so ``--eps`` is refused by the parser."""
+        with pytest.raises(SystemExit) as exc:
+            main(["discover", "--candidates", str(fig32_files / "candidates.json"),
+                  "--model", str(fig32_files / "model.json"), "--eps", "0.5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --eps 0.5" in capsys.readouterr().err
+
+    def test_report_on_stdout_lists_the_ci_records(self, tmp_path, capsys):
+        """Without ``--out`` the report is printed before the summary line,
+        and two runs print the same bytes.  Its ``ci_tests`` are the run's
+        ``DiscoveryResult.ci_records``, field by field: the eight chains
+        X1 -> M -> X2, with or without X1 -> X2, X1 <-> X2 and X1 <-> M,
+        leave an edge test and two confounder tests to the CI phase."""
+        variables = (Var("X1"), Var("M"), Var("X2"))
+        chain = [("X1", "M"), ("M", "X2")]
+        graphs = [Admg(variables, chain + [("X1", "X2")] * edge,
+                       [("X1", "X2")] * far + [("X1", "M")] * near)
+                  for edge, far, near in itertools.product((0, 1), repeat=3)]
+        for i, g in enumerate(graphs):
+            fileio.save_graph(g, tmp_path / f"g{i}.json")
+        cands, truth = tmp_path / "cands.json", tmp_path / "truth.json"
+        cands.write_text(json.dumps({"graphs": [f"g{i}.json" for i in range(8)]}),
+                         encoding="utf-8")
+        m = random_scm(np.random.default_rng(0), graphs[5])  # X1 -> X2, X1 <-> M
+        truth.write_text(fileio.canonical_json(fileio.model_to_dict(m)), encoding="utf-8")
+        printed = []
+        for _ in range(2):
+            assert main(["discover", "--candidates", str(cands), "--model", str(truth)]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+        text, summary = printed[0].rstrip("\n").rsplit("\n", 1)
+        assert summary == "discovered graph after 2 interventions, 3 CI tests (bound 2 <= 4)"
+        report = json.loads(text)
+        assert fileio.graph_from_dict(report["final_graph"]) == graphs[5]
+        res = alcam_run(CandidateSet(tuple(fileio.load_candidates(cands))),
+                        fileio.load_model(truth))
+        want = [{f.name: list(v) if isinstance(v, tuple) else v
+                 for f in dataclasses.fields(r) for v in [getattr(r, f.name)]}
+                for r in res.ci_records]
+        assert report["ci_tests"] == want
+        assert [(r["kind"], r["multi_value"], r["dependent"]) for r in want] == [
+            ("edge", True, True), ("hidden", True, True), ("hidden", True, False)]
 
     def test_costs_file_sets_total_cost(self, fig32_files):
         weights = {"intervention": {"X1": 5.0}, "observation": {"X4": 3.0},
@@ -337,6 +384,15 @@ class TestDcnCommand:
                      "--horizon", "10", "--t0", "2"])
         assert code == 1
         assert f"input error: {reason}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("query", ["P(d@8|do(tr1@3=0,tr2@4=1))", "P(d@8|do(tr1=0))"],
+                             ids=["two_slices", "no_slice"])
+    def test_targets_need_one_slice(self, traffic_spec_file, query, capsys):
+        code = main(["dcn", "--spec", str(traffic_spec_file), "--query", query,
+                     "--horizon", "10"])
+        assert code == 1
+        assert capsys.readouterr().out == (
+            "dcn interventions need a single time slice, e.g. do(tr1@3=0)\n")
 
     def test_outcome_without_a_slice_is_allowed(self, traffic_spec_file, tmp_path):
         out = tmp_path / "series.csv"

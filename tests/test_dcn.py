@@ -1345,6 +1345,16 @@ def zero_context_spec():
                                 (u,)))
 
 
+def zero_mass_spec():
+    """``zero_context_spec`` with V2 copying V1 = 1, so the slice state
+    (V1 = 1, V2 = 0) has zero mass."""
+    base = zero_context_spec()
+    v2 = np.array([[0.6, 0.4], [0.0, 1.0]])
+    return replace(base, mechanism=DcnMechanism(
+        tuple(replace(c, table=v2) if c.var == "V2" else c for c in base.mechanism.cpts),
+        base.mechanism.exos))
+
+
 def _run_generator_pipelines(kind, t_x):
     """Every pipeline of ``kind`` on the generator's queries, answers
     discarded; refused queries are skipped."""
@@ -1642,25 +1652,23 @@ class TestOneGraphPerCall:
         mass, so the conditioned joint has no distribution for that
         column.  ``mechanism_transition`` and the steps read off the pass
         are the mechanism's conditional, defined on every column, so it is
-        a transition matrix, and the static pipelines answer both on the
-        pass and on the chain from a given p0, flagged ``partial`` because
-        positivity fails, except where X@2 cannot reach Y@5 (X = V3, Y
-        another variable): there the complete pipeline answers P(Y@5) by
-        rule 3 and conditions on no context.  The pass gives
-        distributions.  The chain's terms are not reduced, so where
-        do(V1 = 1) puts the step in the zero-mass state they condition on
-        it and lose mass; elsewhere the two agree."""
-        base = zero_context_spec()
-        v2 = np.array([[0.6, 0.4], [0.0, 1.0]])
-        spec = replace(base, mechanism=DcnMechanism(
-            tuple(replace(c, table=v2) if c.var == "V2" else c for c in base.mechanism.cpts),
-            base.mechanism.exos))
+        a transition matrix, and the static pipelines answer on the pass,
+        flagged ``partial`` because positivity fails, except where X@2
+        cannot reach Y@5 (X = V3, Y another variable): there the complete
+        pipeline answers P(Y@5) by rule 3 and conditions on no context.
+        The pass gives distributions.  A p0 pass reduces its terms on slice
+        t0 made one C-component, so with the mechanism's own first slice it
+        answers as the pass does, do(V1 = 1) included.  A schedule licenses
+        only the chain graph, whose terms condition on the zero-mass state
+        where do(V1 = 1) puts the step: those answers lose mass (total
+        0.617992), and the others agree."""
+        spec = zero_mass_spec()
         prev = [slice_var_at(v, 0) for v in spec.names()]
         joint01 = joint(unrolled_scm(spec, 0, 1))
         assert np.any(marginalize(joint01, [n for n in joint01.names()
                                             if n not in prev]).table == 0)
-        matrix = mechanism_transition(spec).matrix
-        assert np.max(np.abs(matrix.sum(axis=0) - 1.0)) < 1e-12
+        schedule = mechanism_transition(spec)
+        assert np.max(np.abs(schedule.matrix.sum(axis=0) - 1.0)) < 1e-12
         p0 = initial_distribution(spec)
         for xv, val, yv in itertools.product(spec.names(), (0, 1), spec.names()):
             for run in (dcn_id_static, cdcn_id_static):
@@ -1668,14 +1676,17 @@ class TestOneGraphPerCall:
                 got = run(spec, {xv: val}, 2, {yv}, 5)
                 assert got.partial == partial and abs(got.total() - 1.0) < 1e-12
                 chained = run(spec, {xv: val}, 2, {yv}, 5, None, p0)
-                assert chained.partial == partial and chained.total() < 1.0 + 1e-12
-                if not partial:
-                    assert abs(chained.total() - 1.0) < 1e-12
-                if (xv, val) != ("V1", 1):
-                    assert np.max(np.abs(chained.table - got.table)) < 1e-12
+                assert chained.partial == partial
+                assert np.max(np.abs(chained.table - got.table)) < 1e-12
+                scheduled = run(spec, {xv: val}, 2, {yv}, 5, schedule)
+                assert scheduled.partial == partial
+                if (xv, val) == ("V1", 1):
+                    assert abs(scheduled.total() - 0.617992) < 1e-12
+                else:
+                    assert np.max(np.abs(scheduled.table - got.table)) < 1e-12
             series = trajectory(spec, None, p0, ({xv: val}, 2), 5)
             assert [f.partial for f in series] == [False, False, True, True, True, True]
-            assert all(abs(f.total() - 1.0) < 1e-12 for f in series[:2])
+            assert all(abs(f.total() - 1.0) < 1e-12 for f in series)
 
     def test_scheduled_static_call_unrolls_slice_t0_only(self, monkeypatch):
         """A static call with a mechanism and a schedule reads only slice
@@ -1769,3 +1780,82 @@ class TestOneGraphPerCall:
                 calls.clear()
                 assert run(spec) is not None
                 assert calls == {"layout": 1, "classify": 1}
+
+
+class TestOneTermRule:
+    """Every pass reduces its terms by one rule, on the graph its
+    distribution is Markov to (``_Forward.source``), and every confounder
+    born in an unrolled window is one exogenous variable."""
+
+    @staticmethod
+    def _p0_calls(spec, x, t_x, yv, t_y, p0):
+        """Every pipeline that takes p0, on one query: its answer, None
+        for a hedge, or the type of its refusal."""
+        calls = {
+            "dcn": lambda: dcn_id_static(spec, x, t_x, {yv}, t_y, None, p0),
+            "cdcn": lambda: cdcn_id_static(spec, x, t_x, {yv}, t_y, None, p0),
+            "transport": lambda: transport(spec, TransportSpec(()), x, t_x, {yv}, t_y, None, p0),
+            "trajectory": lambda: trajectory(spec, None, p0, (x, t_x), t_y),
+            "step_kernel": lambda: step_kernel_matrix(spec, x, t_x, None, p0),
+        }
+        out = {}
+        for name, call in calls.items():
+            try:
+                out[name] = call()
+            except (InvalidInputError, UnsupportedModelError, UnsupportedQueryError,
+                    UnsupportedTransportError) as ex:
+                out[name] = type(ex)
+        return out
+
+    def test_p0_of_the_mechanism_answers_as_the_mechanism(self):
+        """With p0 = ``initial_distribution(spec)``, the same distribution
+        as the mechanism's first slice, every pipeline that takes p0
+        answers within 1e-12 of the call without p0, with the same partial
+        flags, and hedges or refuses exactly when it does: on the 150-spec
+        static generator at t_x = 2 and 5, and on every query of
+        ``zero_context_spec`` and of its zero-mass variant."""
+        queries = [(spec, x, yv, t_y, t_x) for t_x in (2, 5)
+                   for spec, x, yv, t_y in _generator_queries("static", t_x)]
+        for spec in (zero_context_spec(), zero_mass_spec()):
+            queries += [(spec, {xv: val}, yv, 5, 2) for xv, val, yv
+                        in itertools.product(spec.names(), (0, 1), spec.names())]
+        answered = Counter()
+        for spec, x, yv, t_y, t_x in queries:
+            want = self._p0_calls(spec, x, t_x, yv, t_y, None)
+            got = self._p0_calls(spec, x, t_x, yv, t_y, initial_distribution(spec))
+            for name, w in want.items():
+                g = got[name]
+                if w is None or isinstance(w, type):
+                    assert g is w, (name, w, g)
+                    continue
+                answered[name] += 1
+                if name == "step_kernel":
+                    (w_matrix, reachable), (g_matrix, g_reachable) = w, g
+                    assert np.array_equal(reachable, g_reachable)
+                    assert np.max(np.abs(w_matrix - g_matrix)[:, reachable]) <= 1e-12
+                    continue
+                for a, b in zip(*(f if isinstance(f, list) else [f] for f in (w, g)), strict=True):
+                    assert a.names() == b.names() and a.partial == b.partial
+                    assert np.max(np.abs(a.table - b.table)) <= 1e-12
+        assert len(answered) == 5 and min(answered.values()) >= 100, answered
+
+    def test_unrolled_confounders_feed_their_children_in_the_window(self):
+        """``unrolled_scm`` makes one exogenous variable of every confounder
+        born in the window, slice by slice in template order; one whose
+        later child lies past the window feeds its earlier child alone.
+        The window's joint is then the marginal of a wider window's."""
+        single = 0
+        for spec, *_query in itertools.islice(_generator_queries("dynamic", 2), 12):
+            exos = spec.mechanism.exos
+            for t_end in range(3):
+                m = unrolled_scm(spec, 0, t_end)
+                assert [u.var.name for u in m.exogenous] == [
+                    f"{e.name}@{t}" for t in range(t_end + 1) for e in exos]
+                for u, (t, e) in zip(m.exogenous, itertools.product(range(t_end + 1), exos)):
+                    later = {slice_var_at(e.later, t + e.lag)} if t + e.lag <= t_end else set()
+                    assert u.feeds == {slice_var_at(e.earlier, t)} | later
+                    single += len(u.feeds) == 1
+                window = joint(m)
+                wider = joint(unrolled_scm(spec, 0, t_end + 1), window.names())
+                assert np.max(np.abs(wider.reorder(window.names()).table - window.table)) <= 1e-12
+        assert single > 20
