@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: identify, dsep, discover, dcn, transport.  Exit codes:
-0 success, 1 input error, 2 non-identifiable / non-transportable,
-3 promise violation (true graph eliminated), 4 infinite dynamic span.
+0 success, 1 input error (usage errors included), 2 non-identifiable /
+non-transportable, 3 promise violation (true graph eliminated), 4
+infinite dynamic span.
 
 Outputs are machine-readable (JSON / CSV) with a one-line human summary
 on stdout; fixed inputs give byte-identical files (no step is randomized;
@@ -206,9 +207,18 @@ def cmd_transport(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors (an unknown option, a missing
+    required one) exit with the input-error code, not argparse's 2, which
+    here means "not identifiable"; its subcommand parsers are of this class."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="docalc",
-                                 description="exact discrete causal inference engine")
+    ap = _Parser(prog="docalc", description="exact discrete causal inference engine")
     ap.add_argument("--seed", type=int, default=0,
                     help="label echoed into the discover report; no step is randomized")
     sub = ap.add_subparsers(dest="command", required=True)

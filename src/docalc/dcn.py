@@ -26,8 +26,14 @@ slice): the unrolled names, ``Var``s and ranks of each slice, the call's
 one unrolled graph, unchecked, and on the mechanism each slice's tables,
 every slice whose parents lie in the window sharing its template's one
 read-only array.  ``unroll``, ``unrolled_scm`` and ``initial_distribution``
-read the same layout.  The identification windows, the ancestor sets, the
-slice states and transport's window are read off it by name.
+read the same layout.  The ancestor sets, the slice states and
+transport's window are read off it by name.  Every step identified from
+one left edge is identified on one graph (``_Forward.id_graph``): the
+call's graph from t0, else the window from that edge through the last
+slice, built once.  The step's window is a root mask of that graph, the
+slices from the edge through the step's: a time prefix, so an ancestral
+set, on which ID gives the expression and hedge witness of the induced
+window (``identify._identify``); the steps share one memo of ID frames.
 The pass is the term source of the one evaluator of identified
 expressions: each term is read off a small marginal of the pass, so no
 table grows with the horizon and no window joint is built.  Every pass
@@ -76,7 +82,7 @@ from .factors import Factor, TransitionMatrix, _within, condition, marginalize, 
 from .graphs import (Admg, Var, _bit_indices, _d_separated, _mask, _names_of, _reach,
                      _union, ancestors, c_components, d_separated, mutilate)
 from . import scm
-from .identify import ObservedTerm, _bind_effect, _evaluate, id_effect
+from .identify import ObservedTerm, _bind_effect, _evaluate, _identify
 from .scm import Cpt, Exogenous, Scm, intervene, joint
 
 __all__ = [
@@ -513,7 +519,8 @@ class _Forward:
     so it is refused there, as p0 is.  The call's ``_Layout``, built once,
     gives the pass its names, ``Var``s, ranks, slices, interfaces and
     mechanism tables, and the call's one unrolled graph (``graph``); the
-    terms are reduced on ``source``.
+    terms are reduced on ``source``, and the steps from each left edge are
+    identified on one graph with one frame memo (``id_graph``).
 
     The message at slice s is the joint of the slice-s variables and the
     confounders in flight there (feeding slice s or earlier and a later
@@ -526,9 +533,9 @@ class _Forward:
     Post-intervention states continue the same contraction
     (``_post_intervention``): the state at a slice, times one step's
     tables (an identified step conditional, or the slice's own tables),
-    onto the next slice.  Messages, marginals and terms are cached for the
-    call, and contractions of validated tables are trusted.  The windows
-    and ancestor sets are read off the graph."""
+    onto the next slice.  Messages, marginals, terms and identification
+    graphs are cached for the call, and contractions of validated tables
+    are trusted.  The windows and ancestor sets are read off the graph."""
 
     def __init__(self, spec: DcnSpec, schedule: Optional[Schedule], p0: Optional[Factor],
                  t0: int, t_end: int, cls: Optional[ConfounderClass] = None):
@@ -585,6 +592,7 @@ class _Forward:
         self.marginals: dict[frozenset[str], Factor] = {}
         self.terms: dict[ObservedTerm, Factor] = {}
         self.latent: dict[int, frozenset[frozenset[str]]] = {}
+        self.id_graphs: dict[int, tuple[Admg, dict]] = {}
 
     def _schedule_steps(self, schedule: Schedule, t_end: int
                         ) -> list[list[tuple[tuple[str, ...], np.ndarray]]]:
@@ -684,6 +692,21 @@ class _Forward:
         extra = frozenset(e for e in self.latent_edges(t_left) if all(n in g for n in e))
         return Admg._trusted(g.vars, g.directed, g.bidirected | extra)
 
+    def id_graph(self, t_left: int) -> tuple[Admg, dict]:
+        """The graph that identifies every step from the left edge
+        ``t_left``, with its one ``identify._shared`` frame memo, built once
+        per left edge: the call's graph when ``t_left`` is t0, else
+        ``window(t_left, last slice)``.  A step into slice t is identified
+        on the mask of slices t_left..t, a time prefix and so an ancestral
+        set (directed edges never point back in time), whose induced graph
+        is ``window(t_left, t)``."""
+        if t_left not in self.id_graphs:
+            self.check_identifiable()
+            g = (self.graph if t_left == self.t0
+                 else self.window(t_left, self.t0 + len(self.slices) - 1))
+            self.id_graphs[t_left] = (g, {})
+        return self.id_graphs[t_left]
+
     def latent_edges(self, t_left: int) -> frozenset[frozenset[str]]:
         """The bidirected edges that the slices before t_left add to a
         window from t_left when they are latent (the window's latent
@@ -768,11 +791,16 @@ def _window_left(spec: DcnSpec, x: Iterable[str], t_x: int, t0: Optional[int]) -
 def _identified_kernel(x: Mapping[str, int], t_x: int, t_left: int, prev: Sequence[str],
                        t: int, nxt: Sequence[str], obs: _Forward) -> Optional[Factor]:
     """ID the conditional P(nxt | prev, do(X)), unrolled names with nxt in
-    slice t, on the graph of slices t_left..t, evaluate its sheet with the
-    pass as the term source and bind it to the intervened values."""
+    slice t, on the window t_left..t: the mask of its slices in the left
+    edge's one graph (``_Forward.id_graph``), whose frame memo the call's
+    steps share.  Evaluate its sheet with the pass as the term source and
+    bind it to the intervened values."""
     targets = {obs.index[n, t_x]: v for n, v in x.items()}
     outcome = frozenset(nxt) | frozenset(prev)
-    result = id_effect(obs.window(t_left, t), frozenset(targets), outcome)
+    g, frames = obs.id_graph(t_left)
+    prefix = _mask(g, itertools.chain.from_iterable(
+        obs.slices[t_left - obs.t0:t - obs.t0 + 1]), "window")
+    result = _identify(g, targets, outcome, frames, prefix)
     if not result.identified:
         return None
     assert result.expr is not None

@@ -224,8 +224,10 @@ def condition(f: Factor, given: Iterable[str]) -> Factor:
     axes = tuple(i for i, v in enumerate(f.scope) if v.name not in given)
     ctx = f.table.sum(axis=axes, keepdims=True)
     positive = ctx > 0.0
-    out = np.divide(f.table, ctx, out=np.zeros_like(f.table), where=positive)
-    return Factor._trusted(f.scope, out, f.partial or not positive.all())
+    if positive.all():
+        return Factor._trusted(f.scope, f.table / ctx, f.partial)
+    # a zero-mass context of a non-negative table holds only zeros: 0 / 1
+    return Factor._trusted(f.scope, f.table / np.where(positive, ctx, 1.0), True)
 
 
 def _broadcast_pair(a: Factor, b: Factor) -> tuple[tuple[Var, ...], np.ndarray, np.ndarray]:

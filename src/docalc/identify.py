@@ -6,7 +6,10 @@ observational joint by C-component recursion, or returns a hedge
 witness when the effect is not identifiable.  The recursion runs on
 vertex masks of the input graph (see ``graphs``) and never builds a
 subgraph: each of its subgraphs is an induced subgraph G[v] of the input
-G, whose ancestors and C-components are read off G restricted to v.  It
+G, whose ancestors and C-components are read off G restricted to v.  Its
+root may be any ancestral vertex set of G (``_identify``'s root mask),
+which identifies on that induced subgraph without building it: the DCN
+steps of one call share one graph and one frame memo that way.  It
 builds each expression in ``normalize``'s canonical form as it goes
 (sums merged and folded into observed terms, products flattened and
 sorted by ``pretty``, names sorted), so no second pass rewrites it.
@@ -33,7 +36,7 @@ import numpy as np
 from .errors import InternalError, InvalidInputError
 from .factors import Factor, condition, divide, marginalize
 from .graphs import (Admg, Hedge, _component_masks, _d_separated, _hedge_from_frame,
-                     _mask, _names_of, _reach, _topo_bits, mutilate)
+                     _mask, _names_of, _reach, _topo_bits, _union, mutilate)
 from .scm import _eliminate
 
 __all__ = [
@@ -257,18 +260,33 @@ def id_effect(g: Admg, x: Iterable[str], y: Iterable[str]) -> IdResult:
     return _identify(g, x, y, None)
 
 
-def _identify(g: Admg, x: Iterable[str], y: Iterable[str], memo: Optional[dict]) -> IdResult:
-    """``id_effect`` with the recursion's frames kept in ``memo`` (see ``_id``)."""
+def _identify(g: Admg, x: Iterable[str], y: Iterable[str], memo: Optional[dict],
+              root: Optional[int] = None) -> IdResult:
+    """``id_effect`` with the recursion's frames kept in ``memo`` (see
+    ``_id``), on G[root] for a vertex mask ``root`` (the whole graph when
+    None), from the P(V) term of ``root``.  The recursion reads ``g`` only
+    inside its frames' vertex sets, so when ``root`` is an ancestral set
+    holding x and y (a checked invariant), the topological order restricted
+    to it is G[root]'s and An(y) stays in it: the expression and the hedge
+    witness are ``id_effect``'s on ``g.induced(root)``, and one memo serves
+    every root of ``g``."""
     xs = _mask(g, x, "id_effect")
     ys = _mask(g, y, "id_effect")
     if not ys:
         raise InvalidInputError("x and y must be subsets of the graph, y nonempty")
     if xs & ys:
         raise InvalidInputError("x and y must be disjoint")
-    if g._p0 is None:
-        g._p0 = ObservedTerm(tuple(sorted(g._bit)))
+    if root is None:
+        if g._p0 is None:
+            g._p0 = ObservedTerm(tuple(sorted(g._bit)))
+        root, p = g._all, g._p0
+    else:
+        if (xs | ys | _union(g._pa, root)) & ~root:
+            raise InternalError(f"root {_names_of(g, root)} is not an ancestral set "
+                                "holding x and y")
+        p = ObservedTerm(tuple(_names_of(g, root)))
     try:
-        expr = _id(ys, xs, g._p0, g, g._all, memo)
+        expr = _id(ys, xs, p, g, root, memo)
     except _HedgeSignal as sig:
         witness = _hedge_from_frame(g, xs, ys, sig.frame_vars, sig.frame_component)
         if witness is None:

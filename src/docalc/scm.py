@@ -243,25 +243,35 @@ def _eliminate(tables: Sequence[tuple[tuple[str, ...], np.ndarray]], over: Itera
     the tables that hold it are contracted into one, which joins the end
     of the list.  A variable that no table holds scales the result by its
     domain.  Every step is one ``_contract``, so each table it tabulates
-    passes the cell cap."""
+    passes the cell cap.  Each hidden variable's combined scope (``near``)
+    and cost are kept; a step changes only those of the eliminated
+    variable's neighbours, whose tables it merged."""
     tables = list(tables)
     held = {n for scope, _t in tables for n in scope}
     hidden = set(over)
     scale = float(math.prod(domain[n] for n in hidden - held))
-    hidden &= held
-    while hidden:
-        near: dict[str, set[str]] = {n: set() for n in hidden}
-        for scope, _t in tables:
-            for n in scope:
-                if n in near:
-                    near[n].update(scope)
-        var = min(hidden, key=lambda n: (math.prod(domain[m] for m in near[n]) // domain[n],
-                                         rank[n]))
-        hidden.discard(var)
+    near: dict[str, set[str]] = {n: set() for n in hidden & held}
+    for scope, _t in tables:
+        for n in scope:
+            if n in near:
+                near[n].update(scope)
+
+    def cost(n: str) -> tuple[int, int]:
+        return math.prod(domain[m] for m in near[n]) // domain[n], rank[n]
+
+    costs = {n: cost(n) for n in near}
+    while costs:
+        var = min(costs, key=costs.__getitem__)
+        del costs[var]
         used = [item for item in tables if var in item[0]]
         tables = [item for item in tables if var not in item[0]]
         scope = tuple(dict.fromkeys(n for s, _t in used for n in s if n != var))
         tables.append((scope, _contract(used, scope, domain)))
+        for n in scope:
+            if n in costs:
+                near[n].update(scope)
+                near[n].discard(var)
+                costs[n] = cost(n)
     # the scale gives einsum an operand even when no table is left
     return _contract([((), np.asarray(scale))] + tables, out, domain)
 

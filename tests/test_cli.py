@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from docalc import fileio
 from docalc.alcam import CandidateSet, alcam_run
-from docalc.cli import main, parse_query
+from docalc.cli import EXIT_INPUT, main, parse_query
 from docalc.dcn import trajectory
 from docalc.errors import InvalidInputError
 from docalc.graphs import Admg, Var
@@ -153,12 +153,25 @@ class TestDiscoverCommand:
 
     def test_eps_is_not_an_option(self, fig32_files, capsys):
         """Discovery compares at ``factors.EPS_CMP``; no option changes
-        the tolerance, so ``--eps`` is refused by the parser."""
+        the tolerance, so ``--eps`` is refused by the parser, as an input
+        error (exit 1), not with argparse's 2 ("not identifiable")."""
         with pytest.raises(SystemExit) as exc:
             main(["discover", "--candidates", str(fig32_files / "candidates.json"),
                   "--model", str(fig32_files / "model.json"), "--eps", "0.5"])
-        assert exc.value.code == 2
+        assert exc.value.code == EXIT_INPUT
         assert "unrecognized arguments: --eps 0.5" in capsys.readouterr().err
+
+    def test_missing_required_option_is_input_error(self, fig32_files, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["discover", "--candidates", str(fig32_files / "candidates.json")])
+        assert exc.value.code == EXIT_INPUT
+        assert "the following arguments are required: --model" in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["discover", "--help"])
+        assert exc.value.code == 0
+        assert "--candidates" in capsys.readouterr().out
 
     def test_report_on_stdout_lists_the_ci_records(self, tmp_path, capsys):
         """Without ``--out`` the report is printed before the summary line,

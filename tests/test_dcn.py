@@ -22,7 +22,7 @@ from docalc.errors import (InvalidInputError, UnsupportedModelError, Unsupported
 from docalc.factors import (Factor, TransitionMatrix, condition, equal_within, marginalize,
                             multiply)
 from docalc.graphs import Admg, Var, ancestors, find_hedge
-from docalc.identify import effect_factor, id_effect
+from docalc.identify import effect_factor, id_effect, pretty
 from docalc import identify, scm
 from docalc.scm import InterventionSpec, intervene, joint, oracle_query
 from conftest import (TRAFFIC_STATE_VARS, random_mechanism_for,
@@ -708,7 +708,7 @@ class TestRuleThreeAnswer:
             g, index = unroll(spec, 0, t_y)
             targets = frozenset(index[n, t_x] for n in x)
             outcome = frozenset({index[yv, t_y]})
-            with spied("id_effect", "_post_intervention") as calls:
+            with spied("_identify", "_post_intervention") as calls:
                 try:
                     got = cdcn(spec, x, t_x, {yv}, t_y)
                 except UnsupportedQueryError:  # outcome inside the dynamic time span
@@ -734,7 +734,7 @@ class TestRuleThreeAnswer:
         for x, reaches in (({"a": 1, "b": 0}, False), ({"a": 1, "c": 0}, True)):
             want = post_intervention_slices(spec, x, 2, ["c"], 5)
             for run in (cdcn_id_static, cdcn_id_dynamic):
-                with spied("id_effect", "_post_intervention") as calls:
+                with spied("_identify", "_post_intervention") as calls:
                     got = run(spec, x, 2, {"c"}, 5)
                 assert bool(calls) == reaches
                 assert got.names() == ("c",) and not got.partial
@@ -752,7 +752,7 @@ class TestRuleThreeAnswer:
         x = {"a": 1, "b": 0}
         want = post_intervention_slices(spec, x, 2, ["c"], 5)
         for run in (cdcn_id_static, cdcn_id_dynamic):
-            with spied("id_effect", "_post_intervention") as calls:
+            with spied("_identify", "_post_intervention") as calls:
                 with pytest.raises(InvalidInputError, match="non-ancestors"):
                     run(spec, x, 2, {"c"}, 5, dense)
             assert not calls
@@ -765,7 +765,7 @@ class TestRuleThreeAnswer:
         query whose X cannot reach Y as on any other."""
         spec = self._spec(mechanism=None, cross_confounders=(("a", "b", 1),))
         tm = TransitionMatrix(spec.slice_vars, np.full((8, 8), 1 / 8))
-        with spied("id_effect", "_post_intervention") as calls:
+        with spied("_identify", "_post_intervention") as calls:
             with pytest.raises(UnsupportedModelError, match="slice mechanism"):
                 cdcn_id_dynamic(spec, {"a": 1}, 2, {"c"}, 5, tm)
         assert not calls
@@ -1375,13 +1375,14 @@ def _run_generator_pipelines(kind, t_x):
 @pytest.fixture(scope="module")
 def generator_calls():
     """What the pipelines build on the 150-spec static and dynamic
-    generators, at t_x = 2 (windows from t0) and t_x = 5 (later windows):
-    every window graph with its call, and, each with the shape of its
-    scope, the table of every pass marginal, every ``scm._contract`` (the
-    pass's messages, marginals and post-intervention steps among them) and every
+    generators, at t_x = 2 (windows from t0), 3 and 5 (later windows):
+    every identification of a step with its call, its graph, its query,
+    its root mask and its result, and, each with the shape of its scope,
+    the table of every pass marginal, every ``scm._contract`` (the pass's
+    messages, marginals and post-intervention steps among them) and every
     sum over a product that the evaluator contracts on the pass
     (``identify._sum_product``)."""
-    windows, tables = [], []
+    steps, tables = [], []
 
     def spy(real, record):
         def wrapper(obs, *args):
@@ -1390,9 +1391,20 @@ def generator_calls():
             return out
         return wrapper
 
+    def kernel(x, t_x, t_left, prev, t, nxt, obs):
+        steps.append((obs.spec, obs.t0, t_left, t))
+        return real_kernel(x, t_x, t_left, prev, t, nxt, obs)
+
+    def identification(g, x, y, memo, root):
+        result = real_identify(g, x, y, memo, root)
+        steps[-1] += (g, frozenset(x), frozenset(y), root, result)
+        return result
+
+    real_kernel, real_identify = dcn._identified_kernel, dcn._identify
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_Forward, "window", spy(_Forward.window, lambda obs, args, g: windows.append(
-            (obs.spec, obs.t0) + args + (g,))))
+        mp.setattr(dcn, "_identified_kernel", kernel)
+        mp.setattr(dcn, "_identify", identification)
+
         def factor(obs, args, f):
             tables.append((f.table, tuple(v.domain for v in f.scope)))
 
@@ -1407,9 +1419,9 @@ def generator_calls():
         mp.setattr(scm, "_contract", contraction(scm._contract))
         mp.setattr(identify, "_sum_product", spy(identify._sum_product, factor))
         for kind in ("static", "dynamic"):
-            for t_x in (2, 5):
+            for t_x in (2, 3, 5):
                 _run_generator_pipelines(kind, t_x)
-    return windows, tables
+    return steps, tables
 
 
 def pass_step(obs, t):
@@ -1448,20 +1460,57 @@ class TestOneGraphPerCall:
     tests hold the invariants that make that exact."""
 
     def test_window_graphs_are_the_unrolled_windows(self, generator_calls):
-        """Every window a pipeline identifies on is unroll(spec, t_left,
-        t_right), vertex order included; a dynamic window that starts
-        after t0 adds the edges of its latent projection."""
-        windows, _ = generator_calls
+        """Every step a pipeline identifies is identified on a root mask of
+        its left edge's graph, and the graph that mask induces is
+        unroll(spec, t_left, t_right), vertex order included; a dynamic
+        window that starts after t0 adds the edges of its latent
+        projection."""
+        steps, _ = generator_calls
         seen = Counter()
-        for spec, t0, t_left, t_right, g in windows:
+        for spec, t0, t_left, t_right, g, _x, _y, root, _result in steps:
             want, _ = unroll(spec, t_left, t_right)
             seen["static" if classify(spec).is_static else "dynamic"] += 1
             if not classify(spec).is_static and t_left > t0:
                 extra = _latent_projection_edges(spec, t0, t_left, t_right) - want.bidirected
                 want = Admg(want.vars, want.directed, want.bidirected | extra)
                 seen["with projected edges"] += bool(extra)
-            assert g == want
+            seen["later windows"] += t_left > t0
+            assert g.induced(n for n in g.names() if g._bit[n] & root) == want
         assert min(seen.values()) >= 100, seen
+
+    def test_root_mask_identifies_as_the_induced_window(self, generator_calls):
+        """ID on the root mask, with the frames of the call's earlier steps
+        in its memo, gives ``id_effect``'s expression on the induced window,
+        ``pretty`` form included, or its hedge witness."""
+        steps, _ = generator_calls
+        seen = Counter()
+        for _spec, _t0, _t_left, _t_right, g, x, y, root, result in steps:
+            window = g.induced(n for n in g.names() if g._bit[n] & root)
+            want = id_effect(window, x, y)
+            assert result == want
+            if want.identified:
+                assert pretty(result.expr) == pretty(want.expr)
+            seen[want.identified] += 1
+        assert seen[True] >= 100 and seen[False] >= 20, seen
+
+    def test_each_left_edge_builds_one_graph(self):
+        """A call identifies every step from one left edge on one graph with
+        one frame memo: the call's own graph from t0, built by no window;
+        one window graph, built once, from a later edge."""
+        spec = dyn_spec([("V1", "V2", 1)], seed=11)
+        real = _Forward.window
+
+        def window(obs, *args):
+            windows.append(args)
+            return real(obs, *args)
+
+        for t0, built in ((0, 0), (-3, 1)):
+            windows = []
+            with spied("_identified_kernel") as calls, pytest.MonkeyPatch.context() as mp:
+                mp.setattr(_Forward, "window", window)
+                got = trajectory(spec, None, None, ({"V1": 1}, 2), 6, t0)
+            assert calls["_identified_kernel"] == 5 and len(got) == 7 - t0
+            assert windows == [(0, 7)] * built  # through the last slice, 6 + alpha_max
 
     @pytest.mark.parametrize("t0", [0, 2])
     def test_pass_layout_is_the_unrolled_model(self, t0):

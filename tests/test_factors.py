@@ -232,6 +232,29 @@ class TestCondition:
         assert c.partial
         assert np.allclose(c.table[1], 0.0)
 
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=80, deadline=None)
+    def test_bit_identical_to_the_masked_divide(self, seed):
+        """Dividing by the context, or by 1 where it has no mass, gives the
+        bits of the masked divide into zeros, and the same partial flag."""
+        rng = np.random.default_rng(seed)
+        scope = tuple(Var(f"V{i}", int(rng.integers(1, 4))) for i in range(int(rng.integers(2, 5))))
+        table = rng.random([v.domain for v in scope]) * (rng.random() < 0.8)
+        given = [v.name for v in scope if rng.random() < 0.5] or [scope[0].name]
+        if len(given) == len(scope):
+            given.pop()
+        axes = tuple(i for i, v in enumerate(scope) if v.name not in given)
+        if rng.random() < 0.5:  # zero some contexts
+            zero = rng.random(np.sum(table, axis=axes, keepdims=True).shape) < 0.4
+            table = np.where(zero, 0.0, table)
+        f = Factor(scope, table, partial=bool(rng.random() < 0.3))
+        ctx = f.table.sum(axis=axes, keepdims=True)
+        positive = ctx > 0.0
+        want = np.divide(f.table, ctx, out=np.zeros_like(f.table), where=positive)
+        got = condition(f, given)
+        assert got.table.tobytes() == want.tobytes()
+        assert got.partial == (f.partial or not positive.all())
+
 
 class TestMultiply:
     def test_ones_identity(self):

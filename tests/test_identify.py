@@ -99,6 +99,39 @@ class TestNoSubgraphs:
         assert built == []
         assert queries == 12 * len(graphs) and hedged > 100
 
+    def test_root_mask_identifies_as_its_induced_graph(self):
+        """Rooted at an ancestral set, with one frame memo per graph, ID
+        gives ``id_effect``'s expression or hedge witness on the induced
+        subgraph."""
+        rng = np.random.default_rng(7)
+        hedged = queries = 0
+        for g in seeded_admgs(44, n_criterion2=30, n_random=30):
+            memo = {}
+            for _ in range(4):
+                names = g.names()
+                seed = [n for n in names if rng.random() < 0.4] or [names[-1]]
+                an = ancestors(g, seed)
+                inside = [n for n in names if n in an]
+                if len(inside) < 2:
+                    continue
+                x, y = inside[:1], inside[1:]
+                root = sum(g._bit[n] for n in inside)
+                got = identify._identify(g, x, y, memo, root)
+                assert got == id_effect(g.induced(inside), x, y)
+                hedged += not got.identified
+                queries += 1
+        assert queries > 150 and hedged > 10, (queries, hedged)
+
+    def test_root_mask_must_be_ancestral_and_hold_the_query(self):
+        g = Admg([Var("X"), Var("Z"), Var("Y")], [("X", "Z"), ("Z", "Y")], [("X", "Y")])
+        bit = g._bit
+        with pytest.raises(InternalError, match="not an ancestral set"):
+            identify._identify(g, {"Z"}, {"Y"}, {}, bit["Z"] | bit["Y"])
+        with pytest.raises(InternalError, match="not an ancestral set"):
+            identify._identify(g, {"X"}, {"Y"}, {}, bit["X"] | bit["Z"])
+        got = identify._identify(g, {"X"}, {"Z"}, {}, bit["X"] | bit["Z"])
+        assert got == id_effect(g.induced(["X", "Z"]), {"X"}, {"Z"})
+
 
 class TestEvaluate:
     def test_chain_matches_oracle(self):

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -359,3 +360,51 @@ class TestCore:
         want = 3 * np.einsum(*operands, [rank[n] for n in out])
         assert got.shape == tuple(domain[n] for n in out)
         assert np.max(np.abs(got - want), initial=0.0) <= 1e-12
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_elimination_order_matches_a_from_scratch_choice(self, seed):
+        """The kept scopes and costs choose the variables that recomputing
+        every hidden variable's combined table at each step chooses: the
+        same contractions, in the same order, and a bit-identical sum."""
+        rng = np.random.default_rng(seed)
+        names = [f"V{i}" for i in range(int(rng.integers(1, 9)))]
+        domain = {n: int(rng.integers(1, 4)) for n in names} | {"Z": 2}
+        rank = {n: i for i, n in enumerate(rng.permutation(list(domain)))}
+        tables = []
+        for _ in range(int(rng.integers(1, 7))):
+            scope = tuple(n for n in names if rng.random() < 0.4)
+            tables.append((scope, rng.random([domain[n] for n in scope])))
+        held = {n for scope, _t in tables for n in scope}
+        over = {n for n in sorted(held) if rng.random() < 0.6} | {"Z"}
+        out = tuple(n for n in sorted(held, key=rank.__getitem__) if n not in over)
+        calls, real = [], scm._contract
+
+        def contract(items, keep, dom):
+            calls.append(([s for s, _t in items], keep))
+            return real(items, keep, dom)
+
+        def from_scratch(tables):
+            """Every hidden variable's combined scope, recomputed per step."""
+            hidden = over & held
+            while hidden:
+                near = {n: set() for n in hidden}
+                for scope, _t in tables:
+                    for n in scope:
+                        if n in near:
+                            near[n].update(scope)
+                var = min(hidden, key=lambda n: (
+                    math.prod(domain[m] for m in near[n]) // domain[n], rank[n]))
+                hidden.discard(var)
+                used = [item for item in tables if var in item[0]]
+                tables = [item for item in tables if var not in item[0]]
+                scope = tuple(dict.fromkeys(n for s, _t in used for n in s if n != var))
+                tables.append((scope, contract(used, scope, domain)))
+            return contract([((), np.asarray(2.0))] + tables, out, domain)
+
+        want, want_calls, calls = from_scratch(tables), calls, []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scm, "_contract", contract)
+            got = scm._eliminate(tables, over, out, domain, rank)
+        assert calls == want_calls
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
