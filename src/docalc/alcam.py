@@ -16,13 +16,17 @@ group is bound to every value assignment at once (``identify._bind``),
 the rows of the whole batch are classified pairwise into the seven-case
 table in one broadcast, and each group's result is expanded to every
 candidate pair, one read-only (values, n, n) tensor per group, which
-``PredictionTable.verdicts(e)`` slices.  Each candidate's subproblems
-share the ID recursion's frames, and sheets (unbound) and P(Y) share one
-memo of every subexpression.  The partition, the splitting plan's
-coverage and the next-experiment selection read many experiments'
-matrices stacked; ``distinguishable_by`` classifies a single pair from
-the same rows, and ``select_graphs`` matches an oracle answer against
-all of them at once.
+``PredictionTable.verdicts(e)`` slices.  The table keeps one record per
+group: its tensor, its batch's rows and its position in the batch.  Each
+candidate's subproblems share the ID recursion's frames, and sheets
+(unbound) and P(Y) share one memo of every subexpression.  The partition
+reads the tensors group by group; ``distinguishable_by`` classifies a
+single pair from the rows, and ``select_graphs`` matches an oracle
+answer against all of them at once.  The splitting plan and the
+next-experiment selection reduce many experiments' matrices, stacked,
+to the subsets each splits (``_splits``), and solve set covers whose
+rows (``_cover_rows``) hold what an experiment covers as an int bitmask:
+subset pairs for the plan, the other subsets for the selection.
 
 Prediction precomputation is embarrassingly parallel over (experiment,
 graph) pairs; the discovery loop itself is sequential because each
@@ -192,19 +196,21 @@ class PredictionTable:
     across expressions, and the memo is keyed by value.
 
     Verdicts are computed per group, the experiments that share sorted
-    targets and sorted observed, and many groups at once (``_fill``):
-    each is kept as one read-only (values, n, n) tensor, and
-    :meth:`verdicts` returns its slice for one experiment.  The fill also
-    keeps each group's bound rows (``_bound``), from which
+    targets and sorted observed, and many groups at once (``_fill``).
+    Each group has one record (``_group``): a read-only (values, n, n)
+    tensor, whose slice for one experiment :meth:`verdicts` returns, and
+    the rows its batch bound (``_bound``), from which
     ``distinguishable_by`` and ``select_graphs`` read.  :meth:`prediction`
-    binds a single sheet for the public API.  Every cache lives and dies
-    with the table.
+    binds a single sheet for the public API.  A variable name outside
+    the candidates' and a candidate index outside 0..n-1 are refused with
+    ``InvalidInputError``.  Every cache lives and dies with the table.
     """
 
     def __init__(self, candidates: CandidateSet, p_star: Factor):
         self.candidates = candidates
         self.p_star = p_star
         self._domain = {v.name: v.domain for v in candidates.graphs[0].vars}
+        self._names = frozenset(self._domain)
         # (graph, observed) -> (An(Y), index of the distinct G[An(Y)])
         self._ancestral: dict[tuple[int, tuple[str, ...]], tuple[frozenset[str], int]] = {}
         self._subgraphs: dict[tuple, int] = {}
@@ -212,9 +218,10 @@ class PredictionTable:
         self._frames: dict[int, dict] = {}  # graph -> the ID frames run on it
         self._terms = _JointTerms(p_star)
         self._evaluated: dict[Expr, Factor] = {}
-        self._tensors: dict[tuple[tuple[str, ...], tuple[str, ...]], np.ndarray] = {}
-        # group -> (its batch's rows, identified, partial, row index, P(Y)), its position
-        self._rows: dict[tuple[tuple[str, ...], tuple[str, ...]], tuple[tuple, int]] = {}
+        # group -> (verdict tensor, its batch's rows (predictions,
+        # identified, partial, row index, P(Y)), its position in the batch)
+        self._groups: dict[tuple[tuple[str, ...], tuple[str, ...]],
+                           tuple[np.ndarray, tuple, int]] = {}
         self._predictions: dict[tuple[int, tuple], Prediction] = {}  # (id(sheet), e.key())
 
     def observational_marginal(self, observed: Iterable[str]) -> Factor:
@@ -241,7 +248,11 @@ class PredictionTable:
             sub = self._subgraphs.setdefault(parts, len(self._subgraphs))
             self._ancestral[g_idx, observed] = (an, sub)
         an, sub = self._ancestral[g_idx, observed]
-        key = (sub, tuple(n for n in targets if bit[n] & an), observed)
+        try:
+            key = (sub, tuple(n for n in targets if bit[n] & an), observed)
+        except KeyError:
+            raise InvalidInputError(
+                f"prediction: unknown variables {sorted(set(targets) - bit.keys())}") from None
         if key not in self._sheets:
             expr = _identify(g, key[1], observed, self._frames.setdefault(g_idx, {})).expr
             self._sheets[key] = (None if expr is None
@@ -254,7 +265,7 @@ class PredictionTable:
         bound once; a sheet lives as long as the table, so its id is a
         key for that long."""
         targets, _values, observed = e.key()
-        sheet = self._sheet(g_idx, targets, observed)
+        sheet = self._sheet(self._candidate(g_idx), targets, observed)
         if sheet is None:
             return Prediction(None)
         key = (id(sheet), e.key())
@@ -266,21 +277,49 @@ class PredictionTable:
         """Read-only (n, n) boolean matrix: entry (k, l) says whether
         ``e`` distinguishes candidates k and l; a slice of the verdict
         tensor of ``e``'s group."""
-        targets, values, observed = e.key()
-        if (targets, observed) not in self._tensors:
-            self._fill([(targets, observed)])
-        return self._tensors[targets, observed][self._value_index(targets, values)]
+        group, value = self._locate(e)
+        return self._group(group)[0][value]
 
     def _bound(self, e: InterventionSpec
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The rows the fill bound for ``e``: (predictions (rows, cells) over
         sorted observed, identified, partial, candidate -> row, P(Y)); an
         unidentified row is zeros."""
+        group, value = self._locate(e)
+        _tensor, (rows, ident, partial, index, py), b = self._group(group)
+        return rows[b, value], ident[b], partial[b], index[b], py
+
+    def _group(self, group: tuple[tuple[str, ...], tuple[str, ...]]
+               ) -> tuple[np.ndarray, tuple, int]:
+        """The record of ``group`` (sorted targets, sorted observed), filled
+        when not yet held: (verdict tensor, its batch's rows, its position
+        in the batch)."""
+        if group not in self._groups:
+            self._fill([group])
+        return self._groups[group]
+
+    def _locate(self, e: InterventionSpec) -> tuple[tuple[tuple[str, ...], tuple[str, ...]], int]:
+        """``e``'s group and the index of its values in the group's tensor,
+        in ``itertools.product`` order; a name that is not a candidates'
+        variable and a value outside its domain are refused."""
         targets, values, observed = e.key()
-        if (targets, observed) not in self._rows:
-            self._fill([(targets, observed)])
-        (rows, ident, partial, index, py), b = self._rows[targets, observed]
-        return rows[b, self._value_index(targets, values)], ident[b], partial[b], index[b], py
+        if not (self._names.issuperset(targets) and self._names.issuperset(observed)):
+            unknown = sorted({*targets, *observed} - self._names)
+            raise InvalidInputError(f"experiment {e} names unknown variables {unknown}")
+        index = 0
+        for t, v in zip(targets, values):
+            domain = self._domain[t]
+            if not 0 <= v < domain:
+                raise InvalidInputError(f"value {v} out of domain for {t}")
+            index = index * domain + v
+        return (targets, observed), index
+
+    def _candidate(self, k: int) -> int:
+        """``k``, refused unless it indexes a candidate (no wrap-around)."""
+        n = len(self.candidates.graphs)
+        if not isinstance(k, (int, np.integer)) or not 0 <= k < n:
+            raise InvalidInputError(f"candidate index {k!r} out of range for {n} candidates")
+        return int(k)
 
     def _grouped(self, experiments: Sequence[InterventionSpec],
                  ) -> dict[tuple, tuple[list[int], list[int]]]:
@@ -289,10 +328,10 @@ class PredictionTable:
         tensor; every group's tensor is filled, all at once."""
         groups: dict[tuple, tuple[list[int], list[int]]] = {}
         for i, e in enumerate(experiments):
-            targets, values, observed = e.key()
-            at, index = groups.setdefault((targets, observed), ([], []))
+            group, value = self._locate(e)
+            at, index = groups.setdefault(group, ([], []))
             at.append(i)
-            index.append(self._value_index(targets, values))
+            index.append(value)
         self._fill(groups)
         return groups
 
@@ -302,18 +341,8 @@ class PredictionTable:
         n = len(self.candidates.graphs)
         out = np.empty((len(experiments), n, n), dtype=bool)
         for group, (at, index) in self._grouped(experiments).items():
-            out[at] = self._tensors[group][index]
+            out[at] = self._group(group)[0][index]
         return out
-
-    def _value_index(self, targets: tuple[str, ...], values: tuple[int, ...]) -> int:
-        """The index of ``values`` of ``targets`` in ``itertools.product`` order."""
-        index = 0
-        for t, v in zip(targets, values):
-            domain = self._domain[t]
-            if not 0 <= v < domain:
-                raise InvalidInputError(f"value {v} out of domain for {t}")
-            index = index * domain + v
-        return index
 
     def _fill(self, groups: Iterable[tuple[tuple[str, ...], tuple[str, ...]]]) -> None:
         """The verdict tensors of the groups (sorted targets, sorted
@@ -324,11 +353,11 @@ class PredictionTable:
         n = len(self.candidates.graphs)
         batches: dict[tuple, dict[tuple[str, ...], None]] = {}
         for targets, observed in groups:
-            if (targets, observed) not in self._tensors:
+            if (targets, observed) not in self._groups:
                 domains = tuple(self._domain[t] for t in targets)
                 batches.setdefault((observed, domains), {})[targets] = None
         for (observed, domains), members in batches.items():
-            grid = np.indices(domains).reshape(len(domains), -1)
+            grid = np.indices(domains).reshape(len(domains), math.prod(domains))
             py = self.observational_marginal(observed).table.reshape(-1)
             rows = np.zeros((len(members), grid.shape[1], n, py.size))
             ident, partial = np.zeros((2, len(members), 1, n), dtype=bool)
@@ -356,8 +385,7 @@ class PredictionTable:
                             index[..., :, None], index[..., None, :]]
             tensors.flags.writeable = False
             for b, targets in enumerate(members):
-                self._tensors[targets, observed] = tensors[b]
-                self._rows[targets, observed] = (batch, b)
+                self._groups[targets, observed] = (tensors[b], batch, b)
 
 
 def _case_of(k_id: bool, l_id: bool, k_py: bool, l_py: bool, same: bool) -> int:
@@ -404,7 +432,7 @@ def distinguishable_by(
     Read off the rows the verdict fill bound; the discovery loop reads
     :meth:`PredictionTable.verdicts` instead."""
     rows, ident, partial, index, py = preds._bound(e)
-    pair = index[[k_idx, l_idx]]
+    pair = index[[preds._candidate(k_idx), preds._candidate(l_idx)]]
     code = _case_codes(rows[pair], ident[pair], py)[0, 1]
     is_partial = bool(partial[pair].any())
     return Verdict(int(_CASES[code]), bool(_SPLITS[code]) and not is_partial, is_partial)
@@ -416,7 +444,7 @@ def power_of_intervention(
     preds: PredictionTable,
 ) -> int:
     """Number of candidate pairs the experiment distinguishes."""
-    idx = sorted(set(graph_indices))
+    idx = sorted({preds._candidate(k) for k in graph_indices})
     return int(np.triu(preds.verdicts(e)[np.ix_(idx, idx)], 1).sum())
 
 
@@ -454,24 +482,12 @@ def partition_candidates(
     n = len(candidates.graphs)
     split = np.zeros((n, n), dtype=bool)
     for group, (_at, index) in preds._grouped(interventions).items():
-        split |= preds._tensors[group][index].any(axis=0)
+        split |= preds._group(group)[0][index].any(axis=0)
 
     def non_dist(a: int, b: int) -> bool:
         return a != b and not split[a, b]
 
     return Partition(tuple(_maximal_cliques(n, non_dist)))
-
-
-def _pair_coverage(
-    partition: Partition,
-    preds: PredictionTable,
-    interventions: Sequence[InterventionSpec],
-) -> dict[int, frozenset[tuple[int, int]]]:
-    """For each experiment index, the subset pairs it splits."""
-    pairs = list(itertools.combinations(range(len(partition.subsets)), 2))
-    upper = np.triu_indices(len(partition.subsets), 1)  # ``pairs``, in order
-    rows = _splits(partition, preds, interventions)[:, upper[0], upper[1]].tolist()
-    return {ei: frozenset(itertools.compress(pairs, row)) for ei, row in enumerate(rows)}
 
 
 def _splits(partition: Partition, preds: PredictionTable,
@@ -485,61 +501,66 @@ def _splits(partition: Partition, preds: PredictionTable,
     return member @ preds._stacked(experiments) @ member.T > 0
 
 
-def _exact_cover(
-    universe: frozenset,
-    sets: Sequence[tuple[float, tuple, frozenset]],
-) -> Optional[list[int]]:
-    """Min-cost cover by branch and bound; ``sets`` rows are
-    (cost, tie_key, covered); returns indices into ``sets``."""
+def _cover_rows(covers: np.ndarray, experiments: Sequence[InterventionSpec], costs: CostModel
+                ) -> list[tuple[float, tuple, int, InterventionSpec]]:
+    """Set-cover rows (cost, key, covered, experiment) of the experiments
+    whose row of ``covers`` (experiments, items), read off ``_splits``,
+    covers some item; ``covered`` is a bitmask, bit j for item j."""
+    packed = np.packbits(covers, axis=1, bitorder="little")
+    rows = []
+    for e, bits in zip(experiments, packed):
+        covered = int.from_bytes(bits.tobytes(), "little")
+        if covered:
+            rows.append((costs.of(e), e.key(), covered, e))
+    return rows
+
+
+def _exact_cover(universe: int, sets: Sequence[tuple]) -> Optional[list[int]]:
+    """Min-cost cover of the bitmask ``universe`` by branch and bound;
+    ``sets`` rows start (cost, tie_key, covered); returns indices into
+    ``sets``."""
     order = sorted(range(len(sets)), key=lambda i: (sets[i][0], sets[i][1]))
+    # reach[start]: what the sets from ``order[start]`` on cover together
+    reach = [0] * (len(order) + 1)
+    for start in range(len(order) - 1, -1, -1):
+        reach[start] = reach[start + 1] | sets[order[start]][2]
     best_cost = float("inf")
     best: Optional[list[int]] = None
 
-    def bound_remaining(missing: frozenset, start: int) -> bool:
-        rest: set = set()
-        for i in order[start:]:
-            rest |= sets[i][2]
-        return missing <= rest
-
-    def walk(start: int, chosen: list[int], covered: frozenset, cost: float) -> None:
+    def walk(start: int, chosen: list[int], covered: int, cost: float) -> None:
         nonlocal best_cost, best
-        if universe <= covered:
+        missing = universe & ~covered
+        if not missing:
             if cost < best_cost - 1e-12 or (abs(cost - best_cost) <= 1e-12 and best is not None
                                             and [sets[i][1] for i in chosen] < [sets[i][1] for i in best]):
                 best_cost, best = cost, list(chosen)
             return
-        if start >= len(order) or cost >= best_cost - 1e-12:
-            return
-        if not bound_remaining(universe - covered, start):
+        if start >= len(order) or cost >= best_cost - 1e-12 or missing & ~reach[start]:
             return
         i = order[start]
-        gain = sets[i][2] - covered
-        if gain:
+        if sets[i][2] & ~covered:
             walk(start + 1, chosen + [i], covered | sets[i][2], cost + sets[i][0])
         walk(start + 1, chosen, covered, cost)
 
-    walk(0, [], frozenset(), 0.0)
+    walk(0, [], 0, 0.0)
     return best
 
 
-def _greedy_cover(
-    universe: frozenset,
-    sets: Sequence[tuple[float, tuple, frozenset]],
-) -> Optional[list[int]]:
-    missing = set(universe)
+def _greedy_cover(universe: int, sets: Sequence[tuple]) -> Optional[list[int]]:
+    missing = universe
     chosen: list[int] = []
     while missing:
         scored = []
-        for i, (cost, key, covered) in enumerate(sets):
-            gain = len(covered & missing)
+        for i, row in enumerate(sets):
+            gain = (row[2] & missing).bit_count()
             if gain:
-                scored.append((cost / gain, key, i))
+                scored.append((row[0] / gain, row[1], i))
         if not scored:
             return None
         scored.sort()
         _, _, pick = scored[0]
         chosen.append(pick)
-        missing -= sets[pick][2]
+        missing &= ~sets[pick][2]
     return chosen
 
 
@@ -559,25 +580,19 @@ def minimal_splitting_sets(
     experiments), greedy weighted set cover beyond that; ties broken by
     lexicographic experiment ordering.
     """
-    if len(partition.subsets) < 2:
+    n_subs = len(partition.subsets)
+    if n_subs < 2:
         raise InvalidInputError("splitting needs at least two subsets")
-    coverage = _pair_coverage(partition, preds, interventions)
-    universe = frozenset(
-        (a, b) for a, b in itertools.combinations(range(len(partition.subsets)), 2)
-    )
-    rows = [
-        (costs.of(interventions[i]), interventions[i].key(), coverage[i])
-        for i in range(len(interventions))
-        if coverage[i]
-    ]
-    small = (len(partition.subsets) <= EXACT_COVER_MAX_SUBSETS
-             and len(rows) <= EXACT_COVER_MAX_INTERVENTIONS)
+    # the items are the subset pairs (a, b), a < b, in row-major order
+    upper = np.triu_indices(n_subs, 1)
+    rows = _cover_rows(_splits(partition, preds, interventions)[:, upper[0], upper[1]],
+                       interventions, costs)
+    universe = (1 << len(upper[0])) - 1
+    small = n_subs <= EXACT_COVER_MAX_SUBSETS and len(rows) <= EXACT_COVER_MAX_INTERVENTIONS
     chosen = _exact_cover(universe, rows) if small else _greedy_cover(universe, rows)
     if chosen is None:
         raise InternalError("no experiment set splits all subsets; partition invariant broken")
-    picked = sorted((rows[i][1] for i in chosen))
-    by_key = {e.key(): e for e in interventions}
-    plan = tuple(by_key[k] for k in picked)
+    plan = tuple(rows[i][3] for i in sorted(chosen, key=lambda i: rows[i][1]))
     return InterventionPlan(plan, sum(costs.of(e) for e in plan))
 
 
@@ -598,30 +613,24 @@ def select_intervention(
     if not splits.any():
         return None
     n_subs = len(partition.subsets)
-    by_key = {e.key(): e for e in plan}
-    best: Optional[tuple[float, tuple]] = None
+    best: Optional[tuple[float, tuple, InterventionSpec]] = None
     for i in range(n_subs):
-        needed = frozenset(j for j in range(n_subs) if j != i)
-        if not needed:
-            continue
-        rows = []
-        for e, split in zip(plan, splits):
-            covered = frozenset(j for j in needed if split[i, j])
-            if covered:
-                rows.append((costs.of(e), e.key(), covered))
-        chosen = _exact_cover(needed, rows)
+        # the items are the other subsets; subset i's own entry is not one
+        rows = _cover_rows(np.delete(splits[:, i], i, axis=1), plan, costs)
+        chosen = _exact_cover((1 << (n_subs - 1)) - 1, rows)
         if not chosen:
             continue
         cost = sum(rows[i2][0] for i2 in chosen)
-        cheapest_key = min((rows[i2][0], rows[i2][1]) for i2 in chosen)[1]
-        if best is None or (cost, cheapest_key) < best:
-            best = (cost, cheapest_key)
+        _cost, key, _covered, e = min((rows[i2] for i2 in chosen), key=lambda r: r[:2])
+        if best is None or (cost, key) < best[:2]:
+            best = (cost, key, e)
     if best is None:
         # no remaining sub-plan isolates a single subset; fall back to the
         # cheapest experiment that still splits something
-        useful = [(costs.of(e), e.key()) for e, split in zip(plan, splits) if split.any()]
-        return by_key[min(useful)[1]]
-    return by_key[best[1]]
+        useful = [(costs.of(e), e.key(), k) for k, (e, split) in enumerate(zip(plan, splits))
+                  if split.any()]
+        return plan[min(useful)[2]]
+    return best[2]
 
 
 def select_graphs(

@@ -93,9 +93,8 @@ def cmd_identify(args: argparse.Namespace) -> int:
     g = fileio.load_graph(args.graph)
     outcomes, targets = parse_query(args.query)
     if any(t is not None for _n, t in list(outcomes) + list(targets)):
-        print("identify works on a static graph and takes no @slice suffixes; "
-              "use docalc dcn for queries on time slices")
-        return EXIT_INPUT
+        raise InvalidInputError("identify works on a static graph and takes no @slice suffixes; "
+                                "use docalc dcn for queries on time slices")
     y = frozenset(n for n, _t in outcomes)
     x = frozenset(n for (n, _t) in targets)
     result = id_effect(g, x, y)
@@ -167,8 +166,8 @@ def cmd_dcn(args: argparse.Namespace) -> int:
         if targets:
             times = {t for (_n, t) in targets}
             if len(times) != 1 or None in times:
-                print("dcn interventions need a single time slice, e.g. do(tr1@3=0)")
-                return EXIT_INPUT
+                raise InvalidInputError("dcn interventions need a single time slice, "
+                                        "e.g. do(tr1@3=0)")
             t_x = times.pop()
             x = {n: v for (n, _t), v in targets.items()}
             span = dynamic_time_span(spec, x.keys())
@@ -190,9 +189,8 @@ def cmd_transport(args: argparse.Namespace) -> int:
     y_times = {t for _n, t in outcomes}
     x_times = {t for (_n, t) in targets}
     if len(y_times) != 1 or len(x_times) != 1 or None in y_times | x_times:
-        print("transport queries need one time slice for the outcome and one for "
-              "the intervention, e.g. P(d@8|do(tr1@3=0))")
-        return EXIT_INPUT
+        raise InvalidInputError("transport queries need one time slice for the outcome and "
+                                "one for the intervention, e.g. P(d@8|do(tr1@3=0))")
     t_y = y_times.pop()
     t_x = x_times.pop()
     x = {n: v for (n, _t), v in targets.items()}

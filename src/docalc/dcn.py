@@ -591,7 +591,6 @@ class _Forward:
         self.messages: list[tuple[tuple[str, ...], np.ndarray]] = [((), np.ones(()))]
         self.marginals: dict[frozenset[str], Factor] = {}
         self.terms: dict[ObservedTerm, Factor] = {}
-        self.latent: dict[int, frozenset[frozenset[str]]] = {}
         self.id_graphs: dict[int, tuple[Admg, dict]] = {}
 
     def _schedule_steps(self, schedule: Schedule, t_end: int
@@ -674,36 +673,28 @@ class _Forward:
             directed.update(itertools.product(self.slices[s - 1] if s else (), self.slices[s]))
         return Admg._trusted(g.vars, frozenset(directed), frozenset(bidirected))
 
-    def window(self, t_left: int, t_right: int) -> Admg:
-        """The graph of the identification window t_left..t_right, induced
-        from the call's graph, so it is ``unroll(spec, t_left, t_right)``.
+    def id_graph(self, t_left: int) -> tuple[Admg, dict]:
+        """The graph that identifies every step from the left edge
+        ``t_left``, with its one ``identify._shared`` frame memo, built once
+        per left edge: the call's graph when ``t_left`` is t0, else the
+        graph induced on slices t_left onward, ``unroll(spec, t_left, last
+        slice)``.  A step into slice t is identified on the mask of slices
+        t_left..t, a time prefix and so an ancestral set (directed edges
+        never point back in time).
 
         When it starts after t0 the slices before it are latent.  With
         static confounders every C-component stays inside one slice, so
         the left slice's factors are only ever used together, as P(V) of
-        that slice, and the window graph identifies exactly.  Dynamic
-        confounders join the left slice to later ones, so the window gets
+        that slice, and the induced graph identifies exactly.  Dynamic
+        confounders join the left slice to later ones, so the graph gets
         the bidirected edges of its latent projection (``latent_edges``)."""
-        self.check_identifiable()
-        g = self.graph.induced(itertools.chain.from_iterable(
-            self.slices[t_left - self.t0:t_right - self.t0 + 1]))
-        if not self.dynamic or t_left == self.t0:
-            return g
-        extra = frozenset(e for e in self.latent_edges(t_left) if all(n in g for n in e))
-        return Admg._trusted(g.vars, g.directed, g.bidirected | extra)
-
-    def id_graph(self, t_left: int) -> tuple[Admg, dict]:
-        """The graph that identifies every step from the left edge
-        ``t_left``, with its one ``identify._shared`` frame memo, built once
-        per left edge: the call's graph when ``t_left`` is t0, else
-        ``window(t_left, last slice)``.  A step into slice t is identified
-        on the mask of slices t_left..t, a time prefix and so an ancestral
-        set (directed edges never point back in time), whose induced graph
-        is ``window(t_left, t)``."""
         if t_left not in self.id_graphs:
             self.check_identifiable()
-            g = (self.graph if t_left == self.t0
-                 else self.window(t_left, self.t0 + len(self.slices) - 1))
+            g = self.graph
+            if t_left != self.t0:
+                g = g.induced(itertools.chain.from_iterable(self.slices[t_left - self.t0:]))
+                if self.dynamic:
+                    g = Admg._trusted(g.vars, g.directed, g.bidirected | self.latent_edges(t_left))
             self.id_graphs[t_left] = (g, {})
         return self.id_graphs[t_left]
 
@@ -713,8 +704,6 @@ class _Forward:
         projection): a <-> b when a trek through those slices alone joins
         them, that is, when they share an ancestor there, or a bidirected
         edge joins a or one of its ancestors there to b or one of b's."""
-        if t_left in self.latent:
-            return self.latent[t_left]
         g = self.graph
         latent = _mask(g, itertools.chain.from_iterable(self.slices[:t_left - self.t0]), "window")
         up: dict[int, int] = {}  # a vertex after t_left -> its latent ancestors
@@ -728,8 +717,7 @@ class _Forward:
         for a, b in itertools.combinations(up, 2):
             if up[a] & up[b] or near[a] & (up[b] | 1 << b):
                 edges.add(frozenset((g.vars[a].name, g.vars[b].name)))
-        self.latent[t_left] = frozenset(edges)
-        return self.latent[t_left]
+        return frozenset(edges)
 
     def term(self, e: ObservedTerm) -> Factor:
         """P(outcome | given) of a do-free expression, from a small marginal.
@@ -1147,7 +1135,9 @@ def transport(
 
     w_left = _window_left(spec, x, t_x, t0)
     obs = _Forward(spec, T_target, p0_target, t0, t_y, cls)
-    g, index, window = obs.window(w_left, t_x + 1), obs.index, range(w_left, t_x + 2)
+    window = range(w_left, t_x + 2)
+    g, index = obs.graph.induced(itertools.chain.from_iterable(
+        obs.slices[w_left - t0:t_x + 2 - t0])), obs.index
     x_names = {index[(n, t_x)] for n in x}
     x_comp = frozenset().union(*(comp for comp in c_components(g) if comp & x_names))
     for e in tspec.source_experiments:

@@ -150,8 +150,8 @@ class Factor:
     def total(self) -> float:
         return float(self.table.sum())
 
-    def is_distribution(self, eps: float = EPS_NORM) -> bool:
-        return abs(self.total() - 1.0) <= eps
+    def is_distribution(self) -> bool:
+        return abs(self.total() - 1.0) <= EPS_NORM
 
     def __getitem__(self, assignment: Assignment) -> float:
         idx = tuple(assignment[v.name] for v in self.scope)
@@ -276,21 +276,21 @@ def divide(a: Factor, b: Factor) -> Factor:
     return Factor._trusted(scope, out, partial)
 
 
-def equal_within(a: Factor, b: Factor, eps: float = EPS_CMP) -> bool:
-    """Max absolute cell difference <= eps, after aligning scopes."""
+def equal_within(a: Factor, b: Factor) -> bool:
+    """Max absolute cell difference <= ``EPS_CMP``, after aligning scopes."""
     if set(a.names()) != set(b.names()):
         raise InvalidInputError("equal_within: scopes differ")
     bb = b.reorder(a.names())
     for v, w in zip(a.scope, bb.scope):
         if v.domain != w.domain:
             raise InvalidInputError(f"domain mismatch for {v.name!r}")
-    return bool(_within(a.table, bb.table, eps=eps))
+    return bool(_within(a.table, bb.table))
 
 
-def _within(a: np.ndarray, b: np.ndarray, axis=None, eps: float = EPS_CMP):
-    """max |a - b| <= eps over ``axis`` (all axes when None), an empty
+def _within(a: np.ndarray, b: np.ndarray, axis=None):
+    """max |a - b| <= ``EPS_CMP`` over ``axis`` (all axes when None), an empty
     difference being within: the one comparison of tables and rows."""
-    return np.max(np.abs(a - b), axis=axis, initial=0.0) <= eps
+    return np.max(np.abs(a - b), axis=axis, initial=0.0) <= EPS_CMP
 
 
 # -- transition matrices ------------------------------------------------

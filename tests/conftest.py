@@ -101,6 +101,15 @@ def bf_marginal(joint: dict[tuple[int, ...], float], names: list[str],
     return out
 
 
+def close_within(a, b, atol: float) -> bool:
+    """Max absolute cell difference of factors ``a`` and ``b`` <= ``atol``,
+    after aligning ``b`` to ``a``'s scope: the package compares at its one
+    tolerance, ``EPS_CMP``, and tests also check tighter bounds."""
+    if sorted(a.names()) != sorted(b.names()):
+        raise AssertionError(f"scopes differ: {a.names()} and {b.names()}")
+    return bool(np.max(np.abs(a.table - b.reorder(a.names()).table), initial=0.0) <= atol)
+
+
 # -- independent d-separation oracle (latent expansion + path enumeration) --
 
 def bf_d_separated(g: Admg, x: set, y: set, z: set) -> bool:

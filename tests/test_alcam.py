@@ -1,4 +1,6 @@
+import functools
 import itertools
+import operator
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from docalc.alcam import (CandidateSet, CostModel, InterventionCaps,
                           select_intervention, _exact_cover, _greedy_cover,
                           _min_dsep_intervention)
 from docalc.errors import InvalidInputError, PromiseViolationError
-from docalc.factors import EPS_CMP, Factor, condition, equal_within, marginalize
+from docalc.factors import Factor, condition, equal_within, marginalize
 from docalc.graphs import Admg, Var, ancestors, d_separated, mutilate
 from docalc import identify
 from docalc.identify import (ObservedTerm, Prediction, Product, Quotient, SumOver, effect_factor,
@@ -333,6 +335,24 @@ class TestSplittingNarrative:
         assert select_intervention(plan, part, preds, costs) == plan[1]
         assert select_intervention([plan[0], plan[2]], part, preds, costs) == plan[0]
 
+    def test_selection_ignores_splits_within_a_subset(self):
+        """The V1-experiment is cheaper but splits only candidates 0 and 1,
+        inside the first subset (2 predicts nothing, case 6, so it stays
+        with both); a split within a subset isolates no subset, so the
+        dearer V2-experiment is chosen."""
+        from docalc.alcam import Partition
+
+        names = ["V1", "V2"]
+        cs = CandidateSet(tuple(Admg(tuple(Var(n) for n in names) + (O,), edges)
+                                for edges in ([], [("V1", "O")], [("V2", "O")])))
+        rows = {"V1": [VAL_A, VAL_B, None], "V2": [VAL_A, VAL_A, VAL_B]}
+        preds = FakePreds(cs, {((t,), k): v for t, vals in rows.items() for k, v in enumerate(vals)})
+        plan = [spec_for({t}, {"O"}) for t in names]
+        costs = CostModel.per_variable({"V1": 1.0, "V2": 4.0}, {"O": 0.0})
+        part = Partition((frozenset({0, 1}), frozenset({2})))
+        assert preds.verdicts(plan[0])[0, 1] and not preds.verdicts(plan[0])[:2, 2].any()
+        assert select_intervention(plan, part, preds, costs) == plan[1]
+
     def test_lexicographic_tie_break(self):
         cs, es, costs, preds = narrative_setup(e1_cost=2.0)
         # with equal costs the V1-experiment precedes the V4-experiment
@@ -389,26 +409,25 @@ class TestSelectGraphs:
 
 class TestExactCover:
     def test_matches_exhaustive_optimum(self):
+        """Covers are bitmasks, bit j for item j."""
         rng = np.random.default_rng(9)
         for _ in range(40):
             n_elems = int(rng.integers(2, 6))
             n_sets = int(rng.integers(2, 10))
-            universe = frozenset(range(n_elems))
+            universe = (1 << n_elems) - 1
             rows = []
             for i in range(n_sets):
-                cover = frozenset(int(x) for x in
-                                  rng.choice(n_elems, size=rng.integers(1, n_elems + 1),
-                                             replace=False))
+                cover = sum(1 << int(x) for x in
+                            rng.choice(n_elems, size=rng.integers(1, n_elems + 1),
+                                       replace=False))
                 rows.append((float(rng.integers(1, 5)), (i,), cover))
-            all_covered = frozenset(itertools.chain.from_iterable(r[2] for r in rows))
-            if all_covered != universe:
+            if functools.reduce(operator.or_, (r[2] for r in rows)) != universe:
                 continue
             got = _exact_cover(universe, rows)
             best = None
             for r in range(1, n_sets + 1):
                 for combo in itertools.combinations(range(n_sets), r):
-                    if frozenset(itertools.chain.from_iterable(
-                            rows[i][2] for i in combo)) >= universe:
+                    if functools.reduce(operator.or_, (rows[i][2] for i in combo)) == universe:
                         cost = sum(rows[i][0] for i in combo)
                         if best is None or cost < best:
                             best = cost
@@ -626,7 +645,7 @@ class TestAlcamRun:
             alcam_run(CandidateSet((plain, isolated)), m)
 
 
-def _reference_classify(pk, pl, py, eps):
+def _reference_classify(pk, pl, py):
     """The seven-case table written pairwise with ``equal_within``: the
     reference the stacked verdict rows are checked against."""
     partial = any(f is not None and f.partial for f in (pk, pl))
@@ -634,15 +653,15 @@ def _reference_classify(pk, pl, py, eps):
         return 7, False
     if pk is None or pl is None:
         other = pl if pk is None else pk
-        case = 5 if equal_within(other, py, eps) else 6
+        case = 5 if equal_within(other, py) else 6
         return case, case == 5 and not partial
-    k_is_py = equal_within(pk, py, eps)
-    l_is_py = equal_within(pl, py, eps)
+    k_is_py = equal_within(pk, py)
+    l_is_py = equal_within(pl, py)
     if k_is_py and l_is_py:
         return 1, False
     if k_is_py != l_is_py:
         return 2, not partial
-    if equal_within(pk, pl, eps):
+    if equal_within(pk, pl):
         return 3, False
     return 4, not partial
 
@@ -703,7 +722,7 @@ class TestVerdictRows:
         for k, l in itertools.product(sorted(set(rep)), repeat=2):
             v = distinguishable_by(e, k, l, preds)
             assert (v.case_id, v.distinguishable) == _reference_classify(
-                dists[k], dists[l], py, EPS_CMP)
+                dists[k], dists[l], py)
             assert row[k, l] == v.distinguishable, (e, k, l)
         assert np.array_equal(row, row[np.ix_(rep, rep)]), e
         return row
@@ -734,7 +753,7 @@ class TestVerdictRows:
         preds = PredictionTable(cs, p)
         splits = sum(int(self._agree(preds, e).sum()) for e in experiments)
         assert 0 < splits < len(experiments) * 30 * 30
-        assert len(experiments) > len(preds._tensors) > 100
+        assert len(experiments) > len(preds._groups) > 100
 
     def test_survivors_match_each_prediction_against_the_answer(self):
         """``select_graphs`` reads the rows the fill bound; its survivors
@@ -760,10 +779,10 @@ class TestVerdictRows:
                 py = preds.observational_marginal(e.observed)
                 dists = [preds.prediction(k, e).dist for k in range(n)]
                 for answer in [oracle_query(m, e), py] + [f for f in dists if f is not None]:
-                    answer_is_py = equal_within(answer.reorder(py.names()), py, EPS_CMP)
+                    answer_is_py = equal_within(answer.reorder(py.names()), py)
                     want = frozenset(k for k, f in enumerate(dists)
                                      if (not answer_is_py if f is None else
-                                         equal_within(f, answer.reorder(f.names()), EPS_CMP)))
+                                         equal_within(f, answer.reorder(f.names()))))
                     assert select_graphs(everyone, e, answer, preds).members() == want, e
                     kept += len(want)
                     dropped += n - len(want)
@@ -787,18 +806,18 @@ class TestVerdictRows:
             batched = PredictionTable(cs, p)
             del batches[:]
             partition_candidates(cs, batched, experiments)
-            assert len(batches) < len(batched._tensors)
+            assert len(batches) < len(batched._groups)
             single = PredictionTable(cs, p)
             del batches[:]
             rows = [single.verdicts(e) for e in experiments]
-            assert batches == [1] * len(single._tensors)
+            assert batches == [1] * len(single._groups)
             stacked = batched._stacked(experiments)
             assert stacked.shape == (len(experiments),) + rows[0].shape
             for e, row, got in zip(experiments, rows, stacked):
                 assert np.array_equal(got, row) and np.array_equal(batched.verdicts(e), row)
-            for group, tensor in single._tensors.items():
-                assert np.array_equal(batched._tensors[group], tensor), group
-                assert not batched._tensors[group].flags.writeable
+            for group, (tensor, _batch, _b) in single._groups.items():
+                assert np.array_equal(batched._groups[group][0], tensor), group
+                assert not batched._groups[group][0].flags.writeable
 
     def test_refuted_candidate_under_the_true_joint(self, fig32_trio):
         """Fig. 3.2: under g3's joint, g1's sheet for do(X2) -> X3 varies
@@ -891,6 +910,45 @@ class TestPartialSupportVerdicts:
         assert v.case_id == 4 and v.partial and not v.distinguishable
         v2 = distinguishable_by(e, 0, 2, preds)
         assert v2.partial and not v2.distinguishable
+
+
+class TestPredictionTableRefusals:
+    """Names outside the candidates' variables and candidate indices
+    outside 0..n-1 are input errors, never a bare ``KeyError`` or a
+    negative index that wraps around."""
+
+    @pytest.fixture
+    def table(self, fig12_graphs):
+        cs = CandidateSet(tuple(fig12_graphs))
+        return PredictionTable(cs, joint(random_scm(np.random.default_rng(4), cs.graphs[0])))
+
+    @pytest.mark.parametrize("targets, observed", [({"Q"}, {"Y"}), ({"X"}, {"Q"})])
+    def test_unknown_variable(self, table, targets, observed):
+        e = spec_for(targets, observed)
+        for ask in (lambda: table.verdicts(e), lambda: table.prediction(0, e),
+                    lambda: distinguishable_by(e, 0, 1, table),
+                    lambda: power_of_intervention(e, [0, 1], table)):
+            with pytest.raises(InvalidInputError, match="unknown variable"):
+                ask()
+
+    @pytest.mark.parametrize("index", [-1, 4, 1.0])
+    def test_candidate_index_out_of_range(self, table, index):
+        e = spec_for({"X"}, {"Y"})
+        for ask in (lambda: distinguishable_by(e, index, 0, table),
+                    lambda: distinguishable_by(e, 0, index, table),
+                    lambda: table.prediction(index, e),
+                    lambda: power_of_intervention(e, [0, index], table)):
+            with pytest.raises(InvalidInputError, match="candidate index"):
+                ask()
+
+    def test_experiment_without_targets_gets_verdicts(self):
+        """An observation with no target is one group of one value
+        assignment; its verdicts agree with ``prediction``'s answers."""
+        for cs, p, _experiments in _criterion5_sets(3003, 3):
+            preds = PredictionTable(cs, p)
+            for observed in itertools.combinations(sorted(cs.graphs[0].names()), 2):
+                e = InterventionSpec(frozenset(), {}, frozenset(observed))
+                TestVerdictRows()._agree(preds, e)
 
 
 def _subexpressions(e):
@@ -1008,7 +1066,7 @@ class TestPredictionCaches:
                 for e in experiments:
                     preds.prediction(k, e)
         assert len(calls["bind"]) == len(bindings) < len(bound)
-        assert len(preds._tensors) == len(groups)
+        assert len(preds._groups) == len(groups)
 
         # and change no prediction: each equals the full graph's own
         # identification, evaluated and bound without any cache

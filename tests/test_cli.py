@@ -124,8 +124,10 @@ class TestIdentifyCommand:
     def test_timed_query_rejected(self, chain_graph_file, capsys, query):
         code = main(["identify", "--graph", str(chain_graph_file), "--query", query])
         assert code == 1
-        out = capsys.readouterr().out
-        assert "docalc dcn" in out and "P(Z|X)" not in out
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("input error: identify works on a static graph and takes no @slice "
+                       "suffixes; use docalc dcn for queries on time slices\n")
 
 
 class TestDsepCommand:
@@ -404,8 +406,9 @@ class TestDcnCommand:
         code = main(["dcn", "--spec", str(traffic_spec_file), "--query", query,
                      "--horizon", "10"])
         assert code == 1
-        assert capsys.readouterr().out == (
-            "dcn interventions need a single time slice, e.g. do(tr1@3=0)\n")
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "input error: dcn interventions need a single time slice, e.g. do(tr1@3=0)\n"
 
     def test_outcome_without_a_slice_is_allowed(self, traffic_spec_file, tmp_path):
         out = tmp_path / "series.csv"
@@ -628,7 +631,9 @@ class TestTransportCommand:
         code = main(["transport", "--spec", str(tmp_path / "target.json"),
                      "--transport", str(tmp_path / "transport.json"), "--query", query])
         assert code == 1
-        assert "one time slice" in capsys.readouterr().out
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("input error: transport queries need one time slice")
 
     def test_intervention_after_outcome_exit(self, tmp_path, capsys):
         (tmp_path / "target.json").write_text(json.dumps(self._spec_dict(0.0)),

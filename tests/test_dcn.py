@@ -19,13 +19,12 @@ from docalc.dcn import (DcnMechanism, DcnSpec, SelectionVar, SliceCpt, SliceExo,
 from docalc.errors import (InvalidInputError, UnsupportedModelError, UnsupportedQueryError,
                            UnsupportedTransportError,
                            WindowTooSmallError)
-from docalc.factors import (Factor, TransitionMatrix, condition, equal_within, marginalize,
-                            multiply)
+from docalc.factors import Factor, TransitionMatrix, condition, marginalize, multiply
 from docalc.graphs import Admg, Var, ancestors, find_hedge
 from docalc.identify import effect_factor, id_effect, pretty
 from docalc import identify, scm
 from docalc.scm import InterventionSpec, intervene, joint, oracle_query
-from conftest import (TRAFFIC_STATE_VARS, random_mechanism_for,
+from conftest import (TRAFFIC_STATE_VARS, close_within, random_mechanism_for,
                       traffic_mechanism, traffic_spec, weekday_schedule)
 
 RNG = np.random.default_rng(100)
@@ -777,7 +776,7 @@ class TestTrajectory:
         p0 = initial_distribution(spec)
         series = trajectory(spec, mechanism_transition(spec), p0, None, 0)
         assert len(series) == 1
-        assert equal_within(series[0], p0, 1e-12)
+        assert close_within(series[0], p0, 1e-12)
 
     def test_no_mechanism_and_no_schedule(self):
         """Without a mechanism or a schedule nothing steps the chain: slice
@@ -975,7 +974,7 @@ class TestTransport:
         f = transport(target, tspec, {"tr1": 1}, 3, {"d"}, 6, t, None, 0)
         assert f is not None
         want = dcn_id_static(target, {"tr1": 1}, 3, {"d"}, 6, t, None, 0)
-        assert equal_within(f, want, 1e-12)
+        assert close_within(f, want, 1e-12)
 
     def test_empty_selection_reduces_to_plain_identification(self):
         target = traffic_spec(traffic_mechanism())
@@ -983,7 +982,7 @@ class TestTransport:
         tspec = TransportSpec((), (), None)
         f = transport(target, tspec, {"tr1": 0}, 3, {"d"}, 6, t, None, 0)
         want = dcn_id_static(target, {"tr1": 0}, 3, {"d"}, 6, t, None, 0)
-        assert equal_within(f, want, 0.0)
+        assert close_within(f, want, 0.0)
 
     def test_selection_at_confounded_partner_rejected(self):
         target, source = self._target_and_source()
@@ -1005,7 +1004,7 @@ class TestTransport:
                 transport(target, tspec, {"tr1": 1}, 3, {"d"}, 6, t, None, 0)
         far = TransportSpec((SelectionVar("s", (("tr1", 40),)),), (), source)
         want = dcn_id_static(target, {"tr1": 1}, 3, {"d"}, 6, t, None, 0)
-        assert equal_within(transport(target, far, {"tr1": 1}, 3, {"d"}, 6, t, None, 0),
+        assert close_within(transport(target, far, {"tr1": 1}, 3, {"d"}, 6, t, None, 0),
                             want, 1e-12)
 
     def _hedged_pair(self):
@@ -1051,7 +1050,7 @@ class TestTransport:
         assert f is not None
         given = transport(target, tspec, {"a": 1}, 2, {"b"}, 4,
                           mechanism_transition(target), None, 0)
-        assert equal_within(f, given, 1e-12)
+        assert close_within(f, given, 1e-12)
         orc = oracle_effect(target, {"a": 1}, 2, {"b"}, 4)
         assert np.max(np.abs(f.reorder(["b"]).table
                              - orc.reorder([slice_var_at("b", 4)]).table)) < 1e-9
@@ -1495,22 +1494,30 @@ class TestOneGraphPerCall:
 
     def test_each_left_edge_builds_one_graph(self):
         """A call identifies every step from one left edge on one graph with
-        one frame memo: the call's own graph from t0, built by no window;
-        one window graph, built once, from a later edge."""
+        one frame memo: the call's own graph from t0, with no latent
+        projection; one projected graph, built once, from a later edge."""
         spec = dyn_spec([("V1", "V2", 1)], seed=11)
-        real = _Forward.window
+        real_graph, real_latent = _Forward.id_graph, _Forward.latent_edges
 
-        def window(obs, *args):
-            windows.append(args)
-            return real(obs, *args)
+        def id_graph(obs, t_left):
+            g, memo = real_graph(obs, t_left)
+            graphs.append((t_left, id(g), id(memo), g is obs.graph))
+            return g, memo
+
+        def latent_edges(obs, t_left):
+            projected.append(t_left)
+            return real_latent(obs, t_left)
 
         for t0, built in ((0, 0), (-3, 1)):
-            windows = []
+            graphs, projected = [], []
             with spied("_identified_kernel") as calls, pytest.MonkeyPatch.context() as mp:
-                mp.setattr(_Forward, "window", window)
+                mp.setattr(_Forward, "id_graph", id_graph)
+                mp.setattr(_Forward, "latent_edges", latent_edges)
                 got = trajectory(spec, None, None, ({"V1": 1}, 2), 6, t0)
             assert calls["_identified_kernel"] == 5 and len(got) == 7 - t0
-            assert windows == [(0, 7)] * built  # through the last slice, 6 + alpha_max
+            assert len(graphs) == 5 and len(set(graphs)) == 1
+            assert graphs[0][0] == 0 and graphs[0][3] == (t0 == 0)
+            assert projected == [0] * built
 
     @pytest.mark.parametrize("t0", [0, 2])
     def test_pass_layout_is_the_unrolled_model(self, t0):
@@ -1611,7 +1618,7 @@ class TestOneGraphPerCall:
                             continue
                         ref = f.restrict({name: 0})
                         for val in range(1, v.domain):
-                            assert equal_within(f.restrict({name: val}), ref, 1e-9)
+                            assert close_within(f.restrict({name: val}), ref, 1e-9)
                             checked += 1
         assert checked > 100
 

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from docalc.errors import CyclicGraphError, InvalidInputError
-from docalc.graphs import (Admg, Hedge, Var, _component_masks, _mask, _names_of, _reach,
-                           ancestors,
+from docalc.graphs import (Admg, Hedge, Var, _component_masks, _hedge_from_frame, _mask,
+                           _names_of, _reach, ancestors,
                            c_components, d_separated, descendants, find_hedge, mutilate,
                            topological_order, verify_hedge)
 from docalc.scm import random_admg
@@ -283,6 +283,57 @@ class TestVertexSetQueries:
         for x, y, f in (({"Q"}, {"Y"}, {"X"}), ({"X"}, {"Q"}, {"X"}), ({"X"}, {"Y"}, {"X", "Q"})):
             with pytest.raises(InvalidInputError):
                 verify_hedge(g, x, y, Hedge(frozenset(f), frozenset(), frozenset()))
+
+
+
+def _admg(names, directed, bidirected=()):
+    return Admg([Var(n) for n in names], directed, bidirected)
+
+
+class TestVerifyHedge:
+    """One non-hedge per invariant of a hedge for P(y|do(x)): each breaks
+    that invariant alone."""
+
+    BOW = _admg("XY", [("X", "Y")], [("X", "Y")])
+
+    def test_bow_is_a_hedge(self):
+        h = Hedge(frozenset("XY"), frozenset("Y"), frozenset("Y"))
+        assert verify_hedge(self.BOW, {"X"}, {"Y"}, h)
+
+    @pytest.mark.parametrize("g, f, f_prime, roots", [
+        # F misses X
+        (BOW, "Y", "Y", "Y"),
+        # F' holds X
+        (BOW, "XY", "XY", "Y"),
+        # F is not one C-component (no X <-> Y)
+        (_admg("XY", [("X", "Y")]), "XY", "Y", "Y"),
+        # F' is not one C-component (no A <-> B)
+        (_admg("XAB", [("X", "A"), ("X", "B")], [("X", "A"), ("X", "B")]), "XAB", "AB", "AB"),
+        # Z reaches no root within F (Z <-> Y, no directed path)
+        (_admg("XYZ", [("X", "Y")], [("X", "Y"), ("Z", "Y")]), "XYZ", "Y", "Y"),
+        # root A has a child, Y, in F'
+        (_admg("XAY", [("X", "A"), ("A", "Y")], [("X", "A"), ("A", "Y")]), "XAY", "AY", "AY"),
+        # root W is not an ancestor of Y
+        (_admg("XYW", [("X", "Y"), ("X", "W")], [("X", "Y"), ("X", "W")]), "XW", "W", "W"),
+    ], ids=["f_misses_x", "f_prime_holds_x", "f_not_one_component",
+            "f_prime_not_one_component", "vertex_reaches_no_root", "root_with_child_in_f_prime",
+            "root_not_ancestor_of_y"])
+    def test_non_hedge_is_rejected(self, g, f, f_prime, roots):
+        y = {"A", "B"} if "B" in g.names() else {"Y"}
+        h = Hedge(frozenset(f), frozenset(f_prime), frozenset(roots))
+        assert not verify_hedge(g, {"X"}, y, h)
+
+    def test_frame_that_is_no_hedge_gives_no_witness(self):
+        """The frame's forests are F = {X, Y, Z} and F' = {Y}; Z reaches
+        no root, so ``_hedge_from_frame`` returns no witness."""
+        g = _admg("XYZ", [("X", "Y")], [("X", "Y"), ("Z", "Y")])
+        x, y, f = (_mask(g, s, "test") for s in ("X", "Y", "XYZ"))
+        assert _hedge_from_frame(g, x, y, f, y) is None
+        assert _hedge_from_frame(g, x, y, x | y, y) is not None
+
+    def test_nested_forests_are_required(self):
+        h = Hedge(frozenset("XY"), frozenset("Y"), frozenset("X"))
+        assert not verify_hedge(self.BOW, {"X"}, {"Y"}, h)
 
 
 class TestFindHedge:
