@@ -83,7 +83,7 @@ from .graphs import (Admg, Var, _bit_indices, _d_separated, _mask, _names_of, _r
                      _union, ancestors, c_components, d_separated, mutilate)
 from . import scm
 from .identify import ObservedTerm, _bind_effect, _evaluate, _identify
-from .scm import Cpt, Exogenous, Scm, intervene, joint
+from .scm import Cpt, Exogenous, Scm, _do_joint, joint
 
 __all__ = [
     "DcnSpec", "DcnMechanism", "SliceCpt", "SliceExo",
@@ -1181,7 +1181,7 @@ def transport(
                            outcome - x_names, frozenset()):
             return None
         m_src = unrolled_scm(tspec.source_spec, w_left, t_x + 1)
-        num = joint(intervene(m_src, {index[(n, t_x)]: v for n, v in x.items()}), outcome)
+        num = _do_joint(m_src, {index[(n, t_x)]: v for n, v in x.items()}, outcome)
         return condition(num, prev_names)
 
     post = _post_intervention(spec, x, t_x, w_left, t_x + 1, t_y, obs, False, None, source_step)

@@ -70,7 +70,7 @@ class Admg:
     """
 
     __slots__ = ("vars", "directed", "bidirected", "_bit", "_all", "_pa", "_ch", "_sib",
-                 "_hash", "_topo", "_p0")
+                 "_hash", "_topo")
 
     def __init__(
         self,
@@ -127,7 +127,8 @@ class Admg:
     ) -> None:
         """Set the fields and index each vertex's bit (``_bit``; ``_all``
         is every vertex's) and its parents, children and siblings (``_pa``,
-        ``_ch``, ``_sib``: one mask per vertex, in ``vars`` order)."""
+        ``_ch``, ``_sib``: one mask per vertex, in ``vars`` order); no ID
+        term is kept, as the recursion carries P(v) as its frame mask."""
         self.vars: tuple[Var, ...] = variables
         self.directed: frozenset[tuple[str, str]] = directed
         self.bidirected: frozenset[frozenset[str]] = bidirected
@@ -144,7 +145,6 @@ class Admg:
         self._pa, self._ch, self._sib = tuple(pa), tuple(ch), tuple(sib)
         self._hash: Optional[int] = None
         self._topo: Optional[tuple[int, ...]] = None
-        self._p0 = None  # identify's term P(all variables), built once per graph
 
     # -- basic accessors ------------------------------------------------
 

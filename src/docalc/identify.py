@@ -9,7 +9,9 @@ subgraph: each of its subgraphs is an induced subgraph G[v] of the input
 G, whose ancestors and C-components are read off G restricted to v.  Its
 root may be any ancestral vertex set of G (``_identify``'s root mask),
 which identifies on that induced subgraph without building it: the DCN
-steps of one call share one graph and one frame memo that way.  It
+steps of one call share one graph and one frame memo that way.  A frame's
+running distribution P(v) is carried as its vertex mask (None in place of
+a term) and built into a term only where the frame emits it.  It
 builds each expression in ``normalize``'s canonical form as it goes
 (sums merged and folded into observed terms, products flattened and
 sorted by ``pretty``, names sorted), so no second pass rewrites it.
@@ -145,25 +147,18 @@ class _HedgeSignal(Exception):
         self.frame_vars, self.frame_component = frame_vars, frame_component
 
 
-def _check_spans(g: Admg, p: ObservedTerm, v: int) -> dict[str, int]:
-    """Raise unless the running distribution ``p`` is P(v) for the frame's
-    vertex set ``v`` (a repeated name would carry and lose a bit, so as
-    many names as bits summing to ``v`` are v); return ``g``'s bits."""
-    bit = g._bit
-    if len(p.outcome) != v.bit_count() or sum(map(bit.__getitem__, p.outcome)) != v:
-        raise InternalError(f"running distribution {pretty(p)} does not span the frame "
-                            f"{_names_of(g, v)}")
-    return bit
-
-
-def _sum_over(g: Admg, over: int, e: Expr, v: int) -> Expr:
+def _sum_over(g: Admg, over: int, e: Optional[Expr], v: int) -> Expr:
     """sum over ``over`` (a subset of the frame's vertex set ``v``) of the
-    normal-form ``e``, in normal form."""
+    normal-form ``e``, in normal form; an ``e`` of None is P(v).  An
+    explicit observed marginal is refused: it is not the frame's P(v),
+    which a frame only ever carries as None."""
+    if e is None:
+        return ObservedTerm(tuple(_names_of(g, v & ~over)))
     if not over:
         return e
     if isinstance(e, ObservedTerm) and not e.given:
-        bit = _check_spans(g, e, v)
-        return ObservedTerm(tuple([n for n in e.outcome if not bit[n] & over]))
+        raise InternalError(f"running distribution {pretty(e)} of the frame "
+                            f"{_names_of(g, v)} is explicit; P(v) is carried as None")
     if isinstance(e, SumOver):
         return SumOver(tuple(sorted({*_names_of(g, over), *e.over})), e.child)
     return SumOver(tuple(_names_of(g, over)), e)
@@ -176,18 +171,15 @@ def _product(factors: Iterable[Expr]) -> Expr:
     return flat[0] if len(flat) == 1 else Product(tuple(sorted(flat, key=pretty)))
 
 
-def _chain_product(g: Admg, members: int, p: Expr, v: int) -> Expr:
+def _chain_product(g: Admg, members: int, p: Optional[Expr], v: int) -> Expr:
     """Product of P(vi | its predecessors in ``v``) over ``members`` of the
-    running distribution ``p`` over ``v``, Tian's Q-factor form."""
-    observed = isinstance(p, ObservedTerm) and not p.given
-    if observed:
-        _check_spans(g, p, v)
+    running distribution ``p`` over ``v`` (None: P(v)), Tian's Q-factor form."""
     terms = []
     before = 0  # the vertices ahead of ``b`` in topological order
     for b in _topo_bits(g):
         if b & members:
             given = v & before
-            if observed:
+            if p is None:
                 terms.append(ObservedTerm((g.vars[b.bit_length() - 1].name,),
                                           tuple(_names_of(g, given))))
             else:
@@ -200,17 +192,21 @@ def _chain_product(g: Admg, members: int, p: Expr, v: int) -> Expr:
     return _product(terms)
 
 
-def _id(y: int, x: int, p: Expr, g: Admg, v: int, memo: Optional[dict] = None) -> Expr:
+def _id(y: int, x: int, p: Optional[Expr], g: Admg, v: int, memo: Optional[dict] = None
+        ) -> Expr:
     """ID on the subgraph G[v] of the input graph ``g``; G[v][s] is G[s],
-    so each line reads ``g`` restricted to a vertex set.  With ``memo``
-    (one per ``g``), every recursive frame goes through ``_shared``."""
+    so each line reads ``g`` restricted to a vertex set.  The running
+    distribution ``p`` is None while it is P(v), which ``v`` says in full.
+    With ``memo`` (one per ``g``), every frame goes through ``_shared``."""
     rec = _id if memo is None else _shared
     if not x:
         return _sum_over(g, v & ~y, p, v)
 
     an = _reach(g._pa, v, y)  # An(y) in G[v]
     if v != an:
-        return rec(y, x & an, _sum_over(g, v & ~an, p, v), g, an, memo)
+        if p is not None:
+            p = _sum_over(g, v & ~an, p, v)
+        return rec(y, x & an, p, g, an, memo)
 
     w = v & ~x & ~_reach(g._pa, v, y, x)
     if w:
@@ -227,11 +223,12 @@ def _id(y: int, x: int, p: Expr, g: Admg, v: int, memo: Optional[dict] = None) -
         raise _HedgeSignal(frame_vars=v, frame_component=s)
     if s in cg:
         return _sum_over(g, s & ~y, _chain_product(g, s, p, v), v)
+    # s' strictly holds s: its chain product has two terms, never P(s')
     s_prime = next(c for c in cg if not s & ~c)
     return rec(y, x & s_prime, _chain_product(g, s_prime, p, v), g, s_prime, memo)
 
 
-def _shared(y: int, x: int, p: Expr, g: Admg, v: int, memo: dict) -> Expr:
+def _shared(y: int, x: int, p: Optional[Expr], g: Admg, v: int, memo: dict) -> Expr:
     """The frame (y, x, v, p) of ``_id`` run once per ``memo``: met again,
     it returns the same expression or raises the same hedge, kept as its
     frame (the raised signal's traceback would tie the memo into a cycle)."""
@@ -264,12 +261,12 @@ def _identify(g: Admg, x: Iterable[str], y: Iterable[str], memo: Optional[dict],
               root: Optional[int] = None) -> IdResult:
     """``id_effect`` with the recursion's frames kept in ``memo`` (see
     ``_id``), on G[root] for a vertex mask ``root`` (the whole graph when
-    None), from the P(V) term of ``root``.  The recursion reads ``g`` only
-    inside its frames' vertex sets, so when ``root`` is an ancestral set
-    holding x and y (a checked invariant), the topological order restricted
-    to it is G[root]'s and An(y) stays in it: the expression and the hedge
-    witness are ``id_effect``'s on ``g.induced(root)``, and one memo serves
-    every root of ``g``."""
+    None), from the running distribution None, that is P(root).  The
+    recursion reads ``g`` only inside its frames' vertex sets, so when
+    ``root`` is an ancestral set holding x and y (a checked invariant), the
+    topological order restricted to it is G[root]'s and An(y) stays in it:
+    the expression and the hedge witness are ``id_effect``'s on
+    ``g.induced(root)``, and one memo serves every root of ``g``."""
     xs = _mask(g, x, "id_effect")
     ys = _mask(g, y, "id_effect")
     if not ys:
@@ -277,16 +274,12 @@ def _identify(g: Admg, x: Iterable[str], y: Iterable[str], memo: Optional[dict],
     if xs & ys:
         raise InvalidInputError("x and y must be disjoint")
     if root is None:
-        if g._p0 is None:
-            g._p0 = ObservedTerm(tuple(sorted(g._bit)))
-        root, p = g._all, g._p0
-    else:
-        if (xs | ys | _union(g._pa, root)) & ~root:
-            raise InternalError(f"root {_names_of(g, root)} is not an ancestral set "
-                                "holding x and y")
-        p = ObservedTerm(tuple(_names_of(g, root)))
+        root = g._all
+    elif (xs | ys | _union(g._pa, root)) & ~root:
+        raise InternalError(f"root {_names_of(g, root)} is not an ancestral set "
+                            "holding x and y")
     try:
-        expr = _id(ys, xs, p, g, root, memo)
+        expr = _id(ys, xs, None, g, root, memo)
     except _HedgeSignal as sig:
         witness = _hedge_from_frame(g, xs, ys, sig.frame_vars, sig.frame_component)
         if witness is None:

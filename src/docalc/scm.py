@@ -8,8 +8,9 @@ tables and confounder priors, never by sampling.  Every variable outside
 mention it are combined, so the full product over observed and
 exogenous variables is never built.  ``_contract`` is the one
 contraction (the only einsum call, under the cell cap) and
-``_eliminate`` the one elimination loop: ``joint`` (so oracle answers
-and CI tests), the evaluator of identified expressions
+``_eliminate`` the one elimination loop: ``joint``, oracle answers and
+CI tests (one elimination over the model's own tables, no intervened
+model built), the evaluator of identified expressions
 (``identify._sum_product``) and the DCN forward pass all go through
 them.  Hidden confounders are explicit exogenous variables, each
 feeding the pair of observed variables its bidirected edge joins.
@@ -122,8 +123,13 @@ class Scm:
                 raise InvalidInputError(f"cpt key {name!r} does not match {cpt.var!r}")
             if _mask(graph, cpt.parents, "cpt parents") != graph._pa[graph._index(name)]:
                 raise InvalidInputError(f"cpt parents of {name!r} disagree with the graph")
+            exo = [self._exo(e) for e in cpt.exo_parents]
+            for e in exo:
+                if name not in e.feeds:
+                    raise InvalidInputError(f"exo parent {e.var.name!r} of {name!r} "
+                                            "does not feed it")
             shape = tuple(graph.var(p).domain for p in cpt.parents)
-            shape += tuple(self._exo(e).var.domain for e in cpt.exo_parents)
+            shape += tuple(e.var.domain for e in exo)
             shape += (graph.var(name).domain,)
             if np.asarray(cpt.table).shape != shape:
                 raise InvalidInputError(f"cpt table of {name!r} has shape "
@@ -285,30 +291,49 @@ def joint(m: Scm, keep: Optional[Iterable[str]] = None) -> Factor:
     table over ``MAX_TABLE_CELLS`` cells raises ``UnsupportedModelError``
     before it is built.
     """
+    return _do_joint(m, {}, keep)
+
+
+def _do_joint(m: Scm, x: Mapping[str, int], keep: Optional[Iterable[str]]) -> Factor:
+    """``joint(intervene(m, x), keep)``, table for table, by one elimination
+    over ``m``'s own tables: each target's CPT becomes a one-hot table over
+    the target alone, and an exogenous variable that feeds only targets is
+    dropped, as ``intervene`` drops it.  No intervened model is built."""
+    _check_values(m, x)
     observed = m.graph.names()
     kept = frozenset(observed) if keep is None else frozenset(keep)
     unknown = kept - frozenset(observed)
     if unknown:
         raise InvalidInputError(f"joint: {sorted(unknown)} are not observed variables")
+    exo = [e for e in m.exogenous if not e.feeds <= x.keys()]
     domain = {v.name: v.domain for v in m.graph.vars}
-    domain.update((e.var.name, e.var.domain) for e in m.exogenous)
-    tables = [((e.var.name,), np.asarray(e.prior, dtype=float)) for e in m.exogenous]
+    domain.update((e.var.name, e.var.domain) for e in exo)
+    tables = [((e.var.name,), np.asarray(e.prior, dtype=float)) for e in exo]
     for name in observed:
-        cpt = m.cpts[name]
-        tables.append((cpt.parents + cpt.exo_parents + (name,),
-                       np.asarray(cpt.table, dtype=float)))
+        if name in x:
+            row = np.zeros(domain[name])
+            row[x[name]] = 1.0
+            tables.append(((name,), row))
+        else:
+            cpt = m.cpts[name]
+            tables.append((cpt.parents + cpt.exo_parents + (name,),
+                           np.asarray(cpt.table, dtype=float)))
     out = tuple(n for n in observed if n in kept)
     rank = {n: i for i, n in enumerate(domain)}
     return Factor([m.graph.var(n) for n in out],
                   _eliminate(tables, set(domain) - kept, out, domain, rank))
 
 
+def _check_values(m: Scm, x: Mapping[str, int]) -> None:
+    """Refuse an unknown intervened variable or a value outside its domain."""
+    for name, val in x.items():
+        if not 0 <= val < m.graph.var(name).domain:
+            raise InvalidInputError(f"value {val} out of domain for {name}")
+
+
 def intervene(m: Scm, x: Mapping[str, int]) -> Scm:
     """Model after do(X=x): point-mass CPTs, incoming edges removed."""
-    for name, val in x.items():
-        v = m.graph.var(name)
-        if not (0 <= val < v.domain):
-            raise InvalidInputError(f"value {val} out of domain for {name}")
+    _check_values(m, x)
     g2 = mutilate(m.graph, remove_incoming=x.keys())
     cpts: dict[str, Cpt] = {}
     for name, cpt in m.cpts.items():
@@ -325,15 +350,13 @@ def intervene(m: Scm, x: Mapping[str, int]) -> Scm:
         if kept:
             exo.append(Exogenous(e.var, e.prior, kept))
         # an exogenous variable cut off from all its targets disappears
-    # drop severed exo parents from intervened CPTs only (handled above:
-    # intervened CPTs have no parents; others keep their mechanisms)
     return Scm(g2, cpts, exo)
 
 
 def oracle_query(m_star: Scm, e: InterventionSpec) -> Factor:
-    """Ground-truth P*(Y | do(X=x)) by exact elimination on the mutilated model."""
-    post = intervene(m_star, dict(e.values)) if e.targets else m_star
-    return joint(post, e.observed)
+    """Ground-truth P*(Y | do(X=x)), ``joint`` of the mutilated model by
+    exact elimination over the true model's tables."""
+    return _do_joint(m_star, e.values, e.observed)
 
 
 def ci_test(
@@ -349,8 +372,7 @@ def ci_test(
     """
     if vi in do_set or vj in do_set:
         raise InvalidInputError("test variables may not be intervened")
-    post = intervene(m_star, dict(do_set)) if do_set else m_star
-    pair = joint(post, {vi, vj}).normalized()
+    pair = _do_joint(m_star, do_set, {vi, vj}).normalized()
     cond = condition(pair, [vi])
     if cond.partial:
         raise PartialSupportError(f"some value of {vi!r} has zero probability in the test context")

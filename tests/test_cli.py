@@ -535,6 +535,66 @@ class TestMalformedFiles:
         assert self.EXPECTED[case] in err
 
 
+class TestModelRefusals:
+    """Each ``Exogenous`` and ``Scm`` refusal that a model file can reach
+    ends ``docalc discover --model`` with exit 1 and the refusal on stderr."""
+
+    GRAPH = {"vars": [{"name": "X"}, {"name": "Y"}], "edges": [["X", "Y"]],
+             "confounders": [["X", "Y"]]}
+    U = {"name": "U", "prior": [0.5, 0.5], "feeds": ["X", "Y"]}
+    MODEL = {**GRAPH, "exogenous": [U],
+             "cpts": {"X": {"exo_parents": ["U"], "table": [0.5] * 4},
+                      "Y": {"parents": ["X"], "exo_parents": ["U"], "table": [0.5] * 8}}}
+    # (case, the model's fields that change, the refusal)
+    CASES = [
+        ("no_feeds", {"exogenous": [{**U, "feeds": []}]}, "feeds one or two"),
+        ("three_feeds", {"exogenous": [{**U, "feeds": ["X", "Y", "Z"]}]}, "feeds one or two"),
+        ("prior_not_a_distribution", {"exogenous": [{**U, "prior": [0.5, 0.6]}]},
+         "prior of 'U' is not a distribution"),
+        ("cpt_missing", {"cpts": {"X": MODEL["cpts"]["X"]}},
+         "cpts must cover exactly the observed variables"),
+        # the loader sizes a table by every exogenous entry of its parent's name
+        ("exo_names_repeat", {"exogenous": [U, U],
+                              "cpts": {"X": {"exo_parents": ["U"], "table": [0.5] * 8},
+                                       "Y": {"parents": ["X"], "exo_parents": ["U"],
+                                             "table": [0.5] * 16}}},
+         "exogenous names must be unique"),
+        ("exo_name_is_observed", {"exogenous": [U, {**U, "name": "X", "feeds": ["X"]}]},
+         "exogenous names collide with observed variables"),
+        ("cpt_parents", {"cpts": {**MODEL["cpts"], "Y": {"exo_parents": ["U"], "table": [0.5] * 4}}},
+         "cpt parents of 'Y' disagree with the graph"),
+        ("exo_parent_unknown", {"cpts": {**MODEL["cpts"],
+                                         "X": {"exo_parents": ["U", "W"], "table": [0.5] * 4}}},
+         "unknown exogenous variable 'W'"),
+        ("exo_parent_not_fed", {"exogenous": [U, {**U, "name": "W", "feeds": ["Y"]}],
+                                "cpts": {**MODEL["cpts"],
+                                         "X": {"exo_parents": ["U", "W"], "table": [0.5] * 8}}},
+         "exo parent 'W' of 'X' does not feed it"),
+        ("pair_fed_twice", {"exogenous": [U, {**U, "name": "U1"}]},
+         "two exogenous variables feed the same pair"),
+        ("confounder_without_edge", {"confounders": []},
+         "bidirected edges and confounder variables disagree"),
+        ("feed_not_an_exo_parent", {"cpts": {**MODEL["cpts"], "X": {"table": [0.5, 0.5]}}},
+         "'U' feeds 'X' but is not among its exo parents"),
+    ]
+
+    @pytest.mark.parametrize("change, message", [c[1:] for c in CASES],
+                             ids=[c[0] for c in CASES])
+    def test_exit_one_with_the_refusal(self, tmp_path, capsys, change, message):
+        (tmp_path / "cands.json").write_text(json.dumps({"graphs": [self.GRAPH]}),
+                                             encoding="utf-8")
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(self.MODEL), encoding="utf-8")
+        argv = ["discover", "--candidates", str(tmp_path / "cands.json"), "--model", str(model)]
+        assert fileio.load_model(model).exogenous  # the unchanged model loads
+        model.write_text(json.dumps({**self.MODEL, **change}), encoding="utf-8")
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("input error:") and "Traceback" not in captured.err
+        assert message in captured.err
+
+
 class TestTransportCommand:
     @staticmethod
     def _mech_dict(tilt=0.0):

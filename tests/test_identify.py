@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from docalc.errors import InternalError, InvalidInputError
 from docalc.factors import Factor, marginalize
 from docalc.graphs import (Admg, Var, ancestors, d_separated, find_hedge, mutilate,
                            verify_hedge)
-from docalc.identify import (ObservedTerm, One, Product, Quotient, SumOver,
+from docalc.identify import (Expr, ObservedTerm, One, Product, Quotient, SumOver,
                              check_rule, effect_factor, evaluate, id_effect,
                              normalize, pretty)
 from docalc.scm import (InterventionSpec, joint, oracle_query, random_admg,
@@ -19,6 +21,26 @@ from conftest import close_within, seeded_admgs
 
 def chain_xz():
     return Admg([Var("X"), Var("Z")], [("X", "Z")])
+
+
+# (case, refused call, message): one row per input refusal of ``identify``
+# that no other test reaches
+REFUSALS = [
+    ("rule_outside_1_to_3", lambda: check_rule(chain_xz(), 4, set(), {"Z"}, {"X"}),
+     "rule must be 1, 2 or 3"),
+    ("empty_y", lambda: id_effect(chain_xz(), {"X"}, set()), "y nonempty"),
+    ("x_meets_y", lambda: id_effect(chain_xz(), {"X"}, {"X", "Z"}),
+     "x and y must be disjoint"),
+    ("unknown_expression_node", lambda: evaluate(Expr(), Factor([Var("X")], [0.5, 0.5])),
+     "unknown expression node"),
+]
+
+
+@pytest.mark.parametrize("call, message", [r[1:] for r in REFUSALS],
+                         ids=[r[0] for r in REFUSALS])
+def test_identify_refusals(call, message):
+    with pytest.raises(InvalidInputError, match=message):
+        call()
 
 
 class TestCheckRule:
@@ -75,6 +97,26 @@ class TestIdGolden:
         res = id_effect(g3, {"X1"}, {"X4"})
         assert not res.identified
         assert verify_hedge(g3, {"X1"}, {"X4"}, res.witness)
+
+    def test_normal_form_digest(self):
+        """One digest of (identified, printed expression, witness sets) over
+        every ordered pair of 300 seeded random ADMGs of 5-7 variables:
+        any change to a result or to its normal form moves it.  The sets
+        are sorted, since a frozenset's order follows PYTHONHASHSEED."""
+        h = hashlib.sha256()
+        queries = hedged = 0
+        for g in seeded_admgs(27, n_criterion2=0, n_random=300):
+            for x, y in itertools.permutations(g.names(), 2):
+                r = id_effect(g, {x}, {y})
+                text = pretty(r.expr) if r.identified else None
+                w = r.witness and [sorted(s) for s in (r.witness.forest_f,
+                                                       r.witness.forest_f_prime, r.witness.roots)]
+                h.update(json.dumps([r.identified, text, w]).encode())
+                h.update(b"\n")
+                queries += 1
+                hedged += not r.identified
+        assert (queries, hedged) == (9536, 335)
+        assert h.hexdigest() == "d43fdcab677f3959811b889720b1377b13c46dd2d2034e579a07ffc7584660a4"
 
 
 class TestNoSubgraphs:
@@ -322,20 +364,23 @@ class TestNormalizeAndPretty:
         assert identified > 1_000 and hedged > 100
 
     def test_running_distribution_must_span_the_frame(self):
-        """Summing out or conditioning an observed marginal reads its
-        variables off the frame's vertex set, so a marginal over another
-        set is an internal error, not a silently wrong term."""
+        """A frame carries its running distribution P(v) as None, built into
+        a term only where the frame emits it; an explicit observed marginal
+        in that place, over any vertex set, is an internal error, not a
+        silently wrong term."""
         g = Admg([Var("X"), Var("Z"), Var("Y")], [("X", "Z"), ("Z", "Y")])
         x_z, all_three = 0b011, 0b111  # bits follow g.vars: X, Z, Y
         for p, v in ((ObservedTerm(("X", "Z")), all_three),
                      (ObservedTerm(("X", "Y", "Z")), x_z),
                      (ObservedTerm(("X", "X")), x_z)):
-            with pytest.raises(InternalError, match="does not span"):
+            with pytest.raises(InternalError, match="is explicit"):
                 identify._sum_over(g, 0b001, p, v)
-            with pytest.raises(InternalError, match="does not span"):
+            with pytest.raises(InternalError, match="is explicit"):
                 identify._chain_product(g, 0b010, p, v)
-        assert identify._sum_over(g, 0b001, ObservedTerm(("X", "Y", "Z")), all_three) == \
-            ObservedTerm(("Y", "Z"))
+        assert identify._sum_over(g, 0b001, None, all_three) == ObservedTerm(("Y", "Z"))
+        assert identify._sum_over(g, 0, None, x_z) == ObservedTerm(("X", "Z"))
+        assert identify._chain_product(g, 0b110, None, all_three) == \
+            Product((ObservedTerm(("Y",), ("X", "Z")), ObservedTerm(("Z",), ("X",))))
 
 
 class TestSoundnessSample:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -46,6 +47,69 @@ def test_malformed_cpts_and_priors_refused():
         Exogenous(Var("U"), (0.5, "half"), frozenset({"X"}))
     with pytest.raises(InvalidInputError, match="flat"):
         Exogenous(Var("U"), ((0.5,), (0.5,)), frozenset({"X"}))
+
+
+U = Exogenous(Var("U"), (0.5, 0.5), frozenset({"X", "Y"}))
+U1 = Exogenous(Var("U1"), (0.5, 0.5), frozenset({"X", "Y"}))
+HALF = np.full((2, 2), 0.5)
+
+
+def _confounded_pair(exogenous=(U,), confounders=(("X", "Y"),), x=None, y=None) -> Scm:
+    """X -> Y with X <-> Y through U, in parts; each keyword replaces one."""
+    g = Admg([Var("X"), Var("Y")], [("X", "Y")], confounders)
+    return Scm(g, {"X": x or Cpt("X", (), ("U",), HALF),
+                   "Y": y or Cpt("Y", ("X",), ("U",), np.full((2, 2, 2), 0.5))}, exogenous)
+
+# (case, refused call, message): one row per refusal of Exogenous, Scm,
+# Scm._exo and InterventionSpec
+REFUSALS = [
+    ("prior_length", lambda: Exogenous(Var("U", 3), (0.5, 0.5), frozenset({"X"})),
+     "prior of 'U' has wrong length"),
+    ("prior_not_a_distribution", lambda: Exogenous(Var("U"), (0.5, 0.6), frozenset({"X"})),
+     "prior of 'U' is not a distribution"),
+    ("no_feeds", lambda: Exogenous(Var("U"), (0.5, 0.5), frozenset()),
+     "feeds one or two"),
+    ("three_feeds", lambda: Exogenous(Var("U"), (0.5, 0.5), frozenset({"X", "Y", "Z"})),
+     "feeds one or two"),
+    ("cpt_missing", lambda: Scm(Admg([Var("X"), Var("Y")]), {"X": Cpt("X", (), (), HALF[0])}),
+     "cpts must cover exactly the observed variables"),
+    ("exo_names_repeat", lambda: _confounded_pair(exogenous=[U, U]),
+     "exogenous names must be unique"),
+    ("exo_name_is_observed", lambda: _confounded_pair(
+        exogenous=[U, Exogenous(Var("X"), (0.5, 0.5), frozenset({"X"}))]),
+     "exogenous names collide with observed variables"),
+    ("cpt_key", lambda: _confounded_pair(x=Cpt("Y", (), ("U",), HALF)),
+     "cpt key 'X' does not match 'Y'"),
+    ("cpt_parents", lambda: _confounded_pair(y=Cpt("Y", (), ("U",), HALF)),
+     "cpt parents of 'Y' disagree with the graph"),
+    ("cpt_shape", lambda: _confounded_pair(y=Cpt("Y", ("X",), ("U",), HALF)),
+     "cpt table of 'Y' has shape (2, 2), expected (2, 2, 2)"),
+    ("exo_parent_unknown", lambda: _confounded_pair(x=Cpt("X", (), ("W",), HALF)),
+     "unknown exogenous variable 'W'"),
+    ("exo_parent_not_fed", lambda: _confounded_pair(
+        exogenous=[U, Exogenous(Var("W"), (0.5, 0.5), frozenset({"Y"}))],
+        x=Cpt("X", (), ("U", "W"), np.full((2, 2, 2), 0.5))),
+     "exo parent 'W' of 'X' does not feed it"),
+    ("pair_fed_twice", lambda: _confounded_pair(exogenous=[U, U1]),
+     "two exogenous variables feed the same pair"),
+    ("confounder_without_edge", lambda: _confounded_pair(confounders=()),
+     "bidirected edges and confounder variables disagree"),
+    ("feed_not_an_exo_parent", lambda: _confounded_pair(x=Cpt("X", (), (), np.full(2, 0.5))),
+     "'U' feeds 'X' but is not among its exo parents"),
+    ("intervened_and_observed", lambda: InterventionSpec(
+        frozenset({"X"}), {"X": 0}, frozenset({"X", "Y"})),
+     "intervened and observed sets must be disjoint"),
+    ("values_off_targets", lambda: InterventionSpec(frozenset({"X"}), {"Y": 0}, frozenset()),
+     "values must cover exactly the intervened set"),
+]
+
+
+@pytest.mark.parametrize("make, message", [r[1:] for r in REFUSALS],
+                         ids=[r[0] for r in REFUSALS])
+def test_model_and_experiment_refusals(make, message):
+    _confounded_pair()  # the unmodified parts are a valid model
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        make()
 
 
 class TestJoint:
@@ -285,6 +349,59 @@ class TestCiTest:
     def test_intervened_test_var_rejected(self):
         with pytest.raises(InvalidInputError):
             ci_test(two_fair_coins(), "X", "Y", {"X": 0})
+
+
+class TestOneCore:
+    """``oracle_query`` and ``ci_test`` eliminate over the true model's own
+    tables, with no intervened model: each answer equals ``joint`` of
+    ``intervene``'s model byte for byte."""
+
+    @staticmethod
+    def _same(a, b) -> bool:
+        return (a.names() == b.names() and a.partial == b.partial
+                and a.table.dtype == b.table.dtype and a.table.tobytes() == b.table.tobytes())
+
+    @staticmethod
+    def _ci(m, vi, vj, do):
+        try:
+            return ci_test(m, vi, vj, do)
+        except PartialSupportError:
+            return "partial"
+
+    def test_answers_equal_the_intervened_models(self):
+        rng = np.random.default_rng(2027)
+        answers = tests = dropped = 0
+        for _ in range(30):
+            g = random_admg(rng, int(rng.integers(3, 6)), 0.5, 3, int(rng.integers(2, 4)))
+            m = random_scm(rng, g, exo_domain=int(rng.integers(2, 4)))
+            names = list(g.names())
+            for _ in range(6):
+                targets = sorted(rng.choice(names, int(rng.integers(0, len(names))),
+                                            replace=False))
+                do = {t: int(rng.integers(g.var(t).domain)) for t in targets}
+                rest = [n for n in names if n not in do]
+                observed = frozenset(n for n in rest if rng.random() < 0.6)
+                post = intervene(m, do)
+                dropped += len(m.exogenous) - len(post.exogenous)
+                e = InterventionSpec(frozenset(do), do, observed)
+                assert self._same(oracle_query(m, e), joint(post, observed)), (g, e)
+                answers += 1
+                for vi, vj in itertools.permutations(rest, 2):
+                    assert self._ci(m, vi, vj, do) == self._ci(post, vi, vj, {}), (g, do)
+                    tests += 1
+        assert answers == 180 and tests > 300 and dropped > 10, (tests, dropped)
+
+    def test_slightly_negative_cells_are_clipped_alike(self):
+        """A CPT cell down to -1e-12 is allowed; the answer clips it to 0
+        as ``joint`` of the intervened model does."""
+        g = Admg([Var("X"), Var("Y"), Var("Z")], [("X", "Y"), ("Y", "Z")])
+        m = Scm(g, {"X": Cpt("X", (), (), np.array([0.5, 0.5])),
+                    "Y": Cpt("Y", ("X",), (), np.array([[1 + 1e-13, -1e-13], [0.3, 0.7]])),
+                    "Z": Cpt("Z", ("Y",), (), np.array([[1.0, 0.0], [0.4, 0.6]]))})
+        e = InterventionSpec(frozenset({"X"}), {"X": 0}, frozenset({"Y", "Z"}))
+        got = oracle_query(m, e)
+        assert got.table.min() == 0.0
+        assert self._same(got, joint(intervene(m, {"X": 0}), {"Y", "Z"}))
 
 
 class TestCore:
