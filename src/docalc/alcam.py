@@ -50,7 +50,7 @@ from .factors import Factor, _within, condition
 from .graphs import Admg, _mask, _names_of, _reach, d_separated, mutilate
 from .identify import (Expr, ObservedTerm, Prediction, _bind, _bind_effect, _evaluate,
                        _identify, _JointTerms)
-from .scm import InterventionOracle, InterventionSpec, Scm, joint
+from .scm import InterventionOracle, InterventionSpec, Scm, _check_value, joint
 
 __all__ = [
     "CandidateSet", "CostModel", "InterventionCaps", "Verdict", "Partition",
@@ -301,7 +301,7 @@ class PredictionTable:
     def _locate(self, e: InterventionSpec) -> tuple[tuple[tuple[str, ...], tuple[str, ...]], int]:
         """``e``'s group and the index of its values in the group's tensor,
         in ``itertools.product`` order; a name that is not a candidates'
-        variable and a value outside its domain are refused."""
+        variable and a value that is not an integer of its domain are refused."""
         targets, values, observed = e.key()
         if not (self._names.issuperset(targets) and self._names.issuperset(observed)):
             unknown = sorted({*targets, *observed} - self._names)
@@ -309,8 +309,7 @@ class PredictionTable:
         index = 0
         for t, v in zip(targets, values):
             domain = self._domain[t]
-            if not 0 <= v < domain:
-                raise InvalidInputError(f"value {v} out of domain for {t}")
+            _check_value(t, v, domain)
             index = index * domain + v
         return (targets, observed), index
 

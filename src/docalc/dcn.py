@@ -22,12 +22,15 @@ spec without a mechanism), else the mechanism's tables, whose message
 carries the slice state and the confounders in flight.  A p0 is refused
 for dynamic specs, because a slice state cannot carry the confounders in
 flight.  Each call builds one ``_Layout``, in one walk over (variable,
-slice): the unrolled names, ``Var``s and ranks of each slice, the call's
-one unrolled graph, unchecked, and on the mechanism each slice's tables,
-every slice whose parents lie in the window sharing its template's one
-read-only array.  ``unroll``, ``unrolled_scm`` and ``initial_distribution``
-read the same layout.  The ancestor sets, the slice states and
-transport's window are read off it by name.  Every step identified from
+slice): the unrolled names, ``Var``s and ranks of each slice, and on the
+mechanism each slice's tables, every slice whose parents lie in the
+window sharing its template's one read-only array.  The call's one
+unrolled graph, unchecked, is built on first read: by the first
+identification, ``transport``, ``unroll`` or ``unrolled_scm``, so a call
+that identifies nothing builds none.  ``unroll``, ``unrolled_scm`` and
+``initial_distribution`` read the same layout.  The slice states and
+transport's window are read off it by name, and the ancestor sets of Y
+off the slice template (``_ancestor_slices``).  Every step identified from
 one left edge is identified on one graph (``_Forward.id_graph``): the
 call's graph from t0, else the window from that edge through the last
 slice, built once.  The step's window is a root mask of that graph, the
@@ -80,7 +83,7 @@ from .errors import (InfiniteSpanError, InvalidInputError, UnsupportedModelError
                      UnsupportedQueryError, UnsupportedTransportError, WindowTooSmallError)
 from .factors import Factor, TransitionMatrix, _within, condition, marginalize, multiply
 from .graphs import (Admg, Var, _bit_indices, _d_separated, _mask, _names_of, _reach,
-                     _union, ancestors, c_components, d_separated, mutilate)
+                     _union, c_components, d_separated, mutilate)
 from . import scm
 from .identify import ObservedTerm, _bind_effect, _evaluate, _identify
 from .scm import Cpt, Exogenous, Scm, _do_joint, joint
@@ -336,9 +339,9 @@ class _Layout:
     """The slices t0..t_end of one call, from one walk over (variable,
     slice): the unrolled names of each slice (``slices``, declared
     order), their ``Var``s, domains, ranks (slice by slice) and slices,
-    the ``index`` (variable, slice) -> name, and the graph, built
-    unchecked: a valid ``DcnSpec`` unrolls to a valid ADMG.  Edges whose
-    lag sticks out of the window are dropped.
+    and the ``index`` (variable, slice) -> name.  The unrolled ``graph``
+    is built on first read, unchecked: a valid ``DcnSpec`` unrolls to a
+    valid ADMG.  Edges whose lag sticks out of the window are dropped.
 
     It also holds the mechanism unrolled over the window (``unrolled_scm``)
     for its first ``tables`` slices: per slice, the tables that slice adds to it
@@ -350,23 +353,20 @@ class _Layout:
     They come from the spec's checked mechanism, and
     ``DcnSpec`` makes sure at construction that they fit together, so
     nothing is checked.  Each template table is converted to float once,
-    and every slice whose parents all lie in the window shares that one
-    read-only array; parents and confounder halves from slices before t0
-    are averaged out."""
-
-    __slots__ = ("t0", "slices", "vars", "domain", "rank", "slice_of", "index", "graph",
-                 "interface", "tables", "exos")
+    and its axes are laid out once, as (template name, lag) pairs that
+    name every slice's scope; every slice whose parents all lie in the
+    window shares that one read-only array, and parents and confounder
+    halves from slices before t0 are averaged out."""
 
     def __init__(self, spec: DcnSpec, t0: int, t_end: int, tables: int):
         if t0 > t_end:
             raise WindowTooSmallError("empty unroll window")
-        self.t0 = t0
+        self.spec, self.t0, self.t_end = spec, t0, t_end
         self.slices: list[tuple[str, ...]] = []
         self.vars: dict[str, Var] = {}
         self.domain: dict[str, int] = {}
         self.slice_of: dict[str, int] = {}
         index = self.index = {}
-        directed, bidirected = set(), set()
         for t in range(t0, t_end + 1):
             names = tuple(slice_var_at(v.name, t) for v in spec.slice_vars)
             for v, n in zip(spec.slice_vars, names):
@@ -375,7 +375,18 @@ class _Layout:
                 self.domain[n] = v.domain
                 self.slice_of[n] = t
             self.slices.append(names)
-        for t in range(t0, t_end + 1):
+        self.rank = {n: i for i, n in enumerate(self.vars)}
+        self.interface = list(self.slices)
+        self.tables: list[list[tuple[tuple[str, ...], np.ndarray]]] = []
+        self.exos: list[tuple[str, SliceExo, tuple[str, ...]]] = []  # name, template, children
+        if tables:
+            self._unroll_mechanism(t0 + tables - 1)
+
+    @functools.cached_property
+    def graph(self) -> Admg:
+        spec, index, t_end = self.spec, self.index, self.t_end
+        directed, bidirected = set(), set()
+        for t in range(self.t0, t_end + 1):
             for a, b in spec.intra_edges:
                 directed.add((index[a, t], index[b, t]))
             for a, b, k in spec.cross_edges:
@@ -386,64 +397,53 @@ class _Layout:
             for a, b, k in spec.cross_confounders:
                 if t + k <= t_end:
                     bidirected.add(frozenset((index[a, t], index[b, t + k])))
-        self.rank = {n: i for i, n in enumerate(self.vars)}
-        self.graph = Admg._trusted(tuple(self.vars.values()), frozenset(directed),
-                                   frozenset(bidirected))
-        self.interface = list(self.slices)
-        self.tables: list[list[tuple[tuple[str, ...], np.ndarray]]] = []
-        self.exos: list[tuple[str, SliceExo, tuple[str, ...]]] = []  # name, template, children
-        if tables:
-            self._unroll_mechanism(spec, t_end, t0 + tables - 1)
+        return Admg._trusted(tuple(self.vars.values()), frozenset(directed),
+                             frozenset(bidirected))
 
-    def _unroll_mechanism(self, spec: DcnSpec, t_end: int, t_last: int) -> None:
+    def _unroll_mechanism(self, t_last: int) -> None:
+        spec, t0, t_end, index, domain = self.spec, self.t0, self.t_end, self.index, self.domain
         mech = spec._checked_mechanism
-        t0, index, domain = self.t0, self.index, self.domain
+        for e in mech.exos:
+            if e.earlier == e.later:
+                raise InvalidInputError(f"exo template {e.name!r} confounds {e.earlier!r} "
+                                        "with its own later slice, which a slice mechanism "
+                                        "cannot unroll")
         exo_of = {e.name: e for e in mech.exos}
         cpt_of = {c.var: c for c in mech.cpts}
-        base = {c.var: _read_only(np.asarray(c.table, dtype=float)) for c in mech.cpts}
         prior = {e.name: _read_only(np.asarray(e.prior, dtype=float)) for e in mech.exos}
+        born: dict[tuple[str, int], str] = {}  # (exo template, birth slice) -> name
+        # each CPT's axes but the variable's, in table order, as (names, template
+        # name, lag): at slice t the axis is names[template name, t - lag]
+        cpts = []
+        for v in spec.slice_vars:
+            c = cpt_of[v.name]
+            axes = ([(index, p, 0) for p in c.intra_parents]
+                    + [(index, p, lag) for p, lag in c.cross_parents]
+                    + [(born, x, 0 if v.name == exo_of[x].earlier else exo_of[x].lag)
+                       for x in c.exo_parents])
+            cpts.append((axes, _read_only(np.asarray(c.table, dtype=float))))
         for t in range(t0, t_last + 1):
-            born: list[tuple[tuple[str, ...], np.ndarray]] = []
+            added: list[tuple[tuple[str, ...], np.ndarray]] = []
             for e in mech.exos:
-                if e.earlier == e.later:
-                    raise InvalidInputError(f"exo template {e.name!r} confounds {e.earlier!r} "
-                                            "with its own later slice, which a slice mechanism "
-                                            "cannot unroll")
-                u = f"{e.name}@{t}"  # in flight until its later child or t_end
+                u = born[e.name, t] = f"{e.name}@{t}"  # in flight until its later child or t_end
                 later = (index[e.later, t + e.lag],) if t + e.lag <= t_end else ()
                 self.exos.append((u, e, (index[e.earlier, t],) + later))
                 domain[u] = len(e.prior)
-                born.append(((u,), prior[e.name]))
+                added.append(((u,), prior[e.name]))
                 for s in range(t - t0, min(t + e.lag, t_end) - t0):
                     self.interface[s] += (u,)
-            cpts: list[tuple[tuple[str, ...], np.ndarray]] = []
-            for v, name in zip(spec.slice_vars, self.slices[t - t0]):
-                c = cpt_of[v.name]
-                table = base[v.name]
-                # axes: intra parents, cross parents, exo parents, var
-                scope = [index[p, t] for p in c.intra_parents]
-                axis = len(scope)
-                for p, lag in c.cross_parents:
+            for name, (axes, base) in zip(self.slices[t - t0], cpts):
+                table, scope = base, []
+                for names, p, lag in axes:
                     if t - lag >= t0:
-                        scope.append(index[p, t - lag])
-                        axis += 1
-                    else:
-                        table = table.mean(axis=axis)  # pre-window parent: average
-                for x in c.exo_parents:
-                    e = exo_of[x]
-                    if v.name == e.earlier:
-                        scope.append(f"{x}@{t}")
-                    elif t - e.lag >= t0:
-                        scope.append(f"{x}@{t - e.lag}")
-                    else:
-                        table = table.mean(axis=axis)  # confounder born pre-window
-                        continue
-                    axis += 1
-                if table is not base[v.name]:
+                        scope.append(names[p, t - lag])
+                    else:  # a parent or confounder half before t0: average it out
+                        table = np.add.reduce(table, len(scope)) / table.shape[len(scope)]
+                if table is not base:
                     table.flags.writeable = False
                 scope.append(name)
-                cpts.append((tuple(scope), table))
-            self.tables.append(born + cpts)
+                added.append((tuple(scope), table))
+            self.tables.append(added)
 
 
 def unroll(spec: DcnSpec, t0: int, t_end: int) -> tuple[Admg, dict[tuple[str, int], str]]:
@@ -518,9 +518,10 @@ class _Forward:
     schedule cannot step a spec with dynamic confounders and a mechanism,
     so it is refused there, as p0 is.  The call's ``_Layout``, built once,
     gives the pass its names, ``Var``s, ranks, slices, interfaces and
-    mechanism tables, and the call's one unrolled graph (``graph``); the
-    terms are reduced on ``source``, and the steps from each left edge are
-    identified on one graph with one frame memo (``id_graph``).
+    mechanism tables, and the call's one unrolled graph (``graph``), built
+    on first read; the terms are reduced on ``source``, and the steps from
+    each left edge are identified on one graph with one frame memo
+    (``id_graph``).  A pass that identifies nothing reads no graph.
 
     The message at slice s is the joint of the slice-s variables and the
     confounders in flight there (feeding slice s or earlier and a later
@@ -535,7 +536,7 @@ class _Forward:
     tables (an identified step conditional, or the slice's own tables),
     onto the next slice.  Messages, marginals, terms and identification
     graphs are cached for the call, and contractions of validated tables
-    are trusted.  The windows and ancestor sets are read off the graph."""
+    are trusted.  The windows are read off the graph."""
 
     def __init__(self, spec: DcnSpec, schedule: Optional[Schedule], p0: Optional[Factor],
                  t0: int, t_end: int, cls: Optional[ConfounderClass] = None):
@@ -567,7 +568,7 @@ class _Forward:
         layout = _Layout(spec, t0, t_last, tables)
         self.slices, self.interface, self.index = layout.slices, layout.interface, layout.index
         self.vars, self.domain, self.rank = layout.vars, layout.domain, layout.rank
-        self.slice_of, self.graph = layout.slice_of, layout.graph
+        self.slice_of, self.layout = layout.slice_of, layout
         self.partial = p0 is not None and p0.partial
         if p0 is not None:
             first = [(self.slices[0], p0.reorder(spec.names()).table)]
@@ -592,6 +593,11 @@ class _Forward:
         self.marginals: dict[frozenset[str], Factor] = {}
         self.terms: dict[ObservedTerm, Factor] = {}
         self.id_graphs: dict[int, tuple[Admg, dict]] = {}
+
+    @property
+    def graph(self) -> Admg:
+        """The call's unrolled graph, built on first read."""
+        return self.layout.graph
 
     def _schedule_steps(self, schedule: Schedule, t_end: int
                         ) -> list[list[tuple[tuple[str, ...], np.ndarray]]]:
@@ -879,15 +885,23 @@ def step_kernel_matrix(
 # -- identification pipelines ----------------------------------------------
 
 
-def _ancestor_slices(obs: _Forward, y: frozenset[str], t_y: int,
+def _ancestor_slices(spec: DcnSpec, y: frozenset[str], t_y: int,
                      t_left: int) -> dict[int, tuple[str, ...]]:
-    """An(Y) intersected with each slice of [t_left, t_y], template names.
-    Read off the call's graph: directed edges never point back in time, so
-    these are the ancestors in the window t_left..t_y."""
-    an = ancestors(obs.graph, [obs.index[n, t_y] for n in y])
-    names = obs.spec.names()
-    return {t: tuple(n for n, u in zip(names, obs.slices[t - obs.t0]) if u in an)
-            for t in range(t_left, t_y + 1)}
+    """An(Y@t_y) intersected with each slice of [t_left, t_y], template
+    names in declared order, read off the template: close the slice's set
+    under the intra parents, then step back one slice along the cross
+    parents, all of lag 1 (``_Forward`` refuses longer lags).  Directed
+    edges never point back in time, so these are the ancestors in any
+    unrolled window that holds slices t_left..t_y."""
+    an, out = set(y), {}
+    for t in range(t_y, t_left - 1, -1):
+        size = -1
+        while size != len(an):  # close under the intra parents
+            size = len(an)
+            an.update([a for a, b in spec.intra_edges if b in an])
+        out[t] = tuple(n for n in spec.names() if n in an)
+        an = {a for a, b, _k in spec.cross_edges if b in an}
+    return dict(reversed(out.items()))
 
 
 def _check_intervention(spec: DcnSpec, x: Mapping[str, int]) -> None:
@@ -896,9 +910,7 @@ def _check_intervention(spec: DcnSpec, x: Mapping[str, int]) -> None:
     if not x:
         raise InvalidInputError("the intervention set must be nonempty")
     for n, v in x.items():
-        var = spec.var(n)
-        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or not 0 <= v < var.domain:
-            raise InvalidInputError(f"value {v!r} of {n} is not an integer in 0..{var.domain - 1}")
+        scm._check_value(n, v, spec.var(n).domain)
 
 
 def _validate_query(spec: DcnSpec, x: Mapping[str, int], y: Iterable[str],
@@ -943,7 +955,7 @@ def _effect(spec: DcnSpec, x: Mapping[str, int], t_x: int, y: Iterable[str], t_y
             raise UnsupportedQueryError("the outcome slice lies inside the dynamic time span")
         jump_to = t_x + span + 1
     obs = _Forward(spec, schedule, p0, t0, t_y, cls)
-    keep = _ancestor_slices(obs, ys, t_y, w_left) if complete else None
+    keep = _ancestor_slices(spec, ys, t_y, w_left) if complete else None
     if keep is not None and not any(n in keep[t_x] for n in x):
         # rule 3: X cannot influence Y, so the effect is the observational marginal
         obs.check_identifiable()

@@ -142,10 +142,14 @@ def save_graph(g: Admg, path: PathLike) -> None:
 def model_from_dict(d: Mapping[str, Any]) -> Scm:
     g = graph_from_dict(d)
     exo = []
+    exo_domain: dict[str, int] = {}  # sizes the exo axes of the cpt tables
     for e in _list(d, "exogenous"):
         e = _obj(e, "exogenous entry")
         name = _name(e["name"], "exogenous name")
+        if name in exo_domain:
+            raise InvalidInputError("exogenous names must be unique")
         prior = _floats(e["prior"], f"prior of {name!r}")
+        exo_domain[name] = len(prior)
         exo.append(Exogenous(Var(name, len(prior)), prior,
                              frozenset(_names(e["feeds"], f"feeds of {name!r}"))))
     cpts = {}
@@ -154,7 +158,8 @@ def model_from_dict(d: Mapping[str, Any]) -> Scm:
         parents = _names(c.get("parents", []), f"parents of {name!r}")
         exo_parents = _names(c.get("exo_parents", []), f"exo_parents of {name!r}")
         shape = tuple(g.var(p).domain for p in parents)
-        shape += tuple(e.var.domain for en in exo_parents for e in exo if e.var.name == en)
+        # an unknown exo parent sizes nothing here; ``Scm`` refuses it by name
+        shape += tuple(exo_domain[x] for x in exo_parents if x in exo_domain)
         shape += (g.var(name).domain,)
         table = _table(c["table"], f"cpt table of {name!r}")
         if table.size != int(np.prod(shape)):

@@ -39,7 +39,7 @@ from .errors import InternalError, InvalidInputError
 from .factors import Factor, condition, divide, marginalize
 from .graphs import (Admg, Hedge, _component_masks, _d_separated, _hedge_from_frame,
                      _mask, _names_of, _reach, _topo_bits, _union, mutilate)
-from .scm import _eliminate
+from .scm import _check_value, _eliminate
 
 __all__ = [
     "Expr", "ObservedTerm", "SumOver", "Product", "Quotient", "One",
@@ -382,12 +382,13 @@ def _bind(sheet: Factor, targets: Sequence[str], grid: Sequence, outcome: Sequen
 def _bind_effect(sheet: Factor, fixed: Mapping[str, int], outcome: Iterable[str]) -> Factor:
     """An evaluated effect expression bound to the intervened values
     ``fixed`` (``_bind`` of one assignment), as a factor over ``outcome``
-    in sorted order.  A value outside its domain is refused, since a
-    negative index would wrap."""
+    in sorted order.  A value that is not an integer of its domain is
+    refused (``scm._check_value``), since a negative index would wrap and
+    numpy would misread a float or a bool."""
     scope = {v.name: v for v in sheet.scope}
     for n, val in fixed.items():
-        if n in scope and not 0 <= val < scope[n].domain:
-            raise InvalidInputError(f"value {val} out of domain for {n}")
+        if n in scope:
+            _check_value(n, val, scope[n].domain)
     ys = sorted(outcome)
     table = _bind(sheet, tuple(fixed), tuple(fixed.values()), ys)
     return Factor._trusted(tuple(scope[n] for n in ys), table, sheet.partial)

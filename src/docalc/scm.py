@@ -325,10 +325,16 @@ def _do_joint(m: Scm, x: Mapping[str, int], keep: Optional[Iterable[str]]) -> Fa
 
 
 def _check_values(m: Scm, x: Mapping[str, int]) -> None:
-    """Refuse an unknown intervened variable or a value outside its domain."""
+    """Refuse an unknown intervened variable and a bad value (``_check_value``)."""
     for name, val in x.items():
-        if not 0 <= val < m.graph.var(name).domain:
-            raise InvalidInputError(f"value {val} out of domain for {name}")
+        _check_value(name, val, m.graph.var(name).domain)
+
+
+def _check_value(name: str, val: object, domain: int) -> None:
+    """Refuse an intervention value that is not an integer in 0..domain - 1:
+    a float or a bool is refused too, which numpy would misread as an index."""
+    if isinstance(val, bool) or not isinstance(val, (int, np.integer)) or not 0 <= val < domain:
+        raise InvalidInputError(f"value {val!r} of {name} is not an integer in 0..{domain - 1}")
 
 
 def intervene(m: Scm, x: Mapping[str, int]) -> Scm:

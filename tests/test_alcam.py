@@ -941,6 +941,17 @@ class TestPredictionTableRefusals:
             with pytest.raises(InvalidInputError, match="candidate index"):
                 ask()
 
+    @pytest.mark.parametrize("value", [1.0, np.float64(0), True, False, 2, -1], ids=repr)
+    def test_value_not_an_integer_of_the_domain(self, table, value):
+        """A float or bool value, or one outside the domain, is an input
+        error, never numpy's ``IndexError`` or a wrapped index."""
+        e = spec_for({"X"}, {"Y"}, {"X": value})
+        for ask in (lambda: table.verdicts(e), lambda: table.prediction(0, e),
+                    lambda: distinguishable_by(e, 0, 1, table),
+                    lambda: power_of_intervention(e, [0, 1], table)):
+            with pytest.raises(InvalidInputError, match="of X is not an integer in 0..1"):
+                ask()
+
     def test_experiment_without_targets_gets_verdicts(self):
         """An observation with no target is one group of one value
         assignment; its verdicts agree with ``prediction``'s answers."""

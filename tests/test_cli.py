@@ -4,6 +4,7 @@ import dataclasses
 import io
 import itertools
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -553,11 +554,10 @@ class TestModelRefusals:
          "prior of 'U' is not a distribution"),
         ("cpt_missing", {"cpts": {"X": MODEL["cpts"]["X"]}},
          "cpts must cover exactly the observed variables"),
-        # the loader sizes a table by every exogenous entry of its parent's name
         ("exo_names_repeat", {"exogenous": [U, U],
-                              "cpts": {"X": {"exo_parents": ["U"], "table": [0.5] * 8},
+                              "cpts": {"X": {"exo_parents": ["U"], "table": [0.5] * 4},
                                        "Y": {"parents": ["X"], "exo_parents": ["U"],
-                                             "table": [0.5] * 16}}},
+                                             "table": [0.5] * 8}}},
          "exogenous names must be unique"),
         ("exo_name_is_observed", {"exogenous": [U, {**U, "name": "X", "feeds": ["X"]}]},
          "exogenous names collide with observed variables"),
@@ -588,6 +588,90 @@ class TestModelRefusals:
         argv = ["discover", "--candidates", str(tmp_path / "cands.json"), "--model", str(model)]
         assert fileio.load_model(model).exogenous  # the unchanged model loads
         model.write_text(json.dumps({**self.MODEL, **change}), encoding="utf-8")
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("input error:") and "Traceback" not in captured.err
+        assert message in captured.err
+
+
+class TestDcnSpecRefusals:
+    """Each refusal of ``DcnSpec`` and of its mechanism check raises
+    ``InvalidInputError`` from the library, and a spec file that carries it
+    ends ``docalc dcn --spec`` with exit 1, the refusal on stderr and
+    nothing on stdout."""
+
+    HALF = np.full((2, 2, 2, 2), 0.5).tolist()  # a cpt over 3 parents
+    U = {"name": "U", "prior": [0.5, 0.5], "earlier": "a", "later": "b", "lag": 0}
+    W = {"name": "W", "prior": [0.5, 0.5], "earlier": "a", "later": "b", "lag": 1}
+    A = {"cross_parents": [["b", 1]], "exo_parents": ["U", "W"], "table": HALF}
+    B = {"intra_parents": ["a"], "exo_parents": ["U", "W"], "table": HALF}
+    SPEC = {"slice_vars": [{"name": "a"}, {"name": "b"}],
+            "intra_edges": [["a", "b"]], "cross_edges": [["b", "a", 1]],
+            "intra_confounders": [["a", "b"]], "cross_confounders": [["a", "b", 1]],
+            "mechanism": {"exos": [U, W], "cpts": {"a": A, "b": B}}}
+    U2 = {**U, "name": "U2"}
+    HALF5 = np.full((2,) * 5, 0.5).tolist()
+    # (case, the spec's fields that change, the refusal)
+    CASES = [
+        ("names_repeat", {"slice_vars": [{"name": "a"}, {"name": "a"}]},
+         "slice variable names must be unique"),
+        ("intra_edge_unknown", {"intra_edges": [["a", "z"]]}, "bad intra edge (a,z)"),
+        ("intra_edge_loop", {"intra_edges": [["a", "a"]]}, "bad intra edge (a,a)"),
+        ("cross_edge_lag_0", {"cross_edges": [["b", "a", 0]]}, "bad cross edge (b,a,0)"),
+        ("intra_confounder_one_name", {"intra_confounders": [["a"]]},
+         "bad intra confounder {'a'}"),
+        ("cross_confounder_unknown", {"cross_confounders": [["a", "z", 1]]},
+         "bad cross confounder (a,z,1)"),
+        ("mechanism_misses_b", {"mechanism": {"exos": [U, W], "cpts": {"a": A}}},
+         "mechanism must cover exactly the slice variables"),
+        ("exo_names_repeat", {"mechanism": {"exos": [U, U], "cpts": {"a": A, "b": B}}},
+         "exo templates need unique names and lags >= 0"),
+        ("exo_lag_negative", {"mechanism": {"exos": [U, {**W, "lag": -1}],
+                                            "cpts": {"a": A, "b": B}}},
+         "exo templates need unique names and lags >= 0"),
+        ("exo_named_as_slice_variable", {"mechanism": {"exos": [{**U, "name": "b"}, W],
+                                                       "cpts": {"a": A, "b": B}}},
+         "exo template names must differ from slice variable names"),
+        ("exo_feeds_one_child", {"mechanism": {"exos": [U, W], "cpts": {
+            "a": A, "b": {**B, "exo_parents": ["W"]}}}},
+         "exo template 'U' must be an exo parent of 'a' and of 'b', once each"),
+        ("intra_parents", {"mechanism": {"exos": [U, W], "cpts": {
+            "a": A, "b": {**B, "intra_parents": []}}}},
+         "intra parents of 'b' disagree with edges"),
+        ("cross_parents", {"mechanism": {"exos": [U, W], "cpts": {
+            "a": {**A, "cross_parents": []}, "b": B}}},
+         "cross parents of 'a' disagree with edges"),
+        ("exo_parent_unknown", {"mechanism": {"exos": [U, W], "cpts": {
+            "a": {**A, "exo_parents": ["U", "W", "V"]}, "b": B}}},
+         "exo parent 'V' of 'a' is not an exo template feeding it"),
+        ("cpt_shape", {"mechanism": {"exos": [U, W], "cpts": {
+            "a": {**A, "table": [[0.5, 0.5], [0.5, 0.5]]}, "b": B}}},
+         "cpt table of 'a' has shape (2, 2), expected (2, 2, 2, 2)"),
+        ("intra_confounder_without_exo", {"intra_confounders": []},
+         "intra confounders and lag-0 exo templates disagree"),
+        ("cross_confounder_without_exo", {"cross_confounders": []},
+         "cross confounders and lagged exo templates disagree"),
+        ("pair_confounded_twice", {
+            "intra_confounders": [["a", "b"], ["a", "b"]],
+            "mechanism": {"exos": [U, U2, W], "cpts": {
+                "a": {**A, "exo_parents": ["U", "U2", "W"], "table": HALF5},
+                "b": {**B, "exo_parents": ["U", "U2", "W"], "table": HALF5}}}},
+         "two exo templates confound the same pair"),
+    ]
+
+    @pytest.mark.parametrize("change, message", [c[1:] for c in CASES],
+                             ids=[c[0] for c in CASES])
+    def test_refused_by_the_library_and_the_cli(self, tmp_path, capsys, change, message):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(self.SPEC), encoding="utf-8")
+        argv = ["dcn", "--spec", str(spec), "--horizon", "2"]
+        assert main(argv) == 0  # the unchanged spec runs
+        assert "trajectory over slices 0..2" in capsys.readouterr().out
+        changed = {**self.SPEC, **change}
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            fileio.dcn_spec_from_dict(changed)
+        spec.write_text(json.dumps(changed), encoding="utf-8")
         code = main(argv)
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""

@@ -1454,9 +1454,10 @@ def _latent_projection_edges(spec, t0, t_left, t_right):
 
 
 class TestOneGraphPerCall:
-    """Each call unrolls its graph once, reads its windows, ancestor sets
-    and static steps off its one pass, and trusts what it derives; these
-    tests hold the invariants that make that exact."""
+    """Each call unrolls its graph once, on first identification, reads its
+    windows and static steps off its one pass and its ancestor sets off the
+    template, and trusts what it derives; these tests hold the invariants
+    that make that exact."""
 
     def test_window_graphs_are_the_unrolled_windows(self, generator_calls):
         """Every step a pipeline identifies is identified on a root mask of
@@ -1491,6 +1492,26 @@ class TestOneGraphPerCall:
                 assert pretty(result.expr) == pretty(want.expr)
             seen[want.identified] += 1
         assert seen[True] >= 100 and seen[False] >= 20, seen
+
+    def test_ancestor_sets_off_the_template(self):
+        """``_ancestor_slices``, read off the slice template, is An(Y@t_y)
+        in ``unroll(spec, t0, t_last)`` split by slice, for every left edge
+        t0 <= t_left <= t_y, with t_last past t_y by the longest confounder
+        lag, as a call lays it out: on the 150-spec static and dynamic
+        generators, for Y the query's outcome and every slice variable."""
+        seen = Counter()
+        for kind in ("static", "dynamic"):
+            for spec, _x, yv, t_y in _generator_queries(kind, 2):
+                for t0, ys in ((0, {yv}), (1, set(spec.names()))):
+                    g, _index = unroll(spec, t0, t_y + classify(spec).alpha_max)
+                    an = ancestors(g, [slice_var_at(n, t_y) for n in ys])
+                    for t_left in range(t0, t_y + 1):
+                        want = {t: tuple(n for n in spec.names() if slice_var_at(n, t) in an)
+                                for t in range(t_left, t_y + 1)}
+                        got = dcn._ancestor_slices(spec, frozenset(ys), t_y, t_left)
+                        assert list(got.items()) == list(want.items())
+                        seen[kind] += 1
+        assert seen["static"] >= 1500 and seen["dynamic"] >= 400, seen
 
     def test_each_left_edge_builds_one_graph(self):
         """A call identifies every step from one left edge on one graph with
@@ -1779,10 +1800,15 @@ class TestOneGraphPerCall:
     def test_each_call_unrolls_once_and_validates_nothing(self, monkeypatch):
         """Regression guard: on mechanism-only specs each pipeline call,
         scheduled static calls, ``transport`` and ``initial_distribution``
-        included, builds one layout (``_Layout``: its names, graph and
-        tables) and no other unrolled graph, classifies the spec once,
-        builds no graph through the validating constructor, and derives no
-        ``mechanism_transition``."""
+        included, builds one layout (``_Layout``: its names and tables)
+        and no other unrolled graph, classifies the spec once, builds no
+        graph through the validating constructor, and derives no
+        ``mechanism_transition``.  The layout's graph is built on first read
+        (``Admg._build``, by any constructor, is counted): once by a call
+        that identifies on the window from t0.  A call that identifies
+        nothing builds no graph at all: rule-3 answers of the complete
+        variants, an unintervened ``trajectory``, ``observational_marginal``,
+        ``initial_distribution`` and ``mechanism_transition``."""
         static = random_dcn_spec(np.random.default_rng(1), n_vars=3, n_static_conf=1)
         dynamic = dyn_spec([("V1", "V2", 1)], seed=5)
         calls = Counter()
@@ -1811,31 +1837,43 @@ class TestOneGraphPerCall:
         monkeypatch.setattr(dcn, "mechanism_transition",
                             counted("mechanism_transition", dcn.mechanism_transition))
         monkeypatch.setattr(Admg, "__init__", counted("Admg", Admg.__init__))
+        monkeypatch.setattr(Admg, "_build", counted("graph", Admg._build))
         monkeypatch.setattr(dcn, "unrolled_scm", counted("unrolled_scm", dcn.unrolled_scm))
+        # (call, graphs it builds); on both specs V1@2 is no ancestor of
+        # V2@5, so the complete variants answer by rule 3
         runs = [
-            lambda s: dcn_id_static(s, x, 2, {"V2"}, 5),
-            lambda s: cdcn_id_static(s, x, 2, {"V2"}, 5),
-            lambda s: trajectory(s, None, None, (x, 2), 5),
-            lambda s: step_kernel_matrix(s, x, 2),
-            lambda s: initial_distribution(s),
+            (lambda s: dcn_id_static(s, x, 2, {"V2"}, 5), 1),
+            (lambda s: cdcn_id_static(s, x, 2, {"V2"}, 5), 0),
+            (lambda s: trajectory(s, None, None, (x, 2), 5), 1),
+            (lambda s: step_kernel_matrix(s, x, 2), 1),
+            (lambda s: trajectory(s, None, None, None, 5), 0),
+            (lambda s: observational_marginal(s, 4, None, None, 0), 0),
+            (lambda s: initial_distribution(s), 0),
         ]
         dynamic_runs = [
-            lambda s: dcn_id_dynamic(s, x, 2, {"V2"}, 5),
-            lambda s: cdcn_id_dynamic(s, x, 2, {"V2"}, 5),
+            (lambda s: dcn_id_dynamic(s, x, 2, {"V2"}, 5), 1),
+            (lambda s: cdcn_id_dynamic(s, x, 2, {"V2"}, 5), 0),
         ] + runs[2:]
         scheduled_runs = [
-            lambda s: dcn_id_static(s, x, 2, {"V2"}, 5, schedule),
-            lambda s: cdcn_id_static(s, x, 2, {"V2"}, 5, schedule),
-            lambda s: trajectory(s, schedule, None, (x, 2), 5),
-            lambda s: step_kernel_matrix(s, x, 2, schedule),
+            (lambda s: dcn_id_static(s, x, 2, {"V2"}, 5, schedule), 1),
+            (lambda s: cdcn_id_static(s, x, 2, {"V2"}, 5, schedule), 0),
+            (lambda s: trajectory(s, schedule, None, (x, 2), 5), 1),
+            (lambda s: step_kernel_matrix(s, x, 2, schedule), 1),
+            (lambda s: trajectory(s, schedule, None, None, 5), 0),
         ]
-        transport_runs = [lambda s: transport(s, tspec, {"tr1": 1}, 3, {"d"}, 6, target_schedule)]
+        # the call's graph, the window transport checks, the identification
+        # window from its left edge 1 > t0, and ``source``
+        transport_runs = [
+            (lambda s: transport(s, tspec, {"tr1": 1}, 3, {"d"}, 6, target_schedule), 4)]
         for spec, pipelines in ((static, runs), (dynamic, dynamic_runs), (static, scheduled_runs),
                                 (target, transport_runs)):
-            for run in pipelines:
+            for run, graphs in pipelines:
                 calls.clear()
                 assert run(spec) is not None
-                assert calls == {"layout": 1, "classify": 1}
+                assert calls == Counter(layout=1, classify=1, graph=graphs)
+        calls.clear()
+        dcn.mechanism_transition(static)
+        assert calls == Counter(mechanism_transition=1, layout=1, classify=1)
 
 
 class TestOneTermRule:

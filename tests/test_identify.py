@@ -190,12 +190,14 @@ class TestEvaluate:
 
     def test_value_outside_the_domain_is_refused(self):
         """A value below 0 or at the domain size is refused, not read off
-        another cell (a negative index would wrap)."""
+        another cell (a negative index would wrap), and so is a float or a
+        bool, which numpy would misread as an index."""
         g = chain_xz()
         p = joint(random_scm(np.random.default_rng(1), g))
         res = id_effect(g, {"X"}, {"Z"})
-        for val in (-1, 2):
-            with pytest.raises(InvalidInputError, match=f"value {val} out of domain for X"):
+        for val in (-1, 2, 1.0, True):
+            with pytest.raises(InvalidInputError,
+                               match=f"value {val} of X is not an integer in 0..1"):
                 effect_factor(res.expr, p, {"X": val}, {"Z"})
 
     def test_constant_times_marginal(self):

@@ -60,8 +60,12 @@ def _confounded_pair(exogenous=(U,), confounders=(("X", "Y"),), x=None, y=None) 
     return Scm(g, {"X": x or Cpt("X", (), ("U",), HALF),
                    "Y": y or Cpt("Y", ("X",), ("U",), np.full((2, 2, 2), 0.5))}, exogenous)
 
+def _value_spec(val) -> InterventionSpec:
+    return InterventionSpec(frozenset({"X"}), {"X": val}, frozenset({"Y"}))
+
+
 # (case, refused call, message): one row per refusal of Exogenous, Scm,
-# Scm._exo and InterventionSpec
+# Scm._exo and InterventionSpec, and per kind of bad intervention value
 REFUSALS = [
     ("prior_length", lambda: Exogenous(Var("U", 3), (0.5, 0.5), frozenset({"X"})),
      "prior of 'U' has wrong length"),
@@ -101,6 +105,20 @@ REFUSALS = [
      "intervened and observed sets must be disjoint"),
     ("values_off_targets", lambda: InterventionSpec(frozenset({"X"}), {"Y": 0}, frozenset()),
      "values must cover exactly the intervened set"),
+    ("value_float_intervene", lambda: intervene(_confounded_pair(), {"X": 1.0}),
+     "value 1.0 of X is not an integer in 0..1"),
+    ("value_bool_intervene", lambda: intervene(_confounded_pair(), {"X": True}),
+     "value True of X is not an integer in 0..1"),
+    ("value_above_domain_intervene", lambda: intervene(_confounded_pair(), {"X": 2}),
+     "value 2 of X is not an integer in 0..1"),
+    ("value_negative_oracle", lambda: oracle_query(_confounded_pair(), _value_spec(-1)),
+     "value -1 of X is not an integer in 0..1"),
+    ("value_float_oracle", lambda: oracle_query(_confounded_pair(), _value_spec(1.0)),
+     "value 1.0 of X is not an integer in 0..1"),
+    ("value_numpy_float_oracle", lambda: oracle_query(_confounded_pair(), _value_spec(np.float64(0))),
+     "of X is not an integer in 0..1"),
+    ("value_bool_oracle", lambda: oracle_query(_confounded_pair(), _value_spec(False)),
+     "value False of X is not an integer in 0..1"),
 ]
 
 
