@@ -9,13 +9,17 @@ intervened context (``_ci``), and one experiment per value of a
 variable (``_per_value``).
 
 Every comparison of predictions reads one set of rows: the predictions
-``PredictionTable._fill`` binds, one group of experiments that share
-sorted targets and sorted observed at a time.  Groups that also share
-target domains are filled together: each distinct evaluated sheet of a
-group is bound to every value assignment at once (``identify._bind``),
-the rows of the whole batch are classified pairwise into the seven-case
-table in one broadcast, and each group's result is expanded to every
-candidate pair, one read-only (values, n, n) tensor per group, which
+``PredictionTable._fill`` binds, one group of experiments at a time.  A
+group is (reaching targets, sorted observed Y): the targets that are an
+ancestor of Y in some candidate.  The others change no candidate's
+prediction, since each is identified on G_k[An_k(Y)] with X & An_k(Y)
+(rule 3 of the do-calculus; line 2 of ID), so they are dropped.  The
+groups of one observed set are filled as one batch: each distinct
+evaluated sheet of a group is bound to every value assignment at once
+(``identify._bind``), the rows of the whole batch, value grids padded to
+its largest, are classified pairwise into the seven-case table in one
+broadcast, and each group's result is expanded to every candidate pair,
+one read-only (values, n, n) tensor per group, which
 ``PredictionTable.verdicts(e)`` slices.  The table keeps one record per
 group: its tensor, its batch's rows and its position in the batch.  Each
 candidate's subproblems share the ID recursion's frames, and sheets
@@ -37,8 +41,10 @@ experiments included, is serialized through a single
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -195,14 +201,20 @@ class PredictionTable:
     table's joint source: the Q-factor terms P(v | predecessors) recur
     across expressions, and the memo is keyed by value.
 
-    Verdicts are computed per group, the experiments that share sorted
-    targets and sorted observed, and many groups at once (``_fill``).
-    Each group has one record (``_group``): a read-only (values, n, n)
-    tensor, whose slice for one experiment :meth:`verdicts` returns, and
-    the rows its batch bound (``_bound``), from which
-    ``distinguishable_by`` and ``select_graphs`` read.  :meth:`prediction`
-    binds a single sheet for the public API.  A variable name outside
-    the candidates' and a candidate index outside 0..n-1 are refused with
+    Verdicts are computed per group, (reaching targets, sorted observed
+    Y), and many groups at once (``_fill``).  The reaching targets are
+    those that are an ancestor of Y in some candidate.  Dropping the rest
+    is exact: each sheet is identified on G_k[An_k(Y)] with X & An_k(Y)
+    (line 2 of ID; rule 3) and its scope lies inside An_k(Y), so such a
+    target changes no sheet key, bound axis or auxiliary.  A fill makes
+    one batch per observed set.  Each experiment is located in its group
+    once (``_locate``).  Each group has one record (``_group``): a
+    read-only (values, n, n) tensor, whose slice for one experiment
+    :meth:`verdicts` returns, and the rows its batch bound (``_bound``),
+    from which ``distinguishable_by`` and ``select_graphs`` read.
+    :meth:`prediction` binds a single sheet for the public API.  A
+    variable name outside the candidates', a value that is not an integer
+    of its domain and a candidate index outside 0..n-1 are refused with
     ``InvalidInputError``.  Every cache lives and dies with the table.
     """
 
@@ -211,8 +223,10 @@ class PredictionTable:
         self.p_star = p_star
         self._domain = {v.name: v.domain for v in candidates.graphs[0].vars}
         self._names = frozenset(self._domain)
-        # (graph, observed) -> (An(Y), index of the distinct G[An(Y)])
-        self._ancestral: dict[tuple[int, tuple[str, ...]], tuple[frozenset[str], int]] = {}
+        # (graph, observed) -> (An(Y) mask, index of the distinct G[An(Y)])
+        self._ancestral: dict[tuple[int, tuple[str, ...]], tuple[int, int]] = {}
+        # observed -> the variables an ancestor of it in some candidate, a mask
+        self._reaching: dict[tuple[str, ...], int] = {}
         self._subgraphs: dict[tuple, int] = {}
         self._sheets: dict[tuple, Optional[Factor]] = {}  # (G[An(Y)] index, X & An(Y), Y)
         self._frames: dict[int, dict] = {}  # graph -> the ID frames run on it
@@ -222,6 +236,9 @@ class PredictionTable:
         # identified, partial, row index, P(Y)), its position in the batch)
         self._groups: dict[tuple[tuple[str, ...], tuple[str, ...]],
                            tuple[np.ndarray, tuple, int]] = {}
+        # id(experiment) -> (the experiment, its group and value index); holding
+        # the experiment keeps its id from being reused while the table lives
+        self._located: dict[int, tuple[InterventionSpec, tuple]] = {}
         self._predictions: dict[tuple[int, tuple], Prediction] = {}  # (id(sheet), e.key())
 
     def observational_marginal(self, observed: Iterable[str]) -> Factor:
@@ -236,18 +253,7 @@ class PredictionTable:
         order is G's restricted to An(Y)."""
         g = self.candidates.graphs[g_idx]
         bit = g._bit
-        if (g_idx, observed) not in self._ancestral:
-            an = _reach(g._pa, g._all, _mask(g, observed, "prediction"))
-            # the parts of G[An(Y)], all that graph equality compares;
-            # An(Y) is ancestral, so it holds every parent of its
-            # members.  Line 2 of ID reduces to that subproblem on its
-            # own, so no subgraph is built.
-            parts = (tuple(v for v in g.vars if bit[v.name] & an),
-                     frozenset(e for e in g.directed if bit[e[1]] & an),
-                     frozenset(p for p in g.bidirected if all(bit[n] & an for n in p)))
-            sub = self._subgraphs.setdefault(parts, len(self._subgraphs))
-            self._ancestral[g_idx, observed] = (an, sub)
-        an, sub = self._ancestral[g_idx, observed]
+        an, sub = self._ancestry(g_idx, observed)
         try:
             key = (sub, tuple(n for n in targets if bit[n] & an), observed)
         except KeyError:
@@ -259,11 +265,30 @@ class PredictionTable:
                                  else _evaluate(expr, self._terms, self._evaluated))
         return self._sheets[key]
 
+    def _ancestry(self, g_idx: int, observed: tuple[str, ...]) -> tuple[int, int]:
+        """(An(Y) in graph ``g_idx`` as a mask, the index of the distinct
+        G[An(Y)]) for Y = ``observed``."""
+        if (g_idx, observed) not in self._ancestral:
+            g = self.candidates.graphs[g_idx]
+            bit = g._bit
+            an = _reach(g._pa, g._all, _mask(g, observed, "prediction"))
+            # the parts of G[An(Y)], all that graph equality compares;
+            # An(Y) is ancestral, so it holds every parent of its
+            # members.  Line 2 of ID reduces to that subproblem on its
+            # own, so no subgraph is built.
+            parts = (tuple(v for v in g.vars if bit[v.name] & an),
+                     frozenset(e for e in g.directed if bit[e[1]] & an),
+                     frozenset(p for p in g.bidirected if all(bit[n] & an for n in p)))
+            sub = self._subgraphs.setdefault(parts, len(self._subgraphs))
+            self._ancestral[g_idx, observed] = (an, sub)
+        return self._ancestral[g_idx, observed]
+
     def prediction(self, g_idx: int, e: InterventionSpec) -> Prediction:
         """The prediction of graph ``g_idx`` for ``e``.  Candidates that
         share a sheet share its binding, so each (sheet, experiment) is
         bound once; a sheet lives as long as the table, so its id is a
         key for that long."""
+        self._locate(e)  # checks every name and value, the targets outside the sheet too
         targets, _values, observed = e.key()
         sheet = self._sheet(self._candidate(g_idx), targets, observed)
         if sheet is None:
@@ -291,27 +316,43 @@ class PredictionTable:
 
     def _group(self, group: tuple[tuple[str, ...], tuple[str, ...]]
                ) -> tuple[np.ndarray, tuple, int]:
-        """The record of ``group`` (sorted targets, sorted observed), filled
-        when not yet held: (verdict tensor, its batch's rows, its position
-        in the batch)."""
+        """The record of ``group`` (reaching targets, sorted observed),
+        filled when not yet held: (verdict tensor, its batch's rows, its
+        position in the batch)."""
         if group not in self._groups:
             self._fill([group])
         return self._groups[group]
 
     def _locate(self, e: InterventionSpec) -> tuple[tuple[tuple[str, ...], tuple[str, ...]], int]:
-        """``e``'s group and the index of its values in the group's tensor,
-        in ``itertools.product`` order; a name that is not a candidates'
-        variable and a value that is not an integer of its domain are refused."""
+        """``e``'s group, (its targets that are an ancestor of its observed
+        Y in some candidate, sorted Y), and the index of those targets'
+        values in the group's tensor, in ``itertools.product`` order; the
+        other targets change no sheet (rule 3, line 2 of ID).  Every name
+        and value is checked, once per experiment and table: a name that
+        is not a candidates' variable and a value that is not an integer
+        of its domain are refused."""
+        hit = self._located.get(id(e))
+        if hit is not None:
+            return hit[1]
         targets, values, observed = e.key()
         if not (self._names.issuperset(targets) and self._names.issuperset(observed)):
             unknown = sorted({*targets, *observed} - self._names)
             raise InvalidInputError(f"experiment {e} names unknown variables {unknown}")
-        index = 0
+        if observed not in self._reaching:
+            self._reaching[observed] = functools.reduce(operator.or_, (
+                self._ancestry(k, observed)[0] for k in range(len(self.candidates.graphs))))
+        # candidates share ``vars``, so their bits agree
+        reaching, bit = self._reaching[observed], self.candidates.graphs[0]._bit
+        kept, index = [], 0
         for t, v in zip(targets, values):
             domain = self._domain[t]
             _check_value(t, v, domain)
-            index = index * domain + v
-        return (targets, observed), index
+            if bit[t] & reaching:
+                kept.append(t)
+                index = index * domain + v
+        where = ((tuple(kept), observed), index)
+        self._located[id(e)] = (e, where)
+        return where
 
     def _candidate(self, k: int) -> int:
         """``k``, refused unless it indexes a candidate (no wrap-around)."""
@@ -322,9 +363,9 @@ class PredictionTable:
 
     def _grouped(self, experiments: Sequence[InterventionSpec],
                  ) -> dict[tuple, tuple[list[int], list[int]]]:
-        """The experiments by group (sorted targets, sorted observed): each
-        group's positions in ``experiments`` and value indices in its
-        tensor; every group's tensor is filled, all at once."""
+        """The experiments by group (``_locate``): each group's positions
+        in ``experiments`` and value indices in its tensor; every group's
+        tensor is filled, all at once."""
         groups: dict[tuple, tuple[list[int], list[int]]] = {}
         for i, e in enumerate(experiments):
             group, value = self._locate(e)
@@ -344,24 +385,25 @@ class PredictionTable:
         return out
 
     def _fill(self, groups: Iterable[tuple[tuple[str, ...], tuple[str, ...]]]) -> None:
-        """The verdict tensors of the groups (sorted targets, sorted
-        observed) not yet held.  Groups with the same observed and target
-        domains share P(Y) and the value grid, so each batch of them is
-        classified in one broadcast over (groups, values, rows, cells); a
-        group's rows are its distinct sheets, each bound once."""
+        """The verdict tensors of the groups (reaching targets, sorted
+        observed) not yet held, one batch per observed set: its groups
+        share P(Y), and their value grids are padded to the batch's
+        largest, so each batch is classified in one broadcast over
+        (groups, values, rows, cells); a group's rows are its distinct
+        sheets, each bound once."""
         n = len(self.candidates.graphs)
-        batches: dict[tuple, dict[tuple[str, ...], None]] = {}
+        batches: dict[tuple[str, ...], dict[tuple[str, ...], None]] = {}
         for targets, observed in groups:
             if (targets, observed) not in self._groups:
-                domains = tuple(self._domain[t] for t in targets)
-                batches.setdefault((observed, domains), {})[targets] = None
-        for (observed, domains), members in batches.items():
-            grid = np.indices(domains).reshape(len(domains), math.prod(domains))
+                batches.setdefault(observed, {})[targets] = None
+        for observed, members in batches.items():
+            grids = [np.indices(d).reshape(len(d), math.prod(d))
+                     for d in ([self._domain[t] for t in targets] for targets in members)]
             py = self.observational_marginal(observed).table.reshape(-1)
-            rows = np.zeros((len(members), grid.shape[1], n, py.size))
+            rows = np.zeros((len(members), max(g.shape[1] for g in grids), n, py.size))
             ident, partial = np.zeros((2, len(members), 1, n), dtype=bool)
             index = np.empty((len(members), 1, n), dtype=np.intp)  # candidate -> its row
-            for b, targets in enumerate(members):
+            for b, (targets, grid) in enumerate(zip(members, grids)):
                 row_of: dict[int, int] = {}
                 for k in range(n):
                     sheet = self._sheet(k, targets, observed)
@@ -369,7 +411,7 @@ class PredictionTable:
                         r = row_of[id(sheet)] = len(row_of)
                         if sheet is not None:
                             bound = _bind(sheet, targets, grid, observed)
-                            rows[b, :, r] = bound.reshape(-1, py.size)
+                            rows[b, :grid.shape[1], r] = bound.reshape(-1, py.size)
                             ident[b, 0, r], partial[b, 0, r] = True, sheet.partial
                     index[b, 0, k] = row_of[id(sheet)]
             m = index.max() + 1
@@ -380,11 +422,11 @@ class PredictionTable:
                      & ~(partial[..., :, None] | partial[..., None, :]))
             # each group's rows expanded to every pair of candidates
             tensors = split[np.arange(len(members))[:, None, None, None],
-                            np.arange(grid.shape[1])[:, None, None],
+                            np.arange(rows.shape[1])[:, None, None],
                             index[..., :, None], index[..., None, :]]
             tensors.flags.writeable = False
-            for b, targets in enumerate(members):
-                self._groups[targets, observed] = (tensors[b], batch, b)
+            for b, (targets, grid) in enumerate(zip(members, grids)):
+                self._groups[targets, observed] = (tensors[b, :grid.shape[1]], batch, b)
 
 
 def _case_of(k_id: bool, l_id: bool, k_py: bool, l_py: bool, same: bool) -> int:

@@ -28,9 +28,10 @@ window sharing its template's one read-only array.  The call's one
 unrolled graph, unchecked, is built on first read: by the first
 identification, ``transport``, ``unroll`` or ``unrolled_scm``, so a call
 that identifies nothing builds none.  ``unroll``, ``unrolled_scm`` and
-``initial_distribution`` read the same layout.  The slice states and
-transport's window are read off it by name, and the ancestor sets of Y
-off the slice template (``_ancestor_slices``).  Every step identified from
+``initial_distribution`` read the same layout.  The slice states are
+read off it by name, transport's window as a mask of the graph its step
+is identified on, and the ancestor sets of Y off the slice template
+(``_ancestor_slices``).  Every step identified from
 one left edge is identified on one graph (``_Forward.id_graph``): the
 call's graph from t0, else the window from that edge through the last
 slice, built once.  The step's window is a root mask of that graph, the
@@ -83,7 +84,7 @@ from .errors import (InfiniteSpanError, InvalidInputError, UnsupportedModelError
                      UnsupportedQueryError, UnsupportedTransportError, WindowTooSmallError)
 from .factors import Factor, TransitionMatrix, _within, condition, marginalize, multiply
 from .graphs import (Admg, Var, _bit_indices, _d_separated, _mask, _names_of, _reach,
-                     _union, c_components, d_separated, mutilate)
+                     _union, d_separated, mutilate)
 from . import scm
 from .identify import ObservedTerm, _bind_effect, _evaluate, _identify
 from .scm import Cpt, Exogenous, Scm, _do_joint, joint
@@ -1148,10 +1149,14 @@ def transport(
     w_left = _window_left(spec, x, t_x, t0)
     obs = _Forward(spec, T_target, p0_target, t0, t_y, cls)
     window = range(w_left, t_x + 2)
-    g, index = obs.graph.induced(itertools.chain.from_iterable(
-        obs.slices[w_left - t0:t_x + 2 - t0])), obs.index
+    # the window is the mask of its slices in the graph the step is
+    # identified on, a time prefix of it
+    (g, _frames), index = obs.id_graph(w_left), obs.index
+    inside = _mask(g, itertools.chain.from_iterable(obs.slices[w_left - t0:t_x + 2 - t0]),
+                   "window")
     x_names = {index[(n, t_x)] for n in x}
-    x_comp = frozenset().union(*(comp for comp in c_components(g) if comp & x_names))
+    x_mask = _mask(g, x_names, "window")
+    x_comp = _reach(g._sib, inside, x_mask)  # the window's C-components that meet X
     for e in tspec.source_experiments:
         if not e <= set(spec.names()):
             raise InvalidInputError(f"source experiment {sorted(e)} names an unknown slice variable")
@@ -1165,7 +1170,7 @@ def transport(
                 continue
             # pointing at an intervened variable is harmless (the do() cuts
             # the selection edge); pointing at its confounded partners is not
-            if index[(var, t)] in x_comp - x_names:
+            if g._bit[index[(var, t)]] & x_comp & ~x_mask:
                 raise UnsupportedTransportError(
                     f"selection variable {s.name!r} points inside the intervened "
                     f"bidirected component ({var} at slice {t})")
@@ -1180,12 +1185,14 @@ def transport(
         # s-admissibility: selection variables d-separated from the step
         # outcome under do(X) in the selection-augmented window
         sel_vars = [Var(s.name, 2) for s in tspec.selection_vars]
-        aug_edges = list(g.directed)
+        # the window is a time prefix, so it holds every parent of its members
+        aug_edges = [(a, b) for a, b in g.directed if g._bit[b] & inside]
         for s in tspec.selection_vars:
             for var, off in s.points_at:
                 if t_x + off in window:
                     aug_edges.append((s.name, index[(var, t_x + off)]))
-        aug = Admg(tuple(g.vars) + tuple(sel_vars), aug_edges, g.bidirected)
+        aug = Admg(tuple(v for v in g.vars if g._bit[v.name] & inside) + tuple(sel_vars),
+                   aug_edges, [p for p in g.bidirected if all(g._bit[n] & inside for n in p)])
         prev_names = [index[(n, t_x - 1)] for n in spec.names()]
         outcome = {index[(n, t_x + 1)] for n in spec.names()} | set(prev_names)
         cut = mutilate(aug, remove_incoming=x_names)

@@ -223,7 +223,9 @@ O = Var("O")
 class FakePreds(PredictionTable):
     """Prediction table with scripted sheets per (targets, graph): a
     table over O, None (unidentified) or a (table, partial) pair; every
-    value of the targets gets the same prediction.  P(O) is PY."""
+    value of the targets gets the same prediction.  P(O) is PY.  The
+    table groups experiments by the targets that reach O in some
+    candidate, so a scripted target needs an edge to O in one of them."""
 
     def __init__(self, candidates, table):
         super().__init__(candidates, Factor((O,), PY))
@@ -241,8 +243,7 @@ class FakePreds(PredictionTable):
 def narrative_setup(e1_cost=2.5):
     names = [f"V{i}" for i in range(1, 6)]
     variables = tuple(Var(n) for n in names) + (O,)
-    graphs = tuple(Admg(variables, [(names[i], "O")] if i else [])
-                   for i in range(5))
+    graphs = tuple(Admg(variables, [(names[i], "O")]) for i in range(5))
     cs = CandidateSet(graphs)
     es = [spec_for({f"V{i}"}, {"O"}) for i in range(1, 6)]
     costs = CostModel.per_variable(
@@ -322,8 +323,8 @@ class TestSplittingNarrative:
         from docalc.alcam import Partition
 
         names = ["V0", "V1", "V2"]
-        cs = CandidateSet(tuple(Admg(tuple(Var(n) for n in names) + (O,), [(n, "O")] if i else [])
-                                for i, n in enumerate(names)))
+        cs = CandidateSet(tuple(Admg(tuple(Var(n) for n in names) + (O,), [(n, "O")])
+                                for n in names))
         rows = {"V0": [VAL_A, VAL_B, (VAL_C, True)],
                 "V1": [VAL_A, VAL_C, (VAL_A, True)],
                 "V2": [VAL_A, VAL_A, VAL_A]}
@@ -671,8 +672,7 @@ def _scripted_preds(values):
     experiment do(V0=0) observing O."""
     names = [f"V{i}" for i in range(len(values))]
     variables = tuple(Var(n) for n in names) + (O,)
-    cs = CandidateSet(tuple(Admg(variables, [(n, "O")] if i else [])
-                            for i, n in enumerate(names)))
+    cs = CandidateSet(tuple(Admg(variables, [(n, "O")]) for n in names))
     table = {(("V0",), g_idx): v for g_idx, v in enumerate(values)}
     return FakePreds(cs, table), spec_for({"V0"}, {"O"})
 
@@ -857,6 +857,77 @@ class TestVerdictRows:
         assert not row[0, 1] and not row[1, 2] and row[0, 2]
         assert [distinguishable_by(e, k, l, preds).case_id
                 for k, l in ((0, 1), (1, 2), (0, 2))] == [3, 3, 4]
+
+
+class TestReachingTargets:
+    """A group is (the targets that are an ancestor of Y in some
+    candidate, sorted Y): a target that reaches Y in no candidate changes
+    no candidate's prediction (rule 3; line 2 of ID), so it leaves the
+    group and the value index.  A fill makes one batch per observed set."""
+
+    @staticmethod
+    def _reaching(cs, experiments):
+        return {y: frozenset().union(*(ancestors(g, y) for g in cs.graphs))
+                for y in {e.key()[2] for e in experiments}}
+
+    def test_one_group_per_reaching_targets_and_observed(self, monkeypatch):
+        cs, p, experiments = _perturbation_set(7007, 7, 30)
+        batches = []
+        real = alcam._case_codes
+
+        def spy(rows, ident, py):
+            batches.append(py.size)
+            return real(rows, ident, py)
+
+        monkeypatch.setattr(alcam, "_case_codes", spy)
+        preds = PredictionTable(cs, p)
+        partition_candidates(cs, preds, experiments)
+        reaching = self._reaching(cs, experiments)
+        assert len(batches) == len(reaching)
+        groups = {(tuple(t for t in e.key()[0] if t in reaching[e.key()[2]]), e.key()[2])
+                  for e in experiments}
+        assert set(preds._groups) == groups and len(groups) == 204
+        assert len({(e.key()[0], e.key()[2]) for e in experiments}) == 462
+        # experiments that differ only in targets reaching Y in no candidate
+        # read equal verdicts
+        seen: dict = {}
+        dropped = 0
+        for e in experiments:
+            targets, values, observed = e.key()
+            kept = tuple((t, v) for t, v in zip(targets, values) if t in reaching[observed])
+            dropped += len(kept) < len(targets)
+            assert np.array_equal(seen.setdefault((kept, observed), preds.verdicts(e)),
+                                  preds.verdicts(e)), e
+        assert dropped > len(experiments) // 4
+        # each experiment is located once however often it is asked
+        preds._stacked(experiments)
+        assert len(preds._located) == len(experiments)
+
+    def test_bad_value_refused_after_its_group_is_located(self):
+        """A value that is not an integer of its domain is refused on every
+        call, on a reaching target and on one that is dropped, after every
+        valid experiment of the same group has been located and predicted."""
+        cs, p, experiments = _perturbation_set(7007, 7, 30)
+        preds = PredictionTable(cs, p)
+        reaching = self._reaching(cs, experiments)
+        e = next(e for e in experiments if len(e.targets) == 2
+                 and len(e.targets & reaching[e.key()[2]]) == 1)
+        group = preds._locate(e)[0]
+        located = [f for f in experiments if preds._locate(f)[0] == group]
+        assert len({f.key()[0] for f in located}) > 1  # the group merges target sets
+        for f in located:
+            preds.prediction(0, f)
+        for target in sorted(e.targets):
+            d = preds._domain[target]
+            for value in (1.0, np.float64(0), True, d, -1):
+                bad = spec_for(e.targets, e.observed, {**e.values, target: value})
+                for _ in range(2):
+                    for ask in (lambda: preds.verdicts(bad), lambda: preds._stacked([bad]),
+                                lambda: preds.prediction(0, bad),
+                                lambda: distinguishable_by(bad, 0, 1, preds),
+                                lambda: power_of_intervention(bad, [0, 1], preds)):
+                        with pytest.raises(InvalidInputError, match=f"of {target} is not"):
+                            ask()
 
 
 class TestAuxiliaryBinding:
@@ -1047,12 +1118,15 @@ class TestPredictionCaches:
                 sub = (g.induced(an), tuple(sorted(an & e.targets)), tuple(sorted(e.observed)))
                 subproblems.add(sub)
                 pairs.add((g, e.targets, e.observed))
-                groups.add((e.key()[0], e.key()[2]))
+                # a group is (the targets an ancestor of Y in some candidate, Y)
+                reaching = frozenset().union(*(ancestors(h, e.observed) for h in cs.graphs))
+                group = (tuple(t for t in e.key()[0] if t in reaching), e.key()[2])
+                groups.add(group)
                 res = id_effect(*sub)
                 if res.identified:
                     exprs.add(res.expr)
                     bindings.add((res.expr, e.key()))
-                    group_bindings.add((res.expr, e.key()[0], e.key()[2]))
+                    group_bindings.add((res.expr,) + group)
                     bound.add((k, e.key()))
         assert len(calls["id_effect"]) == len(set(calls["id_effect"]))
         assert set(calls["id_effect"]) == subproblems

@@ -595,6 +595,69 @@ class TestModelRefusals:
         assert message in captured.err
 
 
+class TestFileRefusals:
+    """Each refusal of ``Var``, ``Admg`` and ``TransitionMatrix`` that an
+    input file can reach is raised by the file's loader, and ends the
+    command that reads the file with exit 1, the refusal on stderr and
+    nothing on stdout: a graph file read by ``docalc identify --graph``, a
+    model file whose cpt names an unknown parent by ``docalc discover
+    --model``, and a transition matrix file by ``docalc dcn --matrix``."""
+
+    GRAPH = {"vars": [{"name": "X"}, {"name": "Y"}], "edges": [["X", "Y"]]}
+    MODEL = {**GRAPH, "cpts": {"X": {"table": [0.5, 0.5]},
+                               "Y": {"parents": ["X"], "table": [0.9, 0.1, 0.2, 0.8]}}}
+    SPEC = {"slice_vars": [{"name": "a"}, {"name": "b"}], "intra_edges": [["a", "b"]],
+            "cross_edges": [["b", "a", 1]]}
+    MATRIX = {"state_vars": [{"name": "a"}, {"name": "b"}],
+              "entries": np.full((4, 4), 0.25).tolist()}
+    # kind -> (the valid file, its loader, the command that reads it)
+    KINDS = {
+        "graph": (GRAPH, fileio.graph_from_dict,
+                  lambda d, f: ["identify", "--graph", f, "--query", "P(Y|do(X))"]),
+        "model": (MODEL, fileio.model_from_dict,
+                  lambda d, f: ["discover", "--candidates", str(d / "cands.json"), "--model", f]),
+        "matrix": (MATRIX, fileio.matrix_from_dict,
+                   lambda d, f: ["dcn", "--spec", str(d / "spec.json"), "--matrix", f,
+                                 "--horizon", "2"]),
+    }
+    # (case, kind of file, the file's fields that change, the refusal)
+    CASES = [
+        ("domain_zero", "graph", {"vars": [{"name": "X", "domain": 0}, {"name": "Y"}]},
+         "domain of 'X' must be >= 1"),
+        ("names_repeat", "graph", {"vars": [{"name": "X"}, {"name": "Y"}, {"name": "X"}]},
+         "variable names must be unique"),
+        ("cpt_parent_unknown", "model",
+         {"cpts": {**MODEL["cpts"], "Y": {"parents": ["Q"], "table": [0.5] * 4}}},
+         "unknown variable 'Q'"),
+        ("matrix_not_n_by_n", "matrix", {"entries": np.full((4, 2), 0.5).tolist()},
+         "transition matrix must be 4x4"),
+        ("matrix_columns_not_one", "matrix", {"entries": np.full((4, 4), 0.2).tolist()},
+         "transition matrix columns must sum to 1"),
+    ]
+
+    @pytest.mark.parametrize("kind, change, message", [c[1:] for c in CASES],
+                             ids=[c[0] for c in CASES])
+    def test_refused_by_the_loader_and_the_cli(self, tmp_path, capsys, kind, change, message):
+        (tmp_path / "cands.json").write_text(json.dumps({"graphs": [self.GRAPH]}),
+                                             encoding="utf-8")
+        (tmp_path / "spec.json").write_text(json.dumps(self.SPEC), encoding="utf-8")
+        valid, load, command = self.KINDS[kind]
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(valid), encoding="utf-8")
+        argv = command(tmp_path, str(path))
+        assert main(argv) == 0  # the unchanged file runs
+        capsys.readouterr()
+        changed = {**valid, **change}
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            load(changed)
+        path.write_text(json.dumps(changed), encoding="utf-8")
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("input error:") and "Traceback" not in captured.err
+        assert message in captured.err
+
+
 class TestDcnSpecRefusals:
     """Each refusal of ``DcnSpec`` and of its mechanism check raises
     ``InvalidInputError`` from the library, and a spec file that carries it

@@ -1861,10 +1861,10 @@ class TestOneGraphPerCall:
             (lambda s: step_kernel_matrix(s, x, 2, schedule), 1),
             (lambda s: trajectory(s, schedule, None, None, 5), 0),
         ]
-        # the call's graph, the window transport checks, the identification
-        # window from its left edge 1 > t0, and ``source``
+        # the call's graph, the identification window from its left edge
+        # 1 > t0 (transport's checks read a mask of it), and ``source``
         transport_runs = [
-            (lambda s: transport(s, tspec, {"tr1": 1}, 3, {"d"}, 6, target_schedule), 4)]
+            (lambda s: transport(s, tspec, {"tr1": 1}, 3, {"d"}, 6, target_schedule), 3)]
         for spec, pipelines in ((static, runs), (dynamic, dynamic_runs), (static, scheduled_runs),
                                 (target, transport_runs)):
             for run, graphs in pipelines:

@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from docalc.dcn import DcnSpec, trajectory
-from docalc.errors import InvalidInputError
+from docalc.errors import InvalidInputError, PartialSupportError
 from docalc.factors import (EPS_CMP, EPS_NORM, Factor, TransitionMatrix, condition, divide,
                             equal_within, marginalize, multiply)
 from docalc.graphs import Var
@@ -20,6 +22,41 @@ def steps(t, p, n):
     """p after n applications of the transition matrix t: the DCN stepper
     on a spec whose slice variables are t's state variables."""
     return trajectory(DcnSpec(t.state_vars), t, p, None, n)[n]
+
+
+# (case, refused call, error, message): one row per refusal of Factor and
+# TransitionMatrix that no other test reaches
+REFUSALS = [
+    ("scope_repeats_a_name", lambda: Factor((A, A), np.full((2, 2), 0.25)), InvalidInputError,
+     "factor scope has duplicate variables"),
+    ("point_mass_out_of_domain", lambda: Factor.point_mass((A, B), {"A": 0, "B": 2}),
+     InvalidInputError, "value 2 out of domain for B"),
+    ("point_mass_negative", lambda: Factor.point_mass((A,), {"A": -1}),
+     InvalidInputError, "value -1 out of domain for A"),
+    ("normalize_zero_mass", lambda: Factor((A,), np.zeros(2)).normalized(),
+     PartialSupportError, "cannot normalize a zero-mass factor"),
+    ("reorder_drops_a_name", lambda: joint_ab(np.full((2, 2), 0.25)).reorder(["A"]),
+     InvalidInputError, "reorder must permute the existing scope"),
+    ("reorder_repeats_a_name", lambda: joint_ab(np.full((2, 2), 0.25)).reorder(["A", "B", "B"]),
+     InvalidInputError, "reorder must permute the existing scope"),
+    ("condition_on_unknown_name", lambda: condition(joint_ab(np.full((2, 2), 0.25)), {"C"}),
+     InvalidInputError, "condition: ['C'] not in scope"),
+    ("equal_within_domains_differ",
+     lambda: equal_within(Factor((A,), np.array([0.5, 0.5])),
+                          Factor((Var("A", 3),), np.full(3, 1 / 3))),
+     InvalidInputError, "domain mismatch for 'A'"),
+    ("matrix_not_n_by_n", lambda: TransitionMatrix((A, B), np.full((4, 2), 0.5)),
+     InvalidInputError, "transition matrix must be 4x4"),
+    ("matrix_columns_not_one", lambda: TransitionMatrix((A,), np.array([[0.5, 0.2], [0.4, 0.8]])),
+     InvalidInputError, "transition matrix columns must sum to 1"),
+]
+
+
+@pytest.mark.parametrize("make, error, message", [r[1:] for r in REFUSALS],
+                         ids=[r[0] for r in REFUSALS])
+def test_factor_refusals(make, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        make()
 
 
 class TestMarginalize:

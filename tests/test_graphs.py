@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,24 @@ from docalc.graphs import (Admg, Hedge, Var, _component_masks, _hedge_from_frame
                            topological_order, verify_hedge)
 from docalc.scm import random_admg
 from conftest import bf_d_separated, bf_hedge_exists, seeded_admgs
+
+
+# (case, refused call, message): one row per refusal of Var and Admg that
+# no other test reaches
+REFUSALS = [
+    ("domain_zero", lambda: Var("A", 0), "domain of 'A' must be >= 1"),
+    ("names_repeat", lambda: Admg([Var("A"), Var("B"), Var("A", 3)]),
+     "variable names must be unique"),
+    ("index_of_unknown_name", lambda: Admg([Var("A")]).parents_of("Q"), "unknown variable 'Q'"),
+    ("var_of_unknown_name", lambda: Admg([Var("A")]).var("Q"), "unknown variable 'Q'"),
+]
+
+
+@pytest.mark.parametrize("make, message", [r[1:] for r in REFUSALS],
+                         ids=[r[0] for r in REFUSALS])
+def test_graph_refusals(make, message):
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        make()
 
 
 class TestVar:
