@@ -53,7 +53,7 @@ import numpy as np
 from .errors import (InternalError, InvalidInputError, PartialSupportError,
                      PromiseViolationError)
 from .factors import Factor, _within, condition
-from .graphs import Admg, _mask, _names_of, _reach, d_separated, mutilate
+from .graphs import Admg, _d_separated, _mask, _names_of, _reach
 from .identify import (Expr, ObservedTerm, Prediction, _bind, _bind_effect, _evaluate,
                        _identify, _JointTerms)
 from .scm import InterventionOracle, InterventionSpec, Scm, _check_value, joint
@@ -254,11 +254,7 @@ class PredictionTable:
         g = self.candidates.graphs[g_idx]
         bit = g._bit
         an, sub = self._ancestry(g_idx, observed)
-        try:
-            key = (sub, tuple(n for n in targets if bit[n] & an), observed)
-        except KeyError:
-            raise InvalidInputError(
-                f"prediction: unknown variables {sorted(set(targets) - bit.keys())}") from None
+        key = (sub, tuple(n for n in targets if bit[n] & an), observed)
         if key not in self._sheets:
             expr = _identify(g, key[1], observed, self._frames.setdefault(g_idx, {})).expr
             self._sheets[key] = (None if expr is None
@@ -757,15 +753,14 @@ def _min_dsep_intervention(
 ) -> Optional[frozenset[str]]:
     """Smallest variable set whose intervention d-separates vi and vj in
     every given graph; may need to contain vi itself when confounders
-    touch the pair.  Preference order: size, vi-free before vi, names."""
+    touch the pair.  Preference order: size, vi-free before vi, names.
+    Each intervention is a cut mask, so no mutilated graph is built."""
     rest = sorted(n for n in graphs[0].names() if n not in (vi, vj))
+    bit = graphs[0]._bit  # candidates share ``vars``, so their bits agree
 
     def separates(d: frozenset[str]) -> bool:
-        z = d - {vi}
-        return all(
-            d_separated(mutilate(g, remove_incoming=d), {vi}, {vj}, z)
-            for g in graphs
-        )
+        cut = _mask(graphs[0], d, "intervention")
+        return all(_d_separated(g, bit[vi], bit[vj], cut & ~bit[vi], cut) for g in graphs)
 
     # combinations of a sorted list come in name order, and adding vi to
     # each of them keeps that order, so no candidate list is built or sorted

@@ -84,7 +84,7 @@ from .errors import (InfiniteSpanError, InvalidInputError, UnsupportedModelError
                      UnsupportedQueryError, UnsupportedTransportError, WindowTooSmallError)
 from .factors import Factor, TransitionMatrix, _within, condition, marginalize, multiply
 from .graphs import (Admg, Var, _bit_indices, _d_separated, _mask, _names_of, _reach,
-                     _union, d_separated, mutilate)
+                     _union)
 from . import scm
 from .identify import ObservedTerm, _bind_effect, _evaluate, _identify
 from .scm import Cpt, Exogenous, Scm, _do_joint, joint
@@ -631,9 +631,7 @@ class _Forward:
         return self.messages[s - self.t0 + 1]
 
     def state(self, t: int) -> Factor:
-        """P(V_t) over template names: the marginal of slice t."""
-        if t < self.t0:
-            raise WindowTooSmallError(f"slice {t} precedes the initial slice {self.t0}")
+        """P(V_t) over template names: the marginal of slice t >= t0."""
         # slice t's names in rank order are its variables in declared order
         f = self.marginal(frozenset(self.slices[t - self.t0]))
         return Factor._trusted(self.spec.slice_vars, f.table, f.partial)
@@ -1138,7 +1136,8 @@ def transport(
     bidirected component of an intervened variable.  When the step query
     is target-identifiable the formula needs no source terms; when it is
     hedged, the whole step conditional is taken from a source experiment
-    on X provided the selection variables are d-separated from it.
+    on X provided the selection variables are d-separated from it under
+    do(X), read off the window's masks as a reach: no graph is built.
     """
     ys = frozenset(y)
     _validate_query(spec, x, ys, t_x, t_y, t0)
@@ -1154,12 +1153,12 @@ def transport(
     (g, _frames), index = obs.id_graph(w_left), obs.index
     inside = _mask(g, itertools.chain.from_iterable(obs.slices[w_left - t0:t_x + 2 - t0]),
                    "window")
-    x_names = {index[(n, t_x)] for n in x}
-    x_mask = _mask(g, x_names, "window")
+    x_mask = _mask(g, (index[(n, t_x)] for n in x), "window")
     x_comp = _reach(g._sib, inside, x_mask)  # the window's C-components that meet X
     for e in tspec.source_experiments:
         if not e <= set(spec.names()):
             raise InvalidInputError(f"source experiment {sorted(e)} names an unknown slice variable")
+    pointed = 0  # the selection variables' targets inside the window
     for s in tspec.selection_vars:
         for var, off in s.points_at:
             if var not in spec.names():
@@ -1168,9 +1167,11 @@ def transport(
             t = t_x + off
             if t not in window:
                 continue
+            target = g._bit[index[(var, t)]]
+            pointed |= target
             # pointing at an intervened variable is harmless (the do() cuts
             # the selection edge); pointing at its confounded partners is not
-            if g._bit[index[(var, t)]] & x_comp & ~x_mask:
+            if target & x_comp & ~x_mask:
                 raise UnsupportedTransportError(
                     f"selection variable {s.name!r} points inside the intervened "
                     f"bidirected component ({var} at slice {t})")
@@ -1183,21 +1184,14 @@ def transport(
         if tspec.source_spec is None or tspec.source_spec.mechanism is None:
             raise UnsupportedTransportError("source experiments require the source mechanism")
         # s-admissibility: selection variables d-separated from the step
-        # outcome under do(X) in the selection-augmented window
-        sel_vars = [Var(s.name, 2) for s in tspec.selection_vars]
-        # the window is a time prefix, so it holds every parent of its members
-        aug_edges = [(a, b) for a, b in g.directed if g._bit[b] & inside]
-        for s in tspec.selection_vars:
-            for var, off in s.points_at:
-                if t_x + off in window:
-                    aug_edges.append((s.name, index[(var, t_x + off)]))
-        aug = Admg(tuple(v for v in g.vars if g._bit[v.name] & inside) + tuple(sel_vars),
-                   aug_edges, [p for p in g.bidirected if all(g._bit[n] & inside for n in p)])
+        # outcome under do(X).  They are roots pointing at their targets
+        # and nothing is conditioned on, so that holds iff no target
+        # outside X has a descendant in the outcome within the window
+        # once the edges into X are cut
         prev_names = [index[(n, t_x - 1)] for n in spec.names()]
         outcome = {index[(n, t_x + 1)] for n in spec.names()} | set(prev_names)
-        cut = mutilate(aug, remove_incoming=x_names)
-        if not d_separated(cut, {s.name for s in tspec.selection_vars},
-                           outcome - x_names, frozenset()):
+        free = inside & ~x_mask
+        if _reach(g._ch, free, pointed & free) & _mask(g, outcome, "window"):
             return None
         m_src = unrolled_scm(tspec.source_spec, w_left, t_x + 1)
         num = _do_joint(m_src, {index[(n, t_x)]: v for n, v in x.items()}, outcome)

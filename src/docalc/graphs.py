@@ -10,7 +10,8 @@ Inside this module and the identification recursion a vertex set is an
 int mask: bit i stands for ``g.vars[i]``, so walking a mask lowest bit
 first visits its vertices in ``g.vars`` order.  Each graph indexes its
 parents, children and siblings as one mask per vertex.  The public
-functions take and return names and convert only at that boundary.
+functions take and return names and convert only at that boundary.  A
+mutilation is read as two cut masks, so no engine caller builds one.
 """
 
 from __future__ import annotations
@@ -383,13 +384,14 @@ def d_separated(
     return _d_separated(g, xs, ys, zs)
 
 
-def _d_separated(g: Admg, x: int, y: int, z: int) -> bool:
-    """``d_separated`` on pairwise disjoint masks; nothing is checked.
-    The states reached are two masks, the vertices entered along a tail
-    and those entered along an arrowhead, grown a layer at a time."""
+def _d_separated(g: Admg, x: int, y: int, z: int, cut_in: int = 0, cut_out: int = 0) -> bool:
+    """``d_separated`` on pairwise disjoint masks in ``mutilate(g, cut_in,
+    cut_out)``, read off ``g``'s masks; nothing is checked.  The states
+    reached are two masks, the vertices entered along a tail and those
+    entered along an arrowhead, grown a layer at a time."""
     if not x or not y:
         return True
-    opens_collider = _reach(g._pa, g._all, z)
+    opens_collider = _reach(g._pa, g._all & ~cut_out, z, cut_in)
     tail_seen = head_seen = 0
     tail, head = x, 0
     while tail or head:
@@ -397,8 +399,9 @@ def _d_separated(g: Admg, x: int, y: int, z: int) -> bool:
         head_seen |= head
         passes = tail & ~z  # entered along a tail: never a collider
         collider = head & opens_collider  # leaves along an arrowhead
-        to_head = _union(g._ch, passes | head & ~z) | _union(g._sib, passes | collider)
-        to_tail = _union(g._pa, passes | collider)
+        to_head = (_union(g._ch, (passes | head & ~z) & ~cut_out)
+                   | _union(g._sib, (passes | collider) & ~cut_in)) & ~cut_in
+        to_tail = _union(g._pa, (passes | collider) & ~cut_in) & ~cut_out
         if (to_tail | to_head) & y:
             return False
         tail = to_tail & ~tail_seen

@@ -38,7 +38,7 @@ import numpy as np
 from .errors import InternalError, InvalidInputError
 from .factors import Factor, condition, divide, marginalize
 from .graphs import (Admg, Hedge, _component_masks, _d_separated, _hedge_from_frame,
-                     _mask, _names_of, _reach, _topo_bits, _union, mutilate)
+                     _mask, _names_of, _reach, _topo_bits, _union)
 from .scm import _check_value, _eliminate
 
 __all__ = [
@@ -124,7 +124,7 @@ def check_rule(
 
     Rule 1 drops an observation z, rule 2 exchanges do(z) for an
     observation, rule 3 drops do(z) entirely; each is a d-separation
-    check on the correspondingly mutilated graph.
+    check on the mutilated graph it names, read as two cut masks of ``g``.
     """
     xs, ys, zs, ws = (_mask(g, s, "check_rule") for s in (x, y, z, w))
     for a, b in ((xs, ys), (xs, zs), (xs, ws), (ys, zs), (ys, ws), (zs, ws)):
@@ -135,8 +135,7 @@ def check_rule(
     # rule 2 cuts the edges out of z; rule 3 the edges into z(w), the
     # members of z that are no ancestor of w once the edges into x are cut
     cut_in = xs | (zs & ~_reach(g._pa, g._all, ws, xs) if rule == 3 else 0)
-    gm = mutilate(g, _names_of(g, cut_in), _names_of(g, zs if rule == 2 else 0))
-    return _d_separated(gm, ys, zs, xs | ws)  # gm has g's vars, so g's bits
+    return _d_separated(g, ys, zs, xs | ws, cut_in, zs if rule == 2 else 0)
 
 
 # -- identification -----------------------------------------------------
@@ -382,13 +381,10 @@ def _bind(sheet: Factor, targets: Sequence[str], grid: Sequence, outcome: Sequen
 def _bind_effect(sheet: Factor, fixed: Mapping[str, int], outcome: Iterable[str]) -> Factor:
     """An evaluated effect expression bound to the intervened values
     ``fixed`` (``_bind`` of one assignment), as a factor over ``outcome``
-    in sorted order.  A value that is not an integer of its domain is
-    refused (``scm._check_value``), since a negative index would wrap and
+    in sorted order.  Nothing is checked: the caller has checked every
+    name and value of ``fixed``, since a negative index would wrap and
     numpy would misread a float or a bool."""
     scope = {v.name: v for v in sheet.scope}
-    for n, val in fixed.items():
-        if n in scope:
-            _check_value(n, val, scope[n].domain)
     ys = sorted(outcome)
     table = _bind(sheet, tuple(fixed), tuple(fixed.values()), ys)
     return Factor._trusted(tuple(scope[n] for n in ys), table, sheet.partial)
@@ -402,7 +398,13 @@ def effect_factor(
 ) -> Factor:
     """Evaluate an identified effect down to a factor over ``outcome``,
     with the intervened values ``fixed`` and any auxiliary do-variable
-    that rule 3 left free bound to 0."""
+    that rule 3 left free bound to 0.  Every name and value of ``fixed`` is
+    checked against ``p``'s scope (``scm._check_value``), read or not."""
+    domain = {v.name: v.domain for v in p.scope}
+    for n, val in fixed.items():
+        if n not in domain:
+            raise InvalidInputError(f"effect_factor: unknown variable {n!r}")
+        _check_value(n, val, domain[n])
     return _bind_effect(evaluate(expr, p), fixed, outcome)
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from docalc import alcam
-from docalc.alcam import (CandidateSet, CostModel, InterventionCaps,
+from docalc.alcam import (CandidateSet, CostModel, InterventionCaps, Partition,
                           PredictionTable, alcam_run, distinguishable_by,
                           enumerate_interventions, id_edges, id_hidden,
                           minimal_splitting_sets, partition_candidates,
@@ -41,6 +41,38 @@ def _verdict(g_k, g_l, truth, e, seed=0):
     p_star = joint(random_scm(rng, truth))
     preds = PredictionTable(CandidateSet((g_k, g_l)), p_star)
     return distinguishable_by(e, 0, 1, preds)
+
+
+def _xy_table():
+    """X -> Y against X <-> Y, with a joint of the first."""
+    xy = (Var("X"), Var("Y"))
+    cs = CandidateSet((Admg(xy, [("X", "Y")]), Admg(xy, [], [("X", "Y")])))
+    return PredictionTable(cs, joint(random_scm(np.random.default_rng(3), cs.graphs[0])))
+
+
+# (case, refused call, message): one row per input refusal of discovery
+# that no other test reaches
+REFUSALS = [
+    ("splitting_one_subset",
+     lambda: minimal_splitting_sets(Partition((frozenset({0, 1}),)), _xy_table(),
+                                    CostModel.unit(), [spec_for({"X"}, {"Y"})]),
+     "splitting needs at least two subsets"),
+    ("oracle_answer_over_other_domains",
+     lambda: select_graphs(Partition((frozenset({0}), frozenset({1}))), spec_for({"X"}, {"Y"}),
+                           Factor([Var("Y", 3)], np.full(3, 1 / 3)), _xy_table()),
+     "is not over the domains of"),
+    ("true_model_over_other_variables",
+     lambda: alcam_run(_xy_table().candidates,
+                       random_scm(np.random.default_rng(4), Admg((Var("X"), Var("Z"))))),
+     "true model and candidates must share variables"),
+]
+
+
+@pytest.mark.parametrize("call, message", [r[1:] for r in REFUSALS],
+                         ids=[r[0] for r in REFUSALS])
+def test_discovery_refusals(call, message):
+    with pytest.raises(InvalidInputError, match=message):
+        call()
 
 
 class TestSevenCases:
@@ -589,6 +621,32 @@ class TestMinDsepIntervention:
                 with_vi += got is not None and vi in got
                 without += got is None
         assert with_vi and without  # both unusual outcomes were exercised
+
+
+    def test_ci_phase_and_discovery_trials_build_no_graph(self, monkeypatch):
+        """The search reads each intervention as a cut mask of the
+        candidates' own graphs, so ``id_edges`` and whole criterion-5
+        ``alcam_run`` trials, edge tests included, build no ``Admg``."""
+        from test_acceptance import _generic_candidate_trial
+
+        variables = (Var("X1"), Var("M"), Var("X2"))
+        with_edge = Admg(variables, [("X1", "M"), ("M", "X2"), ("X1", "X2")], [("X1", "X2")])
+        without = Admg(variables, [("X1", "M"), ("M", "X2")], [("X1", "X2")])
+        m = random_scm(np.random.default_rng(10), without)
+        rng = np.random.default_rng(5005)
+        trials = []
+        while len(trials) < 8:
+            drawn = _generic_candidate_trial(rng)
+            if drawn is not None:
+                trials.append(drawn)
+        monkeypatch.setattr(Admg, "_build", lambda *_parts: pytest.fail("a graph was built"))
+        assert id_edges(CandidateSet((with_edge, without)), m).graphs == (without,)
+        edge_tests = 0
+        for cs, m_star, true_g in trials:
+            res = alcam_run(cs, m_star)
+            assert res.final == true_g
+            edge_tests += sum(r.kind == "edge" for r in res.ci_records)
+        assert edge_tests >= 3, edge_tests
 
 
 class TestAlcamRun:

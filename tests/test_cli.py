@@ -658,6 +658,52 @@ class TestFileRefusals:
         assert message in captured.err
 
 
+class TestQueryRefusals:
+    """Each refusal of ``trajectory``, ``transport`` and ``alcam_run`` that a
+    command's files and options reach ends it with exit 1: an input error
+    on stderr, or an unsupported transport on stdout, and no traceback."""
+
+    GRAPH = TestFileRefusals.GRAPH
+    SPEC = {"slice_vars": [{"name": "a"}, {"name": "b"}], "intra_edges": [["a", "b"]],
+            "cross_edges": [["b", "a", 1]],
+            "mechanism": {"exos": [], "cpts": {
+                "a": {"cross_parents": [["b", 1]], "table": [[0.7, 0.3], [0.2, 0.8]]},
+                "b": {"intra_parents": ["a"], "table": [[0.9, 0.1], [0.4, 0.6]]}}}}
+    LAGGED = {"slice_vars": SPEC["slice_vars"], "intra_edges": [["a", "b"]],
+              "cross_edges": [["b", "a", 1]], "cross_confounders": [["a", "b", 1]]}
+    # each file of a case's directory
+    FILES = {"spec.json": SPEC, "lagged.json": LAGGED, "transport.json": {"selection_vars": []},
+             "cands.json": {"graphs": [GRAPH]},
+             "xz.json": {"vars": [{"name": "X"}, {"name": "Z"}], "cpts": {
+                 "X": {"table": [0.5, 0.5]}, "Z": {"table": [0.3, 0.7]}}}}
+    # (case, argv with files relative to the directory, the stream, the refusal)
+    CASES = [
+        ("horizon_before_t0", ["dcn", "--spec", "spec.json", "--horizon", "2", "--t0", "5"],
+         "err", "input error: horizon precedes t0"),
+        ("intervention_after_horizon",
+         ["dcn", "--spec", "spec.json", "--query", "P(b|do(a@7=1))", "--horizon", "3"],
+         "err", "input error: the intervention slice must lie inside the horizon"),
+        ("transport_of_lagged_confounder",
+         ["transport", "--spec", "lagged.json", "--transport", "transport.json",
+          "--query", "P(b@5|do(a@3=1))"],
+         "out", "unsupported transport: transport is supported for static specs only"),
+        ("discover_with_other_variables",
+         ["discover", "--candidates", "cands.json", "--model", "xz.json"],
+         "err", "input error: true model and candidates must share variables"),
+    ]
+
+    @pytest.mark.parametrize("argv, stream, message", [c[1:] for c in CASES],
+                             ids=[c[0] for c in CASES])
+    def test_refused_with_exit_1(self, tmp_path, capsys, argv, stream, message):
+        for name, body in self.FILES.items():
+            (tmp_path / name).write_text(json.dumps(body), encoding="utf-8")
+        code = main([str(tmp_path / a) if a.endswith(".json") else a for a in argv])
+        captured = capsys.readouterr()
+        assert code == 1 and "Traceback" not in captured.out + captured.err
+        assert getattr(captured, stream).startswith(message)
+        assert captured.out == "" if stream == "err" else captured.err == ""
+
+
 class TestDcnSpecRefusals:
     """Each refusal of ``DcnSpec`` and of its mechanism check raises
     ``InvalidInputError`` from the library, and a spec file that carries it

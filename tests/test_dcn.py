@@ -16,18 +16,68 @@ from docalc.dcn import (DcnMechanism, DcnSpec, SelectionVar, SliceCpt, SliceExo,
                         observational_marginal, random_dcn_spec, slice_var_at,
                         step_kernel_matrix, trajectory, transport, unroll,
                         unrolled_scm)
-from docalc.errors import (InvalidInputError, UnsupportedModelError, UnsupportedQueryError,
-                           UnsupportedTransportError,
+from docalc.errors import (InfiniteSpanError, InvalidInputError, UnsupportedModelError,
+                           UnsupportedQueryError, UnsupportedTransportError,
                            WindowTooSmallError)
 from docalc.factors import Factor, TransitionMatrix, condition, marginalize, multiply
-from docalc.graphs import Admg, Var, ancestors, find_hedge
+from docalc.graphs import (Admg, Var, _mask, _reach, ancestors, d_separated, find_hedge,
+                           mutilate)
 from docalc.identify import effect_factor, id_effect, pretty
 from docalc import identify, scm
-from docalc.scm import InterventionSpec, intervene, joint, oracle_query
+from docalc.scm import InterventionSpec, intervene, joint, oracle_query, random_admg
 from conftest import (TRAFFIC_STATE_VARS, close_within, random_mechanism_for,
                       traffic_mechanism, traffic_spec, weekday_schedule)
 
 RNG = np.random.default_rng(100)
+
+AB = (Var("a"), Var("b"))
+FLAT_AB = TransitionMatrix(AB, np.full((4, 4), 0.25))
+LAG1 = (("a", "b", 1),)  # a dynamic confounder of lag 1
+ENDLESS = (("a", "b", 1), ("b", "a", 1))  # a confounder chain that never ends
+
+
+def ab_spec(cross_confounders=(), seed=None):
+    """a -> b in each slice and b -> a into the next, plus the given cross
+    confounders; with a random mechanism when ``seed`` is given."""
+    spec = DcnSpec(AB, (("a", "b"),), (("b", "a", 1),), (), cross_confounders)
+    return spec if seed is None else random_mechanism_for(spec, np.random.default_rng(seed))
+
+
+# (case, refused call, error type, message): one row per refusal of the DCN
+# pipelines that no other test reaches
+REFUSALS = [
+    ("initial_distribution_without_mechanism", lambda: initial_distribution(ab_spec()),
+     UnsupportedModelError, "spec carries no slice mechanism"),
+    ("mechanism_transition_without_mechanism", lambda: mechanism_transition(ab_spec()),
+     UnsupportedModelError, "spec carries no slice mechanism"),
+    ("mechanism_transition_of_dynamic_spec", lambda: mechanism_transition(ab_spec(LAG1, 1)),
+     UnsupportedModelError, "not a mechanism constant"),
+    ("trajectory_infinite_span",
+     lambda: trajectory(ab_spec(ENDLESS), FLAT_AB, None, ({"a": 1}, 3), 5),
+     InfiniteSpanError, "infinite dynamic time span"),
+    ("step_kernel_infinite_span", lambda: step_kernel_matrix(ab_spec(ENDLESS), {"a": 1}, 3, FLAT_AB),
+     InfiniteSpanError, "infinite dynamic time span"),
+    ("x_meets_y_in_one_slice", lambda: dcn_id_static(ab_spec(seed=2), {"a": 1}, 3, {"a"}, 3),
+     InvalidInputError, "intervened and observed variables overlap"),
+    ("static_algorithm_on_dynamic_spec",
+     lambda: dcn_id_static(ab_spec(LAG1, 1), {"a": 1}, 3, {"b"}, 5),
+     UnsupportedModelError, "requires static confounders only"),
+    ("horizon_before_t0", lambda: trajectory(ab_spec(seed=2), None, None, None, 2, 5),
+     InvalidInputError, "horizon precedes t0"),
+    ("intervention_after_horizon",
+     lambda: trajectory(ab_spec(seed=2), None, None, ({"a": 1}, 7), 3),
+     InvalidInputError, "must lie inside the horizon"),
+    ("transport_of_dynamic_spec",
+     lambda: transport(ab_spec(LAG1, 1), TransportSpec(()), {"a": 1}, 3, {"b"}, 5),
+     UnsupportedTransportError, "static specs only"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", [r[1:] for r in REFUSALS],
+                         ids=[r[0] for r in REFUSALS])
+def test_dcn_refusals(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 def oracle_effect(spec, x, t_x, y, t_y, t0=0):
@@ -1068,6 +1118,75 @@ class TestTransport:
         t = mechanism_transition(target)
         tspec = TransportSpec((SelectionVar("s", (("c", 0),)),), (), source)
         assert transport(target, tspec, {"a": 1}, 2, {"b"}, 4, t, None, 0) is None
+
+    def test_source_experiment_needs_the_source_mechanism(self):
+        """A hedged step bridged by a source experiment reads the source
+        mechanism: no source spec, or one without a mechanism, is refused."""
+        target, source = self._hedged_pair()
+        bare = replace(source, mechanism=None)
+        for src in (None, bare):
+            tspec = TransportSpec((SelectionVar("s", (("c", 0),)),), (frozenset({"a"}),), src)
+            with pytest.raises(UnsupportedTransportError, match="require the source mechanism"):
+                transport(target, tspec, {"a": 1}, 2, {"b"}, 4, None, None, 0)
+
+    def test_selection_reach_matches_augmented_d_separation(self):
+        """s-admissibility as ``transport`` reads it: root selection
+        variables pointing at their targets are d-separated from an outcome
+        under do(X), nothing conditioned on, iff no target outside X has a
+        descendant in the outcome once X is cut off.  Checked against
+        d-separation in the selection-augmented graph with the edges into X
+        cut, on seeded random ADMGs."""
+        rng = np.random.default_rng(31)
+        admissible = 0
+        for _ in range(2500):
+            g = random_admg(rng, int(rng.integers(3, 8)), edge_prob=0.4, max_confounders=3)
+            names, n = g.names(), len(g.vars)
+            role = rng.integers(0, 3, size=n)  # in X, in the outcome, neither
+            role[rng.integers(n)] = 1
+            x, outcome = ({names[i] for i in range(n) if role[i] == r} for r in range(2))
+            points = [[names[i] for i in range(n) if rng.random() < 0.3]
+                      for _ in range(int(rng.integers(1, 4)))]
+            sel = [f"S{k}" for k in range(len(points))]
+            aug = Admg(g.vars + tuple(Var(s) for s in sel),
+                       g.directed | {(s, t) for s, ts in zip(sel, points) for t in ts},
+                       g.bidirected)
+            want = d_separated(mutilate(aug, remove_incoming=x), sel, outcome)
+            free = g._all & ~_mask(g, x, "x")
+            pointed = _mask(g, itertools.chain.from_iterable(points), "points")
+            got = not _reach(g._ch, free, pointed & free) & _mask(g, outcome, "outcome")
+            assert got == want, (g, x, outcome, points)
+            admissible += want
+        assert 500 < admissible < 2000, admissible  # both answers are common
+
+    def test_every_selection_target_of_the_hedged_pair(self):
+        """One selection variable at each slice variable and offset: the
+        source experiment bridges the hedge exactly when the selection
+        variable is d-separated from the step outcome in the augmented
+        window with the edges into X cut, and a target in X's bidirected
+        component is refused."""
+        target, source = self._hedged_pair()
+        t = mechanism_transition(target)
+        x, t_x = {"a": 1}, 2
+        window, _index = unroll(target, 0, t_x + 1)  # the window lemma's: slices 0..3
+        outcome = {slice_var_at(n, s) for n in target.names() for s in (t_x - 1, t_x + 1)}
+        kinds = Counter()
+        for var, off in itertools.product(target.names(), range(-2, 3)):
+            tspec = TransportSpec((SelectionVar("s", ((var, off),)),), (frozenset(x),), source)
+            if (var, off) == ("b", 0):  # a <-> b at slice t_x
+                with pytest.raises(UnsupportedTransportError, match="intervened bidirected"):
+                    transport(target, tspec, x, t_x, {"b"}, 4, t, None, 0)
+                kinds["refused"] += 1
+                continue
+            edges = set(window.directed)
+            if t_x + off <= t_x + 1:  # off 2 points outside the window
+                edges.add(("s", slice_var_at(var, t_x + off)))
+            aug = Admg(window.vars + (Var("s"),), edges, window.bidirected)
+            want = d_separated(mutilate(aug, remove_incoming={slice_var_at("a", t_x)}),
+                               {"s"}, outcome)
+            got = transport(target, tspec, x, t_x, {"b"}, 4, t, None, 0)
+            assert (got is not None) == want, (var, off)
+            kinds[want] += 1
+        assert kinds == {True: 6, False: 8, "refused": 1}, kinds
 
 
 class TestPaperSeries:

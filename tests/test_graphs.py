@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from docalc.errors import CyclicGraphError, InvalidInputError
-from docalc.graphs import (Admg, Hedge, Var, _component_masks, _hedge_from_frame, _mask,
-                           _names_of, _reach, ancestors,
+from docalc.graphs import (Admg, Hedge, Var, _component_masks, _d_separated, _hedge_from_frame,
+                           _mask, _names_of, _reach, ancestors,
                            c_components, d_separated, descendants, find_hedge, mutilate,
                            topological_order, verify_hedge)
 from docalc.scm import random_admg
@@ -141,6 +141,44 @@ class TestDSeparation:
             got = d_separated(g, x, y, z)
             assert got == d_separated(g, y, x, z)
             assert got == bf_d_separated(g, x, y, z)
+
+
+class TestCutMasks:
+    def test_cut_masks_read_the_mutilated_graph(self):
+        """``_d_separated`` with cut masks answers as ``d_separated`` on
+        ``mutilate(g, cut_in, cut_out)``, on seeded random ADMGs with
+        random disjoint x, y, z and random cut sets, which may meet them."""
+        rng = np.random.default_rng(30)
+        separated = 0
+        for _ in range(3000):
+            g = random_admg(rng, int(rng.integers(3, 8)), edge_prob=0.4, max_confounders=3)
+            n = len(g.vars)
+            role = rng.integers(0, 4, size=n)  # x, y, z or none
+            role[rng.choice(n, size=2, replace=False)] = (0, 1)  # x and y nonempty
+            x, y, z = (sum(1 << i for i in range(n) if role[i] == r) for r in range(3))
+            cut_in, cut_out = (int(rng.integers(0, 1 << n)) for _ in range(2))
+            cut = mutilate(g, _names_of(g, cut_in), _names_of(g, cut_out))
+            want = d_separated(cut, *(_names_of(g, m) for m in (x, y, z)))
+            assert _d_separated(g, x, y, z, cut_in, cut_out) == want, (g, x, y, z, cut_in, cut_out)
+            separated += want
+        assert 600 < separated < 2400, separated  # both answers are common
+
+    def test_hand_cases_build_no_graph(self, monkeypatch):
+        """Cuts that close a bidirected edge, a chain and a collider's
+        conditioned descendant, none of them building a graph."""
+        g = Admg([Var("X"), Var("Z"), Var("Y")], [("X", "Z"), ("Z", "Y")], [("X", "Y")])
+        collider = Admg([Var("X"), Var("C"), Var("Y"), Var("Z")],
+                        [("X", "C"), ("Y", "C"), ("C", "Z")])
+        monkeypatch.setattr(Admg, "_build", lambda *_parts: pytest.fail("a graph was built"))
+        bit = g._bit
+        assert not _d_separated(g, bit["X"], bit["Y"], bit["Z"])  # X <-> Y
+        assert _d_separated(g, bit["X"], bit["Y"], bit["Z"], cut_in=bit["Y"])
+        assert not _d_separated(g, bit["X"], bit["Y"], 0, cut_out=bit["Z"])
+        assert _d_separated(g, bit["X"], bit["Y"], 0, bit["X"], bit["Z"])
+        bit = collider._bit
+        assert not _d_separated(collider, bit["X"], bit["Y"], bit["Z"])  # C -> Z opens C
+        assert _d_separated(collider, bit["X"], bit["Y"], bit["Z"], cut_out=bit["C"])
+        assert _d_separated(collider, bit["X"], bit["Y"], bit["Z"], cut_in=bit["Z"])
 
 
 class TestCComponents:

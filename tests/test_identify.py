@@ -23,6 +23,14 @@ def chain_xz():
     return Admg([Var("X"), Var("Z")], [("X", "Z")])
 
 
+def _effect_on_y(fixed):
+    """``effect_factor`` of do(Z) on Y in X -> Y with an isolated binary Z:
+    the effect reads no target, so only ``fixed``'s check can refuse."""
+    g = Admg([Var("X"), Var("Y"), Var("Z")], [("X", "Y")])
+    p = Factor.uniform(g.vars)
+    return effect_factor(id_effect(g, {"Z"}, {"Y"}).expr, p, fixed, {"Y"})
+
+
 # (case, refused call, message): one row per input refusal of ``identify``
 # that no other test reaches
 REFUSALS = [
@@ -33,6 +41,13 @@ REFUSALS = [
      "x and y must be disjoint"),
     ("unknown_expression_node", lambda: evaluate(Expr(), Factor([Var("X")], [0.5, 0.5])),
      "unknown expression node"),
+    ("effect_value_outside_domain", lambda: _effect_on_y({"Z": 5}),
+     r"value 5 of Z is not an integer in 0\.\.1"),
+    ("effect_unknown_target", lambda: _effect_on_y({"Q": 0}), "unknown variable 'Q'"),
+    ("effect_second_target_outside_domain", lambda: _effect_on_y({"X": 1, "Z": 7}),
+     r"value 7 of Z is not an integer in 0\.\.1"),
+    ("effect_bool_value", lambda: _effect_on_y({"Z": True}),
+     r"value True of Z is not an integer in 0\.\.1"),
 ]
 
 
@@ -71,6 +86,9 @@ class TestCheckRule:
                 mutilate(g, remove_incoming=x), y, z, x | w)
             assert check_rule(g, 2, x, y, z, w) == d_separated(
                 mutilate(g, remove_incoming=x, remove_outgoing=z), y, z, x | w)
+            zw = z - ancestors(mutilate(g, remove_incoming=x), w)  # z(w)
+            assert check_rule(g, 3, x, y, z, w) == d_separated(
+                mutilate(g, remove_incoming=x | zw), y, z, x | w)
 
 
 class TestIdGolden:
@@ -140,6 +158,19 @@ class TestNoSubgraphs:
                 queries += 1
         assert built == []
         assert queries == 12 * len(graphs) and hedged > 100
+
+    def test_check_rule_builds_no_graph(self, monkeypatch):
+        """A rule check reads its mutilation as cut masks of the input
+        graph, so it builds no ``Admg``."""
+        graphs = seeded_admgs(47, n_criterion2=40, n_random=20)
+        monkeypatch.setattr(Admg, "_build", lambda *_parts: pytest.fail("a graph was built"))
+        checks = 0
+        for g in graphs:
+            for x, y, z in itertools.permutations(g.names(), 3):
+                for rule in (1, 2, 3):
+                    check_rule(g, rule, {x}, {y}, {z}, set(g.names()[-1:]) - {x, y, z})
+                    checks += 1
+        assert checks > 5000
 
     def test_root_mask_identifies_as_its_induced_graph(self):
         """Rooted at an ancestral set, with one frame memo per graph, ID
