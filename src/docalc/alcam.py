@@ -23,12 +23,13 @@ one read-only (values, n, n) tensor per group, which
 ``PredictionTable.verdicts(e)`` slices.  The table keeps one record per
 group: its tensor, its batch's rows and its position in the batch.  Each
 candidate's subproblems share the ID recursion's frames, and sheets
-(unbound) and P(Y) share one memo of every subexpression.  The partition
-reads the tensors group by group; ``distinguishable_by`` classifies a
-single pair from the rows, and ``select_graphs`` matches an oracle
-answer against all of them at once.  The splitting plan and the
-next-experiment selection reduce many experiments' matrices, stacked,
-to the subsets each splits (``_splits``), and solve set covers whose
+(unbound) and P(Y) share one memo of every subexpression.
+``distinguishable_by`` classifies a single pair from the rows, and
+``select_graphs`` matches an oracle answer against all of them at once.
+The partition, the splitting plan and the next-experiment selection
+reduce many experiments' matrices, stacked (``_stacked``): the
+partition to the pairs any experiment splits, the other two to the
+subsets each splits (``_splits``), and those two solve set covers whose
 rows (``_cover_rows``) hold what an experiment covers as an int bitmask:
 subset pairs for the plan, the other subsets for the selection.
 
@@ -53,7 +54,7 @@ import numpy as np
 from .errors import (InternalError, InvalidInputError, PartialSupportError,
                      PromiseViolationError)
 from .factors import Factor, _within, condition
-from .graphs import Admg, _d_separated, _mask, _names_of, _reach
+from .graphs import Admg, _bit_indices, _d_separated, _mask, _names_of, _reach
 from .identify import (Expr, ObservedTerm, Prediction, _bind, _bind_effect, _evaluate,
                        _identify, _JointTerms)
 from .scm import InterventionOracle, InterventionSpec, Scm, _check_value, joint
@@ -266,15 +267,14 @@ class PredictionTable:
         G[An(Y)]) for Y = ``observed``."""
         if (g_idx, observed) not in self._ancestral:
             g = self.candidates.graphs[g_idx]
-            bit = g._bit
             an = _reach(g._pa, g._all, _mask(g, observed, "prediction"))
-            # the parts of G[An(Y)], all that graph equality compares;
-            # An(Y) is ancestral, so it holds every parent of its
-            # members.  Line 2 of ID reduces to that subproblem on its
-            # own, so no subgraph is built.
-            parts = (tuple(v for v in g.vars if bit[v.name] & an),
-                     frozenset(e for e in g.directed if bit[e[1]] & an),
-                     frozenset(p for p in g.bidirected if all(bit[n] & an for n in p)))
+            # G[An(Y)] as masks: candidates share ``vars``, and An(Y) is
+            # ancestral, so it holds every parent of its members.  Line 2
+            # of ID reduces to that subproblem on its own, so no subgraph
+            # is built.
+            members = _bit_indices(an)
+            parts = (an, tuple(g._pa[i] for i in members),
+                     tuple(g._sib[i] & an for i in members))
             sub = self._subgraphs.setdefault(parts, len(self._subgraphs))
             self._ancestral[g_idx, observed] = (an, sub)
         return self._ancestral[g_idx, observed]
@@ -357,27 +357,22 @@ class PredictionTable:
             raise InvalidInputError(f"candidate index {k!r} out of range for {n} candidates")
         return int(k)
 
-    def _grouped(self, experiments: Sequence[InterventionSpec],
-                 ) -> dict[tuple, tuple[list[int], list[int]]]:
-        """The experiments by group (``_locate``): each group's positions
-        in ``experiments`` and value indices in its tensor; every group's
-        tensor is filled, all at once."""
-        groups: dict[tuple, tuple[list[int], list[int]]] = {}
+    def _stacked(self, experiments: Sequence[InterventionSpec]) -> np.ndarray:
+        """(experiments, n, n) boolean: :meth:`verdicts` of each experiment
+        in order.  The experiments are grouped (``_locate``), every group's
+        tensor is filled at once, and each group's slices are gathered
+        from its tensor by one index."""
+        groups: dict[tuple, tuple[list[int], list[int]]] = {}  # positions, value indices
         for i, e in enumerate(experiments):
             group, value = self._locate(e)
             at, index = groups.setdefault(group, ([], []))
             at.append(i)
             index.append(value)
         self._fill(groups)
-        return groups
-
-    def _stacked(self, experiments: Sequence[InterventionSpec]) -> np.ndarray:
-        """(experiments, n, n) boolean: :meth:`verdicts` of each experiment
-        in order, gathered from the group tensors by one index each."""
         n = len(self.candidates.graphs)
         out = np.empty((len(experiments), n, n), dtype=bool)
-        for group, (at, index) in self._grouped(experiments).items():
-            out[at] = self._group(group)[0][index]
+        for group, (at, index) in groups.items():
+            out[at] = self._groups[group][0][index]
         return out
 
     def _fill(self, groups: Iterable[tuple[tuple[str, ...], tuple[str, ...]]]) -> None:
@@ -517,9 +512,7 @@ def partition_candidates(
     subsets some experiment has positive power.  Subsets may overlap.
     """
     n = len(candidates.graphs)
-    split = np.zeros((n, n), dtype=bool)
-    for group, (_at, index) in preds._grouped(interventions).items():
-        split |= preds._group(group)[0][index].any(axis=0)
+    split = preds._stacked(interventions).any(axis=0)
 
     def non_dist(a: int, b: int) -> bool:
         return a != b and not split[a, b]

@@ -141,12 +141,6 @@ class DcnMechanism:
     cpts: tuple[SliceCpt, ...]
     exos: tuple[SliceExo, ...]
 
-    def cpt(self, var: str) -> SliceCpt:
-        for c in self.cpts:
-            if c.var == var:
-                return c
-        raise InvalidInputError(f"no mechanism for slice variable {var!r}")
-
 
 @dataclass(frozen=True)
 class DcnSpec:

@@ -301,7 +301,8 @@ class TransitionMatrix:
 
     Stored column-stochastic: ``matrix[next, prev]`` is
     P(V_{t+1}=next | V_t=prev).  Use ``from_rows`` for data laid out the
-    other way around (row-stochastic, entry (prev, next)).
+    other way around (row-stochastic, entry (prev, next)).  Matrices
+    compare by identity; compare their ``matrix`` arrays for value.
     """
 
     __slots__ = ("state_vars", "matrix")
@@ -326,14 +327,3 @@ class TransitionMatrix:
     def from_rows(cls, state_vars: Sequence[Var], rows: np.ndarray) -> "TransitionMatrix":
         """Build from a row-stochastic layout (entry [prev, next])."""
         return cls(state_vars, _float_array(rows, "transition matrix").T)
-
-    def n_states(self) -> int:
-        return self.matrix.shape[0]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TransitionMatrix):
-            return NotImplemented
-        return self.state_vars == other.state_vars and np.array_equal(self.matrix, other.matrix)
-
-    def __repr__(self) -> str:
-        return f"TransitionMatrix({'x'.join(v.name for v in self.state_vars)}, {self.n_states()} states)"

@@ -19,7 +19,7 @@ from .alcam import CostModel
 from .dcn import (DcnMechanism, DcnSpec, Schedule, SelectionVar, SliceCpt, SliceExo,
                   TransportSpec)
 from .errors import InvalidInputError
-from .factors import Factor, TransitionMatrix
+from .factors import Factor, TransitionMatrix, _float_array
 from .graphs import Admg, Var
 from .scm import Cpt, Exogenous, Scm
 
@@ -63,14 +63,6 @@ def _floats(values: Any, field: str) -> tuple[float, ...]:
         return tuple(float(x) for x in values)
     except (TypeError, ValueError):
         raise InvalidInputError(f"{field} must be a list of numbers, got {values!r}") from None
-
-
-def _table(values: Any, field: str) -> np.ndarray:
-    """A nested list of numbers as a float array."""
-    try:
-        return np.asarray(values, dtype=float)
-    except (TypeError, ValueError):
-        raise InvalidInputError(f"{field} must hold numbers, got {values!r}") from None
 
 
 def _obj(value: Any, field: str) -> dict:
@@ -161,7 +153,7 @@ def model_from_dict(d: Mapping[str, Any]) -> Scm:
         # an unknown exo parent sizes nothing here; ``Scm`` refuses it by name
         shape += tuple(exo_domain[x] for x in exo_parents if x in exo_domain)
         shape += (g.var(name).domain,)
-        table = _table(c["table"], f"cpt table of {name!r}")
+        table = _float_array(c["table"], f"cpt table of {name!r}")
         if table.size != int(np.prod(shape)):
             raise InvalidInputError(f"cpt table of {name!r} must hold {int(np.prod(shape))} "
                                     "numbers")
@@ -193,7 +185,7 @@ def model_to_dict(m: Scm) -> dict:
 
 def matrix_from_dict(d: Mapping[str, Any]) -> TransitionMatrix:
     sv = _vars_from(_obj(d, "a transition matrix"), "state_vars")
-    entries = _table(d["entries"], "entries")
+    entries = _float_array(d["entries"], "entries")
     orientation = d.get("orientation", "row")
     if orientation == "row":
         return TransitionMatrix.from_rows(sv, entries)
@@ -227,7 +219,7 @@ def dcn_spec_from_dict(d: Mapping[str, Any]) -> tuple[DcnSpec, Optional[dict]]:
                           for q, k in _list(c, "cross_parents", 2))
             exo_p = _names(c.get("exo_parents", []), f"exo_parents of {name!r}")
             cpts.append(SliceCpt(name, intra, cross, exo_p,
-                                 _table(c["table"], f"cpt table of {name!r}")))
+                                 _float_array(c["table"], f"cpt table of {name!r}")))
         mech = DcnMechanism(tuple(cpts), tuple(exos))
     spec = DcnSpec(
         _vars_from(d, "slice_vars"),

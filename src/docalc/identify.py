@@ -11,17 +11,21 @@ root may be any ancestral vertex set of G (``_identify``'s root mask),
 which identifies on that induced subgraph without building it: the DCN
 steps of one call share one graph and one frame memo that way.  A frame's
 running distribution P(v) is carried as its vertex mask (None in place of
-a term) and built into a term only where the frame emits it.  It
-builds each expression in ``normalize``'s canonical form as it goes
-(sums merged and folded into observed terms, products flattened and
-sorted by ``pretty``, names sorted), so no second pass rewrites it.
-Expressions are compared by evaluated value only; the printer exists
-for reporting and golden tests.  One evaluator (``_evaluate``) computes
-every value as an unbound sheet, its terms read off the joint
-(``_JointTerms``) or the DCN forward pass, and its sums over products
-(``_sum_product``) eliminated by the package's one exact-inference core,
-``scm._eliminate``.  One binder (``_bind``) binds sheets to intervened
-values and takes rule-3 auxiliary do-variables at 0.
+a term) and built into a term only where the frame emits it.
+
+An expression has the four node types the ID algorithm outputs:
+``ObservedTerm``, ``SumOver``, ``Product`` and ``Quotient``.  The
+recursion builds each in one canonical form as it goes (sums merged and
+folded into observed terms, products flattened and sorted by ``pretty``,
+names sorted), so no second pass rewrites it; ``normalize`` in
+``tests/conftest.py`` is the spec of that form.  Expressions are compared
+by evaluated value only; the printer exists for reporting and golden
+tests.  One evaluator (``_evaluate``) computes every value as an unbound
+sheet, its terms read off the joint (``_JointTerms``) or the DCN forward
+pass, and its sums over products (``_sum_product``) eliminated by the
+package's one exact-inference core, ``scm._eliminate``.  One binder
+(``_bind``) binds sheets to intervened values and takes rule-3 auxiliary
+do-variables at 0.
 
 Everything here is pure over immutable inputs; predictions for many
 (experiment, graph) pairs are independent and safe to compute in
@@ -42,10 +46,10 @@ from .graphs import (Admg, Hedge, _component_masks, _d_separated, _hedge_from_fr
 from .scm import _check_value, _eliminate
 
 __all__ = [
-    "Expr", "ObservedTerm", "SumOver", "Product", "Quotient", "One",
+    "Expr", "ObservedTerm", "SumOver", "Product", "Quotient",
     "IdResult", "Prediction",
     "check_rule", "id_effect", "evaluate", "effect_factor",
-    "normalize", "pretty",
+    "pretty",
 ]
 
 
@@ -81,11 +85,6 @@ class Product(Expr):
 class Quotient(Expr):
     num: Expr
     den: Expr
-
-
-@dataclass(frozen=True)
-class One(Expr):
-    pass
 
 
 @dataclass(frozen=True)
@@ -251,7 +250,7 @@ def id_effect(g: Admg, x: Iterable[str], y: Iterable[str]) -> IdResult:
     joint compatible with ``g`` equals the interventional distribution,
     or a hedge witness when no do-free form exists.  An empty ``x`` is
     allowed and yields the observational marginal of ``y``.  The
-    expression is in ``normalize``'s canonical form.
+    expression is in canonical form (``normalize`` in ``tests/conftest.py``).
     """
     return _identify(g, x, y, None)
 
@@ -324,8 +323,6 @@ def _evaluate(e: Expr, source, memo: dict) -> Factor:
         out = _sum_product(source, [_evaluate(c, source, memo) for c in kids], over)
     elif isinstance(e, Quotient):
         out = divide(_evaluate(e.num, source, memo), _evaluate(e.den, source, memo))
-    elif isinstance(e, One):
-        out = Factor.scalar(1.0)
     else:
         raise InvalidInputError(f"unknown expression node {e!r}")
     memo[e] = out
@@ -408,37 +405,12 @@ def effect_factor(
     return _bind_effect(evaluate(expr, p), fixed, outcome)
 
 
-# -- normalization and printing -----------------------------------------
-
-
-def normalize(e: Expr) -> Expr:
-    """Cosmetic canonical form: flattened sorted products, merged nested
-    sums, units dropped.  Semantics are untouched; equality of
-    expressions is always judged by evaluation."""
-    if isinstance(e, SumOver):
-        child = normalize(e.child)
-        if isinstance(child, SumOver):
-            return normalize(SumOver(tuple(sorted(set(e.over) | set(child.over))), child.child))
-        if not e.over:
-            return child
-        if isinstance(child, ObservedTerm) and not child.given and set(e.over) <= set(child.outcome):
-            return ObservedTerm(tuple(n for n in child.outcome if n not in e.over))
-        return SumOver(tuple(sorted(e.over)), child)
-    if isinstance(e, Product):
-        kids = [c for c in map(normalize, e.children) if not isinstance(c, One)]
-        return _product(kids) if kids else One()
-    if isinstance(e, Quotient):
-        num, den = normalize(e.num), normalize(e.den)
-        if isinstance(den, One):
-            return num
-        return Quotient(num, den)
-    if isinstance(e, ObservedTerm):
-        return ObservedTerm(tuple(sorted(e.outcome)), tuple(sorted(e.given)))
-    return e
+# -- printing -----------------------------------------------------------
 
 
 def pretty(e: Expr) -> str:
-    """Deterministic text rendering, e.g. ``sum_{X} P(X) P(Z|X,Y)``."""
+    """Deterministic text rendering, e.g. ``sum_{X} P(X) P(Z|X,Y)``; a node
+    of any other type is refused, as ``evaluate`` refuses it."""
     if isinstance(e, ObservedTerm):
         out = ",".join(sorted(e.outcome))
         if e.given:
@@ -456,6 +428,4 @@ def pretty(e: Expr) -> str:
         return " ".join(parts)
     if isinstance(e, Quotient):
         return f"({pretty(e.num)})/({pretty(e.den)})"
-    if isinstance(e, One):
-        return "1"
-    return repr(e)
+    raise InvalidInputError(f"unknown expression node {e!r}")

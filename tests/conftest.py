@@ -17,6 +17,7 @@ import pytest
 from docalc.graphs import Admg, Var
 from docalc.dcn import DcnMechanism, DcnSpec, SliceCpt, SliceExo
 from docalc.factors import TransitionMatrix
+from docalc.identify import Expr, ObservedTerm, Product, Quotient, SumOver, pretty
 from docalc.scm import Scm, random_admg
 
 
@@ -239,6 +240,33 @@ def bf_hedge_exists(g: Admg, x: set, y: set) -> bool:
                                 continue
                             return True
     return False
+
+
+# -- the canonical form of identified expressions --------------------------
+
+def normalize(e: Expr) -> Expr:
+    """The canonical form ``id_effect`` builds its expressions in, as a
+    rewrite: nested sums merged, a sum of observed variables folded into
+    the observed term, products flattened and sorted by ``pretty``, names
+    sorted.  Semantics are untouched: expressions are compared by value."""
+    if isinstance(e, SumOver):
+        child = normalize(e.child)
+        if isinstance(child, SumOver):
+            return normalize(SumOver(tuple(sorted(set(e.over) | set(child.over))), child.child))
+        if not e.over:
+            return child
+        if isinstance(child, ObservedTerm) and not child.given and set(e.over) <= set(child.outcome):
+            return ObservedTerm(tuple(n for n in child.outcome if n not in e.over))
+        return SumOver(tuple(sorted(e.over)), child)
+    if isinstance(e, Product):
+        flat = [c for k in map(normalize, e.children)
+                for c in (k.children if isinstance(k, Product) else (k,))]
+        return flat[0] if len(flat) == 1 else Product(tuple(sorted(flat, key=pretty)))
+    if isinstance(e, Quotient):
+        return Quotient(normalize(e.num), normalize(e.den))
+    if isinstance(e, ObservedTerm):
+        return ObservedTerm(tuple(sorted(e.outcome)), tuple(sorted(e.given)))
+    raise TypeError(f"unknown expression node {e!r}")
 
 
 # -- canonical shared fixtures ----------------------------------------------

@@ -142,16 +142,16 @@ def test_criterion_04_verdict_table(fig12_graphs):
     _report("4 verdict-table", "7 of 7 rows")
 
 
-def _generic_candidate_trial(rng):
+def _generic_candidate_trial(rng, domain=2):
     """Draw (true model, candidate set) and reject parameterizations whose
     predictions or oracle answers come within the borderline band
     (1e-9, 1e-6) of a coincidence; the distinguishability lemmas hold
-    only generically."""
+    only generically.  Every variable and confounder has ``domain`` values."""
     from test_acceptance import _perturb  # self-import for clarity
 
     n = int(rng.integers(3, 6))
-    true_g = random_admg(rng, n, edge_prob=0.5, max_confounders=2)
-    m = random_scm(rng, true_g)
+    true_g = random_admg(rng, n, edge_prob=0.5, max_confounders=2, domain=domain)
+    m = random_scm(rng, true_g, exo_domain=domain)
     cand = {true_g}
     want = int(rng.integers(2, 13))
     attempts = 0

@@ -325,6 +325,12 @@ class TestDcnCommand:
         assert lines[0] == "t,P(tr1=1),P(tr2=1),P(d=1)"
         assert len(lines) == 15
 
+    def test_empty_series_is_the_header_alone(self):
+        """No slices: the CSV is the time column's header, whatever the first
+        slice and the joint cells asked for."""
+        for t0, full_joint in ((0, False), (3, True)):
+            assert fileio.trajectory_csv([], t0, full_joint) == "t\n"
+
     def test_horizon_zero_single_row(self, traffic_spec_file, tmp_path):
         out = tmp_path / "one.csv"
         code = main(["dcn", "--spec", str(traffic_spec_file),
@@ -471,6 +477,9 @@ class TestMalformedFiles:
         "exo_prior_word": {"mechanism": {"exos": [{"name": "w", "prior": ["half", 0.5],
                                                    "earlier": "a", "later": "b"}]}},
         "schedule_undefined_matrix": {"schedule": {"matrices": {}, "pattern": ["a"]}},
+        "schedule_pattern_empty": {"schedule": {"matrices": {}, "pattern": []}},
+        "intra_parents_string": {"mechanism": {"cpts": {
+            "a": {"table": [0.5, 0.5]}, "b": {"intra_parents": "a", "table": [0.5] * 4}}}},
         "cpt_table_word": {"mechanism": {"cpts": {"a": {"table": ["half", 0.5]},
                                                   "b": {"table": [0.5, 0.5]}}}},
         "cpt_table_shape": {"mechanism": {"cpts": {
@@ -486,6 +495,8 @@ class TestMalformedFiles:
                 "slice_vars_string": "slice_vars", "cross_edge_pair": "cross_edges",
                 "intra_edge_single": "intra_edges", "exo_prior_word": "prior of 'w'",
                 "schedule_undefined_matrix": "undefined matrices ['a']",
+                "schedule_pattern_empty": "schedule pattern must name at least one matrix",
+                "intra_parents_string": "intra_parents of 'b' must be a list of names, got 'a'",
                 "cpt_table_word": "cpt table of 'a'",
                 "cpt_table_shape": "cpt table of 'b' has shape (2,), expected (2, 2)",
                 "exo_parent_unknown": "exo parent 'w' of 'a'",

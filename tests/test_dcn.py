@@ -1683,7 +1683,7 @@ class TestOneGraphPerCall:
                     c = m.cpts[n]
                     want[obs.slice_of[n] - t0].append((c.parents + c.exo_parents + (n,), c.table))
                 assert len(obs.tables) == len(want)
-                shared = {}
+                shared, cpts = {}, {c.var: c for c in spec.mechanism.cpts}
                 for names, got, exp in zip(obs.slices, obs.tables, want):
                     template = dict(zip(names, spec.names()))
                     assert [scope for scope, _t in got] == [scope for scope, _t in exp]
@@ -1691,7 +1691,7 @@ class TestOneGraphPerCall:
                         assert table.dtype == ref.dtype and np.array_equal(table, ref)
                         assert not table.flags.writeable
                         if scope[-1] in template:  # a CPT; all parents in the window
-                            cpt = spec.mechanism.cpt(template[scope[-1]])
+                            cpt = cpts[template[scope[-1]]]
                             if table.ndim == np.ndim(cpt.table):
                                 shared.setdefault(cpt.var, set()).add(id(table))
                 assert all(len(ids) == 1 for ids in shared.values())

@@ -270,6 +270,17 @@ class TestCondition:
         assert c.partial
         assert np.allclose(c.table[1], 0.0)
 
+    def test_empty_given_normalizes(self):
+        """Conditioning on nothing is normalizing; with no mass at all there
+        is nothing to normalize."""
+        f = joint_ab([[0.2, 0.6], [0.4, 0.8]])
+        c = condition(f, [])
+        want = f.normalized()
+        assert c.names() == want.names() and c.partial == want.partial
+        assert c.table.tobytes() == want.table.tobytes()
+        with pytest.raises(PartialSupportError, match="zero-mass"):
+            condition(joint_ab([[0.0, 0.0], [0.0, 0.0]]), [])
+
     @given(st.integers(0, 10_000))
     @settings(max_examples=80, deadline=None)
     def test_bit_identical_to_the_masked_divide(self, seed):

@@ -289,6 +289,11 @@ class TestTrustedConstruction:
         with pytest.raises(InvalidInputError):
             chain().induced({"X", "Q"})
 
+    def test_membership_and_comparison_with_other_types(self):
+        g = chain()
+        assert "Z" in g and "Q" not in g
+        assert g != "g" and not g == "g"
+
 
 def _subsets(items):
     return (frozenset(c) for k in range(len(items) + 1)
